@@ -16,6 +16,8 @@ from __future__ import annotations
 import struct
 from typing import Iterator
 
+import numpy as np
+
 from . import lockcheck
 from .constants import (
     EXTENT_PAGES,
@@ -53,7 +55,7 @@ class Page:
     """
 
     __slots__ = ("page_id", "kind", "level", "prev_page", "next_page",
-                 "pv", "_body", "_slots")
+                 "pv", "_body", "_slots", "_dense")
 
     def __init__(self, page_id: int, kind: int, level: int = 0,
                  pv: int = 0):
@@ -65,6 +67,32 @@ class Page:
         self.pv = pv
         self._body = bytearray()
         self._slots: list[tuple[int, int]] = []  # (offset, length)
+        # Dense marker, kept in O(1) by every mutator: the common
+        # record length L > 0 when the body is exactly the records in
+        # slot order (slot i at offset i*L, no garbage), 0 for an empty
+        # page with an empty body, -1 otherwise.  (Dropping a
+        # zero-length record leaves no garbage behind, so that one case
+        # rescans.)
+        self._dense = 0
+
+    def __setstate__(self, state):
+        _dict, slots = state
+        for name, value in slots.items():
+            setattr(self, name, value)
+        if "_dense" not in slots:  # pickled before the marker existed
+            self._dense = self._scan_dense()
+
+    def _scan_dense(self) -> int:
+        """The dense marker recomputed from the slot array and body."""
+        if not self._slots:
+            return -1 if self._body else 0
+        length = self._slots[0][1]
+        if length == 0 or len(self._body) != length * len(self._slots):
+            return -1
+        for i, slot in enumerate(self._slots):
+            if slot != (i * length, length):
+                return -1
+        return length
 
     def clone(self, pv: int) -> "Page":
         """Copy-on-write twin: same id and content, new version stamp."""
@@ -73,6 +101,7 @@ class Page:
         twin.next_page = self.next_page
         twin._body = bytearray(self._body)
         twin._slots = list(self._slots)
+        twin._dense = self._dense
         return twin
 
     # -- capacity ---------------------------------------------------------
@@ -115,7 +144,18 @@ class Page:
         offset = len(self._body)
         self._body += record
         self._slots.append((offset, len(record)))
+        self._note_append(len(record))
         return len(self._slots) - 1
+
+    def _note_append(self, length: int) -> None:
+        """Update the dense marker for a record that was just appended
+        to the body *and* to the end of the slot array."""
+        if length == 0:
+            self._dense = -1
+        elif self._dense == 0:
+            self._dense = length
+        elif self._dense != length:
+            self._dense = -1
 
     def insert_record(self, slot: int, record: bytes) -> None:
         """Insert a record at a slot position, shifting later slots
@@ -126,6 +166,10 @@ class Page:
                 f"{self.free_bytes} free bytes")
         offset = len(self._body)
         self._body += record
+        if slot >= len(self._slots):
+            self._note_append(len(record))
+        else:  # body order no longer matches slot order
+            self._dense = -1
         self._slots.insert(slot, (offset, len(record)))
 
     def get_record(self, slot: int) -> bytes:
@@ -145,11 +189,20 @@ class Page:
             raise PageFullError("replacement record does not fit")
         offset = len(self._body)
         self._body += record
+        old_length = self._slots[slot][1]
         self._slots[slot] = (offset, len(record))
+        self._dense = -1 if old_length else self._scan_dense()
 
     def delete_record(self, slot: int) -> None:
-        """Remove a slot (bytes become garbage until compaction)."""
-        del self._slots[slot]
+        """Remove a slot (bytes become garbage until compaction; the
+        last record out takes the garbage with it, so an emptied page
+        — B-tree leaves are unlinked, never reused — holds no body)."""
+        old_length = self._slots.pop(slot)[1]
+        if not self._slots:
+            self._body = bytearray()
+            self._dense = 0
+        else:
+            self._dense = -1 if old_length else self._scan_dense()
 
     def records(self) -> Iterator[bytes]:
         """Iterate all records in slot order."""
@@ -158,18 +211,41 @@ class Page:
 
     def take_all_records(self) -> list[bytes]:
         """Return all records and clear the page (used when splitting)."""
-        records = [self.get_record(i) for i in range(len(self._slots))]
+        records = list(self.records())
         self._body = bytearray()
         self._slots = []
+        self._dense = 0
         return records
 
     def compact(self) -> None:
         """Rewrite the body dropping garbage left by replace/delete."""
-        records = [self.get_record(i) for i in range(len(self._slots))]
-        self._body = bytearray()
-        self._slots = []
-        for record in records:
+        for record in self.take_all_records():
             self.add_record(record)
+
+    def record_matrix(self) -> "np.ndarray | None":
+        """All records as one ``(slot_count, L)`` ``uint8`` matrix in
+        slot order, or ``None`` when the page is empty or its records
+        differ in length.
+
+        A dense page (see ``_dense``) is a plain reshape of the body —
+        a *view*: while it is alive the body cannot grow (``bytearray``
+        raises ``BufferError``), so callers copy what they need and
+        drop the matrix before anyone may write to the page.  Equal
+        lengths over a body with holes or out-of-order records cost one
+        fancy-index gather (a copy).
+        """
+        n = len(self._slots)
+        if self._dense > 0:
+            return np.frombuffer(self._body, dtype=np.uint8).reshape(
+                n, self._dense)
+        if n == 0:
+            return None
+        slots = np.array(self._slots, dtype=np.intp)
+        length = int(slots[0, 1])
+        if length == 0 or (slots[:, 1] != length).any():
+            return None
+        body = np.frombuffer(self._body, dtype=np.uint8)
+        return body[slots[:, :1] + np.arange(length)]
 
     def header_bytes(self) -> bytes:
         """Serialize the page header (for size accounting and tests)."""

@@ -426,14 +426,8 @@ class SqlSession:
         finally:
             table.release_intent(token)
 
-    def _delete_mvcc(self, tokens) -> int:
-        """MVCC DELETE: pick the victim keys on a pinned snapshot
-        (consistent, and concurrent with disjoint writers), then latch
-        the table only for the copy-on-write delete + publish step.
-        The write intent spans the WHERE clause's primary-key range —
-        the whole key space when the predicate does not bound it — so
-        the victim set cannot change between selection and deletion.
-        """
+    def _parse_delete(self, tokens) -> tuple[Table, object]:
+        """``DELETE FROM t [WHERE pred]`` → ``(table, predicate)``."""
         parser = _Parser(self, tokens)
         parser._expect("kw", "DELETE")
         parser._expect("kw", "FROM")
@@ -449,6 +443,41 @@ class SqlSession:
         if parser._peek()[0] != "eof":
             raise SqlSyntaxError(
                 f"unexpected trailing input {parser._peek()[1]!r}")
+        return table, where
+
+    def _victim_keys(self, source, table: Table, where,
+                     pk_range) -> list[int]:
+        """Keys of the rows of ``source`` (the table, or a pinned
+        snapshot of it) that a DELETE's predicate selects.
+
+        The scan is bounded by ``pk_range`` — :meth:`_pk_range` of the
+        predicate, a superset of the matching keys by construction —
+        and the whole predicate is still evaluated on every row it
+        returns.
+        """
+        if where is None:
+            return [row[0] for row in source.scan()]
+        key = self._seek_key(table, where)
+        if key is not None:
+            return [key] if source.get(key) is not None else []
+        lo, hi = pk_range if pk_range is not None else (None, None)
+        ctx = _EvalContext(table)
+        keys = []
+        for row in source.scan(start=lo, stop=hi):
+            ctx.row = row
+            if where.eval(ctx):
+                keys.append(row[0])
+        return keys
+
+    def _delete_mvcc(self, tokens) -> int:
+        """MVCC DELETE: pick the victim keys on a pinned snapshot
+        (consistent, and concurrent with disjoint writers), then latch
+        the table only for the copy-on-write delete + publish step.
+        The write intent spans the WHERE clause's primary-key range —
+        the whole key space when the predicate does not bound it — so
+        the victim set cannot change between selection and deletion.
+        """
+        table, where = self._parse_delete(tokens)
         pk_range = self._pk_range(table, where)
         lo, hi = pk_range if pk_range is not None else (None, None)
         token = table.acquire_intent(lo, hi)
@@ -461,20 +490,8 @@ class SqlSession:
             with self.db.latches.catalog_latch():
                 snap = table.pin_snapshot()
                 try:
-                    if where is None:
-                        keys = [row[0] for row in snap.scan()]
-                    else:
-                        key = self._seek_key(table, where)
-                        if key is not None:
-                            keys = ([key] if snap.get(key) is not None
-                                    else [])
-                        else:
-                            ctx = _EvalContext(table)
-                            keys = []
-                            for row in snap.scan():
-                                ctx.row = row
-                                if where.eval(ctx):
-                                    keys.append(row[0])
+                    keys = self._victim_keys(snap, table, where,
+                                             pk_range)
                 finally:
                     snap.unpin(self.db.pool)
             with self.db.latches.write_latch(table.name):
@@ -486,34 +503,9 @@ class SqlSession:
 
     def _delete(self, tokens) -> int:
         """``DELETE FROM t [WHERE pred]``; returns rows deleted."""
-        parser = _Parser(self, tokens)
-        parser._expect("kw", "DELETE")
-        parser._expect("kw", "FROM")
-        name_tok = parser._next()
-        if name_tok[0] != "name":
-            raise SqlSyntaxError("expected a table name")
-        table = self._resolve_table(name_tok[1])
-        parser.table = table
-        where = None
-        if parser._peek() == ("kw", "WHERE"):
-            parser._next()
-            where = parser._predicate()
-        if parser._peek()[0] != "eof":
-            raise SqlSyntaxError(
-                f"unexpected trailing input {parser._peek()[1]!r}")
-        if where is None:
-            keys = [row[0] for row in table.scan()]
-        else:
-            key = self._seek_key(table, where)
-            if key is not None:
-                keys = [key] if table.get(key) is not None else []
-            else:
-                ctx = _EvalContext(table)
-                keys = []
-                for row in table.scan():
-                    ctx.row = row
-                    if where.eval(ctx):
-                        keys.append(row[0])
+        table, where = self._parse_delete(tokens)
+        keys = self._victim_keys(table, table, where,
+                                 self._pk_range(table, where))
         for key in keys:
             table.delete(key)
         return len(keys)

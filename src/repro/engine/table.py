@@ -684,23 +684,7 @@ class Table:
         descent, then every leaf once, in chain order), so a batch scan
         and a row scan of the same table produce identical IO counters.
         """
-        from .vectorized import DEFAULT_BATCH_PAGES, RowBatch
-
-        if batch_pages is None:
-            batch_pages = DEFAULT_BATCH_PAGES
-        key_size = struct.calcsize("<q")
-        unpack_key = struct.Struct("<q").unpack_from
-        for pages in self._tree.scan_leaf_batches(
-                pool, batch_pages=batch_pages):
-            keys: list[int] = []
-            payloads: list[bytes] = []
-            for page in pages:
-                for slot in range(page.slot_count):
-                    record = page.get_record(slot)
-                    keys.append(unpack_key(record)[0])
-                    payloads.append(record[key_size:])
-            if payloads:
-                yield RowBatch(self, keys, payloads)
+        return _scan_batches(self, self._tree, pool, batch_pages)
 
     def batches_for_pages(self, pool: BufferPool | None, page_ids,
                           batch_pages: int | None = None,
@@ -726,8 +710,6 @@ class Table:
 
         if batch_pages is None:
             batch_pages = DEFAULT_BATCH_PAGES
-        key_size = struct.calcsize("<q")
-        unpack_key = struct.Struct("<q").unpack_from
         page_ids = list(page_ids)
         for start in range(0, len(page_ids), batch_pages):
             chunk = page_ids[start:start + batch_pages]
@@ -740,15 +722,23 @@ class Table:
                 pages.extend(pool.fetch_many(charged))
             else:
                 pages.extend(self._pagefile.get(pid) for pid in charged)
-            keys: list[int] = []
-            payloads: list[bytes] = []
-            for page in pages:
-                for slot in range(page.slot_count):
-                    record = page.get_record(slot)
-                    keys.append(unpack_key(record)[0])
-                    payloads.append(record[key_size:])
-            if payloads:
-                yield RowBatch(self, keys, payloads)
+            batch = RowBatch.from_pages(self, pages)
+            if batch.n:
+                yield batch
+
+
+def _scan_batches(table: Table, tree, pool: BufferPool | None,
+                  batch_pages: int | None) -> Iterator:
+    """Leaf runs of ``tree`` (the table's live tree or a pinned
+    version's reader) decoded into ``RowBatch``es of ``table``."""
+    from .vectorized import DEFAULT_BATCH_PAGES, RowBatch
+
+    if batch_pages is None:
+        batch_pages = DEFAULT_BATCH_PAGES
+    for pages in tree.scan_leaf_batches(pool, batch_pages=batch_pages):
+        batch = RowBatch.from_pages(table, pages)
+        if batch.n:
+            yield batch
 
 
 @dataclass(frozen=True)
@@ -847,20 +837,4 @@ class TableSnapshot:
                      batch_pages: int | None = None) -> Iterator:
         """Columnar scan of the pinned version; IO charges match
         :meth:`Table.scan_batches` page for page."""
-        from .vectorized import DEFAULT_BATCH_PAGES, RowBatch
-
-        if batch_pages is None:
-            batch_pages = DEFAULT_BATCH_PAGES
-        key_size = struct.calcsize("<q")
-        unpack_key = struct.Struct("<q").unpack_from
-        for pages in self._reader.scan_leaf_batches(
-                pool, batch_pages=batch_pages):
-            keys: list[int] = []
-            payloads: list[bytes] = []
-            for page in pages:
-                for slot in range(page.slot_count):
-                    record = page.get_record(slot)
-                    keys.append(unpack_key(record)[0])
-                    payloads.append(record[key_size:])
-            if payloads:
-                yield RowBatch(self.table, keys, payloads)
+        return _scan_batches(self.table, self._reader, pool, batch_pages)

@@ -86,18 +86,19 @@ _INT64_MAX = 2 ** 63 - 1
 
 
 class _TableLayout:
-    """Byte offsets of a table's columns inside a leaf payload.
+    """Byte offsets of a table's columns inside a leaf record (the
+    8 key bytes, then the payload).
 
-    Only meaningful when every payload in a batch has the same length
-    (no NULL-shortened variable sections), which is when the strided
-    fast path applies.
+    Only meaningful when every record in a batch has the same length
+    (no NULL-shortened variable sections), which is when the record
+    matrix applies.
     """
 
     __slots__ = ("bitmap_offset", "fixed", "var", "var_offset")
 
     def __init__(self, table: "Table"):
-        self.bitmap_offset = ROW_OVERHEAD
-        pos = ROW_OVERHEAD + table._bitmap_bytes
+        self.bitmap_offset = _KEY_STRUCT.size + ROW_OVERHEAD
+        pos = self.bitmap_offset + table._bitmap_bytes
         self.fixed: dict[str, tuple[int, int, np.dtype]] = {}
         self.var: list[tuple[str, int, str]] = []
         for i, col in enumerate(table._nonkey):
@@ -118,62 +119,131 @@ def _layout(table: "Table") -> _TableLayout:
     return layout
 
 
+class _BlobColumn(np.ndarray):
+    """An object array of equal-length ``bytes`` cells that also
+    carries them as one ``(n, size)`` ``uint8`` ``matrix``, so a batch
+    kernel can validate and gather from all blobs without touching the
+    per-row objects.  Slices and copies come back with ``matrix`` unset
+    (the class default) — lanes and rows could no longer be assumed to
+    line up."""
+
+    matrix: np.ndarray | None = None
+
+
+def _object_column(cells: list) -> np.ndarray:
+    out = np.empty(len(cells), dtype=object)
+    out[:] = cells
+    return out
+
+
+def _row_bytes(matrix: np.ndarray) -> np.ndarray:
+    """Each row of a C-contiguous ``(n, size)`` ``uint8`` matrix as one
+    ``bytes`` cell of an object array (one pass in C: an unstructured
+    void item converts to ``bytes``)."""
+    n, size = matrix.shape
+    if size == 0:
+        out = np.empty(n, dtype=object)
+        out.fill(b"")
+        return out
+    return matrix.view(f"V{size}").ravel().astype(object)
+
+
 class RowBatch:
     """A run of clustered-index rows decoded column-at-a-time.
+
+    A batch comes in one of two shapes.  When every leaf record of the
+    run has the same length it holds them as one ``(n, L)`` ``uint8``
+    *record matrix* (key bytes first, then the payload) and every
+    column is a strided slice of it; otherwise it holds the per-row
+    payload ``bytes`` and decodes through whole-row tuples.
 
     Attributes:
         table: The owning table.
         keys: Primary keys as an int64 array.
-        payloads: The raw leaf payloads (kept for fallback row
-            materialization and non-uniform decoding).
         n: Number of rows in the batch.
     """
 
-    __slots__ = ("table", "keys", "payloads", "n", "_columns", "_tuples",
-                 "_buf", "_arr2d", "_uniform_len", "_uniform_checked")
+    __slots__ = ("table", "keys", "n", "_records", "_payloads",
+                 "_columns", "_tuples")
 
-    def __init__(self, table: "Table", keys, payloads: list[bytes]):
+    def __init__(self, table: "Table", keys=None,
+                 payloads: list[bytes] | None = None, *,
+                 records: np.ndarray | None = None):
         self.table = table
-        self.keys = np.asarray(keys, dtype=np.int64)
-        self.payloads = payloads
-        self.n = len(payloads)
+        self._records = records
+        self._payloads = payloads
+        if records is not None:
+            self.n = len(records)
+            self.keys = self._field(0, _NP_DTYPES["bigint"])
+        else:
+            self.n = len(payloads)
+            self.keys = np.asarray(keys, dtype=np.int64)
         self._columns: dict[str, tuple] = {}
         self._tuples: list[tuple] | None = None
-        self._buf: bytes | None = None
-        self._arr2d: np.ndarray | None = None
-        self._uniform_len: int | None = None
-        self._uniform_checked = False
+
+    @classmethod
+    def from_pages(cls, table: "Table", pages) -> "RowBatch":
+        """Decode a run of leaf pages — the one page→batch routine
+        behind every scan entry point.
+
+        Each page contributes its :meth:`Page.record_matrix`; the
+        matrices are concatenated once, so the batch owns a single copy
+        of its bytes and no view of a page body outlives this call
+        (a view would pin the page's ``bytearray`` against the next
+        insert).  A page whose records differ in length — or from the
+        other pages' — sends the whole run down the per-record path.
+        """
+        matrices = []
+        for page in pages:
+            if not page.slot_count:
+                continue
+            matrix = page.record_matrix()
+            if matrix is None or (
+                    matrices
+                    and matrix.shape[1] != matrices[0].shape[1]):
+                break
+            matrices.append(matrix)
+        else:
+            if matrices:
+                return cls(table, records=np.concatenate(matrices))
+        keys: list[int] = []
+        payloads: list[bytes] = []
+        for page in pages:
+            for record in page.records():
+                keys.append(_KEY_STRUCT.unpack_from(record)[0])
+                payloads.append(record[_KEY_STRUCT.size:])
+        return cls(table, keys, payloads)
+
+    @property
+    def payloads(self) -> list[bytes]:
+        """The raw leaf payloads, one ``bytes`` per row (materialized
+        on first use for a record-matrix batch)."""
+        if self._payloads is None:
+            self._payloads = _row_bytes(np.ascontiguousarray(
+                self._records[:, _KEY_STRUCT.size:])).tolist()
+        return self._payloads
 
     @property
     def payload_bytes(self) -> int:
-        return sum(len(p) for p in self.payloads)
+        if self._records is not None:
+            return self.n * (self._records.shape[1] - _KEY_STRUCT.size)
+        return sum(len(p) for p in self._payloads)
 
     # -- decoding ----------------------------------------------------------
 
-    def _uniform(self) -> int | None:
-        """Common payload length, or None if rows differ (NULL
-        variable columns shorten their rows)."""
-        if not self._uniform_checked:
-            self._uniform_checked = True
-            if self.n:
-                length = len(self.payloads[0])
-                if all(len(p) == length for p in self.payloads):
-                    self._uniform_len = length
-        return self._uniform_len
+    def _field(self, offset: int, dt: np.dtype) -> np.ndarray:
+        """Strided view of the field at one byte offset of every
+        record."""
+        records = self._records
+        if not self.n:  # an empty buffer admits no offset
+            return np.empty(0, dtype=dt)
+        return np.ndarray((self.n,), dtype=dt, buffer=records,
+                          offset=offset, strides=(records.shape[1],))
 
-    def _raw(self) -> np.ndarray:
-        """(n, L) uint8 view over the concatenated payloads."""
-        if self._arr2d is None:
-            self._buf = b"".join(self.payloads)
-            self._arr2d = np.frombuffer(self._buf, dtype=np.uint8) \
-                .reshape(self.n, self._uniform_len)
-        return self._arr2d
-
-    def _bitmap_mask(self, col_slot: int) -> np.ndarray | None:
-        layout = _layout(self.table)
-        bits = self._raw()[:, layout.bitmap_offset + (col_slot >> 3)]
-        mask = ((bits >> (col_slot & 7)) & 1).astype(bool)
-        return mask if mask.any() else None
+    def _null_mask(self, col_slot: int) -> np.ndarray:
+        bits = self._field(_layout(self.table).bitmap_offset
+                           + (col_slot >> 3), np.dtype(np.uint8))
+        return ((bits >> (col_slot & 7)) & 1).astype(bool)
 
     def column(self, name: str) -> tuple:
         """Decode one column as ``(values, mask)``.
@@ -189,15 +259,13 @@ class RowBatch:
         idx = table.column_index(name)
         if idx == 0:
             out = (self.keys, None)
-        elif self._uniform() is not None:
+        elif self._records is not None:
             spec = _layout(table).fixed.get(name)
             if spec is not None:
                 offset, slot, dt = spec
-                self._raw()
-                values = np.ndarray(
-                    (self.n,), dtype=dt, buffer=self._buf,
-                    offset=offset, strides=(self._uniform_len,)).copy()
-                out = (values, self._bitmap_mask(slot))
+                mask = self._null_mask(slot)
+                out = (self._field(offset, dt).copy(),
+                       mask if mask.any() else None)
             else:
                 self._decode_var_columns()
                 return self._columns[name]
@@ -207,27 +275,72 @@ class RowBatch:
         return out
 
     def _decode_var_columns(self) -> None:
-        """One pass over the variable sections decoding *all* var
-        columns (they are stored sequentially, so decoding one means
-        walking the ones before it anyway)."""
+        """Decode *all* var columns at once (they are stored
+        sequentially, so decoding one means walking the ones before it
+        anyway)."""
+        layout = _layout(self.table)
+        masks = {name: self._null_mask(slot)
+                 for name, slot, _typ in layout.var}
+        outs = self._var_columns_uniform(layout, masks)
+        if outs is None:
+            outs = self._var_columns_per_row(layout, masks)
+        for name, values in outs.items():
+            mask = masks[name]
+            self._columns[name] = (values, mask if mask.any() else None)
+
+    def _var_columns_uniform(self, layout: _TableLayout, masks: dict
+                             ) -> dict | None:
+        """All rows share one shape: every size field and
+        ``varbinary(max)`` flag equals row 0's, so each value sits at
+        the same offset in every record and a column is one matrix
+        slice.  Returns ``None`` as soon as a row disagrees."""
         from .table import MaxBlobHandle
 
-        table = self.table
-        layout = _layout(table)
-        length = self._uniform_len
-        self._raw()
-        buf = self._buf
+        records = self._records
+        store = self.table._blob_store
+        pos = layout.var_offset
+        outs = {}
+        for name, _slot, typ in layout.var:
+            head = 2 if typ == "varbinary" else 3
+            prefix = records[0, pos:pos + head]
+            if (records[:, pos:pos + head] != prefix).any():
+                return None
+            if typ == "varbinary_max" and prefix[0]:
+                ptrs = self._field(pos + 3, _NP_DTYPES["int"]).tolist()
+                sizes = self._field(pos + 7, _NP_DTYPES["bigint"]).tolist()
+                outs[name] = _object_column(
+                    [MaxBlobHandle(store, BlobRef(ptr, size))
+                     for ptr, size in zip(ptrs, sizes)])
+                pos += 15
+                continue
+            pos += head
+            size = int(prefix[-2]) | int(prefix[-1]) << 8
+            matrix = np.ascontiguousarray(records[:, pos:pos + size])
+            cells = _row_bytes(matrix)
+            cells[masks[name]] = None
+            if size:
+                cells = cells.view(_BlobColumn)
+                cells.matrix = matrix
+            outs[name] = cells
+            pos += size
+        return outs
+
+    def _var_columns_per_row(self, layout: _TableLayout, masks: dict
+                             ) -> dict:
+        """The general walk: one pass over each row's variable
+        section."""
+        from .table import MaxBlobHandle
+
+        records = self._records
+        length = records.shape[1]
+        buf = records.tobytes()
         n = self.n
         unpack_h = struct.Struct("<H").unpack_from
         unpack_b = struct.Struct("<B").unpack_from
         unpack_ptr = struct.Struct("<Hiq").unpack_from
-        store = table._blob_store
-        outs = {}
-        masks = {}
-        for name, slot, _typ in layout.var:
-            outs[name] = np.empty(n, dtype=object)
-            bits = self._arr2d[:, layout.bitmap_offset + (slot >> 3)]
-            masks[name] = ((bits >> (slot & 7)) & 1).astype(bool)
+        store = self.table._blob_store
+        outs = {name: np.empty(n, dtype=object)
+                for name, _slot, _typ in layout.var}
         for r in range(n):
             pos = r * length + layout.var_offset
             for name, _slot, typ in layout.var:
@@ -250,10 +363,7 @@ class RowBatch:
                         pos += 14
                         value = MaxBlobHandle(store, BlobRef(ptr, size))
                 outs[name][r] = value
-        for name, _slot, _typ in layout.var:
-            mask = masks[name]
-            self._columns[name] = (outs[name],
-                                   mask if mask.any() else None)
+        return outs
 
     def _column_from_tuples(self, name: str, idx: int) -> tuple:
         """Non-uniform batch: decode whole rows once, then slice."""
@@ -271,8 +381,7 @@ class RowBatch:
             else:
                 values = np.array(vals, dtype=dt)
         else:
-            values = np.empty(self.n, dtype=object)
-            values[:] = vals
+            values = _object_column(vals)
         return values, (mask if has_null else None)
 
     def rows(self) -> list[tuple]:
@@ -289,11 +398,17 @@ class RowBatch:
         Already-decoded columns are filtered, not re-decoded."""
         idx = np.flatnonzero(keep)
         picks = idx.tolist()
-        out = RowBatch(self.table, self.keys[idx],
-                       [self.payloads[i] for i in picks])
+        if self._records is not None:
+            out = RowBatch(self.table, records=self._records[idx])
+        else:
+            out = RowBatch(self.table, self.keys[idx],
+                           [self._payloads[i] for i in picks])
         for name, (values, mask) in self._columns.items():
-            values = values[idx] if isinstance(values, np.ndarray) \
-                else values
+            if isinstance(values, np.ndarray):
+                matrix = getattr(values, "matrix", None)
+                values = values[idx]
+                if matrix is not None:
+                    values.matrix = matrix[idx]
             if isinstance(mask, np.ndarray):
                 mask = mask[idx]
                 if not mask.any():

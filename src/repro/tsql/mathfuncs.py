@@ -146,6 +146,32 @@ def _attach(ns: ArrayNamespace) -> None:
         setattr(ns, name, fn)
 
 
+def _same_header_matrix(blobs, data_offset: int) -> np.ndarray | None:
+    """The blobs of a batch as one ``(n, length)`` ``uint8`` matrix,
+    or ``None`` unless every cell is ``bytes`` of the first one's
+    length sharing its first ``data_offset`` (header) bytes.
+
+    A column that already carries its cells as a matrix (the batch
+    decoder attaches one to fixed-size blob columns) is validated with
+    a single compare; otherwise the cells are checked one by one and
+    joined.
+    """
+    matrix = getattr(blobs, "matrix", None)
+    if matrix is not None:
+        if (matrix[:, :data_offset] != matrix[0, :data_offset]).any():
+            return None
+        return matrix
+    first = blobs[0]
+    length = len(first)
+    prefix = first[:data_offset]
+    for b in blobs:
+        if (type(b) is not bytes or len(b) != length
+                or b[:data_offset] != prefix):
+            return None
+    return np.frombuffer(b"".join(blobs), dtype=np.uint8).reshape(
+        len(blobs), length)
+
+
 def _item_kernel(ns: ArrayNamespace, n_idx: int):
     """Batch kernel for ``Item_N``: one strided gather over a run of
     same-shape blobs instead of one header decode + frombuffer per row.
@@ -174,14 +200,11 @@ def _item_kernel(ns: ArrayNamespace, n_idx: int):
                 or header.storage != ns.storage
                 or header.rank != n_idx):
             return None
-        length = len(first)
-        if (length - header.data_offset) % dt.itemsize:
+        if (len(first) - header.data_offset) % dt.itemsize:
             return None
-        prefix = first[:header.data_offset]
-        for b in blobs:
-            if (type(b) is not bytes or len(b) != length
-                    or b[:header.data_offset] != prefix):
-                return None
+        matrix = _same_header_matrix(blobs, header.data_offset)
+        if matrix is None:
+            return None
         n = len(blobs)
         flat = np.zeros(n, dtype=np.int64)
         stride = 1
@@ -204,8 +227,7 @@ def _item_kernel(ns: ArrayNamespace, n_idx: int):
                 return None  # the per-row path raises BoundsError
             flat += a * stride
             stride *= dim
-        raw = np.frombuffer(b"".join(blobs), dtype=np.uint8)
-        data = raw.reshape(n, length)[:, header.data_offset:]
+        data = matrix[:, header.data_offset:]
         return data.view(dt)[np.arange(n), flat]
 
     return kernel
@@ -288,14 +310,11 @@ def _subarray_kernel(ns: ArrayNamespace):
         if (header.dtype.code != ns.dtype.code
                 or header.storage != ns.storage):
             return None
-        length = len(first)
-        if (length - header.data_offset) % dt.itemsize:
+        if (len(first) - header.data_offset) % dt.itemsize:
             return None
-        prefix = first[:header.data_offset]
-        for b in blobs:
-            if (type(b) is not bytes or len(b) != length
-                    or b[:header.data_offset] != prefix):
-                return None
+        matrix = _same_header_matrix(blobs, header.data_offset)
+        if matrix is None:
+            return None
         off_blob = uniform_blob(args[1])
         size_blob = uniform_blob(args[2])
         if off_blob is None or size_blob is None:
@@ -331,8 +350,7 @@ def _subarray_kernel(ns: ArrayNamespace):
             return None
         flat = window.reshape(-1, order="F")
         n = len(blobs)
-        raw = np.frombuffer(b"".join(blobs), dtype=np.uint8)
-        elems = raw.reshape(n, length)[:, header.data_offset:].view(dt)
+        elems = matrix[:, header.data_offset:].view(dt)
         gathered = np.ascontiguousarray(elems[:, flat])
         step = flat.size * dt.itemsize
         out_header = reference[:len(reference) - step]

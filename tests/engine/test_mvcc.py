@@ -9,6 +9,7 @@ history — a snapshot can be stale, never torn.
 
 import random
 import threading
+import time
 
 import pytest
 
@@ -198,10 +199,18 @@ class TestIntraTableOverlap:
             except Exception as exc:  # pragma: no cover - failure path
                 errors.append(exc)
 
-        threads = [threading.Thread(target=writer)] + [
-            threading.Thread(target=reader) for _ in range(2)]
-        for thread in threads:
+        # Readers first, and the writer only once one of them has
+        # answered: 120 one-row statements can finish inside a single
+        # GIL slice, before a reader thread was ever scheduled.
+        threads = [threading.Thread(target=reader) for _ in range(2)]
+        threads.append(threading.Thread(target=writer))
+        for thread in threads[:-1]:
             thread.start()
+        deadline = time.monotonic() + 60
+        while not observed and not errors \
+                and time.monotonic() < deadline:
+            time.sleep(0.001)
+        threads[-1].start()
         for thread in threads:
             thread.join(timeout=120)
         assert not errors

@@ -1,0 +1,423 @@
+"""The page-at-a-time leaf decoder: ``Page``'s dense marker,
+``RowBatch.from_pages`` against the per-record reference, snapshots
+written before the marker existed, and buffer ownership.
+"""
+
+import os
+import pickle
+import random
+
+import numpy as np
+import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    invariant,
+    precondition,
+    rule,
+)
+
+from repro.engine import Column, Database, MaxBlobHandle, Page, PageFullError
+from repro.engine.constants import PAGE_DATA
+from repro.engine.sqlfront import SqlSession
+from repro.engine.vectorized import RowBatch
+
+LEGACY_DB = os.path.join(os.path.dirname(__file__), "data",
+                         "parent_commit.db")
+
+
+# -- (a) the dense marker ----------------------------------------------------
+
+
+def dense_from_layout(page: Page) -> int:
+    """The dense marker's definition, read off ``_slots``/``_body``
+    (independent of ``Page._scan_dense``)."""
+    slots, body = page._slots, page._body
+    if not slots:
+        return 0 if not body else -1
+    lengths = {length for _offset, length in slots}
+    if len(lengths) != 1:
+        return -1
+    (length,) = lengths
+    ordered = [offset for offset, _length in slots] == [
+        i * length for i in range(len(slots))]
+    if length > 0 and ordered and len(body) == length * len(slots):
+        return length
+    return -1
+
+
+RECORDS = st.one_of(
+    st.sampled_from([b"", b"a" * 12, b"b" * 12, b"c" * 12, b"d" * 40]),
+    st.binary(max_size=30))
+
+
+class PageMachine(RuleBasedStateMachine):
+    """Every mutator keeps ``_dense`` equal to its definition, and the
+    records always read back as the model's."""
+
+    def __init__(self):
+        super().__init__()
+        self.page = Page(3, PAGE_DATA)
+        self.model: list[bytes] = []
+
+    def _slot(self, data, extra=0):
+        return data.draw(st.integers(0, len(self.model) - 1 + extra))
+
+    @rule(record=RECORDS)
+    def add(self, record):
+        try:
+            self.page.add_record(record)
+        except PageFullError:
+            return
+        self.model.append(record)
+
+    @rule(record=RECORDS, data=st.data())
+    def insert(self, record, data):
+        slot = self._slot(data, extra=1)
+        try:
+            self.page.insert_record(slot, record)
+        except PageFullError:
+            return
+        self.model.insert(slot, record)
+
+    @precondition(lambda self: self.model)
+    @rule(record=RECORDS, data=st.data())
+    def replace(self, record, data):
+        slot = self._slot(data)
+        try:
+            self.page.replace_record(slot, record)
+        except PageFullError:
+            return
+        self.model[slot] = record
+
+    @precondition(lambda self: self.model)
+    @rule(data=st.data())
+    def delete(self, data):
+        slot = self._slot(data)
+        self.page.delete_record(slot)
+        del self.model[slot]
+
+    @rule()
+    def compact(self):
+        self.page.compact()
+
+    @rule()
+    def take_all(self):
+        assert self.page.take_all_records() == self.model
+        self.model = []
+
+    @rule()
+    def clone(self):
+        self.page = self.page.clone(self.page.pv + 1)
+
+    @rule()
+    def pickle_round_trip(self):
+        self.page = pickle.loads(pickle.dumps(self.page))
+
+    @invariant()
+    def marker_matches_layout(self):
+        page = self.page
+        assert page._dense == dense_from_layout(page) \
+            == page._scan_dense()
+        assert list(page.records()) == self.model
+
+    @invariant()
+    def matrix_matches_records(self):
+        matrix = self.page.record_matrix()
+        lengths = {len(r) for r in self.model}
+        if len(lengths) == 1 and lengths != {0}:
+            assert [bytes(row) for row in matrix] == self.model
+        else:
+            assert matrix is None
+        del matrix  # a dense matrix pins the body against the next rule
+
+
+PageMachine.TestCase.settings = settings(
+    max_examples=60, stateful_step_count=40, deadline=None)
+TestPageDenseMarker = PageMachine.TestCase
+
+
+def test_page_state_without_the_marker_is_recomputed():
+    page = Page(1, PAGE_DATA)
+    for _ in range(3):
+        page.add_record(b"r" * 16)
+    cls, args, state = page.__reduce_ex__(2)[:3]
+    del state[1]["_dense"]
+    old = cls(*args)
+    old.__setstate__(state)
+    assert old._dense == 16
+    old.delete_record(1)
+    del state[1]["_slots"][1]
+    older = cls(*args)
+    older.__setstate__(state)
+    assert older._dense == -1
+    assert list(older.records()) == list(old.records())
+
+
+# -- (b) from_pages against the per-record path ------------------------------
+
+
+def reference_batch(table, pages) -> RowBatch:
+    """The batch the per-record slot loop builds (the pre-decoder
+    path, kept here as the reference)."""
+    keys, payloads = [], []
+    for page in pages:
+        for slot in range(page.slot_count):
+            record = page.get_record(slot)
+            keys.append(int.from_bytes(record[:8], "little", signed=True))
+            payloads.append(record[8:])
+    return RowBatch(table, keys, payloads)
+
+
+def same_cell(a, b) -> bool:
+    if isinstance(a, MaxBlobHandle) or isinstance(b, MaxBlobHandle):
+        return isinstance(a, MaxBlobHandle) \
+            and isinstance(b, MaxBlobHandle) and a.ref == b.ref
+    if isinstance(a, float) and isinstance(b, float):
+        return np.float64(a).tobytes() == np.float64(b).tobytes()
+    return type(a) is type(b) and a == b
+
+
+def assert_same_column(got, want, label):
+    (gv, gm), (wv, wm) = got, want
+    assert (gm is None) == (wm is None), label
+    if gm is not None:
+        assert gm.dtype == wm.dtype == bool and (gm == wm).all(), label
+    assert gv.dtype == wv.dtype and gv.shape == wv.shape, label
+    if gv.dtype == object:
+        assert all(map(same_cell, gv.tolist(), wv.tolist())), label
+    else:
+        assert gv.tobytes() == wv.tobytes(), label
+
+
+def assert_batches_identical(table, pages):
+    got = RowBatch.from_pages(table, pages)
+    want = reference_batch(table, pages)
+    assert got.n == want.n
+    assert got.keys.tolist() == want.keys.tolist()
+    assert got.payload_bytes == want.payload_bytes
+    # Columns first: they must decode without ``payloads`` having
+    # been materialized.
+    for col in table.columns:
+        assert_same_column(got.column(col.name), want.column(col.name),
+                           col.name)
+    assert got.payloads == want.payloads
+    assert all(type(p) is bytes for p in got.payloads)
+    for g, w in zip(got.rows(), want.rows()):
+        assert len(g) == len(w) and all(map(same_cell, g, w))
+    if got.n:
+        keep = np.arange(got.n) % 3 != 1
+        fresh = RowBatch.from_pages(table, pages)
+        for a, b in ((got, want),                      # columns cached
+                     (fresh, reference_batch(table, pages))):
+            a, b = a.compact(keep), b.compact(keep)
+            assert a.n == b.n and a.keys.tolist() == b.keys.tolist()
+            assert a.payloads == b.payloads
+            assert a.payload_bytes == b.payload_bytes
+            for col in table.columns:
+                assert_same_column(a.column(col.name),
+                                   b.column(col.name), col.name)
+    return got
+
+
+def leaf_pages(table):
+    return [table._pagefile.get(pid) for pid in table.data_page_ids()]
+
+
+def make_table(mvcc="off"):
+    db = Database(mvcc_mode=mvcc)
+    table = db.create_table(
+        "t", [Column("id", "bigint"), Column("x", "float"),
+              Column("r", "real"), Column("k", "int"),
+              Column("s", "smallint"), Column("b", "varbinary", cap=64),
+              Column("mb", "varbinary_max")])
+    return db, table
+
+
+def row(i, rng, b=b"v" * 24, mb=b"w" * 100):
+    return (i, None if rng.random() < 0.2 else rng.uniform(-9, 9),
+            rng.uniform(-1, 1), None if rng.random() < 0.2 else i % 7,
+            i % 300 - 150, b, mb)
+
+
+class TestFromPagesShapes:
+    def test_dense_bulk_loaded_pages(self):
+        _db, table = make_table()
+        rng = random.Random(1)
+        table.insert_many([row(i, rng) for i in range(500)])
+        pages = leaf_pages(table)
+        assert len(pages) > 2 and all(p._dense > 0 for p in pages)
+        batch = assert_batches_identical(table, pages)
+        assert batch._records is not None
+        assert batch.column("b")[0].matrix.shape == (500, 24)
+
+    def test_holed_and_reordered_pages_after_churn(self):
+        _db, table = make_table()
+        rng = random.Random(2)
+        table.insert_many([row(i * 2, rng) for i in range(500)])
+        # Holes and out-of-order inserts below key 600; updates (a
+        # replace + compact, which leaves the page dense) above it.
+        for key in rng.sample(range(0, 600, 2), 90):
+            table.delete(key)
+        for key in rng.sample(range(1, 600, 2), 60):
+            table.insert(row(key, rng))
+        for key in range(600, 1000, 18):
+            table.update(row(key, rng))
+        pages = leaf_pages(table)
+        markers = {p._dense > 0 for p in pages}
+        assert markers == {True, False}  # both rungs in one run
+        batch = assert_batches_identical(table, pages)
+        assert batch._records is not None
+        for page in pages:  # and one page at a time
+            assert_batches_identical(table, [page])
+
+    def test_null_shortened_var_columns_take_the_per_record_path(self):
+        _db, table = make_table()
+        rng = random.Random(3)
+        table.insert_many([
+            row(i, rng, b=None if i % 5 == 0 else b"v" * (i % 3 + 1),
+                mb=None if i % 7 == 0 else b"w" * 10)
+            for i in range(300)])
+        pages = leaf_pages(table)
+        batch = assert_batches_identical(table, pages)
+        assert batch._records is None
+
+    def test_equal_length_rows_with_different_var_shapes(self):
+        # b and mb trade bytes: every record is the same length, but
+        # the size fields differ, so the uniform var path must decline.
+        _db, table = make_table()
+        rng = random.Random(4)
+        table.insert_many([
+            row(i, rng, b=b"v" * (10 + i % 4), mb=b"w" * (10 - i % 4))
+            for i in range(200)])
+        batch = assert_batches_identical(table, leaf_pages(table))
+        assert batch._records is not None
+        assert getattr(batch.column("b")[0], "matrix", None) is None
+
+    def test_mixed_inline_and_out_of_page_varbinary_max(self):
+        db, table = make_table()
+        rng = random.Random(5)
+        big = bytes(range(256)) * 40
+        table.insert_many([
+            row(i, rng, mb=big if i % 2 else b"w" * 14)
+            for i in range(120)])
+        # Inline 14 bytes + 3 of header == the 15-byte pointer + 2:
+        # lengths differ, so mixed rows go per-record ...
+        batch = assert_batches_identical(table, leaf_pages(table))
+        handles = [v for v in batch.column("mb")[0]
+                   if isinstance(v, MaxBlobHandle)]
+        assert len(handles) == 60
+        assert handles[0].read_all(db.pool) == big
+        # ... and all-out-of-page rows take the uniform var path.
+        _db2, table2 = make_table()
+        table2.insert_many([row(i, rng, mb=big + bytes([i]))
+                            for i in range(120)])
+        batch = assert_batches_identical(table2, leaf_pages(table2))
+        assert batch._records is not None
+        assert all(isinstance(v, MaxBlobHandle)
+                   for v in batch.column("mb")[0])
+
+    def test_equal_length_mix_of_inline_and_pointer_cells(self):
+        # A 12-byte inline value (3 + 12) is exactly as long as an
+        # out-of-page pointer cell (15): one record matrix, but the
+        # flag bytes differ, so the var columns walk row by row.
+        _db, table = make_table()
+        rng = random.Random(6)
+        big = b"z" * 9000
+        table.insert_many([row(i, rng, mb=big if i % 3 else b"w" * 12)
+                           for i in range(90)])
+        batch = assert_batches_identical(table, leaf_pages(table))
+        assert batch._records is not None
+
+    def test_empty_pages_and_empty_runs(self):
+        _db, table = make_table()
+        assert RowBatch.from_pages(table, []).n == 0
+        assert list(table.scan_batches()) == []
+        rng = random.Random(7)
+        table.insert_many([row(i, rng) for i in range(40)])
+        empty = Page(99, PAGE_DATA)
+        holed_empty = Page(98, PAGE_DATA)
+        holed_empty.add_record(b"x" * 16)
+        holed_empty.delete_record(0)
+        assert holed_empty._dense == 0 and not holed_empty._body
+        # Snapshots written before this PR can hold an emptied leaf
+        # that still carries its garbage.
+        holed_empty._body += b"x" * 16
+        holed_empty._dense = holed_empty._scan_dense()
+        assert holed_empty._dense == -1
+        pages = [empty, *leaf_pages(table), holed_empty]
+        batch = assert_batches_identical(table, pages)
+        assert batch.n == 40 and batch._records is not None
+        assert RowBatch.from_pages(table, [empty, holed_empty]).n == 0
+        none = batch.compact(np.zeros(batch.n, dtype=bool))
+        assert none.n == 0 and none.payloads == []
+        assert none.column("x")[0].shape == (0,)
+
+
+# -- (c) snapshots written before the marker existed -------------------------
+
+
+def test_database_saved_by_the_parent_commit_loads_and_scans():
+    db = Database.open(LEGACY_DB)
+    table = db.tables["legacy"]
+    pages = leaf_pages(table)
+    assert all(p._dense == dense_from_layout(p) for p in pages)
+    assert {p._dense > 0 for p in pages} == {True, False}
+    expected = {i * 2: (i * 2, i * 0.5, bytes([i % 251]) * 24)
+                for i in range(400)}
+    for key in range(100, 160, 6):
+        del expected[key]
+    expected[301] = (301, -1.0, b"m" * 24)
+    expected[20] = (20, 99.0, b"u" * 24)
+    expected[700] = (700, None, None)
+    assert list(table.scan()) == [expected[k] for k in sorted(expected)]
+    rows = [r for batch in table.scan_batches(batch_pages=1)
+            for r in batch.rows()]
+    assert rows == list(table.scan())
+    for page in pages:
+        assert_batches_identical(table, [page])
+    session = SqlSession(db)
+    sql = "SELECT COUNT(*), SUM(x) FROM legacy WHERE id < 700"
+    assert session.query(sql, engine="vector")[0] \
+        == session.query(sql, engine="row")[0]
+    # The loaded pages stay writable and the marker keeps tracking.
+    table.insert((9001, 1.0, b"n" * 24))
+    assert all(p._dense == dense_from_layout(p)
+               for p in leaf_pages(table))
+
+
+# -- no page-body view escapes from_pages ------------------------------------
+
+
+@pytest.mark.parametrize("mvcc", ["off", "on"])
+def test_a_kept_batch_does_not_pin_the_leaf(mvcc):
+    db, table = make_table(mvcc)
+    rng = random.Random(8)
+    # One dense leaf with room to spare: the kept batch was cut from
+    # exactly the page the inserts below land in.
+    table.insert_many([row(i * 2, rng) for i in range(20)])
+    assert len(table.data_page_ids()) == 1
+    batches = list(table.scan_batches(db.pool))
+    with table.pin_snapshot() as snap:
+        batches += list(snap.scan_batches(db.pool))
+    batches += list(table.batches_for_pages(db.pool,
+                                            table.data_page_ids()))
+    assert [b._records is not None for b in batches] == [True] * 3
+    before = [(b.keys.copy(), b.column("x")[0].copy(),
+               b.column("b")[0].tolist(), list(b.payloads))
+              for b in batches]
+    table.insert(row(41, rng))         # append to the leaf
+    table.insert(row(7, rng))          # and into its middle
+    SqlSession(db).execute("DELETE FROM t WHERE id = 4")
+    assert table.row_count == 21
+    for batch, (keys, xs, bs, payloads) in zip(batches, before):
+        assert batch.n == 20
+        assert (batch.keys == keys).all()
+        assert batch.column("x")[0].tobytes() == xs.tobytes()
+        assert batch.column("b")[0].tolist() == bs
+        assert batch.payloads == payloads
+        assert batch.column("b")[0].matrix.base is None \
+            or batch.column("b")[0].matrix.flags.owndata
+    assert [r[0] for r in table.scan()] == sorted(
+        set(range(0, 40, 2)) - {4} | {7, 41})

@@ -129,39 +129,51 @@ PREDICATES = [
 AGG_FUNCS = ["COUNT(*)", "SUM({e})", "AVG({e})", "MIN({e})", "MAX({e})"]
 
 
+def check_randomized_aggregates(session):
+    rng = random.Random(7)
+    for _ in range(40):
+        items = []
+        for _ in range(rng.randrange(1, 4)):
+            agg = rng.choice(AGG_FUNCS)
+            items.append(agg.format(e=rng.choice(AGG_EXPRS)))
+        sql = f"SELECT {', '.join(items)} FROM t"
+        pred = rng.choice(PREDICATES)
+        if pred is not None:
+            sql += f" WHERE {pred}"
+        assert_parity(session, sql, cold=rng.random() < 0.5)
+
+
+def check_blob_stream_reads(session):
+    # varbinary_max goes through ReadBlob: stream calls and bytes
+    # must be charged identically by both engines.
+    assert_parity(
+        session,
+        "SELECT SUM(FloatArrayMax.Item_1(mb, 7)), COUNT(*) FROM t")
+    assert_parity(
+        session,
+        "SELECT MAX(FloatArrayMax.Item_1(mb, 0)) FROM t "
+        "WHERE x > 0")
+
+
+def check_grouped(session):
+    for sql in [
+        "SELECT k, COUNT(*), SUM(x) FROM t GROUP BY k",
+        "SELECT k, AVG(x), MIN(y), MAX(y) FROM t GROUP BY k",
+        "SELECT k, SUM(FloatArray.Item_1(b, 1)) FROM t "
+        "WHERE x IS NOT NULL GROUP BY k",
+    ]:
+        assert_parity(session, sql)
+
+
 class TestRandomizedParity:
     def test_randomized_aggregate_queries(self, session):
-        rng = random.Random(7)
-        for _ in range(40):
-            items = []
-            for _ in range(rng.randrange(1, 4)):
-                agg = rng.choice(AGG_FUNCS)
-                items.append(agg.format(e=rng.choice(AGG_EXPRS)))
-            sql = f"SELECT {', '.join(items)} FROM t"
-            pred = rng.choice(PREDICATES)
-            if pred is not None:
-                sql += f" WHERE {pred}"
-            assert_parity(session, sql, cold=rng.random() < 0.5)
+        check_randomized_aggregates(session)
 
     def test_blob_stream_reads_match(self, session):
-        # varbinary_max goes through ReadBlob: stream calls and bytes
-        # must be charged identically by both engines.
-        assert_parity(
-            session,
-            "SELECT SUM(FloatArrayMax.Item_1(mb, 7)), COUNT(*) FROM t")
-        assert_parity(
-            session,
-            "SELECT MAX(FloatArrayMax.Item_1(mb, 0)) FROM t "
-            "WHERE x > 0")
+        check_blob_stream_reads(session)
 
     def test_grouped_queries(self, session):
-        for sql in [
-            "SELECT k, COUNT(*), SUM(x) FROM t GROUP BY k",
-            "SELECT k, AVG(x), MIN(y), MAX(y) FROM t GROUP BY k",
-            "SELECT k, SUM(FloatArray.Item_1(b, 1)) FROM t "
-            "WHERE x IS NOT NULL GROUP BY k",
-        ]:
-            assert_parity(session, sql)
+        check_grouped(session)
 
     def test_point_and_index_plans_accept_the_toggle(self, session):
         # Seek plans execute row-at-a-time under either engine name;
@@ -188,6 +200,88 @@ class TestRandomizedParity:
         assert_parity(session,
                       "SELECT SUM(x), AVG(x), MIN(x), MAX(x), COUNT(*) "
                       "FROM t WHERE x > 1000")
+
+
+class TestParityOnChurnedTables:
+    """The same three-way checks over tables that were written to
+    after the bulk load.  A bulk-loaded table has only dense pages;
+    here deletes leave holes, mid-page inserts put the body out of
+    slot order, updates rewrite pages and a NULL-shortened tail makes
+    the last run mixed-length — so one scan crosses the reshape, the
+    gather and the per-record decode paths, in the coordinator and in
+    the parallel engine's worker processes."""
+
+    @pytest.fixture(scope="class", params=["on", "off"])
+    def churned_session(self, request):
+        db = Database(buffer_pages=4096, mvcc_mode=request.param)
+        table = db.create_table(
+            "t", [Column("id", "bigint"), Column("x", "float"),
+                  Column("y", "float"), Column("k", "int"),
+                  Column("b", "varbinary", cap=400),
+                  Column("mb", "varbinary_max")])
+        rng = random.Random(99)
+
+        def vector(n):
+            return FloatArrayMax.Vector(
+                [rng.uniform(-1.0, 1.0) for _ in range(n)])
+
+        def make_row(key, ragged=False):
+            b = FloatArray.Vector_5(
+                *[rng.uniform(-1.0, 1.0) for _ in range(5)])
+            mb = vector(400)  # in row, like the bulk fixture's
+            if ragged:
+                b = None if rng.random() < 0.3 else b
+                mb = rng.choice([None, mb, vector(1100)])  # out of page
+            return (
+                key,
+                None if rng.random() < 0.15 else rng.uniform(-5.0, 5.0),
+                None if rng.random() < 0.15 else rng.uniform(0.5, 9.5),
+                None if rng.random() < 0.10 else rng.randrange(0, 6),
+                b, mb)
+
+        # Even keys: every odd key is a later mid-page insert.
+        table.insert_many([make_row(2 * i) for i in range(ROWS)])
+        for key in rng.sample(range(0, 2 * ROWS, 2), ROWS // 5):
+            table.delete(key)
+        for key in rng.sample(range(1, 2 * ROWS, 2), ROWS // 5):
+            table.insert(make_row(key))
+        live = [row[0] for row in table.scan()]
+        for key in rng.sample(live, ROWS // 6):
+            table.update(make_row(key))
+        # NULLs and out-of-page cells only at the tail: the leading
+        # runs keep equal-length records.
+        for key in live[-25:]:
+            table.update(make_row(key, ragged=True))
+        dense = [table._pagefile.get(pid)._dense > 0
+                 for pid in table.data_page_ids()]
+        assert True in dense and False in dense
+        shapes = [batch._records is not None
+                  for batch in table.scan_batches()]
+        assert len(shapes) > 2 and shapes[0] and not shapes[-1]
+        return SqlSession(db)
+
+    def test_randomized_aggregate_queries(self, churned_session):
+        check_randomized_aggregates(churned_session)
+
+    def test_blob_stream_reads_match(self, churned_session):
+        check_blob_stream_reads(churned_session)
+
+    def test_grouped_queries(self, churned_session):
+        check_grouped(churned_session)
+
+    def test_parallel_as_the_default_engine(self, churned_session,
+                                            monkeypatch):
+        # What ``REPRO_ENGINE=parallel REPRO_WORKERS=2`` sets.
+        executor = type(churned_session.executor)
+        monkeypatch.setattr(executor, "default_engine", "parallel")
+        monkeypatch.setattr(executor, "default_workers", 2)
+        for sql in ["SELECT SUM(x), COUNT(*) FROM t WHERE k <> 3",
+                    "SELECT k, MAX(FloatArray.Item_1(b, 3)) FROM t "
+                    "WHERE id < 1100 GROUP BY k"]:
+            values, metrics = churned_session.query(sql)
+            assert metrics.engine == "parallel"
+            row_values, _m = churned_session.query(sql, engine="row")
+            assert _bits(values) == _bits(row_values), sql
 
 
 class TestParityUnderTableLatches:

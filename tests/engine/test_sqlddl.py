@@ -1,5 +1,7 @@
 """Tests for SQL DDL/DML and GROUP BY in the front-end."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -253,3 +255,57 @@ class TestDelete:
         (n,), _m = session.execute(
             "SELECT COUNT(*) FROM d4 WHERE cat = 1")
         assert n == 5
+
+
+class TestRangeDelete:
+    """A DELETE whose predicate bounds the primary key scans only that
+    key interval; victims and rowcount equal the full-scan answer."""
+
+    ROWS = 400
+
+    @pytest.fixture(params=["on", "off"])
+    def probe(self, request):
+        """(session, model rows, spy on the table's row decoder)."""
+        session = SqlSession(Database(mvcc_mode=request.param))
+        session.execute("CREATE TABLE r (id BIGINT, k INT)")
+        rows = [(i, i % 5) for i in range(self.ROWS)]
+        table = session.db.tables["r"]
+        table.insert_many(rows)
+        with mock.patch.object(table, "_decode_row",
+                               wraps=table._decode_row) as decoder:
+            yield session, rows, decoder
+
+    @pytest.mark.parametrize("where, keep, bound", [
+        pytest.param("id >= 100 AND id < 140 AND k = 3",
+                     lambda i, k: not (100 <= i < 140 and k == 3),
+                     (100, 140), id="both-bounds-and-residual"),
+        pytest.param("k = 3 AND id < 37",
+                     lambda i, k: not (k == 3 and i < 37),
+                     (0, 37), id="upper-only"),
+        pytest.param("id > 350.5", lambda i, k: not i > 350.5,
+                     (351, ROWS), id="lower-only-float"),
+        pytest.param("id <= 20 AND id >= 10 AND id <> 15",
+                     lambda i, k: not (10 <= i <= 20 and i != 15),
+                     (10, 21), id="closed-interval"),
+        pytest.param("id >= 90 AND id < 80", lambda i, k: True,
+                     (90, 80), id="empty-interval"),
+        pytest.param("id = 1.5 AND k >= 0", lambda i, k: True,
+                     (0, 0), id="fractional-key"),
+        pytest.param("id < 50 OR id >= 390",
+                     lambda i, k: 50 <= i < 390,
+                     (0, ROWS), id="top-level-or"),
+        pytest.param("k = 4", lambda i, k: k != 4,
+                     (0, ROWS), id="no-key-conjunct"),
+        pytest.param("NOT id < 395", lambda i, k: i < 395,
+                     (0, ROWS), id="negated"),
+    ])
+    def test_victims_match_the_full_scan_answer(self, probe, where,
+                                                keep, bound):
+        session, rows, decoder = probe
+        survivors = [row for row in rows if keep(*row)]
+        deleted = session.execute(f"DELETE FROM r WHERE {where}")
+        # Exactly the keys of the predicate's key interval were read.
+        assert [call.args[0] for call in decoder.call_args_list] \
+            == list(range(*bound))
+        assert deleted == len(rows) - len(survivors)
+        assert list(session.db.tables["r"].scan()) == survivors
