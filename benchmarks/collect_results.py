@@ -173,36 +173,6 @@ def replica_block(rows: int) -> dict:
     return {"read_throughput": numbers, "drill": drill}
 
 
-def latch_mvcc_block() -> dict:
-    print("=" * 70)
-    print("Latching and MVCC: reader throughput under concurrent "
-          "writers")
-    print("=" * 70)
-    from bench_latches import READERS, latch_overlap_results, \
-        mvcc_overlap_results
-    window = 0.5
-    inter = latch_overlap_results(window)
-    intra = mvcc_overlap_results(window, rows=4_000)
-    inter_speedup = inter["table"]["reader_ops"] \
-        / max(inter["coarse"]["reader_ops"], 1)
-    intra_speedup = intra["on"]["reader_ops"] \
-        / max(intra["off"]["reader_ops"], 1)
-    print(f"  writer on B, {READERS} readers on A: per-table latches "
-          f"{inter['table']['reader_ops']} reads vs coarse lock "
-          f"{inter['coarse']['reader_ops']} ({inter_speedup:.2f}x)")
-    print(f"  writer on A, {READERS} readers on A: MVCC snapshots "
-          f"{intra['on']['reader_ops']} reads vs latch-per-scan "
-          f"{intra['off']['reader_ops']} ({intra_speedup:.2f}x)")
-    cores = os.cpu_count() or 1
-    if cores < 4:
-        print(f"  (host has {cores} core(s); the threads time-slice "
-              "one core, so these ratios measure overhead, not the "
-              "overlap win)")
-    return {"inter_table": inter, "intra_table": intra,
-            "latch_reader_speedup": inter_speedup,
-            "mvcc_reader_speedup": intra_speedup}
-
-
 def partial_reads_block() -> None:
     print("=" * 70)
     print("S3.3 partial subarray reads (8^3 window)")
@@ -307,7 +277,6 @@ def main(rows: int = 20_000, json_out: str | None = None) -> None:
     results["replica_shards"] = replica_block(min(rows, 8_000))
     results["dataplane"] = pipeline_block()
     results["shm_snapshot"] = shm_snapshot_block(min(rows, 10_000))
-    results["latch_mvcc"] = latch_mvcc_block()
     partial_reads_block()
     concat_block()
     turbulence_block()

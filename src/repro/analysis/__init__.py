@@ -5,8 +5,8 @@ concurrency and serialization invariants introduced by the server,
 vectorized, and parallel engine work:
 
 ==========  ===========================================================
-RL001       lock discipline: SqlSession entry points hold db.lock
-            before touching BufferPool/Table/BTree/Executor sinks
+RL001       lock discipline: SqlSession entry points hold a statement
+            latch before touching BufferPool/Table/BTree/Executor sinks
 RL002       lock order: RWLock before pool ``_lock``, never inverse or
             re-entrant
 RL003       latch yield (warn): generators never yield while a latch

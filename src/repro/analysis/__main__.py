@@ -132,7 +132,7 @@ def _write_lock_graph(paths: Sequence[str]) -> int:
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(graph.render_json())
     print(f"replint: wrote {path} "
-          f"({len(graph.nodes)} classes, {len(graph.order_edges())} edges)")
+          f"({len(graph.nodes)} classes, {len(graph.edges)} edges)")
     return 0
 
 

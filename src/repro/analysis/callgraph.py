@@ -36,11 +36,11 @@ LATCH_GUARD = "latch"
 POOL_GUARD = "pool"
 
 #: ``with``-context method names that acquire statement latches.
-#: ``catalog_latch`` is the MVCC reader guard (shared catalog, no table
-#: latch — snapshot pins protect the pages); ``_mvcc_select_guard`` is
-#: the SqlSession helper that resolves a SELECT plan to its statement
-#: guard (catalog latch, index-plan table latch, or the parallel
-#: coordinator's own brief all-table latch), so a ``with`` on it is a
+#: ``catalog_latch`` is the snapshot reader guard (shared catalog, no
+#: table latch — snapshot pins protect the pages);
+#: ``_mvcc_select_guard`` is the SqlSession helper that resolves a
+#: serially executed SELECT plan to its statement guard (catalog latch,
+#: or the table latch for an index plan), so a ``with`` on it is a
 #: statement guard by construction.
 LATCH_METHODS = frozenset({"read_latch", "write_latch", "ddl_latch",
                            "catalog_latch", "_mvcc_select_guard"})
@@ -110,8 +110,8 @@ class CallSite:
 
     @property
     def guarded(self) -> bool:
-        """Whether a statement-level guard (the coarse RWLock or a
-        table-latch set) is held at this call site."""
+        """Whether a statement-level guard (a bare RWLock guard or a
+        latch set) is held at this call site."""
         return RWLOCK_GUARD in self.held or LATCH_GUARD in self.held
 
 

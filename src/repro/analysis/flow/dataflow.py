@@ -4,9 +4,9 @@ Two independent abstract domains:
 
 **Lock domain** — a state is a ``frozenset`` of ``(lock_class,
 exclusive)`` tokens; the analysis keeps a *set of possible states* per
-node (collecting semantics) so mode-exclusive branches stay separate
-(the coarse ``db`` RWLock and the ``catalog``/``table`` latch set are
-never merged into one impossible held-set).  Outputs per function:
+node (collecting semantics) so the branches of a conditional guard
+stay separate instead of merging into one impossible held-set.
+Outputs per function:
 every acquisition site with the held-sets observed before it, the
 held-sets at every call site (for interprocedural propagation), direct
 blocking-call sites, and the held-sets at ``yield`` points (the
@@ -40,45 +40,22 @@ State = frozenset[Token]
 
 #: Lock classes whose exclusive acquisition is a statement latch (the
 #: RL005 "don't block under an exclusive latch" scope).
-EXCLUSIVE_LATCH_CLASSES = frozenset({"catalog", "table", "db"})
-
-#: The coarse legacy RWLock class vs the per-table latch hierarchy
-#: classes.  A process runs in exactly one latch mode (the latch
-#: manager's guards yield one alternative or the other, never a mix),
-#: so abstract states combining the two describe no real execution.
-LEGACY_CLASSES = frozenset({"db"})
-MVCC_CLASSES = frozenset({"catalog", "table"})
-
-
-def _mode_compatible(state: State, alt: tuple[Token, ...]) -> bool:
-    """False when applying ``alt`` would mix the legacy ``db`` class
-    with the MVCC ``catalog``/``table`` classes in one state."""
-    held = {token[0] for token in state}
-    added = {token[0] for token in alt}
-    if held & LEGACY_CLASSES and added & MVCC_CLASSES:
-        return False
-    if held & MVCC_CLASSES and added & LEGACY_CLASSES:
-        return False
-    return True
+EXCLUSIVE_LATCH_CLASSES = frozenset({"catalog", "table"})
 
 #: Cap on distinct states tracked per CFG node before collapsing to
 #: their union (keeps pathological branch fans linear).
 _MAX_STATES = 24
 
 #: ``with``-context latch methods and the token-set alternatives they
-#: acquire: first alternative is the coarse (single ``db`` RWLock)
-#: mode, second the per-table latch hierarchy (see
-#: ``repro.engine.latches``).
+#: acquire (see ``repro.engine.latches``).
 _LATCH_WITH: Mapping[str, tuple[tuple[Token, ...], ...]] = {
-    "read_latch": ((("db", False),),
-                   (("catalog", False), ("table", False))),
-    "write_latch": ((("db", True),),
-                    (("catalog", False), ("table", True))),
-    "ddl_latch": ((("db", True),), (("catalog", True),)),
+    "read_latch": ((("catalog", False), ("table", False)),),
+    "write_latch": ((("catalog", False), ("table", True)),),
+    "ddl_latch": ((("catalog", True),),),
     "catalog_latch": ((("catalog", False),),),
-    # SELECT statement guard: catalog latch, an index-plan table latch,
-    # or the coordinator's brief all-table latch — over-approximated
-    # as the shared catalog+table set.
+    # SELECT statement guard: the catalog latch, plus the table latch
+    # for an index plan — over-approximated as the shared
+    # catalog+table set.
     "_mvcc_select_guard": ((("catalog", False), ("table", False)),),
 }
 
@@ -125,13 +102,13 @@ def _is_mutex_attr(attr: str) -> bool:
 def rwlock_class(receiver: str | None) -> str:
     """Lock class of an RWLock named ``receiver`` (``_catalog`` is the
     catalog RWLock, per-table latches conventionally carry ``latch`` in
-    the name, everything else is the coarse database lock)."""
+    the name, anything else is a free-standing ``rwlock``)."""
     name = (receiver or "").lower()
     if "catalog" in name:
         return "catalog"
     if "latch" in name:
         return "table"
-    return "db"
+    return "rwlock"
 
 
 def mutex_class(owner_class: str | None) -> str:
@@ -346,8 +323,7 @@ def _apply_lock_edge(
                 continue
             nxt: list[State] = []
             for st in states:
-                usable = [a for a in alts if _mode_compatible(st, a)]
-                for alt in usable or alts:
+                for alt in alts:
                     if record is not None:
                         for token in alt:
                             record(token, st, item)

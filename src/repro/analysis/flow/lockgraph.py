@@ -21,16 +21,6 @@ intra-class ordering (the sorted per-table latch set, the re-entrant
 buffer-pool lock) is RL002's lexical discipline and the runtime
 sentinel's name-order check, not a graph cycle.
 
-**The workerpool exemption.**  Edges *into* ``workerpool`` are
-recorded but excluded from cycle detection and the exported order:
-the legacy (``REPRO_MVCC=off``) path takes the worker-pool mutex under
-a held table latch, while the MVCC path takes latches under the
-worker-pool mutex — the two orders are mode-exclusive at runtime (a
-process is either in MVCC mode or not), so the class-level graph would
-show a cycle that no execution can produce.  The runtime sentinel
-mirrors this by not instrumenting the worker-pool mutex.  See
-docs/LOCKING.md.
-
 The acyclic graph is exported to ``lock_graph.json`` (nodes, ordered
 edges, and a deterministic topological order) which the runtime
 sentinel :mod:`repro.engine.lockcheck` loads as its rank table; RL004
@@ -49,8 +39,6 @@ from ..callgraph import CallGraph, FunctionInfo
 from ..framework import SourceFile
 from .dataflow import (
     EXCLUSIVE_LATCH_CLASSES,
-    LEGACY_CLASSES,
-    MVCC_CLASSES,
     FunctionLockFacts,
     LockClassifier,
     State,
@@ -58,11 +46,6 @@ from .dataflow import (
 )
 
 FuncDef = Union[ast.FunctionDef, ast.AsyncFunctionDef]
-
-#: Lock classes whose *incoming* edges are excluded from cycle
-#: detection and the exported order (mode-exclusive with their
-#: outgoing edges; see module docstring).
-ORDER_EXEMPT_INCOMING = frozenset({"workerpool"})
 
 #: ``with``-method names whose token sets are built in to the
 #: classifier; a ``@contextmanager`` summary never overrides them.
@@ -126,14 +109,6 @@ class LockGraph:
     def add_edge(self, src: str, dst: str, witness: str) -> None:
         if src == dst:
             return
-        # The legacy `db` RWLock and the MVCC `catalog`/`table` latches
-        # are alternatives of the *same* guards; a process holds one
-        # family or the other, never both, so cross-family edges
-        # describe no real execution (they arise interprocedurally,
-        # where a callee's summary carries both mode alternatives).
-        pair = {src, dst}
-        if pair & LEGACY_CLASSES and pair & MVCC_CLASSES:
-            return
         self.nodes.add(src)
         self.nodes.add(dst)
         paths = self.edges.setdefault((src, dst), [])
@@ -142,18 +117,11 @@ class LockGraph:
 
     # -- ordering ----------------------------------------------------------
 
-    def order_edges(self) -> set[tuple[str, str]]:
-        """Edges that constrain the acquisition order (exempt-incoming
-        classes keep only their outgoing edges)."""
-        return {(s, d) for (s, d) in self.edges
-                if d not in ORDER_EXEMPT_INCOMING}
-
     def cycles(self) -> list[list[str]]:
         """One representative elementary cycle per strongly connected
-        component of the order edges, deterministic."""
-        edges = self.order_edges()
+        component, deterministic."""
         adj: dict[str, list[str]] = {n: [] for n in self.nodes}
-        for src, dst in sorted(edges):
+        for src, dst in sorted(self.edges):
             adj[src].append(dst)
 
         index: dict[str, int] = {}
@@ -222,12 +190,11 @@ class LockGraph:
         return out
 
     def topo_order(self) -> list[str] | None:
-        """Deterministic (lexicographic Kahn) topological order of the
-        order edges; ``None`` when cyclic."""
-        edges = self.order_edges()
+        """Deterministic (lexicographic Kahn) topological order;
+        ``None`` when cyclic."""
         indeg: dict[str, int] = {n: 0 for n in self.nodes}
         adj: dict[str, list[str]] = {n: [] for n in self.nodes}
-        for src, dst in edges:
+        for src, dst in self.edges:
             adj[src].append(dst)
             indeg[dst] += 1
         ready = sorted(n for n, d in indeg.items() if d == 0)
@@ -247,17 +214,14 @@ class LockGraph:
     # -- serialisation -----------------------------------------------------
 
     def to_json_dict(self) -> dict[str, object]:
-        """Stable export: nodes, order edges, topological order.
+        """Stable export: nodes, edges, topological order.
         Witness paths are deliberately *not* exported — they carry line
         numbers that would churn on every engine edit."""
         order = self.topo_order()
         return {
             "version": 1,
             "nodes": sorted(self.nodes),
-            "edges": sorted([src, dst] for (src, dst)
-                            in self.order_edges()),
-            "exempt_incoming": sorted(ORDER_EXEMPT_INCOMING
-                                      & self.nodes),
+            "edges": sorted([src, dst] for (src, dst) in self.edges),
             "order": order if order is not None else [],
         }
 

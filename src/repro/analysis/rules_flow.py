@@ -10,9 +10,9 @@ discovered by the intraprocedural lock dataflow propagated over the
 typed call graph) must be acyclic.  A cycle is a potential deadlock:
 two threads each holding one class and waiting for the other.  Each
 cycle is reported once, with the witness call paths for every edge on
-it so the offending acquisition sites can be found directly.  Edges
-*into* ``workerpool`` are exempt (mode-exclusive with its outgoing
-edges; see :mod:`repro.analysis.flow.lockgraph`).
+it so the offending acquisition sites can be found directly.  No
+class is exempt: taking the worker-pool mutex while a latch is held
+(the parallel coordinator takes them the other way round) is a cycle.
 
 RL004 also checks that the checked-in ``lock_graph.json`` (consumed by
 the runtime sentinel :mod:`repro.engine.lockcheck` as its rank table)
@@ -22,8 +22,8 @@ The drift check only runs when the linted set includes the engine's
 latch module — fixture and test-tree lints never compare against it.
 
 RL005 (warn) — a statement holding an *exclusive* latch (``table``
-write, ``catalog`` DDL, legacy ``db`` write lock) stalls every reader
-of that table for as long as it runs; calling into a blocking sink
+write, ``catalog`` DDL) stalls every reader of that table for as long
+as it runs; calling into a blocking sink
 (``time.sleep``, subprocess spawns, ``socket`` accept/recv/connect,
 ``select.select``, ``input``) under one turns a latency hiccup into a
 whole-table outage.  The dataflow knows the held-set per call site, so

@@ -6,11 +6,11 @@ tree-mutating sink (``BufferPool.fetch``/``fetch_many``, ``Table.insert``/
 the ``Executor.run*`` family, which assumes the caller holds the lock) must
 pass through a statement guard — a ``db.latches.read_latch(...)`` /
 ``write_latch(...)`` / ``ddl_latch()`` context (the per-table latch
-hierarchy, see ``repro.engine.latches``) or the legacy
-``db.lock.read_lock()`` / ``write_lock()`` — the way ``SqlSession.execute``
-and ``SqlSession.query`` do.  Edges taken *inside* a guard are satisfied
-and not traversed further; any unguarded path that reaches a sink is
-reported at the first call edge of that path.
+hierarchy, see ``repro.engine.latches``; a bare RWLock's
+``read_lock()`` / ``write_lock()`` counts too) — the way
+``SqlSession.insert_rows`` and ``SqlSession.query`` do.  Edges taken
+*inside* a guard are satisfied and not traversed further; any unguarded
+path that reaches a sink is reported at the first call edge of that path.
 
 RL002 — the lock hierarchy is ``catalog latch > table latches > pool/page
 ``_lock`` mutexes``, acquired strictly downward, and neither the RWLock nor
@@ -45,7 +45,7 @@ from .framework import Finding, LintContext, Rule, SourceFile
 #: Classes whose public methods are statement entry points.
 ENTRY_CLASSES = ("SqlSession",)
 
-#: (class name, method name) pairs that require the database RWLock.
+#: (class name, method name) pairs that require a statement latch.
 LOCK_SINKS = frozenset(
     {
         ("BufferPool", "fetch"),
@@ -57,6 +57,7 @@ LOCK_SINKS = frozenset(
         ("BTree", "delete"),
         ("BTree", "bulk_load"),
         ("Executor", "run"),
+        ("Executor", "run_serial"),
         ("Executor", "run_point"),
         ("Executor", "run_index"),
         ("Executor", "run_grouped"),
@@ -72,8 +73,8 @@ class LockDisciplineRule(Rule):
     code = "RL001"
     name = "lock-discipline"
     description = (
-        "public SqlSession entry points must hold a table latch (or "
-        "db.lock) before reaching BufferPool/Table/BTree/Executor sinks"
+        "public SqlSession entry points must hold a statement latch "
+        "before reaching BufferPool/Table/BTree/Executor sinks"
     )
 
     def check(self, files: Sequence[SourceFile], ctx: LintContext) -> list[Finding]:
@@ -104,7 +105,7 @@ class LockDisciplineRule(Rule):
             func, path, first_edge = queue.popleft()
             for call in func.calls:
                 if call.guarded:
-                    continue  # satisfied: edge under a latch or db.lock
+                    continue  # satisfied: edge under a statement latch
                 for target in graph.resolve(call, func):
                     edge = first_edge or call
                     if _is_sink(target):
@@ -122,8 +123,7 @@ class LockDisciplineRule(Rule):
                                 message=(
                                     f"{entry.qualname} reaches "
                                     f"{target.qualname} without holding "
-                                    "a table latch or db.lock "
-                                    f"(path: {chain})"
+                                    f"a statement latch (path: {chain})"
                                 ),
                             )
                         )
@@ -139,7 +139,7 @@ class LockOrderRule(Rule):
     code = "RL002"
     name = "lock-order"
     description = (
-        "never acquire db.lock or a table latch while holding a pool "
+        "never acquire an RWLock or a table latch while holding a pool "
         "_lock, never re-acquire the non-reentrant RWLock, and never "
         "nest latch acquisitions (multi-table latch sets are taken in "
         "one sorted call)"

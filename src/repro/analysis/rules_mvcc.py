@@ -6,9 +6,7 @@ pulled, so the latch is held across an unbounded suspension (the exact
 anti-pattern MVCC snapshots exist to remove — a scan parked on a held
 table latch starves every writer of that table).  Functions decorated
 with ``@contextmanager`` are exempt: their single ``yield`` under the
-guard *is* the guard protocol.  This rule is a warning tier — the
-legacy ``REPRO_MVCC=off`` paths intentionally scan under the table
-latch and must stay representable.
+guard *is* the guard protocol.  This rule is a warning tier.
 
 RC601 (error) — copy-on-write version objects have bracketed
 lifetimes, enforced *path-sensitively* by the resource dataflow
@@ -63,7 +61,7 @@ def _is_contextmanager(func: ast.FunctionDef | ast.AsyncFunctionDef) -> bool:
 
 
 #: ``with``-context method names whose guard must not span a ``yield``.
-#: Kept in sync with ``callgraph.LATCH_METHODS`` plus the legacy RWLock.
+#: Kept in sync with ``callgraph.LATCH_METHODS`` plus the bare RWLock.
 _GUARD_METHODS = frozenset({
     "read_latch", "write_latch", "ddl_latch", "catalog_latch",
     "_mvcc_select_guard", "read_lock", "write_lock",

@@ -131,8 +131,8 @@ class BTree:
 
     def _wget(self, page_id: int) -> Page:
         """A page for mutation: the current page outside a write scope
-        (the legacy in-place path), its version-``_wv`` clone inside
-        one."""
+        (in place: standalone trees and the unversioned secondary
+        indexes), its version-``_wv`` clone inside one."""
         if self._wv is None:
             return self._pagefile.get(page_id)
         page, cloned = self._pagefile.get_for_write(page_id, self._wv)
@@ -142,7 +142,7 @@ class BTree:
 
     def _alloc(self, kind: int, level: int = 0) -> Page:
         """Allocate a page stamped with the open write version (0
-        outside a write scope — the legacy behaviour)."""
+        outside a write scope)."""
         return self._pagefile.allocate(kind, level, tag=self._tag,
                                        pv=self._wv or 0)
 

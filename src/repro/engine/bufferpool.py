@@ -189,7 +189,7 @@ class BufferPool:
     @staticmethod
     def _key_for(page: Page):
         """Cache key of a page object: plain id for never-versioned
-        pages (bit-for-bit the legacy key), ``(id, pv)`` for pages a
+        pages, ``(id, pv)`` for pages a
         copy-on-write writer has stamped — distinct versions of one
         page id are distinct cache residents."""
         return page.page_id if page.pv == 0 else (page.page_id, page.pv)

@@ -35,8 +35,7 @@ from . import vectorized
 from .blob import BlobStore
 from .bufferpool import BufferPool
 from .costmodel import PAPER_HARDWARE, CostModel
-from .latches import MVCC_MODES, LatchManager, mvcc_from_env
-from .locks import RWLock
+from .latches import LatchManager
 from .metrics import QueryMetrics
 from .page import PageFile
 from .table import Column, MaxBlobHandle, Table
@@ -67,44 +66,26 @@ class Database:
     instance).  :attr:`latches` is the statement-granularity latch
     hierarchy those sessions take — a shared catalog latch plus
     per-table reader/writer latches, so a writer on one table overlaps
-    readers on another (see :mod:`repro.engine.latches` and
-    ``docs/LOCKING.md``).  :attr:`lock` is the legacy coarse RWLock the
-    latches collapse onto under ``latch_mode="coarse"`` /
-    ``REPRO_LATCH=coarse``.  :meth:`create_table` itself guards the
-    catalog dict so two concurrent CREATEs cannot race.
+    readers on another, while readers of the *same* table pin
+    copy-on-write snapshots and scan them latch-free (see
+    :mod:`repro.engine.latches` and ``docs/LOCKING.md``).
+    :meth:`create_table` itself guards the catalog dict so two
+    concurrent CREATEs cannot race.
 
     Args:
         buffer_pages: Buffer pool capacity (``None`` = unbounded).
-        latch_mode: ``"table"`` (per-table latches, the default) or
-            ``"coarse"`` (one statement-granularity RWLock); ``None``
-            reads ``REPRO_LATCH``.
-        mvcc_mode: ``"on"`` (copy-on-write page versions: readers pin
-            frozen snapshots and scan them latch-free, the default) or
-            ``"off"`` (latch-per-scan, bit-for-bit the pre-MVCC
-            behaviour); ``None`` reads ``REPRO_MVCC``.
     """
 
     #: True on databases opened as read-only snapshots (parallel
     #: workers re-open the coordinator's snapshot this way).
     read_only = False
 
-    def __init__(self, buffer_pages: int | None = None,
-                 latch_mode: str | None = None,
-                 mvcc_mode: str | None = None):
-        if mvcc_mode is None:
-            mvcc_mode = mvcc_from_env()
-        if mvcc_mode not in MVCC_MODES:
-            raise ValueError(
-                f"mvcc mode must be one of {MVCC_MODES}, "
-                f"got {mvcc_mode!r}")
-        self.mvcc = mvcc_mode == "on"
+    def __init__(self, buffer_pages: int | None = None):
         self.pagefile = PageFile()
         self.blob_store = BlobStore(self.pagefile)
         self.pool = BufferPool(self.pagefile, buffer_pages)
         self.tables: dict[str, Table] = {}
-        self.lock = RWLock()
-        self.latches = LatchManager(self.lock, self._table_names,
-                                    latch_mode)
+        self.latches = LatchManager(self._table_names)
         self._catalog_lock = threading.Lock()
         # Keeps write_version monotonic across DROP TABLE: a dropped
         # table's contribution (its catalog slot + mutations) would
@@ -117,8 +98,7 @@ class Database:
 
     def __getstate__(self):
         state = self.__dict__.copy()
-        # Locks, latches and the parallel worker pool are process-local.
-        state["lock"] = None
+        # Latches and the parallel worker pool are process-local.
         state["latches"] = None
         state["_catalog_lock"] = None
         state.pop("_worker_pool", None)
@@ -126,8 +106,7 @@ class Database:
 
     def __setstate__(self, state):
         self.__dict__.update(state)
-        self.lock = RWLock()
-        self.latches = LatchManager(self.lock, self._table_names)
+        self.latches = LatchManager(self._table_names)
         self._catalog_lock = threading.Lock()
         for table in self.tables.values():
             table._pool_ref = self.pool
@@ -191,8 +170,7 @@ class Database:
         with self._catalog_lock:
             if name in self.tables:
                 raise ValueError(f"table {name!r} already exists")
-            table = Table(name, columns, self.pagefile, self.blob_store,
-                          mvcc=self.mvcc)
+            table = Table(name, columns, self.pagefile, self.blob_store)
             table._pool_ref = self.pool
             self.tables[name] = table
             return table
@@ -784,10 +762,9 @@ class Executor:
     pool counters (:meth:`BufferPool.snapshot_thread_counters`), so
     they stay exact when several queries run concurrently on the
     server's worker pool — concurrent scans never inflate each other's
-    counts.  A ``cold=True`` query still evicts shared cache pages
-    mid-scan of others (its ``pool.clear()`` is real), which raises the
-    *physical* reads of those scans; that IO genuinely happens and is
-    charged to whoever re-fetches.
+    counts.  A ``cold=True`` query reads through a private cold view
+    of the pool (forced misses for the calling thread only), so it
+    neither evicts nor re-charges its neighbours.
     """
 
     #: Execution path used when a call does not pass ``engine=``:
@@ -828,22 +805,16 @@ class Executor:
     def _read_view(self, table: Table, cold: bool, pin: bool = True):
         """Statement-scoped read view over one table.
 
-        Under MVCC the statement reads a pinned frozen snapshot of the
-        table (``pin=False`` keeps the live table — the index-seek
-        path, whose secondary indexes are not versioned and run under
-        the session's table latch), and a ``cold`` statement gets a
+        The statement reads a pinned frozen snapshot of the table
+        (``pin=False`` keeps the live table — the index-seek path,
+        whose secondary indexes are not versioned and run under the
+        session's table latch), and a ``cold`` statement gets a
         *private* cold view of the buffer pool instead of clearing it
         for everybody — so per-query IO counters are independent under
-        concurrency and a cold scan no longer makes its neighbours
-        re-fetch and eat the charge.  Without MVCC this is the legacy
-        behaviour: ``cold`` clears the shared pool.
+        concurrency and a cold scan does not make its neighbours
+        re-fetch and eat the charge.
         """
         pool = self.db.pool
-        if not getattr(table, "mvcc", False):
-            if cold:
-                pool.clear()
-            yield table
-            return
         snap = table.pin_snapshot() if pin else None
         try:
             if cold:
@@ -857,37 +828,121 @@ class Executor:
             if snap is not None:
                 snap.unpin(pool)
 
-    def _parallel_metrics(self, res, label: str, decode_cost: float,
-                          step_cost: float, extra_cpu: float
-                          ) -> QueryMetrics:
-        """Build QueryMetrics from a merged parallel-scan result.
-
-        The IO counters were replayed in morsel order on the
-        coordinator, so on a cold run they are identical to what a
-        serial scan would have charged; the CPU formula is the same
-        one the serial paths use.
-        """
+    def _metrics(self, label: str, rows: int, io, cpu: float,
+                 wall: float, counts, engine: str = "row",
+                 workers: int = 0) -> QueryMetrics:
+        """The one :class:`QueryMetrics` builder.  ``counts`` carries
+        the statement's ``stream_calls``/``udf_calls`` — a row or batch
+        context, or a merged parallel result."""
         model = self.model
-        io = res.io
-        cpu = (res.rows * (model.cpu_row_base + decode_cost + step_cost)
-               + res.payload_bytes * model.cpu_per_record_byte
-               + res.stream_calls * model.cpu_stream_call
-               + res.stream_bytes * model.cpu_stream_byte
-               + extra_cpu)
         io_seq, io_random = model.io_seconds_split(io)
+        io_seconds = io_seq + io_random
         return QueryMetrics(
-            label=label, rows=res.rows, io_bytes=io.physical_bytes,
+            label=label, rows=rows, io_bytes=io.physical_bytes,
             physical_reads=io.physical_reads,
             sequential_reads=io.sequential_reads,
             random_reads=io.random_reads,
-            stream_calls=res.stream_calls, udf_calls=res.udf_calls,
-            sim_io_seconds=io_seq + io_random,
+            stream_calls=counts.stream_calls, udf_calls=counts.udf_calls,
+            sim_io_seconds=io_seconds,
             sim_io_seq_seconds=io_seq,
             sim_io_random_seconds=io_random,
             sim_cpu_core_seconds=cpu,
-            sim_exec_seconds=model.exec_seconds(io_seq + io_random, cpu),
-            cores=model.cores, wall_seconds=res.wall,
-            engine="parallel", workers=res.workers)
+            sim_exec_seconds=model.exec_seconds(io_seconds, cpu),
+            cores=model.cores, wall_seconds=wall, engine=engine,
+            workers=workers)
+
+    def _scan_costs(self, table: Table, aggregates, where,
+                    group_expr) -> tuple[float, float]:
+        """Per-row static CPU of a scan plan, ``(decode, step)``: the
+        referenced-column decodes (UDF calls inside expressions are
+        static cost too, one call per row) and the aggregate steps,
+        plus a hash probe per row when grouping.  Data-dependent costs
+        (blob streaming) are charged via the evaluation context."""
+        model = self.model
+        exprs = [] if group_expr is None else [group_expr]
+        exprs += [a.expr for a in aggregates if a.expr is not None]
+        if where is not None:
+            exprs.append(where)
+        decode_cost = 0.0
+        for expr in exprs:
+            decode_cost += expr.static_cpu_cost(table, model)
+        step_cost = sum(a.step_cost(model) for a in aggregates)
+        if group_expr is not None:
+            step_cost += model.cpu_count_step
+        return decode_cost, step_cost
+
+    def _scan_cpu(self, rows: int, payload_bytes: int,
+                  costs: tuple[float, float], counts) -> float:
+        """Simulated CPU core-seconds of a scan — the one formula the
+        serial and parallel paths share."""
+        model = self.model
+        decode_cost, step_cost = costs
+        return (rows * (model.cpu_row_base + decode_cost + step_cost)
+                + payload_bytes * model.cpu_per_record_byte
+                + counts.stream_calls * model.cpu_stream_call
+                + counts.stream_bytes * model.cpu_stream_byte
+                + counts.extra_cpu)
+
+    def _seek_cpu(self, table: Table, aggregates, rows: int, io,
+                  ctx: _RowContext) -> float:
+        """Simulated CPU core-seconds of a seek plan."""
+        model = self.model
+        decode_cost = sum(
+            a.expr.static_cpu_cost(table, model) for a in aggregates
+            if a.expr is not None)
+        return (rows * (model.cpu_row_base + decode_cost
+                        + sum(a.step_cost(model) for a in aggregates))
+                # Binary searches down the tree: ~one row-base of work
+                # per level touched.
+                + io.logical_reads * model.cpu_row_base
+                + ctx.stream_calls * model.cpu_stream_call
+                + ctx.stream_bytes * model.cpu_stream_byte)
+
+    @staticmethod
+    def _finish(aggregates, states, groups, rows: int):
+        """Final values of a scan: the aggregate tuple, or — grouped —
+        one ``(group, agg...)`` row per group, sorted by group key."""
+        if groups is None:
+            return tuple(a.finish(s, rows)
+                         for a, s in zip(aggregates, states))
+        return [
+            (group, *(a.finish(s, rows)
+                      for a, s in zip(aggregates, group_states)))
+            for group, group_states in sorted(
+                groups.items(), key=lambda kv: (kv[0] is None, kv[0]))]
+
+    def run(self, table: Table, aggregates: Sequence[Aggregate],
+            where: Expression | None = None, cold: bool = True,
+            label: str = "", engine: str | None = None,
+            workers: int | None = None
+            ) -> tuple[tuple, QueryMetrics]:
+        """Execute ``SELECT aggs FROM table [WHERE where]``.
+
+        Args:
+            table: Table to scan (clustered index scan, key order).
+            aggregates: Aggregate list; their final values are returned
+                in order.
+            where: Optional predicate expression (rows where it
+                evaluates falsy are skipped after being scanned).
+            cold: Read through a cold buffer pool, like the paper's runs.
+            label: Name recorded in the metrics.
+            engine: ``"row"``, ``"vector"`` or ``"parallel"``; ``None``
+                uses :attr:`default_engine`.  All produce bit-identical
+                results; cold-run IO accounting is identical too.  A
+                parallel request that cannot parallelize safely (an
+                unpicklable plan, a UDF registered
+                ``parallel_safe=False``, a custom aggregate without
+                ``merge``) honestly falls back to the serial vector
+                path and reports ``engine="vector"``.
+            workers: Worker-process count for ``engine="parallel"``
+                (``None`` uses :attr:`default_workers`); ignored by
+                the serial engines.
+
+        Returns:
+            ``(values, metrics)``.
+        """
+        return self._run_scan(table, aggregates, where, None, cold,
+                              label, engine, workers)
 
     def run_grouped(self, table: Table, group_expr: "Expression",
                     aggregates: Sequence[Aggregate],
@@ -906,51 +961,80 @@ class Executor:
             ``(rows, metrics)`` where each row is
             ``(group_value, agg1, agg2, ...)``.
         """
+        return self._run_scan(table, aggregates, where, group_expr, cold,
+                              label, engine, workers)
+
+    def _run_scan(self, table, aggregates, where, group_expr, cold,
+                  label, engine, workers):
+        """Engine dispatch for callers that hold no latch: the parallel
+        engine first when asked for, the serial scan otherwise or when
+        the plan declines to parallelize."""
         engine = self._resolve_engine(engine)
-        model = self.model
-        pool = self.db.pool
-
-        decode_cost = group_expr.static_cpu_cost(table, model)
-        seen = set(group_expr.columns())
-        for agg in aggregates:
-            if agg.expr is not None:
-                decode_cost += agg.expr.static_cpu_cost(table, model)
-                seen |= agg.expr.columns()
-        if where is not None:
-            decode_cost += where.static_cpu_cost(table, model)
-        # Hash probe per row on top of the aggregate steps.
-        step_cost = sum(a.step_cost(model) for a in aggregates) \
-            + model.cpu_count_step
-
         if engine == "parallel":
-            from . import parallel
-            res = parallel.run_parallel_grouped(
-                self.db, table, group_expr, aggregates, where, cold,
-                self._resolve_workers(workers))
-            if res is None:
-                engine = "vector"  # honest fallback
-            else:
-                result = [
-                    (group, *(a.finish(s, res.rows)
-                              for a, s in zip(aggregates, states)))
-                    for group, states in sorted(
-                        res.groups.items(),
-                        key=lambda kv: (kv[0] is None, kv[0]))]
-                return result, self._parallel_metrics(
-                    res, label, decode_cost, step_cost, 0.0)
+            result = self.run_parallel(table, aggregates, where,
+                                       group_expr, cold, label, workers)
+            if result is not None:
+                return result
+            engine = "vector"  # honest fallback
+        return self.run_serial(table, aggregates, where, group_expr,
+                               cold, label, engine)
 
+    def run_parallel(self, table: Table, aggregates, where=None,
+                     group_expr=None, cold: bool = True, label: str = "",
+                     workers: int | None = None):
+        """Morsel-parallel scan (grouped when ``group_expr`` is given);
+        ``None`` when the plan cannot parallelize safely.
+
+        Call it with **no latch held**: the coordinator takes the
+        worker-pool mutex and then the catalog and table latches itself
+        (:func:`repro.engine.parallel.run_parallel`).  The IO counters
+        were replayed in morsel order on the coordinator, so on a cold
+        run the metrics are identical to a serial scan's.
+        """
+        from . import parallel
+        res = parallel.run_parallel(
+            self.db, table, aggregates, where, group_expr, cold,
+            self._resolve_workers(workers))
+        if res is None:
+            return None
+        cpu = self._scan_cpu(
+            res.rows, res.payload_bytes,
+            self._scan_costs(table, aggregates, where, group_expr), res)
+        return (self._finish(aggregates, res.states, res.groups,
+                             res.rows),
+                self._metrics(label, res.rows, res.io, cpu, res.wall,
+                              res, "parallel", res.workers))
+
+    def run_serial(self, table: Table, aggregates, where=None,
+                   group_expr=None, cold: bool = True, label: str = "",
+                   engine: str = "vector"):
+        """Serial scan on the ``"vector"`` or ``"row"`` engine (grouped
+        when ``group_expr`` is given).  Never reaches the worker pool,
+        so a session may call it under its statement latches."""
+        pool = self.db.pool
+        costs = self._scan_costs(table, aggregates, where, group_expr)
         with self._read_view(table, cold) as view:
             before = pool.snapshot_thread_counters()
-
+            states = groups = None
             if engine == "vector":
                 ctx = vectorized.BatchContext(view, pool)
                 started = time.perf_counter()
-                groups, rows, payload_bytes = vectorized.scan_grouped(
-                    view, pool, group_expr, aggregates, where, ctx)
+                if group_expr is None:
+                    states, rows, payload_bytes = \
+                        vectorized.scan_aggregate(
+                            view, pool, aggregates, where, ctx)
+                else:
+                    groups, rows, payload_bytes = \
+                        vectorized.scan_grouped(
+                            view, pool, group_expr, aggregates, where,
+                            ctx)
                 wall = time.perf_counter() - started
             else:
                 ctx = _RowContext(view, pool)
-                groups = {}
+                if group_expr is None:
+                    states = [a.start() for a in aggregates]
+                else:
+                    groups = {}
                 rows = 0
                 payload_bytes = 0
                 started = time.perf_counter()
@@ -960,41 +1044,20 @@ class Executor:
                     ctx.row = view.decode(key, payload)
                     if where is not None and not where.eval(ctx):
                         continue
-                    group = group_expr.eval(ctx)
-                    states = groups.get(group)
-                    if states is None:
-                        states = [a.start() for a in aggregates]
-                        groups[group] = states
+                    if groups is not None:
+                        group = group_expr.eval(ctx)
+                        states = groups.get(group)
+                        if states is None:
+                            states = groups[group] = [
+                                a.start() for a in aggregates]
                     for i, agg in enumerate(aggregates):
                         states[i] = agg.step(states[i], ctx)
                 wall = time.perf_counter() - started
 
-        result = [
-            (group, *(a.finish(s, rows)
-                      for a, s in zip(aggregates, states)))
-            for group, states in sorted(
-                groups.items(),
-                key=lambda kv: (kv[0] is None, kv[0]))]
-
         io = pool.snapshot_thread_counters().delta_since(before)
-        cpu = (rows * (model.cpu_row_base + decode_cost + step_cost)
-               + payload_bytes * model.cpu_per_record_byte
-               + ctx.stream_calls * model.cpu_stream_call
-               + ctx.stream_bytes * model.cpu_stream_byte)
-        io_seq, io_random = model.io_seconds_split(io)
-        metrics = QueryMetrics(
-            label=label, rows=rows, io_bytes=io.physical_bytes,
-            physical_reads=io.physical_reads,
-            sequential_reads=io.sequential_reads,
-            random_reads=io.random_reads,
-            stream_calls=ctx.stream_calls, udf_calls=ctx.udf_calls,
-            sim_io_seconds=io_seq + io_random,
-            sim_io_seq_seconds=io_seq,
-            sim_io_random_seconds=io_random,
-            sim_cpu_core_seconds=cpu,
-            sim_exec_seconds=model.exec_seconds(io_seq + io_random, cpu),
-            cores=model.cores, wall_seconds=wall, engine=engine)
-        return result, metrics
+        cpu = self._scan_cpu(rows, payload_bytes, costs, ctx)
+        return (self._finish(aggregates, states, groups, rows),
+                self._metrics(label, rows, io, cpu, wall, ctx, engine))
 
     def run_index(self, table: Table, column: str,
                   aggregates: Sequence[Aggregate], equals=None,
@@ -1019,7 +1082,6 @@ class Executor:
         index = table.index_on(column)
         if index is None:
             raise ValueError(f"no index on column {column!r}")
-        model = self.model
         pool = self.db.pool
         with self._read_view(table, cold, pin=False):
             before = pool.snapshot_thread_counters()
@@ -1040,32 +1102,11 @@ class Executor:
                 for i, agg in enumerate(aggregates):
                     states[i] = agg.step(states[i], ctx)
             wall = time.perf_counter() - started
-        values = tuple(a.finish(s, rows)
-                       for a, s in zip(aggregates, states))
 
         io = pool.snapshot_thread_counters().delta_since(before)
-        decode_cost = sum(
-            a.expr.static_cpu_cost(table, model) for a in aggregates
-            if a.expr is not None)
-        cpu = (rows * (model.cpu_row_base + decode_cost
-                       + sum(a.step_cost(model) for a in aggregates))
-               + io.logical_reads * model.cpu_row_base
-               + ctx.stream_calls * model.cpu_stream_call
-               + ctx.stream_bytes * model.cpu_stream_byte)
-        io_seq, io_random = model.io_seconds_split(io)
-        metrics = QueryMetrics(
-            label=label, rows=rows, io_bytes=io.physical_bytes,
-            physical_reads=io.physical_reads,
-            sequential_reads=io.sequential_reads,
-            random_reads=io.random_reads,
-            stream_calls=ctx.stream_calls, udf_calls=ctx.udf_calls,
-            sim_io_seconds=io_seq + io_random,
-            sim_io_seq_seconds=io_seq,
-            sim_io_random_seconds=io_random,
-            sim_cpu_core_seconds=cpu,
-            sim_exec_seconds=model.exec_seconds(io_seq + io_random, cpu),
-            cores=model.cores, wall_seconds=wall)
-        return values, metrics
+        cpu = self._seek_cpu(table, aggregates, rows, io, ctx)
+        return (self._finish(aggregates, states, None, rows),
+                self._metrics(label, rows, io, cpu, wall, ctx))
 
     def run_point(self, table: Table, key: int,
                   aggregates: Sequence[Aggregate], cold: bool = True,
@@ -1082,7 +1123,6 @@ class Executor:
         is processed on the row path (``engine="row"`` in the metrics).
         """
         self._resolve_engine(engine)
-        model = self.model
         pool = self.db.pool
         with self._read_view(table, cold) as view:
             before = pool.snapshot_thread_counters()
@@ -1097,149 +1137,8 @@ class Executor:
                 for i, agg in enumerate(aggregates):
                     states[i] = agg.step(states[i], ctx)
             wall = time.perf_counter() - started
-        values = tuple(a.finish(s, rows)
-                       for a, s in zip(aggregates, states))
 
         io = pool.snapshot_thread_counters().delta_since(before)
-        decode_cost = sum(
-            a.expr.static_cpu_cost(table, model) for a in aggregates
-            if a.expr is not None)
-        cpu = (rows * (model.cpu_row_base + decode_cost
-                       + sum(a.step_cost(model) for a in aggregates))
-               # Binary searches down the tree: ~one row-base of work
-               # per level touched.
-               + io.logical_reads * model.cpu_row_base
-               + ctx.stream_calls * model.cpu_stream_call
-               + ctx.stream_bytes * model.cpu_stream_byte)
-        io_seq, io_random = model.io_seconds_split(io)
-        metrics = QueryMetrics(
-            label=label, rows=rows, io_bytes=io.physical_bytes,
-            physical_reads=io.physical_reads,
-            sequential_reads=io.sequential_reads,
-            random_reads=io.random_reads,
-            stream_calls=ctx.stream_calls, udf_calls=ctx.udf_calls,
-            sim_io_seconds=io_seq + io_random,
-            sim_io_seq_seconds=io_seq,
-            sim_io_random_seconds=io_random,
-            sim_cpu_core_seconds=cpu,
-            sim_exec_seconds=model.exec_seconds(io_seq + io_random, cpu),
-            cores=model.cores, wall_seconds=wall)
-        return values, metrics
-
-    def run(self, table: Table, aggregates: Sequence[Aggregate],
-            where: Expression | None = None, cold: bool = True,
-            label: str = "", engine: str | None = None,
-            workers: int | None = None
-            ) -> tuple[tuple, QueryMetrics]:
-        """Execute ``SELECT aggs FROM table [WHERE where]``.
-
-        Args:
-            table: Table to scan (clustered index scan, key order).
-            aggregates: Aggregate list; their final values are returned
-                in order.
-            where: Optional predicate expression (rows where it
-                evaluates falsy are skipped after being scanned).
-            cold: Clear the buffer pool first, like the paper's runs.
-            label: Name recorded in the metrics.
-            engine: ``"row"``, ``"vector"`` or ``"parallel"``; ``None``
-                uses :attr:`default_engine`.  All produce bit-identical
-                results; cold-run IO accounting is identical too.  A
-                parallel request that cannot parallelize safely (an
-                unpicklable plan, a UDF registered
-                ``parallel_safe=False``, a custom aggregate without
-                ``merge``) honestly falls back to the serial vector
-                path and reports ``engine="vector"``.
-            workers: Worker-process count for ``engine="parallel"``
-                (``None`` uses :attr:`default_workers`); ignored by
-                the serial engines.
-
-        Returns:
-            ``(values, metrics)``.
-        """
-        engine = self._resolve_engine(engine)
-        model = self.model
-        pool = self.db.pool
-
-        # Per-row static CPU: scan base + referenced-column decodes +
-        # aggregate steps (+ predicate).  UDF calls inside expressions
-        # are part of static cost too (one call per row); data-dependent
-        # costs (blob streaming) are charged via the row context.
-        decode_cost = 0.0
-        seen: set[str] = set()
-        exprs = [a.expr for a in aggregates if a.expr is not None]
-        if where is not None:
-            exprs.append(where)
-        for expr in exprs:
-            decode_cost += expr.static_cpu_cost(table, model)
-            seen |= expr.columns()
-        step_cost = sum(a.step_cost(model) for a in aggregates)
-
-        if engine == "parallel":
-            from . import parallel
-            res = parallel.run_parallel_scan(
-                self.db, table, aggregates, where, cold,
-                self._resolve_workers(workers))
-            if res is None:
-                engine = "vector"  # honest fallback
-            else:
-                values = tuple(a.finish(s, res.rows)
-                               for a, s in zip(aggregates, res.states))
-                return values, self._parallel_metrics(
-                    res, label, decode_cost, step_cost, res.extra_cpu)
-
-        with self._read_view(table, cold) as view:
-            before = pool.snapshot_thread_counters()
-
-            if engine == "vector":
-                ctx = vectorized.BatchContext(view, pool)
-                started = time.perf_counter()
-                states, rows, payload_bytes = vectorized.scan_aggregate(
-                    view, pool, aggregates, where, ctx)
-                wall = time.perf_counter() - started
-            else:
-                ctx = _RowContext(view, pool)
-                states = [a.start() for a in aggregates]
-                rows = 0
-                payload_bytes = 0
-                started = time.perf_counter()
-                for key, payload in view.tree.scan(pool):
-                    rows += 1
-                    payload_bytes += len(payload)
-                    ctx.row = view.decode(key, payload)
-                    if where is not None and not where.eval(ctx):
-                        continue
-                    for i, agg in enumerate(aggregates):
-                        states[i] = agg.step(states[i], ctx)
-                wall = time.perf_counter() - started
-
-        values = tuple(a.finish(s, rows) for a, s in zip(aggregates, states))
-
-        io = pool.snapshot_thread_counters().delta_since(before)
-        cpu_core_seconds = (
-            rows * (model.cpu_row_base + decode_cost + step_cost)
-            + payload_bytes * model.cpu_per_record_byte
-            + ctx.stream_calls * model.cpu_stream_call
-            + ctx.stream_bytes * model.cpu_stream_byte
-            + ctx.extra_cpu)
-        io_seq, io_random = model.io_seconds_split(io)
-        io_seconds = io_seq + io_random
-        metrics = QueryMetrics(
-            label=label,
-            rows=rows,
-            io_bytes=io.physical_bytes,
-            physical_reads=io.physical_reads,
-            sequential_reads=io.sequential_reads,
-            random_reads=io.random_reads,
-            stream_calls=ctx.stream_calls,
-            udf_calls=ctx.udf_calls,
-            sim_io_seconds=io_seconds,
-            sim_io_seq_seconds=io_seq,
-            sim_io_random_seconds=io_random,
-            sim_cpu_core_seconds=cpu_core_seconds,
-            sim_exec_seconds=model.exec_seconds(io_seconds,
-                                                cpu_core_seconds),
-            cores=model.cores,
-            wall_seconds=wall,
-            engine=engine,
-        )
-        return values, metrics
+        cpu = self._seek_cpu(table, aggregates, rows, io, ctx)
+        return (self._finish(aggregates, states, None, rows),
+                self._metrics(label, rows, io, cpu, wall, ctx))

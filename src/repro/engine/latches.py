@@ -1,17 +1,16 @@
 """Per-table latches: writers on one table overlap readers on another.
 
 The paper's host (SQL Server) lets any number of readers scan one table
-while a writer mutates a different one; until this module landed the
-reproduction serialized *every* writer against *all* readers behind one
-statement-granularity :class:`~repro.engine.locks.RWLock`.  The
-:class:`LatchManager` replaces that coarse lock with a two-level latch
-hierarchy:
+while a writer mutates a different one.  The :class:`LatchManager` is
+the statement-granularity half of that: a two-level latch hierarchy
+(MVCC snapshots, see :mod:`repro.engine.table`, are the other half and
+let readers of the *same* table overlap its writer):
 
 - a **catalog latch** (one :class:`RWLock` per database): shared by
   every SELECT/INSERT/DELETE, exclusive for DDL (CREATE/DROP), so the
   table set a statement latched cannot change under it;
 - one **table latch** (:class:`RWLock`, writer-preferring) per table:
-  shared for scans, exclusive for mutation.
+  shared for index seeks and snapshot cuts, exclusive for mutation.
 
 Lock hierarchy (acquire strictly downward, never upward)::
 
@@ -24,47 +23,17 @@ lower-cased table-name order, with the catalog latch always first.  No
 code path acquires a latch while already holding another latch, so no
 cycle can form; replint's RL002 enforces exactly that (no nested latch
 acquisition, no latch acquisition under a pool ``_lock``).
-
-The old coarse mode stays available for bisection: constructing the
-database with ``latch_mode="coarse"`` (or exporting
-``REPRO_LATCH=coarse``) maps every latch onto the single database
-RWLock — shared for reads, exclusive for writes and DDL — which is
-bit-for-bit the pre-latch behaviour.  ``REPRO_LATCH=table`` (or unset)
-selects the per-table latches.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 from contextlib import contextmanager
 from typing import Callable, Iterable, Iterator
 
 from .locks import RWLock
 
-__all__ = ["LatchManager", "LATCH_MODES", "MVCC_MODES",
-           "mvcc_from_env"]
-
-#: Recognized latch modes: ``"table"`` (per-table latches, the default)
-#: and ``"coarse"`` (the legacy single statement-granularity RWLock).
-LATCH_MODES = ("table", "coarse")
-
-#: Recognized MVCC modes: ``"on"`` (copy-on-write page versions, the
-#: default) and ``"off"`` (latch-per-scan, bit-for-bit the pre-MVCC
-#: behaviour).
-MVCC_MODES = ("on", "off")
-
-
-def _mode_from_env() -> str:
-    """Latch mode from ``REPRO_LATCH``; unknown values mean ``table``."""
-    value = os.environ.get("REPRO_LATCH", "").strip().lower()
-    return value if value in LATCH_MODES else "table"
-
-
-def mvcc_from_env() -> str:
-    """MVCC mode from ``REPRO_MVCC``; unknown values mean ``on``."""
-    value = os.environ.get("REPRO_MVCC", "").strip().lower()
-    return value if value in MVCC_MODES else "on"
+__all__ = ["LatchManager"]
 
 
 class LatchManager:
@@ -78,29 +47,15 @@ class LatchManager:
     hierarchy, not a re-entrant stack.
 
     Args:
-        db_lock: The database's coarse RWLock (used verbatim in
-            ``coarse`` mode, idle in ``table`` mode).
         table_names: Callable returning the current table names (the
             all-tables latch set for whole-database readers such as the
             parallel engine's snapshots).
-        mode: ``"table"`` or ``"coarse"``; ``None`` reads
-            ``REPRO_LATCH`` (defaulting to ``"table"``).
     """
 
-    def __init__(self, db_lock: RWLock,
-                 table_names: Callable[[], Iterable[str]],
-                 mode: str | None = None):
-        if mode is None:
-            mode = _mode_from_env()
-        if mode not in LATCH_MODES:
-            raise ValueError(
-                f"latch mode must be one of {LATCH_MODES}, got {mode!r}")
-        self.mode = mode
-        self._db_lock = db_lock
+    def __init__(self, table_names: Callable[[], Iterable[str]]):
         self._table_names = table_names
         self._catalog = RWLock()
-        # Stamp sentinel identities (REPRO_LOCK_CHECK=1): the db-wide
-        # RWLock keeps its default "db" class.
+        # Stamp sentinel identities (REPRO_LOCK_CHECK=1).
         self._catalog.lock_class = "catalog"
         self._latches: dict[str, RWLock] = {}
         # Leaf mutex guarding only the latch dict itself; nothing is
@@ -139,16 +94,7 @@ class LatchManager:
         With no names, latches *every* current table — the guard a
         whole-database reader needs (the parallel engine pickles a
         snapshot of the full database, so all of it must be stable).
-        In ``coarse`` mode this is the database read lock regardless of
-        the name set.
         """
-        if self.mode == "coarse":
-            self._db_lock.acquire_read()
-            try:
-                yield self
-            finally:
-                self._db_lock.release_read()
-            return
         self._catalog.acquire_read()
         held: list[RWLock] = []
         try:
@@ -167,17 +113,10 @@ class LatchManager:
         """Exclusive access to the named tables (an INSERT/DELETE's
         latch set); readers and writers of *other* tables proceed.
         The catalog latch is taken shared — DML never changes the table
-        set.  In ``coarse`` mode this is the database write lock.
+        set.
         """
         if not tables:
             raise ValueError("write_latch needs at least one table name")
-        if self.mode == "coarse":
-            self._db_lock.acquire_write()
-            try:
-                yield self
-            finally:
-                self._db_lock.release_write()
-            return
         self._catalog.acquire_read()
         held: list[RWLock] = []
         try:
@@ -192,19 +131,11 @@ class LatchManager:
 
     @contextmanager
     def catalog_latch(self) -> Iterator["LatchManager"]:
-        """Shared catalog access and *no* table latch — the guard an
-        MVCC reader takes: it only needs the table set stable while it
-        pins its snapshots; the snapshots themselves are scanned
-        latch-free.  In ``coarse`` mode this is the database read lock
-        (coarse mode has no finer guard to offer).
+        """Shared catalog access and *no* table latch — the guard a
+        snapshot reader takes: it only needs the table set stable while
+        it pins its snapshots; the snapshots themselves are scanned
+        latch-free.
         """
-        if self.mode == "coarse":
-            self._db_lock.acquire_read()
-            try:
-                yield self
-            finally:
-                self._db_lock.release_read()
-            return
         self._catalog.acquire_read()
         try:
             yield self
@@ -215,16 +146,8 @@ class LatchManager:
     def ddl_latch(self) -> Iterator["LatchManager"]:
         """Exclusive catalog access (CREATE/DROP TABLE).  Excludes
         every concurrent statement — all of them hold the catalog latch
-        shared — without touching any table latch.  In ``coarse`` mode
-        this is the database write lock.
+        shared — without touching any table latch.
         """
-        if self.mode == "coarse":
-            self._db_lock.acquire_write()
-            try:
-                yield self
-            finally:
-                self._db_lock.release_write()
-            return
         self._catalog.acquire_write()
         try:
             yield self

@@ -22,13 +22,8 @@ Same-class rules mirror the engine's discipline:
 - ``intent`` range-intents may stack (disjoint ranges on one or more
   tables);
 - any other same-class re-acquisition (the non-reentrant RWLocks:
-  ``catalog``, ``db``, a single table latch by the same name) is the
-  classic self-deadlock and raises.
-
-The worker-pool mutex is deliberately **not** instrumented: its two
-acquisition orders (legacy latch-then-pool vs MVCC pool-then-latch)
-are mode-exclusive at runtime, which is exactly why the static graph
-exempts edges into ``workerpool`` (see docs/LOCKING.md).
+  ``catalog``, a single table latch by the same name) is the classic
+  self-deadlock and raises.
 
 The check is off by default and the disabled fast path is one global
 boolean test per acquisition.  Enable with the environment variable or
@@ -65,9 +60,9 @@ class LockOrderViolation(RuntimeError):
 DEFAULT_ORDER: tuple[str, ...] = (
     "intent",
     "mutex:ShardRouter",
+    "rwlock",
     "workerpool",
     "catalog",
-    "db",
     "mutex:Database",
     "table",
     "mutex:Table",

@@ -1,17 +1,16 @@
-"""Reader/writer lock for the shared engine.
+"""Reader/writer lock: the building block of the engine's latches.
 
 The paper's array library runs inside SQL Server, whose lock manager
 lets any number of readers scan a table while writers are serialized
 (the Table 1 queries even opt *out* of shared locks with ``WITH
-(NOLOCK)``).  The reproduction's engine was single-threaded until the
-serving layer (:mod:`repro.server`) started multiplexing per-connection
-sessions over one shared :class:`~repro.engine.executor.Database`; this
-module supplies the equivalent coarse-grained protection: a
-writer-preferring reader/writer lock taken at statement granularity.
+(NOLOCK)``).  The serving layer (:mod:`repro.server`) multiplexes
+per-connection sessions over one shared
+:class:`~repro.engine.executor.Database`; this module supplies the
+writer-preferring reader/writer lock its catalog latch and per-table
+latches are made of (:mod:`repro.engine.latches`).
 
-Readers (SELECT) share; writers (CREATE/INSERT/DELETE, index builds)
-are exclusive.  Writer preference keeps a steady stream of analytical
-scans from starving catalog changes.
+Readers share; writers are exclusive.  Writer preference keeps a steady
+stream of analytical scans from starving catalog changes.
 """
 
 from __future__ import annotations
@@ -45,7 +44,7 @@ class RWLock:
         # Sentinel identity (REPRO_LOCK_CHECK=1): owners re-stamp —
         # the LatchManager marks its catalog latch "catalog" and each
         # per-table latch "table" with the table name.
-        self.lock_class = "db"
+        self.lock_class = "rwlock"
         self.lock_name: str | None = None
 
     # -- read side -----------------------------------------------------------

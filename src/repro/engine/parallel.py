@@ -28,9 +28,9 @@ Determinism contracts:
   keeps its own page cache.)
 * **Fallback.**  Plans that cannot parallelize safely — unpicklable
   expressions, UDFs registered ``parallel_safe=False``, custom
-  aggregates without the merge protocol — return ``None`` from the
-  ``run_parallel_*`` entry points and the executor honestly runs the
-  serial vector path instead, reporting the engine it actually used.
+  aggregates without the merge protocol — return ``None`` from
+  :func:`run_parallel` and the executor honestly runs the serial
+  vector path instead, reporting the engine it actually used.
 """
 
 from __future__ import annotations
@@ -48,14 +48,13 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
-from . import shm, vectorized
+from . import lockcheck, shm, vectorized
 from .bufferpool import SEQ_READ_WINDOW, IoCounters
 
 __all__ = [
     "WorkerPool",
     "ParallelResult",
-    "run_parallel_scan",
-    "run_parallel_grouped",
+    "run_parallel",
     "get_pool",
     "active_workers",
     "dumps_plan",
@@ -385,12 +384,10 @@ class WorkerPool:
         self._snapshot_version = None
         self._table_versions: dict[str, int] = {}
         self._query_seq = 0
-        self._mutex = threading.Lock()
-        # Under MVCC the eager cut would race an in-flight writer (the
-        # pool is built outside any latch); every MVCC query cuts under
-        # a brief all-table latch instead, so stay lazy there.
-        if not getattr(db, "mvcc", False):
-            self._refresh_snapshot()
+        self._mutex = lockcheck.tracked_lock("workerpool")
+        # No eager snapshot cut: the pool is built outside any latch, so
+        # a cut here would race an in-flight writer.  Every query cuts
+        # under a brief all-table latch instead (see run_parallel).
         for i in range(self.workers):
             proc = self._ctx.Process(
                 target=_worker_main, args=(self._task_q, self._result_q),
@@ -481,29 +478,21 @@ class WorkerPool:
 
     @contextmanager
     def guard(self):
-        """The pool's dispatch mutex, exposed so the MVCC coordinator
-        can keep pin -> snapshot-cut -> dispatch atomic against other
+        """The pool's dispatch mutex, exposed so the coordinator can
+        keep pin -> snapshot-cut -> dispatch atomic against other
         parallel queries while holding the all-table latch only for
-        the cut itself (see :func:`_execute_mvcc`)."""
+        the cut itself (see :func:`run_parallel`)."""
         with self._mutex:
             yield self
-
-    def run_query(self, table, plan_bytes: bytes, cold: bool,
-                  leaf_ids: list[int], batch_pages: int) -> list[dict]:
-        """Dispatch one query's morsels and return their results in
-        morsel order.  Raises the first worker-side exception, or
-        :class:`WorkerDied` if a worker process disappears."""
-        with self._mutex:
-            self._refresh_snapshot(table.name)
-            return self._dispatch_locked(plan_bytes, cold, leaf_ids,
-                                         batch_pages)
 
     def _dispatch_locked(self, plan_bytes: bytes, cold: bool,
                          leaf_ids: list[int],
                          batch_pages: int) -> list[dict]:
-        """Morsel dispatch + gather; ``self._mutex`` must be held and
-        the live snapshot must already match the pages in
-        ``leaf_ids``."""
+        """Dispatch one query's morsels and return their results in
+        morsel order; ``self._mutex`` must be held and the live
+        snapshot must already match the pages in ``leaf_ids``.  Raises
+        the first worker-side exception, or :class:`WorkerDied` if a
+        worker process disappears."""
         self._query_seq += 1
         query_id = self._query_seq
         morsel_pages = self._morsel_pages(len(leaf_ids), batch_pages)
@@ -645,51 +634,24 @@ def _replay_io(descent_delta: IoCounters, descent_log: list[int],
 
 def _execute(db, table, plan_bytes: bytes, aggregates, cold: bool,
              workers: int, grouped: bool) -> ParallelResult:
-    started = time.perf_counter()
-    pool_mgr = get_pool(db, workers)
-    batch_pages = vectorized.DEFAULT_BATCH_PAGES
-    if getattr(db, "mvcc", False):
-        return _execute_mvcc(db, table, plan_bytes, aggregates, cold,
-                             grouped, pool_mgr, batch_pages, started)
-    leaf_ids = table.data_page_ids()
-
-    # The coordinator performs (and is charged for) the root-to-leaf
-    # descent, exactly like a serial scan's first page touches; the
-    # workers only ever touch their own morsel's leaves and blobs.
-    coord_pool = db.pool
-    if cold:
-        coord_pool.clear()
-    before = coord_pool.snapshot_thread_counters()
-    coord_pool.start_physical_log()
-    try:
-        table.tree.charge_scan_descent(coord_pool)
-    finally:
-        descent_log = coord_pool.take_physical_log()
-    descent_delta = coord_pool.snapshot_thread_counters() \
-        .delta_since(before)
-
-    morsel_results = pool_mgr.run_query(
-        table, plan_bytes, cold, leaf_ids, batch_pages)
-    return _merge_results(pool_mgr, aggregates, grouped, morsel_results,
-                          descent_delta, descent_log, started)
-
-
-def _execute_mvcc(db, table, plan_bytes: bytes, aggregates, cold: bool,
-                  grouped: bool, pool_mgr: WorkerPool, batch_pages: int,
-                  started: float) -> ParallelResult:
-    """MVCC coordinator path: pin a version and cut the worker
-    snapshot under one *brief* all-table shared latch — writers'
-    publish steps are excluded exactly while the pickle runs, so the
-    shipped bytes are the pinned version's committed tip — then scan
-    latch-free: the coordinator's descent and the workers' morsels
-    read only copy-on-write-stable pages of the pinned version.
+    """Coordinator: pin a version and cut the worker snapshot under one
+    *brief* all-table shared latch — writers' publish steps are
+    excluded exactly while the pickle runs, so the shipped bytes are
+    the pinned version's committed tip — then scan under the shared
+    catalog latch only, like every serial snapshot scan: the
+    coordinator's descent and the workers' morsels read only
+    copy-on-write-stable pages of the pinned version.
 
     The pool mutex spans pin -> cut -> dispatch so a concurrent query
     cannot swap the worker snapshot between this query's cut and its
-    morsels reaching the task queue.  A cold run charges the
-    coordinator's descent through a cold *view* (forced misses)
-    instead of ``pool.clear()``, leaving neighbours' counters alone.
+    morsels reaching the task queue.  Lock order: worker-pool mutex,
+    then catalog, then table latches — the caller holds none of them.
+    A cold run charges the coordinator's descent through a cold *view*
+    (forced misses), leaving neighbours' counters alone.
     """
+    started = time.perf_counter()
+    pool_mgr = get_pool(db, workers)
+    batch_pages = vectorized.DEFAULT_BATCH_PAGES
     coord_pool = db.pool
     snap = None
     with pool_mgr.guard():
@@ -697,23 +659,29 @@ def _execute_mvcc(db, table, plan_bytes: bytes, aggregates, cold: bool,
             with db.latches.read_latch():
                 snap = table.pin_snapshot()
                 pool_mgr._refresh_snapshot(table.name)
-            leaf_ids = snap.data_page_ids()
-            if cold:
-                coord_pool.begin_cold_view()
-            try:
-                before = coord_pool.snapshot_thread_counters()
-                coord_pool.start_physical_log()
-                try:
-                    snap.tree.charge_scan_descent(coord_pool)
-                finally:
-                    descent_log = coord_pool.take_physical_log()
-                descent_delta = coord_pool.snapshot_thread_counters() \
-                    .delta_since(before)
-                morsel_results = pool_mgr._dispatch_locked(
-                    plan_bytes, cold, leaf_ids, batch_pages)
-            finally:
+            with db.latches.catalog_latch():
+                leaf_ids = snap.data_page_ids()
                 if cold:
-                    coord_pool.end_cold_view()
+                    coord_pool.begin_cold_view()
+                try:
+                    before = coord_pool.snapshot_thread_counters()
+                    coord_pool.start_physical_log()
+                    try:
+                        # The coordinator performs (and is charged for)
+                        # the root-to-leaf descent, exactly like a
+                        # serial scan's first page touches; the workers
+                        # only touch their own morsel's leaves and
+                        # blobs.
+                        snap.tree.charge_scan_descent(coord_pool)
+                    finally:
+                        descent_log = coord_pool.take_physical_log()
+                    descent_delta = coord_pool \
+                        .snapshot_thread_counters().delta_since(before)
+                    morsel_results = pool_mgr._dispatch_locked(
+                        plan_bytes, cold, leaf_ids, batch_pages)
+                finally:
+                    if cold:
+                        coord_pool.end_cold_view()
         finally:
             if snap is not None:
                 snap.unpin(coord_pool)
@@ -755,23 +723,13 @@ def _merge_results(pool_mgr: WorkerPool, aggregates, grouped: bool,
     return res
 
 
-def run_parallel_scan(db, table, aggregates, where, cold: bool,
-                      workers: int) -> ParallelResult | None:
-    """Parallel ``SELECT aggs FROM table [WHERE ...]``; ``None`` when
-    the plan cannot run in parallel safely (caller falls back)."""
-    plan_bytes = _build_plan(table, aggregates, where, None)
-    if plan_bytes is None:
-        return None
-    return _execute(db, table, plan_bytes, aggregates, cold, workers,
-                    grouped=False)
-
-
-def run_parallel_grouped(db, table, group_expr, aggregates, where,
-                         cold: bool, workers: int
-                         ) -> ParallelResult | None:
-    """Parallel grouped aggregation; ``None`` when not parallelizable."""
+def run_parallel(db, table, aggregates, where, group_expr, cold: bool,
+                 workers: int) -> ParallelResult | None:
+    """Parallel ``SELECT aggs FROM table [WHERE ...] [GROUP BY ...]``;
+    ``None`` when the plan cannot run in parallel safely (the caller
+    falls back to a serial scan).  Call with no latch held."""
     plan_bytes = _build_plan(table, aggregates, where, group_expr)
     if plan_bytes is None:
         return None
     return _execute(db, table, plan_bytes, aggregates, cold, workers,
-                    grouped=True)
+                    grouped=group_expr is not None)

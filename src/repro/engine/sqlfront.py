@@ -45,7 +45,6 @@ from __future__ import annotations
 
 import math
 import re
-from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -114,11 +113,9 @@ def _tokenize(text: str):
 
 def _statement_table(tokens, keyword: str) -> str:
     """Name of the table a statement targets: the name token following
-    the first top-level ``keyword`` (``FROM`` or ``INTO``).
-
-    Statement planning runs this *before* any latch is taken, so the
-    statement's latch set is known up front (the grammar is
-    single-table, so the set is one name)."""
+    the first top-level ``keyword`` (``FROM``, ``INTO`` or ``TABLE``;
+    the grammar is single-table).  The shard coordinator reads it off
+    DDL it only forwards."""
     depth = 0
     for i, (kind, value) in enumerate(tokens):
         if kind == "op" and value == "(":
@@ -273,6 +270,12 @@ class _EvalContext:
         self.extra_cpu = 0.0
 
 
+def _is_finite_number(value) -> bool:
+    """A constant that can be compared against integer keys."""
+    return isinstance(value, (int, float)) \
+        and not isinstance(value, bool) and math.isfinite(value)
+
+
 def _empty_function(*args):
     """The paper's ``dbo.EmptyFunction``: takes anything, does
     nothing.  Module-level so it pickles by reference into parallel
@@ -358,26 +361,24 @@ class SqlSession:
         ``SELECT`` returns ``(values, metrics)`` (or ``(rows, metrics)``
         with GROUP BY); ``CREATE TABLE`` returns the new
         :class:`~repro.engine.table.Table`; ``DROP TABLE`` returns 0;
-        ``INSERT`` returns the number of rows inserted.  ``finalize`` (SELECT only) is applied
-        to the result while the table latches are still held — see
-        :meth:`query`.  ``engine`` (SELECT only) picks the execution
-        path — ``"row"``, ``"vector"``, ``"parallel"``, or ``None`` for
-        the executor's default; all produce identical results and
-        cold-run metrics.  ``workers`` sizes the parallel engine's
-        process pool (ignored by the serial engines).
+        ``INSERT`` and ``DELETE`` return the number of rows affected.
+        ``finalize`` (SELECT only) is applied to the result while the
+        statement's latches are still held — see :meth:`query`.
+        ``engine`` (SELECT only) picks the execution path — ``"row"``,
+        ``"vector"``, ``"parallel"``, or ``None`` for the executor's
+        default; all produce identical results and cold-run metrics.
+        ``workers`` sizes the parallel engine's process pool (ignored
+        by the serial engines).
 
-        Latching: CREATE/DROP take the exclusive catalog latch; INSERT and
-        DELETE take the exclusive latch of the one table they target
-        (discovered from the token stream before locking anything), so
-        a writer here overlaps readers and writers of *other* tables.
-        Under MVCC (the default) the write latch shrinks further, to
-        the copy-on-write mutate + publish step: rows are parsed and
-        encoded first, a key-range write intent is declared (so
-        disjoint-range writers of the *same* table overlap too), and
-        only then is the table latched exclusively — concurrent
-        snapshot readers never block on any of it.  Under
-        ``REPRO_LATCH=coarse`` every write path degrades to the single
-        database write lock.
+        Latching: CREATE/DROP take the exclusive catalog latch; INSERT
+        and DELETE take the exclusive latch of the one table they
+        target, so a writer here overlaps readers and writers of
+        *other* tables — and only for the copy-on-write mutate +
+        publish step: rows are parsed and encoded (or victims chosen on
+        a pinned snapshot) first, a key-range write intent is declared
+        (so disjoint-range writers of the *same* table overlap too),
+        and only then is the table latched exclusively.  Concurrent
+        snapshot readers never block on any of it.
         """
         tokens = _tokenize(sql)
         head = tokens[0]
@@ -395,29 +396,23 @@ class SqlSession:
             self._plan_cache.clear()
             return 0
         if head == ("kw", "INSERT"):
-            if self.db.mvcc:
-                return self._insert_mvcc(tokens)
-            with self.db.latches.write_latch(
-                    _statement_table(tokens, "INTO")):
-                return _Ddl(self, tokens).insert()
+            return self.insert_rows(*_Ddl(self, tokens).parse_insert())
         if head == ("kw", "DELETE"):
-            if self.db.mvcc:
-                return self._delete_mvcc(tokens)
-            with self.db.latches.write_latch(
-                    _statement_table(tokens, "FROM")):
-                return self._delete(tokens)
+            return self._delete(tokens)
         raise SqlSyntaxError(
             f"unsupported statement starting with {head[1]!r}")
 
-    def _insert_mvcc(self, tokens) -> int:
-        """MVCC INSERT: parse and encode every row (blob writes
-        included) before any latch, declare a write intent over the
-        statement's key range, then latch the table only for the
-        copy-on-write apply + publish step."""
-        table, rows = _Ddl(self, tokens).parse_insert()
-        if not rows:
-            return 0
+    def insert_rows(self, table: Table, rows) -> int:
+        """Insert already-parsed rows — the one bulk-insert path behind
+        SQL ``INSERT`` and the server's binary ``insert`` frame.
+
+        Every row is encoded (blob writes included) before any latch,
+        a write intent is declared over the batch's key range, and the
+        table is latched only for the copy-on-write apply + publish
+        step.  Returns the number of rows inserted."""
         prep = table.prepare_insert(rows)
+        if not prep.keys:
+            return 0
         token = table.acquire_intent(min(prep.keys),
                                      max(prep.keys) + 1)
         try:
@@ -445,10 +440,9 @@ class SqlSession:
                 f"unexpected trailing input {parser._peek()[1]!r}")
         return table, where
 
-    def _victim_keys(self, source, table: Table, where,
-                     pk_range) -> list[int]:
-        """Keys of the rows of ``source`` (the table, or a pinned
-        snapshot of it) that a DELETE's predicate selects.
+    def _victim_keys(self, snap, where, pk_range) -> list[int]:
+        """Keys of the rows of ``snap`` (a pinned snapshot of the
+        target table) that a DELETE's predicate selects.
 
         The scan is bounded by ``pk_range`` — :meth:`_pk_range` of the
         predicate, a superset of the matching keys by construction —
@@ -456,23 +450,25 @@ class SqlSession:
         returns.
         """
         if where is None:
-            return [row[0] for row in source.scan()]
-        key = self._seek_key(table, where)
+            return [row[0] for row in snap.scan()]
+        key = self._seek_key(snap.table, where)
         if key is not None:
-            return [key] if source.get(key) is not None else []
+            return [key] if snap.get(key) is not None else []
         lo, hi = pk_range if pk_range is not None else (None, None)
-        ctx = _EvalContext(table)
+        ctx = _EvalContext(snap.table)
         keys = []
-        for row in source.scan(start=lo, stop=hi):
+        for row in snap.scan(start=lo, stop=hi):
             ctx.row = row
             if where.eval(ctx):
                 keys.append(row[0])
         return keys
 
-    def _delete_mvcc(self, tokens) -> int:
-        """MVCC DELETE: pick the victim keys on a pinned snapshot
-        (consistent, and concurrent with disjoint writers), then latch
-        the table only for the copy-on-write delete + publish step.
+    def _delete(self, tokens) -> int:
+        """``DELETE FROM t [WHERE pred]``; returns rows deleted.
+
+        Picks the victim keys on a pinned snapshot (consistent, and
+        concurrent with disjoint writers), then latches the table only
+        for the copy-on-write delete + publish step.
         The write intent spans the WHERE clause's primary-key range —
         the whole key space when the predicate does not bound it — so
         the victim set cannot change between selection and deletion.
@@ -490,8 +486,7 @@ class SqlSession:
             with self.db.latches.catalog_latch():
                 snap = table.pin_snapshot()
                 try:
-                    keys = self._victim_keys(snap, table, where,
-                                             pk_range)
+                    keys = self._victim_keys(snap, where, pk_range)
                 finally:
                     snap.unpin(self.db.pool)
             with self.db.latches.write_latch(table.name):
@@ -500,15 +495,6 @@ class SqlSession:
             return len(keys)
         finally:
             table.release_intent(token)
-
-    def _delete(self, tokens) -> int:
-        """``DELETE FROM t [WHERE pred]``; returns rows deleted."""
-        table, where = self._parse_delete(tokens)
-        keys = self._victim_keys(table, table, where,
-                                 self._pk_range(table, where))
-        for key in keys:
-            table.delete(key)
-        return len(keys)
 
     def query(self, sql: str, cold: bool = True, finalize=None,
               engine: str | None = None, workers: int | None = None):
@@ -519,86 +505,67 @@ class SqlSession:
         ``GROUP BY`` runs the hash-aggregation plan and returns
         ``(rows, metrics)`` with one ``(group, agg...)`` row per group.
 
-        Executes under the shared latch of the table it scans (plus
-        the shared catalog latch), so any number of sessions can read
-        concurrently — and writers of *other* tables proceed too.  A
-        query that may run on the parallel engine latches every table
-        shared instead: parallel workers re-open a pickled snapshot of
-        the whole database, so all of it must be stable while the
-        snapshot is cut and the morsels run.  ``REPRO_LATCH=coarse``
-        restores the old database-wide read lock.
+        A scan, seek or grouped plan holds no table latch at all —
+        only the shared catalog latch while it runs on a pinned
+        snapshot — so any number of sessions read concurrently and this
+        SELECT proceeds alongside INSERT/DELETE on the *same* table;
+        index plans keep the table's shared latch (see
+        :meth:`_mvcc_select_guard`).  A statement for the parallel
+        engine is dispatched with no latch held; its coordinator takes
+        its own (see :meth:`_select`).
 
         ``finalize``, if given, is called on the raw result *before*
         the latches are released and its return value is returned
         instead.  Results can reference storage (a
         :class:`~repro.engine.table.MaxBlobHandle` cell points at live
         blob pages a writer may later mutate or free); a caller that
-        needs to dereference such handles must do it here, while
-        writers are still excluded, not after the statement returns.
-        ``finalize`` must not execute further statements (the latches
-        are not reentrant).
-
-        Under MVCC (the default) a snapshot-pinning plan holds no
-        table latch at all — only the shared catalog latch while it
-        runs — so this SELECT proceeds concurrently with INSERT/DELETE
-        on the *same* table; see :meth:`_mvcc_select_guard`.
+        needs to dereference such handles must do it here, not after
+        the statement returns.  ``finalize`` must not execute further
+        statements (the latches are not reentrant).
         """
-        tokens = _tokenize(sql)
-        # The linter cannot see that the parallel coordinator's own
-        # all-table latch (_execute_mvcc) runs only under MVCC, where
-        # _mvcc_select_guard is a nullcontext for parallel plans, and
-        # never under the legacy read_latch branch below.
-        if self.db.mvcc:
-            plan = self._plan_tokens(tokens, sql)
-            with self._mvcc_select_guard(plan, engine):
-                result = self._execute_plan(plan, cold, engine,  # replint: disable=RL002
-                                            workers)
-                if finalize is not None:
-                    result = finalize(result)
-                return result
-        with self.db.latches.read_latch(*self._latch_set(tokens, engine)):
-            result = self._query_locked(tokens, sql, cold, engine,  # replint: disable=RL002
-                                        workers)
-            if finalize is not None:
-                result = finalize(result)
-            return result
+        return self._select(self._plan_tokens(_tokenize(sql), sql), cold,
+                            engine, workers, finalize)
 
-    def _mvcc_select_guard(self, plan: SelectPlan, engine: str | None):
-        """Latch guard for one SELECT in MVCC mode.
+    def _select(self, plan: SelectPlan, cold: bool, engine: str | None,
+                workers: int | None, finalize):
+        """Guard -> execute -> ``finalize`` for one planned SELECT: the
+        body shared by :meth:`query`, :meth:`query_prepared` and
+        :meth:`query_partial`.
+
+        Parallel is a different *dispatch*, decided before any latch:
+        the coordinator takes the worker-pool mutex and then the
+        catalog and table latches itself, which would invert the lock
+        order if a statement guard were already held.  Plans the
+        parallel engine declines (or cannot run: seeks) take the
+        guarded serial path, which never reaches the worker pool.
+        """
+        executor = self.executor
+        engine = executor._resolve_engine(engine)
+        if engine == "parallel":
+            if plan.kind in ("scan", "grouped"):
+                result = executor.run_parallel(
+                    plan.table, plan.aggregates, plan.where,
+                    plan.group_expr, cold, plan.label, workers)
+                if result is not None:
+                    return result if finalize is None \
+                        else finalize(result)
+            engine = "vector"  # honest fallback
+        with self._mvcc_select_guard(plan):
+            result = self._execute_plan(plan, cold, engine)
+            return result if finalize is None else finalize(result)
+
+    def _mvcc_select_guard(self, plan: SelectPlan):
+        """Latch guard for one serially executed SELECT.
 
         Index plans keep the table's shared latch — secondary indexes
-        are not versioned, so the seek must exclude writers the old
-        way.  Parallel-capable plans take no latch here: the parallel
-        engine latches all tables shared itself, just around pinning
-        snapshots and refreshing its worker snapshot, then scans
-        latch-free.  Everything else holds only the shared catalog
-        latch (keeping the table set stable while pinning) and scans a
-        pinned snapshot without any table latch.
+        are not versioned, so the seek must exclude writers.
+        Everything else holds only the shared catalog latch (keeping
+        the table set stable while pinning) and scans a pinned snapshot
+        without any table latch.
         """
-        resolved = engine if engine is not None \
-            else self.executor.default_engine
         if plan.kind == "index":
             return self.db.latches.read_latch(plan.table.name)
-        if resolved == "parallel" and plan.kind in ("scan", "grouped"):
-            return nullcontext()
         return self.db.latches.catalog_latch()
-
-    def _latch_set(self, tokens, engine: str | None) -> tuple[str, ...]:
-        """Tables a SELECT must latch: its FROM table — or every table
-        (the empty set means "all" to ``read_latch``) when the
-        statement may run on the parallel engine, whose workers
-        snapshot the whole database."""
-        resolved = engine if engine is not None \
-            else self.executor.default_engine
-        if resolved == "parallel":
-            return ()
-        return (_statement_table(tokens, "FROM"),)
-
-    def _query_locked(self, tokens, sql: str, cold: bool,
-                      engine: str | None = None,
-                      workers: int | None = None):
-        return self._execute_plan(self._plan_tokens(tokens, sql), cold,
-                                  engine, workers)
 
     def prepare(self, sql: str) -> SelectPlan:
         """Parse and plan an aggregate SELECT once, caching the plan
@@ -623,32 +590,8 @@ class SqlSession:
         cache: :meth:`query` semantics (latching, ``finalize`` under
         the latches, identical results) minus the per-call parse and
         plan."""
-        plan = self.prepare(sql)
-        # replint: same cross-mode RL002 false positive as query().
-        if self.db.mvcc:
-            with self._mvcc_select_guard(plan, engine):
-                result = self._execute_plan(plan, cold, engine,  # replint: disable=RL002
-                                            workers)
-                if finalize is not None:
-                    result = finalize(result)
-                return result
-        with self.db.latches.read_latch(
-                *self._plan_latch_set(plan, engine)):
-            result = self._execute_plan(plan, cold, engine, workers)  # replint: disable=RL002
-            if finalize is not None:
-                result = finalize(result)
-            return result
-
-    def _plan_latch_set(self, plan: SelectPlan,
-                        engine: str | None) -> tuple[str, ...]:
-        """:meth:`_latch_set` for an already-built plan (no token
-        walk): the plan's table, or every table when the statement may
-        run on the parallel engine."""
-        resolved = engine if engine is not None \
-            else self.executor.default_engine
-        if resolved == "parallel":
-            return ()
-        return (plan.table.name,)
+        return self._select(self.prepare(sql), cold, engine, workers,
+                            finalize)
 
     def plan_select(self, sql: str) -> SelectPlan:
         """Parse one aggregate SELECT into a routable
@@ -708,32 +651,25 @@ class SqlSession:
                           aggregates=aggregates, where=where,
                           pk_range=self._pk_range(table, where))
 
-    def _execute_plan(self, plan: SelectPlan, cold: bool,
-                      engine: str | None = None,
-                      workers: int | None = None):
-        """Run a :class:`SelectPlan` on this session's executor.
+    def _execute_plan(self, plan: SelectPlan, cold: bool, engine: str):
+        """Run a :class:`SelectPlan` serially on this session's
+        executor (``engine`` is ``"vector"`` or ``"row"``).
 
-        Callers must hold the appropriate read latches (the public
-        entry points :meth:`query` / :meth:`query_partial` take them).
+        The caller holds the plan's :meth:`_mvcc_select_guard`.
         """
-        if plan.kind == "grouped":
-            return self.executor.run_grouped(
-                plan.table, plan.group_expr, plan.aggregates,
-                where=plan.where, cold=cold, label=plan.label,
-                engine=engine, workers=workers)
         if plan.kind == "point":
             return self.executor.run_point(
                 plan.table, plan.key, plan.aggregates, cold=cold,
-                label=plan.label, engine=engine, workers=workers)
+                label=plan.label, engine=engine)
         if plan.kind == "index":
             return self.executor.run_index(
                 plan.table, plan.index_column, plan.aggregates,
                 equals=plan.index_equals, lo=plan.index_lo,
                 hi=plan.index_hi, cold=cold, label=plan.label,
-                engine=engine, workers=workers)
-        return self.executor.run(
-            plan.table, plan.aggregates, where=plan.where, cold=cold,
-            label=plan.label, engine=engine, workers=workers)
+                engine=engine)
+        return self.executor.run_serial(
+            plan.table, plan.aggregates, plan.where, plan.group_expr,
+            cold, plan.label, engine)
 
     def query_partial(self, sql: str, cold: bool = True,
                       engine: str | None = None,
@@ -759,45 +695,23 @@ class SqlSession:
         :meth:`query` semantics: applied under the latches, so blob
         handles inside MIN/MAX partials can be materialized safely.
         """
-        tokens = _tokenize(sql)
-        # replint: same cross-mode RL002 false positive as query().
-        if self.db.mvcc:
-            plan = self._plan_tokens(tokens, sql)
-            with self._mvcc_select_guard(plan, engine):
-                return self._partial_locked(plan, cold, engine,  # replint: disable=RL002
-                                            workers, finalize)
-        with self.db.latches.read_latch(*self._latch_set(tokens, engine)):
-            plan = self._plan_tokens(tokens, sql)
-            return self._partial_locked(plan, cold, engine, workers,  # replint: disable=RL002
-                                        finalize)
-
-    def _partial_locked(self, plan: SelectPlan, cold: bool,
-                        engine: str | None, workers: int | None,
-                        finalize):
-        """Run a plan with its aggregates wrapped for partial capture
-        and shape the shard-side payload (caller holds the latches)."""
+        plan = self._plan_tokens(_tokenize(sql), sql)
         wrapped = replace(plan, aggregates=[
             PartialCapture(agg) for agg in plan.aggregates])
-        result = self._execute_plan(wrapped, cold, engine, workers)
-        if plan.kind == "grouped":
-            rows, metrics = result
-            payload = {
-                "rows": metrics.rows,
-                "states": None,
-                "groups": [(row[0], list(row[1:])) for row in rows],
-                "metrics": metrics,
-            }
-        else:
-            values, metrics = result
-            payload = {
-                "rows": metrics.rows,
-                "states": list(values),
-                "groups": None,
-                "metrics": metrics,
-            }
-        if finalize is not None:
-            payload = finalize(payload)
-        return payload
+
+        def shape(result):
+            if plan.kind == "grouped":
+                rows, metrics = result
+                states = None
+                groups = [(row[0], list(row[1:])) for row in rows]
+            else:
+                values, metrics = result
+                states, groups = list(values), None
+            payload = {"rows": metrics.rows, "states": states,
+                       "groups": groups, "metrics": metrics}
+            return payload if finalize is None else finalize(payload)
+
+        return self._select(wrapped, cold, engine, workers, shape)
 
     def parse_insert(self, sql: str) -> tuple[Table, list[tuple]]:
         """Parse ``INSERT INTO ... VALUES`` into ``(table, rows)``
@@ -805,7 +719,7 @@ class SqlSession:
         evaluated to their blob values).  The shard coordinator uses
         this to partition the rows by primary key and bulk-load each
         owning shard; :meth:`execute` feeds the same rows to
-        :meth:`~repro.engine.table.Table.insert_many` locally.
+        :meth:`insert_rows` locally.
         """
         return _Ddl(self, _tokenize(sql)).parse_insert()
 
@@ -842,8 +756,7 @@ class SqlSession:
             if parts is None or parts[0] != pk:
                 continue
             _col, op, value = parts
-            if isinstance(value, bool) or not isinstance(
-                    value, (int, float)) or not math.isfinite(value):
+            if not _is_finite_number(value):
                 continue
             # Keys are integers: snap each bound to the tightest
             # integer interval containing the predicate's solutions.
@@ -939,16 +852,20 @@ class SqlSession:
     @staticmethod
     def _seek_key(table: Table, where) -> int | None:
         """Extract the key of a ``pk = const`` predicate, if that is
-        the whole WHERE clause."""
+        the whole WHERE clause and the constant *is* a key: a finite
+        integral number.  ``id = 1.5`` or ``id = 1e999`` matches no
+        row, so it plans a scan (bounded by :meth:`_pk_range`) rather
+        than a seek on the truncated value."""
         if not isinstance(where, _BinOp) or where.op != "=":
             return None
         pk = table.columns[0].name
         sides = (where.left, where.right)
         for col, const in (sides, sides[::-1]):
             if isinstance(col, Col) and col.name == pk and \
-                    isinstance(const, Const) and \
-                    isinstance(const.value, (int, float)):
-                return int(const.value)
+                    isinstance(const, Const):
+                value = const.value
+                if _is_finite_number(value) and value == int(value):
+                    return int(value)
         return None
 
     # -- resolution helpers ---------------------------------------------------
@@ -1332,8 +1249,8 @@ class _Ddl:
         Values are literals, NULL, or schema-qualified function calls
         over literals (``FloatArray.Vector_3(1, 2, 3)``), evaluated
         here — the returned rows are plain tuples ready for
-        :meth:`~repro.engine.table.Table.insert_many` (or for shipping
-        to the shard that owns them).
+        :meth:`SqlSession.insert_rows` (or for shipping to the shard
+        that owns them).
         """
         self._expect("kw", "INSERT")
         self._expect("kw", "INTO")
@@ -1359,16 +1276,6 @@ class _Ddl:
             raise SqlSyntaxError(
                 f"unexpected trailing input {self._peek()[1]!r}")
         return table, rows
-
-    def insert(self) -> int:
-        """``INSERT INTO name VALUES ...``; returns rows inserted.
-
-        The whole statement is parsed first and inserted as one batch,
-        so an ascending load into an empty table takes the bulk-load
-        path.
-        """
-        table, rows = self.parse_insert()
-        return table.insert_many(rows)
 
     def _value(self):
         kind, text = self._next()

@@ -124,8 +124,7 @@ class Table:
     _read_only = False
 
     def __init__(self, name: str, columns: Sequence[Column],
-                 pagefile: PageFile, blob_store: BlobStore | None = None,
-                 *, mvcc: bool = False):
+                 pagefile: PageFile, blob_store: BlobStore | None = None):
         if not columns:
             raise SchemaError("a table needs at least one column")
         if columns[0].type != "bigint":
@@ -152,11 +151,10 @@ class Table:
         #: ``write_version`` sums these so the parallel engine can tell
         #: when its worker snapshots have gone stale.
         self.mutations = 0
-        #: MVCC switch: when true, mutators copy-on-write the pages
-        #: they touch and publish a new version atomically, and readers
-        #: pin frozen snapshots instead of latching the table.
-        self.mvcc = mvcc
         #: Last published version; 0 is the empty table as created.
+        #: Mutators copy-on-write the pages they touch and publish a
+        #: new version atomically; readers pin frozen snapshots instead
+        #: of latching the table.
         self.version = 0
         #: ``version -> (root_page_id, height, count)`` for the current
         #: version plus every version still pinned by a reader.
@@ -484,20 +482,12 @@ class Table:
 
     def insert(self, values: Sequence) -> None:
         """Insert one row (values in schema order, PK first)."""
-        self._check_writable()
-        if self.mvcc:
-            self.apply_insert(self.prepare_insert([values]))
-            return
-        key = int(values[0])
-        self._tree.insert(key, self._encode_row(values))
-        for name, index in self._indexes.items():
-            index.add(values[self.column_index(name)], key)
-        self.mutations += 1
+        self.apply_insert(self.prepare_insert([values]))
 
     def prepare_insert(self, rows) -> "_PreparedInsert":
         """Encode rows — blob writes included — without touching the
-        tree: the part of an MVCC INSERT that needs no latch, so two
-        writers of one table overlap their encoding work."""
+        tree: the part of an INSERT that needs no latch, so two writers
+        of one table overlap their encoding work."""
         self._check_writable()
         rows = [row if isinstance(row, (tuple, list)) else tuple(row)
                 for row in rows]
@@ -507,11 +497,15 @@ class Table:
 
     def apply_insert(self, prep: "_PreparedInsert") -> int:
         """Copy-on-write the tree with prepared rows and publish one
-        new version — the (briefly) latched step of an MVCC INSERT.
+        new version — the (briefly) latched step of an INSERT.
 
-        On a mid-statement error (say a duplicate key) the rows already
-        inserted are published, mirroring the legacy per-row path where
-        earlier rows stay visible.
+        When the table is empty and the keys arrive strictly ascending
+        (the clustered-key bulk-load pattern both evaluation tables
+        use), rows are packed page-at-a-time through
+        :meth:`BTree.bulk_load` instead of descending the tree once per
+        row — same page layout, same duplicate-key semantics, far fewer
+        page touches.  On a mid-statement error (say a duplicate key)
+        the rows already inserted are published and stay visible.
         """
         self._check_writable()
         if not prep.keys:
@@ -545,39 +539,9 @@ class Table:
         return done
 
     def insert_many(self, rows) -> int:
-        """Insert an iterable of rows; returns how many were inserted.
-
-        When the table is empty and the keys arrive strictly ascending
-        (the clustered-key bulk-load pattern both evaluation tables
-        use), rows are packed page-at-a-time through
-        :meth:`BTree.bulk_load` instead of descending the tree once per
-        row — same page layout, same duplicate-key semantics, far fewer
-        page touches.  Any other shape falls back to per-row inserts.
-        """
-        self._check_writable()
-        if self.mvcc:
-            return self.apply_insert(self.prepare_insert(rows))
-        rows = [row if isinstance(row, (tuple, list)) else tuple(row)
-                for row in rows]
-        if not rows:
-            return 0
-        if self._tree.count == 0:
-            keys = [int(row[0]) for row in rows]
-            if all(b > a for a, b in zip(keys, keys[1:])):
-                # Encode before touching the tree: a schema error on
-                # row k must not leave a half-built bulk load behind.
-                encoded = [(key, self._encode_row(row))
-                           for key, row in zip(keys, rows)]
-                self._tree.bulk_load(encoded)
-                for name, index in self._indexes.items():
-                    col = self.column_index(name)
-                    for key, row in zip(keys, rows):
-                        index.add(row[col], key)
-                self.mutations += 1
-                return len(rows)
-        for row in rows:
-            self.insert(row)
-        return len(rows)
+        """Insert an iterable of rows as one published version;
+        returns how many were inserted (see :meth:`apply_insert`)."""
+        return self.apply_insert(self.prepare_insert(rows))
 
     def delete(self, key: int) -> bool:
         """Delete a row by primary key; returns whether it existed.
@@ -588,18 +552,6 @@ class Table:
         """
         self._check_writable()
         key = int(key)
-        if self.mvcc:
-            return self._mvcc_delete(key)
-        old = self.get(key) if self._indexes else None
-        deleted = self._tree.delete(key)
-        if deleted and old is not None:
-            for name, index in self._indexes.items():
-                index.remove(old[self.column_index(name)], key)
-        if deleted:
-            self.mutations += 1
-        return deleted
-
-    def _mvcc_delete(self, key: int) -> bool:
         with self._mutate_lock:
             old = self.get(key) if self._indexes else None
             version = self.version + 1
@@ -620,21 +572,6 @@ class Table:
         returns whether the key existed."""
         self._check_writable()
         key = int(values[0])
-        if self.mvcc:
-            return self._mvcc_update(key, tuple(values))
-        old = self.get(key) if self._indexes else None
-        updated = self._tree.update(key, self._encode_row(values))
-        if updated:
-            self.mutations += 1
-        if updated and old is not None:
-            for name, index in self._indexes.items():
-                col = self.column_index(name)
-                if old[col] != values[col]:
-                    index.remove(old[col], key)
-                    index.add(values[col], key)
-        return updated
-
-    def _mvcc_update(self, key: int, values: tuple) -> bool:
         payload = self._encode_row(values)
         with self._mutate_lock:
             old = self.get(key) if self._indexes else None
@@ -743,7 +680,7 @@ def _scan_batches(table: Table, tree, pool: BufferPool | None,
 
 @dataclass(frozen=True)
 class _PreparedInsert:
-    """Rows encoded ahead of the latched apply step of an MVCC INSERT."""
+    """Rows encoded ahead of the latched apply step of an INSERT."""
 
     rows: list[tuple]
     keys: list[int]

@@ -25,7 +25,6 @@ Example::
 
 from __future__ import annotations
 
-import os
 import socket
 import time
 from dataclasses import dataclass, field
@@ -49,19 +48,6 @@ __all__ = [
 #: Pass as a query's ``timeout`` to explicitly disable the per-query
 #: budget (``timeout=None`` means "use the server's default").
 NO_TIMEOUT = protocol.NO_TIMEOUT
-
-
-def _wire_mode() -> str:
-    """The request frame type ``query()`` uses for plain statements.
-
-    ``REPRO_WIRE=prepared`` routes every statement through ``pexec``
-    (the server's prepared-plan cache) instead of ``query`` — replies
-    are ordinary result frames, so the switch is transparent to
-    callers.  Used by CI to re-run the whole server suite over the
-    pipelined wire.
-    """
-    return "pexec" if os.environ.get("REPRO_WIRE") == "prepared" \
-        else "query"
 
 
 def _query_header(sql: str, cold: bool, timeout,
@@ -306,8 +292,7 @@ class ArrayClient:
         (including ``QUERY_TIMEOUT``) raises immediately.
         """
         attempt = 0
-        request = dict(_query_header(sql, cold, timeout, engine,
-                                     workers), type=_wire_mode())
+        request = _query_header(sql, cold, timeout, engine, workers)
         while True:
             try:
                 header, blobs = self._request_raw(request)
@@ -559,8 +544,7 @@ class AsyncArrayClient:
         import asyncio
 
         attempt = 0
-        request = dict(_query_header(sql, cold, timeout, engine,
-                                     workers), type=_wire_mode())
+        request = _query_header(sql, cold, timeout, engine, workers)
         while True:
             try:
                 header, blobs = await self._request(request)

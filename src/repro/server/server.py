@@ -7,11 +7,9 @@ like a SQL Server SPID); statements execute on a bounded thread pool
 behind the admission controller, under the database's per-table
 latches (:mod:`repro.engine.latches`), so concurrent scans share and a
 writer excludes only readers of *its own* table — writers on one table
-overlap scans of another, like the paper's host.  With MVCC on (the
-default), SELECTs pin a copy-on-write page-version snapshot and scan
-it latch-free, so readers and a writer of the *same* table overlap
-too; exporting ``REPRO_MVCC=off`` restores latch-per-scan, and
-``REPRO_LATCH=coarse`` the old database-wide reader/writer lock.
+overlap scans of another, like the paper's host.  SELECTs pin a
+copy-on-write page-version snapshot and scan it latch-free, so readers
+and a writer of the *same* table overlap too.
 
 The connection protocol is strict request/response for every frame type
 except ``pexec``: the handler reads one frame, answers it, and only
@@ -844,23 +842,10 @@ class ArrayServer:
     def _execute_insert_sync(self, session: SqlSession,
                              table_name: str, rows) -> int:
         """Worker-thread body of the binary bulk-load path: append the
-        batch with the same discipline as a SQL INSERT — under MVCC
-        the rows are encoded and their blobs written *before* the
-        exclusive latch, which shrinks to the copy-on-write apply +
-        publish step; with MVCC off the whole load runs latched."""
-        table = session._resolve_table(table_name)
-        if not self.db.mvcc:
-            with self.db.latches.write_latch(table.name):
-                return table.insert_many(rows)
-        prep = table.prepare_insert(list(rows))
-        if not prep.keys:
-            return 0
-        token = table.acquire_intent(min(prep.keys), max(prep.keys) + 1)
-        try:
-            with self.db.latches.write_latch(table.name):
-                return table.apply_insert(prep)
-        finally:
-            table.release_intent(token)
+        batch through the session's one insert path, exactly like a
+        SQL INSERT minus the parse."""
+        return session.insert_rows(session._resolve_table(table_name),
+                                   rows)
 
     def _materialize_result(self, result):
         """SELECT finalize hook: normalize to a row list and resolve

@@ -14,7 +14,6 @@ from repro.analysis.callgraph import CallGraph
 from repro.analysis.flow.cfg import build_cfg
 from repro.analysis.flow.dataflow import (
     LockClassifier,
-    _mode_compatible,
     analyze_locks,
     analyze_resources,
 )
@@ -114,15 +113,6 @@ def test_yield_states_capture_held_latch():
     assert all(state for state in facts.yield_states)
 
 
-def test_mode_exclusivity_filters_alternatives():
-    legacy = frozenset({("db", True)})
-    mvcc = frozenset({("catalog", False)})
-    assert _mode_compatible(legacy, (("db", True),))
-    assert not _mode_compatible(legacy, (("catalog", False), ("table", True)))
-    assert not _mode_compatible(mvcc, (("db", False),))
-    assert _mode_compatible(frozenset(), (("db", False),))
-
-
 # -- resource dataflow ------------------------------------------------------
 
 def test_pin_leaks_on_early_return():
@@ -186,24 +176,6 @@ def test_lockgraph_acyclic_topo_is_deterministic():
     assert graph.cycles() == []
 
 
-def test_lockgraph_workerpool_incoming_exempt():
-    graph = LockGraph()
-    graph.add_edge("workerpool", "catalog", "pool-then-latch")
-    graph.add_edge("catalog", "workerpool", "latch-then-pool")
-    assert graph.cycles() == []
-    assert ("catalog", "workerpool") not in graph.order_edges()
-    assert graph.topo_order() == ["workerpool", "catalog"]
-
-
-def test_lockgraph_cross_family_edges_skipped():
-    graph = LockGraph()
-    graph.add_edge("db", "table", "phantom")
-    graph.add_edge("catalog", "db", "phantom")
-    assert graph.edges == {}
-    graph.add_edge("catalog", "pool", "real")
-    assert ("catalog", "pool") in graph.edges
-
-
 def test_lockgraph_witness_cap():
     graph = LockGraph()
     for idx in range(5):
@@ -247,6 +219,41 @@ def test_program_analysis_finds_cycle_with_both_edges():
         ["mutex:PagePoolA", "mutex:PagePoolB", "mutex:PagePoolA"]]
 
 
+_COORDINATOR_SRC = """
+from contextlib import contextmanager
+
+
+class WorkerPool:
+    @contextmanager
+    def guard(self):
+        with self._mutex:
+            yield self
+
+
+def coordinator(db, pool):
+    with pool.guard():
+        with db.latches.read_latch():
+            pass
+"""
+
+
+def test_workerpool_under_a_latch_is_a_cycle():
+    # No class is exempt: the coordinator takes the pool mutex, then
+    # latches, so dispatching to it with a latch held closes a cycle.
+    graph = _program(_COORDINATOR_SRC).lock_graph
+    assert graph.cycles() == []
+    assert graph.topo_order().index("workerpool") \
+        < graph.topo_order().index("catalog")
+    graph = _program(
+        _COORDINATOR_SRC,
+        "def select(db, pool):\n"
+        "    with db.latches.catalog_latch():\n"
+        "        coordinator(db, pool)\n").lock_graph
+    assert ("catalog", "workerpool") in graph.edges
+    assert graph.cycles() == [["catalog", "workerpool", "catalog"]]
+    assert graph.topo_order() is None
+
+
 def test_program_analysis_blocking_chain_through_helper():
     analysis = _program(
         "import time\n"
@@ -260,7 +267,7 @@ def test_program_analysis_blocking_chain_through_helper():
     info, name, _line, _col, cls, chain = sites[0]
     assert info.qualname == "slow_write"
     assert name == "helper"
-    assert cls in ("db", "table")
+    assert cls == "table"
     assert any("helper" in hop for hop in chain)
 
 
@@ -277,7 +284,6 @@ def test_program_analysis_skips_reacquisition_edges():
         "        pass\n")
     graph = analysis.lock_graph
     assert ("table", "catalog") not in graph.edges
-    assert ("table", "db") not in graph.edges
     assert graph.cycles() == []
 
 

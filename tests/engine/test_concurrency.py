@@ -311,12 +311,10 @@ class TestConcurrentSessions:
     def test_two_concurrent_cold_scans_match_serial_counters(self, db):
         """Per-query IO counters are independent under concurrency:
         two cold scans racing each other each report exactly what a
-        serial cold run reports.  Under MVCC a cold query charges
-        itself through a private cold *view* (per-thread forced
-        misses) instead of clearing the shared pool, so a neighbour
-        can neither donate hits to it nor eat re-fetch charges."""
-        if not db.mvcc:
-            pytest.skip("legacy cold=clear mode documents shifted IO")
+        serial cold run reports.  A cold query charges itself through
+        a private cold *view* (per-thread forced misses) instead of
+        clearing the shared pool, so a neighbour can neither donate
+        hits to it nor eat re-fetch charges."""
         serial = SqlSession(db).query(
             "SELECT COUNT(*) FROM Tvector WITH (NOLOCK)",
             engine="vector")[1]

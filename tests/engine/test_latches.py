@@ -1,15 +1,15 @@
 """The per-table latch layer: writers on one table overlap readers of
-another, acquisition order prevents deadlock, DDL excludes everything,
-and ``coarse`` mode restores the old single-RWLock behaviour."""
+another, acquisition order prevents deadlock, and DDL excludes
+everything."""
 
 import pickle
 import threading
 
 import pytest
 
-from repro.engine import Column, Database, RWLock
-from repro.engine.latches import LATCH_MODES, LatchManager, _mode_from_env
-from repro.engine.sqlfront import SqlSession, _tokenize
+from repro.engine import Column, Database, lockcheck
+from repro.engine.latches import LatchManager
+from repro.engine.sqlfront import SqlSession
 from repro.tsql import FloatArray
 
 
@@ -33,29 +33,13 @@ class TestLatchManagerUnit:
         # Unit tests probe blocking with same-thread timeout attempts
         # (acquire while already holding) — the exact shape the runtime
         # order sentinel rejects, so it is suspended here.
-        from repro.engine import lockcheck
-
         was = lockcheck.is_active()
         lockcheck.set_active(False)
         yield
         lockcheck.set_active(was)
 
-    def _manager(self, mode="table", tables=("a", "b")):
-        return LatchManager(RWLock(), lambda: list(tables), mode=mode)
-
-    def test_invalid_mode_rejected(self):
-        with pytest.raises(ValueError):
-            self._manager(mode="fine")
-
-    def test_mode_from_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_LATCH", "coarse")
-        assert _mode_from_env() == "coarse"
-        monkeypatch.setenv("REPRO_LATCH", " Table ")
-        assert _mode_from_env() == "table"
-        monkeypatch.setenv("REPRO_LATCH", "bogus")
-        assert _mode_from_env() == "table"
-        monkeypatch.delenv("REPRO_LATCH")
-        assert _mode_from_env() == "table"
+    def _manager(self, tables=("a", "b")):
+        return LatchManager(lambda: list(tables))
 
     def test_latch_is_case_insensitive(self):
         lm = self._manager()
@@ -166,30 +150,9 @@ class TestLatchManagerUnit:
         assert done.wait(10)
         t.join(timeout=10)
 
-    def test_coarse_mode_maps_onto_db_lock(self):
-        db_lock = RWLock()
-        lm = LatchManager(db_lock, lambda: ["a"], mode="coarse")
-        with lm.read_latch("a"):
-            assert db_lock.acquire_write(timeout=0.05) is False
-        assert db_lock.acquire_write(timeout=5.0) is True
-        db_lock.release_write()
-        with lm.write_latch("a"):
-            assert db_lock.acquire_read(timeout=0.05) is False
 
-    def test_coarse_mode_serializes_distinct_tables(self):
-        lm = self._manager(mode="coarse")
-        with lm.write_latch("b"):
-            def read():
-                with lm.read_latch("a"):
-                    pass
-            t, done, blocked = _blocked(read)
-            assert blocked, "coarse mode must serialize across tables"
-        assert done.wait(10)
-        t.join(timeout=10)
-
-
-def _two_table_db(**kwargs):
-    db = Database(**kwargs)
+def _two_table_db():
+    db = Database()
     for name in ("Ta", "Tb"):
         t = db.create_table(
             name, [Column("id", "bigint"),
@@ -200,8 +163,7 @@ def _two_table_db(**kwargs):
 
 
 class TestStatementsOverlap:
-    """The tentpole's acceptance: a SELECT on A proceeds while a writer
-    holds B in ``table`` mode, and blocks in ``coarse`` mode."""
+    """A SELECT on A proceeds while a writer holds B."""
 
     def _query_ta(self, db, results):
         (n,), _ = SqlSession(db).query(
@@ -210,7 +172,7 @@ class TestStatementsOverlap:
         results.append(n)
 
     def test_reader_of_a_proceeds_while_writer_holds_b(self):
-        db = _two_table_db(latch_mode="table")
+        db = _two_table_db()
         results = []
         with db.latches.write_latch("Tb"):
             t, done, blocked = _blocked(
@@ -220,45 +182,49 @@ class TestStatementsOverlap:
         t.join(timeout=10)
         assert results == [200]
 
-    def test_coarse_mode_reader_blocks_behind_any_writer(self):
-        db = _two_table_db(latch_mode="coarse")
-        results = []
-        with db.latches.write_latch("Tb"):
-            t, done, blocked = _blocked(
-                lambda: self._query_ta(db, results))
-            assert blocked, "coarse mode should serialize everything"
-        assert done.wait(10)
-        t.join(timeout=10)
-        assert results == [200]
-
-    def test_serial_results_identical_across_modes(self):
-        for mode in LATCH_MODES:
-            db = _two_table_db(latch_mode=mode)
-            session = SqlSession(db)
-            (s,), _ = session.query(
-                "SELECT SUM(FloatArray.Item_1(v, 0)) FROM Ta "
-                "WITH (NOLOCK)")
-            assert s == pytest.approx(float(sum(range(200))))
-            session.execute(
-                "INSERT INTO Ta VALUES (999, "
-                "FloatArray.Vector_3(7.0, 8.0, 9.0))")
-            (n,), _ = session.query(
-                "SELECT COUNT(*) FROM Ta WITH (NOLOCK)")
-            assert n == 201
-
     def test_latch_set_planning(self):
-        """Row/vector SELECTs latch only the scanned table; a query
-        that may run on the parallel engine latches everything (its
-        workers re-open a whole-database snapshot)."""
-        db = _two_table_db(latch_mode="table")
+        """What a SELECT holds while it runs, as the lock-order
+        sentinel sees it from inside ``finalize``: a snapshot scan only
+        the shared catalog latch, an index plan also its table's latch,
+        and a parallel plan nothing at all (its coordinator takes and
+        releases its own latches before the result comes back)."""
+        db = _two_table_db()
+        tc = db.create_table("Tc", [Column("id", "bigint"),
+                                    Column("k", "int")])
+        tc.insert_many((i, i % 5) for i in range(50))
+        tc.create_index("k")
         session = SqlSession(db)
-        tokens = _tokenize("SELECT COUNT(*) FROM Ta WITH (NOLOCK)")
-        assert session._latch_set(tokens, "vector") == ("Ta",)
-        assert session._latch_set(tokens, "row") == ("Ta",)
-        assert session._latch_set(tokens, "parallel") == ()
+        held = {}
+
+        def probe(name):
+            def finalize(result):
+                held[name] = lockcheck.held()
+                return result
+            return finalize
+
+        was = lockcheck.is_active()
+        lockcheck.set_active(True)
+        try:
+            for engine in ("vector", "row", "parallel"):
+                session.query("SELECT COUNT(*) FROM Ta WITH (NOLOCK)",
+                              cold=False, engine=engine, workers=2,
+                              finalize=probe(engine))
+            session.query("SELECT COUNT(*) FROM Ta WHERE id = 7",
+                          finalize=probe("point"))
+            assert session.explain(
+                "SELECT COUNT(*) FROM Tc WHERE k = 3").startswith(
+                    "index seek")
+            session.query("SELECT COUNT(*) FROM Tc WHERE k = 3",
+                          finalize=probe("index"))
+        finally:
+            lockcheck.set_active(was)
+        assert held["vector"] == held["row"] == held["point"] \
+            == (("catalog", None),)
+        assert held["index"] == (("catalog", None), ("table", "tc"))
+        assert held["parallel"] == ()
 
     def test_ddl_via_sql_excludes_concurrent_reader(self):
-        db = _two_table_db(latch_mode="table")
+        db = _two_table_db()
         holder = SqlSession(db)
         entered = threading.Event()
         release = threading.Event()
@@ -290,7 +256,7 @@ class TestMixedTrafficStress:
         """Readers of A must see bit-stable values while a writer
         mutates B the whole time — a torn read would surface as a
         wrong COUNT or SUM."""
-        db = _two_table_db(latch_mode="table")
+        db = _two_table_db()
         expected_sum = float(sum(range(200)))
         errors = []
         reads = []
@@ -344,7 +310,7 @@ class TestMixedTrafficStress:
         """Writers of different tables overlap under table latches; the
         page file's extent bookkeeping (shared across tables) must stay
         consistent under that overlap."""
-        db = _two_table_db(latch_mode="table")
+        db = _two_table_db()
         errors = []
 
         def writer(table, base):
@@ -378,20 +344,10 @@ class TestMixedTrafficStress:
 
 
 class TestDatabaseIntegration:
-    def test_default_mode_comes_from_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_LATCH", "coarse")
-        assert Database().latches.mode == "coarse"
-        monkeypatch.delenv("REPRO_LATCH")
-        assert Database().latches.mode == "table"
-
-    def test_explicit_mode_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_LATCH", "coarse")
-        assert Database(latch_mode="table").latches.mode == "table"
-
     def test_pickle_roundtrip_recreates_latches(self):
-        db = _two_table_db(latch_mode="table")
+        db = _two_table_db()
         clone = pickle.loads(pickle.dumps(db))
-        assert clone.latches.mode in LATCH_MODES
+        assert clone.latches is not db.latches
         (n,), _ = SqlSession(clone).query(
             "SELECT COUNT(*) FROM Ta WITH (NOLOCK)")
         assert n == 200

@@ -5,10 +5,11 @@ rules (sorted table latch sets, reentrant pool mutex, stackable
 intents) mirror the engine's discipline."""
 
 import threading
+from unittest import mock
 
 import pytest
 
-from repro.engine import lockcheck
+from repro.engine import Column, Database, lockcheck, parallel
 from repro.engine.lockcheck import (
     DEFAULT_ORDER,
     LockOrderViolation,
@@ -18,6 +19,7 @@ from repro.engine.lockcheck import (
     tracked_lock,
 )
 from repro.engine.locks import RWLock
+from repro.engine.sqlfront import SqlSession
 
 
 @pytest.fixture(autouse=True)
@@ -139,6 +141,35 @@ def test_rwlock_acquisitions_are_instrumented():
     assert lockcheck.held() == ()
 
 
+def test_parallel_select_takes_workerpool_then_latches():
+    db = Database()
+    table = db.create_table("t", [Column("id", "bigint"),
+                                  Column("x", "float")])
+    table.insert_many((i, float(i)) for i in range(2000))
+    with mock.patch.object(lockcheck, "note_acquire",
+                           wraps=lockcheck.note_acquire) as spy:
+        (n,), metrics = SqlSession(db).query(
+            "SELECT COUNT(*) FROM t", engine="parallel", workers=2)
+    assert (n, metrics.engine) == (2000, "parallel")
+    seen = [call.args[0] for call in spy.call_args_list]
+    latches = [cls for cls in seen
+               if cls in ("workerpool", "catalog", "table")]
+    assert latches[:3] == ["workerpool", "catalog", "table"]
+    assert lockcheck.held() == ()
+    # The opposite order — the pool mutex under a held table latch —
+    # is exactly what the order forbids.
+    latch = db.latches.latch_for("t")
+    latch.acquire_read()
+    try:
+        with pytest.raises(LockOrderViolation) as exc:
+            with parallel.get_pool(db, 2).guard():
+                pass
+        assert "'workerpool'" in str(exc.value)
+        assert "'table'" in str(exc.value)
+    finally:
+        latch.release_read()
+
+
 def test_inactive_fast_path_checks_nothing():
     lockcheck.set_active(False)
     note_acquire("pool")
@@ -151,6 +182,7 @@ def test_inactive_fast_path_checks_nothing():
 def test_load_order_matches_checked_in_graph():
     order = load_order()
     assert order == DEFAULT_ORDER  # fallback kept in sync with the JSON
+    assert order.index("workerpool") < order.index("catalog")
     assert order.index("catalog") < order.index("table")
     assert order.index("table") < order.index("pool")
 

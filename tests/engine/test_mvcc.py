@@ -14,7 +14,6 @@ import time
 import pytest
 
 from repro.engine import Column, Database
-from repro.engine.latches import MVCC_MODES, mvcc_from_env
 from repro.engine.sqlfront import SqlSession
 from repro.tsql import FloatArray
 
@@ -22,10 +21,8 @@ READ_SQL = ("SELECT SUM(FloatArray.Item_1(v, 0)), COUNT(*) "
             "FROM ta WITH (NOLOCK)")
 
 
-def build_db(rows=300, mvcc_mode="on"):
-    # latch_mode is pinned: under REPRO_LATCH=coarse every latch maps
-    # onto the one database RWLock, which cannot overlap by design.
-    db = Database(mvcc_mode=mvcc_mode, latch_mode="table")
+def build_db(rows=300):
+    db = Database()
     t = db.create_table(
         "ta", [Column("id", "bigint"),
                Column("v", "varbinary", cap=100)])
@@ -37,41 +34,6 @@ def build_db(rows=300, mvcc_mode="on"):
 def insert_sql(key):
     return (f"INSERT INTO ta VALUES ({key}, "
             f"FloatArray.Vector_3({float(key)!r}, 2.0, 3.0))")
-
-
-# -- mode plumbing ----------------------------------------------------------
-
-class TestModeSelection:
-    def test_env_default_on(self, monkeypatch):
-        monkeypatch.delenv("REPRO_MVCC", raising=False)
-        assert mvcc_from_env() == "on"
-
-    def test_env_off(self, monkeypatch):
-        monkeypatch.setenv("REPRO_MVCC", "off")
-        assert mvcc_from_env() == "off"
-
-    def test_env_unknown_means_on(self, monkeypatch):
-        monkeypatch.setenv("REPRO_MVCC", "bogus")
-        assert mvcc_from_env() == "on"
-
-    def test_database_validates_mode(self):
-        with pytest.raises(ValueError):
-            Database(mvcc_mode="sometimes")
-        assert MVCC_MODES == ("on", "off")
-
-    def test_off_mode_tables_are_unversioned(self):
-        db, t = build_db(rows=10, mvcc_mode="off")
-        assert not db.mvcc
-        assert not t.mvcc
-        session = SqlSession(db)
-        (s, n), _ = session.query(READ_SQL)
-        assert n == 10
-        assert s == pytest.approx(float(sum(range(10))))
-        assert session.execute("DELETE FROM ta WHERE id = 3") == 1
-        assert session.execute(insert_sql(100)) == 1
-        (s, n), _ = session.query(READ_SQL)
-        assert n == 10
-        assert s == pytest.approx(float(sum(range(10)) - 3 + 100))
 
 
 # -- reader/writer overlap on one table -------------------------------------

@@ -225,8 +225,8 @@ def leaf_pages(table):
     return [table._pagefile.get(pid) for pid in table.data_page_ids()]
 
 
-def make_table(mvcc="off"):
-    db = Database(mvcc_mode=mvcc)
+def make_table():
+    db = Database()
     table = db.create_table(
         "t", [Column("id", "bigint"), Column("x", "float"),
               Column("r", "real"), Column("k", "int"),
@@ -390,9 +390,8 @@ def test_database_saved_by_the_parent_commit_loads_and_scans():
 # -- no page-body view escapes from_pages ------------------------------------
 
 
-@pytest.mark.parametrize("mvcc", ["off", "on"])
-def test_a_kept_batch_does_not_pin_the_leaf(mvcc):
-    db, table = make_table(mvcc)
+def test_a_kept_batch_does_not_pin_the_leaf():
+    db, table = make_table()
     rng = random.Random(8)
     # One dense leaf with room to spare: the kept batch was cut from
     # exactly the page the inserts below land in.

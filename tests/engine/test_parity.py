@@ -211,9 +211,12 @@ class TestParityOnChurnedTables:
     gather and the per-record decode paths, in the coordinator and in
     the parallel engine's worker processes."""
 
-    @pytest.fixture(scope="class", params=["on", "off"])
-    def churned_session(self, request):
-        db = Database(buffer_pages=4096, mvcc_mode=request.param)
+    # One value: the ids keep the ``[on]`` suffix they had while this
+    # also ran with MVCC off, so they stay comparable across the
+    # removal of that mode.
+    @pytest.fixture(scope="class", params=["on"])
+    def churned_session(self):
+        db = Database(buffer_pages=4096)
         table = db.create_table(
             "t", [Column("id", "bigint"), Column("x", "float"),
                   Column("y", "float"), Column("k", "int"),
@@ -285,14 +288,14 @@ class TestParityOnChurnedTables:
 
 
 class TestParityUnderTableLatches:
-    """Three-way parity with the per-table latch layer forced on
-    (``latch_mode="table"`` regardless of ``REPRO_LATCH``): the latch
-    planning — single-table sets for row/vector, the all-table set for
-    parallel snapshot cuts — must not perturb values or metrics."""
+    """Three-way parity on a database with a second, idle table: the
+    latch planning — the catalog latch for row/vector, the all-table
+    set for parallel snapshot cuts — must not perturb values or
+    metrics."""
 
     @pytest.fixture(scope="class")
     def latched_session(self):
-        db = Database(buffer_pages=2048, latch_mode="table")
+        db = Database(buffer_pages=2048)
         table = db.create_table(
             "t", [Column("id", "bigint"), Column("x", "float"),
                   Column("k", "int"),

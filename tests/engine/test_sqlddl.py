@@ -237,6 +237,20 @@ class TestDelete:
         (n,), _m = session.execute("SELECT COUNT(*) FROM d2")
         assert n == 19
 
+    def test_delete_by_a_constant_that_is_no_key(self, session):
+        session.execute("CREATE TABLE d5 (id BIGINT, x FLOAT)")
+        session.execute("INSERT INTO d5 VALUES (0, 0.0), (1, 1.0), "
+                        "(2, 2.0), (3, 3.0)")
+        for const in ("1.5", "1e999", "0.5"):
+            assert session.execute(
+                f"DELETE FROM d5 WHERE id = {const}") == 0, const
+        assert [row[0] for row in session.db.tables["d5"].scan()] == \
+            [0, 1, 2, 3]
+        assert session.execute("DELETE FROM d5 WHERE id = 1.0") == 1
+        assert session.execute("DELETE FROM d5 WHERE id = -0.0") == 1
+        assert [row[0] for row in session.db.tables["d5"].scan()] == \
+            [2, 3]
+
     def test_delete_all(self, session):
         session.execute("CREATE TABLE d3 (id BIGINT, x FLOAT)")
         session.execute("INSERT INTO d3 VALUES (1, 1.0), (2, 2.0)")
@@ -263,10 +277,13 @@ class TestRangeDelete:
 
     ROWS = 400
 
-    @pytest.fixture(params=["on", "off"])
-    def probe(self, request):
+    # One value: the ids keep the ``[on-...]`` prefix they had while
+    # this also ran with MVCC off, so they stay comparable across the
+    # removal of that mode.
+    @pytest.fixture(params=["on"])
+    def probe(self):
         """(session, model rows, spy on the table's row decoder)."""
-        session = SqlSession(Database(mvcc_mode=request.param))
+        session = SqlSession(Database())
         session.execute("CREATE TABLE r (id BIGINT, k INT)")
         rows = [(i, i % 5) for i in range(self.ROWS)]
         table = session.db.tables["r"]

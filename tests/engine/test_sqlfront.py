@@ -120,6 +120,25 @@ class TestWhere:
             "SELECT COUNT(*) FROM Tscalar WHERE id >= 10 AND id < 20")
         assert n == 10
 
+    def test_key_equals_a_constant_that_is_no_key(self, session):
+        """``id = c`` seeks only when ``c`` is a finite integral
+        number; otherwise it answers like the equivalent range."""
+        s, _v = session
+        for const, rows in [("1.5", 0), ("1e999", 0), ("1.0", 1),
+                            ("-0.0", 1), ("7", 1)]:
+            for where in (f"id = {const}", f"{const} = id",
+                          f"id >= {const} AND id <= {const}"):
+                sql = f"SELECT COUNT(*), MIN(id) FROM Tscalar WHERE {where}"
+                (n, low), _m = s.query(sql)
+                assert n == rows, sql
+                assert low == (int(float(const)) if rows else None), sql
+        assert s.explain(
+            "SELECT COUNT(*) FROM Tscalar WHERE id = 1.0") == \
+            "clustered index seek on Tscalar (id = 1)"
+        assert s.explain(
+            "SELECT COUNT(*) FROM Tscalar WHERE id = 1.5").startswith(
+                "clustered index scan")
+
     def test_udf_in_where(self, session):
         s, values = session
         (n,), m = s.query(

@@ -346,15 +346,85 @@ class TestPipeline:
     def test_empty_pipeline(self, client):
         assert client.query_pipeline([]) == []
 
-    def test_wire_mode_env_is_transparent(self, server, monkeypatch):
-        monkeypatch.setenv("REPRO_WIRE", "prepared")
-        with ArrayClient("127.0.0.1", server.port) as c:
-            assert c.query("SELECT COUNT(*) FROM Tnum "
-                           "WITH (NOLOCK)").scalar() == NUM_ROWS
-            with pytest.raises(ServerError):
-                c.query("SELECT FROM nowhere")
-            assert c.query("SELECT COUNT(*) FROM Tnum "
-                           "WITH (NOLOCK)").scalar() == NUM_ROWS
+
+# -- one statement, two frame types -----------------------------------------
+
+WIRE_CORPUS = [
+    "SELECT COUNT(*), SUM(x) FROM Tnum WITH (NOLOCK)",          # scan
+    "SELECT g, COUNT(*), SUM(x) FROM Tnum GROUP BY g",          # grouped
+    "SELECT SUM(x) FROM Tnum WHERE id = 3",                     # point
+    "SELECT COUNT(*) FROM Tnum WHERE g = 2",                    # index
+    "SELECT MAX(v) FROM Tblob WHERE id = 3",                    # blob cell
+    "SELECT FROM nowhere",                                      # fails
+    "CREATE TABLE Tw (id BIGINT PRIMARY KEY, x FLOAT)",
+    "INSERT INTO Tw VALUES (1, 2.0), (2, 3.0), (3, 5.0)",
+    "DELETE FROM Tw WHERE id = 2",
+    "SELECT SUM(x), COUNT(*) FROM Tw",
+]
+
+
+def _wire_outcome(result):
+    if isinstance(result, ServerError):
+        return ("error", result.code)
+    return (result.kind, result.rows, result.rowcount,
+            sorted(result.metrics) if result.metrics else None)
+
+
+def _corpus_sync(port, wire):
+    with ArrayClient("127.0.0.1", port) as c:
+        outcomes = []
+        for sql in WIRE_CORPUS:
+            try:
+                result = c.query(sql) if wire == "query" \
+                    else c.query_pipeline([sql])[0]
+            except ServerError as exc:
+                result = exc
+            outcomes.append(_wire_outcome(result))
+        alive = c.query("SELECT COUNT(*) FROM Tnum").scalar()
+    return outcomes, alive
+
+
+def _corpus_async(port, wire):
+    async def run():
+        c = await AsyncArrayClient.connect("127.0.0.1", port)
+        try:
+            outcomes = []
+            for sql in WIRE_CORPUS:
+                try:
+                    result = await c.query(sql) if wire == "query" \
+                        else (await c.query_pipeline([sql]))[0]
+                except ServerError as exc:
+                    result = exc
+                outcomes.append(_wire_outcome(result))
+            alive = (await c.query(
+                "SELECT COUNT(*) FROM Tnum")).scalar()
+            return outcomes, alive
+        finally:
+            await c.close()
+
+    return asyncio.run(run())
+
+
+@pytest.mark.parametrize("run_corpus", [_corpus_sync, _corpus_async],
+                         ids=["sync", "async"])
+def test_query_and_pexec_frames_answer_alike(run_corpus):
+    """Every statement shape gives the same rows, rowcount, metrics
+    keys and error code whether it travels as a ``query`` frame or as
+    a ``pexec`` frame, and the connection survives the failing one."""
+    answers = {}
+    for wire in ("query", "pexec"):
+        db = make_db()
+        db.tables["Tnum"].create_index("g")
+        with ServerThread(db) as handle:
+            answers[wire], alive = run_corpus(handle.port, wire)
+        assert alive == NUM_ROWS
+    assert answers["query"] == answers["pexec"]
+    kinds = [outcome[0] for outcome in answers["query"]]
+    assert kinds == ["rows"] * 5 + ["error"] + ["ok"] * 3 + ["rows"]
+    assert answers["query"][5] == ("error", protocol.SQL_ERROR)
+    assert answers["query"][4][1] == [(make_blob(3),)]
+    assert answers["query"][8][2] == 1          # one row deleted
+    assert answers["query"][9][1] == [(7.0, 2)]
 
 
 # -- asyncio twins ----------------------------------------------------------

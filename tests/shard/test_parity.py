@@ -137,6 +137,18 @@ def test_point_delete_routes_and_deletes(cluster, reference):
     assert got["rows"][0][0] == ROWS
 
 
+def test_fractional_key_touches_no_row_on_any_shard(cluster):
+    router = cluster["router"]
+    for const in ("1.5", "1e999"):
+        got = router.execute(
+            f"SELECT COUNT(*), SUM(v) FROM t WHERE id = {const}")
+        assert [tuple(r) for r in got["rows"]] == [(0, None)], const
+        out = router.execute(f"DELETE FROM t WHERE id = {const}")
+        assert out["rowcount"] == 0, const
+    got = router.execute("SELECT COUNT(*) FROM t")
+    assert got["rows"][0][0] == ROWS
+
+
 def test_sql_insert_through_router(cluster):
     router = cluster["router"]
     out = router.execute(
