@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import socket
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import protocol
 
@@ -143,6 +143,14 @@ class RetryPolicy:
         return min(self.backoff_cap, self.backoff_base * (2 ** attempt))
 
 
+def _check_hello(frame) -> dict:
+    """:func:`protocol.check_hello` as the client's error type."""
+    try:
+        return protocol.check_hello(frame)
+    except protocol.ProtocolError as exc:
+        raise ServerError(protocol.INTERNAL, str(exc)) from exc
+
+
 def _raise_for_error(header: dict) -> None:
     if header.get("type") == "error":
         code = header.get("code", protocol.INTERNAL)
@@ -151,24 +159,44 @@ def _raise_for_error(header: dict) -> None:
                        header.get("detail"))
 
 
-@dataclass
 class QueryResult:
     """One statement's outcome.
 
     Attributes:
         kind: ``"rows"`` for SELECT, ``"ok"`` for DDL/DML.
-        rows: Result rows (blob cells are ``bytes``).
+        columns: The result set as it crossed the wire — typed column
+            arrays (:class:`~repro.server.columnar.Columns`); None
+            when the result was built from a row list.
+        rows: Result rows as a list of tuples of Python scalars (blob
+            cells are ``bytes``), materialised from ``columns`` on
+            first access.
         rowcount: Rows returned, or rows affected for DDL/DML.
         metrics: The server's :meth:`QueryMetrics.to_dict` payload
             (None for DDL/DML).
         elapsed_seconds: Server-side wall latency of the call.
     """
 
-    kind: str
-    rows: list = field(default_factory=list)
-    rowcount: int = 0
-    metrics: dict | None = None
-    elapsed_seconds: float = 0.0
+    def __init__(self, kind: str, rows: list | None = None,
+                 rowcount: int = 0, metrics: dict | None = None,
+                 elapsed_seconds: float = 0.0,
+                 columns: protocol.Columns | None = None):
+        self.kind = kind
+        self.columns = columns
+        self._rows = None if columns is not None else rows or []
+        self.rowcount = rowcount
+        self.metrics = metrics
+        self.elapsed_seconds = elapsed_seconds
+
+    @property
+    def rows(self) -> list:
+        if self._rows is None:
+            self._rows = self.columns.rows()
+        return self._rows
+
+    def __repr__(self) -> str:
+        return (f"QueryResult(kind={self.kind!r}, "
+                f"rowcount={self.rowcount}, "
+                f"elapsed_seconds={self.elapsed_seconds!r})")
 
     def scalar(self):
         """The single value of a one-row, one-column result."""
@@ -220,10 +248,15 @@ def _parse_result(header: dict, blobs) -> QueryResult:
         raise ServerError(protocol.INTERNAL,
                           f"expected a result frame, got "
                           f"{header.get('type')!r}")
+    kind = header.get("kind", "rows")
+    rowcount = header.get("rowcount", 0)
+    # An "ok" frame's rowcount is rows *affected*; it carries no
+    # columns.
+    columns = protocol.Columns.decode(
+        header.get("rows", ""), blobs, rowcount) if kind == "rows" \
+        else None
     return QueryResult(
-        kind=header.get("kind", "rows"),
-        rows=protocol.unpack_rows(header.get("rows", []), blobs),
-        rowcount=header.get("rowcount", 0),
+        kind=kind, columns=columns, rowcount=rowcount,
         metrics=header.get("metrics"),
         elapsed_seconds=header.get("elapsed_seconds", 0.0))
 
@@ -248,10 +281,11 @@ class ArrayClient:
         self._sock = socket.create_connection((host, port),
                                               timeout=timeout)
         self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        hello, _ = self._request_raw(None)
-        if hello.get("type") != "hello":
-            raise ServerError(protocol.INTERNAL,
-                              f"expected hello, got {hello!r}")
+        try:
+            hello = _check_hello(self._request_raw(None))
+        except BaseException:
+            self._sock.close()
+            raise
         self.server_name = hello.get("server", "")
         self.session_id = hello.get("session_id")
 
@@ -519,12 +553,14 @@ class AsyncArrayClient:
 
         reader, writer = await asyncio.open_connection(host, port)
         client = cls(reader, writer, max_frame, retry)
-        hello = await protocol.read_frame(reader, max_frame)
-        if hello is None or hello[0].get("type") != "hello":
-            raise ServerError(protocol.INTERNAL,
-                              f"expected hello, got {hello!r}")
-        client.server_name = hello[0].get("server", "")
-        client.session_id = hello[0].get("session_id")
+        try:
+            hello = _check_hello(
+                await protocol.read_frame(reader, max_frame))
+        except BaseException:
+            writer.close()
+            raise
+        client.server_name = hello.get("server", "")
+        client.session_id = hello.get("session_id")
         return client
 
     async def _request(self, header: dict) -> tuple[dict, list[bytes]]:

@@ -1,11 +1,12 @@
-"""The wire protocol: length-prefixed frames of JSON plus raw blobs.
+"""The wire protocol: length-prefixed frames of JSON plus raw buffers.
 
 The paper's clients talk to SQL Server over TDS; this reproduction's
 serving layer speaks a much smaller protocol with the same split
-personality — a structured header for query text, result rows and
-metrics, and an *uninterpreted binary tail* for array blobs, so a
-gigabyte ``VARBINARY`` never round-trips through base64 or JSON string
-escaping.
+personality — a structured header for query text and metrics, and a
+*binary tail* for everything that is data: result rows, insert
+batches and grouped partial states travel as typed column buffers,
+array blobs as the bytes they are, so neither a gigabyte ``VARBINARY``
+nor a million-row result ever round-trips through JSON.
 
 Frame layout (all integers big-endian)::
 
@@ -14,10 +15,45 @@ Frame layout (all integers big-endian)::
     +-------------+--------------+---------------+-----------------+
 
 ``total`` counts everything after itself.  The header is a UTF-8 JSON
-object with at least a ``"type"`` key; if it carries blobs it lists
+object with at least a ``"type"`` key; if it carries buffers it lists
 their lengths under ``"blobs"`` and the binary tail is their
-concatenation in order.  Inside JSON-encoded rows a blob-valued cell
-is the marker object ``{"$blob": i}`` referencing tail blob ``i``.
+concatenation in order.  :func:`decode_frame` hands the buffers out as
+``memoryview`` slices of the received payload, never copies.
+
+Row sets
+--------
+
+Rows cross the wire in **one** encoding, whoever sends them — the
+``rows`` of a ``result``, the ``rows`` of an ``insert``, the ``groups``
+of a ``presult``.  The header carries a short *type string*, one code
+per column, and ``rowcount``; the tail carries the columns' buffers in
+column order (:mod:`repro.server.columnar` is the codec and documents
+it in full):
+
+======  =========================  ====================================
+code    column                     buffers, in order
+======  =========================  ====================================
+``q``   int64                      ``rowcount`` little-endian int64
+``d``   float64                    ``rowcount`` little-endian doubles
+``b``   variable-length bytes      int64 cell lengths; the cells' bytes
+``*x``  a list of ``x`` per row    int64 list lengths; column ``x``
+                                   over all items (``sum(lengths)``
+                                   rows)
+``j``   anything else, as JSON     the cells as one JSON list; ``jN``
+                                   adds ``N`` blobs that
+                                   ``{"$blob": i}`` markers in it cite
+``?x``  ``x`` with NULLs           a bitmap (bit ``i % 8`` of byte
+                                   ``i // 8`` set = row ``i`` NULL),
+                                   then ``x``; a NULL row's value is
+                                   a placeholder
+======  =========================  ====================================
+
+``"q?db"`` is three columns in five buffers.  The buffer count follows
+from the type string and each buffer's length from ``rowcount`` or the
+lengths before it; ``*`` nests at most four deep.  A frame that breaks
+any of that is answered ``BAD_FRAME``.  ``j`` is the per-cell fallback for bools, strings,
+ints beyond int64 and mixed columns — the only place a cell is still
+its own JSON value.
 
 Message types
 -------------
@@ -57,14 +93,16 @@ distributed aggregation — a coordinator scatters one ``pquery`` per
 shard, merges the partial states in shard order, and finishes the
 aggregates itself (see ``docs/SHARDING.md``).
 
-``insert``  ``{"type": "insert", "table": str, "rows": [...],
-"timeout": float | "none"}``
+``insert``  ``{"type": "insert", "table": str, "rows": str,
+"rowcount": int, "timeout": float | "none"}``
 
-A binary bulk load: ``rows`` are packed like result rows (blob cells
-as ``{"$blob": i}`` markers into the frame tail) and appended to the
-named table in one :meth:`Table.insert_many` batch under its exclusive
-latch.  Answered with an ok ``result`` frame whose ``rowcount`` is the
-number of rows inserted.
+A binary bulk load: ``rows`` is the type string of a row set of
+``rowcount`` rows (see *Row sets*; ``rowcount`` is required) whose
+column buffers are the frame tail; the batch is appended to the named table in one
+:meth:`Table.insert_many` batch under its exclusive latch.  Answered
+with an ok ``result`` frame whose ``rowcount`` is the number of rows
+inserted.  A coordinator partitions the batch by primary key and
+forwards one ``insert`` frame per owning shard.
 
 ``prepare`` ``{"type": "prepare", "sql": str}``
 
@@ -111,9 +149,20 @@ wire is the slice's bytes, not the blob's.
 
 Server to client:
 
-``hello``   ``{"type": "hello", "server": str, "protocol": 1}``
+``hello``   ``{"type": "hello", "server": str, "protocol": 2}``
+
+``protocol`` is :data:`PROTOCOL_VERSION`.  Clients (and a
+coordinator's shard links) compare it with their own and refuse a
+peer that speaks another revision, naming both, instead of failing
+later inside a decode.
+
 ``result``  ``{"type": "result", "kind": "rows" | "ok",
-"rows": [...], "rowcount": int, "metrics": dict | None}``
+"rows": str, "rowcount": int, "metrics": dict | None}``
+
+``kind`` ``"rows"`` answers a SELECT: ``rows`` is the type string of
+the result set, ``rowcount`` its length, the column buffers are the
+tail.  ``kind`` ``"ok"`` answers DDL/DML: ``rows`` is ``""`` and
+``rowcount`` the rows affected.
 ``error``   ``{"type": "error", "code": str, "message": str,
 "detail": object | null}``
 
@@ -152,19 +201,29 @@ is true, which also carries the cold-run ``metrics`` and
 are only ever sent *instead of* the first chunk — once chunk 0 is on
 the wire the stream always runs to ``eof``.
 ``presult`` ``{"type": "presult", "rows": int,
-"states": [...] | null, "groups": [[group, [...]], ...] | null,
+"states": [...] | null, "groups": str | null, "rowcount": int,
 "metrics": dict, "elapsed_seconds": float}``
 
 The reply to a ``pquery``: ``rows`` is the number of rows the shard
-scanned, ``states`` holds one packed partial state per aggregate (a
-scalar SELECT; ``groups`` is null), and ``groups`` holds ordered
-``[group_value, [partial, ...]]`` pairs for GROUP BY (``states`` is
-null).  A partial state is packed by :func:`pack_partial`: a count
-partial ships as a plain JSON int; an all-float value list ships as a
-little-endian float64 blob referenced by ``{"$pf8": i}``; an all-int
-list as an int64 blob under ``{"$pi8": i}``; anything else falls back
-to ``{"$pvals": [...]}`` with per-value packing (blob cells become
-``{"$blob": i}``).
+scanned.  A scalar SELECT ships ``states``, one packed partial state
+per aggregate (``groups`` is null).  A partial state is packed by
+:func:`pack_partial`: a count partial ships as a plain JSON int; an
+all-float value list ships as a little-endian float64 blob referenced
+by ``{"$pf8": i}``; an all-int list as an int64 blob under
+``{"$pi8": i}``; anything else falls back to ``{"$pvals": [...]}``
+with per-value packing (blob values become ``{"$blob": i}``).
+
+A GROUP BY ships ``groups`` (``states`` is null): the type string of a
+row set of ``rowcount`` groups in the shard's group order whose first
+column is the group key and whose other columns are the aggregates'
+partials — ``q`` for a count, ``*x`` for a value list, i.e. per
+aggregate one *counts* buffer (how many non-NULL values each group
+has seen) and one flat *values* column holding every group's values
+back to back in scan order.  ``SELECT id, SUM(v1), AVG(v2) ... GROUP
+BY id`` is ``"q*d*d"``: keys, counts + values, counts + values — five
+buffers however many groups there are.  The coordinator concatenates
+these arrays in shard order and merges them with one stable sort of
+the keys (see ``docs/SHARDING.md``).
 
 Error codes are the :data:`SERVER_BUSY`, :data:`QUERY_TIMEOUT`,
 :data:`SQL_ERROR`, :data:`BAD_FRAME`, :data:`RESULT_TOO_LARGE`,
@@ -191,6 +250,18 @@ import socket
 import struct
 from typing import TYPE_CHECKING, Sequence
 
+from .columnar import (
+    Buffer,
+    Columns,
+    ProtocolError,
+    _pack_value,
+    _unpack_value,
+    pack_cell,
+    pack_rows,
+    unpack_cell,
+    unpack_rows,
+)
+
 if TYPE_CHECKING:  # the sync client never has to import asyncio
     import asyncio
 
@@ -209,6 +280,8 @@ __all__ = [
     "ProtocolError",
     "FrameTooLargeError",
     "WireError",
+    "Columns",
+    "check_hello",
     "encode_frame",
     "decode_frame",
     "pack_rows",
@@ -224,7 +297,7 @@ __all__ = [
 ]
 
 #: Protocol revision carried in the server's hello frame.
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 #: Default per-frame ceiling (64 MiB) — a malformed or hostile length
 #: prefix is rejected before any allocation happens.
@@ -255,10 +328,6 @@ INTERNAL = "INTERNAL"
 _U32 = struct.Struct("!I")
 
 
-class ProtocolError(Exception):
-    """Raised for frames that violate the wire format."""
-
-
 class FrameTooLargeError(ProtocolError):
     """Raised by the write helpers for an outgoing frame over the
     ``max_frame`` limit — caught *before* any bytes hit the wire, so
@@ -283,66 +352,6 @@ class WireError(Exception):
         #: Optional JSON-serializable context shipped in the error
         #: frame's ``detail`` key (partial-progress reports, mainly).
         self.detail = detail
-
-
-# -- value packing -----------------------------------------------------------
-
-def _pack_value(value: object, blobs: list[bytes]) -> object:
-    if value is None or isinstance(value, (bool, str)):
-        return value
-    if isinstance(value, (bytes, bytearray, memoryview)):
-        blobs.append(bytes(value))
-        return {"$blob": len(blobs) - 1}
-    if isinstance(value, numbers.Integral):
-        return int(value)
-    if isinstance(value, numbers.Real):
-        return float(value)
-    if isinstance(value, (list, tuple)):
-        return [_pack_value(v, blobs) for v in value]
-    raise ProtocolError(
-        f"cannot encode value of type {type(value).__name__}")
-
-
-def _unpack_value(value: object, blobs: Sequence[bytes]) -> object:
-    if isinstance(value, dict):
-        if set(value) != {"$blob"}:
-            raise ProtocolError(f"unexpected object cell {value!r}")
-        index = value["$blob"]
-        if not isinstance(index, int) or not 0 <= index < len(blobs):
-            raise ProtocolError(f"blob reference {index!r} out of range")
-        return blobs[index]
-    if isinstance(value, list):
-        return [_unpack_value(v, blobs) for v in value]
-    return value
-
-
-def pack_rows(rows: Sequence[Sequence[object]]
-              ) -> tuple[list[list[object]], list[bytes]]:
-    """JSON-encode result rows; blob cells are moved to the binary
-    tail and replaced by ``{"$blob": i}`` markers."""
-    blobs: list[bytes] = []
-    packed = [[_pack_value(cell, blobs) for cell in row]
-              for row in rows]
-    return packed, blobs
-
-
-def unpack_rows(rows: Sequence[Sequence[object]],
-                blobs: Sequence[bytes]) -> list[tuple[object, ...]]:
-    """Invert :func:`pack_rows`, resolving blob markers."""
-    return [tuple(_unpack_value(cell, blobs) for cell in row)
-            for row in rows]
-
-
-def pack_cell(value: object, blobs: list[bytes]) -> object:
-    """Pack one standalone value (a GROUP BY key, say) with result-row
-    cell semantics: blob values move into ``blobs`` and become
-    ``{"$blob": i}`` markers."""
-    return _pack_value(value, blobs)
-
-
-def unpack_cell(value: object, blobs: Sequence[bytes]) -> object:
-    """Invert :func:`pack_cell`."""
-    return _unpack_value(value, blobs)
 
 
 # -- partial aggregate states (pquery/presult) -------------------------------
@@ -386,7 +395,7 @@ def pack_partial(partial: object, blobs: list[bytes]) -> object:
     return {"$pvals": [_pack_value(v, blobs) for v in values]}
 
 
-def _partial_blob(marker: object, blobs: Sequence[bytes]) -> bytes:
+def _partial_blob(marker: object, blobs: Sequence[Buffer]) -> Buffer:
     if not isinstance(marker, int) or isinstance(marker, bool) or \
             not 0 <= marker < len(blobs):
         raise ProtocolError(
@@ -398,7 +407,7 @@ def _partial_blob(marker: object, blobs: Sequence[bytes]) -> bytes:
     return data
 
 
-def unpack_partial(value: object, blobs: Sequence[bytes]) -> object:
+def unpack_partial(value: object, blobs: Sequence[Buffer]) -> object:
     """Invert :func:`pack_partial`."""
     if isinstance(value, bool):
         raise ProtocolError("a bool is not a partial aggregate state")
@@ -423,7 +432,7 @@ def unpack_partial(value: object, blobs: Sequence[bytes]) -> object:
 # -- framing -----------------------------------------------------------------
 
 def encode_frame(header: dict[str, object],
-                 blobs: Sequence[bytes] = ()) -> bytes:
+                 blobs: Sequence[Buffer] = ()) -> bytes:
     """Serialize one frame (header JSON + binary tail)."""
     if "type" not in header:
         raise ProtocolError("frame header needs a 'type' key")
@@ -435,23 +444,27 @@ def encode_frame(header: dict[str, object],
     return _U32.pack(total) + _U32.pack(len(body)) + body + tail
 
 
-def decode_frame(payload: bytes) -> tuple[dict[str, object], list[bytes]]:
+def decode_frame(payload: Buffer
+                 ) -> tuple[dict[str, object], list[memoryview]]:
     """Parse one frame payload (everything after the ``total`` prefix)
-    into ``(header, blobs)``."""
-    if len(payload) < 4:
+    into ``(header, blobs)``.  The blobs are ``memoryview`` slices of
+    the payload — no copy, so ``np.frombuffer`` over a column buffer
+    reads the bytes the socket delivered."""
+    view = memoryview(payload)
+    if len(view) < 4:
         raise ProtocolError("frame shorter than its header-length field")
-    (hdr_len,) = _U32.unpack_from(payload)
-    if 4 + hdr_len > len(payload):
+    (hdr_len,) = _U32.unpack_from(view)
+    if 4 + hdr_len > len(view):
         raise ProtocolError(
-            f"header length {hdr_len} exceeds frame of {len(payload)} "
+            f"header length {hdr_len} exceeds frame of {len(view)} "
             "bytes")
     try:
-        header = json.loads(payload[4:4 + hdr_len].decode())
+        header = json.loads(str(view[4:4 + hdr_len], "utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ProtocolError(f"bad JSON header: {exc}") from exc
     if not isinstance(header, dict) or "type" not in header:
         raise ProtocolError("header is not an object with a 'type' key")
-    tail = payload[4 + hdr_len:]
+    tail = view[4 + hdr_len:]
     lengths = header.get("blobs", [])
     if not isinstance(lengths, list) or \
             not all(isinstance(n, int) and n >= 0 for n in lengths):
@@ -460,12 +473,28 @@ def decode_frame(payload: bytes) -> tuple[dict[str, object], list[bytes]]:
         raise ProtocolError(
             f"blob lengths {lengths} do not cover a {len(tail)}-byte "
             "tail")
-    blobs: list[bytes] = []
+    blobs: list[memoryview] = []
     pos = 0
     for n in lengths:
         blobs.append(tail[pos:pos + n])
         pos += n
     return header, blobs
+
+
+def check_hello(frame: tuple[dict[str, object], object] | None
+                ) -> dict[str, object]:
+    """The header of a peer's greeting, or :class:`ProtocolError` if
+    it did not greet or speaks another revision of this protocol —
+    refused here, naming both versions, rather than failing later
+    inside a decode."""
+    if frame is None or frame[0].get("type") != "hello":
+        raise ProtocolError(f"expected a hello frame, got {frame!r}")
+    theirs = frame[0].get("protocol")
+    if theirs != PROTOCOL_VERSION:
+        raise ProtocolError(
+            f"peer speaks wire protocol {theirs!r}, this side speaks "
+            f"{PROTOCOL_VERSION}")
+    return frame[0]
 
 
 def _check_total(total: int, max_frame: int) -> None:
@@ -496,7 +525,7 @@ def _check_outgoing(frame: bytes, max_frame: int) -> None:
 
 async def read_frame(reader: "asyncio.StreamReader",
                      max_frame: int = MAX_FRAME_BYTES
-                     ) -> tuple[dict[str, object], list[bytes]] | None:
+                     ) -> tuple[dict[str, object], list[memoryview]] | None:
     """Read one frame from an asyncio stream reader.
 
     Returns ``None`` on a clean EOF (peer closed between frames);
@@ -521,7 +550,7 @@ async def read_frame(reader: "asyncio.StreamReader",
 
 async def write_frame(writer: "asyncio.StreamWriter",
                       header: dict[str, object],
-                      blobs: Sequence[bytes] = (),
+                      blobs: Sequence[Buffer] = (),
                       max_frame: int = MAX_FRAME_BYTES) -> None:
     """Write one frame to an asyncio stream writer and drain.
 
@@ -552,7 +581,7 @@ def _recv_exactly(sock: socket.socket, n: int) -> bytes:
 
 def read_frame_sock(sock: socket.socket,
                     max_frame: int = MAX_FRAME_BYTES
-                    ) -> tuple[dict[str, object], list[bytes]] | None:
+                    ) -> tuple[dict[str, object], list[memoryview]] | None:
     """Blocking-socket twin of :func:`read_frame` (None on clean EOF)."""
     prefix = sock.recv(4)
     if not prefix:
@@ -568,7 +597,7 @@ def read_frame_sock(sock: socket.socket,
 
 
 def write_frame_sock(sock: socket.socket, header: dict[str, object],
-                     blobs: Sequence[bytes] = (),
+                     blobs: Sequence[Buffer] = (),
                      max_frame: int = MAX_FRAME_BYTES) -> None:
     """Blocking-socket twin of :func:`write_frame` (same
     :class:`FrameTooLargeError` behaviour)."""

@@ -446,27 +446,23 @@ class ArrayServer:
                                 result.get("metrics"))
         if partial:
             return self._pack_presult(result, latency)
-        packed, reply_blobs = protocol.pack_rows(result["rows"])
-        reply = {"type": "result", "kind": result["kind"],
-                 "rows": packed, "rowcount": result["rowcount"],
-                 "metrics": result["metrics"],
-                 "elapsed_seconds": latency}
-        return reply, reply_blobs
+        return _result_frame(result, latency)
 
     @staticmethod
-    def _pack_presult(result: dict, latency: float
-                      ) -> tuple[dict, list[bytes]]:
-        blobs: list[bytes] = []
+    def _pack_presult(result: dict, latency: float) -> tuple[dict, list]:
+        """A ``presult`` frame: scalar states packed one by one, a
+        grouped partial as one row set — key column, then per
+        aggregate its counts and one flat values column."""
         states = result["states"]
         groups = result["groups"]
+        columns = protocol.Columns.from_groups(groups or ())
+        types, blobs = columns.encode()  # none for a scalar SELECT
         packed_states = None if states is None else [
             protocol.pack_partial(state, blobs) for state in states]
-        packed_groups = None if groups is None else [
-            [protocol.pack_cell(group, blobs),
-             [protocol.pack_partial(part, blobs) for part in parts]]
-            for group, parts in groups]
         reply = {"type": "presult", "rows": result["rows"],
-                 "states": packed_states, "groups": packed_groups,
+                 "states": packed_states,
+                 "groups": None if groups is None else types,
+                 "rowcount": columns.rowcount,
                  "metrics": result["metrics"],
                  "elapsed_seconds": latency}
         return reply, blobs
@@ -477,12 +473,13 @@ class ArrayServer:
         if not isinstance(table_name, str) or not table_name:
             return _error(protocol.BAD_FRAME,
                           "insert frame needs a 'table' name"), []
-        packed = header.get("rows")
-        if not isinstance(packed, list):
+        rowcount = header.get("rowcount")
+        if not isinstance(rowcount, int):
             return _error(protocol.BAD_FRAME,
-                          "insert frame needs a 'rows' list"), []
+                          "insert frame needs an integer 'rowcount'"), []
         try:
-            rows = protocol.unpack_rows(packed, blobs)
+            rows = protocol.unpack_rows(header.get("rows"), blobs,
+                                        rowcount)
             timeout = self._resolve_timeout(header.get("timeout"))
         except (protocol.ProtocolError, ValueError) as exc:
             return _error(protocol.BAD_FRAME, str(exc)), []
@@ -494,9 +491,9 @@ class ArrayServer:
             return error, []
         inserted, latency = outcome
         self.stats.record_query(session_id, latency, None)
-        return {"type": "result", "kind": "ok", "rows": [],
-                "rowcount": inserted, "metrics": None,
-                "elapsed_seconds": latency}, []
+        return _result_frame({"kind": "ok", "rows": [],
+                              "rowcount": inserted, "metrics": None},
+                             latency)
 
     # -- prepared statements and pipelining ----------------------------------
 
@@ -626,12 +623,8 @@ class ArrayServer:
                 continue
             self.stats.record_query(session_id, latency,
                                     reply["metrics"])
-            packed, reply_blobs = protocol.pack_rows(reply["rows"])
-            frame = {"type": "result", "kind": reply["kind"],
-                     "rows": packed, "rowcount": reply["rowcount"],
-                     "metrics": reply["metrics"],
-                     "elapsed_seconds": latency}
-            encoded = protocol.encode_frame(frame, reply_blobs)
+            encoded = protocol.encode_frame(
+                *_result_frame(reply, latency))
             if len(encoded) > self.config.max_frame:
                 encoded = protocol.encode_frame(_error(
                     protocol.RESULT_TOO_LARGE,
@@ -886,6 +879,19 @@ class ArrayServer:
             },
             **self.stats.snapshot(),
         }
+
+
+def _result_frame(result: dict, latency: float) -> tuple[dict, list]:
+    """The ``result`` frame of an executed statement: its rows — the
+    ``rows`` list, or the finished ``columns`` a coordinator's merge
+    left in their place — as a type string in the header and column
+    buffers in the tail."""
+    types, buffers = protocol.pack_rows(
+        result["columns"] if "columns" in result else result["rows"])
+    return {"type": "result", "kind": result["kind"], "rows": types,
+            "rowcount": result["rowcount"],
+            "metrics": result["metrics"],
+            "elapsed_seconds": latency}, buffers
 
 
 def _error(code: str, message: str, detail: object = None) -> dict:

@@ -57,10 +57,8 @@ class ShardLink:
         try:
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             sock.settimeout(self.request_timeout)
-            hello = protocol.read_frame_sock(sock, self.max_frame)
-            if hello is None or hello[0].get("type") != "hello":
-                raise protocol.ProtocolError(
-                    f"shard {self.shard_id} did not say hello")
+            protocol.check_hello(
+                protocol.read_frame_sock(sock, self.max_frame))
         except BaseException:
             sock.close()
             raise

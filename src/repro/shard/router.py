@@ -222,6 +222,20 @@ class ShardRouter:
         shard may run its slice on its parallel engine; the merged
         metrics report ``engine="sharded"``.
         """
+        result = self.execute_columnar(sql, cold, engine, workers)
+        if "columns" in result:
+            result["rows"] = result.pop("columns").rows()
+        return result
+
+    def execute_columnar(self, sql: str, cold: bool = True,
+                         engine: str | None = None,
+                         workers: int | None = None) -> dict:
+        """:meth:`execute` for a caller that puts the result on the
+        wire (:class:`ShardServer`): a grouped SELECT's result set
+        stays the merge's finished
+        :class:`~repro.server.columnar.Columns` under ``columns``, in
+        place of ``rows``, so no row tuple is built on the way to the
+        reply frame."""
         tokens = _tokenize(sql)
         head = tokens[0]
         if head == ("kw", "SELECT"):
@@ -267,6 +281,7 @@ class ShardRouter:
             requests.append((shard_id,
                              {"type": "insert", "table": table_name,
                               "rows": packed,
+                              "rowcount": len(buckets[shard_id]),
                               "timeout": protocol.NO_TIMEOUT},
                              blobs))
         replies, dead = self._scatter_write(requests)
@@ -461,36 +476,33 @@ class ShardRouter:
             [reply.get("metrics") or {} for _sid, reply, _b in replies],
             plan.label, self.partitioner.shards)
         if plan.kind == "grouped":
-            shard_groups = []
-            for shard_id, reply, blobs in replies:
-                raw = reply.get("groups") or []
-                shard_groups.append([
-                    (protocol.unpack_cell(group, blobs),
-                     [protocol.unpack_partial(part, blobs)
-                      for part in parts])
-                    for group, parts in raw])
-            groups = merge_grouped_states(plan.aggregates,
-                                          shard_groups)
-            rows = finalize_grouped(plan.aggregates, groups,
-                                    rows_total)
-        else:
-            shard_states = []
-            for shard_id, reply, blobs in replies:
-                raw = reply.get("states")
-                if not isinstance(raw, list) or \
-                        len(raw) != len(plan.aggregates):
-                    raise protocol.WireError(
-                        protocol.INTERNAL,
-                        f"shard {shard_id} returned "
-                        f"{len(raw) if isinstance(raw, list) else raw!r}"
-                        f" partial states for {len(plan.aggregates)} "
-                        f"aggregates")
-                shard_states.append([
-                    protocol.unpack_partial(part, blobs)
-                    for part in raw])
-            states = merge_scalar_states(plan.aggregates, shard_states)
-            rows = [finalize_scalar(plan.aggregates, states,
-                                    rows_total)]
+            # The shards' column buffers go to the merge as they came
+            # off the wire and its result columns go to the reply
+            # frame as they are: no per-group, per-cell step here.
+            groups = merge_grouped_states(plan.aggregates, [
+                protocol.Columns.decode(reply.get("groups"), blobs,
+                                        reply.get("rowcount"))
+                for _sid, reply, blobs in replies])
+            columns = finalize_grouped(plan.aggregates, groups,
+                                       rows_total)
+            return {"kind": "rows", "columns": columns,
+                    "rowcount": columns.rowcount,
+                    "metrics": metrics.to_dict()}
+        shard_states = []
+        for shard_id, reply, blobs in replies:
+            raw = reply.get("states")
+            if not isinstance(raw, list) or \
+                    len(raw) != len(plan.aggregates):
+                raise protocol.WireError(
+                    protocol.INTERNAL,
+                    f"shard {shard_id} returned "
+                    f"{len(raw) if isinstance(raw, list) else raw!r}"
+                    f" partial states for {len(plan.aggregates)} "
+                    f"aggregates")
+            shard_states.append([
+                protocol.unpack_partial(part, blobs) for part in raw])
+        states = merge_scalar_states(plan.aggregates, shard_states)
+        rows = [finalize_scalar(plan.aggregates, states, rows_total)]
         return {"kind": "rows", "rows": rows, "rowcount": len(rows),
                 "metrics": metrics.to_dict()}
 
@@ -1036,8 +1048,8 @@ class ShardServer(ArrayServer):
     def _execute_sync(self, session: SqlSession, sql: str,
                       cold: bool, engine: str | None = None,
                       workers: int | None = None) -> dict:
-        return self.router.execute(sql, cold=cold, engine=engine,
-                                   workers=workers)
+        return self.router.execute_columnar(
+            sql, cold=cold, engine=engine, workers=workers)
 
     def _execute_partial_sync(self, session: SqlSession, sql: str,
                               cold: bool, engine: str | None = None,
@@ -1046,6 +1058,12 @@ class ShardServer(ArrayServer):
             protocol.BAD_FRAME,
             "the coordinator does not serve pquery frames; they are "
             "shard-internal")
+
+    def _execute_insert_sync(self, session: SqlSession,
+                             table_name: str, rows) -> int:
+        # Partition by primary key and forward to the owning shards —
+        # never into the coordinator's schema-only catalog mirror.
+        return self.router.insert_rows(table_name, rows)
 
     def _prepare_sync(self, session: SqlSession,
                       sql: str) -> tuple[str, str]:
@@ -1060,8 +1078,8 @@ class ShardServer(ArrayServer):
                                workers: int | None = None) -> dict:
         # router.execute plans through the coordinator cache (see
         # ShardRouter.prepare), so pexec skips re-planning here too.
-        return self.router.execute(sql, cold=cold, engine=engine,
-                                   workers=workers)
+        return self.router.execute_columnar(
+            sql, cold=cold, engine=engine, workers=workers)
 
     async def _run_bquery(self, writer, session: SqlSession,
                           session_id: int, header: dict) -> bool:

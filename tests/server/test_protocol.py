@@ -4,10 +4,11 @@ packing, and malformed-frame rejection."""
 import asyncio
 import socket
 import struct
+import threading
 
 import pytest
 
-from repro.server import protocol
+from repro.server import ArrayClient, AsyncArrayClient, ServerError, protocol
 from repro.server.protocol import (
     MAX_FRAME_BYTES,
     ProtocolError,
@@ -28,11 +29,11 @@ MESSAGES = [
     {"type": "stats"},
     {"type": "ping"},
     {"type": "close"},
-    {"type": "hello", "server": "repro-array-server", "protocol": 1,
-     "session_id": 7},
-    {"type": "result", "kind": "rows", "rows": [[1, 2.5, None]],
+    {"type": "hello", "server": "repro-array-server",
+     "protocol": protocol.PROTOCOL_VERSION, "session_id": 7},
+    {"type": "result", "kind": "rows", "rows": "qdj",
      "rowcount": 1, "metrics": {"rows": 10, "udf_calls": 0}},
-    {"type": "result", "kind": "ok", "rows": [], "rowcount": 3,
+    {"type": "result", "kind": "ok", "rows": "", "rowcount": 3,
      "metrics": None},
     {"type": "error", "code": protocol.SERVER_BUSY,
      "message": "queue full"},
@@ -82,22 +83,34 @@ class TestValuePacking:
     def test_mixed_row(self):
         rows = [(1, 2.5, None, True, "txt", b"\x01\x02"),
                 (2, -1.0, b"zz", False, "s", b"")]
-        packed, blobs = pack_rows(rows)
-        assert blobs == [b"\x01\x02", b"zz", b""]
-        assert packed[0][5] == {"$blob": 0}
-        assert unpack_rows(packed, blobs) == rows
+        types, buffers = pack_rows(rows)
+        # int64, float64, nullable bytes, two JSON-fallback columns
+        # (bools, strings), bytes: one code per column.
+        assert types == "qd?bjjb"
+        assert [bytes(b) for b in buffers] == [
+            struct.pack("<2q", 1, 2), struct.pack("<2d", 2.5, -1.0),
+            b"\x01", struct.pack("<2q", 0, 2), b"zz",
+            b"[true,false]", b'["txt","s"]',
+            struct.pack("<2q", 2, 0), b"\x01\x02"]
+        assert unpack_rows(types, buffers) == rows
+        assert unpack_rows(types, buffers, 2) == rows
 
     def test_numpy_scalars_coerced(self):
         np = pytest.importorskip("numpy")
-        packed, blobs = pack_rows([(np.int64(3), np.float64(1.5))])
-        assert packed == [[3, 1.5]]
-        assert isinstance(packed[0][0], int)
-        assert isinstance(packed[0][1], float)
+        types, buffers = pack_rows([(np.int64(3), np.float64(1.5))])
+        assert types == "qd"
+        ((count, value),) = unpack_rows(types, buffers)
+        assert (count, value) == (3, 1.5)
+        assert type(count) is int
+        assert type(value) is float
 
     def test_nested_lists(self):
         rows = [([1, 2, [3, b"x"]],)]
-        packed, blobs = pack_rows(rows)
-        assert unpack_rows(packed, blobs) == [(([1, 2, [3, b"x"]]),)]
+        types, buffers = pack_rows(rows)
+        # A list column whose items are mixed: the items fall back to
+        # JSON, the inner blob rides as that column's one side buffer.
+        assert types == "*j1"
+        assert unpack_rows(types, buffers) == [(([1, 2, [3, b"x"]]),)]
 
     def test_unencodable_value_rejected(self):
         with pytest.raises(ProtocolError, match="cannot encode"):
@@ -105,11 +118,44 @@ class TestValuePacking:
 
     def test_bad_blob_reference(self):
         with pytest.raises(ProtocolError, match="out of range"):
-            unpack_rows([[{"$blob": 5}]], [b"only-one"])
+            unpack_rows("j1", [b'[{"$blob": 5}]', b"only-one"], 1)
 
     def test_unexpected_object_cell(self):
         with pytest.raises(ProtocolError, match="unexpected object"):
-            unpack_rows([[{"x": 1}]], [])
+            unpack_rows("j", [b'[{"x": 1}]'], 1)
+
+    def test_decoded_columns_are_views_of_the_frame(self):
+        np = pytest.importorskip("numpy")
+        types, buffers = pack_rows([(i, i * 0.5) for i in range(100)])
+        payload = encode_frame({"type": "result", "rows": types,
+                                "rowcount": 100}, buffers)[4:]
+        header, blobs = decode_frame(payload)
+        assert all(isinstance(b, memoryview) for b in blobs)
+        columns = protocol.Columns.decode(header["rows"], blobs,
+                                          header["rowcount"])
+        ints = columns.columns[0].values
+        assert ints.dtype == np.dtype("<i8") and not ints.flags.owndata
+        assert np.shares_memory(ints, np.frombuffer(payload, np.uint8))
+        assert columns.rows()[99] == (99, 49.5) and columns.rowcount == 100
+
+    def test_grouped_partial_layout(self):
+        groups = [(7, [[1.5, -2.0], 2, [b"a", b"bc"]]),
+                  (9, [[], 0, []]),
+                  (11, [[0.25], 1, [b""]])]
+        columns = protocol.Columns.from_groups(groups)
+        types, buffers = columns.encode()
+        # key; counts + flat float values; counts; counts + lengths +
+        # bytes — seven buffers however many groups there are.
+        assert types == "q*dq*b"
+        assert [bytes(b) for b in buffers] == [
+            struct.pack("<3q", 7, 9, 11),
+            struct.pack("<3q", 2, 0, 1),
+            struct.pack("<3d", 1.5, -2.0, 0.25),
+            struct.pack("<3q", 2, 0, 1),
+            struct.pack("<3q", 2, 0, 1),
+            struct.pack("<3q", 1, 2, 0), b"abc"]
+        assert unpack_rows(types, buffers, 3) == [
+            (group, *parts) for group, parts in groups]
 
 
 class TestMalformedFrames:
@@ -278,3 +324,73 @@ class TestAsyncFrameIO:
             return await read_frame(self._reader_with(data))
         with pytest.raises(ProtocolError, match="limit"):
             asyncio.run(run())
+
+
+class TestVersionHandshake:
+    """A peer speaking another protocol revision is refused at hello,
+    naming both versions — not later, inside a decode."""
+
+    @pytest.fixture
+    def old_server(self):
+        """Accepts connections and greets each as protocol 1."""
+        listener = socket.socket()
+        listener.bind(("127.0.0.1", 0))
+        listener.listen(4)
+        listener.settimeout(0.05)
+        stop = threading.Event()
+
+        def greet():
+            while not stop.is_set():
+                try:
+                    conn, _ = listener.accept()
+                except socket.timeout:
+                    continue
+                with conn:
+                    write_frame_sock(conn, {
+                        "type": "hello", "server": "old",
+                        "protocol": protocol.PROTOCOL_VERSION - 1,
+                        "session_id": 1})
+
+        thread = threading.Thread(target=greet, daemon=True)
+        thread.start()
+        yield listener.getsockname()[1]
+        stop.set()
+        thread.join(timeout=5.0)
+        assert not thread.is_alive()
+        listener.close()
+
+    def expected(self):
+        return (f"peer speaks wire protocol "
+                f"{protocol.PROTOCOL_VERSION - 1}, this side speaks "
+                f"{protocol.PROTOCOL_VERSION}")
+
+    def test_sync_client(self, old_server):
+        with pytest.raises(ServerError) as caught:
+            ArrayClient("127.0.0.1", old_server, timeout=5.0)
+        assert self.expected() in str(caught.value)
+
+    def test_async_client(self, old_server):
+        async def run():
+            await AsyncArrayClient.connect("127.0.0.1", old_server)
+
+        with pytest.raises(ServerError) as caught:
+            asyncio.run(run())
+        assert self.expected() in str(caught.value)
+
+    def test_shard_link(self, old_server):
+        from repro.shard.client import ShardLink
+
+        link = ShardLink(0, "127.0.0.1", old_server,
+                         request_timeout=5.0)
+        with pytest.raises(ProtocolError) as caught:
+            link.send({"type": "ping"})
+        assert self.expected() in str(caught.value)
+        assert link._sock is None
+
+    def test_missing_version_is_a_mismatch(self):
+        with pytest.raises(ProtocolError, match="None"):
+            protocol.check_hello(({"type": "hello"}, []))
+        with pytest.raises(ProtocolError, match="expected a hello"):
+            protocol.check_hello(({"type": "pong"}, []))
+        with pytest.raises(ProtocolError, match="expected a hello"):
+            protocol.check_hello(None)

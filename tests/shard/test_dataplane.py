@@ -1,12 +1,14 @@
 """Sharded data plane: coordinator plan cache, pipelined statements
-through the coordinator, and bquery streams relayed chunk-at-a-time
-from the owning shard without re-buffering the slice."""
+through the coordinator, binary ``insert`` frames routed to the owning
+shards, and bquery streams relayed chunk-at-a-time from the owning
+shard without re-buffering the slice."""
 
 import numpy as np
 import pytest
 
 from repro.core import SqlArray
 from repro.server import ArrayClient, ServerError, protocol
+from repro.server.client import _parse_result
 from repro.server.server import ServerConfig, ServerThread
 from repro.shard import ShardConfig, ShardFleet, ShardRouter, ShardServer
 
@@ -74,6 +76,49 @@ class TestCoordinatorPlanCache:
             assert "SELECT COUNT(*) FROM tb" in router._plan_cache
         finally:
             router.execute("DELETE FROM tb WHERE id = 7")
+
+
+def send_insert(client, table, rows):
+    """One binary ``insert`` frame through ``client``'s connection."""
+    types, buffers = protocol.pack_rows(rows)
+    return _parse_result(*client._request_raw(
+        {"type": "insert", "table": table, "rows": types,
+         "rowcount": len(rows)}, buffers))
+
+
+class TestCoordinatorInsertFrame:
+    def test_insert_frame_is_routed_not_kept_in_the_mirror(self, cluster,
+                                                           client):
+        """Regression: ``ShardServer`` had no ``_execute_insert_sync``
+        of its own, so a binary ``insert`` frame sent to the
+        coordinator landed in its schema-only catalog mirror — an ok
+        reply, and rows no SELECT would ever see."""
+        router = cluster["router"]
+        rows = [(11, b"low"), (77, b"high")]      # one per shard
+        assert {router.partitioner.shard_of(k) for k, _ in rows} == {0, 1}
+        try:
+            result = send_insert(client, "tb", rows)
+            assert (result.kind, result.rowcount) == ("ok", 2)
+            got = client.query(
+                "SELECT id, MAX(m) FROM tb WHERE id = 11 GROUP BY id")
+            assert got.rows == [(11, b"low")]
+            assert client.query(
+                "SELECT COUNT(*) FROM tb").scalar() == len(BLOB_IDS) + 2
+            (mirrored,), _ = router.session.query(
+                "SELECT COUNT(*) FROM tb")
+            assert mirrored == 0
+        finally:
+            for key, _ in rows:
+                router.execute(f"DELETE FROM tb WHERE id = {key}")
+
+    def test_insert_frame_errors_stay_typed(self, client):
+        with pytest.raises(ServerError) as err:
+            send_insert(client, "nowhere", [(1, b"x")])
+        assert err.value.code == protocol.SQL_ERROR
+        with pytest.raises(ServerError) as err:
+            send_insert(client, "tb", [("not a key", b"x")])
+        assert err.value.code == protocol.SQL_ERROR
+        client.ping()
 
 
 class TestShardPipeline:

@@ -99,3 +99,23 @@ def test_insert_into_dead_shard_fails_typed(wounded):
     # The live shard still accepts keys it owns (-1 routes to the
     # first interval).
     assert wounded["router"].insert_rows("t", [(-1, 0.5, 0)]) == 1
+
+
+def test_insert_frame_into_dead_shard_keeps_the_partial_report(wounded):
+    """The same failure through the coordinator's binary ``insert``
+    frame: routed (not applied to the catalog mirror), so the typed
+    ``SHARD_UNAVAILABLE`` and its per-shard ``detail`` reach the wire
+    client."""
+    from repro.server.client import _parse_result
+
+    client = wounded["client"]
+    rows = [(-2, 0.5, 0), (2901, 1.0, 0)]      # shard 0, dead shard 1
+    types, buffers = protocol.pack_rows(rows)
+    with pytest.raises(ShardUnavailableError) as excinfo:
+        _parse_result(*client._request_raw(
+            {"type": "insert", "table": "t", "rows": types,
+             "rowcount": len(rows)}, buffers))
+    assert excinfo.value.detail == {
+        "applied": {"0": 1}, "applied_shards": [0],
+        "failed_shards": [1], "partial_rowcount": 1}
+    client.ping()

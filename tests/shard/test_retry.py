@@ -21,7 +21,8 @@ BUSY = {"type": "error", "code": protocol.SERVER_BUSY,
         "message": "queue full"}
 TIMEOUT = {"type": "error", "code": protocol.QUERY_TIMEOUT,
            "message": "budget exceeded"}
-OK = {"type": "result", "kind": "rows", "rows": [[7]], "rowcount": 1,
+OK_TYPES, OK_BUFFERS = protocol.pack_rows([(7,)])
+OK = {"type": "result", "kind": "rows", "rows": OK_TYPES, "rowcount": 1,
       "metrics": None, "elapsed_seconds": 0.0}
 
 
@@ -64,7 +65,8 @@ class ScriptedServer:
                 reply = self.script[min(position,
                                         len(self.script) - 1)]
                 position += 1
-                protocol.write_frame_sock(conn, reply)
+                protocol.write_frame_sock(
+                    conn, reply, OK_BUFFERS if reply is OK else ())
 
     def close(self):
         self._sock.close()
