@@ -2,7 +2,8 @@
 
 RL001 — every path from a public ``SqlSession`` entry point to a page- or
 tree-mutating sink (``BufferPool.fetch``/``fetch_many``, ``Table.insert``/
-``insert_many``/``delete``, ``BTree.insert``/``delete``/``bulk_load``, and
+``insert_many``/``delete``/``delete_many``, ``BTree.insert``/``insert_many``/
+``delete``/``delete_many``/``bulk_load``, and
 the ``Executor.run*`` family, which assumes the caller holds the lock) must
 pass through a statement guard — a ``db.latches.read_latch(...)`` /
 ``write_latch(...)`` / ``ddl_latch()`` context (the per-table latch
@@ -53,8 +54,11 @@ LOCK_SINKS = frozenset(
         ("Table", "insert"),
         ("Table", "insert_many"),
         ("Table", "delete"),
+        ("Table", "delete_many"),
         ("BTree", "insert"),
+        ("BTree", "insert_many"),
         ("BTree", "delete"),
+        ("BTree", "delete_many"),
         ("BTree", "bulk_load"),
         ("Executor", "run"),
         ("Executor", "run_serial"),

@@ -45,10 +45,10 @@ def _descend_slot(page: Page, key: int) -> int:
     return best
 
 
-def _leaf_slot(page: Page, key: int) -> tuple[int, bool]:
-    """Binary search a leaf: ``(slot, found)`` where slot is the
-    insertion position when not found."""
-    lo, hi = 0, page.slot_count
+def _leaf_slot(page: Page, key: int, lo: int = 0) -> tuple[int, bool]:
+    """Binary search a leaf from slot ``lo`` on: ``(slot, found)``
+    where slot is the insertion position when not found."""
+    hi = page.slot_count
     while lo < hi:
         mid = (lo + hi) // 2
         k = _leaf_key(page.get_record(mid))
@@ -390,6 +390,72 @@ class BTree:
             self._height += 1
         self._count += 1
 
+    def _descend(self, key: int
+                 ) -> tuple[Page, list[tuple[Page, int]], int | None]:
+        """Walk from the root to the leaf ``key`` belongs to, cloning
+        nothing: ``(leaf, path, fence)``.  ``path`` lists the
+        ``(internal page, child slot)`` steps taken; ``fence`` is the
+        smallest separator met to the right of them (``None`` on the
+        tree's right edge) — every key from ``key`` up to the fence
+        descends to this same leaf."""
+        path: list[tuple[Page, int]] = []
+        fence: int | None = None
+        page = self._pagefile.get(self._root_id)
+        while page.level > 0:
+            slot = _descend_slot(page, key)
+            path.append((page, slot))
+            if slot + 1 < page.slot_count:
+                sep, _child = _child_fields(page.get_record(slot + 1))
+                if fence is None or sep < fence:
+                    fence = sep
+            _sep, child = _child_fields(page.get_record(slot))
+            page = self._pagefile.get(child)
+        return page, path, fence
+
+    def insert_many(self, items) -> None:
+        """Insert ``(key, payload)`` pairs, descending once per *leaf*
+        instead of once per record: every following key that lies
+        between the key descended with and the leaf's upper fence goes
+        into the same leaf without another walk.  A record that does
+        not fit is handed to :meth:`insert`, which splits, and the next
+        key descends afresh — so does any key outside the current
+        leaf's interval, which is all an unsorted batch costs.  Records
+        land exactly where per-key :meth:`insert` calls would put them
+        (same slots, same splits, same pages).
+
+        Raises:
+            DuplicateKeyError: at the first key already present; the
+                records before it stay inserted (and counted).
+        """
+        leaf: Page | None = None
+        low = 0  # ``leaf`` takes keys in ``[low, fence)``
+        fence: int | None = None
+        last: int | None = None  # largest key in ``leaf``
+        for key, payload in items:
+            if leaf is None or key < low or (
+                    fence is not None and key >= fence):
+                page, _path, fence = self._descend(key)
+                leaf = self._wget(page.page_id)
+                low = key
+                last = (_leaf_key(leaf.get_record(leaf.slot_count - 1))
+                        if leaf.slot_count else None)
+            append = last is None or key > last  # ascending keys do
+            if append:
+                slot = leaf.slot_count
+            else:
+                slot, found = _leaf_slot(leaf, key)
+                if found:
+                    raise DuplicateKeyError(f"key {key} already exists")
+            try:
+                leaf.insert_record(slot, _leaf_record(key, payload))
+            except PageFullError:
+                self.insert(key, payload)
+                leaf = None  # the split moved the fences
+                continue
+            if append:
+                last = key
+            self._count += 1
+
     def _smallest_key(self, page: Page) -> int:
         while page.level > 0:
             _sep, child = _child_fields(page.get_record(0))
@@ -450,28 +516,56 @@ class BTree:
         return _leaf_key(right[0]), new_page.page_id
 
     def delete(self, key: int) -> bool:
-        """Delete a record by key; returns whether it existed.
+        """Delete a record by key; returns whether it existed (the
+        one-key call of :meth:`delete_many`)."""
+        return self.delete_many((key,)) == 1
+
+    def delete_many(self, keys) -> int:
+        """Delete the records of ``keys`` (any order; repeats and
+        absent keys are skipped); returns how many existed.
+
+        Descends once per leaf: the keys below the leaf's upper fence
+        are all looked up in it, victims in adjacent slots leave as one
+        slot slice, and only a leaf that loses a record — and the
+        parents of one that empties — is cloned under copy-on-write.
 
         Pages are never merged (like SQL Server's ghost-record
         deletes, space is reclaimed by rewrites); an emptied leaf is
         unlinked from the sibling chain and its parent entry removed,
         so scans stay correct.
         """
-        path: list[tuple[Page, int]] = []  # (internal page, child slot)
-        page = self._wget(self._root_id)
-        while page.level > 0:
-            slot = _descend_slot(page, key)
-            path.append((page, slot))
-            _sep, child = _child_fields(page.get_record(slot))
-            page = self._wget(child)
-        slot, found = _leaf_slot(page, key)
-        if not found:
-            return False
-        page.delete_record(slot)
-        self._count -= 1
-        if page.slot_count == 0 and path:
-            self._unlink_leaf(page, path)
-        return True
+        keys = sorted(set(keys))
+        deleted = 0
+        i = 0
+        while i < len(keys):
+            page, path, fence = self._descend(keys[i])
+            runs: list[list[int]] = []  # victim slot runs, ascending
+            slot = 0
+            while i < len(keys) and (fence is None or keys[i] < fence):
+                key = keys[i]
+                i += 1
+                # Keys next to each other usually sit in neighbouring
+                # slots: look there before searching.
+                if slot >= page.slot_count or \
+                        _leaf_key(page.get_record(slot)) != key:
+                    slot, found = _leaf_slot(page, key, slot)
+                    if not found:
+                        continue
+                if runs and runs[-1][1] == slot:
+                    runs[-1][1] = slot + 1
+                else:
+                    runs.append([slot, slot + 1])
+                slot += 1
+            if not runs:
+                continue
+            leaf = self._wget(page.page_id)
+            for start, stop in reversed(runs):
+                leaf.delete_records(start, stop)
+                self._count -= stop - start
+                deleted += stop - start
+            if leaf.slot_count == 0 and path:
+                self._unlink_leaf(leaf, path)
+        return deleted
 
     def _unlink_leaf(self, leaf: Page,
                      path: list[tuple[Page, int]]) -> None:
@@ -483,6 +577,7 @@ class BTree:
         leaf.prev_page = leaf.next_page = -1
         # Remove the parent entries bottom-up while pages empty out.
         for parent, slot in reversed(path):
+            parent = self._wget(parent.page_id)
             parent.delete_record(slot)
             if parent.slot_count > 0:
                 return
@@ -647,13 +742,28 @@ class BTreeReader:
             touched.append(page.page_id)
         return touched
 
+    def _sibling(self, page: Page, stop: int | None) -> Page | None:
+        """The next leaf of the chain, version-resolved and not charged
+        (the pool charge lands when the page joins a run or starts the
+        next one); ``None`` at the end of the chain or once the keys
+        reach ``stop``."""
+        if page.next_page < 0:
+            return None
+        peek = self._get(page.next_page)
+        if stop is not None and _leaf_key(peek.get_record(0)) >= stop:
+            return None
+        return peek
+
     def scan_leaf_batches(self, pool: BufferPool | None = None,
                           start: int | None = None,
-                          batch_pages: int = 64) -> Iterator[list[Page]]:
+                          batch_pages: int = 64,
+                          stop: int | None = None
+                          ) -> Iterator[list[Page]]:
         """Yield runs of up to ``batch_pages`` leaf pages at the pinned
         version, charging exactly as :meth:`BTree.scan_leaf_batches`
         does (descent page by page, leaves after the first of each run
-        through one batched pool charge)."""
+        through one batched pool charge).  With ``stop``, the scan ends
+        before the first leaf whose keys all lie at or past it."""
         get = self._getter(pool)
         if start is None:
             page = get(self._root_id)
@@ -664,15 +774,13 @@ class BTreeReader:
             page = self._find_leaf(start, pool)
         while True:
             batch = [page]
-            tail = page
-            while len(batch) < batch_pages and tail.next_page >= 0:
-                # Peek the sibling link version-resolved; the pool
-                # charge for the whole run lands in fetch_pages below.
-                tail = self._get(tail.next_page)
-                batch.append(tail)
+            peek = self._sibling(page, stop)
+            while len(batch) < batch_pages and peek is not None:
+                batch.append(peek)
+                peek = self._sibling(peek, stop)
             if pool is not None and len(batch) > 1:
                 pool.fetch_pages(batch[1:])
             yield batch
-            if tail.next_page < 0:
+            if peek is None:
                 return
-            page = get(tail.next_page)
+            page = get(peek.page_id)

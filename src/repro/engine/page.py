@@ -197,12 +197,24 @@ class Page:
         """Remove a slot (bytes become garbage until compaction; the
         last record out takes the garbage with it, so an emptied page
         — B-tree leaves are unlinked, never reused — holds no body)."""
-        old_length = self._slots.pop(slot)[1]
+        self.delete_records(slot, slot + 1)
+
+    def delete_records(self, start: int, stop: int) -> None:
+        """Remove the run of slots ``[start, stop)`` as one slice of
+        the slot array; the page ends up exactly as after
+        :meth:`delete_record` on each of them."""
+        if not 0 <= start < stop <= len(self._slots):
+            raise IndexError(
+                f"slots [{start}, {stop}) out of range for a page of "
+                f"{len(self._slots)} records")
+        garbage = any(length for _offset, length
+                      in self._slots[start:stop])
+        del self._slots[start:stop]
         if not self._slots:
             self._body = bytearray()
             self._dense = 0
         else:
-            self._dense = -1 if old_length else self._scan_dense()
+            self._dense = -1 if garbage else self._scan_dense()
 
     def records(self) -> Iterator[bytes]:
         """Iterate all records in slot order."""

@@ -77,13 +77,22 @@ class SqlSyntaxError(Exception):
     """Raised for SQL the front-end cannot parse or resolve."""
 
 
-_TOKEN_RE = re.compile(r"""
-    (?P<number>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+|\d+(?:[eE][+-]?\d+)?)
-  | (?P<name>[A-Za-z_][A-Za-z_0-9]*)
-  | (?P<op><=|>=|<>|!=|[=<>().,*+\-/])
-  | (?P<string>'[^']*')
-  | (?P<ws>\s+)
-""", re.VERBOSE)
+_NUMBER = r"\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+|\d+(?:[eE][+-]?\d+)?"
+_NAME = r"[A-Za-z_][A-Za-z_0-9]*"
+_OP = r"<=|>=|<>|!=|[=<>().,*+\-/]"
+_STRING = r"'[^']*'"
+
+_TOKEN_RE = re.compile(
+    rf"(?P<number>{_NUMBER})|(?P<name>{_NAME})|(?P<op>{_OP})"
+    rf"|(?P<string>{_STRING})|(?P<ws>\s+)")
+
+#: The same alternatives without groups, so ``findall`` hands back one
+#: flat string per token and skips whitespace by itself.  The trailing
+#: ``\S`` makes a token of any character the others refuse — it can only
+#: fail the reader, never be skipped (see :meth:`SqlSession.parse_insert`).
+_FLAT_TOKEN_RE = re.compile(rf"{_NUMBER}|{_NAME}|{_OP}|{_STRING}|\S")
+
+_HEAD_RE = re.compile(rf"\s*({_NAME})")
 
 _KEYWORDS = {"SELECT", "FROM", "WHERE", "WITH", "NOLOCK", "AND", "OR",
              "NOT", "COUNT", "SUM", "AVG", "MIN", "MAX", "AS", "NULL",
@@ -109,6 +118,31 @@ def _tokenize(text: str):
         pos = m.end()
     tokens.append(("eof", ""))
     return tokens
+
+
+def _statement_kind(sql: str) -> str:
+    """The statement's leading keyword, upper-cased (``""`` when the
+    text does not start with a name) — what the session, the shard
+    coordinator and the server's prepared path route on, so a bulk
+    ``INSERT`` is never tokenised just to be told apart from a
+    ``SELECT``."""
+    match = _HEAD_RE.match(sql)
+    return match.group(1).upper() if match else ""
+
+
+def _shown(token: str) -> str:
+    """A flat token as error messages quote it: keywords upper-cased,
+    as the tokenizer reports them."""
+    upper = token.upper()
+    return upper if upper in _KEYWORDS else token
+
+
+def _expected(wanted: str, token: str) -> SqlSyntaxError:
+    return SqlSyntaxError(f"expected {wanted}, got {_shown(token)!r}")
+
+
+_NAME_START = frozenset(
+    "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
 
 
 def _statement_table(tokens, keyword: str) -> str:
@@ -256,20 +290,6 @@ class _IsNull(Expression):
                                        self.negate)
 
 
-class _EvalContext:
-    """Minimal row context for evaluating predicates outside the
-    executor (the DELETE path)."""
-
-    def __init__(self, table: Table):
-        self.table = table
-        self.row: tuple = ()
-        self.pool = None
-        self.udf_calls = 0
-        self.stream_calls = 0
-        self.stream_bytes = 0
-        self.extra_cpu = 0.0
-
-
 def _is_finite_number(value) -> bool:
     """A constant that can be compared against integer keys."""
     return isinstance(value, (int, float)) \
@@ -380,27 +400,27 @@ class SqlSession:
         and only then is the table latched exclusively.  Concurrent
         snapshot readers never block on any of it.
         """
-        tokens = _tokenize(sql)
-        head = tokens[0]
-        if head == ("kw", "SELECT"):
+        kind = _statement_kind(sql)
+        if kind == "SELECT":
             return self.query(sql, cold=cold, finalize=finalize,
                               engine=engine, workers=workers)
-        if head == ("kw", "CREATE"):
+        if kind == "INSERT":
+            return self.insert_rows(*self.parse_insert(sql))
+        tokens = _tokenize(sql)
+        if kind == "CREATE":
             with self.db.latches.ddl_latch():
                 result = _Ddl(self, tokens).create_table()
             self._plan_cache.clear()
             return result
-        if head == ("kw", "DROP"):
+        if kind == "DROP":
             with self.db.latches.ddl_latch():
                 _Ddl(self, tokens).drop_table()
             self._plan_cache.clear()
             return 0
-        if head == ("kw", "INSERT"):
-            return self.insert_rows(*_Ddl(self, tokens).parse_insert())
-        if head == ("kw", "DELETE"):
+        if kind == "DELETE":
             return self._delete(tokens)
         raise SqlSyntaxError(
-            f"unsupported statement starting with {head[1]!r}")
+            f"unsupported statement starting with {tokens[0][1]!r}")
 
     def insert_rows(self, table: Table, rows) -> int:
         """Insert already-parsed rows — the one bulk-insert path behind
@@ -442,25 +462,38 @@ class SqlSession:
 
     def _victim_keys(self, snap, where, pk_range) -> list[int]:
         """Keys of the rows of ``snap`` (a pinned snapshot of the
-        target table) that a DELETE's predicate selects.
+        target table) that a DELETE's predicate selects, ascending.
 
-        The scan is bounded by ``pk_range`` — :meth:`_pk_range` of the
-        predicate, a superset of the matching keys by construction —
-        and the whole predicate is still evaluated on every row it
-        returns.
+        Only the run of leaves overlapping ``pk_range`` —
+        :meth:`_pk_range` of the predicate, a superset of the matching
+        keys by construction — is decoded, a batch at a time, and the
+        whole predicate is still evaluated, by the vector engine, on
+        every row of that interval.  Nothing is charged to the buffer
+        pool.
         """
-        if where is None:
-            return [row[0] for row in snap.scan()]
         key = self._seek_key(snap.table, where)
         if key is not None:
             return [key] if snap.get(key) is not None else []
         lo, hi = pk_range if pk_range is not None else (None, None)
-        ctx = _EvalContext(snap.table)
-        keys = []
-        for row in snap.scan(start=lo, stop=hi):
-            ctx.row = row
-            if where.eval(ctx):
-                keys.append(row[0])
+        if lo is not None and hi is not None and lo >= hi:
+            return []
+        ctx = vectorized.BatchContext(snap.table, None)
+        keys: list[int] = []
+        for pages in snap.tree.scan_leaf_batches(start=lo, stop=hi):
+            batch = vectorized.RowBatch.from_pages(snap.table, pages)
+            # The edge leaves also hold rows outside the interval.
+            inside = np.ones(batch.n, dtype=bool)
+            if lo is not None:
+                inside &= batch.keys >= lo
+            if hi is not None:
+                inside &= batch.keys < hi
+            if not inside.all():
+                batch = batch.compact(inside)
+            ctx.batch = batch
+            if batch.n and where is not None:
+                batch = vectorized._apply_where(where, ctx)
+            if batch is not None:
+                keys.extend(batch.keys.tolist())
         return keys
 
     def _delete(self, tokens) -> int:
@@ -489,10 +522,10 @@ class SqlSession:
                     keys = self._victim_keys(snap, where, pk_range)
                 finally:
                     snap.unpin(self.db.pool)
+            if not keys:
+                return 0
             with self.db.latches.write_latch(table.name):
-                for key in keys:
-                    table.delete(key)
-            return len(keys)
+                return table.delete_many(keys)
         finally:
             table.release_intent(token)
 
@@ -714,14 +747,121 @@ class SqlSession:
         return self._select(wrapped, cold, engine, workers, shape)
 
     def parse_insert(self, sql: str) -> tuple[Table, list[tuple]]:
-        """Parse ``INSERT INTO ... VALUES`` into ``(table, rows)``
-        without executing it (namespace calls in the VALUES list are
-        evaluated to their blob values).  The shard coordinator uses
-        this to partition the rows by primary key and bulk-load each
-        owning shard; :meth:`execute` feeds the same rows to
-        :meth:`insert_rows` locally.
+        """Parse ``INSERT INTO name VALUES (v, ...), ...`` into
+        ``(table, rows)`` without touching storage.
+
+        Values are literals, NULL, or schema-qualified function calls
+        over values (``FloatArray.Vector_3(1, 2, 3)``), evaluated here
+        — the returned rows are plain tuples ready for
+        :meth:`insert_rows` (which is what :meth:`execute` does with
+        them) or for shipping to the shard that owns them, as the
+        shard coordinator does.
+
+        A bulk statement is mostly data, so it is read in one pass
+        over flat token strings: no ``(kind, value)`` tuple per token,
+        no parser object, and every ``Schema.Func`` resolved once per
+        statement.
         """
-        return _Ddl(self, _tokenize(sql)).parse_insert()
+        tokens = _FLAT_TOKEN_RE.findall(sql)
+        # End of input; twice, so the look-ahead past ``Schema.`` stays
+        # inside the list.
+        tokens += ("", "")
+        try:
+            return self._read_insert(tokens)
+        except Exception:
+            # The reader fails on a character no token admits, but
+            # maybe later than on something else; such a character is
+            # reported first, with its offset, wherever it stands.
+            _tokenize(sql)
+            raise
+
+    def _read_insert(self, tokens: list[str]
+                     ) -> tuple[Table, list[tuple]]:
+        if tokens[0].upper() != "INSERT":
+            raise _expected("INSERT", tokens[0])
+        if tokens[1].upper() != "INTO":
+            raise _expected("INTO", tokens[1])
+        name = tokens[2]
+        if name[:1] not in _NAME_START or name.upper() in _KEYWORDS:
+            raise SqlSyntaxError("expected a table name")
+        table = self._resolve_table(name)
+        if tokens[3].upper() != "VALUES":
+            raise _expected("VALUES", tokens[3])
+        funcs: dict[tuple[str, str], Callable] = {}
+        rows = []
+        i = 4
+        while True:
+            if tokens[i] != "(":
+                raise _expected("(", tokens[i])
+            values = []
+            while True:
+                value, i = self._read_value(tokens, i + 1, funcs)
+                values.append(value)
+                if tokens[i] != ",":
+                    break
+            if tokens[i] != ")":
+                raise _expected(")", tokens[i])
+            rows.append(tuple(values))
+            i += 1
+            if tokens[i] != ",":
+                break
+            i += 1
+        if tokens[i]:
+            raise SqlSyntaxError(
+                f"unexpected trailing input {_shown(tokens[i])!r}")
+        return table, rows
+
+    def _read_value(self, tokens: list[str], i: int, funcs: dict):
+        """The value starting at ``tokens[i]``: ``(value, index of the
+        token after it)``.  (A method, not a closure over ``tokens``: a
+        recursive closure is a reference cycle that would keep every
+        statement's token list alive until a full collection.)"""
+        token = tokens[i]
+        first = token[:1]
+        if first.isdecimal() or first == "." and len(token) > 1:
+            if "." in token or "e" in token or "E" in token:
+                return float(token), i + 1
+            return int(token), i + 1
+        if token == "-":
+            value, i = self._read_value(tokens, i + 1, funcs)
+            return -value, i
+        if first == "'" and len(token) > 1:
+            return token[1:-1].encode(), i + 1
+        if first in _NAME_START:
+            upper = token.upper()
+            if upper == "NULL":
+                return None, i + 1
+            if upper not in _KEYWORDS and tokens[i + 1] == ".":
+                return self._read_call(tokens, i, funcs)
+        raise SqlSyntaxError(
+            f"unexpected value token {_shown(token)!r}")
+
+    def _read_call(self, tokens: list[str], i: int, funcs: dict):
+        """``Schema.Func(value, ...)`` starting at ``tokens[i]``,
+        evaluated: ``(result, index of the token after it)``."""
+        schema, func = tokens[i], tokens[i + 2]
+        if tokens[i + 3] != "(":
+            raise _expected("(", tokens[i + 3])
+        i += 4
+        args = []
+        if tokens[i] != ")":
+            while True:
+                value, i = self._read_value(tokens, i, funcs)
+                args.append(value)
+                if tokens[i] != ",":
+                    break
+                i += 1
+            if tokens[i] != ")":
+                raise _expected(")", tokens[i])
+        callable_ = funcs.get((schema, func))
+        if callable_ is None:
+            # Function names may collide with SQL keywords
+            # (FloatArray.Sum, .Min, .Max, .Count ...).
+            name = func.upper()
+            callable_, _cost, _psafe = self._resolve_function(
+                schema, name.capitalize() if name in _KEYWORDS else func)
+            funcs[schema, func] = callable_
+        return callable_(*args), i + 1
 
     def _pk_range(self, table: Table, where
                   ) -> tuple[int | None, int | None] | None:
@@ -1138,7 +1278,7 @@ class _Parser:
 
 
 class _Ddl:
-    """Parser/executor for CREATE TABLE and INSERT statements."""
+    """Parser/executor for CREATE TABLE and DROP TABLE statements."""
 
     _TYPES = {"BIGINT": "bigint", "INT": "int", "SMALLINT": "smallint",
               "TINYINT": "tinyint", "FLOAT": "float", "REAL": "real"}
@@ -1241,68 +1381,3 @@ class _Ddl:
             self.session.db.drop_table(name_tok[1])
         except ValueError as exc:
             raise SqlSyntaxError(str(exc)) from exc
-
-    def parse_insert(self) -> tuple[Table, list[tuple]]:
-        """Parse ``INSERT INTO name VALUES (v, ...), ...`` into
-        ``(table, rows)`` without touching storage.
-
-        Values are literals, NULL, or schema-qualified function calls
-        over literals (``FloatArray.Vector_3(1, 2, 3)``), evaluated
-        here — the returned rows are plain tuples ready for
-        :meth:`SqlSession.insert_rows` (or for shipping to the shard
-        that owns them).
-        """
-        self._expect("kw", "INSERT")
-        self._expect("kw", "INTO")
-        name_tok = self._next()
-        if name_tok[0] != "name":
-            raise SqlSyntaxError("expected a table name")
-        table = self.session._resolve_table(name_tok[1])
-        self._expect("kw", "VALUES")
-        rows = []
-        while True:
-            self._expect("op", "(")
-            values = [self._value()]
-            while self._peek() == ("op", ","):
-                self._next()
-                values.append(self._value())
-            self._expect("op", ")")
-            rows.append(tuple(values))
-            if self._peek() == ("op", ","):
-                self._next()
-                continue
-            break
-        if self._peek()[0] != "eof":
-            raise SqlSyntaxError(
-                f"unexpected trailing input {self._peek()[1]!r}")
-        return table, rows
-
-    def _value(self):
-        kind, text = self._next()
-        if kind == "number":
-            return float(text) if "." in text or "e" in text.lower() \
-                else int(text)
-        if kind == "string":
-            return text[1:-1].encode()
-        if kind == "kw" and text == "NULL":
-            return None
-        if kind == "op" and text == "-":
-            inner = self._value()
-            return -inner
-        if kind == "name" and self._peek() == ("op", "."):
-            self._next()
-            func_tok = self._next()
-            func_name = (func_tok[1].capitalize()
-                         if func_tok[0] == "kw" else func_tok[1])
-            self._expect("op", "(")
-            args = []
-            if self._peek() != ("op", ")"):
-                args.append(self._value())
-                while self._peek() == ("op", ","):
-                    self._next()
-                    args.append(self._value())
-            self._expect("op", ")")
-            callable_, _cost, _psafe = self.session._resolve_function(
-                text, func_name)
-            return callable_(*args)
-        raise SqlSyntaxError(f"unexpected value token {text!r}")

@@ -502,39 +502,36 @@ class Table:
         When the table is empty and the keys arrive strictly ascending
         (the clustered-key bulk-load pattern both evaluation tables
         use), rows are packed page-at-a-time through
-        :meth:`BTree.bulk_load` instead of descending the tree once per
-        row — same page layout, same duplicate-key semantics, far fewer
-        page touches.  On a mid-statement error (say a duplicate key)
-        the rows already inserted are published and stay visible.
+        :meth:`BTree.bulk_load`; every other batch goes through
+        :meth:`BTree.insert_many`, which walks the tree once per leaf
+        it writes — same page layout, same duplicate-key semantics as
+        one descent per row.  On a mid-statement error (say a duplicate
+        key) the rows already inserted are published and stay visible.
         """
         self._check_writable()
-        if not prep.keys:
+        keys = prep.keys
+        if not keys:
             return 0
         with self._mutate_lock:
             version = self.version + 1
-            self._tree.begin_write(version)
-            done = 0
+            tree = self._tree
+            before = tree.count
+            tree.begin_write(version)
             try:
-                keys = prep.keys
-                if self._tree.count == 0 and all(
+                items = zip(keys, prep.encoded)
+                if before == 0 and all(
                         b > a for a, b in zip(keys, keys[1:])):
-                    self._tree.bulk_load(list(zip(keys, prep.encoded)))
-                    done = len(keys)
+                    tree.bulk_load(items)
+                else:
+                    tree.insert_many(items)
+            finally:
+                cow = tree.end_write()
+                done = tree.count - before
+                if done:
                     for name, index in self._indexes.items():
                         col = self.column_index(name)
-                        for key, row in zip(keys, prep.rows):
+                        for key, row in zip(keys[:done], prep.rows):
                             index.add(row[col], key)
-                else:
-                    for key, row, payload in zip(keys, prep.rows,
-                                                 prep.encoded):
-                        self._tree.insert(key, payload)
-                        done += 1
-                        for name, index in self._indexes.items():
-                            index.add(row[self.column_index(name)],
-                                      key)
-            finally:
-                cow = self._tree.end_write()
-                if done:
                     self._publish(version, cow)
         return done
 
@@ -544,26 +541,35 @@ class Table:
         return self.apply_insert(self.prepare_insert(rows))
 
     def delete(self, key: int) -> bool:
-        """Delete a row by primary key; returns whether it existed.
+        """Delete a row by primary key; returns whether it existed
+        (the one-key call of :meth:`delete_many`)."""
+        return self.delete_many((key,)) == 1
 
-        Out-of-page blob pages referenced by the row are left in place
-        (like deallocated-lazily LOB pages); the row itself disappears
-        from every scan and from every secondary index.
+    def delete_many(self, keys) -> int:
+        """Delete the rows of ``keys`` as *one* published version;
+        returns how many existed.  A snapshot reader sees all of them
+        or none — a DELETE statement is atomic to it.
+
+        Out-of-page blob pages referenced by the rows are left in
+        place (like deallocated-lazily LOB pages); the rows themselves
+        disappear from every scan and from every secondary index.
         """
         self._check_writable()
-        key = int(key)
+        keys = [int(key) for key in keys]
         with self._mutate_lock:
-            old = self.get(key) if self._indexes else None
+            old = [row for row in map(self.get, set(keys))
+                   if row is not None] if self._indexes else ()
             version = self.version + 1
             self._tree.begin_write(version)
             try:
-                deleted = self._tree.delete(key)
+                deleted = self._tree.delete_many(keys)
             finally:
                 cow = self._tree.end_write()
             if deleted:
-                if old is not None:
-                    for name, index in self._indexes.items():
-                        index.remove(old[self.column_index(name)], key)
+                for name, index in self._indexes.items():
+                    col = self.column_index(name)
+                    for row in old:
+                        index.remove(row[col], row[0])
                 self._publish(version, cow)
         return deleted
 

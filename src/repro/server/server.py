@@ -48,7 +48,7 @@ from ..core.errors import BoundsError, ShapeError
 from ..core.header import HeaderError
 from ..core.partial import BytesBlobStream, read_window_blob
 from ..engine.executor import Database
-from ..engine.sqlfront import SqlSession, SqlSyntaxError
+from ..engine.sqlfront import SqlSession, SqlSyntaxError, _statement_kind
 from ..engine.table import MaxBlobHandle, Table
 from . import protocol
 from .admission import AdmissionController
@@ -642,7 +642,7 @@ class ArrayServer:
         through the session's prepared-plan cache (parsed and planned
         once per statement text); anything else falls back to
         :meth:`_execute_sync`."""
-        if sql.lstrip()[:6].upper() == "SELECT":
+        if _statement_kind(sql) == "SELECT":
             rows, metrics = session.query_prepared(
                 sql, cold=cold, finalize=self._materialize_result,
                 engine=engine, workers=workers)

@@ -62,7 +62,7 @@ from typing import Callable, Sequence
 
 from ..engine.executor import Database
 from ..engine.sqlfront import SelectPlan, SqlSession, SqlSyntaxError, \
-    _statement_table, _tokenize
+    _statement_kind, _statement_table, _tokenize
 from ..server import protocol
 from ..server.client import RetryPolicy
 from ..server.server import ArrayServer, ServerConfig, _error
@@ -236,20 +236,20 @@ class ShardRouter:
         :class:`~repro.server.columnar.Columns` under ``columns``, in
         place of ``rows``, so no row tuple is built on the way to the
         reply frame."""
-        tokens = _tokenize(sql)
-        head = tokens[0]
-        if head == ("kw", "SELECT"):
+        kind = _statement_kind(sql)
+        if kind == "SELECT":
             return self._select(sql, cold, engine, workers)
-        if head == ("kw", "CREATE"):
-            return self._create(sql, tokens)
-        if head == ("kw", "DROP"):
-            return self._drop(sql)
-        if head == ("kw", "INSERT"):
+        if kind == "INSERT":
             return self._insert(sql)
-        if head == ("kw", "DELETE"):
+        if kind == "DROP":
+            return self._drop(sql)
+        tokens = _tokenize(sql)
+        if kind == "CREATE":
+            return self._create(sql, tokens)
+        if kind == "DELETE":
             return self._delete(sql, tokens)
         raise SqlSyntaxError(
-            f"unsupported statement starting with {head[1]!r}")
+            f"unsupported statement starting with {tokens[0][1]!r}")
 
     def insert_rows(self, table_name: str, rows) -> int:
         """Bulk-load rows: partition by primary key, ship one binary

@@ -37,7 +37,7 @@ from ..core import aggregates as _agg
 from ..core import ops as _ops
 from ..core.dtypes import ALL_DTYPES, INT32, ArrayDType
 from ..core.errors import ShapeError
-from ..core.header import STORAGE_MAX, STORAGE_SHORT
+from ..core.header import STORAGE_MAX, STORAGE_SHORT, encode_header
 from ..core.sqlarray import SqlArray
 
 __all__ = ["ArrayNamespace", "NAMESPACES", "namespace_for", "FromString"]
@@ -73,6 +73,9 @@ class ArrayNamespace:
         self.storage = storage
         suffix = "" if storage == STORAGE_SHORT else "Max"
         self.name = dtype.schema_name + suffix
+        #: Vector headers by element count, for the numbered variants'
+        #: lengths only (a bounded set).
+        self._vector_headers: dict[int, bytes] = {}
 
     def __repr__(self) -> str:
         return f"<schema {self.name}>"
@@ -108,9 +111,23 @@ class ArrayNamespace:
 
     def Vector(self, values) -> bytes:
         """Create a vector from any sequence of scalars (varargs-free
-        convenience the T-SQL side lacks)."""
-        return self._out(SqlArray.from_values(
-            [self._scalar(v) for v in values], self.dtype, self.storage))
+        convenience the T-SQL side lacks).
+
+        The blob is put together here — a header for the element count
+        plus the packed elements — and equals
+        ``SqlArray.from_values(values, dtype, storage).to_blob()`` bit
+        for bit, with the same errors in the same order: this is the
+        constructor a multi-row ``INSERT`` calls once per row."""
+        data = np.array([self._scalar(v) for v in values],
+                        dtype=self.dtype.numpy_dtype)
+        n = len(data)
+        header = self._vector_headers.get(n)
+        if header is None:
+            # Validates the shape (short-array limits included).
+            header = encode_header(self.storage, self.dtype, (n,))
+            if n <= MAX_VECTOR_N:
+                self._vector_headers[n] = header
+        return header + data.tobytes()
 
     def Matrix(self, values, rows: int, cols: int) -> bytes:
         """Create a ``rows x cols`` matrix from scalars listed in

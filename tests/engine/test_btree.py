@@ -1,5 +1,7 @@
 """B+tree tests: ordered scans, point lookups, splits, random orders."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -190,3 +192,183 @@ class TestDeleteAndUpdate:
         assert t.update(50, bytes(4000))
         assert t.search(50) == bytes(4000)
         assert [k for k, _v in t.scan()] == list(range(100))
+
+
+def _layout(f, t):
+    """Everything the storage metrics can see of a tree: the leaf chain
+    page by page (ids, links, slot array, body bytes), the pages
+    allocated, the shape."""
+    leaves = [f.get(pid) for pid in t.leaf_page_ids()]
+    return ([(p.page_id, p.prev_page, p.next_page, list(p._slots),
+              bytes(p._body)) for p in leaves],
+            f.allocated_page_count, t.height, t.count,
+            list(t.scan()))
+
+
+class TestInsertMany:
+    """One descent per leaf must leave the file exactly as one descent
+    per record does."""
+
+    BASE = [(k, bytes(90)) for k in range(0, 3000, 3)]  # ~12 leaves
+
+    BATCHES = {
+        "ascending-at-the-right-edge":
+            [(k, bytes(90)) for k in range(3000, 3400)],
+        "interleaved-with-existing-keys":
+            [(k, bytes(90)) for k in range(1, 3000, 3)],
+        "unsorted":
+            [(int(k), bytes(90)) for k in np.random.default_rng(5)
+             .permutation(np.arange(1, 3000, 3))[:400]],
+        "below-the-left-edge-descending":
+            [(k, bytes(90)) for k in range(-1, -300, -1)],
+        "a-record-that-splits-a-leaf":
+            [(1501, bytes(1200)), (1502, bytes(1200)),
+             (1504, bytes(1200)), (4000, bytes(5000)),
+             (4001, bytes(5000))],
+        "mixed-sizes-everywhere":
+            [(int(k), bytes(int(k) % 700)) for k in
+             np.random.default_rng(6).permutation(
+                 np.arange(1, 6000, 3))[:300]],
+    }
+
+    def _pair(self):
+        trees = []
+        for _ in range(2):
+            f = PageFile()
+            t = BTree(f, PAGE_DATA, tag="t")
+            t.bulk_load(self.BASE)
+            trees.append((f, t))
+        return trees
+
+    @pytest.mark.parametrize("name", sorted(BATCHES))
+    def test_same_pages_as_per_key_inserts(self, name):
+        batch = self.BATCHES[name]
+        (f1, one_by_one), (f2, at_once) = self._pair()
+        for key, payload in batch:
+            one_by_one.insert(key, payload)
+        at_once.insert_many(iter(batch))
+        assert _layout(f2, at_once) == _layout(f1, one_by_one)
+        assert at_once.count == len(self.BASE) + len(batch)
+
+    def test_into_an_empty_tree(self):
+        batch = [(k, bytes(200)) for k in (5, 3, 9, 1, 7, 8, 2)] \
+            + [(k, bytes(200)) for k in range(100, 200)]
+        f1, one_by_one = _tree_with([])
+        for key, payload in batch:
+            one_by_one.insert(key, payload)
+        f2, at_once = _tree_with([])
+        at_once.insert_many(batch)
+        assert _layout(f2, at_once) == _layout(f1, one_by_one)
+
+    def test_a_duplicate_in_the_middle_raises_at_the_same_row(self):
+        batch = [(k, bytes(90)) for k in range(3000, 3200)]
+        batch[120] = (1500, bytes(90))  # already there
+        (f1, one_by_one), (f2, at_once) = self._pair()
+        with pytest.raises(DuplicateKeyError, match="key 1500 "):
+            for key, payload in batch:
+                one_by_one.insert(key, payload)
+        with pytest.raises(DuplicateKeyError, match="key 1500 "):
+            at_once.insert_many(iter(batch))
+        assert at_once.count == len(self.BASE) + 120
+        assert _layout(f2, at_once) == _layout(f1, one_by_one)
+        # A key repeated inside the batch is a duplicate too.
+        with pytest.raises(DuplicateKeyError, match="key 7000 "):
+            at_once.insert_many([(7000, b"a"), (7001, b"b"),
+                                 (7000, b"c")])
+        assert at_once.search(7001) == b"b"
+
+    def test_a_key_on_the_fence_belongs_to_the_next_leaf(self):
+        """Ascending keys running up to and over a separator: the
+        separator key itself descends to the right-hand leaf, where it
+        is a duplicate — or, once deleted from there, where it goes."""
+        (f1, one_by_one), (f2, at_once) = self._pair()
+        fence = f2.get(at_once.leaf_page_ids()[3]).get_record(0)
+        fence = int.from_bytes(fence[:8], "little", signed=True)
+        batch = [(fence - 2, b"x"), (fence - 1, b"y"), (fence, b"z"),
+                 (fence + 1, b"w")]
+        with pytest.raises(DuplicateKeyError, match=f"key {fence} "):
+            at_once.insert_many(batch)
+        with pytest.raises(DuplicateKeyError, match=f"key {fence} "):
+            for key, payload in batch:
+                one_by_one.insert(key, payload)
+        assert at_once.search(fence) == bytes(90)
+        assert at_once.search(fence + 1) is None
+        for tree in (one_by_one, at_once):
+            tree.delete_many([fence - 2, fence - 1, fence])
+        for key, payload in batch:
+            one_by_one.insert(key, payload)
+        at_once.insert_many(batch)
+        assert _layout(f2, at_once) == _layout(f1, one_by_one)
+
+    def test_walks_the_tree_once_per_leaf(self):
+        keys = np.random.default_rng(8).permutation(
+            np.arange(0, 6000, 2))
+        _f, tree = _tree_with([int(k) for k in keys],
+                              payload=lambda k: bytes(90))  # part-full
+        before = len(tree.leaf_page_ids())
+        with mock.patch.object(tree, "_descend",
+                               wraps=tree._descend) as descend:
+            tree.insert_many((k, bytes(8)) for k in range(1, 6000, 6))
+        splits = len(tree.leaf_page_ids()) - before
+        # Ascending keys: one walk per leaf written and at most two
+        # more around each split — not one per record (1000 here).
+        assert 0 < descend.call_count <= before + 2 * splits < 100
+        assert [k for k, _v in tree.scan()] == sorted(
+            list(range(0, 6000, 2)) + list(range(1, 6000, 6)))
+
+
+class TestDeleteMany:
+    def _tree(self, n=3000):
+        return _tree_with(range(n), payload=lambda k: bytes(64))
+
+    def test_absent_keys_and_repeats_are_skipped(self):
+        f, t = self._tree(300)
+        before = _layout(f, t)
+        assert t.delete_many([-5, 300, 10 ** 9]) == 0
+        assert _layout(f, t) == before
+        assert t.delete_many([7, 7, -1, 8, 7, 5000]) == 2
+        assert t.count == 298
+        assert [k for k, _v in t.scan()] == \
+            [k for k in range(300) if k not in (7, 8)]
+
+    def test_same_tree_as_per_key_deletes(self):
+        """Scattered keys, runs inside a leaf, whole leaves and runs
+        crossing leaves — the pages end up as one ``delete`` per key
+        leaves them."""
+        rng = np.random.default_rng(11)
+        keys = sorted({int(k) for k in rng.integers(0, 3000, 200)}
+                      | set(range(400, 1400)) | set(range(2990, 3000)))
+        f1, one_by_one = self._tree()
+        for key in keys:
+            assert one_by_one.delete(key)
+        f2, at_once = self._tree()
+        shuffled = [keys[i] for i in rng.permutation(len(keys))]
+        assert at_once.delete_many(shuffled) == len(keys)
+        assert _layout(f2, at_once) == _layout(f1, one_by_one)
+        # Whole leaves went: they are off the chain and out of the
+        # parents.
+        assert len(at_once.leaf_page_ids()) <= \
+            len(self._tree()[1].leaf_page_ids()) - 8
+        assert at_once.search(1000) is None
+        assert at_once.search(1400) == bytes(64)
+
+    def test_everything_collapses_the_root(self):
+        f, t = self._tree()
+        assert t.height > 1
+        assert t.delete_many(range(-10, 4000)) == 3000
+        assert (t.count, t.height) == (0, 1)
+        assert list(t.scan()) == []
+        assert t.leaf_page_ids() == [t.root_page_id]
+        t.insert_many([(2, b"b"), (1, b"a")])
+        assert list(t.scan()) == [(1, b"a"), (2, b"b")]
+
+    def test_adjacent_victims_leave_as_one_slot_slice(self):
+        from repro.engine.page import Page
+        f, t = self._tree(300)
+        with mock.patch.object(Page, "delete_records", autospec=True,
+                               side_effect=Page.delete_records) as drop:
+            t.delete_many([3, 4, 5, 6, 7, 20, 22, 23])
+        assert sorted(stop - start for _page, start, stop
+                      in (call.args for call in drop.call_args_list)) \
+            == [1, 2, 5]
+        assert [k for k, _v in t.scan()][:8] == [0, 1, 2, 8, 9, 10, 11, 12]

@@ -1,9 +1,9 @@
 """Stateful (model-based) B-tree testing with hypothesis.
 
-Drives random interleavings of inserts, point lookups, range scans and
-buffer-pool-tracked operations against a sorted-dict model; every step
-must agree.  This catches split bookkeeping and sibling-chain bugs that
-fixed scenarios miss.
+Drives random interleavings of inserts and deletes (one key and many),
+point lookups, range scans and buffer-pool-tracked operations against a
+sorted-dict model; every step must agree.  This catches split
+bookkeeping and sibling-chain bugs that fixed scenarios miss.
 """
 
 import numpy as np
@@ -43,6 +43,41 @@ class BTreeMachine(RuleBasedStateMachine):
         else:
             self.tree.insert(key, payload)
             self.model[key] = payload
+
+    @rule(keys=st.lists(st.one_of(KEYS, st.integers(-40, 40)),
+                        max_size=30),
+          size=st.integers(0, 400), ascending=st.booleans())
+    def insert_many(self, keys, size, ascending):
+        if ascending:
+            keys = sorted(keys)
+        items = [(key, key.to_bytes(8, "little", signed=True)
+                  + bytes(size)) for key in keys]
+        # Like per-key inserts: everything before the first key that
+        # is already there (or comes twice) goes in, then it raises.
+        fresh = []
+        for key, payload in items:
+            if key in self.model or key in dict(fresh):
+                break
+            fresh.append((key, payload))
+        try:
+            self.tree.insert_many(iter(items))
+            assert len(fresh) == len(items), "duplicate accepted"
+        except DuplicateKeyError:
+            assert len(fresh) < len(items)
+        self.model.update(fresh)
+
+    @rule(keys=st.lists(KEYS, max_size=10), data=st.data())
+    def delete_many(self, keys, data):
+        if self.model:
+            present = sorted(self.model)
+            lo = data.draw(st.integers(0, len(present) - 1))
+            run = data.draw(st.integers(0, 120))
+            keys = keys + present[lo:lo + run]  # a run, maybe leaves
+            keys = data.draw(st.permutations(keys))
+        doomed = set(keys) & set(self.model)
+        assert self.tree.delete_many(keys) == len(doomed)
+        for key in doomed:
+            del self.model[key]
 
     @rule(key=KEYS)
     def search(self, key):

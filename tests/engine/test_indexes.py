@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from repro.engine import (
     Column,
     Database,
+    DuplicateKeyError,
     SchemaError,
     SqlSession,
     float_to_ordered_int,
@@ -88,6 +89,38 @@ class TestMaintenance:
         t.delete(10)
         assert 10 not in t.index_on("cat").seek(victim_cat)
         assert t.index_on("cat").entry_count == 499
+
+    def test_delete_many_removes_entries_of_the_rows_that_existed(
+            self, indexed_table):
+        _db, t, temps, cats = indexed_table
+        version = t.version
+        doomed = list(range(100, 300)) + [7, 7, -1, 9999]
+        assert t.delete_many(doomed) == 201
+        assert t.version == version + 1  # one published version
+        kept = np.ones(500, dtype=bool)
+        kept[100:300] = False
+        kept[7] = False
+        for value in range(8):
+            assert sorted(t.index_on("cat").seek(value)) == \
+                sorted(np.nonzero((cats == value) & kept)[0])
+        assert sorted(t.index_on("temp").range(0.0, 101.0)) == \
+            sorted(np.nonzero(kept)[0])
+        assert t.index_on("cat").entry_count == 299
+        assert t.delete_many(doomed) == 0
+        assert t.version == version + 1  # nothing to publish
+
+    def test_insert_many_indexes_the_rows_before_a_duplicate(
+            self, indexed_table):
+        _db, t, _temps, _cats = indexed_table
+        rows = [(1000 + i, 200.0 + i, 9) for i in range(50)]
+        rows[30] = (250, 0.0, 9)  # key 250 exists
+        with pytest.raises(DuplicateKeyError):
+            t.insert_many(rows)
+        assert t.row_count == 530
+        assert sorted(t.index_on("cat").seek(9)) == \
+            [1000 + i for i in range(30)]
+        assert sorted(t.index_on("temp").range(200.0, 300.0)) == \
+            [1000 + i for i in range(30)]
 
     def test_update_moves_entries(self, indexed_table):
         _db, t, temps, cats = indexed_table

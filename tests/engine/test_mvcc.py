@@ -8,6 +8,7 @@ history — a snapshot can be stale, never torn.
 """
 
 import random
+import sys
 import threading
 import time
 
@@ -31,9 +32,10 @@ def build_db(rows=300):
     return db, t
 
 
-def insert_sql(key):
-    return (f"INSERT INTO ta VALUES ({key}, "
-            f"FloatArray.Vector_3({float(key)!r}, 2.0, 3.0))")
+def insert_sql(*keys):
+    return "INSERT INTO ta VALUES " + ", ".join(
+        f"({key}, FloatArray.Vector_3({float(key)!r}, 2.0, 3.0))"
+        for key in keys)
 
 
 # -- reader/writer overlap on one table -------------------------------------
@@ -107,35 +109,40 @@ class TestIntraTableOverlap:
 
     def test_randomized_serial_prefix_parity(self):
         """Interleaved writers/readers on one table: every read is
-        bit-identical to some serial prefix of the write history."""
-        db, _ = build_db(rows=200)
+        bit-identical to some serial prefix of the write history — a
+        prefix of whole *statements*: a multi-row INSERT or a range
+        DELETE is all there or not at all."""
+        db, t = build_db(rows=400)
         rng = random.Random(0xC0117)
-        live = set(range(200))
-        next_key = 200
-        ops = []
+        live = set(range(400))
+        next_key = 400
+        ops = []  # (sql, rowcount, keys added, keys removed)
         for _ in range(120):
-            if live and rng.random() < 0.45:
+            roll = rng.random()
+            if live and roll < 0.25:
                 key = rng.choice(sorted(live))
-                live.discard(key)
-                ops.append(f"DELETE FROM ta WHERE id = {key}")
+                ops.append((f"DELETE FROM ta WHERE id = {key}", 1,
+                            (), (key,)))
+            elif live and roll < 0.5:
+                lo = rng.choice(sorted(live))
+                hi = lo + rng.randrange(2, 150)
+                gone = tuple(k for k in live if lo <= k < hi)
+                ops.append((f"DELETE FROM ta WHERE id >= {lo} "
+                            f"AND id < {hi}", len(gone), (), gone))
             else:
-                key, next_key = next_key, next_key + 1
-                live.add(key)
-                ops.append(insert_sql(key))
+                n = 1 if roll < 0.75 else rng.randrange(2, 80)
+                keys = tuple(range(next_key, next_key + n))
+                next_key += n
+                ops.append((insert_sql(*keys), n, keys, ()))
+            live.update(ops[-1][2])
+            live.difference_update(ops[-1][3])
+        assert sum(1 for op in ops if op[1] > 1) > 40
         # Serial prefix states (sum is exact: integer-valued floats).
-        prefix_states = set()
-        count, total = 200, sum(range(200))
-        prefix_states.add((count, total))
-        replay = set(range(200))
-        for op in ops:
-            if op.startswith("DELETE"):
-                key = int(op.rsplit("= ", 1)[1])
-                replay.discard(key)
-                count, total = count - 1, total - key
-            else:
-                key = int(op.split("(", 1)[1].split(",")[0])
-                replay.add(key)
-                count, total = count + 1, total + key
+        count, total = 400, sum(range(400))
+        prefix_states = {(count, total)}
+        for _sql, _n, added, removed in ops:
+            count += len(added) - len(removed)
+            total += sum(added) - sum(removed)
             prefix_states.add((count, total))
 
         done = threading.Event()
@@ -145,8 +152,8 @@ class TestIntraTableOverlap:
         def writer():
             session = SqlSession(db)
             try:
-                for op in ops:
-                    assert session.execute(op) == 1
+                for sql, rowcount, _added, _removed in ops:
+                    assert session.execute(sql) == rowcount
             except Exception as exc:  # pragma: no cover - failure path
                 errors.append(exc)
             finally:
@@ -162,19 +169,27 @@ class TestIntraTableOverlap:
                 errors.append(exc)
 
         # Readers first, and the writer only once one of them has
-        # answered: 120 one-row statements can finish inside a single
-        # GIL slice, before a reader thread was ever scheduled.
+        # answered: a short statement can finish inside a single GIL
+        # slice, before a reader thread was ever scheduled — so the
+        # slices are cut short too, and a statement that publishes
+        # more than once gets a reader in between.
         threads = [threading.Thread(target=reader) for _ in range(2)]
         threads.append(threading.Thread(target=writer))
-        for thread in threads[:-1]:
-            thread.start()
-        deadline = time.monotonic() + 60
-        while not observed and not errors \
-                and time.monotonic() < deadline:
-            time.sleep(0.001)
-        threads[-1].start()
-        for thread in threads:
-            thread.join(timeout=120)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads[:-1]:
+                thread.start()
+            deadline = time.monotonic() + 60
+            while not observed and not errors \
+                    and time.monotonic() < deadline:
+                time.sleep(0.001)
+            threads[-1].start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
         assert not errors
         assert observed, "readers never completed a query"
         stray = [state for state in observed
@@ -182,6 +197,58 @@ class TestIntraTableOverlap:
         assert not stray, f"torn reads: {stray[:5]}"
         final = SqlSession(db).query(READ_SQL)[0]
         assert (final[1], int(final[0])) == (count, total)
+        # Nothing is left behind: no pin, no superseded page.
+        assert t.pinned_versions() == {}
+        assert not any(db.pagefile.history_len(pid)
+                       for pid in range(db.pagefile.page_count))
+
+    def test_a_range_delete_is_one_version(self):
+        """A reader counting rows while one DELETE removes thousands
+        of them sees the count before or the count after, nothing in
+        between."""
+        db, t = build_db(rows=0)
+        t.insert_many((i, FloatArray.Vector_3(float(i), 2.0, 3.0))
+                      for i in range(12_000))
+        version = t.version
+        seen = set()
+        errors = []
+        started = threading.Event()
+        moved = threading.Event()
+        done = threading.Event()
+
+        def reader():
+            session = SqlSession(db)
+            try:
+                while not done.is_set():
+                    (n,), _ = session.query(
+                        "SELECT COUNT(*) FROM ta", cold=False)
+                    seen.add(n)
+                    started.set()
+                    if n != 12_000:
+                        moved.set()
+            except Exception as exc:  # pragma: no cover - failure path
+                errors.append(exc)
+                moved.set()
+
+        thread = threading.Thread(target=reader)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            thread.start()
+            assert started.wait(timeout=60)
+            try:
+                assert SqlSession(db).execute(
+                    "DELETE FROM ta WHERE id >= 1000 AND id < 11000"
+                ) == 10_000
+                assert moved.wait(timeout=60)
+            finally:
+                done.set()
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not thread.is_alive() and not errors
+        assert seen == {12_000, 2_000}
+        assert t.version == version + 1
 
 
 # -- version chain retirement ------------------------------------------------

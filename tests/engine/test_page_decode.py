@@ -98,6 +98,24 @@ class PageMachine(RuleBasedStateMachine):
         self.page.delete_record(slot)
         del self.model[slot]
 
+    @precondition(lambda self: self.model)
+    @rule(data=st.data())
+    def delete_run(self, data):
+        """A slot slice leaves the page as one ``delete_record`` per
+        slot would."""
+        start = self._slot(data)
+        stop = data.draw(st.integers(start + 1, len(self.model)))
+        twin = self.page.clone(self.page.pv)
+        for _ in range(start, stop):
+            twin.delete_record(start)
+        self.page.delete_records(start, stop)
+        del self.model[start:stop]
+        assert (self.page._slots, self.page._body, self.page._dense) \
+            == (twin._slots, twin._body, twin._dense)
+        for bad in ((start, start), (-1, 1), (0, len(self.model) + 1)):
+            with pytest.raises(IndexError):
+                self.page.delete_records(*bad)
+
     @rule()
     def compact(self):
         self.page.compact()

@@ -1,12 +1,16 @@
 """Tests for SQL DDL/DML and GROUP BY in the front-end."""
 
+import struct
 from unittest import mock
 
 import numpy as np
 import pytest
 
 from repro.engine import Database, SqlSession, SqlSyntaxError
+from repro.engine.vectorized import RowBatch
 from repro.tsql import FloatArray
+
+_KEY = struct.Struct("<q")
 
 
 @pytest.fixture
@@ -272,24 +276,24 @@ class TestDelete:
 
 
 class TestRangeDelete:
-    """A DELETE whose predicate bounds the primary key scans only that
-    key interval; victims and rowcount equal the full-scan answer."""
+    """A DELETE whose predicate bounds the primary key decodes only the
+    leaves of that key interval; victims and rowcount equal the
+    full-scan answer."""
 
-    ROWS = 400
+    ROWS = 4000  # a dozen leaves
 
     # One value: the ids keep the ``[on-...]`` prefix they had while
     # this also ran with MVCC off, so they stay comparable across the
     # removal of that mode.
     @pytest.fixture(params=["on"])
     def probe(self):
-        """(session, model rows, spy on the table's row decoder)."""
+        """(session, model rows, spy on the page -> batch decoder)."""
         session = SqlSession(Database())
         session.execute("CREATE TABLE r (id BIGINT, k INT)")
         rows = [(i, i % 5) for i in range(self.ROWS)]
-        table = session.db.tables["r"]
-        table.insert_many(rows)
-        with mock.patch.object(table, "_decode_row",
-                               wraps=table._decode_row) as decoder:
+        session.db.tables["r"].insert_many(rows)
+        with mock.patch.object(RowBatch, "from_pages",
+                               wraps=RowBatch.from_pages) as decoder:
             yield session, rows, decoder
 
     @pytest.mark.parametrize("where, keep, bound", [
@@ -320,9 +324,17 @@ class TestRangeDelete:
                                                 keep, bound):
         session, rows, decoder = probe
         survivors = [row for row in rows if keep(*row)]
+        table = session.db.tables["r"]
+        lo, hi = bound
+        overlapping = [
+            pid for pid in table.data_page_ids()
+            if any(lo <= _KEY.unpack_from(record)[0] < hi
+                   for record in session.db.pagefile.get(pid).records())]
+        assert len(overlapping) < 3 or bound[1] == self.ROWS
         deleted = session.execute(f"DELETE FROM r WHERE {where}")
-        # Exactly the keys of the predicate's key interval were read.
-        assert [call.args[0] for call in decoder.call_args_list] \
-            == list(range(*bound))
+        # Exactly the leaves of the predicate's key interval were
+        # decoded, each once.
+        assert [page.page_id for call in decoder.call_args_list
+                for page in call.args[1]] == overlapping
         assert deleted == len(rows) - len(survivors)
         assert list(session.db.tables["r"].scan()) == survivors

@@ -7,6 +7,7 @@ from repro.engine import (
     BlobStore,
     BufferPool,
     Column,
+    DuplicateKeyError,
     MaxBlobHandle,
     PageFile,
     SchemaError,
@@ -190,6 +191,71 @@ class TestDeleteUpdate:
         assert t.get(1) is None
         assert t.row_count == 1
         assert not t.delete(1)
+
+    def test_delete_many_is_one_version(self, db):
+        f, store, _pool = db
+        t = _table(f, store, [Column("id", "bigint"),
+                              Column("a", "float")])
+        t.insert_many((k, float(k)) for k in range(2000))
+        version = t.version
+        snap = t.pin_snapshot()
+        try:
+            assert t.delete_many(range(500, 1500)) == 1000
+            assert t.version == version + 1
+            assert t.row_count == 1000
+            # The pinned version still reads every row.
+            assert snap.row_count == 2000
+            assert [row[0] for row in snap.scan()] == list(range(2000))
+        finally:
+            snap.unpin()
+        assert [row[0] for row in t.scan()] == \
+            list(range(500)) + list(range(1500, 2000))
+        assert not any(f.history_len(pid) for pid in range(f.page_count))
+        assert t.delete_many([3, 3.0, np.int64(4)]) == 2
+        assert t.delete_many([]) == 0 and t.version == version + 2
+
+    def test_insert_many_publishes_the_rows_before_a_duplicate(self, db):
+        f, store, _pool = db
+        t = _table(f, store, [Column("id", "bigint"),
+                              Column("a", "float")])
+        t.insert_many((k, float(k)) for k in range(0, 1000, 2))
+        version = t.version
+        rows = [(k, -1.0) for k in range(1, 400, 2)]
+        rows[150] = (100, -1.0)  # already there
+        with pytest.raises(DuplicateKeyError, match="key 100 "):
+            t.insert_many(rows)
+        assert t.version == version + 1
+        assert t.row_count == 500 + 150
+        assert t.get(299) == (299, -1.0) and t.get(303) is None
+        with pytest.raises(DuplicateKeyError):
+            t.insert_many([(0, 0.0)])
+        assert t.version == version + 1  # nothing went in
+
+    def test_batches_store_the_pages_single_rows_would(self, db):
+        """What keeps the stored-bytes metric exact: a batch into a
+        non-empty table allocates the pages its rows would one by
+        one."""
+        rng = np.random.default_rng(2)
+        batches = [
+            [(int(k), float(k)) for k in range(6000, 6500)],
+            [(int(k), 0.5) for k in rng.permutation(3000)[:700] * 2 + 1],
+            [(int(k), 1.5) for k in range(-1, -400, -1)]]
+        sizes = []
+        for at_once in (False, True):
+            f = PageFile()
+            t = _table(f, BlobStore(f), [Column("id", "bigint"),
+                                         Column("a", "float")])
+            t.insert_many((k, float(k)) for k in range(0, 6000, 2))
+            for batch in batches:
+                if at_once:
+                    assert t.insert_many(batch) == len(batch)
+                else:
+                    for row in batch:
+                        t.insert(row)
+            sizes.append((f.allocated_page_count, t.data_page_ids(),
+                          [bytes(f.get(pid)._body)
+                           for pid in t.data_page_ids()]))
+        assert sizes[0] == sizes[1]
 
     def test_update_row(self, db):
         f, store, _pool = db

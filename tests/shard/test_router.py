@@ -177,6 +177,42 @@ class TestRouting:
         assert router._point_delete_key(
             _tokenize("DELETE FROM missing WHERE id = 1")) is None
 
+    def test_an_insert_is_read_once_by_the_values_reader(self):
+        """The coordinator routes on the leading keyword: an INSERT is
+        not tokenised to be told apart from a SELECT, nor a second time
+        on its way to ``insert_rows``."""
+        from unittest import mock
+        router = make_router()
+        tokenised = AssertionError("an INSERT went through _tokenize")
+        with mock.patch.object(router, "insert_rows",
+                               return_value=2) as insert_rows, \
+                mock.patch("repro.engine.sqlfront._tokenize",
+                           side_effect=tokenised), \
+                mock.patch("repro.shard.router._tokenize",
+                           side_effect=tokenised):
+            result = router.execute(
+                "  insert INTO t VALUES (1, 1.5, 2), (250, -2.5, NULL)")
+        assert result["rowcount"] == 2
+        insert_rows.assert_called_once_with(
+            "t", [(1, 1.5, 2), (250, -2.5, None)])
+
+    def test_unsupported_statements_keep_their_messages(self):
+        from repro.engine.sqlfront import SqlSyntaxError
+        router = make_router()
+        for sql, message in [
+                ("UPSERT INTO t VALUES (1)",
+                 "unsupported statement starting with 'UPSERT'"),
+                ("where x", "unsupported statement starting with 'WHERE'"),
+                ("42", "unsupported statement starting with '42'"),
+                ("", "unsupported statement starting with ''"),
+                ("UPSERT $", "unexpected character '$' at offset 7"),
+                ("SELECTED 1", "unsupported statement starting with "
+                               "'SELECTED'")]:
+            for execute in (router.execute, router.session.execute):
+                with pytest.raises(SqlSyntaxError) as err:
+                    execute(sql)
+                assert str(err.value) == message
+
     def test_address_count_must_match_partitioner(self):
         config = ShardConfig(shards=3)
         with pytest.raises(ValueError):

@@ -1,10 +1,17 @@
 """Tests for the T-SQL-style function schemas."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import (
+    SHORT_HEADER_SIZE,
+    SHORT_MAX_BLOB_BYTES,
     ShapeError,
+    ShortArrayLimitError,
     SqlArray,
     STORAGE_MAX,
     STORAGE_SHORT,
@@ -218,3 +225,68 @@ class TestComplexSchema:
         a = ComplexArray.Vector_2(1 + 2j, 3 - 1j)
         assert ComplexArray.Item_1(a, 0) == 1 + 2j
         assert ComplexArray.Sum(a) == 4 + 1j
+
+
+class TestVectorConstructor:
+    """``Vector``/``Vector_N`` assemble the blob themselves; it must be
+    the blob — or the error — of the ``SqlArray`` round trip they used
+    to make."""
+
+    SCALARS = st.one_of(
+        st.integers(-2 ** 70, 2 ** 70),
+        st.integers(-200, 200),
+        st.booleans(),
+        st.floats(allow_nan=True, allow_infinity=True),
+        st.floats(width=32),
+        st.sampled_from([1e39, -3.5e38, 3.4028235e38, 1e-46, -0.0,
+                         2 ** 31, -2 ** 31 - 1, 2 ** 63, 127, 128,
+                         "12", "1.5", "x", None]),
+        st.complex_numbers(allow_nan=False),
+        st.builds(np.float64, st.floats(allow_nan=False)),
+        st.builds(np.int64, st.integers(-2 ** 63, 2 ** 63 - 1)))
+
+    @staticmethod
+    def outcome(build):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # float32 overflow to inf
+            try:
+                return build()
+            except Exception as exc:
+                return type(exc), str(exc)
+
+    @pytest.mark.parametrize("name", sorted(NAMESPACES))
+    @settings(max_examples=120, deadline=None)
+    @given(values=st.lists(SCALARS, max_size=12))
+    def test_bit_identical_to_the_sqlarray_round_trip(self, name,
+                                                      values):
+        ns = NAMESPACES[name]
+        want = self.outcome(lambda: SqlArray.from_values(
+            [ns._scalar(v) for v in values], ns.dtype,
+            ns.storage).to_blob())
+        assert self.outcome(lambda: ns.Vector(values)) == want
+        assert self.outcome(lambda: ns.Vector(iter(values))) == want
+        numbered = getattr(ns, f"Vector_{len(values)}", None)
+        if numbered is not None:
+            assert self.outcome(lambda: numbered(*values)) == want
+
+    @pytest.mark.parametrize("name", sorted(NAMESPACES))
+    def test_length_over_the_short_limit(self, name):
+        ns = NAMESPACES[name]
+        fits = (SHORT_MAX_BLOB_BYTES - SHORT_HEADER_SIZE) \
+            // ns.dtype.itemsize
+        for n in (fits, fits + 1):
+            values = [1] * n
+            want = self.outcome(lambda: SqlArray.from_values(
+                values, ns.dtype, ns.storage).to_blob())
+            assert self.outcome(lambda: ns.Vector(values)) == want
+            if ns.storage == STORAGE_SHORT and n > fits:
+                assert want[0] is ShortArrayLimitError
+            else:
+                assert isinstance(want, bytes)
+
+    def test_a_failed_length_is_not_remembered(self):
+        with pytest.raises(ShortArrayLimitError):
+            FloatArray.Vector([0.0] * 1000)
+        with pytest.raises(ShortArrayLimitError):
+            FloatArray.Vector([0.0] * 1000)
+        assert FloatArray.Vector_2(1, 2) == FloatArray.Vector([1, 2])
