@@ -21,6 +21,7 @@ Example::
 
 from __future__ import annotations
 
+import math
 import operator
 import os
 import pickle
@@ -49,6 +50,7 @@ __all__ = [
     "ScalarUdf",
     "ReadBlob",
     "Aggregate",
+    "group_rank",
     "Count",
     "Sum",
     "Avg",
@@ -446,10 +448,11 @@ class Aggregate:
     Subclasses implement the row-at-a-time protocol (:meth:`start`,
     :meth:`step`, :meth:`finish`).  The built-ins additionally provide
     :meth:`step_value` (advance on one already-evaluated value),
-    :meth:`step_values` (advance over a list of already-evaluated
-    values in row order — the vectorized grouped path's per-group
-    form), and :meth:`step_batch` (advance over the whole current
-    batch).  Custom aggregates may omit all three — the vector engine
+    :meth:`step_batch` (advance over the whole current batch) and
+    :meth:`group_column` (the array column that holds this aggregate's
+    state for every group of a vectorized grouped scan and advances a
+    batch's segments at a time — see ``docs/EXECUTOR.md``, "Grouped
+    scans").  Custom aggregates may omit all three — the vector engine
     then steps them per row over materialized tuples.
 
     The built-ins also implement the *mergeable-state* protocol the
@@ -497,11 +500,13 @@ class Count(Aggregate):
     def step_value(self, state, value):
         return state + 1
 
-    def step_values(self, state, values):
-        return state + len(values)
-
     def step_batch(self, state, ctx: "vectorized.BatchContext"):
         return state + ctx.batch.n
+
+    def group_column(self):
+        return vectorized.CountColumn()
+
+    partial_column = group_column
 
     def partial_start(self):
         return 0
@@ -513,8 +518,14 @@ class Count(Aggregate):
         return state + partial
 
 
-class Sum(Aggregate):
-    """``SUM(expr)`` (SQL semantics: NULL inputs are skipped)."""
+class _Fold(Aggregate):
+    """An aggregate that folds its non-NULL inputs, left to right,
+    through one binary operator :attr:`op` — every form below (row,
+    value, batch, group segments, merge) applies that one operator, so
+    a subclass states its semantics once.  The state is the value
+    folded so far, ``None`` before the first."""
+
+    op: Callable
 
     def __init__(self, expr: Expression):
         self.expr = expr
@@ -529,33 +540,67 @@ class Sum(Aggregate):
         value = self.expr.eval(ctx)
         if value is None:
             return state
-        return value if state is None else state + value
+        return value if state is None else self.op(state, value)
 
     def step_value(self, state, value):
         if value is None:
             return state
-        return value if state is None else state + value
-
-    def step_values(self, state, values):
-        return vectorized.fold(
-            operator.add, state, (v for v in values if v is not None))
+        return value if state is None else self.op(state, value)
 
     def step_batch(self, state, ctx: "vectorized.BatchContext"):
         values, mask = vectorized.eval_node(self.expr, ctx)
-        vals = vectorized.nonnull_values(values, mask, ctx.batch.n)
-        # Left fold, not np.sum: pairwise summation would round floats
-        # differently than the row engine's sequential accumulation.
-        return vectorized.fold(operator.add, state, vals)
+        return vectorized.fold_batch(self.op, state, values, mask,
+                                     ctx.batch.n)[0]
+
+    def group_column(self):
+        return vectorized.FoldColumn(self.op)
+
+    def partial_column(self):
+        return vectorized.ValuesColumn()
+
+    def finish_floats(self, values: np.ndarray, counts: np.ndarray
+                      ) -> np.ndarray:
+        """:meth:`finish` over float64 per-group states at once:
+        ``values`` the folded values, ``counts`` how many inputs went
+        into each (an entry whose count is 0 is the caller's to null
+        out)."""
+        return values
 
     def partial_start(self):
         return []
 
     def partial_step_values(self, partial, values):
+        # Ship the full non-NULL value list, not a morsel-local fold:
+        # float addition is not associative, and Python's min/max keep
+        # the *first* operand on incomparable (NaN) pairs, which is
+        # order-dependent, so only a full replay of the left fold is
+        # bit-identical.
         partial.extend(v for v in values if v is not None)
         return partial
 
     def merge(self, state, partial):
-        return vectorized.fold(operator.add, state, partial)
+        return vectorized.fold(self.op, state, partial)
+
+
+def _canonical_nan(total):
+    """Which NaN operand a float add keeps — sign and payload — varies
+    with how the C compiler ordered the operands (the interpreter's
+    inlined add, ``float_add`` and NumPy's loops are three
+    compilations), so a NaN *total* is reported as the one canonical
+    ``nan`` on every engine.  MIN/MAX return an operand and keep it."""
+    return math.nan if total != total else total
+
+
+class Sum(_Fold):
+    """``SUM(expr)`` (SQL semantics: NULL inputs are skipped)."""
+
+    op = operator.add
+
+    def finish(self, state, rows):
+        return _canonical_nan(state)
+
+    def finish_floats(self, values, counts):
+        return np.where(values != values, np.nan, values)
 
 
 class Avg(Sum):
@@ -580,99 +625,41 @@ class Avg(Sum):
         total, n = state
         return (value if total is None else total + value), n + 1
 
-    def step_values(self, state, values):
-        total, n = state
-        vals = [v for v in values if v is not None]
-        return vectorized.fold(operator.add, total, vals), n + len(vals)
-
     def step_batch(self, state, ctx: "vectorized.BatchContext"):
         total, n = state
         values, mask = vectorized.eval_node(self.expr, ctx)
-        vals = vectorized.nonnull_values(values, mask, ctx.batch.n)
-        return vectorized.fold(operator.add, total, vals), n + len(vals)
+        total, added = vectorized.fold_batch(self.op, total, values,
+                                             mask, ctx.batch.n)
+        return total, n + added
+
+    def group_column(self):
+        return vectorized.FoldColumn(self.op, counted=True)
 
     def merge(self, state, partial):
         total, n = state
-        return (vectorized.fold(operator.add, total, partial),
+        return (vectorized.fold(self.op, total, partial),
                 n + len(partial))
 
     def finish(self, state, rows):
         total, n = state
-        return None if n == 0 else total / n
+        return None if n == 0 else _canonical_nan(total / n)
+
+    def finish_floats(self, values, counts):
+        with np.errstate(invalid="ignore"):  # a signalling NaN
+            return super().finish_floats(
+                values / np.maximum(counts, 1), counts)
 
 
-class Min(Aggregate):
+class Min(_Fold):
     """``MIN(expr)``."""
 
-    def __init__(self, expr: Expression):
-        self.expr = expr
-
-    def step_cost(self, model: CostModel) -> float:
-        return model.cpu_sum_step
-
-    def start(self):
-        return None
-
-    def step(self, state, ctx):
-        value = self.expr.eval(ctx)
-        if value is None:
-            return state
-        return value if state is None else min(state, value)
-
-    def step_value(self, state, value):
-        if value is None:
-            return state
-        return value if state is None else min(state, value)
-
-    def step_values(self, state, values):
-        return vectorized.fold(
-            min, state, (v for v in values if v is not None))
-
-    def step_batch(self, state, ctx: "vectorized.BatchContext"):
-        values, mask = vectorized.eval_node(self.expr, ctx)
-        vals = vectorized.nonnull_values(values, mask, ctx.batch.n)
-        return vectorized.fold(min, state, vals)
-
-    def partial_start(self):
-        return []
-
-    def partial_step_values(self, partial, values):
-        # Ship the full non-NULL value list, not a morsel-local
-        # min/max: Python's min/max keep the *first* operand on
-        # incomparable (NaN) pairs, which is order-dependent, so only
-        # a full replay of the left fold is bit-identical.
-        partial.extend(v for v in values if v is not None)
-        return partial
-
-    def merge(self, state, partial):
-        return vectorized.fold(min, state, partial)
+    op = min
 
 
-class Max(Min):
+class Max(_Fold):
     """``MAX(expr)``."""
 
-    def step(self, state, ctx):
-        value = self.expr.eval(ctx)
-        if value is None:
-            return state
-        return value if state is None else max(state, value)
-
-    def step_value(self, state, value):
-        if value is None:
-            return state
-        return value if state is None else max(state, value)
-
-    def step_values(self, state, values):
-        return vectorized.fold(
-            max, state, (v for v in values if v is not None))
-
-    def step_batch(self, state, ctx: "vectorized.BatchContext"):
-        values, mask = vectorized.eval_node(self.expr, ctx)
-        vals = vectorized.nonnull_values(values, mask, ctx.batch.n)
-        return vectorized.fold(max, state, vals)
-
-    def merge(self, state, partial):
-        return vectorized.fold(max, state, partial)
+    op = max
 
 
 class PartialCapture(Aggregate):
@@ -688,6 +675,10 @@ class PartialCapture(Aggregate):
     consumes.  The coordinator then replays the serial left fold over
     the shipped partials in shard order, which keeps float SUM/AVG
     bit-identical to a single-node run (see ``docs/SHARDING.md``).
+
+    A vectorized grouped scan keeps a captured aggregate in the inner
+    aggregate's ``partial_column`` — for every group at once, the
+    arrays a ``presult`` frame ships.
 
     The capture implements the mergeable protocol itself — partials
     concatenate in morsel order — so a shard is free to execute its
@@ -711,9 +702,6 @@ class PartialCapture(Aggregate):
     def step_value(self, state, value):
         return self.inner.partial_step_values(state, (value,))
 
-    def step_values(self, state, values):
-        return self.inner.partial_step_values(state, values)
-
     def step_batch(self, state, ctx: "vectorized.BatchContext"):
         if self.expr is None:
             # COUNT(*): only the lane count matters.
@@ -722,6 +710,10 @@ class PartialCapture(Aggregate):
         values, mask = vectorized.eval_node(self.expr, ctx)
         return self.inner.partial_step_values(
             state, vectorized.to_pylist(values, mask, ctx.batch.n))
+
+    def group_column(self):
+        make = getattr(self.inner, "partial_column", None)
+        return None if make is None else make()
 
     def finish(self, state, rows):
         return state
@@ -739,6 +731,15 @@ class PartialCapture(Aggregate):
             state.extend(partial)
             return state
         return state + partial
+
+
+def group_rank(key) -> tuple:
+    """Sort key of a group key in a grouped result: values ascending,
+    then NaN keys (each its own group, as a dict of float objects
+    keeps them) in the order met, NULL last.  Ranking NaN explicitly
+    makes the order a property of the groups, not of the order a
+    particular engine happened to create them in."""
+    return key is None, key != key, key
 
 
 def _env_default_engine() -> str:
@@ -901,15 +902,18 @@ class Executor:
     @staticmethod
     def _finish(aggregates, states, groups, rows: int):
         """Final values of a scan: the aggregate tuple, or — grouped —
-        one ``(group, agg...)`` row per group, sorted by group key."""
+        one ``(group, agg...)`` row per group, sorted by group key
+        (:func:`group_rank`)."""
         if groups is None:
             return tuple(a.finish(s, rows)
                          for a, s in zip(aggregates, states))
+        if isinstance(groups, vectorized.GroupArrays):
+            return groups.rows(aggregates, rows)
         return [
             (group, *(a.finish(s, rows)
                       for a, s in zip(aggregates, group_states)))
             for group, group_states in sorted(
-                groups.items(), key=lambda kv: (kv[0] is None, kv[0]))]
+                groups.items(), key=lambda kv: group_rank(kv[0]))]
 
     def run(self, table: Table, aggregates: Sequence[Aggregate],
             where: Expression | None = None, cold: bool = True,
@@ -1011,6 +1015,30 @@ class Executor:
         """Serial scan on the ``"vector"`` or ``"row"`` engine (grouped
         when ``group_expr`` is given).  Never reaches the worker pool,
         so a session may call it under its statement latches."""
+        states, groups, rows, metrics = self._scan_serial(
+            table, aggregates, where, group_expr, cold, label, engine)
+        return self._finish(aggregates, states, groups, rows), metrics
+
+    def run_partial(self, table: Table, aggregates, where=None,
+                    group_expr=None, cold: bool = True, label: str = "",
+                    engine: str = "vector"):
+        """:meth:`run_serial` for the shard side of a distributed
+        aggregate — every aggregate a :class:`PartialCapture` — that
+        leaves a grouped state unreduced: ``(groups, metrics)`` with
+        ``groups`` the :class:`~repro.engine.vectorized.GroupArrays`
+        the vector engine's scan built, handed on as the arrays it is,
+        and otherwise the finished ``(key, partial, ...)`` rows, as
+        :meth:`run_serial` returns them."""
+        states, groups, rows, metrics = self._scan_serial(
+            table, aggregates, where, group_expr, cold, label, engine)
+        if isinstance(groups, vectorized.GroupArrays):
+            return groups, metrics
+        return self._finish(aggregates, states, groups, rows), metrics
+
+    def _scan_serial(self, table, aggregates, where, group_expr, cold,
+                     label, engine):
+        """The serial scan itself: ``(states, groups, rows scanned,
+        metrics)``, ``states`` or ``groups`` as the scan left them."""
         pool = self.db.pool
         costs = self._scan_costs(table, aggregates, where, group_expr)
         with self._read_view(table, cold) as view:
@@ -1056,7 +1084,7 @@ class Executor:
 
         io = pool.snapshot_thread_counters().delta_since(before)
         cpu = self._scan_cpu(rows, payload_bytes, costs, ctx)
-        return (self._finish(aggregates, states, groups, rows),
+        return (states, groups, rows,
                 self._metrics(label, rows, io, cpu, wall, ctx, engine))
 
     def run_index(self, table: Table, column: str,

@@ -185,6 +185,11 @@ class SelectPlan:
     implied by the WHERE clause (either bound ``None`` when open);
     it never widens the predicate, so a router may prune shards whose
     key slices fall outside it without changing results.
+
+    ``partial`` marks the plan :meth:`SqlSession.query_partial` runs:
+    the aggregates are captures and a serial scan goes through
+    :meth:`Executor.run_partial`, which hands a grouped state on
+    unreduced.
     """
 
     table: Table
@@ -200,6 +205,7 @@ class SelectPlan:
     index_lo: object = None
     index_hi: object = None
     pk_range: tuple[int | None, int | None] | None = None
+    partial: bool = False
 
 
 class _BinOp(Expression):
@@ -700,9 +706,10 @@ class SqlSession:
                 equals=plan.index_equals, lo=plan.index_lo,
                 hi=plan.index_hi, cold=cold, label=plan.label,
                 engine=engine)
-        return self.executor.run_serial(
-            plan.table, plan.aggregates, plan.where, plan.group_expr,
-            cold, plan.label, engine)
+        run = self.executor.run_partial if plan.partial \
+            else self.executor.run_serial
+        return run(plan.table, plan.aggregates, plan.where,
+                   plan.group_expr, cold, plan.label, engine)
 
     def query_partial(self, sql: str, cold: bool = True,
                       engine: str | None = None,
@@ -723,20 +730,27 @@ class SqlSession:
         Returns a dict with ``rows`` (rows scanned), ``metrics``
         (:class:`~repro.engine.metrics.QueryMetrics`), and either
         ``states`` (one partial per aggregate; ``groups`` is None) or
-        ``groups`` (ordered ``(group_value, [partials...])`` pairs;
-        ``states`` is None) for GROUP BY.  ``finalize`` has
+        ``groups`` (a sequence of ordered ``(group_value,
+        [partials...])`` pairs; ``states`` is None) for GROUP BY.
+        ``groups`` is a :class:`~repro.engine.vectorized.GroupArrays`
+        — the key, count and value arrays a ``presult`` frame carries,
+        which read as those pairs on demand: the ones the vector
+        engine's scan built, handed on as they are, or loaded from
+        the rows any other path finished.  ``finalize`` has
         :meth:`query` semantics: applied under the latches, so blob
         handles inside MIN/MAX partials can be materialized safely.
         """
         plan = self._plan_tokens(_tokenize(sql), sql)
-        wrapped = replace(plan, aggregates=[
+        wrapped = replace(plan, partial=True, aggregates=[
             PartialCapture(agg) for agg in plan.aggregates])
 
         def shape(result):
             if plan.kind == "grouped":
-                rows, metrics = result
+                groups, metrics = result
                 states = None
-                groups = [(row[0], list(row[1:])) for row in rows]
+                if isinstance(groups, list):  # rows: morsels, row engine
+                    groups = vectorized.GroupArrays.from_rows(
+                        wrapped.aggregates, groups)
             else:
                 values, metrics = result
                 states, groups = list(values), None

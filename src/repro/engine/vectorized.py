@@ -12,10 +12,12 @@ Parity with the row engine is a hard contract, enforced by the parity
 test suite:
 
 * **Results are bit-identical.**  Aggregates accumulate left-to-right
-  over Python scalars (no pairwise summation), integer arithmetic uses
-  Python objects (no int64 overflow), ``real`` columns are widened to
-  float64 before arithmetic exactly like ``struct.unpack`` widens them,
-  and division by zero raises like Python does.
+  (no pairwise summation: a float64 sum is a sequential
+  ``np.add.accumulate``, anything else a fold over Python scalars),
+  integer arithmetic uses Python objects (no int64 overflow), ``real``
+  columns are widened to float64 before arithmetic exactly like
+  ``struct.unpack`` widens them, and division by zero raises like
+  Python does.
 * **IO accounting is identical.**  Batches charge the buffer pool the
   same page touches in the same order as a row scan
   (:meth:`BTree.scan_leaf_batches` + :meth:`BufferPool.fetch_many`).
@@ -34,8 +36,10 @@ from __future__ import annotations
 
 import operator
 import struct
+from collections.abc import Iterable, Sequence
 from functools import reduce
-from typing import TYPE_CHECKING, Iterable, Sequence
+from itertools import chain
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -60,7 +64,13 @@ __all__ = [
     "as_full_array",
     "nonnull_values",
     "fold",
+    "fold_batch",
+    "fold_segments_kernel",
     "partition_lanes",
+    "CountColumn",
+    "FoldColumn",
+    "ValuesColumn",
+    "GroupArrays",
     "scan_aggregate",
     "scan_grouped",
 ]
@@ -469,9 +479,12 @@ def eval_node(expr, ctx: BatchContext) -> tuple:
 
 
 def mask_from_object(values: np.ndarray) -> np.ndarray | None:
-    mask = np.fromiter((v is None for v in values), dtype=bool,
+    """Which cells of an object array are ``None`` (``None`` itself
+    when none is, which one pass over the cells' types settles)."""
+    if type(None) not in set(map(type, values.tolist())):
+        return None
+    return np.fromiter((v is None for v in values), dtype=bool,
                        count=len(values))
-    return mask if mask.any() else None
 
 
 def null_lanes(values, mask, n: int) -> np.ndarray:
@@ -679,51 +692,85 @@ def isnull_batch(values, mask, n: int, negate: bool = False) -> tuple:
 # -- drivers -----------------------------------------------------------------
 
 
-def partition_lanes(values, mask, n: int):
-    """Partition a batch's group column into ``(key, lanes)`` pairs.
+class _Partition:
+    """One batch's lanes sorted by group key.
 
-    ``lanes`` are ascending lane indices, so folding each group's
-    values in partition order reproduces the row engine's per-group
-    accumulation order exactly.  NULL lanes form a final ``None``
-    group.  Returns ``None`` when the column cannot be partitioned
-    with array machinery without changing semantics — object dtype
-    (unhashable / mixed values) or float NaN keys, where the row
-    engine's per-object dict behaviour (every NaN its own group) must
-    be reproduced by the per-lane walk instead.
+    ``order`` is the lane permutation — ``None`` when the lanes already
+    stand in group order, which a clustered ``GROUP BY pk`` always
+    does — and ``starts`` / ``sizes`` delimit each group's *segment* in
+    it.  The sort is stable, so a segment lists its lanes in row order
+    (folding it left to right is the row engine's accumulation order)
+    and its first lane is the group's first row: ``keys`` holds that
+    row's key, so of ``0.0`` and ``-0.0`` the one seen first is
+    reported.  NULL lanes form one last segment (``null``) that has no
+    entry in ``keys``.
+
+    :meth:`GroupArrays.absorb` adds where the batch meets the scan's
+    running state.  ``appends``: every key lies beyond the running
+    keys, so what the batch builds is the state's next chunk — its
+    layout is the batch's own ``groups`` segments and nothing is
+    seeded.  Otherwise the layout is the merged one: ``groups`` groups,
+    the running state's entry ``i`` moves to ``old_at[i]`` and segment
+    ``s`` belongs to group ``slots[s]``.
     """
+
+    __slots__ = ("order", "starts", "sizes", "keys", "null",
+                 "appends", "groups", "old_at", "slots")
+
+
+def _ascends(values: np.ndarray) -> bool:
+    return bool((values[1:] >= values[:-1]).all())
+
+
+def _partition(values, mask, n: int) -> _Partition | None:
+    """Partition a batch's group column, or ``None`` when array
+    machinery cannot do so without changing semantics: object dtype
+    (unhashable / mixed values) and float NaN keys, where the row
+    engine's per-object dict behaviour (every NaN its own group) is
+    reproduced by the per-lane walk instead."""
     if not isinstance(values, np.ndarray):
         if values is None:
-            return [(None, list(range(n)))]
-        if isinstance(values, float) and values != values:
-            return None
-        return [(values, list(range(n)))]
-    if values.dtype == object:
+            values, mask = np.zeros(n, np.int64), np.ones(n, np.bool_)
+        else:
+            values = as_full_array(values, n)
+    if values.dtype.kind not in "biuf" or (
+            values.dtype.kind == "f" and bool(np.isnan(values).any())):
         return None
-    if values.dtype.kind == "f" and bool(np.isnan(values).any()):
+    part = _Partition()
+    part.null = mask is not None and bool(mask.any())
+    part.order = None
+    if part.null:
+        part.order = np.flatnonzero(~mask)
+        values = values[part.order]
+    if not _ascends(values):
+        ranks = np.argsort(values, kind="stable")
+        values = values[ranks]
+        part.order = ranks if part.order is None else part.order[ranks]
+    new = np.ones(len(values), np.bool_)
+    new[1:] = values[1:] != values[:-1]
+    part.starts = np.flatnonzero(new)
+    # Fancy indexing copies: a batch's ``keys`` are a strided view of
+    # its record matrix, and keys outlive the batch in the scan state.
+    part.keys = values[part.starts]
+    if part.null:
+        part.order = np.concatenate((part.order, np.flatnonzero(mask)))
+        part.starts = np.append(part.starts, len(values))
+    part.sizes = np.diff(part.starts, append=n)
+    return part
+
+
+def partition_lanes(values, mask, n: int):
+    """A batch's partition as ``(key, lanes)`` pairs — ``lanes``
+    ascending, a final ``None`` group for NULL lanes — for the morsel
+    body of :mod:`repro.engine.parallel`, which still steps a Python
+    list per group.  ``None`` when :func:`_partition` declines."""
+    part = _partition(values, mask, n)
+    if part is None:
         return None
-    out = []
-    if mask is not None and mask.any():
-        valid_idx = np.flatnonzero(~mask)
-        null_lanes_ = np.flatnonzero(mask).tolist()
-        vv = values[valid_idx]
-    else:
-        valid_idx = None
-        null_lanes_ = None
-        vv = values
-    if vv.size:
-        uniq, inv = np.unique(vv, return_inverse=True)
-        # Stable argsort keeps each group's lanes in row order.
-        order = np.argsort(inv, kind="stable")
-        sorted_lanes = (order if valid_idx is None
-                        else valid_idx[order]).tolist()
-        counts = np.bincount(inv, minlength=len(uniq)).tolist()
-        start = 0
-        for key, count in zip(uniq.tolist(), counts):
-            out.append((key, sorted_lanes[start:start + count]))
-            start += count
-    if null_lanes_:
-        out.append((None, null_lanes_))
-    return out
+    lanes = (np.arange(n) if part.order is None else part.order).tolist()
+    bounds = part.starts.tolist() + [n]
+    return [(key, lanes[lo:hi]) for key, lo, hi in zip(
+        part.keys.tolist() + [None] * part.null, bounds, bounds[1:])]
 
 
 def _step_batch_fallback(agg, state, ctx: BatchContext):
@@ -776,28 +823,458 @@ def scan_aggregate(table: "Table", pool: "BufferPool",
     return states, rows, payload_bytes
 
 
+# -- grouped scans: partition once, fold segments ----------------------------
+
+
+def fold_batch(op, state, values, mask, n: int) -> tuple:
+    """``(state advanced over a batch's non-NULL lane values, how many
+    there were)``.  Float lanes (``real`` widened first) added onto a
+    float-or-absent state are one sequential array accumulate seeded
+    with the state — ``np.add.accumulate`` is a strict left fold
+    (``np.sum`` is pairwise and rounds differently), and overflow to
+    ``inf`` and ``inf - inf`` are results, as they are for Python's
+    ``+``, not warnings.  Everything else — ``min``/``max``, which
+    return an operand, and ints, which must stay Python ints — is the
+    row engine's one-value-at-a-time fold."""
+    if (op is operator.add and isinstance(values, np.ndarray)
+            and values.dtype.kind == "f"
+            and (state is None or isinstance(state, float))):
+        vals = values if mask is None else values[~mask]
+        if not len(vals):
+            return state, 0
+        vals = vals.astype(np.float64, copy=False)
+        if state is not None:
+            vals = np.concatenate(([state], vals))
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = np.add.accumulate(vals)[-1]
+        return float(total), len(vals) - (state is not None)
+    vals = nonnull_values(values, mask, n)
+    return fold(op, state, vals), len(vals)
+
+
+def fold_segments_kernel(op, values: np.ndarray, counts: np.ndarray,
+                         seeds: np.ndarray, seeded: np.ndarray
+                         ) -> np.ndarray:
+    """``seeds`` advanced over consecutive segments of ``values``.
+
+    Segment ``s`` is the next ``counts[s]`` entries of ``values``; its
+    result is ``op`` folded left to right over ``seeds[s]`` (where
+    ``seeded[s]``) and those entries — bit for bit what
+    ``functools.reduce(op, ...)`` returns.  An empty segment keeps its
+    seed.
+
+    A segment of one unseeded value passes it through untouched
+    (``-0.0`` stays ``-0.0``), all such segments in one array
+    assignment: that is every segment of a ``GROUP BY pk``.  Any other
+    segment goes through ``op`` itself, a value at a time —
+    ``min(0.0, -0.0)`` keeps its first operand and ``np.minimum`` does
+    not promise to, Python ints do not wrap, float addition is the
+    interpreter's own — so an aggregate's semantics exist once.
+    """
+    starts = np.cumsum(counts) - counts
+    out = seeds.copy()
+    lone = (counts == 1) & ~seeded
+    out[lone] = values[starts[lone]]
+    busy = np.flatnonzero((counts > 0) & ~lone)
+    if len(busy):
+        flat = values.tolist()
+        for s, lo, k, seed in zip(
+                busy.tolist(), starts[busy].tolist(),
+                counts[busy].tolist(),
+                to_pylist(seeds[busy], ~seeded[busy], len(busy))):
+            out[s] = fold(op, seed, flat[lo:lo + k])
+    return out
+
+
+def _segment_values(part: _Partition, values, mask, n: int) -> tuple:
+    """One aggregate's inputs laid out by segment: ``(values,
+    counts)`` with the non-NULL values in group-then-row order and how
+    many each segment holds.  The values come back float64 (``real``
+    widened, as ``struct.unpack`` widens it for the row engine) or as
+    objects, so ints are Python ints."""
+    if not isinstance(values, np.ndarray):
+        if values is None:
+            return (np.empty(0, object),
+                    np.zeros(len(part.sizes), np.int64))
+        values = as_full_array(values, n)
+    if values.dtype == object:  # None cells count as NULL, flagged or not
+        unset = mask_from_object(values)
+        if unset is not None:
+            mask = unset if mask is None else mask | unset
+    if part.order is not None:
+        values = values[part.order]
+        mask = None if mask is None else mask[part.order]
+    counts = part.sizes
+    if mask is not None and mask.any():
+        counts = np.add.reduceat(~mask, part.starts, dtype=np.int64)
+        values = values[~mask]
+    if values.dtype.kind == "f":
+        return values.astype(np.float64, copy=False), counts
+    return values.astype(object, copy=False), counts
+
+
+class _Chunks:
+    """A state array that grows with the scan.  A batch that *appends*
+    (:class:`_Partition`) — every batch of a clustered ``GROUP BY pk``
+    — leaves what it built as one more chunk, and the chunks become
+    one array the first time the state is read: such a scan costs
+    O(rows), not a re-layout of every group per batch.  A kept chunk
+    is never written again."""
+
+    __slots__ = ("parts", "dtype")
+
+    def __init__(self, dtype):
+        self.parts: list = []
+        self.dtype = dtype
+
+    def array(self) -> np.ndarray:
+        parts = self.parts
+        if len(parts) != 1:
+            if not parts:
+                parts = [np.empty(0, self.dtype)]
+            elif any(part.dtype == object for part in parts):
+                # Floats until a batch delivered something else.
+                parts = [part.astype(object, copy=False) for part in parts]
+            self.parts = parts = [np.concatenate(parts)]
+        return parts[0]
+
+    def spread(self, part: _Partition, dtype=None) -> np.ndarray:
+        """A fresh array in the batch's layout: the running state moved
+        to its merged places, or — the batch appends — nothing.  Groups
+        new to the scan hold a placeholder (their count is 0)."""
+        state = (np.empty(0, dtype or self.dtype) if part.appends
+                 else self.array())
+        out = np.full(part.groups, None if state.dtype == object else 0,
+                      state.dtype)
+        out[part.old_at] = state
+        return out
+
+    def keep(self, part: _Partition, array: np.ndarray) -> None:
+        if part.appends:
+            self.parts.append(array)
+        else:
+            self.parts = [array]
+
+
+class CountColumn:
+    """``COUNT(*)`` per group (captured or not: the partial state of a
+    count is the count).  The base of the value columns: ``counts``
+    per group, ``values`` where there are any, and a finished column
+    that is its scalar ``states`` unless a subclass folds further."""
+
+    values = None
+
+    def __init__(self):
+        self._counts = _Chunks(np.int64)
+
+    @property
+    def counts(self) -> np.ndarray:
+        return self._counts.array()
+
+    def absorb(self, part: _Partition, values, mask, n: int) -> None:
+        counts = self._counts.spread(part)
+        counts[part.slots] += part.sizes
+        self._counts.keep(part, counts)
+
+    def settle(self, keys: np.ndarray, null: bool) -> None:
+        """Called with the scan's final keys before the column is
+        read; a column that advanced with every batch has nothing
+        left to do."""
+
+    def load(self, partials: list) -> None:
+        self._counts.parts = [np.array(partials, np.int64)]
+
+    def states(self) -> list:
+        return self.counts.tolist()
+
+    def finish(self, agg, rows: int) -> list:
+        return self.states()
+
+
+class _ValueColumn(CountColumn):
+    """What the two columns over an aggregate's input values share:
+    ``values`` — float64 while every batch delivered floats, objects
+    otherwise — and per group ``counts`` of the non-NULL values seen."""
+
+    def __init__(self):
+        super().__init__()
+        self._values = _Chunks(np.float64)
+
+    @property
+    def values(self) -> np.ndarray:
+        return self._values.array()
+
+    def replace(self, kind: type, fn) -> bool:
+        """Replace every value of type ``kind`` by ``fn(value)``; a
+        column that holds none is left alone."""
+        values = self.values
+        if values.dtype != object \
+                or kind not in set(map(type, values.tolist())):
+            return False
+        self._values.parts = [_object_column(
+            [fn(v) if isinstance(v, kind) else v
+             for v in values.tolist()])]
+        return True
+
+
+class FoldColumn(_ValueColumn):
+    """``SUM`` / ``AVG`` / ``MIN`` / ``MAX`` per group: the value
+    folded so far (a placeholder while the group's count is 0).
+    ``counted`` says the aggregate's scalar state is ``(value,
+    count)`` — ``AVG`` — rather than the bare value."""
+
+    def __init__(self, op, counted: bool = False):
+        super().__init__()
+        self.op = op
+        self.counted = counted
+
+    def absorb(self, part: _Partition, values, mask, n: int) -> None:
+        values, counts = _segment_values(part, values, mask, n)
+        folded = self._values.spread(part, values.dtype)
+        if folded.dtype != values.dtype:
+            folded, values = folded.astype(object), values.astype(object)
+        total = self._counts.spread(part)
+        slots = part.slots
+        folded[slots] = fold_segments_kernel(
+            self.op, values, counts, folded[slots], total[slots] > 0)
+        total[slots] += counts
+        self._values.keep(part, folded)
+        self._counts.keep(part, total)
+
+    def states(self) -> list:
+        values = to_pylist(self.values, self.counts == 0,
+                           len(self.counts))
+        if self.counted:
+            return list(zip(values, self.counts.tolist()))
+        return values
+
+    def finish(self, agg, rows: int) -> list:
+        if self.values.dtype == object:
+            return [agg.finish(state, rows) for state in self.states()]
+        return to_pylist(agg.finish_floats(self.values, self.counts),
+                         self.counts == 0, len(self.counts))
+
+
+class ValuesColumn(_ValueColumn):
+    """A *captured* ``SUM`` / ``AVG`` / ``MIN`` / ``MAX`` per group:
+    every non-NULL value, unfolded, in group-then-row order — the flat
+    values column and the counts a ``presult`` frame ships.
+
+    Capturing folds nothing, so a batch is only kept: its values as a
+    chunk and, as a *run*, the keys of its segments.  :meth:`settle`
+    places the runs among the scan's final keys and, where several
+    batches met a group, brings its values together with one stable
+    sort — O(values) for the scan, however the keys arrive."""
+
+    def __init__(self):
+        super().__init__()
+        self._runs: list = []  # a (keys, null) per kept chunk
+
+    def absorb(self, part: _Partition, values, mask, n: int) -> None:
+        values, counts = _segment_values(part, values, mask, n)
+        self._runs.append((part.keys, part.null))
+        self._counts.parts.append(counts)
+        # Own the values: a view would pin the batch.
+        self._values.parts.append(np.array(values))
+
+    def settle(self, keys: np.ndarray, null: bool) -> None:
+        runs = self._runs
+        if not runs or (len(runs) == 1 and runs[0][0] is keys):
+            return  # nothing kept, or one run that is the state
+        places = [np.searchsorted(keys, run) for run, _null in runs]
+        slots = np.concatenate([
+            np.append(place, len(keys)) if run_null else place
+            for place, (_run, run_null) in zip(places, runs)])
+        owner = np.repeat(slots, self._counts.array())
+        values = self._values.array()
+        if not _ascends(owner):  # a group met again: in batch order
+            values = values[np.argsort(owner, kind="stable")]
+        self._runs = [(keys, null)]
+        self._counts.parts = [np.bincount(owner, minlength=len(keys) + null)]
+        self._values.parts = [values]
+
+    def load(self, partials: list) -> None:
+        self._counts.parts = [np.fromiter(map(len, partials), np.int64,
+                                          len(partials))]
+        self._values.parts = [
+            _object_column(list(chain.from_iterable(partials)))]
+
+    def states(self) -> list:
+        flat = self.values.tolist()
+        ends = np.cumsum(self.counts).tolist()
+        return [flat[lo:hi] for lo, hi in zip([0] + ends, ends)]
+
+
+class GroupArrays(Sequence):
+    """The running state of a grouped scan, held as arrays: the
+    distinct non-NULL keys ascending (each the first seen of its
+    group), a NULL group last when ``null``, and one state column per
+    aggregate (:class:`CountColumn`, :class:`FoldColumn`,
+    :class:`ValuesColumn`) in that group order.  Memory is O(groups)
+    — O(values) under capture — never O(rows).
+
+    Over captured aggregates this *is* the grouped partial a shard
+    answers: :meth:`arrays` are the columns a ``presult`` frame
+    carries, and as a sequence it reads as ``(key, [state, ...])``
+    pairs with the aggregates' scalar states, materialised on demand —
+    the shape of the dict a lane-by-lane scan keeps.
+    """
+
+    def __init__(self, columns: list):
+        self._keys = _Chunks(np.int64)
+        self._top = None  # the largest running key
+        self.null = False
+        self.columns = columns
+        self._pairs: list | None = None
+
+    @classmethod
+    def from_rows(cls, aggregates: Sequence, rows: list) -> "GroupArrays":
+        """The grouped partial another path — the row engine, morsels,
+        the per-lane walk — finished as sorted ``(key, partial, ...)``
+        rows of captured ``aggregates`` (NULL group last), loaded into
+        arrays: a grouped partial is one type whoever scanned."""
+        self = cls([agg.group_column() for agg in aggregates])
+        keys = [row[0] for row in rows]
+        self.null = bool(keys) and keys[-1] is None
+        self._keys.parts = [_object_column(keys[:len(keys) - self.null])]
+        for i, column in enumerate(self.columns, 1):
+            column.load([row[i] for row in rows])
+        return self
+
+    @property
+    def group_keys(self) -> np.ndarray:
+        return self._keys.array()
+
+    def absorb(self, part: _Partition, evaluated: list, n: int) -> None:
+        """Fold one partitioned batch into the state.  A batch whose
+        keys all lie beyond the running keys appends.  Any other is
+        merged: one ``searchsorted`` places its keys among the running
+        keys, every column moves to the merged layout and advances
+        over the batch's segments with its old entries as seeds."""
+        keys = part.keys
+        part.appends = not self.null and (
+            self._top is None or not len(keys) or keys[0] > self._top)
+        if part.appends:
+            size = len(keys)
+            part.old_at = np.empty(0, np.intp)
+            part.slots = slice(None)
+        else:
+            running = self._keys.array()
+            old = len(running)
+            pos = np.searchsorted(running, keys)
+            fresh = np.ones(len(pos), np.bool_)
+            inside = pos < old
+            fresh[inside] = running[pos[inside]] != keys[inside]
+            # A batch group lands after the running keys below it and
+            # the new keys before it; a running group moves up by the
+            # new keys inserted at or before it.
+            slots = pos + np.cumsum(fresh) - fresh
+            old_at = np.arange(old) + np.searchsorted(
+                pos[fresh], np.arange(old), side="right")
+            size = old + int(fresh.sum())
+            merged = np.empty(size, running.dtype if old else keys.dtype)
+            merged[old_at] = running
+            merged[slots[fresh]] = keys[fresh]
+            keys = merged
+            # The NULL group stays last, behind any key that joined.
+            part.old_at = np.append(old_at, size) if self.null else old_at
+            part.slots = np.append(slots, size) if part.null else slots
+        self._keys.keep(part, keys)
+        if len(keys):
+            self._top = keys[-1]
+        self.null = self.null or part.null
+        self._pairs = None
+        part.groups = size + self.null
+        for column, (values, mask) in zip(self.columns, evaluated):
+            column.absorb(part, values, mask, n)
+
+    def _key_list(self) -> list:
+        return self.group_keys.tolist() + [None] * self.null
+
+    def _settled(self) -> list:
+        """The columns, ready to be read."""
+        keys = self.group_keys
+        for column in self.columns:
+            column.settle(keys, self.null)
+        return self.columns
+
+    def rows(self, aggregates: Sequence, rows: int) -> list[tuple]:
+        """The finished ``(group, agg...)`` result rows, NULL group
+        last, built column by column."""
+        return list(zip(self._key_list(), *[
+            column.finish(agg, rows)
+            for column, agg in zip(self._settled(), aggregates)]))
+
+    def arrays(self) -> tuple:
+        """``(keys, null, [(counts, values), ...])``: the distinct
+        non-NULL keys, whether a NULL group follows them, and per
+        aggregate its per-group counts and — ``None`` for a count —
+        the groups' values end to end.  Under capture these are the
+        columns of a ``presult`` frame."""
+        return self.group_keys, self.null, [
+            (column.counts, column.values) for column in self._settled()]
+
+    def replace_values(self, kind: type, fn) -> None:
+        """Replace every captured value of type ``kind`` by
+        ``fn(value)``; a column that holds none is left alone."""
+        for column in self._settled():
+            if column.values is not None and column.replace(kind, fn):
+                self._pairs = None
+
+    def __len__(self) -> int:
+        return len(self.group_keys) + self.null
+
+    def __getitem__(self, index):
+        if self._pairs is None:
+            states = [column.states() for column in self._settled()]
+            self._pairs = [(key, [column[g] for column in states])
+                           for g, key in enumerate(self._key_list())]
+        return self._pairs[index]
+
+
+def _step_rows(group_expr, aggregates: Sequence, groups: dict,
+               ctx: BatchContext) -> None:
+    """The row engine's loop over the context's batch — for aggregates
+    that implement ``step`` only."""
+    prev = ctx.row
+    try:
+        for row in ctx.batch.rows():
+            ctx.row = row
+            group = group_expr.eval(ctx)
+            states = groups.get(group)
+            if states is None:
+                states = groups[group] = [a.start() for a in aggregates]
+            for i, agg in enumerate(aggregates):
+                states[i] = agg.step(states[i], ctx)
+    finally:
+        ctx.row = prev
+
+
 def scan_grouped(table: "Table", pool: "BufferPool", group_expr,
                  aggregates: Sequence, where, ctx: BatchContext,
                  batch_pages: int = DEFAULT_BATCH_PAGES):
     """Vectorized hash-aggregation scan body.
 
-    Expressions are evaluated batch-at-a-time; the group column is
-    partitioned with :func:`partition_lanes` (np.unique + stable
-    argsort) and each group advances over its lane values in one
-    ``step_values`` call — the accumulation order within a group is
-    still row order, so float rounding matches the row engine.
-    Batches whose group keys cannot be partitioned faithfully (object
-    dtype, NaN) fall back to the per-lane ``step_value`` walk, and
-    aggregates without either hook fall back to per-row stepping.
-    Returns ``(groups, rows, payload_bytes)``.
+    Expressions are evaluated batch-at-a-time.  Each batch is
+    partitioned once (:func:`_partition`: one stable sort of the lanes
+    by key) and every aggregate advances over all the resulting
+    segments in one call — the state is a :class:`GroupArrays`.
+    Within a group the accumulation order is still row order, so float
+    rounding matches the row engine.
+
+    The first batch whose keys do not partition (object dtype, NaN)
+    turns the state into the row engine's dict and the scan goes on
+    with the per-lane ``step_value`` walk; aggregates without array
+    columns start there, and aggregates without ``step_value`` are
+    stepped per row.  Returns ``(groups, rows, payload_bytes)`` with
+    ``groups`` the :class:`GroupArrays` or that dict.
     """
-    partitionable = all(
-        getattr(agg, "step_values", None) is not None
-        for agg in aggregates)
-    per_lane_ok = all(
-        getattr(agg, "step_value", None) is not None
-        for agg in aggregates)
-    vectorizable = partitionable or per_lane_ok
+    per_lane = all(hasattr(agg, "step_value") for agg in aggregates)
+    columns = [agg.group_column() if hasattr(agg, "group_column")
+               else None for agg in aggregates]
+    # The spill below continues per lane, so arrays need both hooks.
+    arrays = GroupArrays(columns) \
+        if per_lane and None not in columns else None
     groups: dict = {}
     rows = 0
     payload_bytes = 0
@@ -809,68 +1286,26 @@ def scan_grouped(table: "Table", pool: "BufferPool", group_expr,
             batch = _apply_where(where, ctx)
             if batch is None:
                 continue
-        if vectorizable:
-            n = batch.n
-            gv, gm = eval_node(group_expr, ctx)
-            parts = partition_lanes(gv, gm, n) if partitionable else None
-            cols = [
-                (to_pylist(*eval_node(agg.expr, ctx), n)
-                 if agg.expr is not None else None)
-                for agg in aggregates]
-            if parts is not None:
-                for group, lanes in parts:
-                    states = groups.get(group)
-                    if states is None:
-                        states = [agg.start() for agg in aggregates]
-                        groups[group] = states
-                    for i, agg in enumerate(aggregates):
-                        col = cols[i]
-                        states[i] = agg.step_values(
-                            states[i],
-                            [col[lane] for lane in lanes]
-                            if col is not None
-                            else [None] * len(lanes))
+        if not per_lane:
+            _step_rows(group_expr, aggregates, groups, ctx)
+            continue
+        n = batch.n
+        gv, gm = eval_node(group_expr, ctx)
+        evaluated = [eval_node(agg.expr, ctx) if agg.expr is not None
+                     else (None, None) for agg in aggregates]
+        if arrays is not None:
+            part = _partition(gv, gm, n)
+            if part is not None:
+                arrays.absorb(part, evaluated, n)
                 continue
-            if not per_lane_ok:
-                # step_values-only aggregates on an unpartitionable
-                # batch: step per row like the non-vectorizable path.
-                prev = ctx.row
-                try:
-                    for row in batch.rows():
-                        ctx.row = row
-                        group = group_expr.eval(ctx)
-                        states = groups.get(group)
-                        if states is None:
-                            states = [agg.start() for agg in aggregates]
-                            groups[group] = states
-                        for i, agg in enumerate(aggregates):
-                            states[i] = agg.step(states[i], ctx)
-                finally:
-                    ctx.row = prev
-                continue
-            gvals = to_pylist(gv, gm, n)
-            for lane in range(n):
-                group = gvals[lane]
-                states = groups.get(group)
-                if states is None:
-                    states = [agg.start() for agg in aggregates]
-                    groups[group] = states
-                for i, agg in enumerate(aggregates):
-                    col = cols[i]
-                    states[i] = agg.step_value(
-                        states[i], col[lane] if col is not None else None)
-        else:
-            prev = ctx.row
-            try:
-                for row in batch.rows():
-                    ctx.row = row
-                    group = group_expr.eval(ctx)
-                    states = groups.get(group)
-                    if states is None:
-                        states = [agg.start() for agg in aggregates]
-                        groups[group] = states
-                    for i, agg in enumerate(aggregates):
-                        states[i] = agg.step(states[i], ctx)
-            finally:
-                ctx.row = prev
-    return groups, rows, payload_bytes
+            groups, arrays = dict(arrays), None
+        gvals = to_pylist(gv, gm, n)
+        cols = [to_pylist(*pair, n) for pair in evaluated]
+        for lane in range(n):
+            states = groups.get(gvals[lane])
+            if states is None:
+                states = groups[gvals[lane]] = [
+                    agg.start() for agg in aggregates]
+            for i, agg in enumerate(aggregates):
+                states[i] = agg.step_value(states[i], cols[i][lane])
+    return (groups if arrays is None else arrays), rows, payload_bytes

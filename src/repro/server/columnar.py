@@ -442,6 +442,33 @@ class Columns:
                               for group, partials in groups])
 
     @classmethod
+    def from_group_arrays(
+            cls, keys: npt.NDArray[Any], null_group: bool,
+            partials: Sequence[tuple[npt.NDArray[np.int64],
+                                     npt.NDArray[Any] | None]]
+    ) -> "Columns":
+        """:meth:`from_groups` of a grouped partial state that is
+        already held as arrays — the same columns, buffer for buffer,
+        without visiting a group.  ``keys`` are the distinct non-NULL
+        group keys (``null_group``: a NULL group follows them); each
+        aggregate gives ``(counts, None)`` for a count partial or
+        ``(counts, values)`` with the groups' values end to end."""
+        groups = len(keys) + null_group
+        if not groups:
+            return cls([], 0)
+        columns = [Column.from_cells(keys.tolist() + [None] * null_group)]
+        for counts, values in partials:
+            if values is None:
+                columns.append(Column("q", counts))
+                continue
+            if values.dtype == _FLOAT64 and len(values):
+                flat = Column("d", values)
+            else:
+                flat = Column.from_cells(values.tolist())
+            columns.append(Column("*", flat, counts))
+        return cls(columns, groups)
+
+    @classmethod
     def decode(cls, types: object, buffers: Sequence[Buffer],
                rowcount: object = None) -> "Columns":
         """Validate a type string against its buffers and wrap them

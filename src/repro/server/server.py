@@ -455,7 +455,8 @@ class ArrayServer:
         aggregate its counts and one flat values column."""
         states = result["states"]
         groups = result["groups"]
-        columns = protocol.Columns.from_groups(groups or ())
+        columns = protocol.Columns.from_groups(()) if groups is None \
+            else protocol.Columns.from_group_arrays(*groups.arrays())
         types, blobs = columns.encode()  # none for a scalar SELECT
         packed_states = None if states is None else [
             protocol.pack_partial(state, blobs) for state in states]
@@ -818,18 +819,19 @@ class ArrayServer:
         """``query_partial`` finalize hook: resolve blob handles inside
         MIN/MAX value-list partials while the table latch is held (same
         reasoning as :meth:`_materialize_result`)."""
+        def read(handle):
+            return handle.read_all(self.db.pool)
+
         def fix(partial):
             if isinstance(partial, list):
-                return [cell.read_all(self.db.pool)
-                        if isinstance(cell, MaxBlobHandle) else cell
-                        for cell in partial]
+                return [read(cell) if isinstance(cell, MaxBlobHandle)
+                        else cell for cell in partial]
             return partial
 
         if payload["states"] is not None:
             payload["states"] = [fix(s) for s in payload["states"]]
         if payload["groups"] is not None:
-            payload["groups"] = [(group, [fix(s) for s in parts])
-                                 for group, parts in payload["groups"]]
+            payload["groups"].replace_values(MaxBlobHandle, read)
         return payload
 
     def _execute_insert_sync(self, session: SqlSession,

@@ -31,7 +31,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from ..engine.executor import Avg, Count, Max, Min, Sum
+from ..engine.executor import Avg, Count, Max, Min, Sum, group_rank
 from ..engine.metrics import QueryMetrics
 from ..server.columnar import Column, Columns, concat
 
@@ -95,8 +95,7 @@ def _group_order(keys: Column):
         new[1:] = k[1:] != k[:-1]
     else:
         cells = keys.cells()
-        ranked = sorted(range(n),
-                        key=lambda i: (cells[i] is None, cells[i]))
+        ranked = sorted(range(n), key=lambda i: group_rank(cells[i]))
         order = np.array(ranked, np.intp)
         new = np.ones(n, np.bool_)
         new[1:] = [cells[a] != cells[b]
@@ -225,14 +224,14 @@ def _finish_column(agg, state, rows: int) -> Column:
     if not isinstance(state, _Single):
         return Column("q", state)
     values, counts = state
-    if type(agg) is Avg:
-        if values.code != "d":  # int / int: Python's exact division
-            return Column.from_cells([
-                agg.finish((value, n), rows) for value, n
-                in zip(values.cells(), counts.tolist())])
-        # total / n with n == 1: the IEEE division ``finish`` performs.
-        with np.errstate(invalid="ignore"):  # a signalling NaN
-            values = Column("d", values.values / 1.0)
+    if values.code == "d":
+        # ``finish`` as one array operation: AVG's total / 1, and a
+        # NaN total of SUM/AVG reported as the canonical ``nan``.
+        values = Column("d", agg.finish_floats(values.values, counts))
+    elif type(agg) is Avg:  # int / int: Python's exact division
+        return Column.from_cells([
+            agg.finish((value, n), rows) for value, n
+            in zip(values.cells(), counts.tolist())])
     empty = counts == 0
     return Column(values.code, values.values, values.sizes,
                   empty if empty.any() else None)

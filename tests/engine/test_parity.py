@@ -23,6 +23,9 @@ from repro.tsql import FloatArray, FloatArrayMax
 
 ROWS = 600
 
+NEG_NAN, POS_NAN = struct.unpack("<2d", struct.pack(
+    "<2Q", 0xFFF8_0000_0000_0000, 0x7FF8_0000_0000_0000))
+
 
 def _bits(value):
     """Bit-exact comparison key: floats by their IEEE-754 pattern."""
@@ -325,3 +328,63 @@ class TestParityUnderTableLatches:
     def test_seek_plan_parity(self, latched_session):
         assert_parity(latched_session,
                       "SELECT SUM(x) FROM t WHERE id = 42", seek=True)
+
+
+class TestFloatKeysAndNanTotals:
+    """Two places where the engines used to part ways on float bits:
+    which of ``0.0`` / ``-0.0`` names their common group, and the sign
+    of a NaN total."""
+
+    @staticmethod
+    def float_session(rows):
+        db = Database(buffer_pages=2048)
+        table = db.create_table(
+            "f", [Column("id", "bigint"), Column("k", "float"),
+                  Column("x", "float"),
+                  Column("pad", "varbinary", cap=400)])
+        table.insert_many([(i, k, x, bytes(400))
+                           for i, (k, x) in enumerate(rows)])
+        return SqlSession(db), table
+
+    def test_the_zero_group_is_named_by_its_first_row(self):
+        # np.unique picked -0.0 whatever the row order; the dict the
+        # row engine keeps names the group by the first key it met.
+        session, _table = self.float_session(
+            [(1.0, 1.0), (1.0, 2.0), (0.0, 3.0), (-0.0, 4.0)])
+        sql = "SELECT k, SUM(x), COUNT(*) FROM f GROUP BY k"
+        assert_parity(session, sql)
+        rows, _m = session.query(sql, engine="vector")
+        assert _bits(rows) == _bits([(0.0, 7.0, 2), (1.0, 3.0, 2)])
+
+    @pytest.mark.parametrize("first,second", [(0.0, -0.0), (-0.0, 0.0)])
+    def test_also_when_the_zeros_meet_across_batches(self, first, second):
+        # ~17 rows a page: the first 64-page batch ends before row 1200.
+        session, table = self.float_session(
+            [(first if i < 1000 else second, 1.0) for i in range(1400)])
+        assert len(list(table.scan_batches())) == 2
+        sql = "SELECT k, COUNT(*) FROM f GROUP BY k"
+        assert_parity(session, sql)
+        rows, _m = session.query(sql, engine="vector")
+        assert _bits(rows) == _bits([(first, 1400)])
+
+    def test_a_nan_total_has_one_sign_on_every_engine(self):
+        # Which NaN an add keeps depends on the operand order the C
+        # compiler chose — differently in the interpreter's inlined
+        # float add (once it has specialised: hence 200 rows), in
+        # float_add and in NumPy — so SUM/AVG report the canonical nan.
+        pair = (NEG_NAN, POS_NAN)
+        session, _table = self.float_session(
+            [(float(i // 2), pair[(i + i // 40) % 2]) for i in range(200)])
+        for sql in ["SELECT k, SUM(x), AVG(x) FROM f GROUP BY k",
+                    "SELECT SUM(x), AVG(x) FROM f"]:
+            assert_parity(session, sql)
+            values, _m = session.query(sql, engine="vector")
+            rows = values if isinstance(values, list) else [(0.0, *values)]
+            assert {_bits(row[1:]) for row in rows} == \
+                {_bits((POS_NAN, POS_NAN))}
+        # MIN/MAX return an operand: sign (and payload) survive.
+        assert_parity(session, "SELECT k, MIN(x), MAX(x) FROM f GROUP BY k")
+        rows, _m = session.query(
+            "SELECT k, MIN(x) FROM f GROUP BY k", engine="vector")
+        assert {_bits(row[1]) for row in rows} == \
+            {_bits(NEG_NAN), _bits(POS_NAN)}

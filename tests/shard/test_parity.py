@@ -9,9 +9,12 @@ approximation of it.
 """
 
 import random
+import struct
 
 import pytest
 
+from repro.engine import Column, Database
+from repro.engine.sqlfront import SqlSession
 from repro.server.server import ServerConfig, ServerThread
 from repro.shard import (ShardClient, ShardConfig, ShardFleet,
                          ShardRouter, ShardServer)
@@ -162,3 +165,35 @@ def test_sql_insert_through_router(cluster):
     assert out["rowcount"] == 1
     out = router.execute("DELETE FROM t WHERE id = 900002")
     assert out["rowcount"] == 1
+
+
+def test_float_group_keys_and_nan_totals_bit_for_bit(cluster):
+    """Both NaN signs inside every group of ``a`` and a ``0.0`` /
+    ``-0.0`` group whose rows meet on every shard: row = vector =
+    parallel = cluster, down to the sign of the NaN total and to which
+    zero names the group (the first in key order, here ``-0.0``)."""
+    nans = struct.unpack("<2d", struct.pack(
+        "<2Q", 0xFFF8_0000_0000_0000, 0x7FF8_0000_0000_0000))
+    rows = [(i * 7, float(i % 3) if i % 3 else (-0.0, 0.0)[i // 3 % 2],
+             float(i % 4), nans[(i + i // 40) % 2], i * 0.5)
+            for i in range(420)]
+    router = cluster["router"]
+    router.execute("CREATE TABLE z (id BIGINT PRIMARY KEY, k FLOAT, "
+                   "a FLOAT, x FLOAT, y FLOAT)")
+    assert router.insert_rows("z", rows) == len(rows)
+    db = Database()
+    db.create_table("z", [Column("id", "bigint"), Column("k", "float"),
+                          Column("a", "float"), Column("x", "float"),
+                          Column("y", "float")]).insert_many(rows)
+    reference = SqlSession(db)
+    for sql in ["SELECT k, SUM(y), COUNT(*) FROM z GROUP BY k",
+                "SELECT a, SUM(x), AVG(x), MIN(x), MAX(x) FROM z GROUP BY a",
+                "SELECT SUM(x), AVG(x) FROM z"]:
+        got = bits([tuple(r) for r in router.execute(sql)["rows"]])
+        for engine in ("row", "vector", "parallel"):
+            want = normalize(reference.query(sql, engine=engine,
+                                             workers=2))
+            assert got == bits(want), (sql, engine)
+    zero_group = router.execute(
+        "SELECT k, COUNT(*) FROM z GROUP BY k")["rows"][0]
+    assert bits([tuple(zero_group)]) == bits([(-0.0, 140)])
