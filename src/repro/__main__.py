@@ -98,10 +98,9 @@ def _cmd_serve(args: list[str]) -> int:
                              "--workers, the query thread pool)")
     opts = parser.parse_args(args)
 
-    import asyncio
-
     from repro.server import ArrayServer, ServerConfig
 
+    _sigterm_interrupts()
     print(f"Loading evaluation tables at {opts.rows:,} rows ...")
     db = _load_demo_db(opts.rows)
     config = ServerConfig(host=opts.host, port=opts.port,
@@ -109,23 +108,43 @@ def _cmd_serve(args: list[str]) -> int:
                           queue_limit=opts.queue,
                           query_timeout=opts.timeout,
                           engine_workers=opts.engine_workers)
-    server = ArrayServer(db, config)
+    engine_workers = (f", engine-workers={opts.engine_workers}"
+                      if opts.engine_workers else "")
+    _serve_until_interrupted(
+        ArrayServer(db, config),
+        lambda port: f"repro-array-server listening on "
+                     f"{opts.host}:{port} "
+                     f"(workers={opts.workers}, queue={opts.queue}, "
+                     f"timeout={opts.timeout:g}s{engine_workers})")
+    return 0
 
-    async def _serve():
-        await server.start()
-        engine_workers = (f", engine-workers={opts.engine_workers}"
-                          if opts.engine_workers else "")
-        print(f"repro-array-server listening on "
-              f"{opts.host}:{server.port} "
-              f"(workers={opts.workers}, queue={opts.queue}, "
-              f"timeout={opts.timeout:g}s{engine_workers})")
-        await server.serve_forever()
 
+def _sigterm_interrupts() -> None:
+    """Make SIGTERM end the process the way Ctrl-C does — a
+    ``KeyboardInterrupt`` in the main thread — so ``finally`` blocks
+    run: the server stops, and a cluster's shard processes are not
+    left behind."""
+    import signal
+
+    def interrupt(_signum, _frame):
+        raise KeyboardInterrupt
+
+    signal.signal(signal.SIGTERM, interrupt)
+
+
+def _serve_until_interrupted(server, banner) -> None:
+    """Start ``server``, announce it with ``banner(port)``, serve until
+    SIGINT or SIGTERM, stop it.  The banner is printed inside the
+    ``try`` so a supervisor that signals as soon as it has read the
+    line still gets the clean exit."""
     try:
-        asyncio.run(_serve())
+        server.start()
+        print(banner(server.port), flush=True)
+        server.serve_forever()
     except KeyboardInterrupt:
         print("\nshutting down")
-    return 0
+    finally:
+        server.stop()
 
 
 def _cmd_shard_serve(args: list[str]) -> int:
@@ -156,14 +175,13 @@ def _cmd_shard_serve(args: list[str]) -> int:
                         help="coordinator per-query timeout in seconds")
     opts = parser.parse_args(args)
 
-    import asyncio
-
     import numpy as np
 
     from repro.server import ServerConfig
     from repro.shard import ShardConfig, ShardServer, start_cluster
     from repro.tsql import FloatArray
 
+    _sigterm_interrupts()
     shard_config = ShardConfig(
         shards=opts.shards, replicas=opts.replicas,
         partitioning=opts.partitioning,
@@ -196,22 +214,16 @@ def _cmd_shard_serve(args: list[str]) -> int:
             max_workers=opts.workers, queue_limit=opts.queue,
             query_timeout=opts.timeout, name="repro-shard-coordinator"))
 
-        async def _serve():
-            await coordinator.start()
-            shards = ", ".join(
-                "|".join(f"{h}:{p}" for h, p in replica_set)
-                for replica_set in fleet.addresses)
-            print(f"repro-shard-coordinator listening on "
-                  f"{opts.host}:{coordinator.port} "
-                  f"({opts.shards} shards [{shards}], "
-                  f"replicas={opts.replicas}, "
-                  f"partitioning={opts.partitioning})")
-            await coordinator.serve_forever()
-
-        try:
-            asyncio.run(_serve())
-        except KeyboardInterrupt:
-            print("\nshutting down")
+        shards = ", ".join(
+            "|".join(f"{h}:{p}" for h, p in replica_set)
+            for replica_set in fleet.addresses)
+        _serve_until_interrupted(
+            coordinator,
+            lambda port: f"repro-shard-coordinator listening on "
+                         f"{opts.host}:{port} "
+                         f"({opts.shards} shards [{shards}], "
+                         f"replicas={opts.replicas}, "
+                         f"partitioning={opts.partitioning})")
     finally:
         fleet.stop()
     return 0

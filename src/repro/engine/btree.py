@@ -31,8 +31,11 @@ _CHILD_STRUCT = struct.Struct("<qi")
 
 def _descend_slot(page: Page, key: int) -> int:
     """Child slot to follow in an internal page: the rightmost record
-    whose separator key is <= ``key`` (slot 0 if none)."""
-    lo, hi = 0, page.slot_count - 1
+    past slot 0 whose separator key is <= ``key`` (slot 0 if none).
+    Slot 0 takes everything below slot 1 whatever its own separator
+    says: once the leaf to its left is unlinked it holds smaller keys
+    too, and a split of it then files a separator *below* slot 0's."""
+    lo, hi = 1, page.slot_count - 1
     best = 0
     while lo <= hi:
         mid = (lo + hi) // 2

@@ -59,7 +59,10 @@ class LockOrderViolation(RuntimeError):
 #: e.g. an installed package without the analysis data).
 DEFAULT_ORDER: tuple[str, ...] = (
     "intent",
+    "mutex:ArrayServer",
     "mutex:ShardRouter",
+    "mutex:_Connection",
+    "mutex:_RelayStream",
     "rwlock",
     "workerpool",
     "catalog",

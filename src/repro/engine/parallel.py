@@ -728,6 +728,10 @@ def run_parallel(db, table, aggregates, where, group_expr, cold: bool,
     """Parallel ``SELECT aggs FROM table [WHERE ...] [GROUP BY ...]``;
     ``None`` when the plan cannot run in parallel safely (the caller
     falls back to a serial scan).  Call with no latch held."""
+    if multiprocessing.current_process().daemon:
+        # A daemonic process (a shard replica) may not have children,
+        # so there are no morsel workers to be had here.
+        return None
     plan_bytes = _build_plan(table, aggregates, where, group_expr)
     if plan_bytes is None:
         return None

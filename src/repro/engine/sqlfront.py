@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import math
 import re
+from collections import OrderedDict
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -70,7 +71,7 @@ from .executor import (
 )
 from .table import Table
 
-__all__ = ["SelectPlan", "SqlSession", "SqlSyntaxError"]
+__all__ = ["PlanCache", "SelectPlan", "SqlSession", "SqlSyntaxError"]
 
 
 class SqlSyntaxError(Exception):
@@ -208,6 +209,30 @@ class SelectPlan:
     partial: bool = False
 
 
+#: Plans one prepared-statement cache keeps — a session's and the shard
+#: coordinator's alike.  Statement texts that differ in a literal are
+#: different keys, so an unbounded cache grows by a plan for every key a
+#: client loops ``... WHERE id = <k>`` over.
+PLAN_CACHE_SIZE = 256
+
+
+class PlanCache(OrderedDict):
+    """Statement text -> :class:`SelectPlan`, least recently used out
+    first; ``clear()`` on DDL as for any dict."""
+
+    def lookup(self, sql: str) -> SelectPlan | None:
+        try:
+            self.move_to_end(sql)
+        except KeyError:
+            return None
+        return self.get(sql)
+
+    def remember(self, sql: str, plan: SelectPlan) -> None:
+        self[sql] = plan
+        if len(self) > PLAN_CACHE_SIZE:
+            self.popitem(last=False)
+
+
 class _BinOp(Expression):
     """Arithmetic/comparison/boolean operator over two expressions."""
 
@@ -332,7 +357,7 @@ class SqlSession:
         # Prepared-statement plan cache, keyed by exact SQL text.
         # Invalidated wholesale on DDL (a plan holds a Table
         # reference, and new tables can change how a name resolves).
-        self._plan_cache: dict[str, SelectPlan] = {}
+        self._plan_cache = PlanCache()
         # The paper's cross-check UDF ships registered, with a trivial
         # batch kernel so the vector engine never falls back on it.
         # It is a module-level function (not a lambda) so query plans
@@ -616,10 +641,10 @@ class SqlSession:
         leave plans valid — a plan captures *structure* (expressions,
         seek keys parsed from constants), never row contents.
         """
-        plan = self._plan_cache.get(sql)
+        plan = self._plan_cache.lookup(sql)
         if plan is None:
             plan = self.plan_select(sql)
-            self._plan_cache[sql] = plan
+            self._plan_cache.remember(sql, plan)
         return plan
 
     def query_prepared(self, sql: str, cold: bool = True,

@@ -7,10 +7,10 @@ wait their turn; anything beyond that is rejected *immediately* with
 gets a fast, explicit signal to back off, and the queries already
 admitted keep their latency.
 
-The controller is a plain thread-safe counter: slots are taken on the
-event-loop thread before a query is submitted to the pool and released
-from whatever thread finishes (or abandons) the work, so it never
-depends on the loop being responsive.
+The controller is a plain thread-safe counter: a slot is taken by the
+connection thread before it submits the query to the pool and released
+by the future's done-callback — on the worker thread when the query
+ends, or on the connection thread when it cancels a job still queued.
 """
 
 from __future__ import annotations

@@ -1,33 +1,37 @@
-"""The array-database server: asyncio TCP front, threaded query pool.
+"""The array-database server: a thread per connection, a bounded query pool.
 
 One process holds one shared :class:`~repro.engine.executor.Database`.
-Each TCP connection gets its own
-:class:`~repro.engine.sqlfront.SqlSession` (per-session UDF registry,
-like a SQL Server SPID); statements execute on a bounded thread pool
-behind the admission controller, under the database's per-table
-latches (:mod:`repro.engine.latches`), so concurrent scans share and a
-writer excludes only readers of *its own* table — writers on one table
-overlap scans of another, like the paper's host.  SELECTs pin a
-copy-on-write page-version snapshot and scan it latch-free, so readers
-and a writer of the *same* table overlap too.
+A listener thread accepts; each TCP connection gets a daemon thread and
+its own :class:`~repro.engine.sqlfront.SqlSession` (per-session UDF
+registry, like a SQL Server SPID).  The connection thread reads a frame
+from its blocking socket, validates and dispatches it, and writes the
+reply itself; statements execute on a bounded thread pool behind the
+admission controller — ``submit`` the job, wait for its future — under
+the database's per-table latches (:mod:`repro.engine.latches`), so
+concurrent scans share and a writer excludes only readers of *its own*
+table — writers on one table overlap scans of another, like the
+paper's host.  SELECTs pin a copy-on-write page-version snapshot and
+scan it latch-free, so readers and a writer of the *same* table
+overlap too.  ``ping``, ``stats`` and ``prepare`` never leave the
+connection thread, so they answer while every worker is busy.
 
 The connection protocol is strict request/response for every frame type
-except ``pexec``: the handler reads one frame, answers it, and only
-then reads the next.  ``pexec`` frames may be *pipelined* — a client
-sends N of them back-to-back, the handler drains the contiguous run
-already sitting in the stream buffer into one batch (one admission
-slot, one worker-pool hop, statements sequential) and answers with N
-result frames in request order.  ``bquery`` replies are a *stream* of
-bounded ``bchunk`` frames: the blob slice is resolved and read under
-the table latch, then shipped chunk by chunk, so a corner of a huge
-blob never trips the frame-size limit.  A query that outlives its
-timeout gets an immediate ``QUERY_TIMEOUT`` error; the worker thread
+except ``pexec``: the connection thread reads one frame, answers it,
+and only then reads the next.  ``pexec`` frames may be *pipelined* — a
+client sends N of them back-to-back, the connection thread drains the
+contiguous run already sitting in its receive buffer into one batch
+(one admission slot, one worker-pool hop, statements sequential) and
+answers with N result frames in request order.  ``bquery`` replies are
+a *stream* of bounded ``bchunk`` frames: the blob slice is resolved and
+read under the table latch, then shipped chunk by chunk, so a corner
+of a huge blob never trips the frame-size limit.  A query that outlives
+its timeout gets an immediate ``QUERY_TIMEOUT`` error; the worker thread
 finishes in the background and its admission slot is returned only
 when it actually ends, so timeouts cannot be used to stampede past the
-concurrency bound.
+concurrency bound.  (Why a thread per connection: ``docs/SERVER.md``.)
 
-Embedders (tests, benchmarks, the CLI client's self-serve mode) can use
-:class:`ServerThread` to run a server on a background event loop::
+Embedders (tests, benchmarks, the CLI client's self-serve mode) use
+:class:`ServerThread` to start a server and stop it again::
 
     with ServerThread(db) as handle:
         client = ArrayClient("127.0.0.1", handle.port)
@@ -36,11 +40,13 @@ Embedders (tests, benchmarks, the CLI client's self-serve mode) can use
 
 from __future__ import annotations
 
-import asyncio
+import itertools
 import math
+import socket
 import threading
 import time
 from concurrent.futures import CancelledError, ThreadPoolExecutor
+from concurrent.futures import TimeoutError as FutureTimeout
 from dataclasses import dataclass
 from typing import Callable
 
@@ -59,6 +65,14 @@ __all__ = ["ServerConfig", "ArrayServer", "ServerThread"]
 #: Most ``pexec`` frames drained into one pipelined batch — bounds how
 #: long a batch can hold its single admission slot.
 PIPELINE_BATCH_MAX = 32
+
+#: Bytes asked of the socket per ``recv`` — a pipelined run of small
+#: frames arrives in one call.
+_RECV_BYTES = 64 * 1024
+
+#: Longest :meth:`ArrayServer.stop` waits, in all, for connection
+#: threads to end; only one with a statement still running takes any.
+_STOP_JOIN_SECONDS = 2.0
 
 
 @dataclass
@@ -96,6 +110,62 @@ class ServerConfig:
     engine_workers: int | None = None
 
 
+class _Connection:
+    """One accepted socket.  Frames are cut from a receive buffer the
+    connection owns, so a pipelined run can be drained without touching
+    the socket; every write takes one send lock, because two threads
+    may answer on one socket — a coordinator relay's worker and the
+    connection thread answering that statement's timeout."""
+
+    def __init__(self, sock: socket.socket, max_frame: int):
+        self.sock = sock
+        self.max_frame = max_frame
+        self.send_lock = threading.Lock()
+        self.thread: threading.Thread | None = None
+        self._received = bytearray()
+
+    def buffered_frame(self):
+        """The next frame if every byte of it has been received, else
+        None — never reads the socket."""
+        received = self._received
+        if len(received) < 4:
+            return None
+        (total,) = protocol._U32.unpack_from(received)
+        protocol._check_total(total, self.max_frame)
+        end = 4 + total
+        if len(received) < end:
+            return None
+        payload = bytes(memoryview(received)[4:end])
+        del received[:end]
+        return protocol.decode_frame(payload)
+
+    def read_frame(self):
+        """Block until one whole frame has arrived; None on a clean
+        EOF (the peer closed between frames)."""
+        while True:
+            frame = self.buffered_frame()
+            if frame is not None:
+                return frame
+            chunk = self.sock.recv(_RECV_BYTES)
+            if not chunk:
+                if self._received:
+                    raise protocol.ProtocolError(
+                        "connection closed mid-frame")
+                return None
+            self._received += chunk
+
+    def send(self, data: bytes) -> None:
+        with self.send_lock:
+            self.sock.sendall(data)
+
+    def send_frame(self, header: dict, blobs=(),
+                   max_frame: int = protocol.MAX_FRAME_BYTES) -> None:
+        """Write one frame; :class:`protocol.FrameTooLargeError` —
+        before a byte is sent — if it exceeds ``max_frame``."""
+        with self.send_lock:
+            protocol.write_frame_sock(self.sock, header, blobs, max_frame)
+
+
 class ArrayServer:
     """Serves the wire protocol over one shared database.
 
@@ -118,186 +188,199 @@ class ArrayServer:
         self._executor = ThreadPoolExecutor(
             max_workers=self.config.max_workers,
             thread_name_prefix="repro-query")
-        self._server: asyncio.AbstractServer | None = None
-        self._next_session_id = 0
-        self._writers: set[asyncio.StreamWriter] = set()
+        self._listener: socket.socket | None = None
+        self._accept_thread: threading.Thread | None = None
+        self._stopping = False
+        self._crash: BaseException | None = None
+        self._session_ids = itertools.count(1)  # next() is atomic
+        self._connections: set[_Connection] = set()
+        self._connections_lock = threading.Lock()
 
     # -- lifecycle -----------------------------------------------------------
 
     @property
     def port(self) -> int:
         """The bound port (valid after :meth:`start`)."""
-        if self._server is None:
+        if self._listener is None:
             raise RuntimeError("server is not started")
-        return self._server.sockets[0].getsockname()[1]
+        return self._listener.getsockname()[1]
 
-    async def start(self) -> None:
-        """Bind and start accepting connections (returns immediately)."""
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.config.host, self.config.port)
+    def start(self) -> None:
+        """Bind and start accepting connections on a listener thread
+        (returns immediately)."""
+        host = self.config.host
+        self._listener = socket.create_server(
+            (host, self.config.port), backlog=100,
+            family=socket.AF_INET6 if ":" in host else socket.AF_INET)
+        self._accept_thread = threading.Thread(
+            target=self._accept_loop, daemon=True, name="repro-listener")
+        self._accept_thread.start()
 
-    async def serve_forever(self) -> None:
-        """Start (if needed) and serve until cancelled."""
-        if self._server is None:
-            await self.start()
-        async with self._server:
-            await self._server.serve_forever()
+    def serve_forever(self) -> None:
+        """Start (if needed) and block until :meth:`stop` — from
+        another thread — ends the listener or a signal handler's
+        exception unwinds through here.  Re-raises a listener crash."""
+        if self._accept_thread is None:
+            self.start()
+        self._accept_thread.join()
+        self._raise_crash()
 
-    async def stop(self) -> None:
-        """Stop accepting, drop live connections, shut the pool down."""
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-        for writer in list(self._writers):
-            writer.close()
+    def stop(self) -> None:
+        """Stop accepting, hang up on live connections, shut the pool
+        down.  Idempotent, and returns within a bound: a statement
+        still running finishes in the background.  Re-raises whatever
+        the listener thread died of — a crash after a successful start
+        would otherwise vanish with its daemon thread."""
+        self._stopping = True
+        if self._accept_thread is not None:
+            # Joined before the sweep so nothing is accepted behind it.
+            _shut_down(self._listener)
+            self._accept_thread.join(timeout=_STOP_JOIN_SECONDS)
+            self._listener.close()
+        with self._connections_lock:
+            live = list(self._connections)
+        for conn in live:
+            _shut_down(conn.sock)  # its own thread closes it
+        deadline = time.monotonic() + _STOP_JOIN_SECONDS
+        for conn in live:
+            conn.thread.join(max(0.0, deadline - time.monotonic()))
         self._executor.shutdown(wait=False, cancel_futures=True)
+        self._raise_crash()
+
+    def _raise_crash(self) -> None:
+        """Raise the listener's pending crash, if any (raise-once)."""
+        crash, self._crash = self._crash, None
+        if crash is not None:
+            raise crash
+
+    def _accept_loop(self) -> None:
+        try:
+            while True:
+                try:
+                    sock, _address = self._listener.accept()
+                except ConnectionAbortedError:
+                    continue  # that peer gave up while still queued
+                except OSError:
+                    if self._stopping:
+                        return
+                    raise
+                # Without it Nagle + delayed ACK put 40 ms on every reply.
+                sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+                conn = _Connection(sock, self.config.max_frame)
+                conn.thread = threading.Thread(
+                    target=self._serve_connection, args=(conn,),
+                    daemon=True, name="repro-connection")
+                with self._connections_lock:
+                    self._connections.add(conn)
+                conn.thread.start()
+        except BaseException as exc:
+            self._crash = exc  # held for serve_forever()/stop()
 
     # -- connection handling ------------------------------------------------
 
-    async def _handle_connection(self, reader: asyncio.StreamReader,
-                                 writer: asyncio.StreamWriter) -> None:
-        self._next_session_id += 1
-        session_id = self._next_session_id
-        self._writers.add(writer)
-        session = SqlSession(self.db)
-        if self.session_setup is not None:
-            self.session_setup(session)
+    def _serve_connection(self, conn: _Connection) -> None:
+        """The body of one connection thread: greet, then read a
+        frame, answer it, read the next, until either side hangs up."""
+        session_id = next(self._session_ids)
         self.stats.session_opened(session_id)
         try:
-            await protocol.write_frame(writer, {
+            session = SqlSession(self.db)
+            if self.session_setup is not None:
+                self.session_setup(session)
+            conn.send_frame({
                 "type": "hello", "server": self.config.name,
                 "protocol": protocol.PROTOCOL_VERSION,
                 "session_id": session_id})
             while True:
                 try:
-                    frame = await protocol.read_frame(
-                        reader, self.config.max_frame)
+                    frame = conn.read_frame()
+                    if frame is None:
+                        break
+                    batch, frame = self._drain_pexec(conn, frame)
                 except protocol.ProtocolError as exc:
                     # One best-effort diagnostic, then hang up: framing
                     # is broken, so the stream cannot be resynced.
-                    try:
-                        await protocol.write_frame(writer, _error(
-                            protocol.BAD_FRAME, str(exc)))
-                    except (ConnectionError, RuntimeError):
-                        pass
+                    conn.send_frame(_error_frame(_bad_frame(str(exc))))
                     break
-                if frame is None:
+                if batch:
+                    self._run_pexec_batch(conn, session, session_id,
+                                          batch)
+                if frame is not None and self._dispatch(
+                        conn, session, session_id, *frame):
                     break
-                header, blobs = frame
-                if header.get("type") == "pexec":
-                    try:
-                        batch, carry = await self._drain_pexec(reader)
-                    except protocol.ProtocolError as exc:
-                        try:
-                            await protocol.write_frame(writer, _error(
-                                protocol.BAD_FRAME, str(exc)))
-                        except (ConnectionError, RuntimeError):
-                            pass
-                        break
-                    await self._run_pexec_batch(
-                        writer, session, session_id, [header] + batch)
-                    if carry is None:
-                        continue
-                    header, blobs = carry
-                done = await self._dispatch(writer, session, session_id,
-                                            header, blobs)
-                if done:
-                    break
-        except ConnectionError:
-            pass  # client went away mid-write; nothing to answer
-        # CancelledError propagates: suppressing it would break task
-        # cancellation during event-loop shutdown (cleanup still runs).
+        except OSError:
+            pass  # the peer (or stop()) hung up; nothing to answer
         finally:
             self.stats.session_closed(session_id)
-            self._writers.discard(writer)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, asyncio.CancelledError):
-                pass
+            with self._connections_lock:
+                self._connections.discard(conn)
+            conn.sock.close()
 
-    async def _drain_pexec(self, reader: asyncio.StreamReader
-                           ) -> tuple[list[dict], tuple | None]:
-        """Collect the contiguous run of pipelined ``pexec`` frames the
-        client already has in flight.
+    @staticmethod
+    def _drain_pexec(conn: _Connection, frame: tuple
+                     ) -> tuple[list[dict], tuple | None]:
+        """Split what the client has in flight into ``(batch, frame)``:
+        the contiguous run of pipelined ``pexec`` headers that starts
+        at ``frame``, and the frame to dispatch once that batch is
+        answered (or None).
 
-        Only frames *fully buffered* in the stream reader are taken —
-        the length prefix of the next frame is peeked and an incomplete
-        frame is left for the normal read loop, so draining never
-        blocks on the network and a lone ``pexec`` behaves exactly like
-        strict request/response.  Returns ``(headers, carry)`` where
-        ``carry`` is a buffered non-``pexec`` frame that must be
-        dispatched after the batch is answered (or None).
+        Only frames *complete* in the connection's receive buffer are
+        taken — an incomplete one is left for the normal read loop, so
+        draining never blocks on the network and a lone ``pexec``
+        behaves exactly like strict request/response.
         """
         batch: list[dict] = []
-        carry = None
-        while len(batch) + 1 < PIPELINE_BATCH_MAX:
-            buffered = getattr(reader, "_buffer", None)
-            if buffered is None or len(buffered) < 4:
-                break
-            (total,) = protocol._U32.unpack(bytes(buffered[:4]))
-            if len(buffered) - 4 < total:
-                break
-            frame = await protocol.read_frame(reader,
-                                              self.config.max_frame)
-            if frame is None:
-                break
-            if frame[0].get("type") != "pexec":
-                carry = frame
-                break
+        while frame is not None and frame[0].get("type") == "pexec":
             batch.append(frame[0])
-        return batch, carry
+            frame = conn.buffered_frame() \
+                if len(batch) < PIPELINE_BATCH_MAX else None
+        return batch, frame
 
-    async def _dispatch(self, writer, session: SqlSession,
-                        session_id: int, header: dict, blobs) -> bool:
-        """Answer one request frame; True means close the connection."""
+    def _dispatch(self, conn: _Connection, session: SqlSession,
+                  session_id: int, header: dict, blobs) -> bool:
+        """Answer one request frame (``pexec`` runs never get here);
+        True means close the connection.  A request refused, timed out
+        or failed arrives as the :class:`protocol.WireError` that
+        becomes its one error frame."""
         kind = header.get("type")
-        if kind == "ping":
-            await protocol.write_frame(writer, {"type": "pong"})
-            return False
-        if kind == "close":
-            await protocol.write_frame(writer, {"type": "goodbye"})
-            return True
-        if kind == "stats":
-            await protocol.write_frame(writer, self._stats_frame())
-            return False
-        if kind in ("query", "pquery", "insert"):
-            if kind == "insert":
-                reply, reply_blobs = await self._run_insert(
-                    session, session_id, header, blobs)
+        try:
+            if kind == "ping":
+                conn.send_frame({"type": "pong"})
+            elif kind == "close":
+                conn.send_frame({"type": "goodbye"})
+                return True
+            elif kind == "stats":
+                conn.send_frame(self._stats_frame())
+            elif kind in ("query", "pquery", "insert"):
+                if kind == "insert":
+                    reply, reply_blobs = self._run_insert(
+                        session, session_id, header, blobs)
+                else:
+                    reply, reply_blobs = self._run_query(
+                        session, session_id, header,
+                        partial=(kind == "pquery"))
+                try:
+                    conn.send_frame(reply, reply_blobs,
+                                    self.config.max_frame)
+                except protocol.FrameTooLargeError as exc:
+                    # The query ran, but its reply cannot ship: the
+                    # client would reject the oversized frame and kill
+                    # the connection with no diagnosis.  Nothing has
+                    # hit the wire yet, so answer with an error frame
+                    # instead and keep the connection alive.
+                    raise protocol.WireError(
+                        protocol.RESULT_TOO_LARGE,
+                        f"{exc}; narrow the select list or raise "
+                        f"max_frame") from exc
+            elif kind == "prepare":
+                conn.send_frame(self._run_prepare(session, header))
+            elif kind == "bquery":
+                return self._run_bquery(conn, session, session_id,
+                                        header)
             else:
-                reply, reply_blobs = await self._run_query(
-                    session, session_id, header,
-                    partial=(kind == "pquery"))
-            try:
-                await protocol.write_frame(writer, reply, reply_blobs,
-                                           self.config.max_frame)
-            except protocol.FrameTooLargeError as exc:
-                # The query ran, but its reply cannot ship: the client
-                # would reject the oversized frame and kill the
-                # connection with no diagnosis.  Nothing has hit the
-                # wire yet, so answer with an error frame instead and
-                # keep the connection alive.
-                await protocol.write_frame(writer, _error(
-                    protocol.RESULT_TOO_LARGE,
-                    f"{exc}; narrow the select list or raise "
-                    f"max_frame"))
-            return False
-        if kind == "prepare":
-            await self._run_prepare(writer, session, header)
-            return False
-        if kind == "pexec":
-            # The connection loop batches contiguous pexec runs before
-            # dispatching; one arriving here (e.g. as a carried frame)
-            # is simply a batch of one.
-            await self._run_pexec_batch(writer, session, session_id,
-                                        [header])
-            return False
-        if kind == "bquery":
-            return await self._run_bquery(writer, session, session_id,
-                                          header)
-        await protocol.write_frame(writer, _error(
-            protocol.BAD_FRAME, f"unknown message type {kind!r}"))
+                raise _bad_frame(f"unknown message type {kind!r}")
+        except protocol.WireError as exc:
+            conn.send_frame(_error_frame(exc))
         return False
 
     # -- the query path -----------------------------------------------------
@@ -309,7 +392,7 @@ class ArrayServer:
         that merely defaults to ``None`` must never disable the budget.
         The :data:`protocol.NO_TIMEOUT` sentinel disables it on
         purpose; a positive finite number is used as-is.  Anything
-        else raises ``ValueError`` (answered as ``BAD_FRAME``).
+        else is a ``BAD_FRAME``.
         """
         if requested is None:
             return self.config.query_timeout
@@ -317,12 +400,12 @@ class ArrayServer:
             return None
         if isinstance(requested, bool) or \
                 not isinstance(requested, (int, float)):
-            raise ValueError(
+            raise _bad_frame(
                 f"'timeout' must be a positive number or "
                 f"{protocol.NO_TIMEOUT!r}, got {requested!r}")
         timeout = float(requested)
         if not math.isfinite(timeout) or timeout <= 0:
-            raise ValueError(
+            raise _bad_frame(
                 f"'timeout' must be positive and finite, got "
                 f"{timeout!r}")
         return timeout
@@ -333,13 +416,12 @@ class ArrayServer:
 
         Absent/``null`` means the executor's default (the vector
         path); ``"row"`` / ``"vector"`` / ``"parallel"`` select a path
-        explicitly.  Anything else raises ``ValueError`` (answered as
-        ``BAD_FRAME``).
+        explicitly.  Anything else is a ``BAD_FRAME``.
         """
         if requested is None:
             return None
         if requested not in ("row", "vector", "parallel"):
-            raise ValueError(
+            raise _bad_frame(
                 f"'engine' must be 'row', 'vector' or 'parallel', "
                 f"got {requested!r}")
         return requested
@@ -355,93 +437,77 @@ class ArrayServer:
         if requested is None:
             return self.config.engine_workers
         if isinstance(requested, bool) or not isinstance(requested, int):
-            raise ValueError(
+            raise _bad_frame(
                 f"'workers' must be a positive integer, "
                 f"got {requested!r}")
         if requested < 1:
-            raise ValueError(
+            raise _bad_frame(
                 f"'workers' must be at least 1, got {requested!r}")
         return requested
 
-    async def _admit_and_run(self, session_id: int,
-                             timeout: float | None, job):
-        """Admit one statement and run it on the worker pool — the
-        shared body of the ``query``, ``pquery`` and ``insert`` paths.
+    def _statement_options(self, header: dict) -> tuple:
+        """``(sql, cold, timeout, engine, workers)`` of a statement
+        frame, each validated as its ``_resolve_*`` says."""
+        return (_statement_text(header), bool(header.get("cold", True)),
+                self._resolve_timeout(header.get("timeout")),
+                self._resolve_engine(header.get("engine")),
+                self._resolve_workers(header.get("workers")))
 
-        Returns ``((result, latency), None)`` on success or
-        ``(None, error_header)`` for rejection, timeout or failure.
+    def _admit_and_run(self, session_id: int, timeout: float | None,
+                       job) -> tuple:
+        """Admit one statement and run it on the worker pool, the
+        calling connection thread waiting for it — the shared body of
+        every statement path.
+
+        Returns ``(result, latency)``; a rejection, a timeout or a
+        failure is raised as the :class:`protocol.WireError` that
+        answers it (and is counted here).
         """
         if not self.admission.try_acquire():
             self.stats.record_busy()
-            return None, _error(
+            raise protocol.WireError(
                 protocol.SERVER_BUSY,
                 f"admission queue full "
                 f"({self.admission.capacity} in flight); retry later")
-
-        loop = asyncio.get_running_loop()
-        future = self._executor.submit(job)
+        started = time.perf_counter()
+        try:
+            future = self._executor.submit(job)
+        except RuntimeError:  # the pool is shut down: stop() is under way
+            self.admission.release()
+            raise protocol.WireError(
+                protocol.INTERNAL, "server is shutting down") from None
         # The slot is held until the worker truly finishes — releasing
         # on timeout would let abandoned queries pile up unbounded.
         future.add_done_callback(lambda _f: self.admission.release())
-        wrapped = asyncio.wrap_future(future, loop=loop)
-        started = loop.time()
         try:
-            result = await asyncio.wait_for(asyncio.shield(wrapped),
-                                            timeout)
-        except asyncio.TimeoutError:
+            # exception(), not result(): only this wait's own expiry
+            # can raise here, never a TimeoutError out of the job.
+            failure = future.exception(timeout)
+        except FutureTimeout:
             future.cancel()  # frees it if it was still queued
-            # The abandoned future's eventual result/exception is
-            # nobody's business now; consume it silently.
-            wrapped.add_done_callback(
-                lambda f: f.cancelled() or f.exception())
             self.stats.record_timeout(session_id)
-            return None, _error(
+            raise protocol.WireError(
                 protocol.QUERY_TIMEOUT,
-                f"query exceeded its {timeout:g} s budget")
-        except SqlSyntaxError as exc:
-            self.stats.record_failure(session_id)
-            return None, _error(protocol.SQL_ERROR, str(exc))
-        except protocol.WireError as exc:
-            # A typed failure from behind the server (the shard
-            # coordinator's SHARD_UNAVAILABLE, a shard's own error
-            # passing through): keep its code on the wire.
-            self.stats.record_failure(session_id)
-            return None, _error(exc.code, exc.message, exc.detail)
+                f"query exceeded its {timeout:g} s budget") from None
         except CancelledError:
             self.stats.record_failure(session_id)
-            return None, _error(protocol.INTERNAL, "query cancelled")
-        except Exception as exc:  # engine bug surfaced to one client
+            raise protocol.WireError(
+                protocol.INTERNAL, "query cancelled") from None
+        if failure is not None:
             self.stats.record_failure(session_id)
-            return None, _error(protocol.INTERNAL,
-                                f"{type(exc).__name__}: {exc}")
-        return (result, loop.time() - started), None
+            raise _wire_error(failure)
+        return future.result(), time.perf_counter() - started
 
-    async def _run_query(self, session: SqlSession, session_id: int,
-                         header: dict, partial: bool = False
-                         ) -> tuple[dict, list[bytes]]:
-        sql = header.get("sql")
-        if not isinstance(sql, str) or not sql.strip():
-            return _error(protocol.SQL_ERROR,
-                          "query frame needs a non-empty 'sql'"), []
-        cold = bool(header.get("cold", True))
-        try:
-            timeout = self._resolve_timeout(header.get("timeout"))
-            engine = self._resolve_engine(header.get("engine"))
-            workers = self._resolve_workers(header.get("workers"))
-        except ValueError as exc:
-            return _error(protocol.BAD_FRAME, str(exc)), []
-
-        if partial:
-            job = lambda: self._execute_partial_sync(  # noqa: E731
-                session, sql, cold, engine, workers)
-        else:
-            job = lambda: self._execute_sync(  # noqa: E731
-                session, sql, cold, engine, workers)
-        outcome, error = await self._admit_and_run(session_id, timeout,
-                                                   job)
-        if error is not None:
-            return error, []
-        result, latency = outcome
+    def _run_query(self, session: SqlSession, session_id: int,
+                   header: dict, partial: bool = False
+                   ) -> tuple[dict, list[bytes]]:
+        sql, cold, timeout, engine, workers = \
+            self._statement_options(header)
+        execute = self._execute_partial_sync if partial \
+            else self._execute_sync
+        result, latency = self._admit_and_run(
+            session_id, timeout,
+            lambda: execute(session, sql, cold, engine, workers))
         self.stats.record_query(session_id, latency,
                                 result.get("metrics"))
         if partial:
@@ -468,29 +534,23 @@ class ArrayServer:
                  "elapsed_seconds": latency}
         return reply, blobs
 
-    async def _run_insert(self, session: SqlSession, session_id: int,
-                          header: dict, blobs) -> tuple[dict, list[bytes]]:
+    def _run_insert(self, session: SqlSession, session_id: int,
+                    header: dict, blobs) -> tuple[dict, list[bytes]]:
         table_name = header.get("table")
         if not isinstance(table_name, str) or not table_name:
-            return _error(protocol.BAD_FRAME,
-                          "insert frame needs a 'table' name"), []
+            raise _bad_frame("insert frame needs a 'table' name")
         rowcount = header.get("rowcount")
         if not isinstance(rowcount, int):
-            return _error(protocol.BAD_FRAME,
-                          "insert frame needs an integer 'rowcount'"), []
+            raise _bad_frame("insert frame needs an integer 'rowcount'")
         try:
             rows = protocol.unpack_rows(header.get("rows"), blobs,
                                         rowcount)
-            timeout = self._resolve_timeout(header.get("timeout"))
-        except (protocol.ProtocolError, ValueError) as exc:
-            return _error(protocol.BAD_FRAME, str(exc)), []
-        outcome, error = await self._admit_and_run(
-            session_id, timeout,
+        except protocol.ProtocolError as exc:
+            raise _bad_frame(str(exc)) from exc
+        inserted, latency = self._admit_and_run(
+            session_id, self._resolve_timeout(header.get("timeout")),
             lambda: self._execute_insert_sync(session, table_name,
                                               rows))
-        if error is not None:
-            return error, []
-        inserted, latency = outcome
         self.stats.record_query(session_id, latency, None)
         return _result_frame({"kind": "ok", "rows": [],
                               "rowcount": inserted, "metrics": None},
@@ -498,38 +558,21 @@ class ArrayServer:
 
     # -- prepared statements and pipelining ----------------------------------
 
-    async def _run_prepare(self, writer, session: SqlSession,
-                           header: dict) -> None:
-        """Answer one ``prepare`` frame with a ``prepared`` reply.
+    def _run_prepare(self, session: SqlSession, header: dict) -> dict:
+        """The ``prepared`` reply to one ``prepare`` frame.
 
         Planning is pure catalog work (no latch, no IO), so it runs
-        inline on the event loop instead of burning an admission slot.
+        inline on the connection thread instead of burning an
+        admission slot.
         """
-        sql = header.get("sql")
-        if not isinstance(sql, str) or not sql.strip():
-            await protocol.write_frame(writer, _error(
-                protocol.SQL_ERROR,
-                "prepare frame needs a non-empty 'sql'"))
-            return
+        sql = _statement_text(header)
         try:
             kind, table = self._prepare_sync(session, sql)
-        except SqlSyntaxError as exc:
-            await protocol.write_frame(writer, _error(
-                protocol.SQL_ERROR, str(exc)))
-            return
-        except protocol.WireError as exc:
-            await protocol.write_frame(writer, _error(exc.code,
-                                                      exc.message,
-                                                      exc.detail))
-            return
         except Exception as exc:
-            await protocol.write_frame(writer, _error(
-                protocol.INTERNAL, f"{type(exc).__name__}: {exc}"))
-            return
+            raise _wire_error(exc)
         self.stats.record_prepare()
-        await protocol.write_frame(writer, {
-            "type": "prepared", "sql": sql, "kind": kind,
-            "table": table})
+        return {"type": "prepared", "sql": sql, "kind": kind,
+                "table": table}
 
     def _prepare_sync(self, session: SqlSession,
                       sql: str) -> tuple[str, str]:
@@ -537,9 +580,8 @@ class ArrayServer:
         plan = session.prepare(sql)
         return plan.kind, plan.table.name
 
-    async def _run_pexec_batch(self, writer, session: SqlSession,
-                               session_id: int,
-                               headers: list[dict]) -> None:
+    def _run_pexec_batch(self, conn: _Connection, session: SqlSession,
+                         session_id: int, headers: list[dict]) -> None:
         """Answer one pipelined batch of ``pexec`` frames.
 
         The whole batch takes one admission slot and one worker-pool
@@ -553,26 +595,18 @@ class ArrayServer:
         timeout = self.config.query_timeout
         timeout_set = False
         for header in headers:
-            sql = header.get("sql")
-            if not isinstance(sql, str) or not sql.strip():
-                requests.append(_error(
-                    protocol.SQL_ERROR,
-                    "pexec frame needs a non-empty 'sql'"))
-                continue
             try:
-                resolved = self._resolve_timeout(header.get("timeout"))
-                engine = self._resolve_engine(header.get("engine"))
-                workers = self._resolve_workers(header.get("workers"))
-            except ValueError as exc:
-                requests.append(_error(protocol.BAD_FRAME, str(exc)))
+                sql, cold, resolved, engine, workers = \
+                    self._statement_options(header)
+            except protocol.WireError as exc:
+                requests.append(_error_frame(exc))
                 continue
             if not timeout_set:
                 # One admission slot means one wall-clock budget: the
                 # first valid frame's timeout bounds the whole batch.
                 timeout = resolved
                 timeout_set = True
-            requests.append((sql, bool(header.get("cold", True)),
-                             engine, workers))
+            requests.append((sql, cold, engine, workers))
 
         def job():
             replies = []
@@ -580,42 +614,31 @@ class ArrayServer:
                 if isinstance(request, dict):  # pre-validated error
                     replies.append((request, None))
                     continue
-                sql, cold, engine, workers = request
                 started = time.perf_counter()
                 try:
-                    result = self._execute_prepared_sync(
-                        session, sql, cold, engine, workers)
-                except SqlSyntaxError as exc:
-                    replies.append((_error(protocol.SQL_ERROR,
-                                           str(exc)), None))
-                    continue
-                except protocol.WireError as exc:
-                    replies.append((_error(exc.code, exc.message,
-                                           exc.detail),
-                                    None))
-                    continue
+                    result = self._execute_prepared_sync(session,
+                                                         *request)
                 except Exception as exc:
-                    replies.append((_error(
-                        protocol.INTERNAL,
-                        f"{type(exc).__name__}: {exc}"), None))
+                    replies.append((_error_frame(_wire_error(exc)),
+                                    None))
                     continue
                 replies.append((result,
                                 time.perf_counter() - started))
             return replies
 
-        outcome, error = await self._admit_and_run(session_id, timeout,
-                                                   job)
-        if error is not None:
+        try:
+            replies, _batch_latency = self._admit_and_run(
+                session_id, timeout, job)
+        except protocol.WireError as exc:
             # Busy/timeout hit the batch as a whole — but the client
             # pipelined N requests and will read N replies.
-            for _ in headers:
-                await protocol.write_frame(writer, error)
+            conn.send(protocol.encode_frame(_error_frame(exc))
+                      * len(headers))
             return
-        replies, _batch_latency = outcome
         self.stats.record_pipeline(len(headers))
-        # All N replies go out as one buffered write + drain — the
-        # reply-side half of pipelining.  Per-frame drains would put a
-        # syscall back on every statement and eat the batching win.
+        # All N replies go out as one write — the reply-side half of
+        # pipelining.  Per-frame writes would put a syscall back on
+        # every statement and eat the batching win.
         buffer = bytearray()
         for reply, latency in replies:
             if latency is None:  # a per-statement error placeholder
@@ -627,14 +650,14 @@ class ArrayServer:
             encoded = protocol.encode_frame(
                 *_result_frame(reply, latency))
             if len(encoded) > self.config.max_frame:
-                encoded = protocol.encode_frame(_error(
-                    protocol.RESULT_TOO_LARGE,
-                    f"result frame of {len(encoded)} bytes exceeds "
-                    f"max_frame {self.config.max_frame}; narrow the "
-                    f"select list or raise max_frame"))
+                encoded = protocol.encode_frame(_error_frame(
+                    protocol.WireError(
+                        protocol.RESULT_TOO_LARGE,
+                        f"result frame of {len(encoded)} bytes exceeds "
+                        f"max_frame {self.config.max_frame}; narrow "
+                        f"the select list or raise max_frame")))
             buffer += encoded
-        writer.write(bytes(buffer))
-        await writer.drain()
+        conn.send(buffer)
 
     def _execute_prepared_sync(self, session: SqlSession, sql: str,
                                cold: bool, engine: str | None = None,
@@ -654,40 +677,22 @@ class ArrayServer:
 
     # -- streamed partial-blob reads -----------------------------------------
 
-    async def _run_bquery(self, writer, session: SqlSession,
-                          session_id: int, header: dict) -> bool:
+    def _run_bquery(self, conn: _Connection, session: SqlSession,
+                    session_id: int, header: dict) -> bool:
         """Answer one ``bquery``: resolve the blob cell and read the
         requested slice under the table latch on a worker thread, then
         stream it as bounded ``bchunk`` frames once the latch is
         released.  Returns the dispatch loop's ``done`` flag (the base
         server never closes the connection here)."""
-        sql = header.get("sql")
-        if not isinstance(sql, str) or not sql.strip():
-            await protocol.write_frame(writer, _error(
-                protocol.SQL_ERROR,
-                "bquery frame needs a non-empty 'sql'"))
-            return False
-        cold = bool(header.get("cold", True))
-        try:
-            timeout = self._resolve_timeout(header.get("timeout"))
-            engine = self._resolve_engine(header.get("engine"))
-            workers = self._resolve_workers(header.get("workers"))
-            offset, length, window = _resolve_blob_range(header)
-            chunk_bytes = self._resolve_chunk_bytes(
-                header.get("chunk_bytes"))
-        except ValueError as exc:
-            await protocol.write_frame(writer, _error(
-                protocol.BAD_FRAME, str(exc)))
-            return False
-        outcome, error = await self._admit_and_run(
+        sql, cold, timeout, engine, workers = \
+            self._statement_options(header)
+        offset, length, window = _resolve_blob_range(header)
+        chunk_bytes = self._resolve_chunk_bytes(header.get("chunk_bytes"))
+        result, latency = self._admit_and_run(
             session_id, timeout,
             lambda: self._execute_bquery_sync(
                 session, sql, cold, engine, workers, offset, length,
                 window))
-        if error is not None:
-            await protocol.write_frame(writer, error)
-            return False
-        result, latency = outcome
         self.stats.record_query(session_id, latency, result["metrics"])
         payload = result["payload"]
         chunks = [payload[i:i + chunk_bytes]
@@ -701,8 +706,7 @@ class ArrayServer:
                      "length": len(payload),
                      "metrics": result["metrics"] if eof else None,
                      "elapsed_seconds": latency if eof else None}
-            await protocol.write_frame(writer, frame, [chunk],
-                                       self.config.max_frame)
+            conn.send_frame(frame, [chunk], self.config.max_frame)
         return False
 
     def _resolve_chunk_bytes(self, requested) -> int:
@@ -715,7 +719,7 @@ class ArrayServer:
             return cap
         if isinstance(requested, bool) or \
                 not isinstance(requested, int) or requested < 1:
-            raise ValueError(
+            raise _bad_frame(
                 f"'chunk_bytes' must be a positive integer, "
                 f"got {requested!r}")
         return min(requested, cap)
@@ -896,11 +900,50 @@ def _result_frame(result: dict, latency: float) -> tuple[dict, list]:
             "elapsed_seconds": latency}, buffers
 
 
-def _error(code: str, message: str, detail: object = None) -> dict:
-    frame = {"type": "error", "code": code, "message": message}
-    if detail is not None:
-        frame["detail"] = detail
+def _error_frame(exc: protocol.WireError) -> dict:
+    frame = {"type": "error", "code": exc.code, "message": exc.message}
+    if exc.detail is not None:
+        frame["detail"] = exc.detail
     return frame
+
+
+def _shut_down(sock: socket.socket) -> None:
+    """``shutdown(SHUT_RDWR)``: the peer reads EOF, and a thread blocked
+    in ``accept``/``recv`` on the socket wakes (on Linux ``close()``
+    alone leaves it blocked)."""
+    try:
+        sock.shutdown(socket.SHUT_RDWR)
+    except OSError:
+        pass  # already shut down, or closed by its own thread
+
+
+def _bad_frame(message: str) -> protocol.WireError:
+    return protocol.WireError(protocol.BAD_FRAME, message)
+
+
+def _wire_error(exc: BaseException) -> protocol.WireError:
+    """What a statement raised, as the typed error that answers it."""
+    if isinstance(exc, protocol.WireError):
+        # A typed failure from behind the server (the shard
+        # coordinator's SHARD_UNAVAILABLE, a shard's own error passing
+        # through): keep its code on the wire.
+        return exc
+    if isinstance(exc, SqlSyntaxError):
+        return protocol.WireError(protocol.SQL_ERROR, str(exc))
+    # An engine bug, surfaced to the one client that hit it.
+    return protocol.WireError(protocol.INTERNAL,
+                              f"{type(exc).__name__}: {exc}")
+
+
+def _statement_text(header: dict) -> str:
+    """A statement frame's ``sql``, or the ``SQL_ERROR`` for its
+    absence."""
+    sql = header.get("sql")
+    if not isinstance(sql, str) or not sql.strip():
+        raise protocol.WireError(
+            protocol.SQL_ERROR,
+            f"{header.get('type')} frame needs a non-empty 'sql'")
+    return sql
 
 
 def _resolve_blob_range(header: dict
@@ -909,31 +952,30 @@ def _resolve_blob_range(header: dict
 
     Returns ``(offset, length, window)`` — byte mode leaves ``window``
     None; window mode returns ``(offset_tuple, size_tuple)`` in
-    ``window`` with the byte keys forced to their defaults.  Raises
-    ``ValueError`` (answered as ``BAD_FRAME``) for malformed or mixed
-    requests.
+    ``window`` with the byte keys forced to their defaults.  A
+    malformed or mixed request is a ``BAD_FRAME``.
     """
     offset = header.get("offset", 0)
     length = header.get("length")
     window = header.get("window")
     if isinstance(offset, bool) or not isinstance(offset, int) or \
             offset < 0:
-        raise ValueError(
+        raise _bad_frame(
             f"'offset' must be a non-negative integer, got {offset!r}")
     if length is not None and (
             isinstance(length, bool) or not isinstance(length, int)
             or length < 0):
-        raise ValueError(
+        raise _bad_frame(
             f"'length' must be a non-negative integer or null, "
             f"got {length!r}")
     if window is None:
         return offset, length, None
     if offset or length is not None:
-        raise ValueError(
+        raise _bad_frame(
             "a bquery is either a byte range or a window, not both")
     if not isinstance(window, dict) or \
             set(window) != {"offset", "size"}:
-        raise ValueError(
+        raise _bad_frame(
             "'window' must be an object with 'offset' and 'size' "
             "lists")
     win_offset = window["offset"]
@@ -942,23 +984,25 @@ def _resolve_blob_range(header: dict
         if not isinstance(values, list) or not values or not all(
                 isinstance(v, int) and not isinstance(v, bool)
                 for v in values):
-            raise ValueError(
+            raise _bad_frame(
                 f"window '{name}' must be a non-empty list of "
                 f"integers, got {values!r}")
     if len(win_offset) != len(win_size):
-        raise ValueError(
+        raise _bad_frame(
             f"window offset/size rank mismatch: {len(win_offset)} vs "
             f"{len(win_size)}")
     return 0, None, (tuple(win_offset), tuple(win_size))
 
 
 class ServerThread:
-    """Runs an :class:`ArrayServer` on a daemon thread's event loop.
+    """An :class:`ArrayServer` with a start/stop handle.
 
     The embedding pattern used by the tests, the throughput benchmark
     and ``repro client --serve-rows``: start, read :attr:`port`,
     connect ordinary blocking clients, stop.  Also usable as a context
-    manager.
+    manager.  The server's own listener and connection threads do the
+    serving; :meth:`stop` (and leaving the ``with`` block) re-raises
+    whatever the listener died of, if it crashed after start-up.
     """
 
     def __init__(self, db: Database | None = None,
@@ -972,68 +1016,17 @@ class ServerThread:
             server = ArrayServer(db, config, session_setup)
         self.server = server
         self.port: int | None = None
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._stop_event: asyncio.Event | None = None
-        self._ready = threading.Event()
-        self._startup_error: BaseException | None = None
-        self._thread = threading.Thread(target=self._run, daemon=True,
-                                        name="repro-server")
 
     def start(self) -> "ServerThread":
-        self._thread.start()
-        self._ready.wait(timeout=30)
-        error = self._take_error()
-        if error is not None:
-            raise error
-        if self.port is None:
-            raise RuntimeError("server failed to start within 30 s")
+        self.server.start()
+        self.port = self.server.port
         return self
 
     def stop(self) -> None:
-        """Stop the server and join its thread.
-
-        Re-raises any error the serving loop died with — including a
-        crash *after* startup succeeded, which otherwise would vanish
-        silently (the thread is a daemon; nothing else ever reads it).
-        """
-        if self._loop is not None and self._stop_event is not None:
-            try:
-                self._loop.call_soon_threadsafe(self._stop_event.set)
-            except RuntimeError:
-                pass  # loop already dead — the error surfaces below
-        self._thread.join(timeout=30)
-        error = self._take_error()
-        if error is not None:
-            raise error
-
-    def _take_error(self) -> BaseException | None:
-        """Consume the pending loop error, if any (raise-once)."""
-        error, self._startup_error = self._startup_error, None
-        return error
+        self.server.stop()
 
     def __enter__(self) -> "ServerThread":
         return self.start()
 
     def __exit__(self, *exc_info) -> None:
         self.stop()
-
-    def _run(self) -> None:
-        try:
-            asyncio.run(self._main())
-        except BaseException as exc:
-            # Startup failures are re-raised from start(); a crash
-            # after _ready.set() is held for stop()/__exit__ to
-            # surface.
-            self._startup_error = exc
-            self._ready.set()
-
-    async def _main(self) -> None:
-        self._stop_event = asyncio.Event()
-        self._loop = asyncio.get_running_loop()
-        await self.server.start()
-        self.port = self.server.port
-        self._ready.set()
-        try:
-            await self._stop_event.wait()
-        finally:
-            await self.server.stop()

@@ -10,7 +10,7 @@ key slice; the router applies writes to all of them and spreads reads
 across them.
 
 Processes are started with the ``spawn`` context (no forked locks or
-event loops) and bind port 0; the child reports its bound port back
+threads) and bind port 0; the child reports its bound port back
 over a pipe, so clusters never race for fixed ports in tests.
 
 :meth:`ShardFleet.kill` SIGKILLs one replica — the fault-injection
@@ -24,12 +24,11 @@ from __future__ import annotations
 import multiprocessing
 import os
 import signal
-import threading
 from typing import Callable
 
 from ..engine.executor import Database
 from ..engine.sqlfront import SqlSession
-from ..server.server import ServerConfig, ServerThread
+from ..server.server import ArrayServer, ServerConfig
 from .config import ShardConfig
 
 __all__ = ["ShardFleet"]
@@ -45,18 +44,16 @@ def _shard_main(index: int, replica: int, conn,
     Must stay module-level and importable — the spawn context pickles
     a reference to it, not the function itself.
     """
-    thread = ServerThread(Database(), config,
-                          session_setup=session_setup)
-    thread.start()
-    conn.send(thread.port)
+    server = ArrayServer(Database(), config, session_setup)
+    server.start()
+    conn.send(server.port)
     conn.close()
-    # Serve until the fleet terminates the process; the server lives
-    # on a daemon thread, so the block below is the process lifetime.
-    # A terminal Ctrl-C reaches every process in the foreground group,
-    # so swallow it here — shutdown belongs to the fleet, and the
-    # coordinator's own handler prints the one goodbye message.
+    # Serve until the fleet terminates the process.  A terminal Ctrl-C
+    # reaches every process in the foreground group, so swallow it
+    # here — shutdown belongs to the fleet, and the coordinator's own
+    # handler prints the one goodbye message.
     try:
-        threading.Event().wait()
+        server.serve_forever()
     except KeyboardInterrupt:
         pass
 

@@ -55,17 +55,16 @@ holds schemas only.
 
 from __future__ import annotations
 
-import asyncio
 import threading
 import time
 from typing import Callable, Sequence
 
 from ..engine.executor import Database
-from ..engine.sqlfront import SelectPlan, SqlSession, SqlSyntaxError, \
-    _statement_kind, _statement_table, _tokenize
+from ..engine.sqlfront import PlanCache, SelectPlan, SqlSession, \
+    SqlSyntaxError, _statement_kind, _statement_table, _tokenize
 from ..server import protocol
 from ..server.client import RetryPolicy
-from ..server.server import ArrayServer, ServerConfig, _error
+from ..server.server import ArrayServer, ServerConfig, _statement_text
 from .client import ShardLink
 from .config import ShardConfig
 from .merge import (
@@ -197,7 +196,7 @@ class ShardRouter:
         # worker thread.  DDL invalidates it (see _create); data-only
         # writes leave plans valid — a plan captures structure, never
         # row contents.
-        self._plan_cache: dict[str, SelectPlan] = {}
+        self._plan_cache = PlanCache()
         self._plan_lock = threading.Lock()
         # Replica health: guards every Replica.state transition, the
         # per-shard read round-robin and the failover counters.  Leaf
@@ -446,11 +445,11 @@ class ShardRouter:
         twice concurrently, which is merely redundant, never wrong.
         """
         with self._plan_lock:
-            plan = self._plan_cache.get(sql)
+            plan = self._plan_cache.lookup(sql)
         if plan is None:
             plan = self.session.plan_select(sql)
             with self._plan_lock:
-                self._plan_cache[sql] = plan
+                self._plan_cache.remember(sql, plan)
         return plan
 
     def _invalidate_plans(self) -> None:
@@ -951,12 +950,12 @@ class ShardRouter:
 
         Returns ``{"chunks", "bytes", "metrics"}`` for the stats hooks.
         """
-        relayed: list[int] = []
-        return self._failover_relay(shard_id, header, emit, relayed)
+        return self._failover_relay(shard_id, header, emit)
 
     def _failover_relay(self, shard_id: int, header: dict,
-                        emit: Callable[[dict, list[bytes]], None],
-                        relayed: list[int]) -> dict:
+                        emit: Callable[[dict, list[bytes]], None]
+                        ) -> dict:
+        relayed: list[int] = []  # payload size of each chunk emitted
         candidates = self._read_candidates(shard_id)
         last = "no replica in rotation"
         any_failed = False
@@ -1081,8 +1080,8 @@ class ShardServer(ArrayServer):
         return self.router.execute_columnar(
             sql, cold=cold, engine=engine, workers=workers)
 
-    async def _run_bquery(self, writer, session: SqlSession,
-                          session_id: int, header: dict) -> bool:
+    def _run_bquery(self, conn, session: SqlSession, session_id: int,
+                    header: dict) -> bool:
         """Serve a ``bquery`` by *relaying*: route to the one shard
         owning the key and forward each ``bchunk`` frame to the client
         as it arrives — the slice is never re-buffered whole on the
@@ -1090,49 +1089,32 @@ class ShardServer(ArrayServer):
         chunk-exactly to a sibling (see
         :meth:`ShardRouter.relay_bquery`).
 
-        Returns True (close the connection) only when the stream dies
-        after chunk 0 is already on the wire *and* no sibling could
-        resume it; the framing contract promises a started stream runs
-        to eof, so an unresumable mid-stream failure cannot be
-        answered with an error frame.
+        Returns True (close the connection) only when the statement
+        fails — or times out — after chunk 0 is already on the wire;
+        the framing contract promises a started stream runs to eof, so
+        it cannot be answered with an error frame any more.
         """
-        sql = header.get("sql")
-        if not isinstance(sql, str) or not sql.strip():
-            await protocol.write_frame(writer, _error(
-                protocol.SQL_ERROR,
-                "bquery frame needs a non-empty 'sql'"))
-            return False
+        sql = _statement_text(header)
+        timeout = self._resolve_timeout(header.get("timeout"))
+        stream = _RelayStream(conn, self.config.max_frame)
         try:
-            timeout = self._resolve_timeout(header.get("timeout"))
-        except ValueError as exc:
-            await protocol.write_frame(writer, _error(
-                protocol.BAD_FRAME, str(exc)))
-            return False
-        loop = asyncio.get_running_loop()
-        relayed: list[int] = []
-        outcome, error = await self._admit_and_run(
-            session_id, timeout,
-            lambda: self._relay_bquery(loop, writer, header, sql,
-                                       relayed))
-        if error is not None:
-            if relayed:
+            result, latency = self._admit_and_run(
+                session_id, timeout,
+                lambda: self._relay_bquery(stream, header, sql))
+        except protocol.WireError:
+            if stream.close():
                 return True  # stream already started: hang up
-            await protocol.write_frame(writer, error)
-            return False
-        result, latency = outcome
+            raise
         self.stats.record_query(session_id, latency,
                                 result["metrics"])
         self.stats.record_bquery(result["chunks"], result["bytes"])
         return False
 
-    def _relay_bquery(self, loop, writer, header: dict, sql: str,
-                      relayed: list[int]) -> dict:
+    def _relay_bquery(self, stream: "_RelayStream", header: dict,
+                      sql: str) -> dict:
         """Worker-thread body of the coordinator ``bquery`` path:
-        route to the owning shard and forward chunk frames one at a
-        time through the connection's event loop (``relayed`` records
-        each forwarded chunk's payload size so the async side knows
-        whether the stream started — and so a replica failover knows
-        how many chunks to skip on the sibling)."""
+        route to the owning shard and write each chunk frame it sends
+        straight to the client socket."""
         plan = self.router.prepare(sql)
         if plan.key is None:
             raise protocol.WireError(
@@ -1141,17 +1123,7 @@ class ShardServer(ArrayServer):
                 "primary key (exactly one owning shard)")
         shard_id = self.router.partitioner.shard_of(plan.key)
         forward = dict(header, timeout=protocol.NO_TIMEOUT)
-
-        def emit(reply: dict, blobs: list[bytes]) -> None:
-            # _failover_relay records the chunk in `relayed` itself
-            # after a successful emit — no bookkeeping here.
-            asyncio.run_coroutine_threadsafe(
-                protocol.write_frame(writer, reply, blobs,
-                                     self.config.max_frame),
-                loop).result()
-
-        return self.router._failover_relay(shard_id, forward, emit,
-                                           relayed)
+        return self.router.relay_bquery(shard_id, forward, stream.emit)
 
     def _stats_frame(self) -> dict:
         frame = super()._stats_frame()
@@ -1164,6 +1136,42 @@ class ShardServer(ArrayServer):
             **self.router.health(),
         }
         return frame
+
+
+class _RelayStream:
+    """Where a relayed ``bquery`` writes: the client socket, for as
+    long as the statement is unanswered.
+
+    The worker relaying the stream and the connection thread answering
+    its timeout both want the socket, so both hold the connection's
+    send lock.  :meth:`close` — the connection thread's, before it
+    answers — says how many chunks went out; a chunk arriving after
+    that, or after the client hung up, is dropped, so the relay still
+    reads the shard's stream to eof and its link stays framed.
+    """
+
+    def __init__(self, conn, max_frame: int):
+        self._conn = conn
+        self._max_frame = max_frame
+        self._open = True
+        self._sent = 0
+
+    def emit(self, header: dict, blobs) -> None:
+        with self._conn.send_lock:
+            if self._open:
+                try:
+                    protocol.write_frame_sock(self._conn.sock, header,
+                                              blobs, self._max_frame)
+                    self._sent += 1
+                except OSError:
+                    # The *client* is gone — not a link failure of the
+                    # replica being relayed.
+                    self._open = False
+
+    def close(self) -> int:
+        with self._conn.send_lock:
+            self._open = False
+            return self._sent
 
 
 def start_cluster(config: ShardConfig,

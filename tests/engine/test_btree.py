@@ -372,3 +372,20 @@ class TestDeleteMany:
                       in (call.args for call in drop.call_args_list)) \
             == [1, 2, 5]
         assert [k for k, _v in t.scan()][:8] == [0, 1, 2, 8, 9, 10, 11, 12]
+
+    def test_a_split_left_of_every_separator_stays_findable(self):
+        """Found by the stateful machine: once the leftmost leaf is
+        unlinked, its right neighbour sits in slot 0 with a separator
+        that is no longer a lower bound; a split of it files a smaller
+        separator behind it, and a binary search that trusted slot 0's
+        sent ``search`` to the wrong half."""
+        payload = bytes(1000)
+        f, t = _tree_with(range(100, 110), payload=lambda k: payload)
+        assert len(t.leaf_page_ids()) == 2  # [100..107] and [108, 109]
+        assert t.delete_many(range(100, 108)) == 8
+        assert len(t.leaf_page_ids()) == 1
+        for key in range(99, 92, -1):  # below 108, until the leaf splits
+            t.insert(key, payload)
+        assert len(t.leaf_page_ids()) == 2
+        assert [k for k, _v in t.scan() if t.search(k) is None] == []
+        assert t.delete_many([97, 98, 99]) == 3

@@ -278,3 +278,38 @@ class TestParserFuzz:
             s.explain(" ".join(tokens))
         except SqlSyntaxError:
             pass
+
+
+class TestPlanCacheBound:
+    """The prepared-plan cache is a small LRU: statement texts that
+    differ only in a literal are distinct keys, and a client looping
+    point SELECTs over keys used to leave a plan behind per key."""
+
+    def test_distinct_statements_leave_at_most_the_bound(self, session):
+        from unittest import mock
+
+        from repro.engine.sqlfront import PLAN_CACHE_SIZE
+
+        s = SqlSession(session[0].db)
+        hot = "SELECT COUNT(*) FROM Tscalar WHERE id = 7"
+        with mock.patch.object(s, "plan_select",
+                               side_effect=s.plan_select) as planned:
+            for key in range(5000):
+                (n,), _m = s.query_prepared(
+                    f"SELECT COUNT(*) FROM Tvector WHERE id = {key}")
+                assert n == (key < N)
+                assert s.query_prepared(hot)[0] == (1,)
+        assert len(s._plan_cache) == PLAN_CACHE_SIZE
+        texts = [call.args[0] for call in planned.call_args_list]
+        assert texts.count(hot) == 1 and len(texts) == 5001
+
+    def test_ddl_still_empties_the_cache(self):
+        s = SqlSession(Database())
+        s.execute("CREATE TABLE a (id BIGINT PRIMARY KEY, x FLOAT)")
+        s.prepare("SELECT COUNT(*) FROM a")
+        assert len(s._plan_cache) == 1
+        s.execute("CREATE TABLE b (id BIGINT PRIMARY KEY, x FLOAT)")
+        assert s._plan_cache == {}
+        s.prepare("SELECT COUNT(*) FROM a")
+        s.execute("DROP TABLE b")
+        assert s._plan_cache == {}

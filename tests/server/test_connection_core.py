@@ -1,0 +1,274 @@
+"""The connection core: a listener thread, a thread per connection,
+one send lock, ``stop()`` within a bound.
+
+What the statement tests in ``test_server.py`` / ``test_dataplane.py``
+do not look at: that connections leave nothing behind, that ``stop()``
+wakes every blocked thread, that the pipelined-``pexec`` drain takes
+complete frames only, and that two threads can answer on one socket.
+"""
+
+import os
+import socket
+import sys
+import threading
+import time
+
+import pytest
+
+from repro.engine import Column, Database
+from repro.server import ArrayClient, ServerConfig, ServerThread, protocol
+from repro.server import server as server_module
+from repro.server.protocol import read_frame_sock, write_frame_sock
+from repro.server.server import _Connection
+
+COUNT_SQL = "SELECT COUNT(*) FROM Tone WITH (NOLOCK)"
+
+
+def make_db() -> Database:
+    db = Database()
+    table = db.create_table("Tone", [Column("id", "bigint"),
+                                     Column("x", "float")])
+    table.insert((1, 1.0))
+    return db
+
+
+def connect(port: int) -> socket.socket:
+    """A raw client socket, greeted."""
+    sock = socket.create_connection(("127.0.0.1", port))
+    sock.settimeout(10)
+    assert read_frame_sock(sock)[0]["type"] == "hello"
+    return sock
+
+
+def pexec(sql: str = COUNT_SQL) -> bytes:
+    return protocol.encode_frame({"type": "pexec", "sql": sql,
+                                  "cold": False})
+
+
+def settles(probe, want, seconds=10.0):
+    """Poll ``probe()`` until it returns ``want`` (connection threads
+    end asynchronously after their client closes)."""
+    deadline = time.monotonic() + seconds
+    while probe() != want and time.monotonic() < deadline:
+        time.sleep(0.02)
+    return probe()
+
+
+# -- (a) connections leave nothing behind ------------------------------------
+
+def test_connection_churn_leaks_no_thread_fd_or_session():
+    with ServerThread(make_db()) as handle:
+        with ArrayClient("127.0.0.1", handle.port) as c:
+            c.query(COUNT_SQL)  # spawns the pool's first worker thread
+        sessions = handle.server.stats.snapshot
+        assert settles(lambda: sessions()["sessions_active"], 0) == 0
+        threads = threading.active_count()
+        fds = len(os.listdir("/proc/self/fd"))
+
+        for _ in range(200):
+            with ArrayClient("127.0.0.1", handle.port) as c:
+                assert c.query(COUNT_SQL).scalar() == 1
+        whole = protocol.encode_frame({"type": "query", "sql": COUNT_SQL})
+        for cut in range(1, 21):  # mid-prefix and mid-payload
+            sock = connect(handle.port)
+            sock.sendall(whole[:cut])
+            sock.close()
+
+        assert settles(lambda: sessions()["sessions_active"], 0) == 0
+        assert settles(threading.active_count, threads) == threads
+        assert settles(lambda: len(os.listdir("/proc/self/fd")),
+                       fds) == fds
+        assert sessions()["sessions_opened"] == 221
+
+
+# -- (b) stop() wakes everything, within its bound ---------------------------
+
+def test_stop_with_idle_connections_closes_them_cleanly():
+    handle = ServerThread(make_db()).start()
+    socks = [connect(handle.port) for _ in range(3)]
+    started = time.monotonic()
+    handle.stop()
+    assert time.monotonic() - started < 1.0
+    for sock in socks:
+        assert read_frame_sock(sock) is None  # EOF, not a reset
+        sock.close()
+    assert handle.server.stats.snapshot()["sessions_active"] == 0
+    with pytest.raises(OSError):
+        socket.create_connection(("127.0.0.1", handle.port), timeout=2)
+
+
+def test_stop_with_a_client_half_way_through_a_frame():
+    handle = ServerThread(make_db()).start()
+    sock = connect(handle.port)
+    whole = protocol.encode_frame({"type": "query", "sql": COUNT_SQL})
+    sock.sendall(whole[:len(whole) // 2])
+    time.sleep(0.05)  # let the connection thread block on the rest
+    started = time.monotonic()
+    handle.stop()
+    assert time.monotonic() - started < 1.0
+    assert read_frame_sock(sock) is None
+    sock.close()
+
+
+def test_stop_with_a_statement_in_flight_returns_within_its_bound(
+        monkeypatch):
+    monkeypatch.setattr(server_module, "_STOP_JOIN_SECONDS", 0.3)
+    running, finished = threading.Event(), threading.Event()
+
+    def session_setup(session):
+        def sleep_udf(seconds):
+            running.set()
+            time.sleep(float(seconds))
+            finished.set()
+            return 0.0
+        session.register_function("dbo.Sleep", sleep_udf,
+                                  body_cost="empty", parallel_safe=False)
+
+    handle = ServerThread(make_db(), ServerConfig(max_workers=1),
+                          session_setup=session_setup).start()
+    sock = connect(handle.port)
+    write_frame_sock(sock, {
+        "type": "query",
+        "sql": "SELECT SUM(dbo.Sleep(1.0)) FROM Tone WITH (NOLOCK)"})
+    assert running.wait(timeout=10)
+    started = time.monotonic()
+    handle.stop()
+    assert time.monotonic() - started < 0.3 + 0.5
+    assert not finished.is_set()  # stop() did not wait the statement out
+    assert read_frame_sock(sock) is None
+    sock.close()
+    # The abandoned statement ends on its own and its connection
+    # thread with it.
+    assert finished.wait(timeout=10)
+    assert settles(
+        lambda: handle.server.stats.snapshot()["sessions_active"], 0) == 0
+
+
+# -- (c) the pipelined-pexec drain -------------------------------------------
+
+@pytest.fixture
+def fresh():
+    """A server of its own, so ``pipeline.depth_max`` starts at 0."""
+    with ServerThread(make_db()) as handle:
+        yield handle
+
+
+def pipeline_stats(handle) -> dict:
+    return handle.server.stats.snapshot()["pipeline"]
+
+
+def test_a_lone_pexec_is_strict_request_response(fresh):
+    sock = connect(fresh.port)
+    for done in (1, 2):
+        sock.sendall(pexec())
+        header, _ = read_frame_sock(sock)
+        assert header["type"] == "result" and header["rowcount"] == 1
+        assert pipeline_stats(fresh) == {
+            "batches": done, "statements": done, "depth_max": 1}
+    sock.close()
+
+
+def test_frames_sent_together_run_as_one_batch(fresh):
+    sock = connect(fresh.port)
+    depth = 7
+    sock.sendall(pexec() * depth)
+    for _ in range(depth):
+        assert read_frame_sock(sock)[0]["type"] == "result"
+    assert pipeline_stats(fresh) == {
+        "batches": 1, "statements": depth, "depth_max": depth}
+    sock.close()
+
+
+def test_a_partial_frame_behind_a_batch_is_waited_for_after_the_batch(
+        fresh):
+    sock = connect(fresh.port)
+    sock.settimeout(5)
+    tail = pexec("SELECT SUM(x) FROM Tone WITH (NOLOCK)")
+    sock.sendall(pexec() * 3 + tail[:len(tail) // 2])
+    # The three complete frames are answered while the fourth is
+    # still half sent: the drain never blocks on a partial frame.
+    for _ in range(3):
+        assert read_frame_sock(sock)[0]["type"] == "result"
+    assert pipeline_stats(fresh) == {
+        "batches": 1, "statements": 3, "depth_max": 3}
+    time.sleep(0.2)
+    sock.sendall(tail[len(tail) // 2:])
+    header, blobs = read_frame_sock(sock)
+    assert header["type"] == "result"
+    assert protocol.unpack_rows(header["rows"], blobs,
+                                header["rowcount"]) == [(1.0,)]
+    assert pipeline_stats(fresh) == {
+        "batches": 2, "statements": 4, "depth_max": 3}
+    sock.close()
+
+
+def test_a_buffered_non_pexec_frame_is_carried_over(fresh):
+    sock = connect(fresh.port)
+    sock.sendall(pexec() * 2 + protocol.encode_frame({"type": "ping"})
+                 + pexec())
+    kinds = [read_frame_sock(sock)[0]["type"] for _ in range(4)]
+    assert kinds == ["result", "result", "pong", "result"]
+    assert pipeline_stats(fresh)["depth_max"] == 2
+    sock.close()
+
+
+# -- (d) one send lock -------------------------------------------------------
+
+def test_two_threads_sending_on_one_connection_interleave_whole_frames():
+    ours, theirs = socket.socketpair()
+    theirs.settimeout(10)
+    conn = _Connection(ours, protocol.MAX_FRAME_BYTES)
+    per_thread = 1000
+    # Big enough that one sendall() takes several send() calls once
+    # the socket buffer fills: without the lock the frames shred.
+    payload = [bytes(40_000)]
+
+    def writer(who):
+        try:
+            for n in range(per_thread):
+                conn.send_frame({"type": "bchunk", "who": who, "n": n},
+                                payload)
+        except OSError:
+            pass  # the reader gave up and closed the pair
+
+    writers = [threading.Thread(target=writer, args=(who,))
+               for who in (0, 1)]
+    seen: list[tuple[int, int]] = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in writers:
+            t.start()
+        for _ in range(2 * per_thread):
+            header, blobs = read_frame_sock(theirs)
+            assert len(blobs[0]) == len(payload[0])
+            seen.append((header["who"], header["n"]))
+    finally:
+        sys.setswitchinterval(interval)
+        ours.close()
+        theirs.close()
+        for t in writers:
+            t.join(timeout=30)
+    assert not any(t.is_alive() for t in writers)
+    for who in (0, 1):  # every frame whole, each writer's in order
+        assert [n for w, n in seen if w == who] == list(range(per_thread))
+
+
+# -- (f) session ids ---------------------------------------------------------
+
+def test_simultaneous_connects_get_distinct_session_ids():
+    with ServerThread(make_db()) as handle:
+        barrier = threading.Barrier(32)
+        ids: list[int] = []
+
+        def one():
+            barrier.wait(timeout=10)
+            with ArrayClient("127.0.0.1", handle.port) as c:
+                ids.append(c.session_id)
+
+        threads = [threading.Thread(target=one) for _ in range(32)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+        assert len(ids) == 32 and len(set(ids)) == 32

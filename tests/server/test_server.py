@@ -6,6 +6,7 @@ import socket
 import struct
 import threading
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -474,20 +475,30 @@ class TestResultTooLarge:
 
 
 class TestServerThreadCrashSurfaced:
-    """Regression: a serving-loop crash after startup was stored in
-    ``_startup_error`` and never read — the daemon thread died silently
-    and ``stop()`` reported success."""
+    """Regression: a serving-loop crash after startup was stored and
+    never read — the daemon thread died silently and ``stop()``
+    reported success."""
+
+    @staticmethod
+    def _kill_listener(handle):
+        """Kill the listener out from under the serving thread: its
+        next ``accept`` raises.  The thread is parked inside the real
+        call, so one connection wakes it — that one is still served —
+        and the call after it dies mid-serve."""
+        listener = handle.server._accept_thread
+        with mock.patch.object(
+                socket.socket, "accept",
+                side_effect=RuntimeError("listener lost its socket")):
+            with ArrayClient("127.0.0.1", handle.port) as c:
+                c.ping()
+            listener.join(timeout=10)
+        assert not listener.is_alive()
 
     def test_loop_death_mid_serve_raises_from_stop(self):
         handle = ServerThread(Database()).start()
         try:
             assert handle.port is not None
-            # Kill the event loop out from under asyncio.run: the
-            # serving coroutine is still pending, so the loop runner
-            # raises and the thread dies mid-serve.
-            handle._loop.call_soon_threadsafe(handle._loop.stop)
-            handle._thread.join(timeout=10)
-            assert not handle._thread.is_alive()
+            self._kill_listener(handle)
         finally:
             with pytest.raises(RuntimeError):
                 handle.stop()
@@ -495,8 +506,7 @@ class TestServerThreadCrashSurfaced:
     def test_context_manager_surfaces_the_crash(self):
         with pytest.raises(RuntimeError):
             with ServerThread(Database()) as handle:
-                handle._loop.call_soon_threadsafe(handle._loop.stop)
-                handle._thread.join(timeout=10)
+                self._kill_listener(handle)
 
     def test_clean_stop_raises_nothing(self):
         handle = ServerThread(Database()).start()

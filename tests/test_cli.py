@@ -2,6 +2,7 @@
 
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -103,6 +104,71 @@ def test_serve_subprocess_round_trip():
     finally:
         proc.terminate()
         proc.wait(timeout=30)
+
+
+def _serving(command, *args):
+    """``python -m repro <command>`` on a free port, returned once it
+    has printed its ``listening on`` line."""
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", command, "--port", "0", *args],
+        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
+    for _ in range(50):
+        if "listening on" in proc.stdout.readline():
+            return proc
+    proc.kill()
+    proc.wait(timeout=30)
+    raise AssertionError(f"repro {command} never reported its port")
+
+
+def _proc_stat(pid):
+    """``/proc/<pid>/stat`` after the command name — state, ppid, … —
+    or None once the process is gone."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rpartition(")")[2].split()
+    except OSError:
+        return None
+
+
+def _live_pids(pids):
+    """The pids that are still running processes (not zombies)."""
+    return [pid for pid in pids
+            if (_proc_stat(pid) or ["Z"])[0] != "Z"]
+
+
+def test_serve_exits_cleanly_on_sigterm():
+    proc = _serving("serve", "--rows", "50")
+    proc.terminate()
+    assert proc.wait(timeout=10) == 0
+    assert "shutting down" in proc.stdout.read()
+
+
+def test_shard_serve_sigterm_leaves_no_shard_process():
+    """SIGTERM used to kill the coordinator inside its serving loop,
+    short of ``fleet.stop()``: the shard processes lived on."""
+    import os
+
+    proc = _serving("shard-serve", "--shards", "2", "--rows", "50")
+    children = [int(entry) for entry in os.listdir("/proc")
+                if entry.isdigit()
+                and (_proc_stat(entry) or [None, -1])[1] == str(proc.pid)]
+    try:
+        # Two shard processes (plus multiprocessing's resource tracker).
+        assert len(children) >= 2
+        proc.terminate()
+        assert proc.wait(timeout=10) == 0
+        # The shards were stopped before the coordinator exited; the
+        # resource tracker ends itself once it sees its parent gone.
+        deadline = time.monotonic() + 5
+        while _live_pids(children) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert _live_pids(children) == []
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait(timeout=30)
+        for pid in _live_pids(children):
+            os.kill(pid, 9)
 
 
 def test_module_invocation():
