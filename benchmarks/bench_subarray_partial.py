@@ -13,8 +13,10 @@ import numpy as np
 import pytest
 
 from repro.core import SqlArray, ops
-from repro.core.partial import read_subarray
+from repro.core.partial import iter_byte_runs, read_subarray
 from repro.engine import BlobStore, BufferPool, PageFile
+from repro.engine.blob import _PTRS_PER_PAGE
+from repro.engine.constants import BLOB_CHUNK_SIZE
 
 
 def _stored_cube(edge):
@@ -54,13 +56,25 @@ def test_full_blob_read(benchmark, edge):
 
 def test_savings_grow_with_blob_size():
     """The crossover claim: the bigger the stored array, the bigger the
-    partial-read win (whole-blob cost grows, window cost does not)."""
+    partial-read win (whole-blob cost grows, window cost does not) —
+    in bytes through the stream and in pages out of storage: the read
+    fetches no more than the pointer pages it walks and the chunk
+    pages its runs touch, for the header and for the window."""
     savings = []
     for edge in (16, 32, 64):
-        store, pool, ref, _values = _stored_cube(edge)
+        store, pool, ref, values = _stored_cube(edge)
         stream = store.open(ref, pool)
         read_subarray(stream, (4, 4, 4), (8, 8, 8))
         savings.append(ref.length / stream.bytes_read)
+        header = SqlArray.from_numpy(values).header
+        allowed = 0
+        for runs in ([(0, header.data_offset)],
+                     iter_byte_runs(header, (4, 4, 4), (8, 8, 8))):
+            touched = {chunk for offset, length in runs for chunk in
+                       range(offset // BLOB_CHUNK_SIZE,
+                             (offset + length - 1) // BLOB_CHUNK_SIZE + 1)}
+            allowed += max(touched) // _PTRS_PER_PAGE + 1 + len(touched)
+        assert pool.counters.logical_reads <= allowed
     assert savings[0] < savings[1] < savings[2]
     assert savings[2] > 50  # 64^3 blob vs 8^3 window
 

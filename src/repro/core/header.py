@@ -212,16 +212,19 @@ def peek_storage_class(blob: bytes) -> int:
     raise HeaderError(f"bad array magic {magic!r}")
 
 
-def decode_header(blob) -> ArrayHeader:
+def decode_header(blob, size: int | None = None) -> ArrayHeader:
     """Decode and validate the header at the start of ``blob``.
 
     ``blob`` may be ``bytes``, ``bytearray`` or ``memoryview``.  Only the
     header region is inspected, but the declared payload size is checked
-    against ``len(blob)`` so truncated blobs are rejected.
+    against ``size`` — ``len(blob)``, or the length of the stream that
+    ``blob`` is only the head of — so truncated blobs are rejected.
 
     Raises:
         HeaderError: for malformed, truncated, or inconsistent headers.
     """
+    if size is None:
+        size = len(blob)
     storage = peek_storage_class(blob)
     if storage == STORAGE_SHORT:
         if len(blob) < SHORT_HEADER_SIZE:
@@ -263,9 +266,9 @@ def decode_header(blob) -> ArrayHeader:
         raise HeaderError(
             f"element count {count} does not match shape {shape} "
             f"(product {expected})")
-    if len(blob) < data_offset + count * dtype.itemsize:
+    if size < data_offset + count * dtype.itemsize:
         raise HeaderError(
-            f"blob of {len(blob)} bytes is shorter than the "
+            f"blob of {size} bytes is shorter than the "
             f"{data_offset + count * dtype.itemsize} bytes its header "
             "declares")
     return ArrayHeader(storage=storage, dtype=dtype, shape=shape,

@@ -15,13 +15,15 @@ needs an 8x8x8 neighbourhood, not the whole multi-megabyte cube.
 
 from __future__ import annotations
 
+import struct
 from typing import Iterator, Protocol, Sequence
 
 import numpy as np
 
 from .errors import BoundsError, ShapeError
-from .header import ArrayHeader
-from .sqlarray import SqlArray
+from .header import (STORAGE_MAX, ArrayHeader, decode_header,
+                     encode_header, max_header_size, peek_storage_class)
+from .sqlarray import SqlArray, preferred_storage
 
 __all__ = [
     "BlobStream",
@@ -44,7 +46,13 @@ class BlobStream(Protocol):
     """
 
     def read_at(self, offset: int, size: int) -> bytes:
-        """Read ``size`` bytes starting at ``offset``."""
+        """Read ``size`` bytes starting at ``offset`` (the one-run
+        case of :meth:`read_runs`)."""
+        ...
+
+    def read_runs(self, offsets: Sequence[int], run_bytes: int) -> bytes:
+        """Read the ``run_bytes`` bytes at each of ``offsets`` (ascending,
+        non-overlapping) in one call; returns them joined."""
         ...
 
     def length(self) -> int:
@@ -62,13 +70,18 @@ class BytesBlobStream:
         self.read_calls = 0
 
     def read_at(self, offset: int, size: int) -> bytes:
-        if offset < 0 or offset + size > len(self._blob):
+        return self.read_runs((offset,), size)
+
+    def read_runs(self, offsets: Sequence[int], run_bytes: int) -> bytes:
+        blob = self._blob
+        if len(offsets) and (
+                offsets[0] < 0 or offsets[-1] + run_bytes > len(blob)):
             raise BoundsError(
-                f"read [{offset}, {offset + size}) beyond blob of "
-                f"{len(self._blob)} bytes")
-        self.bytes_read += size
+                f"read [{offsets[0]}, {offsets[-1] + run_bytes}) beyond "
+                f"blob of {len(blob)} bytes")
+        self.bytes_read += len(offsets) * run_bytes
         self.read_calls += 1
-        return self._blob[offset:offset + size]
+        return b"".join([blob[o:o + run_bytes] for o in offsets])
 
     def length(self) -> int:
         return len(self._blob)
@@ -93,15 +106,15 @@ def _validate_window(shape: tuple[int, ...], offset: Sequence[int],
     return offset, size
 
 
-def iter_byte_runs(header: ArrayHeader, offset: Sequence[int],
-                   size: Sequence[int]) -> Iterator[tuple[int, int]]:
-    """Yield ``(byte_offset, byte_length)`` runs covering a window.
+def _window_runs(header: ArrayHeader, offset: Sequence[int],
+                 size: Sequence[int]) -> tuple[np.ndarray, int]:
+    """The byte runs covering a window: their ascending start offsets
+    (one int64 array) and their common length.
 
-    Runs are yielded in ascending offset order and are maximal: adjacent
-    window elements that are contiguous in the column-major payload are
-    merged into a single run.  When the window spans whole leading
-    dimensions the merge extends across those dimensions, so reading a
-    full array yields exactly one run.
+    Runs are maximal: adjacent window elements that are contiguous in
+    the column-major payload are merged into a single run.  When the
+    window spans whole leading dimensions the merge extends across
+    those dimensions, so reading a full array is exactly one run.
     """
     shape = header.shape
     offset, size = _validate_window(shape, offset, size)
@@ -113,112 +126,54 @@ def iter_byte_runs(header: ArrayHeader, offset: Sequence[int],
     while (merge < len(shape) and offset[merge] == 0
            and size[merge] == shape[merge]):
         merge += 1
-
     if merge == len(shape):
-        yield header.data_offset, header.count * itemsize
-        return
+        return (np.array([header.data_offset], dtype=np.int64),
+                header.count * itemsize)
 
-    # Elements per run: full leading dims times the window extent on the
-    # first partial dimension.
-    run_elems = size[merge]
-    stride = 1
-    for n in shape[:merge]:
-        run_elems *= n
-        stride *= n
-    # Linear element offset of the window origin.
+    # Byte stride of every dimension, and the window origin's offset.
     strides = []
-    acc = 1
+    acc = itemsize
     for n in shape:
         strides.append(acc)
         acc *= n
-    base = sum(o * st for o, st in zip(offset, strides))
+    starts = np.array(
+        [header.data_offset
+         + sum(o * st for o, st in zip(offset, strides))], dtype=np.int64)
+    # One run per index combination of the dimensions beyond the partial
+    # one; a later dimension strides past everything before it, so the
+    # offsets stay ascending.
+    for axis in range(merge + 1, len(shape)):
+        steps = np.arange(size[axis], dtype=np.int64) * strides[axis]
+        starts = (steps[:, None] + starts).ravel()
+    return starts, strides[merge] * size[merge]
 
-    # Iterate the outer (non-merged, beyond the partial one) dimensions.
-    outer_axes = range(merge + 1, len(shape))
-    outer_sizes = [size[a] for a in outer_axes]
-    outer_strides = [strides[a] for a in outer_axes]
-    counters = [0] * len(outer_sizes)
-    while True:
-        elem = base + sum(c * st for c, st in zip(counters, outer_strides))
-        yield (header.data_offset + elem * itemsize, run_elems * itemsize)
-        for i in range(len(counters)):
-            counters[i] += 1
-            if counters[i] < outer_sizes[i]:
-                break
-            counters[i] = 0
-        else:
-            return
+
+def iter_byte_runs(header: ArrayHeader, offset: Sequence[int],
+                   size: Sequence[int]) -> Iterator[tuple[int, int]]:
+    """Yield the ``(byte_offset, byte_length)`` runs covering a window,
+    in ascending offset order (see :func:`_window_runs`)."""
+    starts, run_bytes = _window_runs(header, offset, size)
+    for start in starts.tolist():
+        yield start, run_bytes
+
+
+#: One read covers a short header and a max header of rank <= 3.
+_HEADER_PREFIX = 28
 
 
 def read_header(stream: BlobStream) -> ArrayHeader:
     """Decode the array header from a stream without reading the payload.
 
-    Reads the fixed prefix first, then (for max arrays) the rest of the
-    dimension list — at most two small reads.  The payload length the
-    header declares is validated against ``stream.length()``.
+    One small read, and a second for the rest of the dimension list of
+    a max array of rank > 3.  The payload length the header declares is
+    validated against ``stream.length()``.
     """
-    import struct
-
-    from .header import (SHORT_HEADER_SIZE, STORAGE_MAX, HeaderError,
-                         max_header_size, peek_storage_class)
-
-    prefix = stream.read_at(0, min(SHORT_HEADER_SIZE, stream.length()))
-    storage = peek_storage_class(prefix)
-    if storage == STORAGE_MAX:
-        rank = struct.unpack_from("<I", prefix, 4)[0]
-        need = max_header_size(rank)
+    prefix = stream.read_at(0, min(_HEADER_PREFIX, stream.length()))
+    if peek_storage_class(prefix) == STORAGE_MAX:
+        need = max_header_size(struct.unpack_from("<I", prefix, 4)[0])
         if need > len(prefix):
             prefix += stream.read_at(len(prefix), need - len(prefix))
-        head_blob = prefix[:need]
-    else:
-        head_blob = prefix
-    header = _parse_header_fields(head_blob)
-    if stream.length() < header.blob_size:
-        raise HeaderError(
-            f"stream of {stream.length()} bytes is shorter than the "
-            f"{header.blob_size} bytes the header declares")
-    return header
-
-
-def _parse_header_fields(head_blob: bytes) -> ArrayHeader:
-    """Parse header fields without the full-blob length check."""
-    import struct
-
-    from .dtypes import dtype_by_code
-    from .header import (MAX_HEADER_BASE_SIZE, SHORT_HEADER_SIZE,
-                         SHORT_MAX_RANK, STORAGE_MAX, STORAGE_SHORT,
-                         HeaderError, max_header_size, peek_storage_class)
-
-    storage = peek_storage_class(head_blob)
-    if storage == STORAGE_SHORT:
-        if len(head_blob) < SHORT_HEADER_SIZE:
-            raise HeaderError("truncated short array header")
-        (_m, flags, code, rank, count, *dims) = struct.unpack(
-            "<2sBBHI6hxx", head_blob[:SHORT_HEADER_SIZE])
-        if flags != STORAGE_SHORT or not 1 <= rank <= SHORT_MAX_RANK:
-            raise HeaderError("malformed short array header")
-        shape = tuple(dims[:rank])
-        data_offset = SHORT_HEADER_SIZE
-    else:
-        if len(head_blob) < MAX_HEADER_BASE_SIZE:
-            raise HeaderError("truncated max array header")
-        (_m, flags, code, rank, count) = struct.unpack(
-            "<2sBBIQ", head_blob[:MAX_HEADER_BASE_SIZE])
-        data_offset = max_header_size(rank)
-        if flags != STORAGE_MAX or rank < 1 or len(head_blob) < data_offset:
-            raise HeaderError("malformed max array header")
-        shape = struct.unpack(
-            f"<{rank}i", head_blob[MAX_HEADER_BASE_SIZE:data_offset])
-    if any(s < 0 for s in shape):
-        raise HeaderError(f"negative dimension in {shape}")
-    expected = 1
-    for s in shape:
-        expected *= s
-    if count != expected:
-        raise HeaderError(
-            f"element count {count} does not match shape {shape}")
-    return ArrayHeader(storage=storage, dtype=dtype_by_code(code),
-                       shape=shape, data_offset=data_offset)
+    return decode_header(prefix, stream.length())
 
 
 def read_subarray(stream: BlobStream, offset: Sequence[int],
@@ -232,15 +187,16 @@ def read_subarray(stream: BlobStream, offset: Sequence[int],
     """
     header = read_header(stream)
     size = tuple(int(s) for s in size)
-    chunks = [stream.read_at(off, ln)
-              for off, ln in iter_byte_runs(header, offset, size)]
-    payload = b"".join(chunks)
-    flat = np.frombuffer(payload, dtype=header.dtype.numpy_dtype)
-    window = flat.reshape(size, order="F")
+    starts, run_bytes = _window_runs(header, offset, size)
+    payload = stream.read_runs(starts.tolist(), run_bytes)
+    # The runs, joined in offset order, are the window's column-major
+    # payload as it stands; dropping unit dimensions does not move it.
     if collapse:
-        kept = tuple(s for s in size if s != 1)
-        window = window.reshape(kept if kept else (1,), order="F")
-    return SqlArray.from_numpy(window, header.dtype)
+        size = tuple(s for s in size if s != 1) or (1,)
+    storage = preferred_storage(header.dtype, size)
+    head = encode_header(storage, header.dtype, size)
+    return SqlArray(ArrayHeader(storage, header.dtype, size, len(head)),
+                    head + payload)
 
 
 def read_window_blob(stream: BlobStream, offset: Sequence[int],

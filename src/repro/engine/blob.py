@@ -98,14 +98,6 @@ class BlobStore:
         stream = self.open(ref, pool)
         return stream.read_at(0, ref.length)
 
-    def read_range(self, ref: BlobRef, pool: BufferPool,
-                   offset: int, size: int) -> bytes:
-        """Read one byte range of a stored blob, touching only the
-        chunk pages the range covers (the wire layer's partial-read
-        path: a ``bquery`` slice never walks pages outside the
-        slice)."""
-        return self.open(ref, pool).read_at(offset, size)
-
 
 class BlobTreeStream:
     """Random-access stream over an out-of-page blob.
@@ -130,36 +122,61 @@ class BlobTreeStream:
     def length(self) -> int:
         return self._ref.length
 
-    def _chunk_page_id(self, chunk_index: int) -> int:
-        """Resolve a chunk's page id by walking the pointer chain.
+    def _read_chunks(self, chunks: list[int]) -> list[bytes]:
+        """Contents of the chunks of ascending indices ``chunks``, each
+        chunk page fetched once.
 
-        Each pointer page visited is a (counted) page fetch — the B-tree
-        traversal cost of out-of-page access.
+        The pointer chain is walked once, as far as the last chunk asked
+        for; every pointer page visited is a (counted) page fetch — the
+        B-tree traversal cost of out-of-page access.
         """
-        ptr_page = self._pool.fetch(self._ref.first_pointer_page)
-        while chunk_index >= _PTRS_PER_PAGE:
-            chunk_index -= _PTRS_PER_PAGE
-            ptr_page = self._pool.fetch(ptr_page.next_page)
-        record = ptr_page.get_record(0)
-        return _PTR_STRUCT.unpack_from(record, 4 * chunk_index)[0]
+        page_ids = []
+        ptr_page, ptr_index = None, -1
+        for chunk in chunks:
+            while ptr_index < chunk // _PTRS_PER_PAGE:
+                ptr_page = self._pool.fetch(
+                    self._ref.first_pointer_page if ptr_page is None
+                    else ptr_page.next_page)
+                record = ptr_page.get_record(0)
+                ptr_index += 1
+            page_ids.append(_PTR_STRUCT.unpack_from(
+                record, 4 * (chunk % _PTRS_PER_PAGE))[0])
+        return [page.get_record(0)
+                for page in self._pool.fetch_many(page_ids)]
 
     def read_at(self, offset: int, size: int) -> bytes:
         """Read ``size`` bytes at ``offset``, touching only the chunk
         pages the range covers."""
-        if offset < 0 or offset + size > self._ref.length:
+        return self.read_runs((offset,), size)
+
+    def read_runs(self, offsets, run_bytes: int) -> bytes:
+        """Read ``run_bytes`` bytes at each of the ascending
+        ``offsets`` and return them joined: one trip through the
+        wrapper, one fetch of every chunk page the runs touch."""
+        if len(offsets) and (offsets[0] < 0 or offsets[-1] + run_bytes
+                             > self._ref.length):
             raise ValueError(
-                f"read [{offset}, {offset + size}) beyond blob of "
-                f"{self._ref.length} bytes")
+                f"read [{offsets[0]}, {offsets[-1] + run_bytes}) beyond "
+                f"blob of {self._ref.length} bytes")
         self.stream_calls += 1
-        self.bytes_read += size
-        parts = []
-        pos = offset
-        end = offset + size
-        while pos < end:
-            chunk_index, within = divmod(pos, BLOB_CHUNK_SIZE)
-            page = self._pool.fetch(self._chunk_page_id(chunk_index))
-            chunk = page.get_record(0)
-            take = min(len(chunk) - within, end - pos)
-            parts.append(chunk[within:within + take])
-            pos += take
-        return b"".join(parts)
+        self.bytes_read += len(offsets) * run_bytes
+        if not run_bytes:
+            return b""
+        size = BLOB_CHUNK_SIZE
+        chunks: list[int] = []  # the chunks touched: ascending, distinct
+        listed = -1
+        for offset in offsets:
+            last = (offset + run_bytes - 1) // size
+            if last > listed:  # most runs end in a chunk already listed
+                chunks.extend(range(max(offset // size, listed + 1),
+                                    last + 1))
+                listed = last
+        # Laid end to end the touched chunks hold every run in one
+        # piece: a run that leaves a chunk enters the next one, which
+        # is touched too, and only the blob's last chunk is short.
+        data = b"".join(self._read_chunks(chunks))
+        skipped = {chunk: (chunk - at) * size   # bytes not in ``data``
+                   for at, chunk in enumerate(chunks)}
+        starts = [offset - skipped[offset // size] for offset in offsets]
+        return b"".join([data[start:start + run_bytes]
+                         for start in starts])

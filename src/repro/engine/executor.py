@@ -1139,8 +1139,7 @@ class Executor:
     def run_point(self, table: Table, key: int,
                   aggregates: Sequence[Aggregate], cold: bool = True,
                   label: str = "", engine: str | None = None,
-                  workers: int | None = None
-                  ) -> tuple[tuple, QueryMetrics]:
+                  workers: int | None = None, finalize=None):
         """Execute aggregates over the single row with the given
         primary key — a clustered index *seek* instead of a scan.
 
@@ -1149,6 +1148,14 @@ class Executor:
         by z-index) rely on.  Like :meth:`run_index`, a seek has no
         batch to vectorize: ``engine`` is validated but the single row
         is processed on the row path (``engine="row"`` in the metrics).
+
+        Returns ``(values, metrics)``, or what ``finalize`` makes of
+        them.  ``finalize`` is the consumer of a late-materialised plan
+        (aggregates that hand a blob cell through as its
+        :class:`~repro.engine.table.MaxBlobHandle`): it runs *inside*
+        the read view — snapshot pinned, a cold statement's cold view
+        open — and the page reads it makes are charged to ``metrics``
+        once it returns.
         """
         self._resolve_engine(engine)
         pool = self.db.pool
@@ -1164,9 +1171,17 @@ class Executor:
                 ctx.row = view.decode(int(key), payload)
                 for i, agg in enumerate(aggregates):
                     states[i] = agg.step(states[i], ctx)
-            wall = time.perf_counter() - started
 
-        io = pool.snapshot_thread_counters().delta_since(before)
-        cpu = self._seek_cpu(table, aggregates, rows, io, ctx)
-        return (self._finish(aggregates, states, None, rows),
-                self._metrics(label, rows, io, cpu, wall, ctx))
+            def measured() -> QueryMetrics:
+                io = pool.snapshot_thread_counters().delta_since(before)
+                cpu = self._seek_cpu(table, aggregates, rows, io, ctx)
+                return self._metrics(label, rows, io, cpu,
+                                     time.perf_counter() - started, ctx)
+
+            result = (self._finish(aggregates, states, None, rows),
+                      measured())
+            if finalize is not None:
+                metrics = result[1]
+                result = finalize(result)
+                vars(metrics).update(vars(measured()))
+        return result

@@ -69,7 +69,7 @@ from .executor import (
     ScalarUdf,
     Sum,
 )
-from .table import Table
+from .table import MaxBlobHandle, Table
 
 __all__ = ["PlanCache", "SelectPlan", "SqlSession", "SqlSyntaxError"]
 
@@ -191,6 +191,13 @@ class SelectPlan:
     the aggregates are captures and a serial scan goes through
     :meth:`Executor.run_partial`, which hands a grouped state on
     unreduced.
+
+    ``late`` marks a ``point`` plan that materialises late: a ``MIN`` /
+    ``MAX`` directly over a ``VARBINARY(MAX)`` column (the identity on
+    at most one row) hands the cell's
+    :class:`~repro.engine.table.MaxBlobHandle` through instead of
+    reading the blob, and the statement's consumer dereferences what
+    it needs inside the read view (see :meth:`SqlSession.query`).
     """
 
     table: Table
@@ -207,6 +214,7 @@ class SelectPlan:
     index_hi: object = None
     pk_range: tuple[int | None, int | None] | None = None
     partial: bool = False
+    late: bool = False
 
 
 #: Plans one prepared-statement cache keeps — a session's and the shard
@@ -413,8 +421,8 @@ class SqlSession:
         with GROUP BY); ``CREATE TABLE`` returns the new
         :class:`~repro.engine.table.Table`; ``DROP TABLE`` returns 0;
         ``INSERT`` and ``DELETE`` return the number of rows affected.
-        ``finalize`` (SELECT only) is applied to the result while the
-        statement's latches are still held — see :meth:`query`.
+        ``finalize`` (SELECT only) is applied to the result before the
+        statement ends — see :meth:`query`.
         ``engine`` (SELECT only) picks the execution path — ``"row"``,
         ``"vector"``, ``"parallel"``, or ``None`` for the executor's
         default; all produce identical results and cold-run metrics.
@@ -564,6 +572,9 @@ class SqlSession:
               engine: str | None = None, workers: int | None = None):
         """Execute one aggregate SELECT; returns (values, metrics).
 
+        The statement is planned through :meth:`prepare`, so a repeated
+        text skips tokenizing, parsing and plan construction.
+
         A ``WHERE <pk> = <constant>`` predicate is planned as a
         clustered index *seek* (B-tree descent) instead of a full scan;
         ``GROUP BY`` runs the hash-aggregation plan and returns
@@ -578,23 +589,28 @@ class SqlSession:
         engine is dispatched with no latch held; its coordinator takes
         its own (see :meth:`_select`).
 
-        ``finalize``, if given, is called on the raw result *before*
-        the latches are released and its return value is returned
-        instead.  Results can reference storage (a
-        :class:`~repro.engine.table.MaxBlobHandle` cell points at live
-        blob pages a writer may later mutate or free); a caller that
-        needs to dereference such handles must do it here, not after
-        the statement returns.  ``finalize`` must not execute further
-        statements (the latches are not reentrant).
+        ``finalize``, if given, is called on the raw result before the
+        statement ends and its return value is returned instead.  A
+        late-materialised seek (:attr:`SelectPlan.late`) hands it a
+        :class:`~repro.engine.table.MaxBlobHandle` cell *inside* the
+        statement's read view — snapshot still pinned, a cold
+        statement's cold view still open — where the hook dereferences
+        what it needs (a window, a byte range, the whole blob) and the
+        page reads it makes are charged to the statement's metrics; a
+        handle is never dereferenced once its statement's pin is gone.
+        Without a hook the session reads such a cell out whole, so this
+        method only ever returns bytes.  For every other plan the hook
+        runs after the scan, under the statement's latch guard.
+        ``finalize`` must not execute further statements (the latches
+        are not reentrant).
         """
-        return self._select(self._plan_tokens(_tokenize(sql), sql), cold,
-                            engine, workers, finalize)
+        return self._select(self.prepare(sql), cold, engine, workers,
+                            finalize)
 
     def _select(self, plan: SelectPlan, cold: bool, engine: str | None,
                 workers: int | None, finalize):
         """Guard -> execute -> ``finalize`` for one planned SELECT: the
-        body shared by :meth:`query`, :meth:`query_prepared` and
-        :meth:`query_partial`.
+        body shared by :meth:`query` and :meth:`query_partial`.
 
         Parallel is a different *dispatch*, decided before any latch:
         the coordinator takes the worker-pool mutex and then the
@@ -615,8 +631,27 @@ class SqlSession:
                         else finalize(result)
             engine = "vector"  # honest fallback
         with self._mvcc_select_guard(plan):
+            if plan.late:
+                return executor.run_point(
+                    plan.table, plan.key, plan.aggregates, cold,
+                    plan.label, engine,
+                    finalize=finalize or self._read_out)
             result = self._execute_plan(plan, cold, engine)
             return result if finalize is None else finalize(result)
+
+    def _read_out(self, result):
+        """The consumer of a late plan nobody else consumes: every
+        handle — a cell, or a cell of a captured value list — read
+        whole."""
+        pool = self.db.pool
+
+        def read(value):
+            if isinstance(value, list):
+                return [read(cell) for cell in value]
+            return value.read_all(pool) \
+                if isinstance(value, MaxBlobHandle) else value
+
+        return tuple(read(value) for value in result[0]), result[1]
 
     def _mvcc_select_guard(self, plan: SelectPlan):
         """Latch guard for one serially executed SELECT.
@@ -635,27 +670,20 @@ class SqlSession:
         """Parse and plan an aggregate SELECT once, caching the plan
         by exact SQL text — the server side of a ``prepare`` frame.
 
-        Repeated :meth:`query_prepared` calls for the same text skip
+        Repeated :meth:`query` calls for the same text skip
         tokenizing, parsing and plan construction entirely.  The cache
-        is cleared on DDL (see :meth:`execute`); data-only writes
-        leave plans valid — a plan captures *structure* (expressions,
-        seek keys parsed from constants), never row contents.
+        is cleared on this session's DDL (see :meth:`execute`), and a
+        plan whose table another session has dropped since is planned
+        afresh; data-only writes leave plans valid — a plan captures
+        *structure* (expressions, seek keys parsed from constants),
+        never row contents.
         """
         plan = self._plan_cache.lookup(sql)
-        if plan is None:
+        if plan is None or \
+                self.db.tables.get(plan.table.name) is not plan.table:
             plan = self.plan_select(sql)
             self._plan_cache.remember(sql, plan)
         return plan
-
-    def query_prepared(self, sql: str, cold: bool = True,
-                       finalize=None, engine: str | None = None,
-                       workers: int | None = None):
-        """Execute one aggregate SELECT through the prepared-plan
-        cache: :meth:`query` semantics (latching, ``finalize`` under
-        the latches, identical results) minus the per-call parse and
-        plan."""
-        return self._select(self.prepare(sql), cold, engine, workers,
-                            finalize)
 
     def plan_select(self, sql: str) -> SelectPlan:
         """Parse one aggregate SELECT into a routable
@@ -700,9 +728,16 @@ class SqlSession:
             aggregates.append(item[1])
         key = self._seek_key(table, where)
         if key is not None:
+            # At most one row: MIN/MAX of a blob column *is* that row's
+            # cell, so its handle goes through unread (SelectPlan.late).
+            handed = [type(agg)(agg.expr.inner)
+                      if type(agg) in (Min, Max)
+                      and isinstance(agg.expr, ReadBlob) else agg
+                      for agg in aggregates]
             return SelectPlan(table=table, label=label, kind="point",
-                              aggregates=aggregates, where=where,
-                              key=key, pk_range=(key, key + 1))
+                              aggregates=handed, where=where, key=key,
+                              pk_range=(key, key + 1),
+                              late=handed != aggregates)
         index = self._index_plan(table, where)
         if index is not None:
             column, equals, lo, hi = index
@@ -762,14 +797,16 @@ class SqlSession:
         which read as those pairs on demand: the ones the vector
         engine's scan built, handed on as they are, or loaded from
         the rows any other path finished.  ``finalize`` has
-        :meth:`query` semantics: applied under the latches, so blob
-        handles inside MIN/MAX partials can be materialized safely.
+        :meth:`query` semantics: blob handles inside MIN/MAX partials
+        are dereferenced there, before the statement ends.
         """
         plan = self._plan_tokens(_tokenize(sql), sql)
         wrapped = replace(plan, partial=True, aggregates=[
             PartialCapture(agg) for agg in plan.aggregates])
 
         def shape(result):
+            if plan.late and finalize is None:
+                result = self._read_out(result)
             if plan.kind == "grouped":
                 groups, metrics = result
                 states = None

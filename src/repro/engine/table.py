@@ -100,12 +100,6 @@ class MaxBlobHandle:
         """Materialize the whole blob through the stream wrapper."""
         return self.store.read_all(self.ref, pool)
 
-    def read_range(self, pool: BufferPool, offset: int,
-                   size: int) -> bytes:
-        """Read one byte range without materializing the rest — the
-        handle-not-bytes surface ``bquery`` serves over the wire."""
-        return self.store.read_range(self.ref, pool, offset, size)
-
 
 class Table:
     """A clustered table.

@@ -42,7 +42,8 @@ class QueryStats:
         bytes_read: Payload bytes actually read from blob streams.
         full_blob_bytes: What reading every touched blob end-to-end
             would have cost (the paper's "overkill" baseline).
-        read_calls: Stream read invocations.
+        read_calls: Stream read invocations — per window the header
+            (two reads at rank 4) and one gather of all its byte runs.
     """
 
     particles: int = 0

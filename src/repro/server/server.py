@@ -54,7 +54,7 @@ from ..core.errors import BoundsError, ShapeError
 from ..core.header import HeaderError
 from ..core.partial import BytesBlobStream, read_window_blob
 from ..engine.executor import Database
-from ..engine.sqlfront import SqlSession, SqlSyntaxError, _statement_kind
+from ..engine.sqlfront import SqlSession, SqlSyntaxError
 from ..engine.table import MaxBlobHandle, Table
 from . import protocol
 from .admission import AdmissionController
@@ -616,8 +616,7 @@ class ArrayServer:
                     continue
                 started = time.perf_counter()
                 try:
-                    result = self._execute_prepared_sync(session,
-                                                         *request)
+                    result = self._execute_sync(session, *request)
                 except Exception as exc:
                     replies.append((_error_frame(_wire_error(exc)),
                                     None))
@@ -659,31 +658,15 @@ class ArrayServer:
             buffer += encoded
         conn.send(buffer)
 
-    def _execute_prepared_sync(self, session: SqlSession, sql: str,
-                               cold: bool, engine: str | None = None,
-                               workers: int | None = None) -> dict:
-        """Worker-thread body of the ``pexec`` path: a SELECT executes
-        through the session's prepared-plan cache (parsed and planned
-        once per statement text); anything else falls back to
-        :meth:`_execute_sync`."""
-        if _statement_kind(sql) == "SELECT":
-            rows, metrics = session.query_prepared(
-                sql, cold=cold, finalize=self._materialize_result,
-                engine=engine, workers=workers)
-            return {"kind": "rows", "rows": rows,
-                    "rowcount": len(rows),
-                    "metrics": metrics.to_dict()}
-        return self._execute_sync(session, sql, cold, engine, workers)
-
     # -- streamed partial-blob reads -----------------------------------------
 
     def _run_bquery(self, conn: _Connection, session: SqlSession,
                     session_id: int, header: dict) -> bool:
         """Answer one ``bquery``: resolve the blob cell and read the
-        requested slice under the table latch on a worker thread, then
-        stream it as bounded ``bchunk`` frames once the latch is
-        released.  Returns the dispatch loop's ``done`` flag (the base
-        server never closes the connection here)."""
+        requested slice inside the statement's read view on a worker
+        thread, then stream it as bounded ``bchunk`` frames once the
+        statement has ended.  Returns the dispatch loop's ``done`` flag
+        (the base server never closes the connection here)."""
         sql, cold, timeout, engine, workers = \
             self._statement_options(header)
         offset, length, window = _resolve_blob_range(header)
@@ -731,13 +714,17 @@ class ArrayServer:
                              window: tuple | None) -> dict:
         """Worker-thread body of the ``bquery`` path.
 
-        The statement runs like any SELECT, but the finalize hook —
-        executing while the table latch is still held, so a concurrent
-        DELETE cannot free the blob pages mid-read — resolves the
+        The statement runs like any SELECT, planned through the
+        session's plan cache, but the finalize hook resolves the
         single blob cell to a *stream* and reads only the requested
         byte range (or re-encodes the requested array window), never
-        the whole blob.
+        the whole blob.  A seek hands the hook the cell's handle inside
+        its read view (:attr:`SelectPlan.late`), so the pages the
+        slice touches are read on the statement's pinned snapshot and
+        charged to its metrics; the wrapper trips are added here.
         """
+        opened = []  # the stream over a handle, if the cell is one
+
         def finalize(result):
             values, metrics = result
             if isinstance(values, list):
@@ -753,6 +740,7 @@ class ArrayServer:
             cell = cells[0]
             if isinstance(cell, MaxBlobHandle):
                 stream = cell.open_stream(self.db.pool)
+                opened.append(stream)
             elif isinstance(cell, (bytes, bytearray, memoryview)):
                 stream = BytesBlobStream(bytes(cell))
             else:
@@ -781,11 +769,14 @@ class ArrayServer:
                 raise protocol.WireError(protocol.BAD_FRAME,
                                          str(exc)) from exc
             return {"payload": payload, "blob_len": blob_len,
-                    "offset": served_offset,
-                    "metrics": metrics.to_dict()}
+                    "offset": served_offset, "metrics": metrics}
 
-        return session.query(sql, cold=cold, finalize=finalize,
-                             engine=engine, workers=workers)
+        result = session.query(sql, cold=cold, finalize=finalize,
+                               engine=engine, workers=workers)
+        metrics = result["metrics"]
+        metrics.stream_calls += sum(s.stream_calls for s in opened)
+        result["metrics"] = metrics.to_dict()
+        return result
 
     def _execute_sync(self, session: SqlSession, sql: str,
                       cold: bool, engine: str | None = None,
@@ -821,7 +812,7 @@ class ArrayServer:
 
     def _materialize_partials(self, payload: dict) -> dict:
         """``query_partial`` finalize hook: resolve blob handles inside
-        MIN/MAX value-list partials while the table latch is held (same
+        MIN/MAX value-list partials before the statement ends (same
         reasoning as :meth:`_materialize_result`)."""
         def read(handle):
             return handle.read_all(self.db.pool)
@@ -850,12 +841,13 @@ class ArrayServer:
         """SELECT finalize hook: normalize to a row list and resolve
         blob handles to bytes.
 
-        Runs inside :meth:`SqlSession.query`'s read lock on purpose —
-        a :class:`MaxBlobHandle` cell points at live blob pages, and
-        reading them after the lock drops would race a concurrent
-        DELETE/INSERT mutating or freeing those pages mid-read.
-        Out-of-page handles cannot cross the wire anyway, so ship the
-        bytes (charged to the shared pool).
+        Runs as :meth:`SqlSession.query`'s hook on purpose — a
+        :class:`MaxBlobHandle` cell (a seek hands one through, see
+        :attr:`SelectPlan.late`) points at blob pages of the
+        statement's pinned snapshot, and is only ever dereferenced
+        while that pin is held.  Out-of-page handles cannot cross the
+        wire anyway, so ship the bytes (read whole, charged to the
+        statement).
         """
         values, metrics = result
         rows = values if isinstance(values, list) else [tuple(values)]

@@ -1047,6 +1047,8 @@ class ShardServer(ArrayServer):
     def _execute_sync(self, session: SqlSession, sql: str,
                       cold: bool, engine: str | None = None,
                       workers: int | None = None) -> dict:
+        # router.execute plans through the coordinator cache (see
+        # ShardRouter.prepare), so no frame kind re-plans here.
         return self.router.execute_columnar(
             sql, cold=cold, engine=engine, workers=workers)
 
@@ -1071,14 +1073,6 @@ class ShardServer(ArrayServer):
         # the same plan for routing.
         plan = self.router.prepare(sql)
         return plan.kind, plan.table.name
-
-    def _execute_prepared_sync(self, session: SqlSession, sql: str,
-                               cold: bool, engine: str | None = None,
-                               workers: int | None = None) -> dict:
-        # router.execute plans through the coordinator cache (see
-        # ShardRouter.prepare), so pexec skips re-planning here too.
-        return self.router.execute_columnar(
-            sql, cold=cold, engine=engine, workers=workers)
 
     def _run_bquery(self, conn, session: SqlSession, session_id: int,
                     header: dict) -> bool:

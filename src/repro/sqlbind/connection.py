@@ -41,14 +41,21 @@ class SqliteBlobStream:
         self.read_calls = 0
 
     def read_at(self, offset: int, size: int) -> bytes:
-        if offset < 0 or offset + size > self._length:
+        return self.read_runs((offset,), size)
+
+    def read_runs(self, offsets, run_bytes: int) -> bytes:
+        if len(offsets) and (offsets[0] < 0 or offsets[-1] + run_bytes
+                             > self._length):
             raise BoundsError(
-                f"read [{offset}, {offset + size}) beyond blob of "
-                f"{self._length} bytes")
-        self._handle.seek(offset)
-        self.bytes_read += size
+                f"read [{offsets[0]}, {offsets[-1] + run_bytes}) beyond "
+                f"blob of {self._length} bytes")
+        self.bytes_read += len(offsets) * run_bytes
         self.read_calls += 1
-        return self._handle.read(size)
+        parts = []
+        for offset in offsets:
+            self._handle.seek(offset)
+            parts.append(self._handle.read(run_bytes))
+        return b"".join(parts)
 
     def length(self) -> int:
         return self._length

@@ -295,10 +295,10 @@ class TestPlanCacheBound:
         with mock.patch.object(s, "plan_select",
                                side_effect=s.plan_select) as planned:
             for key in range(5000):
-                (n,), _m = s.query_prepared(
+                (n,), _m = s.query(
                     f"SELECT COUNT(*) FROM Tvector WHERE id = {key}")
                 assert n == (key < N)
-                assert s.query_prepared(hot)[0] == (1,)
+                assert s.query(hot)[0] == (1,)
         assert len(s._plan_cache) == PLAN_CACHE_SIZE
         texts = [call.args[0] for call in planned.call_args_list]
         assert texts.count(hot) == 1 and len(texts) == 5001

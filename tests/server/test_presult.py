@@ -116,9 +116,11 @@ def test_nothing_is_called_per_group_for_a_handle_free_partial(server):
 
 
 def test_blob_handles_in_a_partial_are_read_under_the_latch(server):
-    """SQL wraps a ``varbinary_max`` column in ``ReadBlob``, so handles
-    reach a partial only through the executor API; the finalize hook
-    still resolves them — touching only the column that holds any."""
+    """SQL wraps a ``varbinary_max`` column of a grouped statement in
+    ``ReadBlob``, so handles reach a grouped partial only through the
+    executor API (a seek hands one through in a scalar state, see
+    ``test_late_materialisation.py``); the finalize hook still
+    resolves them — touching only the column that holds any."""
     table = server.db.tables["m"]
     partial, _metrics = Executor(server.db).run_partial(
         table, [PartialCapture(Max(Col("mb"))),

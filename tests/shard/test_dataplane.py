@@ -185,3 +185,62 @@ class TestShardBquery:
         after = client.stats()["bquery"]
         assert after["streams"] == before["streams"] + 1
         assert after["payload_bytes"] >= before["payload_bytes"] + 256
+
+
+class TestLateMaterialisationBehindTheCoordinator:
+    """A point SELECT of a ``VARBINARY(MAX)`` cell hands the shard's
+    hooks a handle; through the coordinator every frame kind still
+    answers bytes — out-of-page, in-row, NULL and missing alike — and
+    a relayed window is charged only the pages it touches."""
+
+    EDGE = 24
+    #: One out-of-page cube per shard, an in-row cell (5), a NULL.
+    KEYS = {20: "cube", 80: "cube", 5: "row", 30: None, 31: "missing"}
+
+    @pytest.fixture(scope="class")
+    def cubes(self, cluster):
+        router = cluster["router"]
+        cubes = {key: np.random.default_rng(key).standard_normal(
+            (self.EDGE,) * 3) for key in (20, 80)}
+        rows = [(key, SqlArray.from_numpy(cube).to_blob())
+                for key, cube in cubes.items()] + [(30, None)]
+        assert router.insert_rows("tb", rows) == 3
+        assert {router.partitioner.shard_of(k) for k in cubes} == {0, 1}
+        yield cubes
+        for key, _blob in rows:
+            router.execute(f"DELETE FROM tb WHERE id = {key}")
+
+    def expected(self, cubes, key):
+        kind = self.KEYS[key]
+        if kind == "cube":
+            return SqlArray.from_numpy(cubes[key]).to_blob()
+        if kind == "row":
+            return SqlArray.from_numpy(make_blob_array(key)).to_blob()
+        return None
+
+    @pytest.mark.parametrize("key", sorted(KEYS))
+    def test_every_frame_kind_answers_bytes(self, client, cubes, key):
+        want = self.expected(cubes, key)
+        found = int(self.KEYS[key] != "missing")
+        for select, expect in [("MAX(m)", (want,)), ("MIN(m)", (want,)),
+                               ("MAX(m), COUNT(*)", (want, found))]:
+            sql = f"SELECT {select} FROM tb WHERE id = {key}"
+            assert client.query(sql).rows == [expect]
+            assert client.query_pipeline([sql])[0].rows == [expect]
+        if want is not None:
+            assert client.query_blob(blob_sql(key)).data == want
+
+    @pytest.mark.parametrize("key", [20, 80])
+    def test_a_relayed_window_reads_its_own_pages(self, client, cubes,
+                                                  key):
+        whole = client.query(blob_sql(key), cold=True)
+        got = client._read_bquery(
+            {"type": "bquery", "sql": blob_sql(key), "cold": True,
+             "window": {"offset": [3, 4, 5], "size": [8, 8, 8]}})
+        np.testing.assert_array_equal(
+            SqlArray.from_blob(got.data).to_numpy(),
+            cubes[key][3:11, 4:12, 5:13])
+        # 14 chunk pages in all; the window's runs lie in 7 of them.
+        assert 0 < got.metrics["physical_reads"] \
+            < whole.metrics["physical_reads"] - 5
+        assert got.metrics["stream_calls"] == 2
