@@ -70,35 +70,18 @@ from .executor import (
     Sum,
 )
 from .table import MaxBlobHandle, Table
+from .values import _KEYWORDS, _NAME, _NUMBER, _OP, _STRING, \
+    SqlSyntaxError, read_insert
 
 __all__ = ["PlanCache", "SelectPlan", "SqlSession", "SqlSyntaxError"]
-
-
-class SqlSyntaxError(Exception):
-    """Raised for SQL the front-end cannot parse or resolve."""
-
-
-_NUMBER = r"\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+|\d+(?:[eE][+-]?\d+)?"
-_NAME = r"[A-Za-z_][A-Za-z_0-9]*"
-_OP = r"<=|>=|<>|!=|[=<>().,*+\-/]"
-_STRING = r"'[^']*'"
 
 _TOKEN_RE = re.compile(
     rf"(?P<number>{_NUMBER})|(?P<name>{_NAME})|(?P<op>{_OP})"
     rf"|(?P<string>{_STRING})|(?P<ws>\s+)")
 
-#: The same alternatives without groups, so ``findall`` hands back one
-#: flat string per token and skips whitespace by itself.  The trailing
-#: ``\S`` makes a token of any character the others refuse — it can only
-#: fail the reader, never be skipped (see :meth:`SqlSession.parse_insert`).
-_FLAT_TOKEN_RE = re.compile(rf"{_NUMBER}|{_NAME}|{_OP}|{_STRING}|\S")
-
 _HEAD_RE = re.compile(rf"\s*({_NAME})")
 
-_KEYWORDS = {"SELECT", "FROM", "WHERE", "WITH", "NOLOCK", "AND", "OR",
-             "NOT", "COUNT", "SUM", "AVG", "MIN", "MAX", "AS", "NULL",
-             "IS", "GROUP", "BY", "CREATE", "TABLE", "INSERT", "INTO",
-             "VALUES", "PRIMARY", "KEY", "DELETE", "DROP"}
+_SCHEMAS = {name.lower(): ns for name, ns in NAMESPACES.items()}
 
 
 def _tokenize(text: str):
@@ -129,21 +112,6 @@ def _statement_kind(sql: str) -> str:
     ``SELECT``."""
     match = _HEAD_RE.match(sql)
     return match.group(1).upper() if match else ""
-
-
-def _shown(token: str) -> str:
-    """A flat token as error messages quote it: keywords upper-cased,
-    as the tokenizer reports them."""
-    upper = token.upper()
-    return upper if upper in _KEYWORDS else token
-
-
-def _expected(wanted: str, token: str) -> SqlSyntaxError:
-    return SqlSyntaxError(f"expected {wanted}, got {_shown(token)!r}")
-
-
-_NAME_START = frozenset(
-    "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
 
 
 def _statement_table(tokens, keyword: str) -> str:
@@ -225,18 +193,20 @@ PLAN_CACHE_SIZE = 256
 
 
 class PlanCache(OrderedDict):
-    """Statement text -> :class:`SelectPlan`, least recently used out
-    first; ``clear()`` on DDL as for any dict."""
+    """What a session keeps of the statements it has seen — statement
+    text -> :class:`SelectPlan`, ``VALUES`` row shape -> compiled row
+    pattern — least recently used out first; ``clear()`` on DDL as for
+    any dict."""
 
-    def lookup(self, sql: str) -> SelectPlan | None:
+    def lookup(self, key):
         try:
-            self.move_to_end(sql)
+            self.move_to_end(key)
         except KeyError:
             return None
-        return self.get(sql)
+        return self.get(key)
 
-    def remember(self, sql: str, plan: SelectPlan) -> None:
-        self[sql] = plan
+    def remember(self, key, value) -> None:
+        self[key] = value
         if len(self) > PLAN_CACHE_SIZE:
             self.popitem(last=False)
 
@@ -366,6 +336,9 @@ class SqlSession:
         # Invalidated wholesale on DDL (a plan holds a Table
         # reference, and new tables can change how a name resolves).
         self._plan_cache = PlanCache()
+        # Row shape -> compiled ``VALUES`` row pattern (or the rows of
+        # that shape walked so far); bounded like the plans.
+        self._row_patterns = PlanCache()
         # The paper's cross-check UDF ships registered, with a trivial
         # batch kernel so the vector engine never falls back on it.
         # It is a module-level function (not a lambda) so query plans
@@ -833,111 +806,19 @@ class SqlSession:
         them) or for shipping to the shard that owns them, as the
         shard coordinator does.
 
-        A bulk statement is mostly data, so it is read in one pass
-        over flat token strings: no ``(kind, value)`` tuple per token,
-        no parser object, and every ``Schema.Func`` resolved once per
-        statement.
+        The list is read by row shape (:mod:`repro.engine.values`):
+        one row of a run is walked token by token, the rest are lifted
+        by the shape's compiled pattern and evaluated as columns.
         """
-        tokens = _FLAT_TOKEN_RE.findall(sql)
-        # End of input; twice, so the look-ahead past ``Schema.`` stays
-        # inside the list.
-        tokens += ("", "")
         try:
-            return self._read_insert(tokens)
+            return read_insert(sql, self._resolve_table,
+                               self._resolve_function, self._row_patterns)
         except Exception:
             # The reader fails on a character no token admits, but
             # maybe later than on something else; such a character is
             # reported first, with its offset, wherever it stands.
             _tokenize(sql)
             raise
-
-    def _read_insert(self, tokens: list[str]
-                     ) -> tuple[Table, list[tuple]]:
-        if tokens[0].upper() != "INSERT":
-            raise _expected("INSERT", tokens[0])
-        if tokens[1].upper() != "INTO":
-            raise _expected("INTO", tokens[1])
-        name = tokens[2]
-        if name[:1] not in _NAME_START or name.upper() in _KEYWORDS:
-            raise SqlSyntaxError("expected a table name")
-        table = self._resolve_table(name)
-        if tokens[3].upper() != "VALUES":
-            raise _expected("VALUES", tokens[3])
-        funcs: dict[tuple[str, str], Callable] = {}
-        rows = []
-        i = 4
-        while True:
-            if tokens[i] != "(":
-                raise _expected("(", tokens[i])
-            values = []
-            while True:
-                value, i = self._read_value(tokens, i + 1, funcs)
-                values.append(value)
-                if tokens[i] != ",":
-                    break
-            if tokens[i] != ")":
-                raise _expected(")", tokens[i])
-            rows.append(tuple(values))
-            i += 1
-            if tokens[i] != ",":
-                break
-            i += 1
-        if tokens[i]:
-            raise SqlSyntaxError(
-                f"unexpected trailing input {_shown(tokens[i])!r}")
-        return table, rows
-
-    def _read_value(self, tokens: list[str], i: int, funcs: dict):
-        """The value starting at ``tokens[i]``: ``(value, index of the
-        token after it)``.  (A method, not a closure over ``tokens``: a
-        recursive closure is a reference cycle that would keep every
-        statement's token list alive until a full collection.)"""
-        token = tokens[i]
-        first = token[:1]
-        if first.isdecimal() or first == "." and len(token) > 1:
-            if "." in token or "e" in token or "E" in token:
-                return float(token), i + 1
-            return int(token), i + 1
-        if token == "-":
-            value, i = self._read_value(tokens, i + 1, funcs)
-            return -value, i
-        if first == "'" and len(token) > 1:
-            return token[1:-1].encode(), i + 1
-        if first in _NAME_START:
-            upper = token.upper()
-            if upper == "NULL":
-                return None, i + 1
-            if upper not in _KEYWORDS and tokens[i + 1] == ".":
-                return self._read_call(tokens, i, funcs)
-        raise SqlSyntaxError(
-            f"unexpected value token {_shown(token)!r}")
-
-    def _read_call(self, tokens: list[str], i: int, funcs: dict):
-        """``Schema.Func(value, ...)`` starting at ``tokens[i]``,
-        evaluated: ``(result, index of the token after it)``."""
-        schema, func = tokens[i], tokens[i + 2]
-        if tokens[i + 3] != "(":
-            raise _expected("(", tokens[i + 3])
-        i += 4
-        args = []
-        if tokens[i] != ")":
-            while True:
-                value, i = self._read_value(tokens, i, funcs)
-                args.append(value)
-                if tokens[i] != ",":
-                    break
-                i += 1
-            if tokens[i] != ")":
-                raise _expected(")", tokens[i])
-        callable_ = funcs.get((schema, func))
-        if callable_ is None:
-            # Function names may collide with SQL keywords
-            # (FloatArray.Sum, .Min, .Max, .Count ...).
-            name = func.upper()
-            callable_, _cost, _psafe = self._resolve_function(
-                schema, name.capitalize() if name in _KEYWORDS else func)
-            funcs[schema, func] = callable_
-        return callable_(*args), i + 1
 
     def _pk_range(self, table: Table, where
                   ) -> tuple[int | None, int | None] | None:
@@ -1094,22 +975,22 @@ class SqlSession:
 
     def _resolve_function(self, schema: str, func: str
                           ) -> tuple[Callable, object, bool]:
-        qualified = f"{schema}.{func}".lower()
-        if qualified in self._functions:
-            return self._functions[qualified]
-        for ns_name, ns in NAMESPACES.items():
-            if ns_name.lower() == schema.lower():
-                method = getattr(ns, func, None)
-                if method is None:
-                    for attr in dir(ns):
-                        if attr.lower() == func.lower():
-                            method = getattr(ns, attr)
-                            break
-                if method is None:
-                    raise SqlSyntaxError(
-                        f"schema {ns_name} has no function {func!r}")
-                return method, "item", True
-        raise SqlSyntaxError(f"unknown function {schema}.{func}")
+        registered = self._functions.get(f"{schema}.{func}".lower())
+        if registered is not None:
+            return registered
+        ns = _SCHEMAS.get(schema.lower())
+        if ns is None:
+            raise SqlSyntaxError(f"unknown function {schema}.{func}")
+        method = getattr(ns, func, None)
+        if method is None:
+            for attr in dir(ns):
+                if attr.lower() == func.lower():
+                    method = getattr(ns, attr)
+                    break
+        if method is None:
+            raise SqlSyntaxError(
+                f"schema {ns.name} has no function {func!r}")
+        return method, "item", True
 
 
 class _Parser:

@@ -221,6 +221,20 @@ class Table:
 
     # -- row codec ------------------------------------------------------------
 
+    def _key(self, value) -> int:
+        """A primary-key cell as the integer the tree stores; a
+        fraction, a NULL, a string or a number past 64 bits is refused,
+        never truncated."""
+        try:
+            key = int(value)
+            if key == value and _KEY_MIN <= key < _KEY_MAX:
+                return key
+        except (TypeError, ValueError, OverflowError):
+            pass
+        raise SchemaError(
+            f"primary key column {self.columns[0].name} takes a 64-bit "
+            f"integer, got {value!r}")
+
     def _encode_row(self, values: Sequence) -> bytes:
         if len(values) != len(self.columns):
             raise SchemaError(
@@ -240,8 +254,19 @@ class Table:
                     variable += struct.pack("<BH", 0, 0)
                 continue
             if col.type in _FIXED_TYPES:
-                fixed += _FIXED_TYPES[col.type].pack(value)
-            elif col.type == "varbinary":
+                try:
+                    fixed += _FIXED_TYPES[col.type].pack(value)
+                except struct.error as exc:
+                    raise SchemaError(
+                        f"value {value!r} does not fit {col.type} "
+                        f"column {col.name}: {exc}") from None
+                continue
+            if not isinstance(value, (bytes, bytearray, memoryview)):
+                # (``bytes(7)`` is seven NULs, ``bytes(2 * 10**9)`` 2 GB.)
+                raise SchemaError(
+                    f"{col.type} column {col.name} takes bytes, got "
+                    f"{value!r}")
+            if col.type == "varbinary":
                 data = bytes(value)
                 if len(data) > col.cap:
                     raise SchemaError(
@@ -485,7 +510,11 @@ class Table:
         self._check_writable()
         rows = [row if isinstance(row, (tuple, list)) else tuple(row)
                 for row in rows]
-        keys = [int(row[0]) for row in rows]
+        keys = [row[0] if type(row[0]) is int else self._key(row[0])
+                for row in rows]
+        if keys and not _KEY_MIN <= min(keys) <= max(keys) < _KEY_MAX:
+            for key in keys:
+                self._key(key)  # raises at the first one out of range
         encoded = [self._encode_row(row) for row in rows]
         return _PreparedInsert(rows, keys, encoded)
 
@@ -571,7 +600,7 @@ class Table:
         """Replace an existing row (matched by its primary key);
         returns whether the key existed."""
         self._check_writable()
-        key = int(values[0])
+        key = self._key(values[0])
         payload = self._encode_row(values)
         with self._mutate_lock:
             old = self.get(key) if self._indexes else None

@@ -53,9 +53,10 @@ from typing import Callable
 from ..core.errors import BoundsError, ShapeError
 from ..core.header import HeaderError
 from ..core.partial import BytesBlobStream, read_window_blob
+from ..engine.btree import DuplicateKeyError
 from ..engine.executor import Database
 from ..engine.sqlfront import SqlSession, SqlSyntaxError
-from ..engine.table import MaxBlobHandle, Table
+from ..engine.table import MaxBlobHandle, SchemaError, Table
 from . import protocol
 from .admission import AdmissionController
 from .stats import ServerStats
@@ -920,7 +921,9 @@ def _wire_error(exc: BaseException) -> protocol.WireError:
         # coordinator's SHARD_UNAVAILABLE, a shard's own error passing
         # through): keep its code on the wire.
         return exc
-    if isinstance(exc, SqlSyntaxError):
+    if isinstance(exc, (SqlSyntaxError, SchemaError, DuplicateKeyError)):
+        # The statement's own fault — its text, a cell that does not
+        # fit its column, a key already there: the user's to fix.
         return protocol.WireError(protocol.SQL_ERROR, str(exc))
     # An engine bug, surfaced to the one client that hit it.
     return protocol.WireError(protocol.INTERNAL,

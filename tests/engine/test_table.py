@@ -1,5 +1,7 @@
 """Clustered table tests: schema validation, row codec, blob routing."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -87,6 +89,57 @@ class TestRowCodec:
                               Column("v", "varbinary", cap=4)])
         with pytest.raises(SchemaError):
             t.insert((1, b"12345"))
+
+    def test_a_binary_cell_must_be_bytes(self, db):
+        """``bytes(7)`` is seven NUL bytes and ``bytes(20_000_000)`` a
+        20 MB blob: an integer in a binary column was zero-filled."""
+        f, store, _pool = db
+        t = _table(f, store, [Column("id", "bigint"),
+                              Column("v", "varbinary", cap=100),
+                              Column("m", "varbinary_max")])
+        with mock.patch.object(store, "store",
+                               wraps=store.store) as stored:
+            for row in [(1, 7, None), (1, None, 20_000_000),
+                        (1, None, 2_000_000_000), (1, 1.5, None),
+                        (1, None, [1, 2]), (1, "text", None)]:
+                with pytest.raises(SchemaError, match="column [vm] takes"):
+                    t.insert(row)
+        assert not stored.called and t.row_count == 0
+        t.insert((1, bytearray(b"ab"), memoryview(b"cd")))
+        assert t.get(1) == (1, b"ab", b"cd")
+
+    @pytest.mark.parametrize("key", [1.5, None, "7", b"7", float("nan"),
+                                     float("inf"), 2 ** 63, -2 ** 63 - 1])
+    def test_a_key_must_be_a_64_bit_integer(self, db, key):
+        f, store, _pool = db
+        t = _table(f, store, [Column("id", "bigint"),
+                              Column("a", "float")])
+        with pytest.raises(SchemaError, match="primary key column id"):
+            t.insert((key, 1.0))
+        with pytest.raises(SchemaError, match="primary key column id"):
+            t.insert_many([(1, 1.0), (key, 1.0)])
+        with pytest.raises(SchemaError, match="primary key column id"):
+            t.update((key, 1.0))
+        assert t.row_count == 0
+
+    def test_integral_keys_of_other_types_are_kept(self, db):
+        f, store, _pool = db
+        t = _table(f, store, [Column("id", "bigint"),
+                              Column("a", "float")])
+        t.insert_many([(np.int64(3), 1.0), (4.0, 2.0), (-2 ** 63, 3.0),
+                       (2 ** 63 - 1, 4.0)])
+        assert [row[0] for row in t.scan()] == [-2 ** 63, 3, 4, 2 ** 63 - 1]
+
+    @pytest.mark.parametrize("row, column", [
+        ((1, 1.5, 1.0), "a"), ((1, 2 ** 31, 1.0), "a"),
+        ((1, "x", 1.0), "a"), ((1, 1, "x"), "d"), ((1, 1, 10 ** 400), "d")])
+    def test_a_fixed_cell_that_does_not_fit_names_its_column(
+            self, db, row, column):
+        f, store, _pool = db
+        t = _table(f, store, [Column("id", "bigint"), Column("a", "int"),
+                              Column("d", "float")])
+        with pytest.raises(SchemaError, match=f"column {column}: "):
+            t.insert(row)
 
     def test_wrong_arity(self, db):
         f, store, _pool = db

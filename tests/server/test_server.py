@@ -115,6 +115,36 @@ class TestBasicConversation:
         deleted = client.query("DELETE FROM Twire WHERE x > 2.0")
         assert deleted.rowcount == 1
 
+    def test_a_bad_row_is_the_statements_fault_not_the_engines(
+            self, client):
+        """A duplicate key or a cell that does not fit its column used
+        to answer ``INTERNAL`` ("an engine bug"); the 33-byte INSERT
+        allocated 20 MB of zeroes."""
+        client.query("CREATE TABLE Tbad (id BIGINT PRIMARY KEY, k INT, "
+                     "m VARBINARY(MAX))")
+        assert client.query(
+            "INSERT INTO Tbad VALUES (1, 1, NULL)").rowcount == 1
+        for sql, said in [
+                ("INSERT INTO Tbad VALUES (2, 3, 20000000)",
+                 "column m takes bytes"),
+                ("INSERT INTO Tbad VALUES (1, 1, NULL)",
+                 "key 1 already exists"),
+                ("INSERT INTO Tbad VALUES (1.5, 1, NULL)",
+                 "primary key column id"),
+                ("INSERT INTO Tbad VALUES (NULL, 1, NULL)",
+                 "primary key column id"),
+                ("INSERT INTO Tbad VALUES (3, 2.5, NULL)", "column k: "),
+                ("INSERT INTO Tbad VALUES (3, 99999999999, NULL)",
+                 "column k: "),
+                ("INSERT INTO Tbad VALUES (3, 1)", "2 values for 3")]:
+            with pytest.raises(ServerError) as err:
+                client.query(sql)
+            assert err.value.code == protocol.SQL_ERROR, sql
+            assert said in str(err.value), sql
+        # Nothing of them went in, and the connection is still good.
+        assert client.query("SELECT COUNT(*), SUM(k) FROM Tbad"
+                            ).rows == [(1, 1)]
+
     def test_unknown_message_type_is_answered(self, server):
         sock = socket.create_connection(("127.0.0.1", server.port))
         try:

@@ -15,6 +15,7 @@ import pytest
 
 from repro.engine import Column, Database
 from repro.engine.sqlfront import SqlSession
+from repro.server import ServerError, protocol
 from repro.server.server import ServerConfig, ServerThread
 from repro.shard import (ShardClient, ShardConfig, ShardFleet,
                          ShardRouter, ShardServer)
@@ -165,6 +166,23 @@ def test_sql_insert_through_router(cluster):
     assert out["rowcount"] == 1
     out = router.execute("DELETE FROM t WHERE id = 900002")
     assert out["rowcount"] == 1
+
+
+def test_a_bad_row_answers_sql_error_through_the_coordinator(cluster):
+    """What a shard refuses — a key already there, a cell that does
+    not fit its column — is the statement's fault at the coordinator
+    too, not ``INTERNAL``, and the connection stays usable."""
+    client = cluster["client"]
+    for sql, said in [
+            ("INSERT INTO t VALUES (5, 1.0, 1)", "key 5 already exists"),
+            ("INSERT INTO t VALUES (900010, 1.0, 2.5)", "column g: "),
+            ("INSERT INTO t VALUES (900011, 'x', 1)", "column v: "),
+            ("INSERT INTO t VALUES (1.5, 1.0, 1)", "integer primary key")]:
+        with pytest.raises(ServerError) as err:
+            client.query(sql)
+        assert err.value.code == protocol.SQL_ERROR, sql
+        assert said in str(err.value), sql
+    assert client.query("SELECT COUNT(*) FROM t").scalar() == ROWS
 
 
 def test_float_group_keys_and_nan_totals_bit_for_bit(cluster):
