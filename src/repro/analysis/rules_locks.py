@@ -1,7 +1,8 @@
 """RL001 lock discipline and RL002 lock ordering.
 
 RL001 — every path from a public ``SqlSession`` entry point to a page- or
-tree-mutating sink (``BufferPool.fetch``/``fetch_many``, ``Table.insert``/
+tree-mutating sink (``BufferPool.fetch``/``fetch_many`` and the MVCC read
+path's ``fetch_page``/``fetch_pages``, ``Table.insert``/
 ``insert_many``/``delete``/``delete_many``, ``BTree.insert``/``insert_many``/
 ``delete``/``delete_many``/``bulk_load``, and
 the ``Executor.run*`` family, which assumes the caller holds the lock) must
@@ -51,6 +52,8 @@ LOCK_SINKS = frozenset(
     {
         ("BufferPool", "fetch"),
         ("BufferPool", "fetch_many"),
+        ("BufferPool", "fetch_page"),
+        ("BufferPool", "fetch_pages"),
         ("Table", "insert"),
         ("Table", "insert_many"),
         ("Table", "delete"),

@@ -291,20 +291,20 @@ class BTree:
                 page = get(child)
         else:
             page = self._find_leaf(start, pool)
+        lookup = self._pagefile.get
         while True:
             batch = [page]
-            tail = page
-            while len(batch) < batch_pages and tail.next_page >= 0:
-                # Peek the sibling link through the page file; the pool
-                # charge for the whole run lands in fetch_many below.
-                tail = self._pagefile.get(tail.next_page)
-                batch.append(tail)
+            while len(batch) < batch_pages and page.next_page >= 0:
+                # Follow the sibling link through the page file; the
+                # pool charge for the whole run lands in fetch_many.
+                page = lookup(page.next_page)
+                batch.append(page)
             if pool is not None and len(batch) > 1:
                 pool.fetch_many([p.page_id for p in batch[1:]])
             yield batch
-            if tail.next_page < 0:
+            if page.next_page < 0:
                 return
-            page = get(tail.next_page)
+            page = get(page.next_page)
 
     # -- insert ------------------------------------------------------------
 
@@ -633,7 +633,8 @@ class BTreeReader:
     count)``; every page is resolved against that version — the current
     page when old enough, else the copy-on-write history
     (:meth:`PageFile.resolve`) — and charged to the pool under the
-    version-aware cache key (:meth:`BufferPool.fetch_page`).  Because
+    version-aware cache key (:meth:`BufferPool.fetch_page`; a leaf run
+    as one :meth:`BufferPool.fetch_pages` charge).  Because
     copy-on-write keeps superseded pages reachable while the version is
     pinned, no latch is needed for the traversal: a concurrent writer
     mutates clones, never the pages this view resolves.
@@ -745,18 +746,6 @@ class BTreeReader:
             touched.append(page.page_id)
         return touched
 
-    def _sibling(self, page: Page, stop: int | None) -> Page | None:
-        """The next leaf of the chain, version-resolved and not charged
-        (the pool charge lands when the page joins a run or starts the
-        next one); ``None`` at the end of the chain or once the keys
-        reach ``stop``."""
-        if page.next_page < 0:
-            return None
-        peek = self._get(page.next_page)
-        if stop is not None and _leaf_key(peek.get_record(0)) >= stop:
-            return None
-        return peek
-
     def scan_leaf_batches(self, pool: BufferPool | None = None,
                           start: int | None = None,
                           batch_pages: int = 64,
@@ -765,8 +754,10 @@ class BTreeReader:
         """Yield runs of up to ``batch_pages`` leaf pages at the pinned
         version, charging exactly as :meth:`BTree.scan_leaf_batches`
         does (descent page by page, leaves after the first of each run
-        through one batched pool charge).  With ``stop``, the scan ends
-        before the first leaf whose keys all lie at or past it."""
+        through one :meth:`BufferPool.fetch_pages` charge).  Every
+        sibling is resolved once, uncharged; the charge lands when it
+        joins a run or starts the next one.  With ``stop``, the scan
+        ends before the first leaf whose keys all lie at or past it."""
         get = self._getter(pool)
         if start is None:
             page = get(self._root_id)
@@ -775,15 +766,24 @@ class BTreeReader:
                 page = get(child)
         else:
             page = self._find_leaf(start, pool)
+        resolve = self._pagefile.resolve
+        version = self.version
         while True:
             batch = [page]
-            peek = self._sibling(page, stop)
-            while len(batch) < batch_pages and peek is not None:
+            peek = None
+            while page.next_page >= 0:
+                peek = resolve(page.next_page, version)
+                if stop is not None and \
+                        _leaf_key(peek.get_record(0)) >= stop:
+                    peek = None
+                    break
+                if len(batch) == batch_pages:
+                    break
                 batch.append(peek)
-                peek = self._sibling(peek, stop)
+                page, peek = peek, None
             if pool is not None and len(batch) > 1:
                 pool.fetch_pages(batch[1:])
             yield batch
             if peek is None:
                 return
-            page = get(peek.page_id)
+            page = peek if pool is None else pool.fetch_page(peek)

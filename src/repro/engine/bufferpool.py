@@ -1,6 +1,9 @@
 """Buffer pool: the page cache between queries and the page file.
 
-Every page access in the engine goes through :meth:`BufferPool.fetch`.
+Every page access in the engine goes through the pool — by id
+(:meth:`BufferPool.fetch`, ``fetch_many``) or, on the MVCC read path,
+as an already-resolved page version (``fetch_page``, ``fetch_pages``)
+— and all four charge through one accounting body.
 A miss is a *physical read* — the IO the paper's Table 1 measures in
 MB/s — and a hit is a *logical read*.  The paper cleared the server
 cache before each test run ("The database server cache was explicitly
@@ -14,7 +17,9 @@ from __future__ import annotations
 import threading
 import weakref
 from collections import OrderedDict
+from collections.abc import Iterable
 from dataclasses import dataclass
+from typing import Any, Union
 
 from . import lockcheck
 from .constants import PAGE_SIZE
@@ -23,6 +28,10 @@ from .page import Page, PageFile
 #: Maximum forward page-id jump still treated as part of a sequential
 #: read stream (32 MB — well within one read-ahead queue depth).
 SEQ_READ_WINDOW = 4096
+
+#: What the cache is keyed by: a plain page id, or ``(id, pv)`` for a
+#: page version a copy-on-write writer has stamped.
+CacheKey = Union[int, tuple[int, int]]
 
 __all__ = ["BufferPool", "IoCounters"]
 
@@ -78,10 +87,10 @@ class _ThreadIoState:
 
     __slots__ = ("counters", "last_physical", "cold_seen", "__weakref__")
 
-    def __init__(self):
+    def __init__(self) -> None:
         self.counters = IoCounters()
         self.last_physical: int | None = None
-        self.cold_seen: set | None = None
+        self.cold_seen: set[CacheKey] | None = None
 
 
 class BufferPool:
@@ -113,10 +122,10 @@ class BufferPool:
     """
 
     def __init__(self, pagefile: PageFile,
-                 capacity_pages: int | None = None):
+                 capacity_pages: int | None = None) -> None:
         self._pagefile = pagefile
         self._capacity = capacity_pages
-        self._cached: OrderedDict[int, None] = OrderedDict()
+        self._cached: OrderedDict[CacheKey, None] = OrderedDict()
         self.counters = IoCounters()
         self._last_physical: int | None = None
         self._physical_log: list[int] | None = None
@@ -130,7 +139,7 @@ class BufferPool:
         self._thread_states: "weakref.WeakSet[_ThreadIoState]" = \
             weakref.WeakSet()
 
-    def __getstate__(self):
+    def __getstate__(self) -> dict[str, Any]:
         """Pickle everything but the locks, cache contents and
         accounting state (used by :meth:`Database.save` snapshots).
         The unpickled pool starts *cold* — empty cache, zero counters
@@ -146,7 +155,7 @@ class BufferPool:
         state["_last_physical"] = None
         return state
 
-    def __setstate__(self, state):
+    def __setstate__(self, state: dict[str, Any]) -> None:
         self.__dict__.update(state)
         self._lock = lockcheck.tracked_lock("pool", reentrant=True)
         self._thread = threading.local()
@@ -170,7 +179,8 @@ class BufferPool:
             return log if log is not None else []
 
     def _thread_state(self) -> "_ThreadIoState":
-        state = getattr(self._thread, "state", None)
+        state: _ThreadIoState | None = getattr(self._thread, "state",
+                                                None)
         if state is None:
             state = _ThreadIoState()
             with self._lock:
@@ -187,82 +197,91 @@ class BufferPool:
         return len(self._cached)
 
     @staticmethod
-    def _key_for(page: Page):
+    def _key_for(page: Page) -> CacheKey:
         """Cache key of a page object: plain id for never-versioned
         pages, ``(id, pv)`` for pages a
         copy-on-write writer has stamped — distinct versions of one
         page id are distinct cache residents."""
         return page.page_id if page.pv == 0 else (page.page_id, page.pv)
 
-    def _record_access(self, key, page_id: int,
-                       mine: "_ThreadIoState") -> None:
-        """Account one access to cache key ``key`` (classification uses
-        ``page_id``).  Caller must hold the lock."""
-        self.counters.logical_reads += 1
-        mine.counters.logical_reads += 1
-        cold = mine.cold_seen
-        forced_miss = cold is not None and key not in cold
-        if forced_miss:
-            cold.add(key)
-        if key in self._cached and not forced_miss:
-            self._cached.move_to_end(key)
-        else:
-            self.counters.physical_reads += 1
-            mine.counters.physical_reads += 1
-            # Short forward jumps ride the read-ahead/elevator
-            # stream (skipping another object's extent costs no
-            # seek); backward or long jumps are seeks.
-            if self._last_physical is not None and \
-                    0 < page_id - self._last_physical \
-                    <= SEQ_READ_WINDOW:
-                self.counters.sequential_reads += 1
-            else:
-                self.counters.random_reads += 1
-            self._last_physical = page_id
-            if mine.last_physical is not None and \
-                    0 < page_id - mine.last_physical \
-                    <= SEQ_READ_WINDOW:
-                mine.counters.sequential_reads += 1
-            else:
-                mine.counters.random_reads += 1
-            mine.last_physical = page_id
-            if self._physical_log is not None:
-                self._physical_log.append(page_id)
-            self._cached[key] = None
-            self._cached.move_to_end(key)
-            if self._capacity is not None and \
-                    len(self._cached) > self._capacity:
-                self._cached.popitem(last=False)
+    def _charge(self, accesses: Iterable[tuple[CacheKey, int]]) -> None:
+        """Account a run of accesses, each a ``(cache key, page id)``
+        pair (classification uses the page id) — the one place a read
+        is classified.  Per access, in order: cold view, LRU touch or
+        miss, stream classification in both scopes, physical log,
+        eviction; the counters and stream positions are written back
+        once, under the same single lock acquisition."""
+        mine = self._thread_state()
+        with self._lock:
+            cached = self._cached
+            cold = mine.cold_seen
+            log = self._physical_log
+            capacity = self._capacity
+            last, my_last = self._last_physical, mine.last_physical
+            logical = physical = sequential = my_sequential = 0
+            for key, page_id in accesses:
+                logical += 1
+                if cold is not None and key not in cold:
+                    cold.add(key)  # first touch in a cold view: a miss
+                elif key in cached:
+                    cached.move_to_end(key)
+                    continue
+                physical += 1
+                # Short forward jumps ride the read-ahead/elevator
+                # stream (skipping another object's extent costs no
+                # seek); backward or long jumps are seeks.
+                if last is not None and \
+                        0 < page_id - last <= SEQ_READ_WINDOW:
+                    sequential += 1
+                if my_last is not None and \
+                        0 < page_id - my_last <= SEQ_READ_WINDOW:
+                    my_sequential += 1
+                last = my_last = page_id
+                if log is not None:
+                    log.append(page_id)
+                cached[key] = None
+                cached.move_to_end(key)
+                if capacity is not None and len(cached) > capacity:
+                    cached.popitem(last=False)
+            everyone, me = self.counters, mine.counters
+            everyone.logical_reads += logical
+            me.logical_reads += logical
+            if physical:
+                self._last_physical, mine.last_physical = last, my_last
+                everyone.physical_reads += physical
+                everyone.sequential_reads += sequential
+                everyone.random_reads += physical - sequential
+                me.physical_reads += physical
+                me.sequential_reads += my_sequential
+                me.random_reads += physical - my_sequential
 
     def fetch(self, page_id: int) -> Page:
         """Fetch a page, counting the access.
 
         Returns the page object; whether the fetch was physical is
         visible in :attr:`counters` (and in the calling thread's
-        counters, see :meth:`snapshot_thread_counters`).
+        counters, see :meth:`snapshot_thread_counters`).  The page is
+        looked up before it is charged, so a bad id raises with the
+        accounting untouched.
         """
-        mine = self._thread_state()
-        with self._lock:
-            self._record_access(page_id, page_id, mine)
-        return self._pagefile.get(page_id)
+        page = self._pagefile.get(page_id)
+        self._charge(((page_id, page_id),))
+        return page
 
-    def fetch_many(self, page_ids) -> list[Page]:
+    def fetch_many(self, page_ids: Iterable[int]) -> list[Page]:
         """Fetch a run of pages under a single lock acquisition.
 
         Classifies and charges each page id exactly as a sequence of
         :meth:`fetch` calls would — same logical/physical counts, same
         sequential/random classification at both the global and the
-        per-thread scope — but takes the lock once for the whole run.
-        This is the pin-batch API the vectorized scan uses: a leaf run
-        of N pages costs one lock round-trip instead of N.
+        per-thread scope — but takes the lock once for the whole run;
+        a bad id anywhere in the run raises before anything is charged.
         """
-        mine = self._thread_state()
-        page_ids = list(page_ids)
-        with self._lock:
-            for page_id in page_ids:
-                self._record_access(page_id, page_id, mine)
+        ids = list(page_ids)
         get = self._pagefile.get
-        return [get(page_id) for page_id in page_ids]
+        pages = [get(page_id) for page_id in ids]
+        self._charge(zip(ids, ids))
+        return pages
 
     def fetch_page(self, page: Page) -> Page:
         """Charge one access to an already-resolved page object.
@@ -272,21 +291,18 @@ class BufferPool:
         look them up by id; it charges the resolved object under its
         version-aware cache key instead.
         """
-        mine = self._thread_state()
-        with self._lock:
-            self._record_access(self._key_for(page), page.page_id, mine)
+        self._charge(((self._key_for(page), page.page_id),))
         return page
 
-    def fetch_pages(self, pages) -> list[Page]:
+    def fetch_pages(self, pages: Iterable[Page]) -> list[Page]:
         """Charge a run of resolved page objects under one lock
-        acquisition — :meth:`fetch_many` for the MVCC read path."""
-        pages = list(pages)
-        mine = self._thread_state()
-        with self._lock:
-            for page in pages:
-                self._record_access(self._key_for(page), page.page_id,
-                                    mine)
-        return pages
+        acquisition — :meth:`fetch_many` for the MVCC read path (the
+        pin-batch API of the vectorized scan: a leaf run of N pages
+        costs one lock round-trip instead of N)."""
+        run = list(pages)
+        key_for = self._key_for
+        self._charge([(key_for(page), page.page_id) for page in run])
+        return run
 
     # -- cold views (MVCC cold queries) ---------------------------------------
 
@@ -316,7 +332,7 @@ class BufferPool:
         with self._lock:
             mine.cold_seen = None
 
-    def discard_keys(self, keys) -> None:
+    def discard_keys(self, keys: Iterable[CacheKey]) -> None:
         """Evict specific cache keys — version retirement drops the
         ``(page_id, pv)`` residents of dead page versions so the cache
         never leaks retired versions."""

@@ -234,23 +234,28 @@ class Page:
         for record in self.take_all_records():
             self.add_record(record)
 
-    def record_matrix(self) -> "np.ndarray | None":
-        """All records as one ``(slot_count, L)`` ``uint8`` matrix in
-        slot order, or ``None`` when the page is empty or its records
-        differ in length.
+    def record_block(self) -> "tuple[int, bytearray | np.ndarray] | None":
+        """All records as ``(L, buffer)``: one buffer of ``slot_count *
+        L`` bytes holding the records back to back in slot order, or
+        ``None`` when the page is empty or its records differ in
+        length.
 
-        A dense page (see ``_dense``) is a plain reshape of the body —
-        a *view*: while it is alive the body cannot grow (``bytearray``
-        raises ``BufferError``), so callers copy what they need and
-        drop the matrix before anyone may write to the page.  Equal
-        lengths over a body with holes or out-of-order records cost one
-        fancy-index gather (a copy).
+        A dense page (see ``_dense``) hands over its body itself — the
+        caller copies out of it (``join``) and keeps no view, since a
+        live view would pin the ``bytearray`` against the next insert;
+        any other page its :meth:`record_matrix` (already a copy).
         """
-        n = len(self._slots)
         if self._dense > 0:
-            return np.frombuffer(self._body, dtype=np.uint8).reshape(
-                n, self._dense)
-        if n == 0:
+            return self._dense, self._body
+        matrix = self.record_matrix()
+        return None if matrix is None else (matrix.shape[1], matrix)
+
+    def record_matrix(self) -> "np.ndarray | None":
+        """All records gathered into one ``(slot_count, L)`` ``uint8``
+        matrix in slot order — one fancy-index copy, whatever holes or
+        out-of-order records the body has — or ``None`` when the page
+        is empty or its records differ in length."""
+        if not self._slots:
             return None
         slots = np.array(self._slots, dtype=np.intp)
         length = int(slots[0, 1])

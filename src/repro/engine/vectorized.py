@@ -20,7 +20,9 @@ test suite:
   Python does.
 * **IO accounting is identical.**  Batches charge the buffer pool the
   same page touches in the same order as a row scan
-  (:meth:`BTree.scan_leaf_batches` + :meth:`BufferPool.fetch_many`).
+  (``scan_leaf_batches`` charging each leaf run in one call:
+  :meth:`BufferPool.fetch_pages` on the MVCC read path,
+  :meth:`BufferPool.fetch_many` on the live tree).
 * **NULL handling is identical.**  Values travel as ``(values, mask)``
   pairs — ``mask`` is ``None`` (no NULLs) or a boolean array with
   ``True`` marking NULL lanes; a plain Python scalar in ``values``
@@ -196,26 +198,29 @@ class RowBatch:
         """Decode a run of leaf pages — the one page→batch routine
         behind every scan entry point.
 
-        Each page contributes its :meth:`Page.record_matrix`; the
-        matrices are concatenated once, so the batch owns a single copy
-        of its bytes and no view of a page body outlives this call
-        (a view would pin the page's ``bytearray`` against the next
-        insert).  A page whose records differ in length — or from the
-        other pages' — sends the whole run down the per-record path.
+        Each non-empty page contributes its :meth:`Page.record_block`
+        (a dense page its body, a holed one its gathered matrix); the
+        blocks are joined once into a buffer the batch owns, so no view
+        of a page body outlives this call (a view would pin the page's
+        ``bytearray`` against the next insert).  A page whose records
+        differ in length — or from the other pages' — sends the whole
+        run down the per-record path.
         """
-        matrices = []
+        blocks = []
+        length = 0
         for page in pages:
             if not page.slot_count:
                 continue
-            matrix = page.record_matrix()
-            if matrix is None or (
-                    matrices
-                    and matrix.shape[1] != matrices[0].shape[1]):
+            block = page.record_block()
+            if block is None or (blocks and block[0] != length):
                 break
-            matrices.append(matrix)
+            length = block[0]
+            blocks.append(block[1])
         else:
-            if matrices:
-                return cls(table, records=np.concatenate(matrices))
+            if blocks:
+                return cls(table, records=np.frombuffer(
+                    bytearray().join(blocks), dtype=np.uint8,
+                ).reshape(-1, length))
         keys: list[int] = []
         payloads: list[bytes] = []
         for page in pages:

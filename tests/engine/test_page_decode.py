@@ -141,14 +141,20 @@ class PageMachine(RuleBasedStateMachine):
         assert list(page.records()) == self.model
 
     @invariant()
-    def matrix_matches_records(self):
-        matrix = self.page.record_matrix()
+    def block_and_matrix_match_records(self):
+        page = self.page
+        block, matrix = page.record_block(), page.record_matrix()
         lengths = {len(r) for r in self.model}
         if len(lengths) == 1 and lengths != {0}:
             assert [bytes(row) for row in matrix] == self.model
+            assert matrix.flags.owndata  # a gather, never a body view
+            length, buffer = block
+            assert {length} == lengths
+            assert bytes(buffer) == b"".join(self.model)
+            # Rung 1: a dense page hands over the body itself.
+            assert (buffer is page._body) == (page._dense > 0)
         else:
-            assert matrix is None
-        del matrix  # a dense matrix pins the body against the next rule
+            assert block is None and matrix is None
 
 
 PageMachine.TestCase.settings = settings(
@@ -241,6 +247,10 @@ def assert_batches_identical(table, pages):
 
 def leaf_pages(table):
     return [table._pagefile.get(pid) for pid in table.data_page_ids()]
+
+
+def key_at(page, slot=0) -> int:
+    return int.from_bytes(page.get_record(slot)[:8], "little", signed=True)
 
 
 def make_table():
@@ -372,6 +382,89 @@ class TestFromPagesShapes:
         assert none.n == 0 and none.payloads == []
         assert none.column("x")[0].shape == (0,)
 
+    def test_dense_and_holed_pages_of_one_length_join_one_run(self):
+        _db, table = make_table()
+        rng = random.Random(9)
+        table.insert_many([row(i, rng) for i in range(300)])
+        table.delete(5)  # a hole in the first leaf only
+        pages = leaf_pages(table)
+        assert [p._dense > 0 for p in pages[:3]] == [False, True, True]
+        batch = assert_batches_identical(table, pages)
+        assert batch._records is not None and batch.n == 299
+        assert_batches_identical(table, pages[1:] + pages[:1])
+
+    def test_two_dense_lengths_in_one_run_go_per_record(self):
+        _db, table = make_table()
+        _db2, longer = make_table()
+        rng = random.Random(10)
+        table.insert_many([row(i, rng) for i in range(200)])
+        longer.insert_many([row(i, rng, b=b"v" * 30)
+                            for i in range(200, 400)])
+        pages = leaf_pages(table)[:2] + leaf_pages(longer)[:2]
+        assert all(p._dense > 0 for p in pages)
+        assert len({p._dense for p in pages}) == 2
+        batch = assert_batches_identical(table, pages)
+        assert batch._records is None
+        for same in (pages[:2], pages[2:]):
+            assert RowBatch.from_pages(table, same)._records is not None
+
+    def test_empty_pages_first_between_and_last(self):
+        _db, table = make_table()
+        rng = random.Random(11)
+        table.insert_many([row(i, rng) for i in range(200)])
+        pages = leaf_pages(table)
+        assert len(pages) >= 3
+        whole = assert_batches_identical(table, pages)
+        empties = [Page(90 + i, PAGE_DATA) for i in range(4)]
+        spread = [empties[0], pages[0], empties[1], empties[2],
+                  *pages[1:], empties[3]]
+        batch = assert_batches_identical(table, spread)
+        assert batch._records is not None
+        assert batch._records.tobytes() == whole._records.tobytes()
+
+    @pytest.mark.parametrize("mvcc", [False, True])
+    def test_one_page_runs_and_batch_pages_1(self, mvcc):
+        db, table = make_table()
+        rng = random.Random(12)
+        table.insert_many([row(i, rng) for i in range(300)])
+        pages = leaf_pages(table)
+        for page in pages:
+            one = assert_batches_identical(table, [page])
+            assert one.n == page.slot_count and one._records is not None
+        with table.pin_snapshot() as snap:
+            source = snap if mvcc else table
+            batches = list(source.scan_batches(db.pool, batch_pages=1))
+        assert [b.n for b in batches] == [p.slot_count for p in pages]
+        assert [r for b in batches for r in b.rows()] == list(table.scan())
+
+    @pytest.mark.parametrize("batch_pages", [1, 3, 64])
+    def test_a_stop_on_off_and_past_a_run_boundary(self, batch_pages):
+        db, table = make_table()
+        rng = random.Random(13)
+        table.insert_many([row(i, rng) for i in range(600)])
+        pages = leaf_pages(table)
+        firsts = [key_at(p) for p in pages]
+        assert len(pages) >= 8
+        pool = db.pool
+        with table.pin_snapshot() as snap:
+            descent = len(snap.tree.charge_scan_descent(pool))
+            # The first leaf of runs 2 and 3 (a boundary when the run
+            # length divides it), a key inside a leaf, past the end.
+            for stop in (firsts[3], firsts[6], firsts[4] + 1,
+                         firsts[1], firsts[0], firsts[-1] + 10_000):
+                want = [p for p, first in zip(pages, firsts)
+                        if first < stop or p is pages[0]]
+                before = pool.snapshot_thread_counters()
+                runs = list(snap.tree.scan_leaf_batches(
+                    pool, batch_pages=batch_pages, stop=stop))
+                charged = pool.snapshot_thread_counters().delta_since(
+                    before).logical_reads
+                assert [p for run in runs for p in run] == want
+                assert all(len(run) == batch_pages for run in runs[:-1])
+                # The leaf that ended the scan was looked at, never
+                # charged: the descent, then each yielded leaf once.
+                assert charged == descent + len(want) - 1
+
 
 # -- (c) snapshots written before the marker existed -------------------------
 
@@ -408,13 +501,25 @@ def test_database_saved_by_the_parent_commit_loads_and_scans():
 # -- no page-body view escapes from_pages ------------------------------------
 
 
-def test_a_kept_batch_does_not_pin_the_leaf():
+@pytest.mark.parametrize("leaves", ["one", "many"])
+def test_a_kept_batch_does_not_pin_the_leaf(leaves):
     db, table = make_table()
     rng = random.Random(8)
-    # One dense leaf with room to spare: the kept batch was cut from
-    # exactly the page the inserts below land in.
-    table.insert_many([row(i * 2, rng) for i in range(20)])
-    assert len(table.data_page_ids()) == 1
+    # Dense leaves with room to spare: the kept batches were cut from
+    # exactly the pages the inserts below land in.
+    if leaves == "one":
+        table.insert_many([row(i * 4, rng) for i in range(20)])
+        assert len(table.data_page_ids()) == 1
+    else:
+        table.insert_many([row(i * 4, rng) for i in range(200)])
+        for page in leaf_pages(table):  # split every full leaf in two
+            if not page.fits(page._dense):
+                table.insert(row(key_at(page) + 1, rng))
+        assert len(table.data_page_ids()) >= 8
+    rows = table.row_count
+    pages = leaf_pages(table)
+    assert all(p._dense > 0 and p.fits(2 * p._dense) for p in pages)
+    middles = [key_at(p, 2) + 1 for p in pages]
     batches = list(table.scan_batches(db.pool))
     with table.pin_snapshot() as snap:
         batches += list(snap.scan_batches(db.pool))
@@ -424,12 +529,21 @@ def test_a_kept_batch_does_not_pin_the_leaf():
     before = [(b.keys.copy(), b.column("x")[0].copy(),
                b.column("b")[0].tolist(), list(b.payloads))
               for b in batches]
-    table.insert(row(41, rng))         # append to the leaf
-    table.insert(row(7, rng))          # and into its middle
+    # Without MVCC — the bare tree, in place: growing a body some view
+    # still exported would raise ``BufferError`` — into every leaf ...
+    for page, key in zip(pages, middles):
+        encoded = table.prepare_insert([row(key, rng)]).encoded[0]
+        table._tree.insert(key, encoded)
+        assert table._pagefile.get(page.page_id) is page
+        assert page._dense == -1
+    # ... and with it (copy-on-write clones), again into every leaf.
+    table.insert(row(100_001, rng))     # append to the last leaf
+    for key in middles:
+        table.insert(row(key + 1, rng))
     SqlSession(db).execute("DELETE FROM t WHERE id = 4")
-    assert table.row_count == 21
+    assert table.row_count == rows + 2 * len(pages)
     for batch, (keys, xs, bs, payloads) in zip(batches, before):
-        assert batch.n == 20
+        assert batch.n == rows
         assert (batch.keys == keys).all()
         assert batch.column("x")[0].tobytes() == xs.tobytes()
         assert batch.column("b")[0].tolist() == bs
@@ -437,4 +551,5 @@ def test_a_kept_batch_does_not_pin_the_leaf():
         assert batch.column("b")[0].matrix.base is None \
             or batch.column("b")[0].matrix.flags.owndata
     assert [r[0] for r in table.scan()] == sorted(
-        set(range(0, 40, 2)) - {4} | {7, 41})
+        set(keys.tolist()) - {4} | set(middles)
+        | {key + 1 for key in middles} | {100_001})
