@@ -19,7 +19,6 @@ from .admission import AdmissionController
 from .client import (
     NO_TIMEOUT,
     ArrayClient,
-    AsyncArrayClient,
     QueryResult,
     QueryTimeoutError,
     ResultTooLargeError,
@@ -49,7 +48,6 @@ __all__ = [
     "AdmissionController",
     "NO_TIMEOUT",
     "ArrayClient",
-    "AsyncArrayClient",
     "QueryResult",
     "RetryPolicy",
     "ServerError",

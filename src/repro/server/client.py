@@ -6,12 +6,10 @@ blobs, and converts those blobs to native arrays client-side (the
 paper's ``SqlArray.ToArray()`` round trip is :meth:`query_array` here,
 going through :class:`repro.core.SqlArray`).
 
-Two flavours over the same wire protocol:
-
-* :class:`ArrayClient` — blocking sockets, for scripts, benchmarks and
-  the CLI.
-* :class:`AsyncArrayClient` — asyncio streams, for concurrent callers
-  living inside an event loop.
+One client, :class:`ArrayClient`: a blocking socket whose replies one
+:class:`~repro.server.protocol.FrameBuffer` cuts.  A call whose IO breaks
+off part-way (a timeout, a reset, a truncated frame) closes the client,
+since the rest of that reply would otherwise answer the next statement.
 
 Example::
 
@@ -28,8 +26,15 @@ from __future__ import annotations
 import socket
 import time
 from dataclasses import dataclass
+from typing import TYPE_CHECKING, Any, Iterable, Iterator, Sequence
 
 from . import protocol
+from .columnar import Buffer
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from ..engine.metrics import QueryMetrics
 
 __all__ = [
     "NO_TIMEOUT",
@@ -42,7 +47,6 @@ __all__ = [
     "QueryResult",
     "BlobSlice",
     "ArrayClient",
-    "AsyncArrayClient",
 ]
 
 #: Pass as a query's ``timeout`` to explicitly disable the per-query
@@ -50,9 +54,13 @@ __all__ = [
 NO_TIMEOUT = protocol.NO_TIMEOUT
 
 
-def _query_header(sql: str, cold: bool, timeout,
+#: A received frame: its header and the ``memoryview`` blobs of its tail.
+Frame = tuple[dict[str, Any], list[memoryview]]
+
+
+def _query_header(sql: str, cold: bool, timeout: float | str | None,
                   engine: str | None = None,
-                  workers: int | None = None) -> dict:
+                  workers: int | None = None) -> dict[str, object]:
     """Build a query frame header.
 
     ``timeout=None`` (the parameter default) omits the key so the
@@ -63,7 +71,8 @@ def _query_header(sql: str, cold: bool, timeout,
     through, as is ``workers`` (the parallel engine's process count;
     ``None`` → server default).
     """
-    header = {"type": "query", "sql": sql, "cold": cold}
+    header: dict[str, object] = {"type": "query", "sql": sql,
+                                 "cold": cold}
     if timeout is not None:
         header["timeout"] = timeout
     if engine is not None:
@@ -84,7 +93,7 @@ class ServerError(Exception):
     """
 
     def __init__(self, code: str, message: str,
-                 detail: object = None):
+                 detail: object = None) -> None:
         super().__init__(f"{code}: {message}")
         self.code = code
         self.message = message
@@ -143,7 +152,7 @@ class RetryPolicy:
         return min(self.backoff_cap, self.backoff_base * (2 ** attempt))
 
 
-def _check_hello(frame) -> dict:
+def _check_hello(frame: Frame) -> dict[str, Any]:
     """:func:`protocol.check_hello` as the client's error type."""
     try:
         return protocol.check_hello(frame)
@@ -151,7 +160,7 @@ def _check_hello(frame) -> dict:
         raise ServerError(protocol.INTERNAL, str(exc)) from exc
 
 
-def _raise_for_error(header: dict) -> None:
+def _raise_for_error(header: dict[str, Any]) -> None:
     if header.get("type") == "error":
         code = header.get("code", protocol.INTERNAL)
         exc_type = _ERROR_TYPES.get(code, ServerError)
@@ -176,10 +185,10 @@ class QueryResult:
         elapsed_seconds: Server-side wall latency of the call.
     """
 
-    def __init__(self, kind: str, rows: list | None = None,
-                 rowcount: int = 0, metrics: dict | None = None,
+    def __init__(self, kind: str, rows: list[Any] | None = None,
+                 rowcount: int = 0, metrics: dict[str, Any] | None = None,
                  elapsed_seconds: float = 0.0,
-                 columns: protocol.Columns | None = None):
+                 columns: protocol.Columns | None = None) -> None:
         self.kind = kind
         self.columns = columns
         self._rows = None if columns is not None else rows or []
@@ -188,9 +197,10 @@ class QueryResult:
         self.elapsed_seconds = elapsed_seconds
 
     @property
-    def rows(self) -> list:
+    def rows(self) -> list[Any]:
         if self._rows is None:
-            self._rows = self.columns.rows()
+            self._rows = self.columns.rows() \
+                if self.columns is not None else []
         return self._rows
 
     def __repr__(self) -> str:
@@ -198,14 +208,14 @@ class QueryResult:
                 f"rowcount={self.rowcount}, "
                 f"elapsed_seconds={self.elapsed_seconds!r})")
 
-    def scalar(self):
+    def scalar(self) -> Any:
         """The single value of a one-row, one-column result."""
         if len(self.rows) != 1 or len(self.rows[0]) != 1:
             raise ValueError(
                 f"result is not scalar ({self.rowcount} rows)")
         return self.rows[0][0]
 
-    def metrics_obj(self):
+    def metrics_obj(self) -> QueryMetrics:
         """The metrics as a :class:`~repro.engine.QueryMetrics`."""
         from ..engine.metrics import QueryMetrics
 
@@ -238,11 +248,12 @@ class BlobSlice:
     offset: int
     chunks: int
     wire_bytes: int
-    metrics: dict | None
+    metrics: dict[str, Any] | None
     elapsed_seconds: float
 
 
-def _parse_result(header: dict, blobs) -> QueryResult:
+def _parse_result(header: dict[str, Any],
+                  blobs: list[memoryview]) -> QueryResult:
     _raise_for_error(header)
     if header.get("type") != "result":
         raise ServerError(protocol.INTERNAL,
@@ -261,8 +272,28 @@ def _parse_result(header: dict, blobs) -> QueryResult:
         elapsed_seconds=header.get("elapsed_seconds", 0.0))
 
 
+def _windows(frames: list[bytes]) -> Iterator[list[bytes]]:
+    """Group encoded ``pexec`` frames into windows of one server batch:
+    at most ``PIPELINE_BATCH_MAX`` frames and ``PIPELINE_WINDOW_BYTES``
+    (unless one frame alone is larger)."""
+    window: list[bytes] = []
+    size = 0
+    for frame in frames:
+        if window and (len(window) == protocol.PIPELINE_BATCH_MAX or
+                       size + len(frame) > protocol.PIPELINE_WINDOW_BYTES):
+            yield window
+            window, size = [], 0
+        window.append(frame)
+        size += len(frame)
+    if window:
+        yield window
+
+
 class ArrayClient:
     """Blocking client; connects (and reads the hello) on construction.
+
+    All IO goes through ``self._sock.recv`` and ``self._sock.sendall``,
+    looked up per call, so a wrapper swapped in sees every byte.
 
     Args:
         host / port: Server address.
@@ -275,14 +306,16 @@ class ArrayClient:
     def __init__(self, host: str = "127.0.0.1", port: int = 7433,
                  timeout: float | None = 60.0,
                  max_frame: int = protocol.MAX_FRAME_BYTES,
-                 retry: RetryPolicy | None = None):
-        self._max_frame = max_frame
+                 retry: RetryPolicy | None = None) -> None:
         self._retry = retry
         self._sock = socket.create_connection((host, port),
                                               timeout=timeout)
         self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        #: Cuts the replies; None once the client is closed.
+        self._frames: protocol.FrameBuffer | None = \
+            protocol.FrameBuffer(max_frame)
         try:
-            hello = _check_hello(self._request_raw(None))
+            hello = _check_hello(self._recv())
         except BaseException:
             self._sock.close()
             raise
@@ -291,20 +324,62 @@ class ArrayClient:
 
     # -- plumbing -----------------------------------------------------------
 
-    def _request_raw(self, header: dict | None,
-                     blobs=()) -> tuple[dict, list[bytes]]:
-        if header is not None:
+    def _abandon(self) -> None:
+        """Close the socket and drop the buffer: the stream is unframed."""
+        self._frames = None
+        self._sock.close()
+
+    def _open_frames(self) -> protocol.FrameBuffer:
+        if self._frames is None:
+            raise ServerError(
+                protocol.INTERNAL, "an earlier call broke off, so the "
+                "client closed the connection")
+        return self._frames
+
+    def _send(self, header: dict[str, object],
+              blobs: Sequence[Buffer] = ()) -> None:
+        """Ship one request frame; a send that fails part-way closes
+        the client."""
+        self._open_frames()
+        try:
             protocol.write_frame_sock(self._sock, header, blobs)
-        reply = protocol.read_frame_sock(self._sock, self._max_frame)
-        if reply is None:
+        except OSError:
+            self._abandon()
+            raise
+
+    def _recv(self) -> Frame:
+        """The next reply frame.  A read that breaks off leaves the rest
+        of its reply on the wire, so any failure here closes the client."""
+        frames = self._open_frames()
+        try:
+            frame = frames.read(self._sock.recv)
+            if frame is None:
+                raise ServerError(protocol.INTERNAL,
+                                  "server closed the connection")
+        except BaseException:
+            self._abandon()
+            raise
+        return frame
+
+    def _request_raw(self, header: dict[str, object],
+                     blobs: Sequence[Buffer] = ()) -> Frame:
+        self._send(header, blobs)
+        return self._recv()
+
+    def _expect(self, header: dict[str, object],
+                reply_type: str) -> dict[str, Any]:
+        """The reply header to ``header``, which must be ``reply_type``."""
+        reply, _ = self._request_raw(header)
+        _raise_for_error(reply)
+        if reply.get("type") != reply_type:
             raise ServerError(protocol.INTERNAL,
-                              "server closed the connection")
+                              f"expected {reply_type}, got {reply!r}")
         return reply
 
     # -- public API ----------------------------------------------------------
 
     def query(self, sql: str, cold: bool = True,
-              timeout: float | None = None,
+              timeout: float | str | None = None,
               engine: str | None = None,
               workers: int | None = None) -> QueryResult:
         """Execute one statement; raises :class:`ServerBusyError`,
@@ -340,29 +415,25 @@ class ArrayClient:
 
     execute = query
 
-    def prepare(self, sql: str) -> dict:
+    def prepare(self, sql: str) -> dict[str, Any]:
         """Parse and plan a SELECT server-side (cached by statement
         text); returns the ``prepared`` reply's ``{"kind", "table"}``.
         Optional — :meth:`query_pipeline` auto-prepares on first use —
         but preparing up front moves the parse cost out of the first
         pipelined batch."""
-        header, _ = self._request_raw({"type": "prepare", "sql": sql})
-        _raise_for_error(header)
-        if header.get("type") != "prepared":
-            raise ServerError(protocol.INTERNAL,
-                              f"expected prepared, got "
-                              f"{header.get('type')!r}")
+        header = self._expect({"type": "prepare", "sql": sql}, "prepared")
         return {"kind": header.get("kind"),
                 "table": header.get("table")}
 
-    def query_pipeline(self, statements, cold: bool = True,
-                       timeout: float | None = None,
+    def query_pipeline(self, statements: Iterable[str], cold: bool = True,
+                       timeout: float | str | None = None,
                        engine: str | None = None,
                        workers: int | None = None,
-                       return_exceptions: bool = False) -> list:
-        """Execute many statements pipelined: every ``pexec`` frame is
-        sent before the first reply is read, so the round trip is paid
-        once per *batch* instead of once per statement.
+                       return_exceptions: bool = False) -> list[Any]:
+        """Execute many statements pipelined: each window of ``pexec``
+        frames (one server batch) is sent before its replies are read,
+        so a round trip is paid per window, not per statement, and
+        neither side blocks writing to a peer blocked writing.
 
         Replies come back in statement order.  A failed statement's
         slot holds its :class:`ServerError`; with the default
@@ -370,55 +441,33 @@ class ArrayClient:
         all replies are drained (the connection stays usable either
         way).
         """
-        statements = list(statements)
-        buffer = bytearray()
-        for sql in statements:
-            header = dict(_query_header(sql, cold, timeout, engine,
-                                        workers), type="pexec")
-            buffer += protocol.encode_frame(header)
-        if buffer:
-            self._sock.sendall(bytes(buffer))
-        results: list = []
+        frames = [protocol.encode_frame(dict(
+            _query_header(sql, cold, timeout, engine, workers),
+            type="pexec")) for sql in statements]
+        results: list[Any] = []
         first_error: ServerError | None = None
-        # The server answers a batch with one buffered write, so the
-        # replies arrive in a few large segments: read through a local
-        # buffer and slice frames out of it instead of paying two
-        # recv() calls per reply.
-        replies = bytearray()
-        for _ in statements:
-            while len(replies) < 4:
-                self._recv_into(replies)
-            (total,) = protocol._U32.unpack(replies[:4])
-            if total > self._max_frame:
-                raise ServerError(
-                    protocol.INTERNAL,
-                    f"reply frame of {total} bytes exceeds the "
-                    f"client max_frame {self._max_frame}")
-            while len(replies) - 4 < total:
-                self._recv_into(replies)
-            payload = bytes(replies[4:4 + total])
-            del replies[:4 + total]
-            header, blobs = protocol.decode_frame(payload)
+        for window in _windows(frames):
+            self._open_frames()
             try:
-                results.append(_parse_result(header, blobs))
-            except ServerError as exc:
-                results.append(exc)
-                if first_error is None:
-                    first_error = exc
+                self._sock.sendall(b"".join(window))
+            except OSError:
+                self._abandon()
+                raise
+            for _ in window:
+                header, blobs = self._recv()
+                try:
+                    results.append(_parse_result(header, blobs))
+                except ServerError as exc:
+                    results.append(exc)
+                    if first_error is None:
+                        first_error = exc
         if first_error is not None and not return_exceptions:
             raise first_error
         return results
 
-    def _recv_into(self, buffer: bytearray) -> None:
-        chunk = self._sock.recv(1 << 16)
-        if not chunk:
-            raise ServerError(protocol.INTERNAL,
-                              "server closed the connection")
-        buffer += chunk
-
     def query_blob(self, sql: str, offset: int = 0,
                    length: int | None = None, cold: bool = True,
-                   timeout: float | None = None,
+                   timeout: float | str | None = None,
                    chunk_bytes: int | None = None) -> BlobSlice:
         """Read one byte range of a blob-valued scalar SELECT without
         shipping the rest of the blob.
@@ -428,8 +477,8 @@ class ArrayClient:
         ``bchunk`` frames; :attr:`BlobSlice.wire_bytes` is exactly the
         slice, not the blob.  ``length=None`` reads to the end.
         """
-        header: dict = {"type": "bquery", "sql": sql, "cold": cold,
-                        "offset": int(offset)}
+        header: dict[str, object] = {"type": "bquery", "sql": sql,
+                                     "cold": cold, "offset": int(offset)}
         if length is not None:
             header["length"] = int(length)
         if timeout is not None:
@@ -438,15 +487,16 @@ class ArrayClient:
             header["chunk_bytes"] = int(chunk_bytes)
         return self._read_bquery(header)
 
-    def _read_bquery(self, header: dict) -> BlobSlice:
-        protocol.write_frame_sock(self._sock, header)
-        parts: list[bytes] = []
+    def _read_bquery(self, header: dict[str, object]) -> BlobSlice:
+        self._send(header)
+        parts: list[Buffer] = []
         seq = 0
         while True:
-            reply, blobs = self._request_raw(None)
+            reply, blobs = self._recv()
             if seq == 0:
                 _raise_for_error(reply)
             if reply.get("type") != "bchunk" or reply.get("seq") != seq:
+                self._abandon()
                 raise ServerError(
                     protocol.INTERNAL,
                     f"expected bchunk {seq}, got {reply!r}")
@@ -465,7 +515,9 @@ class ArrayClient:
                     or 0.0)
 
     def query_array(self, sql: str, cold: bool = True,
-                    timeout: float | None = None, slice=None):
+                    timeout: float | str | None = None,
+                    slice: tuple[Sequence[int], Sequence[int]] | None = None
+                    ) -> np.ndarray:
         """Run a query whose scalar result is an array blob and decode
         it to a NumPy array (the paper's client-side ``ToArray()``).
 
@@ -479,7 +531,7 @@ class ArrayClient:
 
         if slice is not None:
             win_offset, win_size = slice
-            header: dict = {
+            header: dict[str, object] = {
                 "type": "bquery", "sql": sql, "cold": cold,
                 "window": {"offset": [int(o) for o in win_offset],
                            "size": [int(s) for s in win_size]}}
@@ -493,24 +545,21 @@ class ArrayClient:
                 f"query returned {type(blob).__name__}, not a blob")
         return SqlArray.from_blob(blob).to_numpy()
 
-    def stats(self) -> dict:
+    def stats(self) -> dict[str, Any]:
         """The server's stats snapshot (admission, latency, IO)."""
-        header, _ = self._request_raw({"type": "stats"})
-        _raise_for_error(header)
-        return header
+        return self._expect({"type": "stats"}, "stats")
 
     def ping(self) -> None:
-        header, _ = self._request_raw({"type": "ping"})
-        _raise_for_error(header)
-        if header.get("type") != "pong":
-            raise ServerError(protocol.INTERNAL,
-                              f"expected pong, got {header!r}")
+        self._expect({"type": "ping"}, "pong")
 
     def close(self) -> None:
-        """Say goodbye (best effort) and drop the socket."""
+        """Say goodbye (best effort) and drop the socket; silent on a
+        client already closed."""
+        frames, self._frames = self._frames, None
         try:
-            protocol.write_frame_sock(self._sock, {"type": "close"})
-            protocol.read_frame_sock(self._sock, self._max_frame)
+            if frames is not None:
+                protocol.write_frame_sock(self._sock, {"type": "close"})
+                frames.read(self._sock.recv)
         except (OSError, protocol.ProtocolError):
             pass
         finally:
@@ -519,218 +568,5 @@ class ArrayClient:
     def __enter__(self) -> "ArrayClient":
         return self
 
-    def __exit__(self, *exc_info) -> None:
+    def __exit__(self, *exc_info: object) -> None:
         self.close()
-
-
-class AsyncArrayClient:
-    """Asyncio twin of :class:`ArrayClient`.
-
-    Use :meth:`connect` (or ``async with AsyncArrayClient.connect(...)``
-    via :func:`contextlib.asynccontextmanager`-free protocol below)::
-
-        client = await AsyncArrayClient.connect(host, port)
-        result = await client.query("SELECT COUNT(*) FROM T")
-        await client.close()
-    """
-
-    def __init__(self, reader, writer,
-                 max_frame: int = protocol.MAX_FRAME_BYTES,
-                 retry: RetryPolicy | None = None):
-        self._reader = reader
-        self._writer = writer
-        self._max_frame = max_frame
-        self._retry = retry
-        self.server_name = ""
-        self.session_id = None
-
-    @classmethod
-    async def connect(cls, host: str = "127.0.0.1", port: int = 7433,
-                      max_frame: int = protocol.MAX_FRAME_BYTES,
-                      retry: RetryPolicy | None = None
-                      ) -> "AsyncArrayClient":
-        import asyncio
-
-        reader, writer = await asyncio.open_connection(host, port)
-        client = cls(reader, writer, max_frame, retry)
-        try:
-            hello = _check_hello(
-                await protocol.read_frame(reader, max_frame))
-        except BaseException:
-            writer.close()
-            raise
-        client.server_name = hello.get("server", "")
-        client.session_id = hello.get("session_id")
-        return client
-
-    async def _request(self, header: dict) -> tuple[dict, list[bytes]]:
-        await protocol.write_frame(self._writer, header)
-        reply = await protocol.read_frame(self._reader, self._max_frame)
-        if reply is None:
-            raise ServerError(protocol.INTERNAL,
-                              "server closed the connection")
-        return reply
-
-    async def query(self, sql: str, cold: bool = True,
-                    timeout: float | None = None,
-                    engine: str | None = None,
-                    workers: int | None = None) -> QueryResult:
-        """Asyncio twin of :meth:`ArrayClient.query` (same ``timeout``,
-        ``engine``, ``workers`` and ``SERVER_BUSY``-retry semantics)."""
-        import asyncio
-
-        attempt = 0
-        request = _query_header(sql, cold, timeout, engine, workers)
-        while True:
-            try:
-                header, blobs = await self._request(request)
-                return _parse_result(header, blobs)
-            except ServerBusyError:
-                if self._retry is None or \
-                        attempt >= self._retry.max_retries:
-                    raise
-                await asyncio.sleep(self._retry.delay(attempt))
-                attempt += 1
-
-    async def prepare(self, sql: str) -> dict:
-        """Asyncio twin of :meth:`ArrayClient.prepare`."""
-        header, _ = await self._request({"type": "prepare",
-                                         "sql": sql})
-        _raise_for_error(header)
-        if header.get("type") != "prepared":
-            raise ServerError(protocol.INTERNAL,
-                              f"expected prepared, got "
-                              f"{header.get('type')!r}")
-        return {"kind": header.get("kind"),
-                "table": header.get("table")}
-
-    async def query_pipeline(self, statements, cold: bool = True,
-                             timeout: float | None = None,
-                             engine: str | None = None,
-                             workers: int | None = None,
-                             return_exceptions: bool = False) -> list:
-        """Asyncio twin of :meth:`ArrayClient.query_pipeline`: all
-        ``pexec`` frames are written (and drained) before the first
-        reply is awaited."""
-        statements = list(statements)
-        for sql in statements:
-            header = dict(_query_header(sql, cold, timeout, engine,
-                                        workers), type="pexec")
-            self._writer.write(protocol.encode_frame(header))
-        if statements:
-            await self._writer.drain()
-        results: list = []
-        first_error: ServerError | None = None
-        for _ in statements:
-            reply = await protocol.read_frame(self._reader,
-                                              self._max_frame)
-            if reply is None:
-                raise ServerError(protocol.INTERNAL,
-                                  "server closed the connection")
-            try:
-                results.append(_parse_result(*reply))
-            except ServerError as exc:
-                results.append(exc)
-                if first_error is None:
-                    first_error = exc
-        if first_error is not None and not return_exceptions:
-            raise first_error
-        return results
-
-    async def query_blob(self, sql: str, offset: int = 0,
-                         length: int | None = None, cold: bool = True,
-                         timeout: float | None = None,
-                         chunk_bytes: int | None = None) -> BlobSlice:
-        """Asyncio twin of :meth:`ArrayClient.query_blob`."""
-        header: dict = {"type": "bquery", "sql": sql, "cold": cold,
-                        "offset": int(offset)}
-        if length is not None:
-            header["length"] = int(length)
-        if timeout is not None:
-            header["timeout"] = timeout
-        if chunk_bytes is not None:
-            header["chunk_bytes"] = int(chunk_bytes)
-        return await self._read_bquery(header)
-
-    async def _read_bquery(self, header: dict) -> BlobSlice:
-        await protocol.write_frame(self._writer, header)
-        parts: list[bytes] = []
-        seq = 0
-        while True:
-            frame = await protocol.read_frame(self._reader,
-                                              self._max_frame)
-            if frame is None:
-                raise ServerError(protocol.INTERNAL,
-                                  "server closed the connection")
-            reply, blobs = frame
-            if seq == 0:
-                _raise_for_error(reply)
-            if reply.get("type") != "bchunk" or reply.get("seq") != seq:
-                raise ServerError(
-                    protocol.INTERNAL,
-                    f"expected bchunk {seq}, got {reply!r}")
-            parts.append(blobs[0] if blobs else b"")
-            seq += 1
-            if reply.get("eof"):
-                data = b"".join(parts)
-                return BlobSlice(
-                    data=data,
-                    blob_len=reply.get("blob_len", 0),
-                    offset=reply.get("offset", 0),
-                    chunks=seq,
-                    wire_bytes=len(data),
-                    metrics=reply.get("metrics"),
-                    elapsed_seconds=reply.get("elapsed_seconds")
-                    or 0.0)
-
-    async def query_array(self, sql: str, cold: bool = True,
-                          timeout: float | None = None, slice=None):
-        """Asyncio twin of :meth:`ArrayClient.query_array` (including
-        the windowed ``slice=`` partial-read path)."""
-        from ..core import SqlArray
-
-        if slice is not None:
-            win_offset, win_size = slice
-            header: dict = {
-                "type": "bquery", "sql": sql, "cold": cold,
-                "window": {"offset": [int(o) for o in win_offset],
-                           "size": [int(s) for s in win_size]}}
-            if timeout is not None:
-                header["timeout"] = timeout
-            result = await self._read_bquery(header)
-            return SqlArray.from_blob(result.data).to_numpy()
-        blob = (await self.query(sql, cold=cold,
-                                 timeout=timeout)).scalar()
-        if not isinstance(blob, (bytes, bytearray)):
-            raise ValueError(
-                f"query returned {type(blob).__name__}, not a blob")
-        return SqlArray.from_blob(blob).to_numpy()
-
-    async def stats(self) -> dict:
-        header, _ = await self._request({"type": "stats"})
-        _raise_for_error(header)
-        return header
-
-    async def ping(self) -> None:
-        header, _ = await self._request({"type": "ping"})
-        _raise_for_error(header)
-        if header.get("type") != "pong":
-            raise ServerError(protocol.INTERNAL,
-                              f"expected pong, got {header!r}")
-
-    async def close(self) -> None:
-        try:
-            await self._request({"type": "close"})
-        except (OSError, ServerError, protocol.ProtocolError):
-            pass
-        self._writer.close()
-        try:
-            await self._writer.wait_closed()
-        except (ConnectionError, OSError):
-            pass
-
-    async def __aenter__(self) -> "AsyncArrayClient":
-        return self
-
-    async def __aexit__(self, *exc_info) -> None:
-        await self.close()

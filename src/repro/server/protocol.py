@@ -126,7 +126,8 @@ statement answers with an ``error`` frame in its slot without aborting
 the later pipelined statements.  The server drains contiguous buffered
 ``pexec`` frames into one admission slot and one worker-pool hop (the
 batch shares the first frame's timeout budget; on timeout every
-statement in the batch answers ``QUERY_TIMEOUT``).
+statement in the batch answers ``QUERY_TIMEOUT``).  A client keeps at
+most one batch in flight, so a long pipeline cannot stall both ways.
 
 ``bquery``  ``{"type": "bquery", "sql": str, "cold": bool,
 "timeout": float | "none",
@@ -233,10 +234,10 @@ statement needed a shard that is dead or stayed saturated through the
 coordinator's bounded retry.  The client connection survives, and the
 statement can be retried once the shard recovers.
 
-The frame-size limit is enforced on *both* sides of the wire: readers
-reject an oversized length prefix before allocating anything, and the
-write helpers refuse to emit a frame larger than ``max_frame``
-(:class:`FrameTooLargeError`).  A server whose query result would
+The frame-size limit is enforced on *both* sides of the wire:
+:class:`FrameBuffer` rejects an oversized length prefix before reading
+the body, and :func:`write_frame_sock` refuses to emit a frame larger
+than ``max_frame`` (:class:`FrameTooLargeError`).  A server whose query result would
 exceed the limit answers with a ``RESULT_TOO_LARGE`` error frame
 instead — the statement ran, but its reply cannot ship; the connection
 survives and the client can narrow the select list or raise the limit.
@@ -248,7 +249,7 @@ import json
 import numbers
 import socket
 import struct
-from typing import TYPE_CHECKING, Sequence
+from typing import Callable, Sequence
 
 from .columnar import (
     Buffer,
@@ -262,13 +263,11 @@ from .columnar import (
     unpack_rows,
 )
 
-if TYPE_CHECKING:  # the sync client never has to import asyncio
-    import asyncio
-
 __all__ = [
     "PROTOCOL_VERSION",
     "MAX_FRAME_BYTES",
     "DEFAULT_CHUNK_BYTES",
+    "PIPELINE_BATCH_MAX",
     "NO_TIMEOUT",
     "SERVER_BUSY",
     "QUERY_TIMEOUT",
@@ -290,9 +289,7 @@ __all__ = [
     "unpack_cell",
     "pack_partial",
     "unpack_partial",
-    "read_frame",
-    "write_frame",
-    "read_frame_sock",
+    "FrameBuffer",
     "write_frame_sock",
 ]
 
@@ -308,6 +305,12 @@ MAX_FRAME_BYTES = 64 * 1024 * 1024
 #: key; asking for more is clamped, so a stream's frames always fit
 #: well under ``MAX_FRAME_BYTES``.
 DEFAULT_CHUNK_BYTES = 256 * 1024
+
+#: Most ``pexec`` frames in one pipelined batch (server side: one
+#: admission slot) and most frames or request bytes a client sends
+#: before reading their replies.
+PIPELINE_BATCH_MAX = 32
+PIPELINE_WINDOW_BYTES = 64 * 1024
 
 #: Wire sentinel for a query frame's ``timeout`` key that *explicitly*
 #: disables the per-query budget.  A ``null`` (or absent) timeout means
@@ -329,7 +332,7 @@ _U32 = struct.Struct("!I")
 
 
 class FrameTooLargeError(ProtocolError):
-    """Raised by the write helpers for an outgoing frame over the
+    """Raised by :func:`write_frame_sock` for an outgoing frame over the
     ``max_frame`` limit — caught *before* any bytes hit the wire, so
     the stream stays framed and the connection survives."""
 
@@ -505,102 +508,88 @@ def _check_total(total: int, max_frame: int) -> None:
             f"frame of {total} bytes exceeds the {max_frame}-byte limit")
 
 
-def _check_outgoing(frame: bytes, max_frame: int) -> None:
-    """Reject an encoded frame the peer's reader is bound to refuse.
+# -- receiving -----------------------------------------------------------------
 
-    Mirrors the read-side :func:`_check_total`: ``total`` counts
-    everything after the 4-byte length prefix.  Emitting the frame
-    anyway would make the *receiver* kill the connection with a bare
-    ``ProtocolError`` and no diagnosis — failing here, before any bytes
-    are written, keeps the stream framed so the sender can answer with
-    a proper error frame instead."""
+#: Bytes asked of the peer per ``recv`` while a frame's prefix is
+#: unknown — a pipelined run of small frames arrives in one call.
+_RECV_BYTES = 64 * 1024
+
+
+class FrameBuffer:
+    """Cuts frames out of the bytes received from one peer (sans-IO):
+    it holds what arrived past the last frame cut and never touches a
+    socket.  A frame that arrived inside one ``recv`` is decoded in
+    place, its blobs ``memoryview`` slices of the received bytes.  After
+    a :class:`ProtocolError` the stream is unframed: drop the buffer
+    with its connection."""
+
+    def __init__(self, max_frame: int = MAX_FRAME_BYTES) -> None:
+        self.max_frame = max_frame
+        self._data = b""   # received bytes; the uncut ones start at _pos
+        self._pos = 0
+        self._missing = 4  # bytes the next frame (or prefix) still lacks
+
+    def buffered(self) -> tuple[dict[str, object], list[memoryview]] | None:
+        """The next frame if every byte of it has been received, else
+        None — never reads."""
+        data, pos = self._data, self._pos
+        held = len(data) - pos
+        if held < 4:
+            self._missing = 4 - held
+            return None
+        (total,) = _U32.unpack_from(data, pos)
+        _check_total(total, self.max_frame)
+        end = pos + 4 + total
+        if end > len(data):
+            self._missing = end - len(data)
+            return None
+        if end == len(data):
+            self._data, self._pos = b"", 0
+        else:
+            self._pos = end
+        return decode_frame(memoryview(data)[pos + 4:end])
+
+    def read(self, recv: Callable[[int], bytes]
+             ) -> tuple[dict[str, object], list[memoryview]] | None:
+        """The next frame, calling ``recv(n)`` until every byte of it
+        has arrived; None on a clean EOF (between frames)."""
+        while (frame := self.buffered()) is None:
+            held = len(self._data) - self._pos
+            parts: list[Buffer] = \
+                [memoryview(self._data)[self._pos:]] if held else []
+            got = 0
+            while got < self._missing:
+                chunk = recv(max(self._missing - got, _RECV_BYTES))
+                if not chunk:
+                    if held + got == 0:
+                        return None
+                    raise ProtocolError(
+                        "connection closed mid-prefix" if held + got < 4
+                        else "connection closed mid-frame")
+                parts.append(chunk)
+                got += len(chunk)
+            self._data = chunk if len(parts) == 1 else b"".join(parts)
+            self._pos = 0
+        return frame
+
+
+# -- blocking socket IO --------------------------------------------------------
+
+def write_frame_sock(sock: socket.socket, header: dict[str, object],
+                     blobs: Sequence[Buffer] = (),
+                     max_frame: int = MAX_FRAME_BYTES) -> None:
+    """Write one frame to a blocking socket.
+
+    Raises :class:`FrameTooLargeError` — before writing anything — if
+    the encoded frame exceeds ``max_frame``: the peer's reader would
+    refuse it and kill the connection with no diagnosis, while failing
+    here keeps the stream framed, so the sender can answer with a
+    proper error frame instead.
+    """
+    frame = encode_frame(header, blobs)
     total = len(frame) - _U32.size
     if total > max_frame:
         raise FrameTooLargeError(
             f"outgoing frame of {total} bytes exceeds the "
             f"{max_frame}-byte limit")
-
-
-# -- asyncio stream IO --------------------------------------------------------
-
-async def read_frame(reader: "asyncio.StreamReader",
-                     max_frame: int = MAX_FRAME_BYTES
-                     ) -> tuple[dict[str, object], list[memoryview]] | None:
-    """Read one frame from an asyncio stream reader.
-
-    Returns ``None`` on a clean EOF (peer closed between frames);
-    raises :class:`ProtocolError` on truncation or malformed data.
-    """
-    import asyncio
-
-    try:
-        prefix = await reader.readexactly(4)
-    except asyncio.IncompleteReadError as exc:
-        if not exc.partial:
-            return None
-        raise ProtocolError("connection closed mid-prefix") from exc
-    (total,) = _U32.unpack(prefix)
-    _check_total(total, max_frame)
-    try:
-        payload = await reader.readexactly(total)
-    except asyncio.IncompleteReadError as exc:
-        raise ProtocolError("connection closed mid-frame") from exc
-    return decode_frame(payload)
-
-
-async def write_frame(writer: "asyncio.StreamWriter",
-                      header: dict[str, object],
-                      blobs: Sequence[Buffer] = (),
-                      max_frame: int = MAX_FRAME_BYTES) -> None:
-    """Write one frame to an asyncio stream writer and drain.
-
-    Raises :class:`FrameTooLargeError` — before writing anything — if
-    the encoded frame exceeds ``max_frame``.
-    """
-    frame = encode_frame(header, blobs)
-    _check_outgoing(frame, max_frame)
-    writer.write(frame)
-    await writer.drain()
-
-
-# -- blocking socket IO (sync client) ----------------------------------------
-
-def _recv_exactly(sock: socket.socket, n: int) -> bytes:
-    chunks: list[bytes] = []
-    remaining = n
-    while remaining:
-        chunk = sock.recv(remaining)
-        if not chunk:
-            raise ProtocolError(
-                "connection closed mid-frame" if chunks or n != remaining
-                else "connection closed")
-        chunks.append(chunk)
-        remaining -= len(chunk)
-    return b"".join(chunks)
-
-
-def read_frame_sock(sock: socket.socket,
-                    max_frame: int = MAX_FRAME_BYTES
-                    ) -> tuple[dict[str, object], list[memoryview]] | None:
-    """Blocking-socket twin of :func:`read_frame` (None on clean EOF)."""
-    prefix = sock.recv(4)
-    if not prefix:
-        return None
-    while len(prefix) < 4:
-        more = sock.recv(4 - len(prefix))
-        if not more:
-            raise ProtocolError("connection closed mid-prefix")
-        prefix += more
-    (total,) = _U32.unpack(prefix)
-    _check_total(total, max_frame)
-    return decode_frame(_recv_exactly(sock, total))
-
-
-def write_frame_sock(sock: socket.socket, header: dict[str, object],
-                     blobs: Sequence[Buffer] = (),
-                     max_frame: int = MAX_FRAME_BYTES) -> None:
-    """Blocking-socket twin of :func:`write_frame` (same
-    :class:`FrameTooLargeError` behaviour)."""
-    frame = encode_frame(header, blobs)
-    _check_outgoing(frame, max_frame)
     sock.sendall(frame)

@@ -63,14 +63,6 @@ from .stats import ServerStats
 
 __all__ = ["ServerConfig", "ArrayServer", "ServerThread"]
 
-#: Most ``pexec`` frames drained into one pipelined batch — bounds how
-#: long a batch can hold its single admission slot.
-PIPELINE_BATCH_MAX = 32
-
-#: Bytes asked of the socket per ``recv`` — a pipelined run of small
-#: frames arrives in one call.
-_RECV_BYTES = 64 * 1024
-
 #: Longest :meth:`ArrayServer.stop` waits, in all, for connection
 #: threads to end; only one with a statement still running takes any.
 _STOP_JOIN_SECONDS = 2.0
@@ -112,48 +104,18 @@ class ServerConfig:
 
 
 class _Connection:
-    """One accepted socket.  Frames are cut from a receive buffer the
-    connection owns, so a pipelined run can be drained without touching
-    the socket; every write takes one send lock, because two threads
-    may answer on one socket — a coordinator relay's worker and the
-    connection thread answering that statement's timeout."""
+    """One accepted socket.  Frames are cut from a
+    :class:`protocol.FrameBuffer` the connection owns, so a pipelined
+    run can be drained without touching the socket; every write takes
+    one send lock, because two threads may answer on one socket — a
+    coordinator relay's worker and the connection thread answering that
+    statement's timeout."""
 
     def __init__(self, sock: socket.socket, max_frame: int):
         self.sock = sock
-        self.max_frame = max_frame
+        self.frames = protocol.FrameBuffer(max_frame)
         self.send_lock = threading.Lock()
         self.thread: threading.Thread | None = None
-        self._received = bytearray()
-
-    def buffered_frame(self):
-        """The next frame if every byte of it has been received, else
-        None — never reads the socket."""
-        received = self._received
-        if len(received) < 4:
-            return None
-        (total,) = protocol._U32.unpack_from(received)
-        protocol._check_total(total, self.max_frame)
-        end = 4 + total
-        if len(received) < end:
-            return None
-        payload = bytes(memoryview(received)[4:end])
-        del received[:end]
-        return protocol.decode_frame(payload)
-
-    def read_frame(self):
-        """Block until one whole frame has arrived; None on a clean
-        EOF (the peer closed between frames)."""
-        while True:
-            frame = self.buffered_frame()
-            if frame is not None:
-                return frame
-            chunk = self.sock.recv(_RECV_BYTES)
-            if not chunk:
-                if self._received:
-                    raise protocol.ProtocolError(
-                        "connection closed mid-frame")
-                return None
-            self._received += chunk
 
     def send(self, data: bytes) -> None:
         with self.send_lock:
@@ -294,7 +256,7 @@ class ArrayServer:
                 "session_id": session_id})
             while True:
                 try:
-                    frame = conn.read_frame()
+                    frame = conn.frames.read(conn.sock.recv)
                     if frame is None:
                         break
                     batch, frame = self._drain_pexec(conn, frame)
@@ -333,8 +295,8 @@ class ArrayServer:
         batch: list[dict] = []
         while frame is not None and frame[0].get("type") == "pexec":
             batch.append(frame[0])
-            frame = conn.buffered_frame() \
-                if len(batch) < PIPELINE_BATCH_MAX else None
+            frame = conn.frames.buffered() \
+                if len(batch) < protocol.PIPELINE_BATCH_MAX else None
         return batch, frame
 
     def _dispatch(self, conn: _Connection, session: SqlSession,

@@ -16,8 +16,10 @@ in the stats snapshot.
 from __future__ import annotations
 
 import socket
+from typing import Sequence
 
 from ..server import protocol
+from ..server.columnar import Buffer
 from ..server.client import ArrayClient
 
 __all__ = ["ShardLink", "ShardClient"]
@@ -43,53 +45,58 @@ class ShardLink:
         self.request_timeout = request_timeout
         self.max_frame = max_frame
         self._sock: socket.socket | None = None
+        self._frames: protocol.FrameBuffer | None = None
 
     @property
     def address(self) -> str:
         return f"{self.host}:{self.port}"
 
-    def connect(self) -> None:
-        """Connect and consume the hello frame (idempotent)."""
+    def connect(self) -> socket.socket:
+        """Connect and consume the hello frame (idempotent); the
+        connected socket."""
         if self._sock is not None:
-            return
+            return self._sock
         sock = socket.create_connection(
             (self.host, self.port), timeout=self.connect_timeout)
+        frames = protocol.FrameBuffer(self.max_frame)
         try:
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             sock.settimeout(self.request_timeout)
-            protocol.check_hello(
-                protocol.read_frame_sock(sock, self.max_frame))
+            protocol.check_hello(frames.read(sock.recv))
         except BaseException:
             sock.close()
             raise
-        self._sock = sock
+        self._sock, self._frames = sock, frames
+        return sock
 
-    def send(self, header: dict, blobs=()) -> None:
+    def send(self, header: dict[str, object],
+             blobs: Sequence[Buffer] = ()) -> None:
         """Ship one request frame (connecting first if needed)."""
-        self.connect()
-        protocol.write_frame_sock(self._sock, header, blobs,
+        protocol.write_frame_sock(self.connect(), header, blobs,
                                   self.max_frame)
 
-    def recv(self) -> tuple[dict, list[bytes]]:
+    def recv(self) -> tuple[dict[str, object], list[memoryview]]:
         """Read one reply frame; the request timeout bounds the wait
         (``socket.timeout`` is an ``OSError`` — a shard that stops
         answering surfaces as a link failure, never a hang)."""
-        if self._sock is None:
+        if self._sock is None or self._frames is None:
             raise protocol.ProtocolError(
                 f"shard {self.shard_id} link is not connected")
-        reply = protocol.read_frame_sock(self._sock, self.max_frame)
+        reply = self._frames.read(self._sock.recv)
         if reply is None:
             raise protocol.ProtocolError(
                 f"shard {self.shard_id} closed the connection")
         return reply
 
     def close(self) -> None:
+        """Drop the socket and whatever part of a reply it buffered;
+        the next :meth:`send` reconnects."""
         if self._sock is not None:
             try:
                 self._sock.close()
             except OSError:
                 pass
-            self._sock = None
+        self._sock = self._frames = None
 
 
 class ShardClient(ArrayClient):

@@ -1,10 +1,26 @@
 """Shared fixtures and hypothesis strategies for the test suite."""
 
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
 from repro.core import ALL_DTYPES
+from repro.server.protocol import FrameBuffer
+
+#: The one FrameBuffer each raw test socket reads through.
+_FRAMES: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+
+
+def read_frame(sock):
+    """The next frame a raw test socket received (None on a clean EOF),
+    cut by that socket's own :class:`FrameBuffer` so bytes received
+    past one frame stay for the next read."""
+    frames = _FRAMES.get(sock)
+    if frames is None:
+        frames = _FRAMES[sock] = FrameBuffer()
+    return frames.read(sock.recv)
 
 
 @pytest.fixture

@@ -25,10 +25,10 @@ from repro.server.protocol import (
     decode_frame,
     encode_frame,
     pack_rows,
-    read_frame_sock,
     unpack_rows,
     write_frame_sock,
 )
+from tests.conftest import read_frame
 
 
 def fingerprint(rows):
@@ -242,7 +242,7 @@ def sock(server):
     conn = socket.create_connection(("127.0.0.1", server.port))
     conn.settimeout(10.0)
     try:
-        hello, _ = read_frame_sock(conn)
+        hello, _ = read_frame(conn)
         assert hello["protocol"] == protocol.PROTOCOL_VERSION
         yield conn
     finally:
@@ -251,7 +251,7 @@ def sock(server):
 
 def exchange(sock, header, buffers=()):
     write_frame_sock(sock, header, buffers)
-    return read_frame_sock(sock)
+    return read_frame(sock)
 
 
 def count_rows(sock):

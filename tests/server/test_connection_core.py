@@ -18,8 +18,9 @@ import pytest
 from repro.engine import Column, Database
 from repro.server import ArrayClient, ServerConfig, ServerThread, protocol
 from repro.server import server as server_module
-from repro.server.protocol import read_frame_sock, write_frame_sock
+from repro.server.protocol import write_frame_sock
 from repro.server.server import _Connection
+from tests.conftest import read_frame
 
 COUNT_SQL = "SELECT COUNT(*) FROM Tone WITH (NOLOCK)"
 
@@ -36,7 +37,7 @@ def connect(port: int) -> socket.socket:
     """A raw client socket, greeted."""
     sock = socket.create_connection(("127.0.0.1", port))
     sock.settimeout(10)
-    assert read_frame_sock(sock)[0]["type"] == "hello"
+    assert read_frame(sock)[0]["type"] == "hello"
     return sock
 
 
@@ -90,7 +91,7 @@ def test_stop_with_idle_connections_closes_them_cleanly():
     handle.stop()
     assert time.monotonic() - started < 1.0
     for sock in socks:
-        assert read_frame_sock(sock) is None  # EOF, not a reset
+        assert read_frame(sock) is None  # EOF, not a reset
         sock.close()
     assert handle.server.stats.snapshot()["sessions_active"] == 0
     with pytest.raises(OSError):
@@ -106,7 +107,7 @@ def test_stop_with_a_client_half_way_through_a_frame():
     started = time.monotonic()
     handle.stop()
     assert time.monotonic() - started < 1.0
-    assert read_frame_sock(sock) is None
+    assert read_frame(sock) is None
     sock.close()
 
 
@@ -135,7 +136,7 @@ def test_stop_with_a_statement_in_flight_returns_within_its_bound(
     handle.stop()
     assert time.monotonic() - started < 0.3 + 0.5
     assert not finished.is_set()  # stop() did not wait the statement out
-    assert read_frame_sock(sock) is None
+    assert read_frame(sock) is None
     sock.close()
     # The abandoned statement ends on its own and its connection
     # thread with it.
@@ -161,7 +162,7 @@ def test_a_lone_pexec_is_strict_request_response(fresh):
     sock = connect(fresh.port)
     for done in (1, 2):
         sock.sendall(pexec())
-        header, _ = read_frame_sock(sock)
+        header, _ = read_frame(sock)
         assert header["type"] == "result" and header["rowcount"] == 1
         assert pipeline_stats(fresh) == {
             "batches": done, "statements": done, "depth_max": 1}
@@ -173,7 +174,7 @@ def test_frames_sent_together_run_as_one_batch(fresh):
     depth = 7
     sock.sendall(pexec() * depth)
     for _ in range(depth):
-        assert read_frame_sock(sock)[0]["type"] == "result"
+        assert read_frame(sock)[0]["type"] == "result"
     assert pipeline_stats(fresh) == {
         "batches": 1, "statements": depth, "depth_max": depth}
     sock.close()
@@ -188,12 +189,12 @@ def test_a_partial_frame_behind_a_batch_is_waited_for_after_the_batch(
     # The three complete frames are answered while the fourth is
     # still half sent: the drain never blocks on a partial frame.
     for _ in range(3):
-        assert read_frame_sock(sock)[0]["type"] == "result"
+        assert read_frame(sock)[0]["type"] == "result"
     assert pipeline_stats(fresh) == {
         "batches": 1, "statements": 3, "depth_max": 3}
     time.sleep(0.2)
     sock.sendall(tail[len(tail) // 2:])
-    header, blobs = read_frame_sock(sock)
+    header, blobs = read_frame(sock)
     assert header["type"] == "result"
     assert protocol.unpack_rows(header["rows"], blobs,
                                 header["rowcount"]) == [(1.0,)]
@@ -206,7 +207,7 @@ def test_a_buffered_non_pexec_frame_is_carried_over(fresh):
     sock = connect(fresh.port)
     sock.sendall(pexec() * 2 + protocol.encode_frame({"type": "ping"})
                  + pexec())
-    kinds = [read_frame_sock(sock)[0]["type"] for _ in range(4)]
+    kinds = [read_frame(sock)[0]["type"] for _ in range(4)]
     assert kinds == ["result", "result", "pong", "result"]
     assert pipeline_stats(fresh)["depth_max"] == 2
     sock.close()
@@ -240,7 +241,7 @@ def test_two_threads_sending_on_one_connection_interleave_whole_frames():
         for t in writers:
             t.start()
         for _ in range(2 * per_thread):
-            header, blobs = read_frame_sock(theirs)
+            header, blobs = read_frame(theirs)
             assert len(blobs[0]) == len(payload[0])
             seen.append((header["who"], header["n"]))
     finally:

@@ -8,8 +8,9 @@ slices, chunk-boundary-straddling slices, windowed array reads, and
 slices raced against concurrent DELETEs.
 """
 
-import asyncio
+import struct
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -18,11 +19,11 @@ from repro.core import SqlArray
 from repro.engine import Column, Database
 from repro.server import (
     ArrayClient,
-    AsyncArrayClient,
     ServerError,
     ServerThread,
     protocol,
 )
+from repro.server.protocol import decode_frame, encode_frame
 
 #: id -> blob payload size for the Tblob parity table.
 BLOB_SIZES = {0: 0, 1: 1, 2: 100, 3: 4096, 4: 65536, 5: 300_000}
@@ -346,6 +347,110 @@ class TestPipeline:
     def test_empty_pipeline(self, client):
         assert client.query_pipeline([]) == []
 
+    def test_big_frames_both_ways_never_stall_the_pipeline(self, server):
+        """300 statements padded to 16 KiB, each answered with a 64 KiB
+        blob.  Sent all at once they outgrow both directions' socket
+        buffers and each side blocks writing to the other; one server
+        batch in flight at a time keeps the pipeline moving."""
+        sql = blob_sql(4) + " " * (16 * 1024)
+        with ArrayClient("127.0.0.1", server.port, timeout=5.0) as c:
+            started = time.perf_counter()
+            results = c.query_pipeline([sql] * 300)
+            elapsed = time.perf_counter() - started
+        want = make_blob(4)
+        assert all(result.scalar() == want for result in results)
+        assert len(results) == 300, elapsed
+
+
+# -- every byte goes through the client's socket ----------------------------
+
+class WireProxy:
+    """Stands in for a client's socket with nothing but ``recv``,
+    ``sendall`` and ``close``, keeping every byte that crossed — any
+    other IO path (``recv_into``, ``makefile``) fails on the spot."""
+
+    def __init__(self, sock):
+        self.sock = sock
+        self.sent = bytearray()
+        self.received = bytearray()
+        self.sends = 0
+
+    def sendall(self, data):
+        self.sends += 1
+        self.sent += data
+        self.sock.sendall(data)
+
+    def recv(self, n):
+        data = self.sock.recv(n)
+        self.received += data
+        return data
+
+    def close(self):
+        self.sock.close()
+
+
+def cut_frames(data) -> list:
+    """The frames a byte string holds; it must end on a boundary."""
+    frames, pos = [], 0
+    while pos < len(data):
+        (total,) = struct.unpack_from("!I", data, pos)
+        assert pos + 4 + total <= len(data), "a frame cut short"
+        header, blobs = decode_frame(bytes(data[pos + 4:pos + 4 + total]))
+        frames.append((header, [bytes(b) for b in blobs]))
+        pos += 4 + total
+    return frames
+
+
+def test_the_socket_sees_exactly_the_frames_of_each_call(server):
+    client = ArrayClient("127.0.0.1", server.port)
+    proxy = WireProxy(client._sock)
+    client._sock = proxy
+
+    def exchange(call):
+        proxy.sent.clear()
+        proxy.received.clear()
+        proxy.sends = 0
+        answer = call()
+        sent, received = cut_frames(proxy.sent), cut_frames(proxy.received)
+        assert bytes(proxy.sent) == b"".join(
+            encode_frame(h, b) for h, b in sent)
+        return answer, sent, received
+
+    with client:
+        sql = "SELECT SUM(x) FROM Tnum WHERE id = 3"
+        answer, sent, received = exchange(lambda: client.query(sql))
+        assert [h for h, _ in sent] == [
+            {"type": "query", "sql": sql, "cold": True}]
+        assert [h["type"] for h, _ in received] == ["result"]
+        assert answer.scalar() == pytest.approx(1.5)
+
+        window = ((1, 2, 3), (4, 4, 4))
+        answer, sent, received = exchange(lambda: client.query_array(
+            blob_sql(1, "Tarr"), slice=window))
+        assert sent[0][0]["window"] == {"offset": [1, 2, 3],
+                                        "size": [4, 4, 4]}
+        assert [h["type"] for h, _ in received] == ["bchunk"]
+        assert received[-1][0]["eof"]
+        np.testing.assert_array_equal(answer, make_array()[1:5, 2:6, 3:7])
+
+        answer, sent, received = exchange(lambda: client.query_blob(
+            blob_sql(5), offset=1000, length=5000, chunk_bytes=1024))
+        assert [h["type"] for h, _ in sent] == ["bquery"]
+        assert [h["seq"] for h, _ in received] == list(range(5))
+        assert b"".join(b[0] for _, b in received) == answer.data
+        assert answer.data == make_blob(5)[1000:6000]
+
+        statements = [f"SELECT SUM(x) FROM Tnum WHERE id = {i % NUM_ROWS}"
+                      for i in range(40)]
+        answer, sent, received = exchange(
+            lambda: client.query_pipeline(statements))
+        assert [h["sql"] for h, _ in sent] == statements
+        assert {h["type"] for h, _ in sent} == {"pexec"}
+        assert proxy.sends == 2   # one window of 32 frames, then 8
+        assert len(received) == 40
+        assert [r.scalar() for r in answer] == [
+            pytest.approx((i % NUM_ROWS) * 0.5) for i in range(40)]
+
 
 # -- one statement, two frame types -----------------------------------------
 
@@ -370,7 +475,7 @@ def _wire_outcome(result):
             sorted(result.metrics) if result.metrics else None)
 
 
-def _corpus_sync(port, wire):
+def _run_corpus(port, wire):
     with ArrayClient("127.0.0.1", port) as c:
         outcomes = []
         for sql in WIRE_CORPUS:
@@ -384,30 +489,7 @@ def _corpus_sync(port, wire):
     return outcomes, alive
 
 
-def _corpus_async(port, wire):
-    async def run():
-        c = await AsyncArrayClient.connect("127.0.0.1", port)
-        try:
-            outcomes = []
-            for sql in WIRE_CORPUS:
-                try:
-                    result = await c.query(sql) if wire == "query" \
-                        else (await c.query_pipeline([sql]))[0]
-                except ServerError as exc:
-                    result = exc
-                outcomes.append(_wire_outcome(result))
-            alive = (await c.query(
-                "SELECT COUNT(*) FROM Tnum")).scalar()
-            return outcomes, alive
-        finally:
-            await c.close()
-
-    return asyncio.run(run())
-
-
-@pytest.mark.parametrize("run_corpus", [_corpus_sync, _corpus_async],
-                         ids=["sync", "async"])
-def test_query_and_pexec_frames_answer_alike(run_corpus):
+def test_query_and_pexec_frames_answer_alike():
     """Every statement shape gives the same rows, rowcount, metrics
     keys and error code whether it travels as a ``query`` frame or as
     a ``pexec`` frame, and the connection survives the failing one."""
@@ -416,7 +498,7 @@ def test_query_and_pexec_frames_answer_alike(run_corpus):
         db = make_db()
         db.tables["Tnum"].create_index("g")
         with ServerThread(db) as handle:
-            answers[wire], alive = run_corpus(handle.port, wire)
+            answers[wire], alive = _run_corpus(handle.port, wire)
         assert alive == NUM_ROWS
     assert answers["query"] == answers["pexec"]
     kinds = [outcome[0] for outcome in answers["query"]]
@@ -425,51 +507,3 @@ def test_query_and_pexec_frames_answer_alike(run_corpus):
     assert answers["query"][4][1] == [(make_blob(3),)]
     assert answers["query"][8][2] == 1          # one row deleted
     assert answers["query"][9][1] == [(7.0, 2)]
-
-
-# -- asyncio twins ----------------------------------------------------------
-
-class TestAsyncDataplane:
-    def test_async_blob_pipeline_and_prepare(self, server):
-        full = make_blob(5)
-
-        async def run():
-            client = await AsyncArrayClient.connect("127.0.0.1",
-                                                    server.port)
-            try:
-                info = await client.prepare(
-                    "SELECT COUNT(*) FROM Tnum WITH (NOLOCK)")
-                results = await client.query_pipeline(
-                    [f"SELECT SUM(x) FROM Tnum WHERE id = {i}"
-                     for i in range(4)])
-                blob = await client.query_blob(
-                    blob_sql(5), offset=1000, length=5000)
-                arr = await client.query_array(
-                    blob_sql(1, "Tarr"), slice=((1, 1, 1), (3, 3, 3)))
-                return info, results, blob, arr
-            finally:
-                await client.close()
-
-        info, results, blob, arr = asyncio.run(run())
-        assert info["table"] == "Tnum"
-        for i, result in enumerate(results):
-            assert result.scalar() == pytest.approx(i * 0.5)
-        assert blob.data == full[1000:6000]
-        np.testing.assert_array_equal(
-            arr, make_array()[1:4, 1:4, 1:4])
-
-    def test_async_pipeline_error_slots(self, server):
-        async def run():
-            client = await AsyncArrayClient.connect("127.0.0.1",
-                                                    server.port)
-            try:
-                return await client.query_pipeline(
-                    ["SELECT COUNT(*) FROM Tnum WITH (NOLOCK)",
-                     "SELECT FROM nowhere"],
-                    return_exceptions=True)
-            finally:
-                await client.close()
-
-        results = asyncio.run(run())
-        assert results[0].scalar() == NUM_ROWS
-        assert isinstance(results[1], ServerError)

@@ -1,25 +1,28 @@
 """Wire-protocol tests: round-trips for every message type, value
-packing, and malformed-frame rejection."""
+packing, malformed-frame rejection, and the one frame reader
+(:class:`FrameBuffer`) with every caller that reads through it."""
 
-import asyncio
+import random
 import socket
 import struct
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.server import ArrayClient, AsyncArrayClient, ServerError, protocol
+from repro.server import ArrayClient, ServerError, protocol
 from repro.server.protocol import (
     MAX_FRAME_BYTES,
+    FrameBuffer,
     ProtocolError,
     decode_frame,
     encode_frame,
     pack_rows,
-    read_frame,
-    read_frame_sock,
     unpack_rows,
     write_frame_sock,
 )
+from repro.shard.client import ShardLink
 
 # Every message type both sides of the conversation use.
 MESSAGES = [
@@ -65,16 +68,17 @@ class TestFrameRoundTrip:
 
     def test_round_trip_through_socketpair(self):
         a, b = socket.socketpair()
+        frames = FrameBuffer()
         try:
             write_frame_sock(a, {"type": "ping"})
             write_frame_sock(a, {"type": "result", "rows": []},
                              [b"abc"])
-            assert read_frame_sock(b) == ({"type": "ping"}, [])
-            header, blobs = read_frame_sock(b)
+            assert frames.read(b.recv) == ({"type": "ping"}, [])
+            header, blobs = frames.read(b.recv)
             assert header["type"] == "result"
             assert blobs == [b"abc"]
             a.close()
-            assert read_frame_sock(b) is None  # clean EOF
+            assert frames.read(b.recv) is None  # clean EOF
         finally:
             b.close()
 
@@ -198,7 +202,7 @@ class TestMalformedFrames:
         try:
             a.sendall(struct.pack("!I", MAX_FRAME_BYTES + 1))
             with pytest.raises(ProtocolError, match="limit"):
-                read_frame_sock(b)
+                FrameBuffer().read(b.recv)
         finally:
             a.close()
             b.close()
@@ -208,7 +212,7 @@ class TestMalformedFrames:
         try:
             a.sendall(struct.pack("!I", 2) + b"xx")
             with pytest.raises(ProtocolError, match="too short"):
-                read_frame_sock(b)
+                FrameBuffer().read(b.recv)
         finally:
             a.close()
             b.close()
@@ -220,7 +224,7 @@ class TestMalformedFrames:
             a.sendall(payload[:-2])
             a.close()
             with pytest.raises(ProtocolError, match="mid-frame"):
-                read_frame_sock(b)
+                FrameBuffer().read(b.recv)
         finally:
             b.close()
 
@@ -254,76 +258,12 @@ class TestWriteSideLimit:
         a, b = socket.socketpair()
         try:
             write_frame_sock(a, header, max_frame=limit)
-            assert read_frame_sock(b) == (header, [])
+            assert FrameBuffer().read(b.recv) == (header, [])
             with pytest.raises(protocol.FrameTooLargeError):
                 write_frame_sock(a, header, max_frame=limit - 1)
         finally:
             a.close()
             b.close()
-
-    def test_async_write_frame_enforces_limit(self):
-        class _Writer:
-            def __init__(self):
-                self.chunks = []
-
-            def write(self, data):
-                self.chunks.append(data)
-
-            async def drain(self):
-                pass
-
-        writer = _Writer()
-
-        async def run():
-            await protocol.write_frame(
-                writer, {"type": "result", "rows": []},
-                [b"x" * 2048], max_frame=1024)
-
-        with pytest.raises(protocol.FrameTooLargeError):
-            asyncio.run(run())
-        assert writer.chunks == []
-
-
-class TestAsyncFrameIO:
-    def _reader_with(self, data: bytes) -> asyncio.StreamReader:
-        reader = asyncio.StreamReader()
-        reader.feed_data(data)
-        reader.feed_eof()
-        return reader
-
-    def test_clean_eof_returns_none(self):
-        async def run():
-            return await read_frame(self._reader_with(b""))
-        assert asyncio.run(run()) is None
-
-    def test_round_trip(self):
-        payload = encode_frame({"type": "ping"})
-
-        async def run():
-            return await read_frame(self._reader_with(payload))
-        assert asyncio.run(run()) == ({"type": "ping"}, [])
-
-    def test_truncated_prefix(self):
-        async def run():
-            return await read_frame(self._reader_with(b"\x00\x00"))
-        with pytest.raises(ProtocolError, match="mid-prefix"):
-            asyncio.run(run())
-
-    def test_truncated_body(self):
-        payload = encode_frame({"type": "ping"})[:-3]
-
-        async def run():
-            return await read_frame(self._reader_with(payload))
-        with pytest.raises(ProtocolError, match="mid-frame"):
-            asyncio.run(run())
-
-    def test_oversized_rejected(self):
-        data = struct.pack("!I", MAX_FRAME_BYTES + 1) + b"x" * 16
-
-        async def run():
-            return await read_frame(self._reader_with(data))
-        with pytest.raises(ProtocolError, match="limit"):
-            asyncio.run(run())
 
 
 class TestVersionHandshake:
@@ -369,17 +309,7 @@ class TestVersionHandshake:
             ArrayClient("127.0.0.1", old_server, timeout=5.0)
         assert self.expected() in str(caught.value)
 
-    def test_async_client(self, old_server):
-        async def run():
-            await AsyncArrayClient.connect("127.0.0.1", old_server)
-
-        with pytest.raises(ServerError) as caught:
-            asyncio.run(run())
-        assert self.expected() in str(caught.value)
-
     def test_shard_link(self, old_server):
-        from repro.shard.client import ShardLink
-
         link = ShardLink(0, "127.0.0.1", old_server,
                          request_timeout=5.0)
         with pytest.raises(ProtocolError) as caught:
@@ -394,3 +324,231 @@ class TestVersionHandshake:
             protocol.check_hello(({"type": "pong"}, []))
         with pytest.raises(ProtocolError, match="expected a hello"):
             protocol.check_hello(None)
+
+
+# -- the one frame reader ------------------------------------------------------
+
+class ChunkedPeer:
+    """A fake ``recv``: hands out ``data`` in chunks no longer than
+    asked, and as short as ``rng`` likes, then EOF; counts its calls."""
+
+    def __init__(self, data: bytes, rng: random.Random | None = None,
+                 chunk: int | None = None):
+        self.data = data
+        self.pos = 0
+        self.calls = 0
+        self.rng = rng
+        self.chunk = chunk
+
+    def recv(self, n: int) -> bytes:
+        assert n > 0
+        self.calls += 1
+        if self.rng is not None:
+            n = self.rng.randint(1, n)
+        if self.chunk is not None:
+            n = min(n, self.chunk)
+        out = self.data[self.pos:self.pos + n]
+        self.pos += len(out)
+        return out
+
+
+def read_all(frames: FrameBuffer, recv) -> list:
+    """Every frame up to a clean EOF, blobs as bytes."""
+    out = []
+    while (frame := frames.read(recv)) is not None:
+        header, blobs = frame
+        out.append((header, [bytes(b) for b in blobs]))
+    return out
+
+
+def decoded(header: dict, blobs) -> tuple:
+    """What a reader must hand back for ``encode_frame(header, blobs)``."""
+    got, views = decode_frame(encode_frame(header, blobs)[4:])
+    return got, [bytes(v) for v in views]
+
+
+BLOB = st.one_of(st.just(b""), st.binary(max_size=40),
+                 st.integers(64 * 1024 + 1, 80 * 1024).map(
+                     lambda n: bytes(range(256)) * (n // 256)))
+FRAME_LISTS = st.lists(
+    st.tuples(st.sampled_from(["ping", "result", "bchunk"]),
+              st.lists(BLOB, max_size=3)),
+    max_size=6)
+
+
+class TestFrameBuffer:
+    @settings(max_examples=60, deadline=None)
+    @given(FRAME_LISTS, st.integers(0, 2 ** 32))
+    def test_random_chunking_returns_every_frame_in_order(
+            self, frame_list, seed):
+        stream = b"".join(encode_frame({"type": kind}, blobs)
+                          for kind, blobs in frame_list)
+        peer = ChunkedPeer(stream, random.Random(seed))
+        assert read_all(FrameBuffer(), peer.recv) == [
+            decoded({"type": kind}, blobs) for kind, blobs in frame_list]
+        assert peer.pos == len(stream)
+
+    def test_eof_is_clean_only_at_a_frame_boundary(self):
+        encoded = [encode_frame({"type": "ping"}),
+                   encode_frame({"type": "result"}, [b"abc", b""]),
+                   encode_frame({"type": "pong"})]
+        stream = b"".join(encoded)
+        boundaries = [0]
+        for frame in encoded:
+            boundaries.append(boundaries[-1] + len(frame))
+        for cut in range(len(stream) + 1):
+            for chunk in (1, 3, None):
+                frames = FrameBuffer()
+                peer = ChunkedPeer(stream[:cut], chunk=chunk)
+                whole = max(i for i, b in enumerate(boundaries) if b <= cut)
+                for _ in range(whole):
+                    assert frames.read(peer.recv) is not None
+                if cut in boundaries:
+                    assert frames.read(peer.recv) is None, cut
+                    continue
+                where = "mid-prefix" if cut - boundaries[whole] < 4 \
+                    else "mid-frame"
+                with pytest.raises(ProtocolError, match=where):
+                    frames.read(peer.recv)
+
+    @pytest.mark.parametrize("total, match", [(1025, "limit"),
+                                              (3, "too short")])
+    @pytest.mark.parametrize("chunk", [1, None])
+    def test_bad_total_refused_before_a_body_byte_is_asked_for(
+            self, total, match, chunk):
+        peer = ChunkedPeer(struct.pack("!I", total) + b"x" * 2048,
+                           chunk=chunk or 4)
+        with pytest.raises(ProtocolError, match=match):
+            FrameBuffer(max_frame=1024).read(peer.recv)
+        assert peer.pos == 4
+        assert peer.calls == (4 if chunk == 1 else 1)
+
+    def test_buffered_hands_out_received_frames_without_reading(self):
+        stream = b"".join(encode_frame({"type": "result", "n": i},
+                                       [bytes([i]) * 10])
+                          for i in range(3)) + encode_frame(
+                              {"type": "ping"})[:5]
+        peer = ChunkedPeer(stream)
+        frames = FrameBuffer()
+        assert frames.buffered() is None
+        header, blobs = frames.read(peer.recv)
+        assert peer.calls == 1 and header["n"] == 0
+        assert [frames.buffered()[0]["n"] for _ in range(2)] == [1, 2]
+        assert frames.buffered() is None   # only part of the ping
+        assert peer.calls == 1
+
+    def test_a_frame_inside_one_recv_is_decoded_in_place(self):
+        chunk = encode_frame({"type": "result"}, [b"abc", b"defg"]) + \
+            encode_frame({"type": "pong"})
+        frames = FrameBuffer()
+        _header, blobs = frames.read(lambda n: chunk)
+        assert all(blob.obj is chunk for blob in blobs)
+        assert [bytes(b) for b in blobs] == [b"abc", b"defg"]
+        assert frames.buffered() == ({"type": "pong"}, [])
+
+
+# -- a read that breaks off closes the client ----------------------------------
+
+HELLO = {"type": "hello", "server": "stub",
+         "protocol": protocol.PROTOCOL_VERSION, "session_id": 1}
+
+
+class StubPeer:
+    """Greets each connection it accepts (in order), reads one request,
+    answers it with the next raw ``replies`` entry, then hangs up — or,
+    for a ``stall`` entry, stays silent until the client hangs up."""
+
+    def __init__(self, *replies: tuple[bytes, bool]):
+        self.replies = list(replies)
+        self.listener = socket.create_server(("127.0.0.1", 0))
+        self.listener.settimeout(10.0)
+        self.port = self.listener.getsockname()[1]
+        self.thread = threading.Thread(target=self._serve, daemon=True)
+        self.thread.start()
+
+    def _serve(self):
+        for reply, stall in self.replies:
+            conn, _ = self.listener.accept()
+            with conn:
+                write_frame_sock(conn, HELLO)
+                if FrameBuffer().read(conn.recv) is None:
+                    continue
+                conn.sendall(reply)
+                if stall:
+                    conn.settimeout(10.0)
+                    conn.recv(1)
+
+    def close(self):
+        self.thread.join(timeout=10.0)
+        self.listener.close()
+
+
+def _result_frame(value: int) -> bytes:
+    types, buffers = pack_rows([(value,)])
+    return encode_frame({"type": "result", "kind": "rows", "rows": types,
+                         "rowcount": 1, "metrics": None}, buffers)
+
+
+def _bchunk_frame(seq: int, eof: bool) -> bytes:
+    return encode_frame({"type": "bchunk", "seq": seq, "eof": eof,
+                         "blob_len": 8, "offset": 0, "length": 4},
+                        [b"abcd"])
+
+
+BROKEN_REPLIES = {
+    "query": (lambda c: c.query("SELECT 1"),
+              _result_frame(41)[:-3]),
+    "query_blob": (lambda c: c.query_blob("SELECT MAX(v) FROM t"),
+                   _bchunk_frame(0, False) + _bchunk_frame(1, True)[:9]),
+    "query_array_slice": (
+        lambda c: c.query_array("SELECT MAX(v) FROM t",
+                                slice=((0,), (1,))),
+        _bchunk_frame(0, False)[:2]),
+    "query_pipeline": (lambda c: c.query_pipeline(["SELECT 1"] * 3),
+                       _result_frame(41) + _result_frame(42)[:20]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BROKEN_REPLIES))
+def test_a_reply_cut_short_closes_the_client(name):
+    """Whatever part of a reply is still in flight after a read broke
+    off must never answer a later call: the client closes, and says so
+    on every call after, and close() stays silent."""
+    call, reply = BROKEN_REPLIES[name]
+    peer = StubPeer((reply, False))
+    try:
+        client = ArrayClient("127.0.0.1", peer.port, timeout=5.0)
+        with pytest.raises((OSError, ProtocolError)):
+            call(client)
+        for later in (lambda: client.query("SELECT 1"), client.ping,
+                      lambda: client.query_pipeline(["SELECT 1"]),
+                      lambda: client.query_blob("SELECT MAX(v) FROM t")):
+            with pytest.raises(ServerError,
+                               match="closed the connection") as caught:
+                later()
+            assert caught.value.code == protocol.INTERNAL
+        client.close()
+        client.close()
+    finally:
+        peer.close()
+
+
+def test_shard_link_times_out_on_half_a_frame_then_reconnects_clean():
+    """A shard that stalls half-way through a reply times the link out;
+    after close() the half frame is gone with the old connection, and
+    the next request gets its own reply."""
+    peer = StubPeer((_result_frame(41)[:7], True),
+                    (_result_frame(42), False))
+    link = ShardLink(0, "127.0.0.1", peer.port, request_timeout=0.3)
+    try:
+        link.send({"type": "query", "sql": "SELECT 1"})
+        with pytest.raises(OSError):
+            link.recv()
+        link.close()
+        link.send({"type": "query", "sql": "SELECT 1"})
+        header, blobs = link.recv()
+        assert protocol.Columns.decode(header["rows"], blobs,
+                                       header["rowcount"]).rows() == [(42,)]
+    finally:
+        link.close()
+        peer.close()

@@ -1,7 +1,6 @@
 """End-to-end server tests: an in-process server, concurrent clients,
 admission control, timeouts, and fault injection."""
 
-import asyncio
 import socket
 import struct
 import threading
@@ -15,7 +14,6 @@ from repro.engine import Column, Database
 from repro.server import (
     NO_TIMEOUT,
     ArrayClient,
-    AsyncArrayClient,
     QueryTimeoutError,
     ResultTooLargeError,
     ServerBusyError,
@@ -24,7 +22,8 @@ from repro.server import (
     ServerThread,
     protocol,
 )
-from repro.server.protocol import read_frame_sock, write_frame_sock
+from repro.server.protocol import write_frame_sock
+from tests.conftest import read_frame
 from repro.tsql import FloatArray
 
 ROWS = 300
@@ -148,14 +147,14 @@ class TestBasicConversation:
     def test_unknown_message_type_is_answered(self, server):
         sock = socket.create_connection(("127.0.0.1", server.port))
         try:
-            assert read_frame_sock(sock)[0]["type"] == "hello"
+            assert read_frame(sock)[0]["type"] == "hello"
             write_frame_sock(sock, {"type": "bogus"})
-            header, _ = read_frame_sock(sock)
+            header, _ = read_frame(sock)
             assert header["type"] == "error"
             assert header["code"] == protocol.BAD_FRAME
             # Connection survives an unknown type.
             write_frame_sock(sock, {"type": "ping"})
-            assert read_frame_sock(sock)[0]["type"] == "pong"
+            assert read_frame(sock)[0]["type"] == "pong"
         finally:
             sock.close()
 
@@ -239,23 +238,6 @@ class TestConcurrentClients:
             assert total == pytest.approx(expected_sum)
             assert isinstance(blob, bytes) and len(blob) > 0
             assert mrows == ROWS
-
-    def test_async_clients_gather(self, server):
-        async def one_client():
-            client = await AsyncArrayClient.connect("127.0.0.1",
-                                                    server.port)
-            try:
-                result = await client.query(
-                    "SELECT COUNT(*) FROM Tvector WITH (NOLOCK)")
-                return result.scalar()
-            finally:
-                await client.close()
-
-        async def run():
-            return await asyncio.gather(*[one_client()
-                                          for _ in range(3)])
-
-        assert asyncio.run(run()) == [ROWS, ROWS, ROWS]
 
 
 class SlowServer:
@@ -346,11 +328,11 @@ class TestAdmissionControl:
                           session_setup=slow.session_setup) as handle:
             sock = socket.create_connection(("127.0.0.1", handle.port))
             try:
-                assert read_frame_sock(sock)[0]["type"] == "hello"
+                assert read_frame(sock)[0]["type"] == "hello"
                 write_frame_sock(sock, {
                     "type": "query", "cold": True, "timeout": None,
                     "sql": self.SLEEP_SQL})
-                header, _ = read_frame_sock(sock)
+                header, _ = read_frame(sock)
                 assert header["type"] == "error"
                 assert header["code"] == protocol.QUERY_TIMEOUT
             finally:
@@ -411,14 +393,14 @@ class TestFaultInjection:
     def test_malformed_frame_rejected_then_closed(self, server):
         sock = socket.create_connection(("127.0.0.1", server.port))
         try:
-            assert read_frame_sock(sock)[0]["type"] == "hello"
+            assert read_frame(sock)[0]["type"] == "hello"
             # A frame whose header length points past its end.
             sock.sendall(struct.pack("!I", 8) + struct.pack("!I", 4096)
                          + b"{}xx")
-            header, _ = read_frame_sock(sock)
+            header, _ = read_frame(sock)
             assert header["type"] == "error"
             assert header["code"] == protocol.BAD_FRAME
-            assert read_frame_sock(sock) is None  # server hung up
+            assert read_frame(sock) is None  # server hung up
         finally:
             sock.close()
 
@@ -428,9 +410,9 @@ class TestFaultInjection:
                           session_setup=slow.session_setup) as handle:
             sock = socket.create_connection(("127.0.0.1", handle.port))
             try:
-                assert read_frame_sock(sock)[0]["type"] == "hello"
+                assert read_frame(sock)[0]["type"] == "hello"
                 sock.sendall(struct.pack("!I", 1 << 20))
-                header, _ = read_frame_sock(sock)
+                header, _ = read_frame(sock)
                 assert header["code"] == protocol.BAD_FRAME
             finally:
                 sock.close()
@@ -441,7 +423,7 @@ class TestFaultInjection:
         with ServerThread(slow.db, slow.config(),
                           session_setup=slow.session_setup) as handle:
             sock = socket.create_connection(("127.0.0.1", handle.port))
-            assert read_frame_sock(sock)[0]["type"] == "hello"
+            assert read_frame(sock)[0]["type"] == "hello"
             write_frame_sock(sock, {
                 "type": "query", "cold": True, "timeout": None,
                 "sql": "SELECT SUM(dbo.Sleep(0.6)) FROM Tone "
@@ -461,9 +443,30 @@ class TestFaultInjection:
                                "WITH (NOLOCK)").scalar() == 1
                 assert c.stats()["admission"]["in_flight"] == 0
 
+    def test_a_timed_out_read_closes_the_client(self, slow):
+        """The reply a client stopped waiting for must not answer its
+        next statement: after the socket timeout the client is closed
+        and says so, while a fresh client gets the right answer."""
+        config = slow.config(max_workers=2, queue_limit=2)
+        with ServerThread(slow.db, config,
+                          session_setup=slow.session_setup) as handle:
+            with ArrayClient("127.0.0.1", handle.port,
+                             timeout=0.3) as client:
+                with pytest.raises(TimeoutError):
+                    client.query("SELECT SUM(dbo.Sleep(0.5)) FROM Tone "
+                                 "WITH (NOLOCK)")
+                time.sleep(0.4)  # the late reply is on the wire by now
+                with pytest.raises(ServerError,
+                                   match="closed the connection") as err:
+                    client.query("SELECT COUNT(*) FROM Tone WITH (NOLOCK)")
+                assert err.value.code == protocol.INTERNAL
+            with ArrayClient("127.0.0.1", handle.port) as fresh:
+                assert fresh.query("SELECT COUNT(*) FROM Tone "
+                                   "WITH (NOLOCK)").scalar() == 1
+
     def test_disconnect_between_frames(self, server):
         sock = socket.create_connection(("127.0.0.1", server.port))
-        assert read_frame_sock(sock)[0]["type"] == "hello"
+        assert read_frame(sock)[0]["type"] == "hello"
         sock.close()
         # The server must keep answering others.
         with ArrayClient("127.0.0.1", server.port) as c:
@@ -580,15 +583,3 @@ class TestEngineToggle:
         after = client.stats()["engine_queries"]
         assert after.get("vector", 0) - before.get("vector", 0) >= 1
         assert after.get("row", 0) - before.get("row", 0) == 1
-
-    def test_async_client_engine_param(self, server):
-        async def go():
-            client = await AsyncArrayClient.connect(
-                "127.0.0.1", server.port)
-            try:
-                row = await client.query(self.SQL, engine="row")
-                vec = await client.query(self.SQL)
-                return row.metrics["engine"], vec.metrics["engine"]
-            finally:
-                await client.close()
-        assert asyncio.run(go()) == ("row", "vector")

@@ -13,9 +13,10 @@ import pytest
 from repro.core import SqlArray
 from repro.engine.sqlfront import PLAN_CACHE_SIZE, SqlSession
 from repro.server import ArrayClient, protocol
-from repro.server.protocol import read_frame_sock, write_frame_sock
+from repro.server.protocol import write_frame_sock
 from repro.server.server import ServerConfig, ServerThread
 from repro.shard import ShardConfig, ShardFleet, ShardRouter, ShardServer
+from tests.conftest import read_frame
 
 from .conftest import bits, make_reference, make_rows, normalize
 
@@ -54,13 +55,13 @@ def test_a_relay_outliving_its_timeout_never_shreds_the_stream(cluster):
         for timeout in (0.0005, 0.002, 0.004, 0.008, 0.016, 0.032):
             sock = socket.create_connection(("127.0.0.1", handle.port))
             sock.settimeout(30)
-            assert read_frame_sock(sock)[0]["type"] == "hello"
+            assert read_frame(sock)[0]["type"] == "hello"
             write_frame_sock(sock, {"type": "bquery", "sql": BLOB_SQL,
                                     "chunk_bytes": 1024,
                                     "timeout": timeout})
             chunks = []
             while True:
-                frame = read_frame_sock(sock)  # ProtocolError = shredded
+                frame = read_frame(sock)  # ProtocolError = shredded
                 if frame is None:
                     assert chunks, "hung up before any chunk"
                     outcomes.add("hang-up")
@@ -72,7 +73,7 @@ def test_a_relay_outliving_its_timeout_never_shreds_the_stream(cluster):
                     outcomes.add("timeout")
                     # Answered means answered: nothing follows it.
                     write_frame_sock(sock, {"type": "ping"})
-                    assert read_frame_sock(sock)[0]["type"] == "pong"
+                    assert read_frame(sock)[0]["type"] == "pong"
                     break
                 assert header["type"] == "bchunk"
                 assert header["seq"] == len(chunks)

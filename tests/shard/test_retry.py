@@ -8,14 +8,13 @@ with an explicit :class:`RetryPolicy` and only up to its cap;
 re-issuing doubles the damage).
 """
 
-import asyncio
 import socket
 import threading
 
 import pytest
 
-from repro.server import (ArrayClient, AsyncArrayClient, QueryTimeoutError,
-                          RetryPolicy, ServerBusyError, protocol)
+from repro.server import (ArrayClient, QueryTimeoutError, RetryPolicy,
+                          ServerBusyError, protocol)
 
 BUSY = {"type": "error", "code": protocol.SERVER_BUSY,
         "message": "queue full"}
@@ -49,10 +48,10 @@ class ScriptedServer:
                 "type": "hello", "server": "stub", "protocol":
                 protocol.PROTOCOL_VERSION, "session_id": 1})
             position = 0
+            frames = protocol.FrameBuffer()
             while True:
                 try:
-                    frame = protocol.read_frame_sock(
-                        conn, protocol.MAX_FRAME_BYTES)
+                    frame = frames.read(conn.recv)
                 except (OSError, protocol.ProtocolError):
                     break
                 if frame is None:
@@ -121,38 +120,6 @@ def test_query_timeout_is_never_retried(serve):
     with ArrayClient("127.0.0.1", server.port, retry=FAST) as client:
         with pytest.raises(QueryTimeoutError):
             client.query("SELECT COUNT(*) FROM t")
-    assert server.requests == 1
-
-
-def test_async_client_retries_busy(serve):
-    server = serve([BUSY, OK])
-
-    async def run():
-        client = await AsyncArrayClient.connect(
-            "127.0.0.1", server.port, retry=FAST)
-        try:
-            return await client.query("SELECT COUNT(*) FROM t")
-        finally:
-            await client.close()
-
-    result = asyncio.run(run())
-    assert result.rows == [(7,)]
-    assert server.requests == 2
-
-
-def test_async_client_timeout_not_retried(serve):
-    server = serve([TIMEOUT])
-
-    async def run():
-        client = await AsyncArrayClient.connect(
-            "127.0.0.1", server.port, retry=FAST)
-        try:
-            with pytest.raises(QueryTimeoutError):
-                await client.query("SELECT COUNT(*) FROM t")
-        finally:
-            await client.close()
-
-    asyncio.run(run())
     assert server.requests == 1
 
 
