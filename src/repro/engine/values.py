@@ -67,11 +67,6 @@ _BREAK_EVEN_ROWS = 150
 #: (``Vector_5``) against ~1.6 us a row through the callable.
 _KERNEL_ROWS = 8
 
-#: Integers up to here convert exactly to every element type a kernel
-#: casts an int64 column to; beyond, the callable's ``float(v)`` and a
-#: direct cast to float32 may round differently.
-_EXACT_INT = 2 ** 53
-
 
 def _shown(token: str) -> str:
     """A flat token as error messages quote it: keywords upper-cased,
@@ -114,12 +109,11 @@ def _source(shape: tuple) -> str:
 
 def _kernel_column(column: list) -> np.ndarray | None:
     """A call's argument column as the array its batch kernel takes —
-    all ``float``, or all ``int`` within :data:`_EXACT_INT` — or None."""
+    all ``float``, or all ``int`` within int64 — or None."""
     kinds = set(map(type, column))
     if kinds == {float}:
         return np.array(column)
-    if kinds == {int} and -_EXACT_INT <= min(column) \
-            and max(column) <= _EXACT_INT:
+    if kinds == {int} and -2 ** 63 <= min(column) and max(column) < 2 ** 63:
         return np.array(column, dtype=np.int64)
     return None
 

@@ -131,33 +131,17 @@ def _layout(table: "Table") -> _TableLayout:
     return layout
 
 
-class _BlobColumn(np.ndarray):
-    """An object array of equal-length ``bytes`` cells that also
-    carries them as one ``(n, size)`` ``uint8`` ``matrix``, so a batch
-    kernel can validate and gather from all blobs without touching the
-    per-row objects.  Slices and copies come back with ``matrix`` unset
-    (the class default) — lanes and rows could no longer be assumed to
-    line up."""
-
-    matrix: np.ndarray | None = None
-
-
 def _object_column(cells: list) -> np.ndarray:
     out = np.empty(len(cells), dtype=object)
     out[:] = cells
     return out
 
 
-def _row_bytes(matrix: np.ndarray) -> np.ndarray:
-    """Each row of a C-contiguous ``(n, size)`` ``uint8`` matrix as one
-    ``bytes`` cell of an object array (one pass in C: an unstructured
-    void item converts to ``bytes``)."""
-    n, size = matrix.shape
-    if size == 0:
-        out = np.empty(n, dtype=object)
-        out.fill(b"")
-        return out
-    return matrix.view(f"V{size}").ravel().astype(object)
+def _row_bytes(matrix: np.ndarray) -> list:
+    """Each row of a C-contiguous ``(n, size)`` ``uint8`` matrix,
+    ``size > 0``, as one ``bytes`` (one pass in C: an unstructured void
+    item converts to ``bytes``)."""
+    return matrix.view(f"V{matrix.shape[1]}").ravel().tolist()
 
 
 class RowBatch:
@@ -235,7 +219,7 @@ class RowBatch:
         on first use for a record-matrix batch)."""
         if self._payloads is None:
             self._payloads = _row_bytes(np.ascontiguousarray(
-                self._records[:, _KEY_STRUCT.size:])).tolist()
+                self._records[:, _KEY_STRUCT.size:]))
         return self._payloads
 
     @property
@@ -264,8 +248,11 @@ class RowBatch:
         """Decode one column as ``(values, mask)``.
 
         Fixed-width columns come back as numeric arrays (zeros in NULL
-        lanes, flagged by the mask); variable columns as object arrays
-        of ``bytes`` / :class:`MaxBlobHandle` / ``None``.
+        lanes, flagged by the mask), and so does a record-matrix batch's
+        in-row binary column whose cells share one size > 0: one
+        ``V{size}`` array over its ``(n, size)`` byte matrix.  Other
+        variable columns are object arrays of ``bytes`` /
+        :class:`MaxBlobHandle` / ``None``.
         """
         got = self._columns.get(name)
         if got is not None:
@@ -330,13 +317,13 @@ class RowBatch:
                 continue
             pos += head
             size = int(prefix[-2]) | int(prefix[-1]) << 8
-            matrix = np.ascontiguousarray(records[:, pos:pos + size])
-            cells = _row_bytes(matrix)
-            cells[masks[name]] = None
             if size:
-                cells = cells.view(_BlobColumn)
-                cells.matrix = matrix
-            outs[name] = cells
+                outs[name] = np.ascontiguousarray(
+                    records[:, pos:pos + size]).view(f"V{size}").ravel()
+            else:  # no void dtype is 0 bytes wide
+                cells = np.full(self.n, b"", dtype=object)
+                cells[masks[name]] = None
+                outs[name] = cells
             pos += size
         return outs
 
@@ -420,10 +407,7 @@ class RowBatch:
                            [self._payloads[i] for i in picks])
         for name, (values, mask) in self._columns.items():
             if isinstance(values, np.ndarray):
-                matrix = getattr(values, "matrix", None)
                 values = values[idx]
-                if matrix is not None:
-                    values.matrix = matrix[idx]
             if isinstance(mask, np.ndarray):
                 mask = mask[idx]
                 if not mask.any():
@@ -524,6 +508,8 @@ def truthy(values, n: int) -> np.ndarray:
         return values
     if values.dtype.kind in "fiu":
         return values != 0
+    if values.dtype.kind == "V":  # non-empty ``bytes``, zeros or not
+        return np.ones(n, dtype=bool)
     return np.fromiter((bool(v) for v in values), dtype=bool, count=n)
 
 

@@ -146,18 +146,29 @@ def _attach(ns: ArrayNamespace) -> None:
         setattr(ns, name, fn)
 
 
+def _first_blob(blobs) -> bytes | None:
+    """A blob column's first cell as ``bytes`` — a ``V{size}`` column's
+    is the first row of its matrix — or ``None`` if it holds none."""
+    if not len(blobs):
+        return None
+    first = blobs[0]
+    if blobs.dtype.kind == "V":
+        return first.tobytes()
+    return first if type(first) is bytes else None
+
+
 def _same_header_matrix(blobs, data_offset: int) -> np.ndarray | None:
     """The blobs of a batch as one ``(n, length)`` ``uint8`` matrix,
     or ``None`` unless every cell is ``bytes`` of the first one's
     length sharing its first ``data_offset`` (header) bytes.
 
-    A column that already carries its cells as a matrix (the batch
-    decoder attaches one to fixed-size blob columns) is validated with
-    a single compare; otherwise the cells are checked one by one and
+    A ``V{size}`` column (what the batch decoder makes of a fixed-size
+    blob column) is that matrix already, validated with a single
+    compare; an object column's cells are checked one by one and
     joined.
     """
-    matrix = getattr(blobs, "matrix", None)
-    if matrix is not None:
+    if blobs.dtype.kind == "V":
+        matrix = blobs.view(np.uint8).reshape(len(blobs), -1)
         if (matrix[:, :data_offset] != matrix[0, :data_offset]).any():
             return None
         return matrix
@@ -187,10 +198,8 @@ def _item_kernel(ns: ArrayNamespace, n_idx: int):
 
     def kernel(args):
         blobs, *index_args = args
-        if blobs.dtype != object or not len(blobs):
-            return None
-        first = blobs[0]
-        if type(first) is not bytes:
+        first = _first_blob(blobs)
+        if first is None:
             return None
         try:
             header = decode_header(first)
@@ -227,8 +236,10 @@ def _item_kernel(ns: ArrayNamespace, n_idx: int):
                 return None  # the per-row path raises BoundsError
             flat += a * stride
             stride *= dim
-        data = matrix[:, header.data_offset:]
-        return data.view(dt)[np.arange(n), flat]
+        elems = matrix[:, header.data_offset:].view(dt)
+        if (flat == flat[0]).all():  # one item of every array: a column
+            return elems[:, flat[0]]
+        return elems[np.arange(n), flat]
 
     return kernel
 
@@ -247,10 +258,14 @@ def _vector_kernel(ns: ArrayNamespace, n_values: int):
                     # Per-element int() keeps the row path's truncation
                     # and out-of-range OverflowError semantics.
                     a = np.array([int(v) for v in a.tolist()], dtype=dt)
-                elif a.dtype == object:
+                elif a.dtype.kind in "OV":  # objects, or ``bytes`` cells
                     cast = complex if ns.dtype.is_complex else float
                     a = np.array([cast(v) for v in a.tolist()], dtype=dt)
                 else:
+                    # Via float64, as float(v) rounds: int64 -> float32
+                    # in one step can land on the other neighbour.
+                    if a.dtype.kind in "biu":
+                        a = a.astype(np.float64)
                     a = a.astype(dt)
                 cols.append(a)
         except Exception:
@@ -298,10 +313,8 @@ def _subarray_kernel(ns: ArrayNamespace):
         if len(args) not in (3, 4):
             return None
         blobs = args[0]
-        if blobs.dtype != object or not len(blobs):
-            return None
-        first = blobs[0]
-        if type(first) is not bytes:
+        first = _first_blob(blobs)
+        if first is None:
             return None
         try:
             header = decode_header(first)

@@ -21,7 +21,9 @@ from hypothesis.stateful import (
 from repro.engine import Column, Database, MaxBlobHandle, Page, PageFullError
 from repro.engine.constants import PAGE_DATA
 from repro.engine.sqlfront import SqlSession
-from repro.engine.vectorized import RowBatch
+from repro.engine import vectorized
+from repro.engine.vectorized import RowBatch, to_pylist
+from repro.tsql import FloatArray
 
 LEGACY_DB = os.path.join(os.path.dirname(__file__), "data",
                          "parent_commit.db")
@@ -204,15 +206,26 @@ def same_cell(a, b) -> bool:
 
 
 def assert_same_column(got, want, label):
+    """The same cells and the same NULL mask, whatever each side's
+    representation (a uniform binary column is a ``V{size}`` array
+    where the per-record reference holds ``bytes`` objects)."""
     (gv, gm), (wv, wm) = got, want
     assert (gm is None) == (wm is None), label
     if gm is not None:
         assert gm.dtype == wm.dtype == bool and (gm == wm).all(), label
-    assert gv.dtype == wv.dtype and gv.shape == wv.shape, label
-    if gv.dtype == object:
-        assert all(map(same_cell, gv.tolist(), wv.tolist())), label
-    else:
-        assert gv.tobytes() == wv.tobytes(), label
+    assert gv.shape == wv.shape, label
+    n = len(gv)
+    assert all(map(same_cell, to_pylist(gv, gm, n),
+                   to_pylist(wv, wm, n))), label
+
+
+def assert_binary_matrix(values, size, n):
+    """A uniform in-row binary column: one ``V{size}`` array, a cell a
+    row, over a byte matrix of its own."""
+    assert values.dtype == np.dtype(f"V{size}") and values.shape == (n,)
+    owner = values if values.base is None else values.base
+    assert isinstance(owner, np.ndarray) and owner.flags.owndata
+    assert values.view(np.uint8).reshape(n, size).shape == (n, size)
 
 
 def assert_batches_identical(table, pages):
@@ -278,7 +291,10 @@ class TestFromPagesShapes:
         assert len(pages) > 2 and all(p._dense > 0 for p in pages)
         batch = assert_batches_identical(table, pages)
         assert batch._records is not None
-        assert batch.column("b")[0].matrix.shape == (500, 24)
+        assert_binary_matrix(batch.column("b")[0], 24, 500)
+        assert_binary_matrix(batch.column("mb")[0], 100, 500)
+        kept = batch.compact(np.arange(500) % 2 == 0)
+        assert_binary_matrix(kept.column("b")[0], 24, 250)
 
     def test_holed_and_reordered_pages_after_churn(self):
         _db, table = make_table()
@@ -321,7 +337,7 @@ class TestFromPagesShapes:
             for i in range(200)])
         batch = assert_batches_identical(table, leaf_pages(table))
         assert batch._records is not None
-        assert getattr(batch.column("b")[0], "matrix", None) is None
+        assert batch.column("b")[0].dtype == object
 
     def test_mixed_inline_and_out_of_page_varbinary_max(self):
         db, table = make_table()
@@ -548,8 +564,50 @@ def test_a_kept_batch_does_not_pin_the_leaf(leaves):
         assert batch.column("x")[0].tobytes() == xs.tobytes()
         assert batch.column("b")[0].tolist() == bs
         assert batch.payloads == payloads
-        assert batch.column("b")[0].matrix.base is None \
-            or batch.column("b")[0].matrix.flags.owndata
+        assert_binary_matrix(batch.column("b")[0], 24, rows)
     assert [r[0] for r in table.scan()] == sorted(
         set(keys.tolist()) - {4} | set(middles)
         | {key + 1 for key in middles} | {100_001})
+
+
+# -- binary cells stay a matrix on the Table 1 scans -------------------------
+
+
+def test_q4_and_q5_build_no_bytes_cells(monkeypatch):
+    """Q4 and Q5 read ``v`` through its ``V{size}`` matrix only: no
+    call makes ``bytes`` of a matrix's rows, and no batch caches an
+    object column for ``v`` — 0 cells built for 2 000 rows a scan."""
+    db = Database()
+    tvector = db.create_table(
+        "Tvector", [Column("id", "bigint"),
+                    Column("v", "varbinary", cap=100)])
+    rng = np.random.default_rng(7)
+    tvector.insert_many([(i, FloatArray.Vector_5(*rng.standard_normal(5)))
+                         for i in range(2000)])
+    session = SqlSession(db)
+    queries = [
+        "SELECT SUM(FloatArray.Item_1(v, 0)) FROM Tvector WITH (NOLOCK)",
+        "SELECT SUM(dbo.EmptyFunction(v, 0)) FROM Tvector WITH (NOLOCK)"]
+    want = [session.query(sql, engine="row")[0] for sql in queries]
+
+    made = []
+    row_bytes = vectorized._row_bytes
+    monkeypatch.setattr(vectorized, "_row_bytes",
+                        lambda matrix: made.append(len(matrix))
+                        or row_bytes(matrix))
+    cached = []
+    column = RowBatch.column
+
+    def spy_column(self, name):
+        out = column(self, name)
+        if name == "v":
+            cached.append(self._columns["v"][0].dtype)
+        return out
+
+    monkeypatch.setattr(RowBatch, "column", spy_column)
+    for sql, expected in zip(queries, want):
+        assert session.query(sql, engine="vector", cold=True)[0] \
+            == expected
+    assert made == []
+    size = len(FloatArray.Vector_5(0, 0, 0, 0, 0))
+    assert cached and set(cached) == {np.dtype(f"V{size}")}

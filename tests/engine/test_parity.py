@@ -388,3 +388,63 @@ class TestFloatKeysAndNanTotals:
             "SELECT k, MIN(x) FROM f GROUP BY k", engine="vector")
         assert {_bits(row[1]) for row in rows} == \
             {_bits(NEG_NAN), _bits(POS_NAN)}
+
+
+class TestParityOverFixedLengthBinary:
+    """Fixed-length ``varbinary`` columns, which the vector engine
+    holds as one ``V{size}`` byte matrix per batch: ``b`` same-header
+    arrays, ``z`` non-empty all-zero cells — true as a predicate,
+    though ``np.void``'s own truth would say false — and NULLs in ``z``
+    in the last batch only, which sends that batch down the per-record
+    path."""
+
+    ZROWS = 1300
+
+    @pytest.fixture(scope="class")
+    def binary_session(self):
+        db = Database(buffer_pages=2048)
+        table = db.create_table(
+            "t", [Column("id", "bigint"), Column("x", "float"),
+                  Column("k", "int"), Column("b", "varbinary", cap=80),
+                  Column("z", "varbinary", cap=16),
+                  Column("pad", "varbinary", cap=400)])
+        rng = random.Random(27)
+        rows = self.ZROWS
+        table.insert_many([
+            (i, rng.uniform(-5.0, 5.0), rng.randrange(0, 5),
+             FloatArray.Vector_5(*[rng.uniform(-1.0, 1.0)
+                                   for _ in range(5)]),
+             None if i > rows - 200 and rng.random() < 0.2 else bytes(16),
+             bytes(400))
+            for i in range(rows)])
+        kinds = [batch.column("z")[0].dtype.kind
+                 for batch in table.scan_batches()]
+        assert len(kinds) >= 2 and kinds[0] == "V" and kinds[-1] == "O"
+        return SqlSession(db)
+
+    EXPRS = ["x", "FloatArray.Item_1(b, 2)", "FloatArray.Item_1(b, k)",
+             "FloatArray.Item_1(b, 4) * x", "dbo.EmptyFunction(z)"]
+    BLOB_AGGS = ["MIN(b)", "MAX(b)", "MIN(z)", "MAX(z)", "COUNT(*)"]
+    PREDICATES = [None, "z", "NOT z", "z AND x > 0", "z AND id > 3",
+                  "NOT z OR k = 2", "z IS NULL", "z IS NOT NULL",
+                  "x > 0", "k = 3"]
+
+    def test_randomized_aggregate_queries(self, binary_session):
+        rng = random.Random(31)
+        for _ in range(30):
+            items = [rng.choice(AGG_FUNCS).format(e=rng.choice(self.EXPRS))
+                     if rng.random() < 0.6 else rng.choice(self.BLOB_AGGS)
+                     for _ in range(rng.randrange(1, 4))]
+            sql = f"SELECT {', '.join(items)} FROM t"
+            pred = rng.choice(self.PREDICATES)
+            if pred is not None:
+                sql += f" WHERE {pred}"
+            assert_parity(binary_session, sql, cold=rng.random() < 0.5)
+
+    def test_grouped_queries(self, binary_session):
+        for sql in ["SELECT k, MAX(b), MIN(z), COUNT(*) FROM t "
+                    "WHERE z GROUP BY k",
+                    "SELECT z, COUNT(*), SUM(x) FROM t GROUP BY z",
+                    "SELECT k, SUM(FloatArray.Item_1(b, k)) FROM t "
+                    "WHERE NOT z OR x > 0 GROUP BY k"]:
+            assert_parity(binary_session, sql)

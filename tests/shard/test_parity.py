@@ -215,3 +215,55 @@ def test_float_group_keys_and_nan_totals_bit_for_bit(cluster):
     zero_group = router.execute(
         "SELECT k, COUNT(*) FROM z GROUP BY k")["rows"][0]
     assert bits([tuple(zero_group)]) == bits([(-0.0, 140)])
+
+
+#: Integers whose nearest float64 lies exactly halfway between two
+#: float32 neighbours: ``float(n)`` then float32 (the callable) rounds
+#: to even, an int64 cast straight to float32 rounds up.
+DOUBLE_ROUNDED = [2 ** 60 + i * 2 ** 38 + 2 ** 36 + 1 for i in range(12)]
+
+
+def test_binary_cells_and_vector_rounding_bit_for_bit(cluster):
+    """Non-empty all-zero cells are true as a predicate, and
+    ``RealArray.Vector_1`` of a bigint rounds through float64 — on the
+    row engine, the vector engine (its batch kernels, in a ``SELECT``
+    and in an ``INSERT … VALUES`` run long enough for one) and the
+    cluster alike."""
+    from repro.engine.values import _KERNEL_ROWS
+    from repro.tsql import RealArray
+
+    rows = [(i, n, bytes(16)) for i, n in enumerate(DOUBLE_ROUNDED)]
+    router = cluster["router"]
+    router.execute("CREATE TABLE zc (id BIGINT PRIMARY KEY, n BIGINT, "
+                   "z VARBINARY(16))")
+    assert router.insert_rows("zc", rows) == len(rows)
+    db = Database()
+    db.create_table("zc", [Column("id", "bigint"), Column("n", "bigint"),
+                           Column("z", "varbinary", cap=16)]
+                    ).insert_many(rows)
+    reference = SqlSession(db)
+    assert len(DOUBLE_ROUNDED) >= _KERNEL_ROWS
+    insert = ("INSERT INTO w VALUES " + ", ".join(
+        f"({i}, RealArray.Vector_1({n}))"
+        for i, n in enumerate(DOUBLE_ROUNDED)))
+    for run in (router.execute, reference.execute):
+        run("CREATE TABLE w (id BIGINT PRIMARY KEY, v VARBINARY(32))")
+        run(insert)
+    cells = [RealArray.Vector_1(n) for n in DOUBLE_ROUNDED]
+    expected = {
+        "SELECT COUNT(*) FROM zc WHERE z": [(len(rows),)],
+        "SELECT COUNT(*) FROM zc WHERE NOT z": [(0,)],
+        "SELECT COUNT(*) FROM zc WHERE z AND id > 3": [(len(rows) - 4,)],
+        "SELECT id, MAX(RealArray.Vector_1(n)) FROM zc GROUP BY id":
+            list(enumerate(cells)),
+        "SELECT MAX(RealArray.Vector_1(n)) FROM zc": [(max(cells),)],
+        "SELECT id, MAX(v) FROM w GROUP BY id": list(enumerate(cells)),
+    }
+    for sql, want in expected.items():
+        got = [tuple(r) for r in router.execute(sql)["rows"]]
+        assert got == want, sql
+        for engine in ("row", "vector"):
+            assert normalize(reference.query(sql, engine=engine)) \
+                == want, (sql, engine)
+    for name in ("zc", "w"):
+        router.execute(f"DROP TABLE {name}")
