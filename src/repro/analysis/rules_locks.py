@@ -4,7 +4,7 @@ RL001 — every path from a public ``SqlSession`` entry point to a page- or
 tree-mutating sink (``BufferPool.fetch``/``fetch_many`` and the MVCC read
 path's ``fetch_page``/``fetch_pages``, ``Table.insert``/
 ``insert_many``/``delete``/``delete_many``, ``BTree.insert``/``insert_many``/
-``delete``/``delete_many``/``bulk_load``, and
+``delete``/``delete_many``/``bulk_load``, ``Page.add_records``, and
 the ``Executor.run*`` family, which assumes the caller holds the lock) must
 pass through a statement guard — a ``db.latches.read_latch(...)`` /
 ``write_latch(...)`` / ``ddl_latch()`` context (the per-table latch
@@ -63,6 +63,7 @@ LOCK_SINKS = frozenset(
         ("BTree", "delete"),
         ("BTree", "delete_many"),
         ("BTree", "bulk_load"),
+        ("Page", "add_records"),
         ("Executor", "run"),
         ("Executor", "run_serial"),
         ("Executor", "run_point"),

@@ -17,10 +17,13 @@ measures read scans, not load time).
 from __future__ import annotations
 
 import struct
-from typing import Iterator
+from bisect import bisect_left, bisect_right
+from itertools import accumulate, compress, count
+from operator import le
+from typing import Iterator, Sequence
 
 from .bufferpool import BufferPool
-from .constants import PAGE_INDEX
+from .constants import PAGE_BODY_SIZE, PAGE_INDEX, SLOT_SIZE
 from .page import Page, PageFile, PageFullError
 
 __all__ = ["BTree", "BTreeReader", "DuplicateKeyError"]
@@ -64,16 +67,81 @@ def _leaf_slot(page: Page, key: int, lo: int = 0) -> tuple[int, bool]:
     return lo, False
 
 
+def _victim_slots(page: Page, victims: list[int]) -> list[list[int]]:
+    """Slot runs ``[start, stop)`` of ``page`` holding keys of the
+    ascending ``victims``.  Consecutive integers are settled by two end
+    slots: if slot ``start`` holds ``lo`` and slot ``stop - 1`` holds
+    ``lo + stop - 1 - start``, the distinct ascending keys between are
+    every integer in between.  Other victims are looked up one by
+    one, adjacent slots merged."""
+    first, last = victims[0], victims[-1]
+    filled = page.slot_count
+    if filled and last - first == len(victims) - 1:
+        head = _leaf_key(page.get_record(0))
+        lo, start, found = first, 0, True
+        if first <= head:
+            lo = head
+        else:
+            start, found = _leaf_slot(page, first)
+        stop = min(start + last - lo + 1, filled)
+        if stop <= start:
+            return []
+        if found and _leaf_key(page.get_record(stop - 1)) == \
+                lo + stop - 1 - start:
+            return [[start, stop]]
+    runs: list[list[int]] = []
+    slot = 0
+    for key in victims:
+        # Keys next to each other usually sit in neighbouring slots:
+        # look there before searching.
+        if slot >= filled or _leaf_key(page.get_record(slot)) != key:
+            slot, found = _leaf_slot(page, key, slot)
+            if not found:
+                continue
+        if runs and runs[-1][1] == slot:
+            runs[-1][1] = slot + 1
+        else:
+            runs.append([slot, slot + 1])
+        slot += 1
+    return runs
+
+
 class DuplicateKeyError(Exception):
     """Raised on inserting a key that already exists (clustered primary
     keys are unique)."""
 
 
-def _leaf_record(key: int, payload: bytes) -> bytes:
+def leaf_record(key: int, payload: bytes) -> bytes:
+    """The leaf record of ``(key, payload)``: 8 key bytes, then the
+    payload."""
     return _KEY_STRUCT.pack(key) + payload
 
 
+def _run_sizes(records: Sequence[bytes]) -> list[int]:
+    """Prefix sums of the records' bytes with their slots: records
+    ``[i, j)`` take ``sizes[j] - sizes[i]`` bytes of a page."""
+    return list(accumulate(map(SLOT_SIZE.__add__, map(len, records)),
+                           initial=0))
+
+
+def _fitting(sizes: list[int], i: int, room: int) -> int:
+    """End of the longest run of records from ``i`` that fits in
+    ``room`` free bytes (``i`` when not even one does)."""
+    return bisect_right(sizes, sizes[i] + room, i) - 1
+
+
+def _descents(keys: Sequence[int]) -> list[int]:
+    """Positions where a key is not above the one before it, then
+    ``len(keys)``: each ascending run of ``keys`` ends at the next
+    one."""
+    drops = list(compress(count(1), map(le, keys[1:], keys)))
+    drops.append(len(keys))
+    return drops
+
+
 def _leaf_key(record: bytes) -> int:
+    """The key of a leaf record — or the separator of a child record,
+    whose first 8 bytes it is too."""
     return _KEY_STRUCT.unpack_from(record)[0]
 
 
@@ -165,37 +233,13 @@ class BTree:
         """Number of stored records."""
         return self._count
 
-    def page_ids(self) -> list[int]:
-        """All page ids belonging to this tree (breadth-first)."""
-        ids = []
-        frontier = [self._root_id]
-        while frontier:
-            ids.extend(frontier)
-            nxt = []
-            for pid in frontier:
-                page = self._pagefile.get(pid)
-                if page.level > 0:
-                    nxt.extend(_child_fields(r)[1] for r in page.records())
-            frontier = nxt
-        return ids
-
     def leaf_page_ids(self) -> list[int]:
-        """Leaf page ids in key order."""
-        page = self._pagefile.get(self._root_id)
-        while page.level > 0:
-            first_child = _child_fields(page.get_record(0))[1]
-            page = self._pagefile.get(first_child)
-        ids = []
-        while page is not None:
-            ids.append(page.page_id)
-            page = (self._pagefile.get(page.next_page)
-                    if page.next_page >= 0 else None)
-        return ids
+        """Leaf page ids in key order (the current pages: every version
+        is below 2**63)."""
+        return BTreeReader(self._pagefile, 2 ** 63, self._root_id,
+                           self._height, self._count).leaf_page_ids()
 
     # -- search ------------------------------------------------------------
-
-    def _descend_slot(self, page: Page, key: int) -> int:
-        return _descend_slot(page, key)
 
     def _find_leaf(self, key: int, pool: BufferPool | None) -> Page:
         get = pool.fetch if pool is not None else self._pagefile.get
@@ -205,9 +249,6 @@ class BTree:
             _sep, child = _child_fields(page.get_record(slot))
             page = get(child)
         return page
-
-    def _leaf_slot(self, page: Page, key: int) -> tuple[int, bool]:
-        return _leaf_slot(page, key)
 
     def search(self, key: int, pool: BufferPool | None = None
                ) -> bytes | None:
@@ -252,24 +293,6 @@ class BTree:
             page = get(page.next_page)
             slot = 0
 
-    def charge_scan_descent(self, pool: BufferPool) -> list[int]:
-        """Charge the root-to-first-leaf descent exactly as a scan
-        would, returning the page ids touched in order.
-
-        The parallel engine's coordinator performs this descent itself
-        (workers receive explicit leaf page ids and never descend), so
-        the combined coordinator + worker accounting reproduces a
-        serial scan's page touches exactly.
-        """
-        touched = []
-        page = pool.fetch(self._root_id)
-        touched.append(page.page_id)
-        while page.level > 0:
-            _sep, child = _child_fields(page.get_record(0))
-            page = pool.fetch(child)
-            touched.append(page.page_id)
-        return touched
-
     def scan_leaf_batches(self, pool: BufferPool | None = None,
                           start: int | None = None,
                           batch_pages: int = 64) -> Iterator[list[Page]]:
@@ -308,9 +331,12 @@ class BTree:
 
     # -- insert ------------------------------------------------------------
 
-    def bulk_load(self, items) -> int:
-        """Load ``(key, payload)`` pairs with strictly ascending keys
-        into an empty tree, packing pages bottom-up.
+    def bulk_load(self, keys: Sequence[int],
+                  records: Sequence[bytes]) -> int:
+        """Load leaf ``records`` (key bytes first, then the payload;
+        see :func:`leaf_record`) with strictly ascending ``keys`` into
+        an empty tree, packing pages bottom-up: each leaf takes the
+        longest run of records that fits it, in one body append.
 
         Produces the same page layout the incremental :meth:`insert`
         path yields for ascending keys (split-right packs pages full),
@@ -322,57 +348,52 @@ class BTree:
 
         Raises:
             ValueError: if the tree is not empty or keys are not
-                strictly ascending.
+                strictly ascending (nothing is loaded).
+            PageFullError: for a record no page can hold.
         """
         if self._count != 0:
             raise ValueError("bulk_load requires an empty tree")
         page = self._wget(self._root_id)
         if page.level != 0 or page.slot_count != 0:
             raise ValueError("bulk_load requires an empty tree")
-        nodes: list[tuple[int, int]] = []  # (first_key, page_id)
-        last_key: int | None = None
-        n = 0
-        for key, payload in items:
-            key = int(key)
-            if last_key is not None and key <= last_key:
-                raise ValueError(
-                    "bulk_load requires strictly ascending keys")
-            record = _leaf_record(key, payload)
-            try:
-                page.add_record(record)
-            except PageFullError:
-                nodes.append((_leaf_key(page.get_record(0)), page.page_id))
-                new_page = self._alloc(self._leaf_kind, level=0)
+        if _descents(keys) != [len(keys)]:
+            raise ValueError("bulk_load requires strictly ascending keys")
+        if not keys:
+            return 0
+        nodes = self._pack(page, keys, records)
+        while len(nodes) > 1:
+            nodes = self._pack(
+                self._alloc(PAGE_INDEX, level=page.level + 1),
+                [key for key, _child in nodes],
+                [_child_record(key, child) for key, child in nodes])
+            page = self._pagefile.get(nodes[0][1])
+        self._root_id = nodes[0][1]
+        self._height = page.level + 1
+        self._count = len(keys)
+        return len(keys)
+
+    def _pack(self, page: Page, keys: Sequence[int],
+              records: Sequence[bytes]) -> list[tuple[int, int]]:
+        """Fill ``page``, then fresh pages of its kind and level (leaves
+        chained as siblings), with ``records`` in order, each page
+        taking the longest run that fits it; returns ``(first key,
+        page id)`` of every page."""
+        sizes = _run_sizes(records)
+        nodes = []
+        i = 0
+        while True:
+            end = _fitting(sizes, i, page.free_bytes)
+            if end == i:  # not one record fits a fresh page
+                raise PageFullError(f"record {keys[i]} fits no page")
+            page.add_records(records[i:end])
+            nodes.append((keys[i], page.page_id))
+            if end == len(records):
+                return nodes
+            new_page = self._alloc(page.kind, level=page.level)
+            if page.level == 0:
                 new_page.prev_page = page.page_id
                 page.next_page = new_page.page_id
-                page = new_page
-                page.add_record(record)
-            last_key = key
-            n += 1
-        if n == 0:
-            return 0
-        nodes.append((_leaf_key(page.get_record(0)), page.page_id))
-        level = 0
-        while len(nodes) > 1:
-            level += 1
-            parents: list[tuple[int, int]] = []
-            parent = self._alloc(PAGE_INDEX, level=level)
-            parent_first = nodes[0][0]
-            for key, child in nodes:
-                record = _child_record(key, child)
-                try:
-                    parent.add_record(record)
-                except PageFullError:
-                    parents.append((parent_first, parent.page_id))
-                    parent = self._alloc(PAGE_INDEX, level=level)
-                    parent_first = key
-                    parent.add_record(record)
-            parents.append((parent_first, parent.page_id))
-            nodes = parents
-        self._root_id = nodes[0][1]
-        self._height = level + 1
-        self._count = n
-        return n
+            page, i = new_page, end
 
     def insert(self, key: int, payload: bytes) -> None:
         """Insert a record, splitting pages as needed.
@@ -380,8 +401,10 @@ class BTree:
         Raises:
             DuplicateKeyError: if ``key`` is already present.
         """
-        split = self._insert_into(self._wget(self._root_id),
-                                  key, payload)
+        self._insert_record(key, leaf_record(key, payload))
+
+    def _insert_record(self, key: int, record: bytes) -> None:
+        split = self._insert_into(self._wget(self._root_id), key, record)
         if split is not None:
             sep_key, new_page_id = split
             old_root = self._pagefile.get(self._root_id)
@@ -415,26 +438,32 @@ class BTree:
             page = self._pagefile.get(child)
         return page, path, fence
 
-    def insert_many(self, items) -> None:
-        """Insert ``(key, payload)`` pairs, descending once per *leaf*
-        instead of once per record: every following key that lies
-        between the key descended with and the leaf's upper fence goes
-        into the same leaf without another walk.  A record that does
-        not fit is handed to :meth:`insert`, which splits, and the next
-        key descends afresh — so does any key outside the current
-        leaf's interval, which is all an unsorted batch costs.  Records
-        land exactly where per-key :meth:`insert` calls would put them
-        (same slots, same splits, same pages).
+    def insert_many(self, keys: Sequence[int],
+                    records: Sequence[bytes]) -> None:
+        """Insert leaf ``records`` (see :func:`leaf_record`) under
+        ``keys``, descending once per *leaf*: the ascending run of keys
+        past the leaf's last one that stays below its upper fence and
+        fits its free space goes in with one body append, a key inside
+        the leaf's range into its slot, a record that does not fit
+        through the splitting insert (after which, as after any key
+        outside the leaf's interval, the next key descends afresh).
+        Records land exactly where per-key :meth:`insert` calls would
+        put them (same slots, same splits, same pages).
 
         Raises:
             DuplicateKeyError: at the first key already present; the
                 records before it stay inserted (and counted).
         """
+        n = len(keys)
+        sizes = _run_sizes(records)
+        descents = _descents(keys)  # where each ascending run ends
         leaf: Page | None = None
         low = 0  # ``leaf`` takes keys in ``[low, fence)``
         fence: int | None = None
         last: int | None = None  # largest key in ``leaf``
-        for key, payload in items:
+        i = 0
+        while i < n:
+            key = keys[i]
             if leaf is None or key < low or (
                     fence is not None and key >= fence):
                 page, _path, fence = self._descend(key)
@@ -442,22 +471,28 @@ class BTree:
                 low = key
                 last = (_leaf_key(leaf.get_record(leaf.slot_count - 1))
                         if leaf.slot_count else None)
-            append = last is None or key > last  # ascending keys do
-            if append:
-                slot = leaf.slot_count
+            if last is None or key > last:
+                end = descents[bisect_right(descents, i)]
+                if fence is not None:
+                    end = bisect_left(keys, fence, i, end)
+                end = min(end, _fitting(sizes, i, leaf.free_bytes))
+                if end > i:
+                    leaf.add_records(records[i:end])
+                    self._count += end - i
+                    last, i = keys[end - 1], end
+                    continue
             else:
                 slot, found = _leaf_slot(leaf, key)
                 if found:
                     raise DuplicateKeyError(f"key {key} already exists")
-            try:
-                leaf.insert_record(slot, _leaf_record(key, payload))
-            except PageFullError:
-                self.insert(key, payload)
-                leaf = None  # the split moved the fences
-                continue
-            if append:
-                last = key
-            self._count += 1
+                if leaf.fits(len(records[i])):
+                    leaf.insert_record(slot, records[i])
+                    self._count += 1
+                    i += 1
+                    continue
+            self._insert_record(key, records[i])
+            leaf = None  # the split moved the fences
+            i += 1
 
     def _smallest_key(self, page: Page) -> int:
         while page.level > 0:
@@ -465,57 +500,68 @@ class BTree:
             page = self._pagefile.get(child)
         return _leaf_key(page.get_record(0))
 
-    def _insert_into(self, page: Page, key: int, payload: bytes
+    def _insert_into(self, page: Page, key: int, record: bytes
                      ) -> tuple[int, int] | None:
-        """Recursive insert; returns ``(separator, new_page_id)`` when
-        this page split, else ``None``."""
+        """Recursive insert of a leaf record; returns ``(separator,
+        new_page_id)`` when this page split, else ``None``."""
         if page.level == 0:
             slot, found = _leaf_slot(page, key)
             if found:
                 raise DuplicateKeyError(f"key {key} already exists")
-            record = _leaf_record(key, payload)
-            try:
+            if page.fits(len(record)):
                 page.insert_record(slot, record)
                 return None
-            except PageFullError:
-                return self._split_leaf(page, slot, record)
+            return self._split(page, slot, record)
 
         slot = _descend_slot(page, key)
         _sep, child_id = _child_fields(page.get_record(slot))
-        split = self._insert_into(self._wget(child_id), key, payload)
+        split = self._insert_into(self._wget(child_id), key, record)
         if split is None:
             return None
         sep_key, new_child = split
         record = _child_record(sep_key, new_child)
-        try:
+        if page.fits(len(record)):
             page.insert_record(slot + 1, record)
             return None
-        except PageFullError:
-            return self._split_internal(page, slot + 1, record)
+        return self._split(page, slot + 1, record)
 
-    def _split_leaf(self, page: Page, slot: int, record: bytes
-                    ) -> tuple[int, int]:
-        records = page.take_all_records()
-        records.insert(slot, record)
-        # Ascending-key loads split "to the right": the old page keeps
-        # everything and only the new record moves, so bulk loads in key
-        # order produce full pages (SQL Server behaves the same way for
-        # monotonically increasing clustered keys).
-        mid = (len(records) - 1 if slot == len(records) - 1
-               else len(records) // 2)
-        left, right = records[:mid], records[mid:]
-        new_page = self._alloc(self._leaf_kind, level=0)
-        for r in left:
-            page.add_record(r)
-        for r in right:
-            new_page.add_record(r)
-        new_page.next_page = page.next_page
-        new_page.prev_page = page.page_id
-        if page.next_page >= 0:
-            # The right neighbour's back link changes too, so it is
-            # cloned as well under copy-on-write.
-            self._wget(page.next_page).prev_page = new_page.page_id
-        page.next_page = new_page.page_id
+    def _split(self, page: Page, slot: int, record: bytes
+               ) -> tuple[int, int]:
+        """Split a full ``page`` as ``record`` goes in at ``slot``: the
+        records from the middle on move to a new page of the same kind
+        and level; returns ``(separator, new_page_id)``.  A half no page
+        holds raises before anything changes.
+
+        Ascending-key loads split "to the right": the old page keeps
+        everything and only the new record moves, so bulk loads in key
+        order produce full pages (as SQL Server does for monotonically
+        increasing clustered keys); a garbage-free old page is not even
+        rebuilt, since that would leave it byte for byte as it is."""
+        left = None
+        right = [record]
+        if slot < page.slot_count or page._dense <= 0:
+            records = list(page.records())
+            records.insert(slot, record)
+            mid = (len(records) - 1 if slot == len(records) - 1
+                   else len(records) // 2)
+            left, right = records[:mid], records[mid:]
+        for half in (left or (), right):
+            if (size := _run_sizes(half)[-1]) > PAGE_BODY_SIZE:
+                raise PageFullError(f"a split of page {page.page_id} "
+                                    f"leaves {size} bytes on one side")
+        new_page = self._alloc(page.kind, level=page.level)
+        if left is not None:
+            page.take_all_records()
+            page.add_records(left)
+        new_page.add_records(right)
+        if page.level == 0:
+            new_page.next_page = page.next_page
+            new_page.prev_page = page.page_id
+            if page.next_page >= 0:
+                # The right neighbour's back link changes too, so it is
+                # cloned as well under copy-on-write.
+                self._wget(page.next_page).prev_page = new_page.page_id
+            page.next_page = new_page.page_id
         return _leaf_key(right[0]), new_page.page_id
 
     def delete(self, key: int) -> bool:
@@ -528,9 +574,12 @@ class BTree:
         absent keys are skipped); returns how many existed.
 
         Descends once per leaf: the keys below the leaf's upper fence
-        are all looked up in it, victims in adjacent slots leave as one
-        slot slice, and only a leaf that loses a record — and the
-        parents of one that empties — is cloned under copy-on-write.
+        are all its victims.  When they are consecutive integers the
+        leaf's slots from the first of them are checked by the two end
+        slots alone; other victims are looked up key by key.  Victims
+        in adjacent slots leave as one slot slice, and only a leaf that
+        loses a record — and the parents of one that empties — is
+        cloned under copy-on-write.
 
         Pages are never merged (like SQL Server's ghost-record
         deletes, space is reclaimed by rewrites); an emptied leaf is
@@ -542,23 +591,10 @@ class BTree:
         i = 0
         while i < len(keys):
             page, path, fence = self._descend(keys[i])
-            runs: list[list[int]] = []  # victim slot runs, ascending
-            slot = 0
-            while i < len(keys) and (fence is None or keys[i] < fence):
-                key = keys[i]
-                i += 1
-                # Keys next to each other usually sit in neighbouring
-                # slots: look there before searching.
-                if slot >= page.slot_count or \
-                        _leaf_key(page.get_record(slot)) != key:
-                    slot, found = _leaf_slot(page, key, slot)
-                    if not found:
-                        continue
-                if runs and runs[-1][1] == slot:
-                    runs[-1][1] = slot + 1
-                else:
-                    runs.append([slot, slot + 1])
-                slot += 1
+            end = len(keys) if fence is None else bisect_left(
+                keys, fence, i)
+            runs = _victim_slots(page, keys[i:end])
+            i = end
             if not runs:
                 continue
             leaf = self._wget(page.page_id)
@@ -601,7 +637,7 @@ class BTree:
         slot, found = _leaf_slot(leaf, key)
         if not found:
             return False
-        record = _leaf_record(key, payload)
+        record = leaf_record(key, payload)
         try:
             leaf.replace_record(slot, record)
             leaf.compact()
@@ -609,21 +645,6 @@ class BTree:
             self.delete(key)
             self.insert(key, payload)
         return True
-
-    def _split_internal(self, page: Page, slot: int, record: bytes
-                        ) -> tuple[int, int]:
-        records = page.take_all_records()
-        records.insert(slot, record)
-        mid = (len(records) - 1 if slot == len(records) - 1
-               else len(records) // 2)
-        left, right = records[:mid], records[mid:]
-        new_page = self._alloc(PAGE_INDEX, level=page.level)
-        for r in left:
-            page.add_record(r)
-        for r in right:
-            new_page.add_record(r)
-        sep_key = _child_fields(right[0])[0]
-        return sep_key, new_page.page_id
 
 
 class BTreeReader:
@@ -640,8 +661,8 @@ class BTreeReader:
     mutates clones, never the pages this view resolves.
 
     Mirrors the read API of :class:`BTree` (``search``/``scan``/
-    ``leaf_page_ids``/``charge_scan_descent``/``scan_leaf_batches``) so
-    the executor's scan and point paths take either interchangeably.
+    ``leaf_page_ids``/``scan_leaf_batches``) so the executor's scan and
+    point paths take either interchangeably.
     """
 
     def __init__(self, pagefile: PageFile, version: int, root_id: int,
@@ -735,8 +756,13 @@ class BTreeReader:
         return ids
 
     def charge_scan_descent(self, pool: BufferPool) -> list[int]:
-        """Charge the root-to-first-leaf descent; see
-        :meth:`BTree.charge_scan_descent`."""
+        """Charge the root-to-first-leaf descent exactly as a scan
+        would, returning the page ids touched in order.
+
+        The parallel engine's coordinator performs this descent itself
+        (workers receive explicit leaf page ids and never descend), so
+        the combined coordinator + worker accounting reproduces a
+        serial scan's page touches exactly."""
         touched = []
         page = pool.fetch_page(self._get(self._root_id))
         touched.append(page.page_id)

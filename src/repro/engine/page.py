@@ -14,7 +14,8 @@ charged to the IO model.
 from __future__ import annotations
 
 import struct
-from typing import Iterator
+from itertools import accumulate
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -133,19 +134,44 @@ class Page:
         Raises:
             PageFullError: if the record does not fit.
         """
-        if len(record) > PAGE_BODY_SIZE:
-            raise PageFullError(
-                f"record of {len(record)} bytes can never fit a page "
-                f"(body is {PAGE_BODY_SIZE} bytes)")
-        if not self.fits(len(record)):
-            raise PageFullError(
-                f"record of {len(record)} bytes does not fit in "
-                f"{self.free_bytes} free bytes")
+        self._check_fits(len(record))
         offset = len(self._body)
         self._body += record
         self._slots.append((offset, len(record)))
         self._note_append(len(record))
         return len(self._slots) - 1
+
+    def _check_fits(self, length: int) -> None:
+        if length > PAGE_BODY_SIZE:
+            raise PageFullError(
+                f"record of {length} bytes can never fit a page "
+                f"(body is {PAGE_BODY_SIZE} bytes)")
+        if not self.fits(length):
+            raise PageFullError(
+                f"record of {length} bytes does not fit in "
+                f"{self.free_bytes} free bytes")
+
+    def add_records(self, records: Sequence[bytes]) -> None:
+        """Append a run of records with one body append; the page ends
+        up exactly as after :meth:`add_record` on each of them.
+
+        Raises:
+            PageFullError: if the run does not fit (nothing is added).
+        """
+        lengths = [len(record) for record in records]
+        need = sum(lengths) + SLOT_SIZE * len(lengths)
+        if need > self.free_bytes:
+            raise PageFullError(f"records of {need} bytes with their slots "
+                                f"do not fit in {self.free_bytes} free bytes")
+        offset = len(self._body)
+        self._body += b"".join(records)
+        self._slots.extend(zip(accumulate(lengths[:-1], initial=offset),
+                               lengths))
+        if lengths:
+            first = lengths[0]
+            uniform = first > 0 and lengths.count(first) == len(lengths)
+            self._dense = first if uniform and self._dense in (0, first) \
+                else -1
 
     def _note_append(self, length: int) -> None:
         """Update the dense marker for a record that was just appended
@@ -160,10 +186,7 @@ class Page:
     def insert_record(self, slot: int, record: bytes) -> None:
         """Insert a record at a slot position, shifting later slots
         (B-tree pages keep records in key order)."""
-        if not self.fits(len(record)):
-            raise PageFullError(
-                f"record of {len(record)} bytes does not fit in "
-                f"{self.free_bytes} free bytes")
+        self._check_fits(len(record))
         offset = len(self._body)
         self._body += record
         if slot >= len(self._slots):
@@ -231,8 +254,7 @@ class Page:
 
     def compact(self) -> None:
         """Rewrite the body dropping garbage left by replace/delete."""
-        for record in self.take_all_records():
-            self.add_record(record)
+        self.add_records(self.take_all_records())
 
     def record_block(self) -> "tuple[int, bytearray | np.ndarray] | None":
         """All records as ``(L, buffer)``: one buffer of ``slot_count *
@@ -431,7 +453,3 @@ class PageFile:
                 else:
                     del self._history[pid]
         return dropped
-
-    def pages_of_kind(self, kind: int) -> Iterator[Page]:
-        """Iterate pages with a given kind tag."""
-        return (p for p in self._pages if p is not None and p.kind == kind)

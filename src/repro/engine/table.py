@@ -21,11 +21,19 @@ import threading
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
+import numpy as np
+
 from . import lockcheck
 from .blob import BlobRef, BlobStore, BlobTreeStream
 from .bufferpool import BufferPool
-from .btree import BTree, BTreeReader
-from .constants import MAX_IN_ROW_BYTES, PAGE_DATA, ROW_OVERHEAD
+from .btree import _KEY_STRUCT, BTree, BTreeReader, leaf_record
+from .constants import (
+    MAX_IN_ROW_BYTES,
+    PAGE_BODY_SIZE,
+    PAGE_DATA,
+    ROW_OVERHEAD,
+    SLOT_SIZE,
+)
 from .page import PageFile
 
 __all__ = ["Column", "MaxBlobHandle", "Table", "TableSnapshot",
@@ -49,6 +57,12 @@ _FIXED_TYPES = {
     "real": struct.Struct("<f"),
 }
 _VAR_TYPES = {"varbinary", "varbinary_max"}
+
+#: The longest ``varbinary(max)`` value kept in the row.
+_MAX_INLINE = MAX_IN_ROW_BYTES - 64
+#: The longest leaf record a page holds (an empty page's body, less the
+#: record's slot).
+_MAX_RECORD = PAGE_BODY_SIZE - SLOT_SIZE
 
 
 @dataclass(frozen=True)
@@ -74,6 +88,41 @@ class Column:
             raise SchemaError(
                 f"varbinary cap must be in (0, {MAX_IN_ROW_BYTES}], "
                 f"got {self.cap}")
+
+
+class _TableLayout:
+    """Byte offsets of a table's columns inside a leaf record (the
+    8 key bytes, then the payload).
+
+    Only meaningful when every record in a batch has the same length
+    (no NULL-shortened variable sections), which is when the record
+    matrix applies.
+    """
+
+    __slots__ = ("bitmap_offset", "fixed", "var", "var_offset")
+
+    def __init__(self, table: "Table"):
+        self.bitmap_offset = _KEY_STRUCT.size + ROW_OVERHEAD
+        pos = self.bitmap_offset + table._bitmap_bytes
+        #: name -> (record offset, null-bitmap slot, little-endian dtype)
+        self.fixed: dict[str, tuple[int, int, np.dtype]] = {}
+        self.var: list[tuple[str, int, str]] = []
+        for i, col in enumerate(table._nonkey):
+            packer = _FIXED_TYPES.get(col.type)
+            if packer is not None:
+                self.fixed[col.name] = (pos, i, np.dtype(packer.format))
+                pos += packer.size
+            else:
+                self.var.append((col.name, i, col.type))
+        self.var_offset = pos
+
+
+def _layout(table: "Table") -> _TableLayout:
+    layout = getattr(table, "_vec_layout", None)
+    if layout is None:
+        layout = _TableLayout(table)
+        table._vec_layout = layout
+    return layout
 
 
 @dataclass(frozen=True)
@@ -256,7 +305,7 @@ class Table:
             if col.type in _FIXED_TYPES:
                 try:
                     fixed += _FIXED_TYPES[col.type].pack(value)
-                except struct.error as exc:
+                except (struct.error, OverflowError) as exc:
                     raise SchemaError(
                         f"value {value!r} does not fit {col.type} "
                         f"column {col.name}: {exc}") from None
@@ -275,7 +324,7 @@ class Table:
                 variable += struct.pack("<H", len(data)) + data
             else:  # varbinary_max
                 data = bytes(value)
-                if len(data) <= MAX_IN_ROW_BYTES - 64:
+                if len(data) <= _MAX_INLINE:
                     variable += struct.pack("<BH", 0, len(data)) + data
                 else:
                     ref = self._blob_store.store(data)
@@ -285,6 +334,83 @@ class Table:
         # honest; contents are irrelevant.
         return bytes(ROW_OVERHEAD) + bytes(bitmap) + bytes(fixed) \
             + bytes(variable)
+
+    def _encode_records(self, rows: list, keys: list[int]
+                        ) -> "np.ndarray | None":
+        """The batch as one ``(n, L)`` ``uint8`` matrix of leaf records
+        written a column at a time, or ``None`` — decided before any
+        copy — when a cell is one it would not write bit for bit as
+        :meth:`_encode_row` does: any type but ``int`` / ``float`` /
+        ``bytes`` (no ``bool``, no NumPy scalar), a number out of range,
+        binary cells of differing length (a NULL one too), an
+        out-of-page blob.  A NULL fixed-width cell is zeros plus its
+        bitmap bit, as there."""
+        if set(map(len, rows)) != {len(self.columns)}:
+            return None
+        layout = _layout(self)
+        fixed = []  # (record offset, little-endian array)
+        nulls = []  # (bitmap byte, bit, NULL lanes)
+        var = []  # (size header, cells, size)
+        for col, cells in zip(self._nonkey, list(zip(*rows))[1:]):
+            kinds = set(map(type, cells))
+            spec = layout.fixed.get(col.name)
+            if spec is not None:
+                offset, slot, dtype = spec
+                if type(None) in kinds:
+                    kinds.discard(type(None))
+                    lanes = [cell is None for cell in cells]
+                    nulls.append((layout.bitmap_offset + slot // 8,
+                                  slot % 8, np.array(lanes)))
+                    cells = [0 if cell is None else cell for cell in cells]
+                if dtype.kind == "i" and kinds <= {int}:
+                    info = np.iinfo(dtype)
+                    if not info.min <= min(cells) <= max(cells) <= info.max:
+                        return None
+                    array = np.array(cells, dtype=dtype)
+                elif dtype.kind == "f" and kinds <= {float}:
+                    array = np.array(cells, dtype="<f8")
+                    if dtype.itemsize == 4:
+                        if not (np.abs(array) <= np.finfo(dtype).max).all():
+                            return None  # overflow, inf, NaN
+                        array = array.astype(dtype)
+                else:
+                    return None
+                fixed.append((offset, array))
+                continue
+            lengths = set(map(len, cells)) if kinds == {bytes} else ()
+            in_row = col.cap if col.type == "varbinary" else _MAX_INLINE
+            if len(lengths) != 1 or max(lengths) > in_row:
+                return None
+            size = lengths.pop()
+            flag = b"" if col.type == "varbinary" else b"\0"
+            var.append((flag + struct.pack("<H", size), cells, size))
+        n = len(rows)
+        length = layout.var_offset + sum(
+            len(head) + size for head, _cells, size in var)
+        matrix = np.zeros((n, length), dtype=np.uint8)
+        matrix[:, :_KEY_STRUCT.size] = np.array(
+            keys, dtype="<i8").view(np.uint8).reshape(n, -1)
+        for at, bit, lanes in nulls:
+            matrix[:, at] |= lanes.astype(np.uint8) << bit
+        for offset, array in fixed:
+            matrix[:, offset:offset + array.itemsize] = \
+                array.view(np.uint8).reshape(n, -1)
+        pos = layout.var_offset
+        for head, cells, size in var:
+            matrix[:, pos:pos + len(head)] = np.frombuffer(head, np.uint8)
+            pos += len(head)
+            if size:
+                matrix[:, pos:pos + size] = np.frombuffer(
+                    b"".join(cells), np.uint8).reshape(n, size)
+                pos += size
+        return matrix
+
+    def _check_fits(self, key: int, length: int) -> None:
+        """Refuse a leaf record no page holds before the tree sees it."""
+        if length > _MAX_RECORD:
+            raise SchemaError(
+                f"row {key} of table {self.name} takes {length} bytes; "
+                f"a page holds a row of at most {_MAX_RECORD}")
 
     def _decode_row(self, key: int, payload: bytes) -> tuple:
         pos = ROW_OVERHEAD
@@ -515,8 +641,16 @@ class Table:
         if keys and not _KEY_MIN <= min(keys) <= max(keys) < _KEY_MAX:
             for key in keys:
                 self._key(key)  # raises at the first one out of range
-        encoded = [self._encode_row(row) for row in rows]
-        return _PreparedInsert(rows, keys, encoded)
+        matrix = self._encode_records(rows, keys) if rows else None
+        if matrix is not None:
+            self._check_fits(keys[0], matrix.shape[1])
+            records = matrix.view(f"V{matrix.shape[1]}").ravel().tolist()
+        else:
+            records = [leaf_record(key, self._encode_row(row))
+                       for key, row in zip(keys, rows)]
+            for key, record in zip(keys, records):
+                self._check_fits(key, len(record))
+        return _PreparedInsert(rows, keys, records)
 
     def apply_insert(self, prep: "_PreparedInsert") -> int:
         """Copy-on-write the tree with prepared rows and publish one
@@ -541,12 +675,11 @@ class Table:
             before = tree.count
             tree.begin_write(version)
             try:
-                items = zip(keys, prep.encoded)
                 if before == 0 and all(
                         b > a for a, b in zip(keys, keys[1:])):
-                    tree.bulk_load(items)
+                    tree.bulk_load(keys, prep.records)
                 else:
-                    tree.insert_many(items)
+                    tree.insert_many(keys, prep.records)
             finally:
                 cow = tree.end_write()
                 done = tree.count - before
@@ -602,6 +735,7 @@ class Table:
         self._check_writable()
         key = self._key(values[0])
         payload = self._encode_row(values)
+        self._check_fits(key, _KEY_STRUCT.size + len(payload))
         with self._mutate_lock:
             old = self.get(key) if self._indexes else None
             version = self.version + 1
@@ -634,11 +768,6 @@ class Table:
         """Clustered index scan yielding decoded rows in key order."""
         for key, payload in self._tree.scan(pool, start, stop):
             yield self._decode_row(key, payload)
-
-    def scan_raw(self, pool: BufferPool | None = None
-                 ) -> Iterator[tuple[int, bytes]]:
-        """Scan without decoding (COUNT(*)-style access)."""
-        return self._tree.scan(pool)
 
     def scan_batches(self, pool: BufferPool | None = None,
                      batch_pages: int | None = None) -> Iterator:
@@ -709,11 +838,12 @@ def _scan_batches(table: Table, tree, pool: BufferPool | None,
 
 @dataclass(frozen=True)
 class _PreparedInsert:
-    """Rows encoded ahead of the latched apply step of an INSERT."""
+    """Rows encoded ahead of the latched apply step of an INSERT: one
+    leaf record (key bytes, then the payload) a row."""
 
     rows: list[tuple]
     keys: list[int]
-    encoded: list[bytes]
+    records: list[bytes]
 
 
 class TableSnapshot:
@@ -722,7 +852,7 @@ class TableSnapshot:
     Duck-types the read surface of :class:`Table` that the executor and
     the vectorized scan kernels use — ``scan_batches``, ``tree`` (a
     :class:`~repro.engine.btree.BTreeReader`), ``data_page_ids``,
-    ``get``/``scan``/``scan_raw``, ``row_count`` — so query plans run
+    ``get``/``scan``, ``row_count`` — so query plans run
     against it unchanged.  All page reads resolve through the page
     file's version history, never blocking on (or being torn by) a
     concurrent writer.  Must be unpinned exactly once; use it as a
@@ -794,10 +924,6 @@ class TableSnapshot:
              ) -> Iterator[tuple]:
         for key, payload in self._reader.scan(pool, start, stop):
             yield self.table.decode(key, payload)
-
-    def scan_raw(self, pool: BufferPool | None = None
-                 ) -> Iterator[tuple[int, bytes]]:
-        return self._reader.scan(pool)
 
     def scan_batches(self, pool: BufferPool | None = None,
                      batch_pages: int | None = None) -> Iterator:

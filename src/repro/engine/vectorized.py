@@ -41,16 +41,13 @@ import struct
 from collections.abc import Iterable, Sequence
 from functools import reduce
 from itertools import chain
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .blob import BlobRef
-from .constants import ROW_OVERHEAD
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (table -> us)
-    from .bufferpool import BufferPool
-    from .table import Table
+from .btree import _KEY_STRUCT
+from .bufferpool import BufferPool
+from .table import MaxBlobHandle, Table, _layout, _TableLayout
 
 __all__ = [
     "DEFAULT_BATCH_PAGES",
@@ -82,53 +79,8 @@ __all__ = [
 #: resident.
 DEFAULT_BATCH_PAGES = 64
 
-_KEY_STRUCT = struct.Struct("<q")
-
-_NP_DTYPES = {
-    "bigint": np.dtype("<i8"),
-    "int": np.dtype("<i4"),
-    "smallint": np.dtype("<i2"),
-    "tinyint": np.dtype("<i1"),
-    "float": np.dtype("<f8"),
-    "real": np.dtype("<f4"),
-}
-
 _INT64_MIN = -(2 ** 63)
 _INT64_MAX = 2 ** 63 - 1
-
-
-class _TableLayout:
-    """Byte offsets of a table's columns inside a leaf record (the
-    8 key bytes, then the payload).
-
-    Only meaningful when every record in a batch has the same length
-    (no NULL-shortened variable sections), which is when the record
-    matrix applies.
-    """
-
-    __slots__ = ("bitmap_offset", "fixed", "var", "var_offset")
-
-    def __init__(self, table: "Table"):
-        self.bitmap_offset = _KEY_STRUCT.size + ROW_OVERHEAD
-        pos = self.bitmap_offset + table._bitmap_bytes
-        self.fixed: dict[str, tuple[int, int, np.dtype]] = {}
-        self.var: list[tuple[str, int, str]] = []
-        for i, col in enumerate(table._nonkey):
-            dt = _NP_DTYPES.get(col.type)
-            if dt is not None:
-                self.fixed[col.name] = (pos, i, dt)
-                pos += dt.itemsize
-            else:
-                self.var.append((col.name, i, col.type))
-        self.var_offset = pos
-
-
-def _layout(table: "Table") -> _TableLayout:
-    layout = getattr(table, "_vec_layout", None)
-    if layout is None:
-        layout = _TableLayout(table)
-        table._vec_layout = layout
-    return layout
 
 
 def _object_column(cells: list) -> np.ndarray:
@@ -170,7 +122,7 @@ class RowBatch:
         self._payloads = payloads
         if records is not None:
             self.n = len(records)
-            self.keys = self._field(0, _NP_DTYPES["bigint"])
+            self.keys = self._field(0, np.dtype("<i8"))
         else:
             self.n = len(payloads)
             self.keys = np.asarray(keys, dtype=np.int64)
@@ -296,8 +248,6 @@ class RowBatch:
         ``varbinary(max)`` flag equals row 0's, so each value sits at
         the same offset in every record and a column is one matrix
         slice.  Returns ``None`` as soon as a row disagrees."""
-        from .table import MaxBlobHandle
-
         records = self._records
         store = self.table._blob_store
         pos = layout.var_offset
@@ -308,8 +258,8 @@ class RowBatch:
             if (records[:, pos:pos + head] != prefix).any():
                 return None
             if typ == "varbinary_max" and prefix[0]:
-                ptrs = self._field(pos + 3, _NP_DTYPES["int"]).tolist()
-                sizes = self._field(pos + 7, _NP_DTYPES["bigint"]).tolist()
+                ptrs = self._field(pos + 3, np.dtype("<i4")).tolist()
+                sizes = self._field(pos + 7, np.dtype("<i8")).tolist()
                 outs[name] = _object_column(
                     [MaxBlobHandle(store, BlobRef(ptr, size))
                      for ptr, size in zip(ptrs, sizes)])
@@ -331,8 +281,6 @@ class RowBatch:
                              ) -> dict:
         """The general walk: one pass over each row's variable
         section."""
-        from .table import MaxBlobHandle
-
         records = self._records
         length = records.shape[1]
         buf = records.tobytes()
@@ -375,8 +323,9 @@ class RowBatch:
         mask = np.fromiter((v is None for v in vals), dtype=bool,
                            count=self.n)
         has_null = bool(mask.any())
-        dt = _NP_DTYPES.get(col.type)
-        if dt is not None:
+        spec = _layout(self.table).fixed.get(col.name)
+        if spec is not None:
+            dt = spec[2]
             if has_null:
                 values = np.array([0 if v is None else v for v in vals],
                                   dtype=dt)

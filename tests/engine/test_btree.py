@@ -7,8 +7,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine import BTree, BufferPool, DuplicateKeyError, PageFile
+from repro.engine import (
+    BTree,
+    BufferPool,
+    DuplicateKeyError,
+    PageFile,
+    PageFullError,
+)
+from repro.engine import btree as btree_module
+from repro.engine.btree import leaf_record
 from repro.engine.constants import PAGE_DATA
+
+
+def _records(items):
+    """``(key, payload)`` pairs as the ``(keys, records)`` a batch
+    insert takes."""
+    items = list(items)
+    return ([k for k, _p in items],
+            [leaf_record(k, p) for k, p in items])
 
 
 def _tree_with(keys, payload=lambda k: f"row{k}".encode()):
@@ -236,7 +252,7 @@ class TestInsertMany:
         for _ in range(2):
             f = PageFile()
             t = BTree(f, PAGE_DATA, tag="t")
-            t.bulk_load(self.BASE)
+            t.bulk_load(*_records(self.BASE))
             trees.append((f, t))
         return trees
 
@@ -246,7 +262,7 @@ class TestInsertMany:
         (f1, one_by_one), (f2, at_once) = self._pair()
         for key, payload in batch:
             one_by_one.insert(key, payload)
-        at_once.insert_many(iter(batch))
+        at_once.insert_many(*_records(batch))
         assert _layout(f2, at_once) == _layout(f1, one_by_one)
         assert at_once.count == len(self.BASE) + len(batch)
 
@@ -257,7 +273,7 @@ class TestInsertMany:
         for key, payload in batch:
             one_by_one.insert(key, payload)
         f2, at_once = _tree_with([])
-        at_once.insert_many(batch)
+        at_once.insert_many(*_records(batch))
         assert _layout(f2, at_once) == _layout(f1, one_by_one)
 
     def test_a_duplicate_in_the_middle_raises_at_the_same_row(self):
@@ -268,13 +284,13 @@ class TestInsertMany:
             for key, payload in batch:
                 one_by_one.insert(key, payload)
         with pytest.raises(DuplicateKeyError, match="key 1500 "):
-            at_once.insert_many(iter(batch))
+            at_once.insert_many(*_records(batch))
         assert at_once.count == len(self.BASE) + 120
         assert _layout(f2, at_once) == _layout(f1, one_by_one)
         # A key repeated inside the batch is a duplicate too.
         with pytest.raises(DuplicateKeyError, match="key 7000 "):
-            at_once.insert_many([(7000, b"a"), (7001, b"b"),
-                                 (7000, b"c")])
+            at_once.insert_many(*_records([(7000, b"a"), (7001, b"b"),
+                                           (7000, b"c")]))
         assert at_once.search(7001) == b"b"
 
     def test_a_key_on_the_fence_belongs_to_the_next_leaf(self):
@@ -287,7 +303,7 @@ class TestInsertMany:
         batch = [(fence - 2, b"x"), (fence - 1, b"y"), (fence, b"z"),
                  (fence + 1, b"w")]
         with pytest.raises(DuplicateKeyError, match=f"key {fence} "):
-            at_once.insert_many(batch)
+            at_once.insert_many(*_records(batch))
         with pytest.raises(DuplicateKeyError, match=f"key {fence} "):
             for key, payload in batch:
                 one_by_one.insert(key, payload)
@@ -297,8 +313,30 @@ class TestInsertMany:
             tree.delete_many([fence - 2, fence - 1, fence])
         for key, payload in batch:
             one_by_one.insert(key, payload)
-        at_once.insert_many(batch)
+        at_once.insert_many(*_records(batch))
         assert _layout(f2, at_once) == _layout(f1, one_by_one)
+
+    def test_a_split_no_page_holds_leaves_the_tree_as_it_was(self):
+        """The split used to empty the leaf before a page refused a
+        half, losing the leaf's rows: a record no page holds, or three
+        large records that no cut in two places."""
+        (f, tree), _twin = self._pair()
+        before = _layout(f, tree)
+        for put in (lambda: tree.insert(1501, bytes(8100)),
+                    lambda: tree.insert_many(*_records([(1504, bytes(8100))]))):
+            with pytest.raises(PageFullError, match="a split of page"):
+                put()
+            assert _layout(f, tree) == before
+        with pytest.raises(PageFullError, match="a split of page"):
+            tree.insert_many(*_records([(1502, b"x"), (1504, bytes(8100))]))
+        assert [k for k, _v in tree.scan()] == sorted(
+            [k for k, _v in self.BASE] + [1502])
+        f, tree = _tree_with([10, 20, 30], payload=lambda k: bytes(
+            {10: 3000, 20: 3000, 30: 2000}[k]))
+        before = _layout(f, tree)
+        with pytest.raises(PageFullError, match="leaves 10020 bytes"):
+            tree.insert(15, bytes(7000))
+        assert _layout(f, tree) == before
 
     def test_walks_the_tree_once_per_leaf(self):
         keys = np.random.default_rng(8).permutation(
@@ -308,13 +346,72 @@ class TestInsertMany:
         before = len(tree.leaf_page_ids())
         with mock.patch.object(tree, "_descend",
                                wraps=tree._descend) as descend:
-            tree.insert_many((k, bytes(8)) for k in range(1, 6000, 6))
+            tree.insert_many(*_records((k, bytes(8))
+                                       for k in range(1, 6000, 6)))
         splits = len(tree.leaf_page_ids()) - before
         # Ascending keys: one walk per leaf written and at most two
         # more around each split — not one per record (1000 here).
         assert 0 < descend.call_count <= before + 2 * splits < 100
         assert [k for k, _v in tree.scan()] == sorted(
             list(range(0, 6000, 2)) + list(range(1, 6000, 6)))
+
+
+def _per_key_slots(page, victims):
+    """The per-key model of a leaf's victim slots: one binary search
+    a key, adjacent slots merged."""
+    runs = []
+    for key in victims:
+        slot, found = btree_module._leaf_slot(page, key)
+        if found:
+            if runs and runs[-1][1] == slot:
+                runs[-1][1] = slot + 1
+            else:
+                runs.append([slot, slot + 1])
+    return runs
+
+
+_EDGES = [-2 ** 63, -2 ** 63 + 40, -700, -3, 0, 2 ** 62, 2 ** 63 - 400]
+
+
+@st.composite
+def _key_runs(draw, min_size=1):
+    """Sorted keys as a few runs of consecutive integers near 0, below
+    it and at both ends of the 64-bit range."""
+    keys = set()
+    for _ in range(draw(st.integers(min_size, 4))):
+        start = draw(st.sampled_from(_EDGES)) + draw(st.integers(0, 40))
+        keys.update(range(start, min(start + draw(st.integers(1, 360)),
+                                     2 ** 63)))
+    return sorted(keys)
+
+
+@settings(max_examples=60, deadline=None)
+@given(keys=_key_runs(), size=st.integers(0, 120), data=st.data())
+def test_delete_many_matches_the_per_key_model(keys, size, data):
+    """Consecutive victims settled by two end slots delete exactly what
+    one lookup a key deletes: the count and the pages, with missing
+    keys inside a victim range, leaves holed by earlier deletes,
+    negative keys and keys at both ends of the 64-bit range."""
+    holes = data.draw(st.lists(st.sampled_from(keys), max_size=40))
+    victims = data.draw(_key_runs(min_size=0)) + data.draw(
+        st.lists(st.sampled_from(keys), max_size=20))
+    victims = data.draw(st.permutations(victims))
+    trees = []
+    for model in (False, True):
+        f = PageFile()
+        tree = BTree(f, PAGE_DATA, tag="t")
+        tree.bulk_load(*_records((k, bytes(size + k % 3)) for k in keys))
+        for key in holes:
+            tree.delete(key)
+        if model:
+            with mock.patch.object(btree_module, "_victim_slots",
+                                   _per_key_slots):
+                count = sum(tree.delete(key) for key in sorted(set(victims)))
+        else:
+            count = tree.delete_many(victims)
+        trees.append((count, _layout(f, tree)))
+    assert trees[0] == trees[1]
+    assert trees[0][0] == len(set(victims) & set(keys) - set(holes))
 
 
 class TestDeleteMany:
@@ -359,7 +456,7 @@ class TestDeleteMany:
         assert (t.count, t.height) == (0, 1)
         assert list(t.scan()) == []
         assert t.leaf_page_ids() == [t.root_page_id]
-        t.insert_many([(2, b"b"), (1, b"a")])
+        t.insert_many(*_records([(2, b"b"), (1, b"a")]))
         assert list(t.scan()) == [(1, b"a"), (2, b"b")]
 
     def test_adjacent_victims_leave_as_one_slot_slice(self):

@@ -17,7 +17,7 @@ from hypothesis.stateful import (
 )
 
 from repro.engine import BTree, BufferPool, PageFile
-from repro.engine.btree import DuplicateKeyError
+from repro.engine.btree import DuplicateKeyError, leaf_record
 from repro.engine.constants import PAGE_DATA
 
 KEYS = st.integers(-10 ** 6, 10 ** 6)
@@ -60,7 +60,9 @@ class BTreeMachine(RuleBasedStateMachine):
                 break
             fresh.append((key, payload))
         try:
-            self.tree.insert_many(iter(items))
+            self.tree.insert_many(
+                [k for k, _p in items],
+                [leaf_record(k, p) for k, p in items])
             assert len(fresh) == len(items), "duplicate accepted"
         except DuplicateKeyError:
             assert len(fresh) < len(items)

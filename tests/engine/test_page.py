@@ -40,8 +40,25 @@ class TestPage:
 
     def test_record_never_fits(self):
         p = Page(0, PAGE_DATA)
-        with pytest.raises(PageFullError):
-            p.add_record(b"x" * (PAGE_BODY_SIZE + 1))
+        for put in (p.add_record, lambda r: p.insert_record(0, r),
+                    lambda r: p.add_records([r])):
+            with pytest.raises(PageFullError):
+                put(b"x" * (PAGE_BODY_SIZE + 1))
+        with pytest.raises(PageFullError, match="can never fit"):
+            p.insert_record(0, b"x" * (PAGE_BODY_SIZE + 1))
+        assert (p.slot_count, p.used_bytes) == (0, PAGE_HEADER_SIZE)
+
+    def test_a_run_is_one_body_append(self):
+        p = Page(0, PAGE_DATA)
+        p.add_record(b"ab")
+        p.add_records([b"cd", b"ef", b"gh"])
+        assert list(p.records()) == [b"ab", b"cd", b"ef", b"gh"]
+        assert p._slots == [(0, 2), (2, 2), (4, 2), (6, 2)]
+        assert p._dense == 2
+        p.add_records([b"ijk"])
+        assert p._dense == -1
+        p.add_records([])
+        assert p.slot_count == 5
 
     def test_insert_keeps_order(self):
         p = Page(0, PAGE_DATA)

@@ -19,6 +19,7 @@ from hypothesis.stateful import (
 )
 
 from repro.engine import Column, Database, MaxBlobHandle, Page, PageFullError
+from repro.engine.btree import leaf_record
 from repro.engine.constants import PAGE_DATA
 from repro.engine.sqlfront import SqlSession
 from repro.engine import vectorized
@@ -73,6 +74,29 @@ class PageMachine(RuleBasedStateMachine):
         except PageFullError:
             return
         self.model.append(record)
+
+    @rule(records=st.lists(RECORDS, max_size=40))
+    def add_run(self, records):
+        """One body append leaves the page as one ``add_record`` per
+        record would — or, when they do not all fit, untouched."""
+        twin = self.page.clone(self.page.pv)
+        try:
+            for record in records:
+                twin.add_record(record)
+        except PageFullError:
+            twin = None
+        before = (list(self.page._slots), bytes(self.page._body),
+                  self.page._dense)
+        try:
+            self.page.add_records(records)
+        except PageFullError:
+            assert twin is None
+            assert (self.page._slots, self.page._body,
+                    self.page._dense) == before
+            return
+        self.model.extend(records)
+        assert (self.page._slots, self.page._body, self.page._dense) \
+            == (twin._slots, twin._body, twin._dense)
 
     @rule(record=RECORDS, data=st.data())
     def insert(self, record, data):
@@ -534,8 +558,11 @@ def test_a_kept_batch_does_not_pin_the_leaf(leaves):
         assert len(table.data_page_ids()) >= 8
     rows = table.row_count
     pages = leaf_pages(table)
-    assert all(p._dense > 0 and p.fits(2 * p._dense) for p in pages)
+    assert all(p._dense > 0 and p.fits(4 * p._dense) for p in pages)
     middles = [key_at(p, 2) + 1 for p in pages]
+    # Two keys past each leaf's last one, short of the next leaf's.
+    runs = [key_at(p, p.slot_count - 1) + step for p in pages
+            for step in (1, 2)]
     batches = list(table.scan_batches(db.pool))
     with table.pin_snapshot() as snap:
         batches += list(snap.scan_batches(db.pool))
@@ -546,9 +573,16 @@ def test_a_kept_batch_does_not_pin_the_leaf(leaves):
                b.column("b")[0].tolist(), list(b.payloads))
               for b in batches]
     # Without MVCC — the bare tree, in place: growing a body some view
-    # still exported would raise ``BufferError`` — into every leaf ...
+    # still exported would raise ``BufferError`` — a run appended to
+    # every leaf in one body append each ...
+    bodies = [id(p._body) for p in pages]
+    table._tree.insert_many(runs, [
+        leaf_record(key, table._encode_row(row(key, rng))) for key in runs])
+    assert [id(p._body) for p in leaf_pages(table)] == bodies
+    assert all(p._dense > 0 for p in pages)
+    # ... a record into the middle of every leaf ...
     for page, key in zip(pages, middles):
-        encoded = table.prepare_insert([row(key, rng)]).encoded[0]
+        encoded = table._encode_row(row(key, rng))
         table._tree.insert(key, encoded)
         assert table._pagefile.get(page.page_id) is page
         assert page._dense == -1
@@ -557,7 +591,7 @@ def test_a_kept_batch_does_not_pin_the_leaf(leaves):
     for key in middles:
         table.insert(row(key + 1, rng))
     SqlSession(db).execute("DELETE FROM t WHERE id = 4")
-    assert table.row_count == rows + 2 * len(pages)
+    assert table.row_count == rows + 4 * len(pages)
     for batch, (keys, xs, bs, payloads) in zip(batches, before):
         assert batch.n == rows
         assert (batch.keys == keys).all()
@@ -566,7 +600,7 @@ def test_a_kept_batch_does_not_pin_the_leaf(leaves):
         assert batch.payloads == payloads
         assert_binary_matrix(batch.column("b")[0], 24, rows)
     assert [r[0] for r in table.scan()] == sorted(
-        set(keys.tolist()) - {4} | set(middles)
+        set(keys.tolist()) - {4} | set(middles) | set(runs)
         | {key + 1 for key in middles} | {100_001})
 
 

@@ -1,9 +1,12 @@
 """Clustered table tests: schema validation, row codec, blob routing."""
 
+import struct
 from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, event, given, settings
+from hypothesis import strategies as st
 
 from repro.engine import (
     BlobStore,
@@ -15,6 +18,7 @@ from repro.engine import (
     SchemaError,
     Table,
 )
+from repro.engine.btree import _KEY_STRUCT
 from repro.engine.constants import MAX_IN_ROW_BYTES
 
 
@@ -140,6 +144,56 @@ class TestRowCodec:
                               Column("d", "float")])
         with pytest.raises(SchemaError, match=f"column {column}: "):
             t.insert(row)
+
+    def test_a_real_that_would_overflow_names_its_column(self, db):
+        """``struct`` raises ``OverflowError``, not ``struct.error``,
+        for a ``real`` past float32's range; it surfaced unwrapped."""
+        f, store, _pool = db
+        t = _table(f, store, [Column("id", "bigint"), Column("r", "real")])
+        for rows in ([(1, 1e39)], [(1, 1.0), (2, -1e39)]):
+            with pytest.raises(SchemaError, match="real column r: "):
+                t.insert_many(rows)
+        t.insert_many([(1, float("inf")), (2, float("nan"))])
+        assert t.get(1)[1] == float("inf") and t.get(2)[1] != t.get(2)[1]
+
+    def test_a_row_no_page_can_hold_is_refused_before_the_tree(self):
+        """Two 5 000-byte cells make a 10 020-byte record.  It used to
+        reach the tree, where the split emptied the leaf before the page
+        refused the record: the scan lost rows 4, 6 and 8 while
+        ``COUNT(*)`` still said 5, and the wire answered ``INTERNAL``."""
+        from repro.engine import Database
+        from repro.engine.sqlfront import SqlSession
+        from repro.server import SQL_ERROR
+        from repro.server.server import _wire_error
+
+        db = Database()
+        session = SqlSession(db)
+        session.execute("CREATE TABLE x (id BIGINT PRIMARY KEY, "
+                        "a VARBINARY(6000), b VARBINARY(6000))")
+        session.execute("INSERT INTO x VALUES " + ", ".join(
+            f"({k}, 'a{k}', 'b{k}')" for k in (0, 2, 4, 6, 8)))
+        table = db.tables["x"]
+
+        def layout():
+            pages = [db.pagefile.get(pid) for pid in table.data_page_ids()]
+            return (db.pagefile.allocated_page_count, table.version,
+                    [(p.page_id, p.pv, list(p._slots), bytes(p._body))
+                     for p in pages])
+
+        before = layout()
+        cell = "'" + "c" * 5000 + "'"
+        with pytest.raises(SchemaError,
+                           match="row 3 of table x takes 10020 bytes"
+                           ) as refused:
+            session.execute(f"INSERT INTO x VALUES (3, {cell}, {cell})")
+        assert _wire_error(refused.value).code == SQL_ERROR
+        with pytest.raises(SchemaError, match="row 4 of table x"):
+            table.update((4, b"c" * 5000, b"c" * 5000))
+        assert layout() == before
+        assert [row[0] for row in table.scan()] == [0, 2, 4, 6, 8]
+        assert session.query("SELECT COUNT(*) FROM x")[0] == (5,)
+        assert session.execute("INSERT INTO x VALUES (3, 'a', 'b')") == 1
+        assert [row[0] for row in table.scan()] == [0, 2, 3, 4, 6, 8]
 
     def test_wrong_arity(self, db):
         f, store, _pool = db
@@ -284,31 +338,49 @@ class TestDeleteUpdate:
             t.insert_many([(0, 0.0)])
         assert t.version == version + 1  # nothing went in
 
-    def test_batches_store_the_pages_single_rows_would(self, db):
+    def test_batches_store_the_pages_single_rows_would(self):
         """What keeps the stored-bytes metric exact: a batch into a
         non-empty table allocates the pages its rows would one by
-        one."""
+        one — as a ``Table.insert_many`` batch, as a SQL ``INSERT``,
+        and through the row-at-a-time encoder alike."""
+        from repro.engine import Database
+        from repro.engine.sqlfront import SqlSession
+
         rng = np.random.default_rng(2)
         batches = [
-            [(int(k), float(k)) for k in range(6000, 6500)],
-            [(int(k), 0.5) for k in rng.permutation(3000)[:700] * 2 + 1],
-            [(int(k), 1.5) for k in range(-1, -400, -1)]]
+            [(int(k), float(k), b"v%04d" % k) for k in range(6000, 6500)],
+            [(int(k), 0.5, b"w") for k in
+             rng.permutation(3000)[:700] * 2 + 1],
+            [(int(k), 1.5, b"") for k in range(-1, -400, -1)],
+            [(int(k), None, b"nul") for k in range(7000, 7300)]]
         sizes = []
-        for at_once in (False, True):
-            f = PageFile()
-            t = _table(f, BlobStore(f), [Column("id", "bigint"),
-                                         Column("a", "float")])
-            t.insert_many((k, float(k)) for k in range(0, 6000, 2))
+        for how in ("rows", "batch", "sql", "row-encoder batch"):
+            db = Database()
+            t = db.create_table("t", [Column("id", "bigint"),
+                                      Column("a", "float"),
+                                      Column("v", "varbinary", cap=8)])
+            t.insert_many((k, float(k), b"base") for k in range(0, 6000, 2))
+            session = SqlSession(db)
             for batch in batches:
-                if at_once:
-                    assert t.insert_many(batch) == len(batch)
-                else:
+                if how == "rows":
                     for row in batch:
                         t.insert(row)
-            sizes.append((f.allocated_page_count, t.data_page_ids(),
-                          [bytes(f.get(pid)._body)
+                elif how == "batch":
+                    assert t.insert_many(batch) == len(batch)
+                elif how == "sql":
+                    assert session.execute("INSERT INTO t VALUES " + ", ".join(
+                        f"({k}, {'NULL' if a is None else a}, "
+                        f"'{v.decode()}')" for k, a, v in batch)) == len(batch)
+                else:
+                    with mock.patch.object(Table, "_encode_records",
+                                           return_value=None):
+                        assert t.insert_many(batch) == len(batch)
+            sizes.append((db.pagefile.allocated_page_count,
+                          t.data_page_ids(),
+                          [(bytes(db.pagefile.get(pid)._body),
+                            db.pagefile.get(pid)._slots)
                            for pid in t.data_page_ids()]))
-        assert sizes[0] == sizes[1]
+        assert sizes[1:] == sizes[:1] * 3
 
     def test_update_row(self, db):
         f, store, _pool = db
@@ -382,6 +454,108 @@ class TestCodecProperties:
             table.insert(rows[-1])
         for row in rows:
             assert table.get(row[0], pool) == row
+
+
+def _nan(bits):
+    """A float64 NaN with payload ``bits`` (quiet or signalling)."""
+    return struct.unpack("<d", struct.pack("<Q", 0x7FF0_0000_0000_0000
+                                           | bits))[0]
+
+
+#: Cells no column takes as they are, or takes only row by row.
+_HOSTILE = [None, True, False, np.int64(3), np.int32(-4), np.float64(1.5),
+            np.float32(2.0), np.bytes_(b"np"), 2 ** 70, -2 ** 63 - 1,
+            2 ** 31, 1e39, -1e39, float("inf"), _nan(1), _nan(1 << 51),
+            -0.0, 1.5, 7, "x", b"", b"hostile", bytearray(b"ab"),
+            memoryview(b"cd"), [1, 2], b"z" * 9000]
+
+_INT_BITS = {"bigint": 63, "int": 31, "smallint": 15, "tinyint": 7}
+
+
+class TestEncodersAgree:
+    """The record matrix writes what the row encoder writes, bit for
+    bit; a batch it declines goes to the row encoder, which then
+    raises as it always has."""
+
+    @staticmethod
+    def _cells(col, size):
+        if col.type in _INT_BITS:
+            b = _INT_BITS[col.type]
+            return st.integers(-(2 ** b), 2 ** b - 1)
+        if col.type == "float":
+            return st.one_of(st.floats(), st.integers(0, 2 ** 52).map(_nan))
+        if col.type == "real":
+            return st.floats(width=32)
+        return st.binary(min_size=size, max_size=size)
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_the_matrix_writes_what_the_row_encoder_writes(self, data):
+        columns = [Column("id", "bigint")]
+        sizes = []
+        for i, ctype in enumerate(data.draw(st.lists(st.sampled_from(
+                [*_INT_BITS, "float", "real", "varbinary",
+                 "varbinary_max"]), min_size=1, max_size=6))):
+            cap = data.draw(st.integers(1, 40))
+            columns.append(Column(f"c{i}", ctype, cap=cap))
+            sizes.append(data.draw(st.integers(0, cap)))
+        hostile = data.draw(st.integers(0, 3)) == 0
+        rows = []
+        for key in data.draw(st.lists(
+                st.integers(-2 ** 63, 2 ** 63 - 1), min_size=1,
+                max_size=8, unique=True)):
+            row = [key]
+            for col, size in zip(columns[1:], sizes):
+                cell = self._cells(col, size)
+                if hostile:
+                    cell = st.one_of(cell, st.sampled_from(_HOSTILE))
+                row.append(data.draw(cell))
+            if hostile and data.draw(st.integers(0, 9)) == 0:
+                row = row[:data.draw(st.integers(1, len(row)))]
+            rows.append(tuple(row))
+        keys = [row[0] for row in rows]
+
+        def fresh():
+            f = PageFile()
+            return Table("t", columns, f, BlobStore(f))
+
+        want, want_exc = [], None
+        reference = fresh()
+        try:
+            for key, row in zip(keys, rows):
+                want.append(_KEY_STRUCT.pack(key)
+                            + reference._encode_row(row))
+        except Exception as exc:  # the row encoder's verdict, any type
+            want_exc = (type(exc), str(exc), len(want))
+        matrix = fresh()._encode_records(rows, keys)
+        event("record matrix" if matrix is not None else
+                   "row encoder raises" if want_exc else "row encoder")
+        if matrix is not None:
+            assert want_exc is None
+            assert [bytes(r) for r in matrix] == want
+        table = fresh()
+        try:
+            got = table.prepare_insert(rows).records
+        except Exception as exc:
+            assert want_exc is not None
+            assert (type(exc), str(exc)) == want_exc[:2]
+        else:
+            assert want_exc is None and got == want
+
+    def test_clean_batches_take_the_matrix(self):
+        f = PageFile()
+        t = Table("t", [Column("id", "bigint"), Column("a", "int"),
+                        Column("x", "float"), Column("r", "real"),
+                        Column("v", "varbinary", cap=8),
+                        Column("m", "varbinary_max")], f, BlobStore(f))
+        rows = [(k, None if k % 3 else -k, -0.0 if k % 2 else None,
+                 k / 7, b"%08d" % k, b"m" * 100) for k in range(50)]
+        with mock.patch.object(Table, "_encode_row") as per_row:
+            records = t.prepare_insert(rows).records
+        assert not per_row.called
+        assert records == [_KEY_STRUCT.pack(row[0]) + t._encode_row(row)
+                           for row in rows]
 
 
 class TestStats:
