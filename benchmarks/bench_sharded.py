@@ -138,7 +138,7 @@ def replica_read_throughput(rows: int = ROWS,
                             iterations: int = 12) -> dict:
     """Read qps over a fixed 2-shard cluster as the replica count
     grows (reads round-robin across replicas, so extra replicas add
-    read capacity on parallel hardware).  Used by
+    read capacity on a multi-core host).  Used by
     ``collect_results.py``."""
     reference = _reference_bits(rows)
     out = {}
@@ -226,7 +226,7 @@ def test_sharded_matches_single_node(two_shard_cluster, sql):
 @pytest.mark.skipif((os.cpu_count() or 1) < 4,
                     reason="throughput scaling needs >= 4 cores")
 def test_scan_throughput_scales_1_5x_at_4_shards():
-    """The acceptance bar, on real parallel hardware only."""
+    """The acceptance bar, on a host with at least four cores."""
     results = sharded_throughput(shard_counts=(1, 4))
     ratio = results["4"]["qps"] / results["1"]["qps"]
     assert ratio >= 1.5, results

@@ -75,27 +75,6 @@ def vectorized_block(rows: int) -> dict:
     return speedups
 
 
-def parallel_block(rows: int) -> dict:
-    print("=" * 70)
-    print("Parallel engine: vector vs parallel wall time by workers")
-    print("=" * 70)
-    from bench_parallel import build_session, parallel_speedups
-    session = build_session(rows)
-    speedups = parallel_speedups(session)
-    for label, per_workers in speedups.items():
-        line = ", ".join(f"{w} workers: {ratio:4.2f}x"
-                         for w, ratio in per_workers.items())
-        print(f"  {label}: {line}")
-    cores = os.cpu_count() or 1
-    if cores < 4:
-        print(f"  (host has {cores} core(s); ratios above are honest "
-              "overhead numbers, not parallel wins)")
-    pool = getattr(session.db, "_worker_pool", None)
-    if pool is not None:
-        pool.shutdown()
-    return speedups
-
-
 def pipeline_block() -> dict:
     print("=" * 70)
     print("Zero-copy data plane: pipelined statements, partial-blob "
@@ -116,25 +95,6 @@ def pipeline_block() -> dict:
           f"{partial['blob_bytes']:,} blob bytes on the wire "
           f"({partial['wire_savings']:.0f}x less traffic)")
     return {"pipeline": pipeline, "partial_wire": partial}
-
-
-def shm_snapshot_block(rows: int) -> dict:
-    print("=" * 70)
-    print("Snapshot shipping: shared memory vs temp-file fallback "
-          "(dirty grouped shape)")
-    print("=" * 70)
-    from bench_parallel import shm_vs_file_numbers
-
-    numbers = shm_vs_file_numbers(rows=rows, workers=4, iterations=3)
-    print(f"  shm {numbers['shm_seconds'] * 1e3:7.1f} ms vs file "
-          f"{numbers['file_seconds'] * 1e3:7.1f} ms  "
-          f"({numbers['speedup']:.2f}x)")
-    cores = os.cpu_count() or 1
-    if cores < 4:
-        print(f"  (host has {cores} core(s); on time-sliced hardware "
-              "this measures transport overhead, not the "
-              "parallel-read win)")
-    return numbers
 
 
 def sharded_block(rows: int) -> dict:
@@ -272,11 +232,9 @@ def main(rows: int = 20_000, json_out: str | None = None) -> None:
     results = {"rows": rows, "paper_rows": PAPER_ROWS}
     results["table1_projected"] = table1_block(rows)
     results["vector_speedup"] = vectorized_block(rows)
-    results["parallel_speedup"] = parallel_block(rows)
     results["sharded_throughput"] = sharded_block(min(rows, 8_000))
     results["replica_shards"] = replica_block(min(rows, 8_000))
     results["dataplane"] = pipeline_block()
-    results["shm_snapshot"] = shm_snapshot_block(min(rows, 10_000))
     partial_reads_block()
     concat_block()
     turbulence_block()

@@ -91,11 +91,6 @@ def _cmd_serve(args: list[str]) -> int:
                         help="admission queue depth beyond the workers")
     parser.add_argument("--timeout", type=float, default=30.0,
                         help="per-query timeout in seconds")
-    parser.add_argument("--engine-workers", type=int, default=None,
-                        metavar="N",
-                        help="default process count for queries run "
-                             "with engine=parallel (distinct from "
-                             "--workers, the query thread pool)")
     opts = parser.parse_args(args)
 
     from repro.server import ArrayServer, ServerConfig
@@ -106,16 +101,13 @@ def _cmd_serve(args: list[str]) -> int:
     config = ServerConfig(host=opts.host, port=opts.port,
                           max_workers=opts.workers,
                           queue_limit=opts.queue,
-                          query_timeout=opts.timeout,
-                          engine_workers=opts.engine_workers)
-    engine_workers = (f", engine-workers={opts.engine_workers}"
-                      if opts.engine_workers else "")
+                          query_timeout=opts.timeout)
     _serve_until_interrupted(
         ArrayServer(db, config),
         lambda port: f"repro-array-server listening on "
                      f"{opts.host}:{port} "
                      f"(workers={opts.workers}, queue={opts.queue}, "
-                     f"timeout={opts.timeout:g}s{engine_workers})")
+                     f"timeout={opts.timeout:g}s)")
     return 0
 
 

@@ -2,7 +2,7 @@
 
 Run as ``repro lint`` or ``python -m repro.analysis``.  The rules encode the
 concurrency and serialization invariants introduced by the server,
-vectorized, and parallel engine work:
+vectorized engine, MVCC and sharding work:
 
 ==========  ===========================================================
 RL001       lock discipline: SqlSession entry points hold a statement
@@ -16,16 +16,12 @@ RL004       lock-order cycles: the whole-program acquired-while-held
             checked-in ``lock_graph.json``
 RL005       blocking under latch (warn): no sleep/subprocess/socket/
             select call is reachable while an exclusive latch is held
-RP101       parallel safety: registered/attached UDFs are module-level,
-            name-picklable functions (or ``parallel_safe=False``)
 RV201       kernel purity: batch kernels never mutate input arrays and
             return fresh ``(values, mask)`` pairs
 RW301       wire-schema freeze: ``protocol.py`` matches
             ``protocol_schema.json`` and ``docs/SERVER.md``
 RS401       shard hygiene: ``merge_*`` functions in shard modules are
             pure; coordinator code never touches BufferPool storage
-RM501       shm lifetime: classes creating SharedMemory segments
-            close() and unlink() them; attachers never unlink()
 RC601       version lifetime: pinned MVCC snapshots are unpinned on
             all exit paths; begin_write pairs with end_write/finally
 ==========  ===========================================================
@@ -55,9 +51,7 @@ from .framework import (
 from .rules_flow import BlockingUnderLatchRule, LockCycleRule
 from .rules_kernels import KernelPurityRule
 from .rules_locks import LockDisciplineRule, LockOrderRule
-from .rules_mem import ShmLifetimeRule
 from .rules_mvcc import LatchYieldRule, VersionLifetimeRule
-from .rules_parallel import ParallelSafetyRule
 from .rules_shard import ShardHygieneRule
 from .rules_wire import WireSchemaRule
 
@@ -81,11 +75,9 @@ ALL_RULES: tuple[Rule, ...] = (
     LatchYieldRule(),
     LockCycleRule(),
     BlockingUnderLatchRule(),
-    ParallelSafetyRule(),
     KernelPurityRule(),
     WireSchemaRule(),
     ShardHygieneRule(),
-    ShmLifetimeRule(),
     VersionLifetimeRule(),
 )
 

@@ -11,17 +11,18 @@ Three modules, layered bottom-up:
 - :mod:`repro.analysis.flow.dataflow` — worklist fixpoint engines over
   the CFG: a **lock domain** tracking the abstract held-lock-set (lock
   classes such as ``catalog``, ``table``, ``pool``, ``pagefile``,
-  ``intent``, ``workerpool``) through every path, and a **resource
-  domain** tracking pinned MVCC snapshots, open ``begin_write`` clone
-  sets and attached shared-memory mappings to their releases, with
-  escape analysis for ownership transfer (returned or stored pins).
+  ``intent``) through every path, and a **resource domain** tracking
+  pinned MVCC snapshots and open ``begin_write`` clone sets to their
+  releases, with escape analysis for ownership transfer (returned or
+  stored pins).
 - :mod:`repro.analysis.flow.lockgraph` — the whole-program lock-order
   graph: per-function lock facts are propagated interprocedurally over
   the typed call graph, context-manager summaries are solved by
-  fixpoint (``with pool.guard():`` knows it holds the workerpool
-  mutex), and the resulting acquired-while-held edges feed RL004 cycle
-  detection, ``lock_graph.json`` export, and the runtime sentinel's
-  acquisition order (:mod:`repro.engine.lockcheck`).
+  fixpoint (``with latches.read_latch(t):`` knows it holds the
+  catalog and table latches), and the resulting acquired-while-held
+  edges feed RL004 cycle detection, ``lock_graph.json`` export, and
+  the runtime sentinel's acquisition order
+  (:mod:`repro.engine.lockcheck`).
 """
 
 from .cfg import CFG, build_cfg

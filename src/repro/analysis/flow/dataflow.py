@@ -13,10 +13,10 @@ blocking-call sites, and the held-sets at ``yield`` points (the
 context-manager summary of a ``@contextmanager`` helper).
 
 **Resource domain** — a state is a ``frozenset`` of live resource
-tokens: MVCC snapshot pins (``snap = table.pin_snapshot()``), open
-clone sets (``tree.begin_write(...)``), and attached shared-memory
-segments.  The join is set union (may-leak); kills are applied by
-release calls (``unpin`` / ``end_write`` / ``close``), by ownership
+tokens: MVCC snapshot pins (``snap = table.pin_snapshot()``) and open
+clone sets (``tree.begin_write(...)``).  The join is set union
+(may-leak); kills are applied by release calls (``unpin`` /
+``end_write``), by ownership
 transfer (the name is returned or stored into an attribute /
 container), by ``with name:`` management, and by assume-edges (the
 ``if snap is not None: snap.unpin()`` idiom — on the ``None`` branch
@@ -64,7 +64,6 @@ _LATCH_WITH: Mapping[str, tuple[tuple[Token, ...], ...]] = {
 _MUTEX_OWNER_CLASS: Mapping[str, str] = {
     "BufferPool": "pool",
     "PageFile": "pagefile",
-    "WorkerPool": "workerpool",
 }
 
 _BLOCKING_BARE = frozenset({"sleep", "input"})
@@ -465,7 +464,7 @@ def analyze_locks(
 # Resource domain
 # ---------------------------------------------------------------------------
 
-#: (kind, bound name, gen line); kinds: "pin", "write", "shm".
+#: (kind, bound name, gen line); kinds: "pin", "write".
 ResourceToken = tuple[str, str, int]
 ResState = frozenset[ResourceToken]
 
@@ -495,27 +494,6 @@ def _contains_call_attr(expr: ast.expr, attr: str) -> bool:
     for call in _iter_calls(expr):
         info = _call_attr(call)
         if info is not None and info[0] == attr:
-            return True
-    return False
-
-
-def _is_shm_attach(expr: ast.expr) -> bool:
-    """A SharedMemory *attach* (no ``create=True``) or an ``_attach``
-    helper call anywhere in the expression."""
-    for call in _iter_calls(expr):
-        func = call.func
-        name = (func.id if isinstance(func, ast.Name)
-                else func.attr if isinstance(func, ast.Attribute) else None)
-        if name == "SharedMemory":
-            creates = any(
-                kw.arg == "create"
-                and not (isinstance(kw.value, ast.Constant)
-                         and kw.value.value is False)
-                for kw in call.keywords)
-            if not creates:
-                return True
-        elif name is not None and ("attach" in name.lower()
-                                   and "detach" not in name.lower()):
             return True
     return False
 
@@ -576,8 +554,6 @@ def _res_effects(stmt: ast.stmt) -> _ResEffects:
                 eff.kill_tokens.add(("pin", recv))
             elif attr == "end_write":
                 eff.kill_tokens.add(("write", recv))
-            elif attr in ("close", "unlink"):
-                eff.kill_tokens.add(("shm", recv))
             elif attr == "begin_write":
                 eff.gens.append((("write", recv, call.lineno),
                                  call.col_offset + 1))
@@ -596,10 +572,6 @@ def _res_effects(stmt: ast.stmt) -> _ResEffects:
         if _contains_call_attr(value, "pin_snapshot"):
             for name in name_targets:
                 eff.gens.append((("pin", name, stmt.lineno),
-                                 stmt.col_offset + 1))
-        elif _is_shm_attach(value):
-            for name in name_targets:
-                eff.gens.append((("shm", name, stmt.lineno),
                                  stmt.col_offset + 1))
     if stored:
         # Ownership transfer: the resource now lives in an object /

@@ -5,14 +5,13 @@ rather than the lexical callgraph heuristics:
 
 RL004 — the whole-program lock-order graph (nodes = lock classes such
 as ``catalog``, ``table``, ``pool``, ``pagefile``, ``intent``,
-``workerpool``, ``mutex:<Class>``; edges = *acquired-while-held* pairs
+``mutex:<Class>``; edges = *acquired-while-held* pairs
 discovered by the intraprocedural lock dataflow propagated over the
 typed call graph) must be acyclic.  A cycle is a potential deadlock:
 two threads each holding one class and waiting for the other.  Each
 cycle is reported once, with the witness call paths for every edge on
 it so the offending acquisition sites can be found directly.  No
-class is exempt: taking the worker-pool mutex while a latch is held
-(the parallel coordinator takes them the other way round) is a cycle.
+class is exempt.
 
 RL004 also checks that the checked-in ``lock_graph.json`` (consumed by
 the runtime sentinel :mod:`repro.engine.lockcheck` as its rank table)

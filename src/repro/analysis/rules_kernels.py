@@ -3,10 +3,10 @@
 The batch contract (see ``docs/EXECUTOR.md``) is that every kernel —
 ``eval_batch`` / ``step_batch`` methods and ``*_kernel`` / ``*_batch``
 functions — receives column arrays it does not own and returns a *fresh*
-``(values, mask)`` pair.  The row engine, the parity suite, and the parallel
-engine's replays all assume a batch can be re-evaluated; a kernel that
-writes into an input array (directly, through an alias, or via an ``out=``
-argument) silently corrupts the shared buffer pool pages backing it.
+``(values, mask)`` pair.  The row engine and the parity suite both assume a
+batch can be re-evaluated; a kernel that writes into an input array
+(directly, through an alias, or via an ``out=`` argument) silently corrupts
+the shared buffer pool pages backing it.
 
 The rule tracks simple aliases (``x = args[0]`` taints ``x``; rebinding to a
 call result clears the taint) and flags:

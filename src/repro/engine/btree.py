@@ -757,12 +757,7 @@ class BTreeReader:
 
     def charge_scan_descent(self, pool: BufferPool) -> list[int]:
         """Charge the root-to-first-leaf descent exactly as a scan
-        would, returning the page ids touched in order.
-
-        The parallel engine's coordinator performs this descent itself
-        (workers receive explicit leaf page ids and never descend), so
-        the combined coordinator + worker accounting reproduces a
-        serial scan's page touches exactly."""
+        would, returning the page ids touched in order."""
         touched = []
         page = pool.fetch_page(self._get(self._root_id))
         touched.append(page.page_id)

@@ -128,7 +128,6 @@ class BufferPool:
         self._cached: OrderedDict[CacheKey, None] = OrderedDict()
         self.counters = IoCounters()
         self._last_physical: int | None = None
-        self._physical_log: list[int] | None = None
         self._lock = lockcheck.tracked_lock("pool", reentrant=True)
         self._thread = threading.local()
         # Every live thread's IO state, so a cache clear can reset
@@ -143,13 +142,12 @@ class BufferPool:
         """Pickle everything but the locks, cache contents and
         accounting state (used by :meth:`Database.save` snapshots).
         The unpickled pool starts *cold* — empty cache, zero counters
-        — so a worker process opening a snapshot charges its reads
-        exactly like a freshly started server would."""
+        — so a process opening a snapshot charges its reads exactly
+        like a freshly started server would."""
         state = self.__dict__.copy()
         state["_lock"] = None
         state["_thread"] = None
         state["_thread_states"] = None
-        state["_physical_log"] = None
         state["_cached"] = OrderedDict()
         state["counters"] = IoCounters()
         state["_last_physical"] = None
@@ -160,23 +158,6 @@ class BufferPool:
         self._lock = lockcheck.tracked_lock("pool", reentrant=True)
         self._thread = threading.local()
         self._thread_states = weakref.WeakSet()
-
-    def start_physical_log(self) -> None:
-        """Begin recording the ordered page ids of physical reads.
-
-        The parallel engine uses this to replay a worker's physical
-        accesses on the coordinator in morsel order, so the global
-        sequential/random classification comes out identical to a
-        serial scan regardless of how workers interleaved in time.
-        """
-        with self._lock:
-            self._physical_log = []
-
-    def take_physical_log(self) -> list[int]:
-        """Stop recording and return the ordered physical-read log."""
-        with self._lock:
-            log, self._physical_log = self._physical_log, None
-            return log if log is not None else []
 
     def _thread_state(self) -> "_ThreadIoState":
         state: _ThreadIoState | None = getattr(self._thread, "state",
@@ -208,14 +189,13 @@ class BufferPool:
         """Account a run of accesses, each a ``(cache key, page id)``
         pair (classification uses the page id) — the one place a read
         is classified.  Per access, in order: cold view, LRU touch or
-        miss, stream classification in both scopes, physical log,
-        eviction; the counters and stream positions are written back
-        once, under the same single lock acquisition."""
+        miss, stream classification in both scopes, eviction; the
+        counters and stream positions are written back once, under the
+        same single lock acquisition."""
         mine = self._thread_state()
         with self._lock:
             cached = self._cached
             cold = mine.cold_seen
-            log = self._physical_log
             capacity = self._capacity
             last, my_last = self._last_physical, mine.last_physical
             logical = physical = sequential = my_sequential = 0
@@ -237,8 +217,6 @@ class BufferPool:
                         0 < page_id - my_last <= SEQ_READ_WINDOW:
                     my_sequential += 1
                 last = my_last = page_id
-                if log is not None:
-                    log.append(page_id)
                 cached[key] = None
                 cached.move_to_end(key)
                 if capacity is not None and len(cached) > capacity:

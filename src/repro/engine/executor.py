@@ -25,6 +25,7 @@ import math
 import operator
 import os
 import pickle
+import tempfile
 import threading
 import time
 from contextlib import contextmanager
@@ -78,97 +79,60 @@ class Database:
         buffer_pages: Buffer pool capacity (``None`` = unbounded).
     """
 
-    #: True on databases opened as read-only snapshots (parallel
-    #: workers re-open the coordinator's snapshot this way).
-    read_only = False
-
     def __init__(self, buffer_pages: int | None = None):
         self.pagefile = PageFile()
         self.blob_store = BlobStore(self.pagefile)
         self.pool = BufferPool(self.pagefile, buffer_pages)
         self.tables: dict[str, Table] = {}
-        self.latches = LatchManager(self._table_names)
+        self.latches = LatchManager()
         self._catalog_lock = threading.Lock()
-        # Keeps write_version monotonic across DROP TABLE: a dropped
-        # table's contribution (its catalog slot + mutations) would
-        # otherwise vanish and the counter could move backwards.
-        self._dropped_version_carry = 0
-
-    def _table_names(self) -> list[str]:
-        """Current table names — the all-tables latch set."""
-        return list(self.tables)
 
     def __getstate__(self):
         state = self.__dict__.copy()
-        # Latches and the parallel worker pool are process-local.
+        # Latches are process-local.
         state["latches"] = None
         state["_catalog_lock"] = None
-        state.pop("_worker_pool", None)
         return state
 
     def __setstate__(self, state):
         self.__dict__.update(state)
-        self.latches = LatchManager(self._table_names)
+        self.latches = LatchManager()
         self._catalog_lock = threading.Lock()
         for table in self.tables.values():
             table._pool_ref = self.pool
 
-    @property
-    def write_version(self) -> int:
-        """Monotonic write counter: bumps on every DDL/DML operation.
-
-        The parallel engine compares this against the version its
-        worker snapshot was taken at, and re-snapshots when stale.
-        """
-        return len(self.tables) + sum(
-            t.mutations for t in self.tables.values()) + \
-            self._dropped_version_carry
-
-    def snapshot_bytes(self) -> bytes:
-        """The pickled snapshot payload :meth:`save` writes — exposed
-        separately so the parallel engine can ship it through shared
-        memory without a file round-trip."""
-        return pickle.dumps(self, protocol=pickle.HIGHEST_PROTOCOL)
-
     def save(self, path: str) -> None:
         """Snapshot the whole database (pages, blobs, catalog) to a
         file.  The snapshot is a pickle of this object minus its
-        process-local state (locks, worker pools, cached pages travel
-        but thread-local IO counters do not)."""
-        with open(path, "wb") as f:
-            f.write(self.snapshot_bytes())
+        process-local state (locks; the buffer pool travels cold).
+
+        The write is atomic: the pickle goes to a temporary file in the
+        target's directory, is flushed and fsynced, and only then
+        replaces ``path`` — a crash mid-write leaves the previous
+        snapshot, never a torn one."""
+        directory = os.path.dirname(os.path.abspath(path))
+        fd, tmp = tempfile.mkstemp(prefix=".save-", dir=directory)
+        try:
+            with os.fdopen(fd, "wb") as f:
+                pickle.dump(self, f, protocol=pickle.HIGHEST_PROTOCOL)
+                f.flush()
+                os.fsync(f.fileno())
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
 
     @classmethod
-    def from_snapshot_bytes(cls, payload,
-                            read_only: bool = False) -> "Database":
-        """Rebuild a database from :meth:`snapshot_bytes` output
-        (accepts any buffer, including a shared-memory view)."""
-        db = pickle.loads(payload)
-        if not isinstance(db, Database):
-            raise TypeError("payload is not a Database snapshot")
-        if read_only:
-            db.read_only = True
-            for table in db.tables.values():
-                table._read_only = True
-        return db
-
-    @classmethod
-    def open(cls, path: str, read_only: bool = False) -> "Database":
-        """Re-open a database snapshot written by :meth:`save`.
-
-        With ``read_only=True`` every mutator (``create_table`` and
-        the table insert/update/delete paths) refuses to run — the
-        mode parallel workers use, so a worker bug can never fork the
-        snapshot's contents away from the coordinator's."""
+    def open(cls, path: str) -> "Database":
+        """Re-open a database snapshot written by :meth:`save`."""
         with open(path, "rb") as f:
-            payload = f.read()
-        return cls.from_snapshot_bytes(payload, read_only=read_only)
+            db = pickle.load(f)
+        if not isinstance(db, Database):
+            raise TypeError(f"{path} is not a Database snapshot")
+        return db
 
     def create_table(self, name: str, columns: Sequence[Column]) -> Table:
         """Create and register a clustered table."""
-        if self.read_only:
-            raise PermissionError(
-                "cannot create tables in a read-only database snapshot")
         with self._catalog_lock:
             if name in self.tables:
                 raise ValueError(f"table {name!r} already exists")
@@ -189,14 +153,10 @@ class Database:
         (:meth:`LatchManager.ddl_latch`), so no statement can be
         scanning the table when it vanishes.
         """
-        if self.read_only:
-            raise PermissionError(
-                "cannot drop tables in a read-only database snapshot")
         with self._catalog_lock:
-            for key, table in self.tables.items():
+            for key in self.tables:
                 if key.lower() == name.lower():
                     del self.tables[key]
-                    self._dropped_version_carry += table.mutations + 2
                     break
             else:
                 raise ValueError(f"no such table {name!r}")
@@ -369,32 +329,13 @@ class ScalarUdf(Expression):
 
     def __init__(self, func: Callable, *args: Expression,
                  body_cost="item", name: str | None = None,
-                 vectorized: Callable | None = None,
-                 parallel_safe: bool = True):
+                 vectorized: Callable | None = None):
         self.func = func
         self.args = args
         self.body_cost = body_cost
         self.name = name or getattr(func, "__name__", "udf")
         self.vectorized = (vectorized if vectorized is not None
                            else getattr(func, "vectorized", None))
-        # Recorded on the plan node (not stamped onto the user's
-        # callable) so the parallel engine can refuse to ship it; see
-        # SqlSession.register_function(parallel_safe=...).
-        self.parallel_safe = parallel_safe
-
-    def __getstate__(self):
-        """Batch kernels are closures over decode machinery and do not
-        pickle; drop the kernel and let the receiving process re-derive
-        it from its own copy of ``func`` (the ``repro.tsql`` functions
-        re-attach kernels at import time)."""
-        state = self.__dict__.copy()
-        state["vectorized"] = None
-        return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        if self.vectorized is None:
-            self.vectorized = getattr(self.func, "vectorized", None)
 
     def columns(self) -> set[str]:
         out: set[str] = set()
@@ -455,17 +396,16 @@ class Aggregate:
     scans").  Custom aggregates may omit all three — the vector engine
     then steps them per row over materialized tuples.
 
-    The built-ins also implement the *mergeable-state* protocol the
-    parallel engine requires: :meth:`partial_start` /
-    :meth:`partial_step_values` accumulate a morsel-local partial
-    state on a worker, and :meth:`merge` folds a shipped partial into
-    the coordinator's running state.  Partials deliberately stay
-    *unreduced* (ordered value lists, not folded scalars) so the
-    coordinator can replay the exact left-fold the serial engines use
-    — merging in morsel order then yields bit-identical float SUM/AVG
-    (and NaN-faithful MIN/MAX) no matter how many workers ran.
-    Custom aggregates without :meth:`merge` make a query fall back to
-    the serial vector engine rather than risk a different answer.
+    The built-ins also implement the *mergeable-state* protocol of
+    distributed aggregation: :meth:`partial_start` /
+    :meth:`partial_step_values` accumulate a shard-local partial state
+    (through :class:`PartialCapture`), and :meth:`merge` folds a
+    shipped partial into the coordinator's running state.  Partials
+    deliberately stay *unreduced* (ordered value lists, not folded
+    scalars) so the coordinator can replay the exact left-fold the
+    single-node engines use — merging in shard order then yields
+    bit-identical float SUM/AVG (and NaN-faithful MIN/MAX) no matter
+    how many shards ran.
     """
 
     expr: Expression | None = None
@@ -570,7 +510,7 @@ class _Fold(Aggregate):
         return []
 
     def partial_step_values(self, partial, values):
-        # Ship the full non-NULL value list, not a morsel-local fold:
+        # Ship the full non-NULL value list, not a shard-local fold:
         # float addition is not associative, and Python's min/max keep
         # the *first* operand on incomparable (NaN) pairs, which is
         # order-dependent, so only a full replay of the left fold is
@@ -668,8 +608,8 @@ class PartialCapture(Aggregate):
     mergeable state instead of a finished value.
 
     This is the shard side of distributed aggregation: wrap each
-    aggregate of a plan, execute the plan unchanged (row, vector or
-    parallel path), and the "values" that come back are the inner
+    aggregate of a plan, execute the plan unchanged (row or vector
+    path), and the "values" that come back are the inner
     aggregates' partial states — ordered non-NULL value lists (or a
     running count) in scan order, exactly what :meth:`Aggregate.merge`
     consumes.  The coordinator then replays the serial left fold over
@@ -679,10 +619,6 @@ class PartialCapture(Aggregate):
     A vectorized grouped scan keeps a captured aggregate in the inner
     aggregate's ``partial_column`` — for every group at once, the
     arrays a ``presult`` frame ships.
-
-    The capture implements the mergeable protocol itself — partials
-    concatenate in morsel order — so a shard is free to execute its
-    slice on the parallel engine and still ship one ordered partial.
     """
 
     def __init__(self, inner: Aggregate):
@@ -718,20 +654,6 @@ class PartialCapture(Aggregate):
     def finish(self, state, rows):
         return state
 
-    def partial_start(self):
-        return self.inner.partial_start()
-
-    def partial_step_values(self, partial, values):
-        return self.inner.partial_step_values(partial, values)
-
-    def merge(self, state, partial):
-        # Captured partials concatenate (value lists) or add (counts);
-        # either way the inner value order is preserved.
-        if isinstance(state, list):
-            state.extend(partial)
-            return state
-        return state + partial
-
 
 def group_rank(key) -> tuple:
     """Sort key of a group key in a grouped result: values ascending,
@@ -744,16 +666,7 @@ def group_rank(key) -> tuple:
 
 def _env_default_engine() -> str:
     value = os.environ.get("REPRO_ENGINE", "").strip().lower()
-    return value if value in ("row", "vector", "parallel") else "vector"
-
-
-def _env_default_workers() -> int | None:
-    raw = os.environ.get("REPRO_WORKERS", "").strip()
-    try:
-        workers = int(raw)
-    except ValueError:
-        return None
-    return workers if workers > 0 else None
+    return value if value in ("row", "vector") else "vector"
 
 
 class Executor:
@@ -769,16 +682,10 @@ class Executor:
     """
 
     #: Execution path used when a call does not pass ``engine=``:
-    #: ``"vector"`` (columnar batches, the default), ``"row"``, or
-    #: ``"parallel"`` (morsel-driven multi-process).  Results, NULL
-    #: handling and cold-run IO accounting are identical on all three.
-    #: Overridable per process with ``REPRO_ENGINE``.
+    #: ``"vector"`` (columnar batches, the default) or ``"row"``.
+    #: Results, NULL handling and cold-run IO accounting are identical
+    #: on both.  Overridable per process with ``REPRO_ENGINE``.
     default_engine = _env_default_engine()
-
-    #: Worker-process count used when a parallel call does not pass
-    #: ``workers=``; ``None`` means "pick from the machine" (CPU count
-    #: capped at 8).  Overridable with ``REPRO_WORKERS``.
-    default_workers = _env_default_workers()
 
     def __init__(self, db: Database, model: CostModel = PAPER_HARDWARE):
         self.db = db
@@ -786,21 +693,10 @@ class Executor:
 
     def _resolve_engine(self, engine: str | None) -> str:
         engine = engine if engine is not None else self.default_engine
-        if engine not in ("row", "vector", "parallel"):
+        if engine not in ("row", "vector"):
             raise ValueError(
-                f"engine must be 'row', 'vector' or 'parallel', "
-                f"got {engine!r}")
+                f"engine must be 'row' or 'vector', got {engine!r}")
         return engine
-
-    def _resolve_workers(self, workers: int | None) -> int:
-        workers = (workers if workers is not None
-                   else self.default_workers)
-        if workers is None:
-            workers = min(os.cpu_count() or 1, 8)
-        workers = int(workers)
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        return workers
 
     @contextmanager
     def _read_view(self, table: Table, cold: bool, pin: bool = True):
@@ -830,11 +726,10 @@ class Executor:
                 snap.unpin(pool)
 
     def _metrics(self, label: str, rows: int, io, cpu: float,
-                 wall: float, counts, engine: str = "row",
-                 workers: int = 0) -> QueryMetrics:
+                 wall: float, counts, engine: str = "row") -> QueryMetrics:
         """The one :class:`QueryMetrics` builder.  ``counts`` carries
         the statement's ``stream_calls``/``udf_calls`` — a row or batch
-        context, or a merged parallel result."""
+        context."""
         model = self.model
         io_seq, io_random = model.io_seconds_split(io)
         io_seconds = io_seq + io_random
@@ -849,8 +744,7 @@ class Executor:
             sim_io_random_seconds=io_random,
             sim_cpu_core_seconds=cpu,
             sim_exec_seconds=model.exec_seconds(io_seconds, cpu),
-            cores=model.cores, wall_seconds=wall, engine=engine,
-            workers=workers)
+            cores=model.cores, wall_seconds=wall, engine=engine)
 
     def _scan_costs(self, table: Table, aggregates, where,
                     group_expr) -> tuple[float, float]:
@@ -874,8 +768,7 @@ class Executor:
 
     def _scan_cpu(self, rows: int, payload_bytes: int,
                   costs: tuple[float, float], counts) -> float:
-        """Simulated CPU core-seconds of a scan — the one formula the
-        serial and parallel paths share."""
+        """Simulated CPU core-seconds of a scan."""
         model = self.model
         decode_cost, step_cost = costs
         return (rows * (model.cpu_row_base + decode_cost + step_cost)
@@ -917,8 +810,7 @@ class Executor:
 
     def run(self, table: Table, aggregates: Sequence[Aggregate],
             where: Expression | None = None, cold: bool = True,
-            label: str = "", engine: str | None = None,
-            workers: int | None = None
+            label: str = "", engine: str | None = None
             ) -> tuple[tuple, QueryMetrics]:
         """Execute ``SELECT aggs FROM table [WHERE where]``.
 
@@ -930,29 +822,20 @@ class Executor:
                 evaluates falsy are skipped after being scanned).
             cold: Read through a cold buffer pool, like the paper's runs.
             label: Name recorded in the metrics.
-            engine: ``"row"``, ``"vector"`` or ``"parallel"``; ``None``
-                uses :attr:`default_engine`.  All produce bit-identical
-                results; cold-run IO accounting is identical too.  A
-                parallel request that cannot parallelize safely (an
-                unpicklable plan, a UDF registered
-                ``parallel_safe=False``, a custom aggregate without
-                ``merge``) honestly falls back to the serial vector
-                path and reports ``engine="vector"``.
-            workers: Worker-process count for ``engine="parallel"``
-                (``None`` uses :attr:`default_workers`); ignored by
-                the serial engines.
+            engine: ``"row"`` or ``"vector"``; ``None`` uses
+                :attr:`default_engine`.  Both produce bit-identical
+                results; cold-run IO accounting is identical too.
 
         Returns:
             ``(values, metrics)``.
         """
-        return self._run_scan(table, aggregates, where, None, cold,
-                              label, engine, workers)
+        return self.run_serial(table, aggregates, where, None, cold,
+                               label, self._resolve_engine(engine))
 
     def run_grouped(self, table: Table, group_expr: "Expression",
                     aggregates: Sequence[Aggregate],
                     where: "Expression | None" = None, cold: bool = True,
-                    label: str = "", engine: str | None = None,
-                    workers: int | None = None
+                    label: str = "", engine: str | None = None
                     ) -> tuple[list[tuple], QueryMetrics]:
         """Execute ``SELECT group, aggs FROM table GROUP BY group``.
 
@@ -965,56 +848,15 @@ class Executor:
             ``(rows, metrics)`` where each row is
             ``(group_value, agg1, agg2, ...)``.
         """
-        return self._run_scan(table, aggregates, where, group_expr, cold,
-                              label, engine, workers)
-
-    def _run_scan(self, table, aggregates, where, group_expr, cold,
-                  label, engine, workers):
-        """Engine dispatch for callers that hold no latch: the parallel
-        engine first when asked for, the serial scan otherwise or when
-        the plan declines to parallelize."""
-        engine = self._resolve_engine(engine)
-        if engine == "parallel":
-            result = self.run_parallel(table, aggregates, where,
-                                       group_expr, cold, label, workers)
-            if result is not None:
-                return result
-            engine = "vector"  # honest fallback
         return self.run_serial(table, aggregates, where, group_expr,
-                               cold, label, engine)
-
-    def run_parallel(self, table: Table, aggregates, where=None,
-                     group_expr=None, cold: bool = True, label: str = "",
-                     workers: int | None = None):
-        """Morsel-parallel scan (grouped when ``group_expr`` is given);
-        ``None`` when the plan cannot parallelize safely.
-
-        Call it with **no latch held**: the coordinator takes the
-        worker-pool mutex and then the catalog and table latches itself
-        (:func:`repro.engine.parallel.run_parallel`).  The IO counters
-        were replayed in morsel order on the coordinator, so on a cold
-        run the metrics are identical to a serial scan's.
-        """
-        from . import parallel
-        res = parallel.run_parallel(
-            self.db, table, aggregates, where, group_expr, cold,
-            self._resolve_workers(workers))
-        if res is None:
-            return None
-        cpu = self._scan_cpu(
-            res.rows, res.payload_bytes,
-            self._scan_costs(table, aggregates, where, group_expr), res)
-        return (self._finish(aggregates, res.states, res.groups,
-                             res.rows),
-                self._metrics(label, res.rows, res.io, cpu, res.wall,
-                              res, "parallel", res.workers))
+                               cold, label, self._resolve_engine(engine))
 
     def run_serial(self, table: Table, aggregates, where=None,
                    group_expr=None, cold: bool = True, label: str = "",
                    engine: str = "vector"):
-        """Serial scan on the ``"vector"`` or ``"row"`` engine (grouped
-        when ``group_expr`` is given).  Never reaches the worker pool,
-        so a session may call it under its statement latches."""
+        """Scan on the ``"vector"`` or ``"row"`` engine (grouped when
+        ``group_expr`` is given).  ``engine`` is already resolved; a
+        session calls this under its statement latch guard."""
         states, groups, rows, metrics = self._scan_serial(
             table, aggregates, where, group_expr, cold, label, engine)
         return self._finish(aggregates, states, groups, rows), metrics
@@ -1090,7 +932,7 @@ class Executor:
     def run_index(self, table: Table, column: str,
                   aggregates: Sequence[Aggregate], equals=None,
                   lo=None, hi=None, cold: bool = True, label: str = "",
-                  engine: str | None = None, workers: int | None = None
+                  engine: str | None = None
                   ) -> tuple[tuple, QueryMetrics]:
         """Execute aggregates over rows found through a secondary
         index: an index seek / range scan plus one clustered key lookup
@@ -1139,7 +981,7 @@ class Executor:
     def run_point(self, table: Table, key: int,
                   aggregates: Sequence[Aggregate], cold: bool = True,
                   label: str = "", engine: str | None = None,
-                  workers: int | None = None, finalize=None):
+                  finalize=None):
         """Execute aggregates over the single row with the given
         primary key — a clustered index *seek* instead of a scan.
 

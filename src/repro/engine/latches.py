@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from .locks import RWLock
 
@@ -45,15 +45,9 @@ class LatchManager:
     ``try``/``finally`` rather than nesting ``with`` blocks: the
     acquisition loop over a sorted latch set is *one* level of the
     hierarchy, not a re-entrant stack.
-
-    Args:
-        table_names: Callable returning the current table names (the
-            all-tables latch set for whole-database readers such as the
-            parallel engine's snapshots).
     """
 
-    def __init__(self, table_names: Callable[[], Iterable[str]]):
-        self._table_names = table_names
+    def __init__(self):
         self._catalog = RWLock()
         # Stamp sentinel identities (REPRO_LOCK_CHECK=1).
         self._catalog.lock_class = "catalog"
@@ -89,17 +83,13 @@ class LatchManager:
 
     @contextmanager
     def read_latch(self, *tables: str) -> Iterator["LatchManager"]:
-        """Shared access to the named tables (a SELECT's latch set).
-
-        With no names, latches *every* current table — the guard a
-        whole-database reader needs (the parallel engine pickles a
-        snapshot of the full database, so all of it must be stable).
-        """
+        """Shared access to the named tables (a SELECT's latch set)."""
+        if not tables:
+            raise ValueError("read_latch needs at least one table name")
         self._catalog.acquire_read()
         held: list[RWLock] = []
         try:
-            for latch in self._sorted_latches(
-                    tables if tables else self._table_names()):
+            for latch in self._sorted_latches(tables):
                 latch.acquire_read()
                 held.append(latch)
             yield self

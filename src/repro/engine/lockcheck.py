@@ -59,14 +59,13 @@ class LockOrderViolation(RuntimeError):
 #: e.g. an installed package without the analysis data).
 DEFAULT_ORDER: tuple[str, ...] = (
     "intent",
+    "catalog",
     "mutex:ArrayServer",
+    "mutex:Database",
     "mutex:ShardRouter",
     "mutex:_Connection",
     "mutex:_RelayStream",
     "rwlock",
-    "workerpool",
-    "catalog",
-    "mutex:Database",
     "table",
     "mutex:Table",
     "pagefile",

@@ -52,12 +52,12 @@ class QueryMetrics:
     cores: int = 8
     wall_seconds: float = 0.0
     #: Which execution path produced the result: ``"row"`` (tuple at a
-    #: time), ``"vector"`` (columnar batches) or ``"parallel"``
-    #: (morsel-driven multi-process).  Purely diagnostic — all paths
-    #: return identical results and cold-run IO counters.
+    #: time), ``"vector"`` (columnar batches) or ``"sharded"`` (merged
+    #: from shard partials by a coordinator).  Purely diagnostic — all
+    #: paths return identical results and cold-run IO counters.
     engine: str = "row"
-    #: Worker processes used by the parallel engine (0 for the serial
-    #: engines).
+    #: Shards whose partials a sharded coordinator merged (0 for a
+    #: single-node statement).  Crosses the wire in the metrics dict.
     workers: int = 0
 
     @property

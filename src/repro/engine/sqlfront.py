@@ -307,9 +307,7 @@ def _is_finite_number(value) -> bool:
 
 def _empty_function(*args):
     """The paper's ``dbo.EmptyFunction``: takes anything, does
-    nothing.  Module-level so it pickles by reference into parallel
-    worker processes (which re-import this module and therefore see
-    the batch kernel attached below)."""
+    nothing."""
     return 0.0
 
 
@@ -331,7 +329,7 @@ class SqlSession:
     def __init__(self, db: Database, model: CostModel | None = None):
         self.db = db
         self.executor = Executor(db, model) if model else Executor(db)
-        self._functions: dict[str, tuple[Callable, object, bool]] = {}
+        self._functions: dict[str, tuple[Callable, object]] = {}
         # Prepared-statement plan cache, keyed by exact SQL text.
         # Invalidated wholesale on DDL (a plan holds a Table
         # reference, and new tables can change how a name resolves).
@@ -341,16 +339,12 @@ class SqlSession:
         self._row_patterns = PlanCache()
         # The paper's cross-check UDF ships registered, with a trivial
         # batch kernel so the vector engine never falls back on it.
-        # It is a module-level function (not a lambda) so query plans
-        # that call it still pickle across the parallel engine's
-        # process boundary.
         self.register_function(
             "dbo.EmptyFunction", _empty_function, body_cost="empty")
 
     def register_function(self, qualified_name: str, func: Callable,
                           body_cost="item",
-                          vectorized: Callable | None = None,
-                          parallel_safe: bool = True) -> None:
+                          vectorized: Callable | None = None) -> None:
         """Register a scalar UDF callable as ``Schema.Name(...)``.
 
         ``body_cost`` is the managed-body cost class charged per call
@@ -361,16 +355,6 @@ class SqlSession:
         NULLs) and returns a length-n array, or ``None`` to decline the
         batch.  It is attached to ``func`` as its ``vectorized``
         attribute, which :class:`ScalarUdf` picks up automatically.
-
-        ``parallel_safe=False`` marks a function that must not run in
-        worker processes (it closes over mutable state, talks to the
-        outside world, ...); plans calling it always fall back to the
-        serial vector engine.  The flag lives in this session's
-        registry entry — the caller's function object is never
-        mutated — and is carried on the :class:`ScalarUdf` plan nodes
-        built from it.  Functions that are pure but simply fail to
-        pickle need no marking — the parallel engine detects that and
-        falls back on its own.
         """
         if vectorized is not None:
             try:
@@ -381,13 +365,12 @@ class SqlSession:
                 def func(*args, _f=plain):  # noqa: E306
                     return _f(*args)
                 func.vectorized = vectorized
-        self._functions[qualified_name.lower()] = (
-            func, body_cost, parallel_safe)
+        self._functions[qualified_name.lower()] = (func, body_cost)
 
     # -- public API --------------------------------------------------------
 
     def execute(self, sql: str, cold: bool = True, finalize=None,
-                engine: str | None = None, workers: int | None = None):
+                engine: str | None = None):
         """Execute any supported statement.
 
         ``SELECT`` returns ``(values, metrics)`` (or ``(rows, metrics)``
@@ -397,10 +380,8 @@ class SqlSession:
         ``finalize`` (SELECT only) is applied to the result before the
         statement ends — see :meth:`query`.
         ``engine`` (SELECT only) picks the execution path — ``"row"``,
-        ``"vector"``, ``"parallel"``, or ``None`` for the executor's
-        default; all produce identical results and cold-run metrics.
-        ``workers`` sizes the parallel engine's process pool (ignored
-        by the serial engines).
+        ``"vector"``, or ``None`` for the executor's default; both
+        produce identical results and cold-run metrics.
 
         Latching: CREATE/DROP take the exclusive catalog latch; INSERT
         and DELETE take the exclusive latch of the one table they
@@ -415,7 +396,7 @@ class SqlSession:
         kind = _statement_kind(sql)
         if kind == "SELECT":
             return self.query(sql, cold=cold, finalize=finalize,
-                              engine=engine, workers=workers)
+                              engine=engine)
         if kind == "INSERT":
             return self.insert_rows(*self.parse_insert(sql))
         tokens = _tokenize(sql)
@@ -542,7 +523,7 @@ class SqlSession:
             table.release_intent(token)
 
     def query(self, sql: str, cold: bool = True, finalize=None,
-              engine: str | None = None, workers: int | None = None):
+              engine: str | None = None):
         """Execute one aggregate SELECT; returns (values, metrics).
 
         The statement is planned through :meth:`prepare`, so a repeated
@@ -558,9 +539,7 @@ class SqlSession:
         snapshot — so any number of sessions read concurrently and this
         SELECT proceeds alongside INSERT/DELETE on the *same* table;
         index plans keep the table's shared latch (see
-        :meth:`_mvcc_select_guard`).  A statement for the parallel
-        engine is dispatched with no latch held; its coordinator takes
-        its own (see :meth:`_select`).
+        :meth:`_mvcc_select_guard`).
 
         ``finalize``, if given, is called on the raw result before the
         statement ends and its return value is returned instead.  A
@@ -577,32 +556,14 @@ class SqlSession:
         ``finalize`` must not execute further statements (the latches
         are not reentrant).
         """
-        return self._select(self.prepare(sql), cold, engine, workers,
-                            finalize)
+        return self._select(self.prepare(sql), cold, engine, finalize)
 
     def _select(self, plan: SelectPlan, cold: bool, engine: str | None,
-                workers: int | None, finalize):
+                finalize):
         """Guard -> execute -> ``finalize`` for one planned SELECT: the
-        body shared by :meth:`query` and :meth:`query_partial`.
-
-        Parallel is a different *dispatch*, decided before any latch:
-        the coordinator takes the worker-pool mutex and then the
-        catalog and table latches itself, which would invert the lock
-        order if a statement guard were already held.  Plans the
-        parallel engine declines (or cannot run: seeks) take the
-        guarded serial path, which never reaches the worker pool.
-        """
+        body shared by :meth:`query` and :meth:`query_partial`."""
         executor = self.executor
         engine = executor._resolve_engine(engine)
-        if engine == "parallel":
-            if plan.kind in ("scan", "grouped"):
-                result = executor.run_parallel(
-                    plan.table, plan.aggregates, plan.where,
-                    plan.group_expr, cold, plan.label, workers)
-                if result is not None:
-                    return result if finalize is None \
-                        else finalize(result)
-            engine = "vector"  # honest fallback
         with self._mvcc_select_guard(plan):
             if plan.late:
                 return executor.run_point(
@@ -745,8 +706,7 @@ class SqlSession:
                    plan.group_expr, cold, plan.label, engine)
 
     def query_partial(self, sql: str, cold: bool = True,
-                      engine: str | None = None,
-                      workers: int | None = None, finalize=None):
+                      engine: str | None = None, finalize=None):
         """Execute one aggregate SELECT but return the *unreduced*
         mergeable partial states instead of finished values — the
         shard-side half of distributed aggregation.
@@ -783,7 +743,7 @@ class SqlSession:
             if plan.kind == "grouped":
                 groups, metrics = result
                 states = None
-                if isinstance(groups, list):  # rows: morsels, row engine
+                if isinstance(groups, list):  # rows: the row engine
                     groups = vectorized.GroupArrays.from_rows(
                         wrapped.aggregates, groups)
             else:
@@ -793,7 +753,7 @@ class SqlSession:
                        "groups": groups, "metrics": metrics}
             return payload if finalize is None else finalize(payload)
 
-        return self._select(wrapped, cold, engine, workers, shape)
+        return self._select(wrapped, cold, engine, shape)
 
     def parse_insert(self, sql: str) -> tuple[Table, list[tuple]]:
         """Parse ``INSERT INTO name VALUES (v, ...), ...`` into
@@ -974,7 +934,7 @@ class SqlSession:
         raise SqlSyntaxError(f"unknown table {name!r}")
 
     def _resolve_function(self, schema: str, func: str
-                          ) -> tuple[Callable, object, bool]:
+                          ) -> tuple[Callable, object]:
         registered = self._functions.get(f"{schema}.{func}".lower())
         if registered is not None:
             return registered
@@ -990,7 +950,7 @@ class SqlSession:
         if method is None:
             raise SqlSyntaxError(
                 f"schema {ns.name} has no function {func!r}")
-        return method, "item", True
+        return method, "item"
 
 
 class _Parser:
@@ -1173,11 +1133,9 @@ class _Parser:
                 self._next()
                 args.append(self._expr())
         self._expect("op", ")")
-        callable_, body_cost, parallel_safe = \
-            self.session._resolve_function(schema, func)
+        callable_, body_cost = self.session._resolve_function(schema, func)
         return ScalarUdf(callable_, *args, body_cost=body_cost,
-                         name=f"{schema}.{func}",
-                         parallel_safe=parallel_safe)
+                         name=f"{schema}.{func}")
 
     # -- predicates ---------------------------------------------------------------
 

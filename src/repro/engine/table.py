@@ -162,10 +162,6 @@ class Table:
             ``varbinary_max`` column).
     """
 
-    #: Set on tables of a read-only snapshot (a parallel worker's
-    #: database copy); mutators refuse to run.
-    _read_only = False
-
     def __init__(self, name: str, columns: Sequence[Column],
                  pagefile: PageFile, blob_store: BlobStore | None = None):
         if not columns:
@@ -190,10 +186,6 @@ class Table:
         self._nonkey = self.columns[1:]
         self._bitmap_bytes = (len(self._nonkey) + 7) // 8
         self._indexes: dict[str, "SecondaryIndex"] = {}
-        #: Count of completed write operations; the database's
-        #: ``write_version`` sums these so the parallel engine can tell
-        #: when its worker snapshots have gone stale.
-        self.mutations = 0
         #: Last published version; 0 is the empty table as created.
         #: Mutators copy-on-write the pages they touch and publish a
         #: new version atomically; readers pin frozen snapshots instead
@@ -222,9 +214,8 @@ class Table:
 
     def __getstate__(self):
         state = self.__dict__.copy()
-        # Locks are process-local, pins and intents die with the
-        # process, and a worker snapshot only ever reads the committed
-        # tip — so ship only that.
+        # Locks are process-local, and pins and intents die with the
+        # process — a saved snapshot is the committed tip only.
         state["_pin_lock"] = None
         state["_mutate_lock"] = None
         state["_intent_cond"] = None
@@ -552,7 +543,6 @@ class Table:
                 self._tree.root_page_id, self._tree.height,
                 self._tree.count)
             self.version = version
-            self.mutations += 1
         self._retire(None)
 
     def _retire(self, pool: BufferPool | None) -> None:
@@ -619,12 +609,6 @@ class Table:
 
     # -- data access ------------------------------------------------------------
 
-    def _check_writable(self) -> None:
-        if self._read_only:
-            raise PermissionError(
-                f"table {self.name} belongs to a read-only database "
-                "snapshot")
-
     def insert(self, values: Sequence) -> None:
         """Insert one row (values in schema order, PK first)."""
         self.apply_insert(self.prepare_insert([values]))
@@ -633,7 +617,6 @@ class Table:
         """Encode rows — blob writes included — without touching the
         tree: the part of an INSERT that needs no latch, so two writers
         of one table overlap their encoding work."""
-        self._check_writable()
         rows = [row if isinstance(row, (tuple, list)) else tuple(row)
                 for row in rows]
         keys = [row[0] if type(row[0]) is int else self._key(row[0])
@@ -665,7 +648,6 @@ class Table:
         one descent per row.  On a mid-statement error (say a duplicate
         key) the rows already inserted are published and stay visible.
         """
-        self._check_writable()
         keys = prep.keys
         if not keys:
             return 0
@@ -710,7 +692,6 @@ class Table:
         place (like deallocated-lazily LOB pages); the rows themselves
         disappear from every scan and from every secondary index.
         """
-        self._check_writable()
         keys = [int(key) for key in keys]
         with self._mutate_lock:
             old = [row for row in map(self.get, set(keys))
@@ -732,7 +713,6 @@ class Table:
     def update(self, values: Sequence) -> bool:
         """Replace an existing row (matched by its primary key);
         returns whether the key existed."""
-        self._check_writable()
         key = self._key(values[0])
         payload = self._encode_row(values)
         self._check_fits(key, _KEY_STRUCT.size + len(payload))
@@ -780,46 +760,6 @@ class Table:
         and a row scan of the same table produce identical IO counters.
         """
         return _scan_batches(self, self._tree, pool, batch_pages)
-
-    def batches_for_pages(self, pool: BufferPool | None, page_ids,
-                          batch_pages: int | None = None,
-                          skip_charge_first: bool = False) -> Iterator:
-        """Decode an explicit run of leaf page ids into ``RowBatch``es.
-
-        The morsel-scan primitive of the parallel engine: the
-        coordinator hands each worker a slice of
-        :meth:`data_page_ids`, and the worker charges its pool exactly
-        as :meth:`scan_batches` would for those pages — each chunk of
-        ``batch_pages`` pages goes through one
-        :meth:`BufferPool.fetch_many` call, in list order.
-
-        Args:
-            page_ids: Leaf page ids in key order (a contiguous slice of
-                the sibling chain).
-            skip_charge_first: Do not charge the first page (the serial
-                scan charges the first leaf during its root descent;
-                the coordinator replays that descent itself, so the
-                first morsel must not charge it again).
-        """
-        from .vectorized import DEFAULT_BATCH_PAGES, RowBatch
-
-        if batch_pages is None:
-            batch_pages = DEFAULT_BATCH_PAGES
-        page_ids = list(page_ids)
-        for start in range(0, len(page_ids), batch_pages):
-            chunk = page_ids[start:start + batch_pages]
-            charged = chunk
-            pages = []
-            if start == 0 and skip_charge_first:
-                pages.append(self._pagefile.get(chunk[0]))
-                charged = chunk[1:]
-            if pool is not None and charged:
-                pages.extend(pool.fetch_many(charged))
-            else:
-                pages.extend(self._pagefile.get(pid) for pid in charged)
-            batch = RowBatch.from_pages(self, pages)
-            if batch.n:
-                yield batch
 
 
 def _scan_batches(table: Table, tree, pool: BufferPool | None,

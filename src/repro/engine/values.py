@@ -283,7 +283,7 @@ class _Reader:
             # Function names may collide with SQL keywords
             # (FloatArray.Sum, .Min, .Max, .Count ...).
             name = func.upper()
-            callable_, _cost, _psafe = self.resolve_function(
+            callable_, _cost = self.resolve_function(
                 schema, name.capitalize() if name in _KEYWORDS else func)
             self.funcs[schema, func] = callable_
         shape.append((schema, func, len(args)))

@@ -65,7 +65,6 @@ __all__ = [
     "fold",
     "fold_batch",
     "fold_segments_kernel",
-    "partition_lanes",
     "CountColumn",
     "FoldColumn",
     "ValuesColumn",
@@ -699,20 +698,6 @@ def _partition(values, mask, n: int) -> _Partition | None:
     return part
 
 
-def partition_lanes(values, mask, n: int):
-    """A batch's partition as ``(key, lanes)`` pairs — ``lanes``
-    ascending, a final ``None`` group for NULL lanes — for the morsel
-    body of :mod:`repro.engine.parallel`, which still steps a Python
-    list per group.  ``None`` when :func:`_partition` declines."""
-    part = _partition(values, mask, n)
-    if part is None:
-        return None
-    lanes = (np.arange(n) if part.order is None else part.order).tolist()
-    bounds = part.starts.tolist() + [n]
-    return [(key, lanes[lo:hi]) for key, lo, hi in zip(
-        part.keys.tolist() + [None] * part.null, bounds, bounds[1:])]
-
-
 def _step_batch_fallback(agg, state, ctx: BatchContext):
     """Per-row stepping for aggregates without a batch form."""
     prev = ctx.row
@@ -1069,8 +1054,8 @@ class GroupArrays(Sequence):
 
     @classmethod
     def from_rows(cls, aggregates: Sequence, rows: list) -> "GroupArrays":
-        """The grouped partial another path — the row engine, morsels,
-        the per-lane walk — finished as sorted ``(key, partial, ...)``
+        """The grouped partial another path — the row engine, the
+        per-lane walk — finished as sorted ``(key, partial, ...)``
         rows of captured ``aggregates`` (NULL group last), loaded into
         arrays: a grouped partial is one type whoever scanned."""
         self = cls([agg.group_column() for agg in aggregates])

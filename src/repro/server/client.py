@@ -59,17 +59,14 @@ Frame = tuple[dict[str, Any], list[memoryview]]
 
 
 def _query_header(sql: str, cold: bool, timeout: float | str | None,
-                  engine: str | None = None,
-                  workers: int | None = None) -> dict[str, object]:
+                  engine: str | None = None) -> dict[str, object]:
     """Build a query frame header.
 
     ``timeout=None`` (the parameter default) omits the key so the
     server applies its configured default; a number or
     :data:`NO_TIMEOUT` is sent through for the server to validate.
     ``engine=None`` likewise omits the key (server default, the
-    vector path); ``"row"``/``"vector"``/``"parallel"`` are sent
-    through, as is ``workers`` (the parallel engine's process count;
-    ``None`` → server default).
+    vector path); ``"row"``/``"vector"`` are sent through.
     """
     header: dict[str, object] = {"type": "query", "sql": sql,
                                  "cold": cold}
@@ -77,8 +74,6 @@ def _query_header(sql: str, cold: bool, timeout: float | str | None,
         header["timeout"] = timeout
     if engine is not None:
         header["engine"] = engine
-    if workers is not None:
-        header["workers"] = workers
     return header
 
 
@@ -380,8 +375,7 @@ class ArrayClient:
 
     def query(self, sql: str, cold: bool = True,
               timeout: float | str | None = None,
-              engine: str | None = None,
-              workers: int | None = None) -> QueryResult:
+              engine: str | None = None) -> QueryResult:
         """Execute one statement; raises :class:`ServerBusyError`,
         :class:`QueryTimeoutError` or :class:`ServerError`.
 
@@ -389,19 +383,15 @@ class ArrayClient:
         positive number to override it or :data:`NO_TIMEOUT` to
         disable it for this query.  ``engine`` picks the execution
         path for a SELECT — ``None`` for the server default (vector),
-        or ``"row"``/``"vector"``/``"parallel"`` explicitly; the reply
-        metrics' ``"engine"`` key reports which path actually ran (a
-        parallel request may legitimately come back ``"vector"`` when
-        the plan cannot parallelize).  ``workers`` sizes the parallel
-        engine's process pool for this query (``None`` → server
-        default).
+        or ``"row"``/``"vector"`` explicitly; the reply metrics'
+        ``"engine"`` key reports which path ran.
 
         With a :class:`RetryPolicy`, ``SERVER_BUSY`` rejections are
         retried with bounded exponential backoff; every other error
         (including ``QUERY_TIMEOUT``) raises immediately.
         """
         attempt = 0
-        request = _query_header(sql, cold, timeout, engine, workers)
+        request = _query_header(sql, cold, timeout, engine)
         while True:
             try:
                 header, blobs = self._request_raw(request)
@@ -428,7 +418,6 @@ class ArrayClient:
     def query_pipeline(self, statements: Iterable[str], cold: bool = True,
                        timeout: float | str | None = None,
                        engine: str | None = None,
-                       workers: int | None = None,
                        return_exceptions: bool = False) -> list[Any]:
         """Execute many statements pipelined: each window of ``pexec``
         frames (one server batch) is sent before its replies are read,
@@ -442,7 +431,7 @@ class ArrayClient:
         way).
         """
         frames = [protocol.encode_frame(dict(
-            _query_header(sql, cold, timeout, engine, workers),
+            _query_header(sql, cold, timeout, engine),
             type="pexec")) for sql in statements]
         results: list[Any] = []
         first_error: ServerError | None = None

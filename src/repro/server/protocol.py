@@ -62,7 +62,7 @@ Client to server:
 
 ``query``   ``{"type": "query", "sql": str, "cold": bool,
 "timeout": float | "none",
-"engine": "row" | "vector" | "parallel" | null, "workers": int | null}``
+"engine": "row" | "vector" | null}``
 
 A query's ``timeout`` key is optional: absent or ``null`` means "use
 the server's configured default"; a positive finite number is the
@@ -70,20 +70,16 @@ budget in seconds; the string sentinel :data:`NO_TIMEOUT` (``"none"``)
 explicitly disables the budget.  Anything else is rejected with a
 ``BAD_FRAME`` error reply (the connection survives).  The optional
 ``engine`` key picks the execution path for a SELECT — ``"row"``
-(tuple at a time), ``"vector"`` (columnar batches, the default) or
-``"parallel"`` (morsel-driven multi-process); any other value is a
-``BAD_FRAME``.  The optional ``workers`` key (a positive integer)
-sizes the parallel engine's process pool; absent or ``null`` means
-the server's configured default.  All paths return identical results
+(tuple at a time) or ``"vector"`` (columnar batches, the default); any
+other value is a ``BAD_FRAME``.  Both paths return identical results
 and cold-run metrics (the metrics dict's ``"engine"`` key reports
-which one actually ran — a parallel request falls back to ``vector``
-when its plan cannot parallelize).
+which one ran).  Header keys a frame type does not define are ignored.
 ``stats``   ``{"type": "stats"}``
 ``ping``    ``{"type": "ping"}``
 ``close``   ``{"type": "close"}``
 ``pquery``  ``{"type": "pquery", "sql": str, "cold": bool,
 "timeout": float | "none",
-"engine": "row" | "vector" | "parallel" | null, "workers": int | null}``
+"engine": "row" | "vector" | null}``
 
 A partial-state query: same key semantics and validation as ``query``,
 but the statement must be an aggregate SELECT and the reply is a
@@ -114,7 +110,7 @@ on first execution.
 
 ``pexec``   ``{"type": "pexec", "sql": str, "cold": bool,
 "timeout": float | "none",
-"engine": "row" | "vector" | "parallel" | null, "workers": int | null}``
+"engine": "row" | "vector" | null}``
 
 Execute a statement through the session's prepared-plan cache: same
 key semantics, validation and reply (``result``/``error``) as
@@ -131,7 +127,7 @@ most one batch in flight, so a long pipeline cannot stall both ways.
 
 ``bquery``  ``{"type": "bquery", "sql": str, "cold": bool,
 "timeout": float | "none",
-"engine": "row" | "vector" | "parallel" | null, "workers": int | null,
+"engine": "row" | "vector" | null,
 "offset": int, "length": int | null,
 "window": {"offset": [int, ...], "size": [int, ...]} | null,
 "chunk_bytes": int | null}``

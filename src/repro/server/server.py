@@ -86,11 +86,6 @@ class ServerConfig:
             ``None`` here means no default budget.
         max_frame: Largest accepted/emitted frame in bytes.
         name: Server name reported in the hello frame.
-        engine_workers: Default process count for queries served by the
-            ``parallel`` engine (a query frame's ``workers`` overrides
-            it); ``None`` means the executor's own default.  Distinct
-            from ``max_workers``, which sizes the *thread* pool that
-            admits queries.
     """
 
     host: str = "127.0.0.1"
@@ -100,7 +95,6 @@ class ServerConfig:
     query_timeout: float | None = 30.0
     max_frame: int = protocol.MAX_FRAME_BYTES
     name: str = "repro-array-server"
-    engine_workers: int | None = None
 
 
 class _Connection:
@@ -378,43 +372,22 @@ class ArrayServer:
         """Map a query frame's ``engine`` value to an executor engine.
 
         Absent/``null`` means the executor's default (the vector
-        path); ``"row"`` / ``"vector"`` / ``"parallel"`` select a path
-        explicitly.  Anything else is a ``BAD_FRAME``.
+        path); ``"row"`` / ``"vector"`` select a path explicitly.
+        Anything else is a ``BAD_FRAME``.
         """
         if requested is None:
             return None
-        if requested not in ("row", "vector", "parallel"):
+        if requested not in ("row", "vector"):
             raise _bad_frame(
-                f"'engine' must be 'row', 'vector' or 'parallel', "
-                f"got {requested!r}")
-        return requested
-
-    def _resolve_workers(self, requested) -> int | None:
-        """Map a query frame's ``workers`` value to a process count.
-
-        Absent/``null`` means the server's configured default
-        (``engine_workers``, itself defaulting to the executor's
-        choice).  Only meaningful with ``engine="parallel"``; the
-        serial engines ignore it.
-        """
-        if requested is None:
-            return self.config.engine_workers
-        if isinstance(requested, bool) or not isinstance(requested, int):
-            raise _bad_frame(
-                f"'workers' must be a positive integer, "
-                f"got {requested!r}")
-        if requested < 1:
-            raise _bad_frame(
-                f"'workers' must be at least 1, got {requested!r}")
+                f"'engine' must be 'row' or 'vector', got {requested!r}")
         return requested
 
     def _statement_options(self, header: dict) -> tuple:
-        """``(sql, cold, timeout, engine, workers)`` of a statement
-        frame, each validated as its ``_resolve_*`` says."""
+        """``(sql, cold, timeout, engine)`` of a statement frame, each
+        validated as its ``_resolve_*`` says."""
         return (_statement_text(header), bool(header.get("cold", True)),
                 self._resolve_timeout(header.get("timeout")),
-                self._resolve_engine(header.get("engine")),
-                self._resolve_workers(header.get("workers")))
+                self._resolve_engine(header.get("engine")))
 
     def _admit_and_run(self, session_id: int, timeout: float | None,
                        job) -> tuple:
@@ -464,13 +437,12 @@ class ArrayServer:
     def _run_query(self, session: SqlSession, session_id: int,
                    header: dict, partial: bool = False
                    ) -> tuple[dict, list[bytes]]:
-        sql, cold, timeout, engine, workers = \
-            self._statement_options(header)
+        sql, cold, timeout, engine = self._statement_options(header)
         execute = self._execute_partial_sync if partial \
             else self._execute_sync
         result, latency = self._admit_and_run(
             session_id, timeout,
-            lambda: execute(session, sql, cold, engine, workers))
+            lambda: execute(session, sql, cold, engine))
         self.stats.record_query(session_id, latency,
                                 result.get("metrics"))
         if partial:
@@ -559,7 +531,7 @@ class ArrayServer:
         timeout_set = False
         for header in headers:
             try:
-                sql, cold, resolved, engine, workers = \
+                sql, cold, resolved, engine = \
                     self._statement_options(header)
             except protocol.WireError as exc:
                 requests.append(_error_frame(exc))
@@ -569,7 +541,7 @@ class ArrayServer:
                 # first valid frame's timeout bounds the whole batch.
                 timeout = resolved
                 timeout_set = True
-            requests.append((sql, cold, engine, workers))
+            requests.append((sql, cold, engine))
 
         def job():
             replies = []
@@ -630,15 +602,13 @@ class ArrayServer:
         thread, then stream it as bounded ``bchunk`` frames once the
         statement has ended.  Returns the dispatch loop's ``done`` flag
         (the base server never closes the connection here)."""
-        sql, cold, timeout, engine, workers = \
-            self._statement_options(header)
+        sql, cold, timeout, engine = self._statement_options(header)
         offset, length, window = _resolve_blob_range(header)
         chunk_bytes = self._resolve_chunk_bytes(header.get("chunk_bytes"))
         result, latency = self._admit_and_run(
             session_id, timeout,
             lambda: self._execute_bquery_sync(
-                session, sql, cold, engine, workers, offset, length,
-                window))
+                session, sql, cold, engine, offset, length, window))
         self.stats.record_query(session_id, latency, result["metrics"])
         payload = result["payload"]
         chunks = [payload[i:i + chunk_bytes]
@@ -672,8 +642,7 @@ class ArrayServer:
 
     def _execute_bquery_sync(self, session: SqlSession, sql: str,
                              cold: bool, engine: str | None,
-                             workers: int | None, offset: int,
-                             length: int | None,
+                             offset: int, length: int | None,
                              window: tuple | None) -> dict:
         """Worker-thread body of the ``bquery`` path.
 
@@ -735,19 +704,18 @@ class ArrayServer:
                     "offset": served_offset, "metrics": metrics}
 
         result = session.query(sql, cold=cold, finalize=finalize,
-                               engine=engine, workers=workers)
+                               engine=engine)
         metrics = result["metrics"]
         metrics.stream_calls += sum(s.stream_calls for s in opened)
         result["metrics"] = metrics.to_dict()
         return result
 
     def _execute_sync(self, session: SqlSession, sql: str,
-                      cold: bool, engine: str | None = None,
-                      workers: int | None = None) -> dict:
+                      cold: bool, engine: str | None = None) -> dict:
         """Worker-thread body: execute and normalize the result."""
         result = session.execute(sql, cold=cold,
                                  finalize=self._materialize_result,
-                                 engine=engine, workers=workers)
+                                 engine=engine)
         if isinstance(result, Table):
             return {"kind": "ok", "rows": [],
                     "rowcount": 0, "metrics": None,
@@ -760,13 +728,13 @@ class ArrayServer:
                 "metrics": metrics.to_dict()}
 
     def _execute_partial_sync(self, session: SqlSession, sql: str,
-                              cold: bool, engine: str | None = None,
-                              workers: int | None = None) -> dict:
+                              cold: bool, engine: str | None = None
+                              ) -> dict:
         """Worker-thread body of the ``pquery`` path: run the SELECT
         with its aggregates' mergeable partial states left unreduced
         (the shard half of distributed aggregation)."""
         payload = session.query_partial(
-            sql, cold=cold, engine=engine, workers=workers,
+            sql, cold=cold, engine=engine,
             finalize=self._materialize_partials)
         return {"kind": "partial", "rows": payload["rows"],
                 "states": payload["states"],
@@ -823,15 +791,11 @@ class ArrayServer:
     # -- stats ----------------------------------------------------------------
 
     def _stats_frame(self) -> dict:
-        from ..engine import parallel
         pool = self.db.pool.snapshot_counters()
         return {
             "type": "stats",
             "server": self.config.name,
             "admission": self.admission.snapshot(),
-            # Live processes across the parallel engine's worker
-            # pools (0 until the first parallel query spawns one).
-            "parallel_workers": parallel.active_workers(),
             "pool_counters": {
                 "logical_reads": pool.logical_reads,
                 "physical_reads": pool.physical_reads,

@@ -211,24 +211,21 @@ class ShardRouter:
     # -- statement entry point ----------------------------------------------
 
     def execute(self, sql: str, cold: bool = True,
-                engine: str | None = None,
-                workers: int | None = None) -> dict:
+                engine: str | None = None) -> dict:
         """Route and execute one statement; returns the normalized
         result dict (:meth:`ArrayServer._execute_sync` shape): keys
         ``kind``, ``rows``, ``rowcount``, ``metrics``.
 
-        ``engine``/``workers`` are forwarded to the shards — each
-        shard may run its slice on its parallel engine; the merged
-        metrics report ``engine="sharded"``.
+        ``engine`` is forwarded to the shards; the merged metrics
+        report ``engine="sharded"``.
         """
-        result = self.execute_columnar(sql, cold, engine, workers)
+        result = self.execute_columnar(sql, cold, engine)
         if "columns" in result:
             result["rows"] = result.pop("columns").rows()
         return result
 
     def execute_columnar(self, sql: str, cold: bool = True,
-                         engine: str | None = None,
-                         workers: int | None = None) -> dict:
+                         engine: str | None = None) -> dict:
         """:meth:`execute` for a caller that puts the result on the
         wire (:class:`ShardServer`): a grouped SELECT's result set
         stays the merge's finished
@@ -237,7 +234,7 @@ class ShardRouter:
         reply frame."""
         kind = _statement_kind(sql)
         if kind == "SELECT":
-            return self._select(sql, cold, engine, workers)
+            return self._select(sql, cold, engine)
         if kind == "INSERT":
             return self._insert(sql)
         if kind == "DROP":
@@ -456,8 +453,7 @@ class ShardRouter:
         with self._plan_lock:
             self._plan_cache.clear()
 
-    def _select(self, sql: str, cold: bool, engine: str | None,
-                workers: int | None) -> dict:
+    def _select(self, sql: str, cold: bool, engine: str | None) -> dict:
         plan = self.prepare(sql)
         targets = self._route(plan)
         header: dict = {"type": "pquery", "sql": sql,
@@ -465,8 +461,6 @@ class ShardRouter:
                         "timeout": protocol.NO_TIMEOUT}
         if engine is not None:
             header["engine"] = engine
-        if workers is not None:
-            header["workers"] = workers
         replies = self._scatter_read(
             [(shard_id, header, ()) for shard_id in targets])
         rows_total = sum(reply.get("rows", 0)
@@ -1045,16 +1039,14 @@ class ShardServer(ArrayServer):
         self.router = router
 
     def _execute_sync(self, session: SqlSession, sql: str,
-                      cold: bool, engine: str | None = None,
-                      workers: int | None = None) -> dict:
+                      cold: bool, engine: str | None = None) -> dict:
         # router.execute plans through the coordinator cache (see
         # ShardRouter.prepare), so no frame kind re-plans here.
-        return self.router.execute_columnar(
-            sql, cold=cold, engine=engine, workers=workers)
+        return self.router.execute_columnar(sql, cold=cold, engine=engine)
 
     def _execute_partial_sync(self, session: SqlSession, sql: str,
-                              cold: bool, engine: str | None = None,
-                              workers: int | None = None) -> dict:
+                              cold: bool, engine: str | None = None
+                              ) -> dict:
         raise protocol.WireError(
             protocol.BAD_FRAME,
             "the coordinator does not serve pquery frames; they are "

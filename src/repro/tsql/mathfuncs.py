@@ -138,12 +138,7 @@ def _attach(ns: ArrayNamespace) -> None:
 
     local = locals()
     for name in MATH_EXPORTS:
-        fn = local[name]
-        # Symbolic identity for cross-process plan pickling (see
-        # repro.engine.parallel).
-        fn._sql_schema = ns.name
-        fn._sql_name = name
-        setattr(ns, name, fn)
+        setattr(ns, name, local[name])
 
 
 def _first_blob(blobs) -> bytes | None:
@@ -381,16 +376,13 @@ def _subarray_kernel(ns: ArrayNamespace):
 
 def _instance_subarray(ns: ArrayNamespace):
     """A per-instance ``Subarray`` wrapper that can carry a batch
-    kernel (bound methods reject attribute assignment) and a symbolic
-    identity for cross-process plan pickling."""
+    kernel (bound methods reject attribute assignment)."""
 
     def Subarray(blob, offset, size, collapse=0):
         return ArrayNamespace.Subarray(ns, blob, offset, size, collapse)
 
     Subarray.__name__ = "Subarray"
     Subarray.__doc__ = ArrayNamespace.Subarray.__doc__
-    Subarray._sql_schema = ns.name
-    Subarray._sql_name = "Subarray"
     Subarray.vectorized = _subarray_kernel(ns)
     return Subarray
 

@@ -470,11 +470,6 @@ def _attach_numbered_variants(ns: ArrayNamespace) -> None:
         return fill
 
     def attach(fn):
-        # Symbolic identity for cross-process plan pickling: the
-        # parallel engine ships closures as (schema, name) pairs and
-        # re-resolves them in the worker (see repro.engine.parallel).
-        fn._sql_schema = ns.name
-        fn._sql_name = fn.__name__
         setattr(ns, fn.__name__, fn)
 
     for n in range(1, MAX_VECTOR_N + 1):

@@ -223,7 +223,7 @@ _COORDINATOR_SRC = """
 from contextlib import contextmanager
 
 
-class WorkerPool:
+class Dispatcher:
     @contextmanager
     def guard(self):
         with self._mutex:
@@ -232,25 +232,27 @@ class WorkerPool:
 
 def coordinator(db, pool):
     with pool.guard():
-        with db.latches.read_latch():
+        with db.latches.read_latch('t'):
             pass
 """
 
 
-def test_workerpool_under_a_latch_is_a_cycle():
-    # No class is exempt: the coordinator takes the pool mutex, then
-    # latches, so dispatching to it with a latch held closes a cycle.
+def test_guarded_mutex_under_a_latch_is_a_cycle():
+    # No class is exempt: the coordinator takes the dispatcher mutex
+    # through a guard, then latches, so calling it with a latch held
+    # closes a cycle.
     graph = _program(_COORDINATOR_SRC).lock_graph
     assert graph.cycles() == []
-    assert graph.topo_order().index("workerpool") \
+    assert graph.topo_order().index("mutex:Dispatcher") \
         < graph.topo_order().index("catalog")
     graph = _program(
         _COORDINATOR_SRC,
         "def select(db, pool):\n"
         "    with db.latches.catalog_latch():\n"
         "        coordinator(db, pool)\n").lock_graph
-    assert ("catalog", "workerpool") in graph.edges
-    assert graph.cycles() == [["catalog", "workerpool", "catalog"]]
+    assert ("catalog", "mutex:Dispatcher") in graph.edges
+    assert graph.cycles() == [
+        ["catalog", "mutex:Dispatcher", "catalog"]]
     assert graph.topo_order() is None
 
 
@@ -342,12 +344,13 @@ def test_cli_changed_mode(tmp_path):
     proc = _run_cli("--changed", cwd=str(tmp_path))
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "clean" in proc.stdout
-    (tmp_path / "udf.py").write_text(
-        "def install(session):\n"
-        "    session.register_function('dbo.F', lambda v: v)\n")
+    (tmp_path / "kernel.py").write_text(
+        "def scale_kernel(args):\n"
+        "    args[0][:] = 0\n"
+        "    return [0], None\n")
     proc = _run_cli("--changed", cwd=str(tmp_path))
     assert proc.returncode == 1
-    assert "RP101" in proc.stdout
+    assert "RV201" in proc.stdout
 
 
 def test_cli_write_lock_graph_refuses_cycle():

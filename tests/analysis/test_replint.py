@@ -62,7 +62,7 @@ def test_fixture_matrix_discovered():
     assert len(EXPECTED) >= 16
     assert set(EXPECTED.values()) >= {
         "RC601", "RL001", "RL002", "RL003", "RL004", "RL005",
-        "RM501", "RP101", "RS401", "RV201", "RW301",
+        "RS401", "RV201", "RW301",
     }
 
 
@@ -132,41 +132,36 @@ def _lint_texts(tmp_path, texts):
     return lint_paths(paths, root=str(tmp_path))
 
 
+#: One RV201 violation (a batch kernel storing into its input) on the
+#: line a suppression comment is appended to.
+_KERNEL_HEAD = "def scale_kernel(args):\n"
+_KERNEL_STORE = "    args[0][:] = 0"
+_KERNEL_TAIL = "\n    return [0], None\n"
+
+
 def test_line_suppression(tmp_path):
-    text = (
-        "def install(session):\n"
-        "    session.register_function('dbo.F', lambda v: v)"
-        "  # replint: disable=RP101\n"
-    )
+    text = (_KERNEL_HEAD + _KERNEL_STORE + "  # replint: disable=RV201"
+            + _KERNEL_TAIL)
     assert _lint_texts(tmp_path, {"sup.py": text}) == []
 
 
 def test_line_suppression_all(tmp_path):
-    text = (
-        "def install(session):\n"
-        "    session.register_function('dbo.F', lambda v: v)"
-        "  # replint: disable=all\n"
-    )
+    text = (_KERNEL_HEAD + _KERNEL_STORE + "  # replint: disable=all"
+            + _KERNEL_TAIL)
     assert _lint_texts(tmp_path, {"sup.py": text}) == []
 
 
 def test_file_suppression(tmp_path):
-    text = (
-        "# replint: disable-file=RP101\n"
-        "def install(session):\n"
-        "    session.register_function('dbo.F', lambda v: v)\n"
-    )
+    text = ("# replint: disable-file=RV201\n" + _KERNEL_HEAD
+            + _KERNEL_STORE + _KERNEL_TAIL)
     assert _lint_texts(tmp_path, {"sup.py": text}) == []
 
 
 def test_wrong_rule_suppression_does_not_hide(tmp_path):
-    text = (
-        "def install(session):\n"
-        "    session.register_function('dbo.F', lambda v: v)"
-        "  # replint: disable=RV201\n"
-    )
+    text = (_KERNEL_HEAD + _KERNEL_STORE + "  # replint: disable=RW301"
+            + _KERNEL_TAIL)
     findings = _lint_texts(tmp_path, {"sup.py": text})
-    assert [f.rule for f in findings] == ["RP101"]
+    assert [f.rule for f in findings] == ["RV201"]
 
 
 # -- framework mechanics ---------------------------------------------------
@@ -187,22 +182,11 @@ def test_json_output_roundtrips():
 
 def test_findings_sorted_and_deduped_paths(tmp_path):
     texts = {
-        "b.py": "def f(session):\n"
-                "    session.register_function('x', lambda v: v)\n",
-        "a.py": "def g(session):\n"
-                "    session.register_function('y', lambda v: v)\n",
+        "b.py": _KERNEL_HEAD + _KERNEL_STORE + _KERNEL_TAIL,
+        "a.py": _KERNEL_HEAD + _KERNEL_STORE + _KERNEL_TAIL,
     }
     findings = _lint_texts(tmp_path, texts)
     assert [os.path.basename(f.path) for f in findings] == ["a.py", "b.py"]
-
-
-def test_parallel_safe_false_exempts(tmp_path):
-    text = (
-        "def install(session):\n"
-        "    session.register_function('dbo.F', lambda v: v,\n"
-        "                              parallel_safe=False)\n"
-    )
-    assert _lint_texts(tmp_path, {"ok.py": text}) == []
 
 
 def test_rv201_out_kwarg_flagged(tmp_path):
@@ -507,10 +491,10 @@ def test_cli_unknown_rule_exit_two():
 
 
 def test_cli_rule_filter():
-    proc = _run_cli(FIXTURES, "--rules", "RP101", "--format", "json")
+    proc = _run_cli(FIXTURES, "--rules", "RL004", "--format", "json")
     assert proc.returncode == 1
     payload = json.loads(proc.stdout)
-    assert [f["rule"] for f in payload["findings"]] == ["RP101"]
+    assert [f["rule"] for f in payload["findings"]] == ["RL004"]
 
 
 def test_repro_lint_subcommand():
@@ -526,8 +510,8 @@ def test_repro_lint_subcommand():
 def test_collect_files_skips_pycache(tmp_path):
     cache = tmp_path / "__pycache__"
     cache.mkdir()
-    (cache / "junk.py").write_text("def f(session):\n"
-                                   "    session.register_function('x', lambda v: v)\n")
+    (cache / "junk.py").write_text(
+        _KERNEL_HEAD + _KERNEL_STORE + _KERNEL_TAIL)
     (tmp_path / "ok.py").write_text("x = 1\n")
     files = collect_files([str(tmp_path)], root=str(tmp_path))
     assert [f.basename for f in files] == ["ok.py"]

@@ -37,7 +37,6 @@ class ModelPool:
         self.everyone = ModelScope()
         self.threads = [ModelScope(), ModelScope()]
         self.cold_seen = [None, None]
-        self.log = None
 
     def access(self, thread, key, page_id):
         mine = self.threads[thread]
@@ -58,8 +57,6 @@ class ModelPool:
             else:
                 scope.counters.random_reads += 1
             scope.last_physical = page_id
-        if self.log is not None:
-            self.log.append(page_id)
         self.cached[key] = None
         self.cached.move_to_end(key)
         if self.capacity is not None and len(self.cached) > self.capacity:
@@ -111,7 +108,7 @@ OPS = st.lists(st.one_of(
     st.tuples(st.just("fetch_page"), THREAD, PAGE),
     st.tuples(st.just("fetch_pages"), THREAD, st.lists(PAGE, max_size=9)),
     st.tuples(st.sampled_from(["cold_on", "cold_off"]), THREAD),
-    st.tuples(st.sampled_from(["log_on", "log_off", "clear"])),
+    st.tuples(st.just("clear")),
 ), max_size=40)
 
 
@@ -136,16 +133,14 @@ def test_pool_accounting_matches_the_one_access_model(capacity, ops):
                 [on(t, pool.snapshot_thread_counters) for t in (0, 1)],
                 list(pool._cached), pool._last_physical,
                 [on(t, lambda: pool._thread_state().last_physical)
-                 for t in (0, 1)],
-                pool._physical_log)
+                 for t in (0, 1)])
 
         def expected():
             return (
                 model.everyone.counters,
                 [scope.counters for scope in model.threads],
                 list(model.cached), model.everyone.last_physical,
-                [scope.last_physical for scope in model.threads],
-                model.log)
+                [scope.last_physical for scope in model.threads])
 
         for name, *args in ops:
             if name in ("fetch", "fetch_many"):
@@ -184,12 +179,6 @@ def test_pool_accounting_matches_the_one_access_model(capacity, ops):
             elif name == "cold_off":
                 on(args[0], pool.end_cold_view)
                 model.cold_seen[args[0]] = None
-            elif name == "log_on":
-                pool.start_physical_log()
-                model.log = []
-            elif name == "log_off":
-                assert pool.take_physical_log() == (model.log or [])
-                model.log = None
             else:
                 pool.clear()
                 model.clear()
@@ -206,7 +195,6 @@ def test_a_failed_fetch_charges_nothing():
     pagefile = PageFile()
     only = pagefile.allocate(PAGE_DATA).page_id
     pool = BufferPool(pagefile, capacity_pages=2)
-    pool.start_physical_log()
     pool.fetch(only)
     before = (pool.snapshot_counters(), pool.snapshot_thread_counters(),
               list(pool._cached), pool._last_physical,
@@ -221,7 +209,7 @@ def test_a_failed_fetch_charges_nothing():
         list(pool._cached), pool._last_physical,
         pool._thread_state().last_physical)
     assert pool.cached_pages == 1
-    assert pool.take_physical_log() == [only]
+    assert pool.counters.physical_reads == 1
     pool.fetch(only)  # still resident: nothing phantom evicted it
     assert pool.counters.physical_reads == 1
 

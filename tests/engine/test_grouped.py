@@ -3,9 +3,9 @@ per batch, against the row engine and against plain Python.
 
 The differential half generates grouped statements over two tables —
 one whose batches decode as a record matrix, one whose records are
-ragged — and holds row, vector and (cold) parallel to the same bits
-*and* the same metrics (``assert_parity``).  Both tables span several
-64-page batches, so a group meets its own running state as a seed.
+ragged — and holds row and vector to the same bits *and* the same
+metrics (``assert_parity``).  Both tables span several 64-page
+batches, so a group meets its own running state as a seed.
 The kernel half pins :func:`fold_segments_kernel` to
 ``functools.reduce(op, ...)`` bit for bit, and the state half a
 many-batch ``GROUP BY pk`` to appended chunks.
@@ -200,7 +200,7 @@ def test_grouped_partial_reads_as_the_pairs_it_replaced(session):
             plan.where, engine="row")
         want = [(row[0], list(row[1:])) for row in partials]
         assert len(want) == len(rows)
-        for engine in ("row", "vector", "parallel"):
+        for engine in ("row", "vector"):
             got = session.query_partial(sql, engine=engine)["groups"]
             assert isinstance(got, vectorized.GroupArrays)
             half = len(want) // 2

@@ -99,7 +99,7 @@ class TokenWalkInsert:
                     self._next()
                     args.append(self._value())
             self._expect("op", ")")
-            callable_, _cost, _psafe = self.session._resolve_function(
+            callable_, _cost = self.session._resolve_function(
                 text, func_name)
             return callable_(*args)
         raise SqlSyntaxError(f"unexpected value token {text!r}")

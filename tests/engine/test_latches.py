@@ -38,8 +38,8 @@ class TestLatchManagerUnit:
         yield
         lockcheck.set_active(was)
 
-    def _manager(self, tables=("a", "b")):
-        return LatchManager(lambda: list(tables))
+    def _manager(self):
+        return LatchManager()
 
     def test_latch_is_case_insensitive(self):
         lm = self._manager()
@@ -139,16 +139,12 @@ class TestLatchManagerUnit:
         assert done.wait(10)
         t.join(timeout=10)
 
-    def test_empty_read_latch_covers_all_tables(self):
-        lm = self._manager(tables=("a", "b"))
-        with lm.read_latch():
-            def write():
-                with lm.write_latch("b"):
+    def test_latches_need_a_table_name(self):
+        lm = self._manager()
+        for guard in (lm.read_latch, lm.write_latch):
+            with pytest.raises(ValueError):
+                with guard():
                     pass
-            t, done, blocked = _blocked(write)
-            assert blocked, "all-table read latch let a writer through"
-        assert done.wait(10)
-        t.join(timeout=10)
 
 
 def _two_table_db():
@@ -185,9 +181,8 @@ class TestStatementsOverlap:
     def test_latch_set_planning(self):
         """What a SELECT holds while it runs, as the lock-order
         sentinel sees it from inside ``finalize``: a snapshot scan only
-        the shared catalog latch, an index plan also its table's latch,
-        and a parallel plan nothing at all (its coordinator takes and
-        releases its own latches before the result comes back)."""
+        the shared catalog latch, an index plan also its table's
+        latch."""
         db = _two_table_db()
         tc = db.create_table("Tc", [Column("id", "bigint"),
                                     Column("k", "int")])
@@ -205,9 +200,9 @@ class TestStatementsOverlap:
         was = lockcheck.is_active()
         lockcheck.set_active(True)
         try:
-            for engine in ("vector", "row", "parallel"):
+            for engine in ("vector", "row"):
                 session.query("SELECT COUNT(*) FROM Ta WITH (NOLOCK)",
-                              cold=False, engine=engine, workers=2,
+                              cold=False, engine=engine,
                               finalize=probe(engine))
             session.query("SELECT COUNT(*) FROM Ta WHERE id = 7",
                           finalize=probe("point"))
@@ -221,7 +216,6 @@ class TestStatementsOverlap:
         assert held["vector"] == held["row"] == held["point"] \
             == (("catalog", None),)
         assert held["index"] == (("catalog", None), ("table", "tc"))
-        assert held["parallel"] == ()
 
     def test_ddl_via_sql_excludes_concurrent_reader(self):
         db = _two_table_db()

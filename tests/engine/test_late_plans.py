@@ -42,8 +42,7 @@ def point(select: str, key: int) -> str:
 
 class TestTheHandleNeverShows:
     @pytest.mark.parametrize("key", [1, 2, 3, 9])  # 9: no such row
-    @pytest.mark.parametrize("engine", [None, "row", "vector",
-                                        "parallel"])
+    @pytest.mark.parametrize("engine", [None, "row", "vector"])
     def test_point_selects_answer_bytes(self, session, key, engine):
         want = ROWS.get(key)
         for select, expect in [("MAX(v)", (want,)), ("MIN(v)", (want,)),

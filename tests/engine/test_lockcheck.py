@@ -9,7 +9,7 @@ from unittest import mock
 
 import pytest
 
-from repro.engine import Column, Database, lockcheck, parallel
+from repro.engine import Column, Database, lockcheck
 from repro.engine.lockcheck import (
     DEFAULT_ORDER,
     LockOrderViolation,
@@ -141,33 +141,28 @@ def test_rwlock_acquisitions_are_instrumented():
     assert lockcheck.held() == ()
 
 
-def test_parallel_select_takes_workerpool_then_latches():
+@pytest.mark.parametrize("engine", ["row", "vector"])
+@pytest.mark.parametrize("sql", [
+    "SELECT COUNT(*) FROM t",
+    "SELECT k, COUNT(*) FROM t GROUP BY k",
+    "SELECT SUM(x) FROM t WHERE id = 7",
+], ids=["scan", "grouped", "seek"])
+def test_a_select_reads_its_snapshot_without_a_table_latch(engine, sql):
+    """A SELECT takes the shared catalog latch and then only the pool
+    mutex: it scans a pinned snapshot, so no table latch is held while
+    it reads, on either engine."""
     db = Database()
     table = db.create_table("t", [Column("id", "bigint"),
-                                  Column("x", "float")])
-    table.insert_many((i, float(i)) for i in range(2000))
+                                  Column("x", "float"),
+                                  Column("k", "int")])
+    table.insert_many((i, float(i), i % 3) for i in range(2000))
     with mock.patch.object(lockcheck, "note_acquire",
                            wraps=lockcheck.note_acquire) as spy:
-        (n,), metrics = SqlSession(db).query(
-            "SELECT COUNT(*) FROM t", engine="parallel", workers=2)
-    assert (n, metrics.engine) == (2000, "parallel")
+        SqlSession(db).query(sql, engine=engine)
     seen = [call.args[0] for call in spy.call_args_list]
-    latches = [cls for cls in seen
-               if cls in ("workerpool", "catalog", "table")]
-    assert latches[:3] == ["workerpool", "catalog", "table"]
+    assert seen[0] == "catalog"
+    assert set(seen[1:]) == {"pool"}
     assert lockcheck.held() == ()
-    # The opposite order — the pool mutex under a held table latch —
-    # is exactly what the order forbids.
-    latch = db.latches.latch_for("t")
-    latch.acquire_read()
-    try:
-        with pytest.raises(LockOrderViolation) as exc:
-            with parallel.get_pool(db, 2).guard():
-                pass
-        assert "'workerpool'" in str(exc.value)
-        assert "'table'" in str(exc.value)
-    finally:
-        latch.release_read()
 
 
 def test_inactive_fast_path_checks_nothing():
@@ -182,7 +177,6 @@ def test_inactive_fast_path_checks_nothing():
 def test_load_order_matches_checked_in_graph():
     order = load_order()
     assert order == DEFAULT_ORDER  # fallback kept in sync with the JSON
-    assert order.index("workerpool") < order.index("catalog")
     assert order.index("catalog") < order.index("table")
     assert order.index("table") < order.index("pool")
 

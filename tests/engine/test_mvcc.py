@@ -7,10 +7,13 @@ observes must be bit-identical to some serial prefix of the write
 history — a snapshot can be stale, never torn.
 """
 
+import os
+import pickle
 import random
 import sys
 import threading
 import time
+from unittest import mock
 
 import pytest
 
@@ -57,11 +60,6 @@ class TestIntraTableOverlap:
         holder.start()
         assert acquired.wait(timeout=10)
         result = []
-        # engine="vector" pins the serial latch-free path: the parallel
-        # coordinator takes a brief all-table shared latch to cut its
-        # worker snapshot, which a *parked* writer (never happens in a
-        # real statement) would block.  Parallel-engine overlap is
-        # covered by the parity test below with real writers.
         reader = threading.Thread(target=lambda: result.append(
             SqlSession(db).query(READ_SQL, cold=False,
                                  engine="vector")))
@@ -351,17 +349,120 @@ class TestWriteIntents:
 
 # -- persistence -------------------------------------------------------------
 
+class _DiesAfterBlocks:
+    """A snapshot file whose writer is killed after ``blocks`` 4 KiB
+    blocks have reached it."""
+
+    def __init__(self, f, blocks):
+        self._f = f
+        self._left = 4096 * blocks
+
+    def write(self, data):
+        data = memoryview(data).cast("B")
+        self._f.write(data[:self._left])
+        if len(data) > self._left:
+            self._f.flush()
+            raise OSError("writer killed mid-save")
+        self._left -= len(data)
+        return len(data)
+
+    def __getattr__(self, name):
+        return getattr(self._f, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._f.close()
+
+
 class TestSnapshotRoundtrip:
+    def test_save_open_round_trip(self, tmp_path):
+        db, _ = build_db(rows=50)
+        path = str(tmp_path / "db.snap")
+        db.save(path)
+        clone = Database.open(path)
+        ref, _ = SqlSession(db).query(READ_SQL)
+        vals, _ = SqlSession(clone).query(READ_SQL)
+        assert vals == ref
+
+    def test_snapshot_pools_start_cold(self):
+        # A pickled buffer pool must not inherit the saved database's
+        # cache, or a reopened snapshot's reads would become hits.
+        db, _ = build_db(rows=50)
+        SqlSession(db).query(READ_SQL, cold=False)
+        pool2 = pickle.loads(pickle.dumps(db.pool))
+        assert not pool2._cached
+        assert pool2.counters.logical_reads == 0
+
+    @pytest.mark.parametrize("blocks", [0, 1, 4])
+    def test_a_killed_save_keeps_the_previous_snapshot(self, tmp_path,
+                                                       blocks):
+        db, _ = build_db(rows=300)
+        path = tmp_path / "db.snap"
+        db.save(str(path))
+        before = path.read_bytes()
+        assert len(before) > 4096 * (blocks + 1)
+        SqlSession(db).execute(insert_sql(900))
+        fdopen = os.fdopen
+        with mock.patch("os.fdopen", lambda fd, mode: _DiesAfterBlocks(
+                fdopen(fd, mode), blocks)):
+            with pytest.raises(OSError, match="killed mid-save"):
+                db.save(str(path))
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["db.snap"]  # no temp file left
+        (_s, n), _ = SqlSession(Database.open(str(path))).query(READ_SQL)
+        assert n == 300
+
+    @pytest.mark.parametrize("step", ["os.fsync", "os.replace"])
+    def test_a_save_failing_after_the_write_keeps_the_previous_snapshot(
+            self, tmp_path, step):
+        db, _ = build_db(rows=100)
+        path = tmp_path / "db.snap"
+        db.save(str(path))
+        before = path.read_bytes()
+        SqlSession(db).execute(insert_sql(900))
+        with mock.patch(step, side_effect=OSError("disk gone")):
+            with pytest.raises(OSError, match="disk gone"):
+                db.save(str(path))
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["db.snap"]
+
+    def test_a_failed_first_save_leaves_no_file(self, tmp_path):
+        db, _ = build_db(rows=100)
+        fdopen = os.fdopen
+        with mock.patch("os.fdopen", lambda fd, mode: _DiesAfterBlocks(
+                fdopen(fd, mode), 1)):
+            with pytest.raises(OSError, match="killed mid-save"):
+                db.save(str(tmp_path / "db.snap"))
+        assert os.listdir(tmp_path) == []
+
+    def test_a_save_replaces_a_longer_snapshot_whole(self, tmp_path):
+        big, _ = build_db(rows=300)
+        small, _ = build_db(rows=20)
+        path = str(tmp_path / "db.snap")
+        big.save(path)
+        small.save(path)
+        (_s, n), _ = SqlSession(Database.open(path)).query(READ_SQL)
+        assert n == 20
+
+    def test_open_refuses_a_pickle_that_is_not_a_database(self, tmp_path):
+        path = tmp_path / "other.snap"
+        path.write_bytes(pickle.dumps({"tables": {}}))
+        with pytest.raises(TypeError, match="not a Database snapshot"):
+            Database.open(str(path))
+
     def test_save_reload_keeps_only_live_version(self, tmp_path):
         db, t = build_db(rows=50)
         session = SqlSession(db)
-        snap = t.pin_snapshot()  # a pin must not leak into the bytes
+        path = str(tmp_path / "db.snap")
+        snap = t.pin_snapshot()  # a pin must not leak into the file
         try:
             session.execute(insert_sql(500))
-            payload = db.snapshot_bytes()
+            db.save(path)
         finally:
             snap.unpin(db.pool)
-        clone = Database.from_snapshot_bytes(payload)
+        clone = Database.open(path)
         t2 = clone.tables["ta"]
         assert t2.pinned_versions() == {}
         assert list(t2._published) == [t2.version]

@@ -566,9 +566,7 @@ def test_a_kept_batch_does_not_pin_the_leaf(leaves):
     batches = list(table.scan_batches(db.pool))
     with table.pin_snapshot() as snap:
         batches += list(snap.scan_batches(db.pool))
-    batches += list(table.batches_for_pages(db.pool,
-                                            table.data_page_ids()))
-    assert [b._records is not None for b in batches] == [True] * 3
+    assert [b._records is not None for b in batches] == [True] * 2
     before = [(b.keys.copy(), b.column("x")[0].copy(),
                b.column("b")[0].tolist(), list(b.payloads))
               for b in batches]

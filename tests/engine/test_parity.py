@@ -1,15 +1,10 @@
-"""Row-engine vs vector-engine vs parallel-engine parity.
+"""Row-engine vs vector-engine parity.
 
-Every query here runs on ``engine="row"`` and ``engine="vector"`` —
-and, when cold, on ``engine="parallel"`` too — and must return
-bit-identical values *and* identical metrics (same logical/physical/
-sequential/random reads, same UDF/stream counters, same simulated
-cost).  Only ``wall_seconds``, the ``engine`` tag and the ``workers``
-count may differ.
-
-The parallel engine is only compared on cold runs: each worker process
-keeps its own page cache, so warm-run physical reads are honest but
-not reproducible against the serial engines' shared pool.
+Every query here runs on ``engine="row"`` and ``engine="vector"`` and
+must return bit-identical values *and* identical metrics (same
+logical/physical/sequential/random reads, same UDF/stream counters,
+same simulated cost).  Only ``wall_seconds`` and the ``engine`` tag
+may differ.
 """
 
 import random
@@ -68,17 +63,16 @@ def assert_parity(session, sql, cold=True, seek=False):
     A query that raises (NULL blob handed to a UDF, division by zero)
     must raise the *same* exception on every engine.
     """
-    def run(engine, workers=None):
+    def run(engine):
         if not cold:
             # Prime the cache so each engine's measured warm run sees
             # the same (fully cached) pool state.
             session.query(sql, cold=False, engine=engine)
-        return session.query(sql, cold=cold, engine=engine,
-                             workers=workers)
+        return session.query(sql, cold=cold, engine=engine)
 
     def strip(metrics):
         d = metrics.to_dict()
-        for key in ("wall_seconds", "engine", "workers"):
+        for key in ("wall_seconds", "engine"):
             d.pop(key)
         return d
 
@@ -88,10 +82,6 @@ def assert_parity(session, sql, cold=True, seek=False):
         with pytest.raises(type(exc)) as caught:
             run("vector")
         assert str(caught.value) == str(exc), sql
-        if cold:
-            with pytest.raises(type(exc)) as caught:
-                run("parallel", workers=2)
-            assert str(caught.value) == str(exc), sql
         return
     vec_vals, vec_m = run("vector")
     assert _bits(row_vals) == _bits(vec_vals), sql
@@ -103,15 +93,6 @@ def assert_parity(session, sql, cold=True, seek=False):
     assert d_row == d_vec, (sql, {k: (d_row[k], d_vec[k])
                                   for k in d_row
                                   if d_row[k] != d_vec[k]})
-    if not cold:
-        return
-    par_vals, par_m = run("parallel", workers=2)
-    assert _bits(row_vals) == _bits(par_vals), sql
-    assert par_m.engine == ("row" if seek else "parallel")
-    d_par = strip(par_m)
-    assert d_row == d_par, (sql, {k: (d_row[k], d_par[k])
-                                  for k in d_row
-                                  if d_row[k] != d_par[k]})
 
 
 AGG_EXPRS = [
@@ -189,7 +170,7 @@ class TestRandomizedParity:
                       "SELECT COUNT(*) FROM t WHERE id >= 10 AND id < 40")
 
     def test_division_by_zero_raises_on_all_engines(self, session):
-        for engine in ("row", "vector", "parallel"):
+        for engine in ("row", "vector"):
             with pytest.raises(ZeroDivisionError):
                 session.query("SELECT SUM(x / (k - k)) FROM t "
                               "WHERE k IS NOT NULL AND x IS NOT NULL",
@@ -206,13 +187,12 @@ class TestRandomizedParity:
 
 
 class TestParityOnChurnedTables:
-    """The same three-way checks over tables that were written to
-    after the bulk load.  A bulk-loaded table has only dense pages;
-    here deletes leave holes, mid-page inserts put the body out of
-    slot order, updates rewrite pages and a NULL-shortened tail makes
-    the last run mixed-length — so one scan crosses the reshape, the
-    gather and the per-record decode paths, in the coordinator and in
-    the parallel engine's worker processes."""
+    """The same checks over tables that were written to after the bulk
+    load.  A bulk-loaded table has only dense pages; here deletes leave
+    holes, mid-page inserts put the body out of slot order, updates
+    rewrite pages and a NULL-shortened tail makes the last run
+    mixed-length — so one scan crosses the reshape, the gather and the
+    per-record decode paths."""
 
     # One value: the ids keep the ``[on]`` suffix they had while this
     # also ran with MVCC off, so they stay comparable across the
@@ -275,26 +255,11 @@ class TestParityOnChurnedTables:
     def test_grouped_queries(self, churned_session):
         check_grouped(churned_session)
 
-    def test_parallel_as_the_default_engine(self, churned_session,
-                                            monkeypatch):
-        # What ``REPRO_ENGINE=parallel REPRO_WORKERS=2`` sets.
-        executor = type(churned_session.executor)
-        monkeypatch.setattr(executor, "default_engine", "parallel")
-        monkeypatch.setattr(executor, "default_workers", 2)
-        for sql in ["SELECT SUM(x), COUNT(*) FROM t WHERE k <> 3",
-                    "SELECT k, MAX(FloatArray.Item_1(b, 3)) FROM t "
-                    "WHERE id < 1100 GROUP BY k"]:
-            values, metrics = churned_session.query(sql)
-            assert metrics.engine == "parallel"
-            row_values, _m = churned_session.query(sql, engine="row")
-            assert _bits(values) == _bits(row_values), sql
-
 
 class TestParityUnderTableLatches:
-    """Three-way parity on a database with a second, idle table: the
-    latch planning — the catalog latch for row/vector, the all-table
-    set for parallel snapshot cuts — must not perturb values or
-    metrics."""
+    """Parity on a database with a second, idle table: the latch
+    planning (the shared catalog latch every scan and seek holds) must
+    not perturb values or metrics."""
 
     @pytest.fixture(scope="class")
     def latched_session(self):
@@ -316,7 +281,7 @@ class TestParityUnderTableLatches:
         db.create_table("u", [Column("id", "bigint")])
         return SqlSession(db)
 
-    def test_three_way_parity(self, latched_session):
+    def test_row_vector_parity(self, latched_session):
         for sql in [
             "SELECT COUNT(*), SUM(x) FROM t",
             "SELECT AVG(FloatArray.Item_1(b, 2)) FROM t WHERE x > 0",

@@ -72,22 +72,6 @@ class TestDropTable:
         (count,), _m = session.execute("SELECT COUNT(*) FROM t")
         assert count == 1
 
-    def test_write_version_monotonic_across_drop(self, session):
-        """Snapshot refresh keys off a monotone write_version; a
-        drop/recreate cycle must never rewind it, or stale parallel
-        snapshots would look fresh."""
-        db = session.db
-        v0 = db.write_version
-        session.execute("CREATE TABLE t (id BIGINT, x FLOAT)")
-        session.execute("INSERT INTO t VALUES (1, 1.0), (2, 2.0)")
-        v1 = db.write_version
-        assert v1 > v0
-        session.execute("DROP TABLE t")
-        v2 = db.write_version
-        assert v2 > v1
-        session.execute("CREATE TABLE t (id BIGINT, x FLOAT)")
-        assert db.write_version > v2
-
     def test_drop_invalidates_cached_plans(self, session):
         session.execute("CREATE TABLE t (id BIGINT, x FLOAT)")
         session.execute("INSERT INTO t VALUES (1, 1.0)")
@@ -95,13 +79,6 @@ class TestDropTable:
         session.execute("DROP TABLE t")
         with pytest.raises(SqlSyntaxError):
             session.query("SELECT COUNT(*) FROM t")
-
-    def test_drop_readonly_snapshot_rejected(self, session):
-        session.execute("CREATE TABLE t (id BIGINT, x FLOAT)")
-        snapshot = Database.from_snapshot_bytes(
-            session.db.snapshot_bytes(), read_only=True)
-        with pytest.raises(PermissionError):
-            snapshot.drop_table("t")
 
 
 class TestInsert:

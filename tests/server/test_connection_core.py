@@ -123,7 +123,7 @@ def test_stop_with_a_statement_in_flight_returns_within_its_bound(
             finished.set()
             return 0.0
         session.register_function("dbo.Sleep", sleep_udf,
-                                  body_cost="empty", parallel_safe=False)
+                                  body_cost="empty")
 
     handle = ServerThread(make_db(), ServerConfig(max_workers=1),
                           session_setup=session_setup).start()

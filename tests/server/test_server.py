@@ -22,6 +22,7 @@ from repro.server import (
     ServerThread,
     protocol,
 )
+from repro.server.client import _parse_result
 from repro.server.protocol import write_frame_sock
 from tests.conftest import read_frame
 from repro.tsql import FloatArray
@@ -575,6 +576,24 @@ class TestEngineToggle:
             client.query(self.SQL, engine="columnar")
         assert caught.value.code == protocol.BAD_FRAME
         client.ping()  # connection survives
+
+    def test_parallel_is_an_unknown_engine_and_workers_is_ignored(
+            self, client):
+        """``engine: "parallel"`` is refused like any unknown engine,
+        on a session that answers its next statement; ``workers`` is a
+        key no frame defines, so the server ignores it."""
+        with pytest.raises(ServerError) as caught:
+            client.query(self.SQL, engine="parallel")
+        assert caught.value.code == protocol.BAD_FRAME
+        plain = client.query(self.SQL)
+        for workers in (2, "two"):
+            got = _parse_result(*client._request_raw(
+                {"type": "query", "sql": self.SQL, "cold": True,
+                 "workers": workers}))
+            assert struct.pack("<d", got.scalar()) == \
+                struct.pack("<d", plain.scalar())
+            assert dict(got.metrics, wall_seconds=None) == \
+                dict(plain.metrics, wall_seconds=None)
 
     def test_stats_count_queries_per_engine(self, client):
         before = client.stats()["engine_queries"]

@@ -1,8 +1,6 @@
 """The coordinator on the threaded connection core: a relayed
-``bquery`` shares the client socket between two threads, the
-coordinator's plan cache is bounded, and a shard process — daemonic,
-so it may not spawn morsel workers — still answers under
-``REPRO_ENGINE=parallel``."""
+``bquery`` shares the client socket between two threads, and the
+coordinator's plan cache is bounded."""
 
 import socket
 from unittest import mock
@@ -17,8 +15,6 @@ from repro.server.protocol import write_frame_sock
 from repro.server.server import ServerConfig, ServerThread
 from repro.shard import ShardConfig, ShardFleet, ShardRouter, ShardServer
 from tests.conftest import read_frame
-
-from .conftest import bits, make_reference, make_rows, normalize
 
 BLOB_SQL = "SELECT MAX(m) FROM tb WHERE id = 5"
 
@@ -124,38 +120,3 @@ def test_routed_selects_do_not_grow_the_plan_cache(cluster):
         assert rows == [(1 if key == 1 else 0,)]
     assert len(router._plan_cache) == PLAN_CACHE_SIZE
     router.execute("DROP TABLE tq")
-
-
-# -- REPRO_ENGINE=parallel inside a (daemonic) shard process -----------------
-
-def test_parallel_default_engine_in_a_shard_process_falls_back(
-        monkeypatch):
-    """Shard processes are daemonic and may not have children, so the
-    parallel engine declines there and the statement is answered by
-    the vector engine — it used to fail every scan with ``daemonic
-    processes are not allowed to have children``."""
-    rows = make_rows(400)
-    statements = ["SELECT SUM(v), COUNT(*) FROM t",
-                  "SELECT g, SUM(v), AVG(v) FROM t GROUP BY g"]
-    reference = make_reference(rows)
-    want = [bits(normalize(reference.query(sql, engine="vector")))
-            for sql in statements]
-    # The spawned shard processes inherit the environment and read it
-    # when they import the engine.
-    monkeypatch.setenv("REPRO_ENGINE", "parallel")
-    monkeypatch.setenv("REPRO_WORKERS", "2")
-    config = ShardConfig(shards=2, key_lo=0, key_hi=400)
-    with ShardFleet(config) as fleet:
-        router = ShardRouter(fleet.addresses, config.make_partitioner())
-        try:
-            router.execute("CREATE TABLE t (id BIGINT PRIMARY KEY, "
-                           "v FLOAT, g INT)")
-            assert router.insert_rows("t", rows) == len(rows)
-            got = [bits(router.execute(sql)["rows"])
-                   for sql in statements]
-            with ArrayClient(*fleet.addresses[0][0]) as shard:
-                metrics = shard.query(statements[0]).metrics
-        finally:
-            router.shutdown()
-    assert got == want
-    assert metrics["engine"] == "vector"

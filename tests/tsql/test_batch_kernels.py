@@ -1,4 +1,4 @@
-"""The ``Item_N`` / ``Subarray`` batch kernels over binary columns.
+"""The ``Item_N`` / ``Subarray`` / ``Concat`` batch kernels.
 
 A fixed-length in-row ``varbinary`` column reaches a kernel as one
 ``V{size}`` array (its byte matrix, a cell a row); a batch that went
@@ -7,11 +7,13 @@ Either way the kernel's answer is the per-row function's, bit for bit,
 or it declines and the per-row function runs.
 """
 
+import random
 import struct
 
 import numpy as np
 import pytest
 
+from repro.core.errors import BoundsError
 from repro.engine import Column, Database
 from repro.engine.executor import Col, Const, ScalarUdf
 from repro.engine.sqlfront import SqlSession
@@ -197,3 +199,88 @@ def test_row_and_vector_agree(session, expr, column, where):
     row is filtered out) and over NULL cells in per-record batches."""
     sql = f"SELECT SUM({expr.format(c=column)}), COUNT(*) FROM t{where}"
     assert_row_equals_vector(session, sql)
+
+
+class TestSubarrayKernel:
+    def test_batch_matches_per_row(self):
+        rng = random.Random(3)
+        blobs = [FloatArray.Vector_5(*[rng.uniform(-9, 9)
+                                       for _ in range(5)])
+                 for _ in range(50)]
+        off, size = IntArray.Vector_1(2), IntArray.Vector_1(3)
+        kernel = FloatArray.Subarray.vectorized
+        out = kernel([as_object_column(blobs), as_object_column([off] * 50),
+                      as_object_column([size] * 50)])
+        assert out is not None
+        for got, blob in zip(out, blobs):
+            assert got == FloatArray.Subarray(blob, off, size)
+
+    def test_batch_with_collapse(self):
+        m = FloatArray.Matrix_2(1.0, 2.0, 3.0, 4.0)
+        off, size = IntArray.Vector_2(0, 1), IntArray.Vector_2(2, 1)
+        kernel = FloatArray.Subarray.vectorized
+        out = kernel([as_object_column([m, m]),
+                      as_object_column([off, off]),
+                      as_object_column([size, size]),
+                      as_object_column([1, 1])])
+        assert out is not None
+        assert out[0] == FloatArray.Subarray(m, off, size, 1)
+
+    def test_irregular_batch_declines(self):
+        v5 = FloatArray.Vector_5(1.0, 2.0, 3.0, 4.0, 5.0)
+        v3 = FloatArray.Vector_3(1.0, 2.0, 3.0)
+        off, size = IntArray.Vector_1(1), IntArray.Vector_1(2)
+        kernel = FloatArray.Subarray.vectorized
+        assert kernel([as_object_column([v5, v3]),
+                       as_object_column([off, off]),
+                       as_object_column([size, size])]) is None
+        assert kernel([as_object_column([v5, v5]),
+                       as_object_column([off, IntArray.Vector_1(2)]),
+                       as_object_column([size, size])]) is None
+
+
+class TestConcatKernel:
+    @staticmethod
+    def _rows(n, rng, dims=(60,)):
+        cells = rng.sample(range(int(np.prod(dims))), n)
+        rows = []
+        for flat in cells:
+            idx = np.unravel_index(flat, dims, order="F")
+            rows.append((IntArray.Vector(list(int(i) for i in idx)),
+                         rng.uniform(-5, 5)))
+        return rows
+
+    def test_fast_path_matches_reader(self):
+        rng = random.Random(5)
+        rows = self._rows(40, rng)
+        dims = IntArray.Vector_1(60)
+        fast = FloatArray._concat_vectorized(rows, [60])
+        assert fast is not None
+        # Force the per-row reader by mixing in a bytearray index blob
+        # (same bytes, but the fast path only trusts exact bytes).
+        irregular = [(bytearray(rows[0][0]), rows[0][1])] + rows[1:]
+        assert FloatArray._concat_vectorized(irregular, [60]) is None
+        slow = FloatArray.Concat(irregular, dims)
+        assert fast == slow
+
+    def test_duplicate_indices_fall_back_to_last_write_wins(self):
+        idx = IntArray.Vector_1(4)
+        rows = [(idx, 1.0), (idx, 2.0)]
+        assert FloatArray._concat_vectorized(rows, [10]) is None
+        out = FloatArray.Concat(rows, IntArray.Vector_1(10))
+        assert FloatArray.Item_1(out, 4) == 2.0
+
+    def test_out_of_bounds_raises_canonical_error(self):
+        rows = [(IntArray.Vector_1(12), 1.0)]
+        with pytest.raises(BoundsError):
+            FloatArray.Concat(rows, IntArray.Vector_1(10))
+
+    def test_matrix_concat_fortran_order(self):
+        rng = random.Random(9)
+        rows = self._rows(12, rng, dims=(4, 5))
+        out = FloatArray.Concat(rows, IntArray.Vector_2(4, 5))
+        for idx_blob, value in rows:
+            i, j = IntArray.Item_1(idx_blob, 0), \
+                IntArray.Item_1(idx_blob, 1)
+            assert FloatArray.Item_2(out, int(i), int(j)) == \
+                pytest.approx(value)
