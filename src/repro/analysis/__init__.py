@@ -7,17 +7,11 @@ vectorized engine, MVCC and sharding work:
 ==========  ===========================================================
 RL001       lock discipline: SqlSession entry points hold a statement
             latch before touching BufferPool/Table/BTree/Executor sinks
-RL002       lock order: RWLock before pool ``_lock``, never inverse or
-            re-entrant
-RL003       latch yield (warn): generators never yield while a latch
-            or RWLock guard is held (``@contextmanager`` exempt)
 RL004       lock-order cycles: the whole-program acquired-while-held
             graph over lock classes is acyclic and matches the
             checked-in ``lock_graph.json``
-RL005       blocking under latch (warn): no sleep/subprocess/socket/
-            select call is reachable while an exclusive latch is held
-RV201       kernel purity: batch kernels never mutate input arrays and
-            return fresh ``(values, mask)`` pairs
+RL005       blocking under latch: no sleep/subprocess/socket/select
+            call is reachable while an exclusive latch is held
 RW301       wire-schema freeze: ``protocol.py`` matches
             ``protocol_schema.json`` and ``docs/SERVER.md``
 RS401       shard hygiene: ``merge_*`` functions in shard modules are
@@ -26,8 +20,8 @@ RC601       version lifetime: pinned MVCC snapshots are unpinned on
             all exit paths; begin_write pairs with end_write/finally
 ==========  ===========================================================
 
-Each rule carries a severity: ``error`` findings gate CI (exit 1),
-``warn`` findings are reported but warnings alone exit 0.
+The three lock rules read one model, the flow layer's held-sets
+(:mod:`repro.analysis.flow`).  Any finding exits 1.
 
 See ``docs/ANALYSIS.md`` for the full catalogue and suppression syntax.
 """
@@ -43,15 +37,16 @@ from .framework import (
     Rule,
     SourceFile,
     collect_files,
-    error_count,
     render_human,
     render_json,
     run_rules,
 )
-from .rules_flow import BlockingUnderLatchRule, LockCycleRule
-from .rules_kernels import KernelPurityRule
-from .rules_locks import LockDisciplineRule, LockOrderRule
-from .rules_mvcc import LatchYieldRule, VersionLifetimeRule
+from .rules_locks import (
+    BlockingUnderLatchRule,
+    LockCycleRule,
+    LockDisciplineRule,
+)
+from .rules_mvcc import VersionLifetimeRule
 from .rules_shard import ShardHygieneRule
 from .rules_wire import WireSchemaRule
 
@@ -62,7 +57,6 @@ __all__ = [
     "Rule",
     "SourceFile",
     "collect_files",
-    "error_count",
     "lint_paths",
     "render_human",
     "render_json",
@@ -71,11 +65,8 @@ __all__ = [
 
 ALL_RULES: tuple[Rule, ...] = (
     LockDisciplineRule(),
-    LockOrderRule(),
-    LatchYieldRule(),
     LockCycleRule(),
     BlockingUnderLatchRule(),
-    KernelPurityRule(),
     WireSchemaRule(),
     ShardHygieneRule(),
     VersionLifetimeRule(),

@@ -4,11 +4,10 @@ from __future__ import annotations
 
 import argparse
 import os
-import subprocess
 import sys
 from typing import Sequence
 
-from . import ALL_RULES, error_count, lint_paths, render_human, render_json
+from . import ALL_RULES, lint_paths, render_human, render_json
 from .framework import apply_baseline, load_baseline, write_baseline
 from .rules_wire import write_schema
 
@@ -21,35 +20,6 @@ def _default_paths() -> list[str]:
         if os.path.isdir(candidate):
             return [candidate]
     return ["."]
-
-
-def _changed_paths() -> list[str] | None:
-    """Python files modified/added per ``git status --porcelain``
-    (``--changed`` mode); ``None`` when git is unavailable."""
-    try:
-        proc = subprocess.run(
-            ["git", "status", "--porcelain"],
-            capture_output=True,
-            text=True,
-            timeout=30,
-            check=True,
-        )
-    except (OSError, subprocess.SubprocessError):
-        return None
-    out: list[str] = []
-    for line in proc.stdout.splitlines():
-        if len(line) < 4:
-            continue
-        status, rest = line[:2], line[3:]
-        if "D" in status:
-            continue
-        # Renames are reported as "old -> new"; lint the new path.
-        if " -> " in rest:
-            rest = rest.split(" -> ", 1)[1]
-        path = rest.strip().strip('"')
-        if path.endswith(".py") and os.path.exists(path):
-            out.append(path)
-    return sorted(set(out))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -77,12 +47,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--list-rules",
         action="store_true",
         help="print the rule catalogue and exit",
-    )
-    parser.add_argument(
-        "--changed",
-        action="store_true",
-        help="lint only files modified per `git status --porcelain` "
-        "(pre-commit mode; positional paths are ignored)",
     )
     parser.add_argument(
         "--baseline",
@@ -142,8 +106,7 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     if args.list_rules:
         for rule in ALL_RULES:
-            print(f"{rule.code}  [{rule.severity}] "
-                  f"{rule.name}: {rule.description}")
+            print(f"{rule.code}  {rule.name}: {rule.description}")
         return 0
 
     if args.write_schema is not None:
@@ -171,17 +134,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             )
             return 2
 
-    if args.changed:
-        changed = _changed_paths()
-        if changed is None:
-            print("replint: --changed requires git", file=sys.stderr)
-            return 2
-        if not changed:
-            print("replint: clean (no changed python files)")
-            return 0
-        paths = changed
-    else:
-        paths = list(args.paths) if args.paths else _default_paths()
+    paths = list(args.paths) if args.paths else _default_paths()
 
     findings = lint_paths(paths, rules=rules)
 
@@ -207,9 +160,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(render_json(findings))
     else:
         print(render_human(findings))
-    # Warnings alone do not gate the build; only error-tier findings
-    # (including PARSE failures) flip the exit code.
-    return 1 if error_count(findings) else 0
+    return 1 if findings else 0
 
 
 if __name__ == "__main__":

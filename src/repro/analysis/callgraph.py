@@ -1,7 +1,9 @@
-"""A deliberately simple name-based call graph for replint's lock rules.
+"""A deliberately simple name-based call graph: name resolution only.
 
-The graph is built once per lint run and shared by RL001/RL002.  Edges are
-resolved by name with three precision aids that match how the engine is
+The graph is built once per lint run and shared by the flow layer
+(:mod:`repro.analysis.flow.lockgraph`), which owns every lock fact; the
+graph only knows which function a call may reach.  Edges are resolved
+by name with three precision aids that match how the engine is
 written (unique class names, conventional ``self`` receivers, locals
 constructed in place):
 
@@ -13,14 +15,6 @@ constructed in place):
 - attribute calls on unknown receivers fall back to every known def of that
   name, except for method names shared with builtin containers (``get``,
   ``items``, ``append``...) which would drown the graph in false edges.
-
-Lock state is tracked while the body of each function is walked: ``with
-x.read_lock():`` / ``with x.write_lock():`` push an ``rwlock`` guard, ``with
-x.read_latch(...):`` / ``x.write_latch(...):`` / ``x.ddl_latch():`` push a
-``latch`` guard (the per-table latch hierarchy, see
-``repro.engine.latches``), ``with x._lock:`` pushes a ``pool`` guard (the
-BufferPool / PageFile / stats internal mutex convention), and every call
-site records the guard stack held at that point.
 """
 
 from __future__ import annotations
@@ -30,20 +24,6 @@ import dataclasses
 from typing import Iterator, Sequence
 
 from .framework import SourceFile
-
-RWLOCK_GUARD = "rwlock"
-LATCH_GUARD = "latch"
-POOL_GUARD = "pool"
-
-#: ``with``-context method names that acquire statement latches.
-#: ``catalog_latch`` is the snapshot reader guard (shared catalog, no
-#: table latch — snapshot pins protect the pages);
-#: ``_mvcc_select_guard`` is the SqlSession helper that resolves a
-#: serially executed SELECT plan to its statement guard (catalog latch,
-#: or the table latch for an index plan), so a ``with`` on it is a
-#: statement guard by construction.
-LATCH_METHODS = frozenset({"read_latch", "write_latch", "ddl_latch",
-                           "catalog_latch", "_mvcc_select_guard"})
 
 #: Method names that collide with builtin container/str/regex APIs; an
 #: attribute call on an *unknown* receiver with one of these names is far more
@@ -106,24 +86,6 @@ class CallSite:
     receiver: str | None  # "self", a local variable name, or None
     receiver_class: str | None  # resolved class for typed receivers
     is_ctor: bool
-    held: tuple[str, ...]  # guard kinds held lexically at the call site
-
-    @property
-    def guarded(self) -> bool:
-        """Whether a statement-level guard (a bare RWLock guard or a
-        latch set) is held at this call site."""
-        return RWLOCK_GUARD in self.held or LATCH_GUARD in self.held
-
-
-@dataclasses.dataclass
-class LockEvent:
-    """A ``with``-statement lock acquisition inside a function body."""
-
-    kind: str  # RWLOCK_GUARD, LATCH_GUARD or POOL_GUARD
-    line: int
-    col: int  # 1-based column of the context expression
-    held_before: tuple[str, ...]
-    detail: str  # source-ish description of the context expression
 
 
 @dataclasses.dataclass
@@ -137,7 +99,6 @@ class FunctionInfo:
     name: str
     line: int
     calls: list[CallSite] = dataclasses.field(default_factory=list)
-    lock_events: list[LockEvent] = dataclasses.field(default_factory=list)
 
     @property
     def qualname(self) -> str:
@@ -149,35 +110,13 @@ class FunctionInfo:
     def label(self) -> str:
         return f"{self.qualname} ({self.display_path}:{self.line})"
 
-    @property
-    def acquires_rwlock(self) -> bool:
-        return any(event.kind == RWLOCK_GUARD for event in self.lock_events)
-
-    @property
-    def acquires_latch(self) -> bool:
-        return any(event.kind == LATCH_GUARD for event in self.lock_events)
-
-
-def _guard_kind(expr: ast.expr) -> tuple[str, str] | None:
-    """Classify a ``with`` context expression as a lock guard, if it is one."""
-
-    if isinstance(expr, ast.Call) and isinstance(expr.func, ast.Attribute):
-        if expr.func.attr in ("read_lock", "write_lock"):
-            return RWLOCK_GUARD, expr.func.attr
-        if expr.func.attr in LATCH_METHODS:
-            return LATCH_GUARD, expr.func.attr
-    if isinstance(expr, ast.Attribute) and expr.attr == "_lock":
-        return POOL_GUARD, "._lock"
-    return None
-
 
 class _BodyWalker:
-    """Walk a function body in statement order, tracking the guard stack."""
+    """Walk a function body in statement order, recording call sites."""
 
     def __init__(self, info: FunctionInfo, class_names: frozenset[str]) -> None:
         self.info = info
         self.class_names = class_names
-        self.held: list[str] = []
         self.local_types: dict[str, str] = {}
 
     def walk(self, body: Sequence[ast.stmt]) -> None:
@@ -187,9 +126,6 @@ class _BodyWalker:
     def _stmt(self, stmt: ast.stmt) -> None:
         if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             return  # nested definitions are analysed on their own terms
-        if isinstance(stmt, (ast.With, ast.AsyncWith)):
-            self._with(stmt)
-            return
         if isinstance(stmt, (ast.Assign, ast.AnnAssign)):
             self._record_local_type(stmt)
         for expr in ast.iter_child_nodes(stmt):
@@ -197,34 +133,13 @@ class _BodyWalker:
                 self._expr(expr)
             elif isinstance(expr, ast.stmt):
                 self._stmt(expr)
-            elif isinstance(expr, (ast.excepthandler, ast.match_case)):
+            elif isinstance(expr, (ast.excepthandler, ast.match_case,
+                                   ast.withitem)):
                 for sub in ast.iter_child_nodes(expr):
                     if isinstance(sub, ast.stmt):
                         self._stmt(sub)
                     elif isinstance(sub, ast.expr):
                         self._expr(sub)
-
-    def _with(self, stmt: ast.With | ast.AsyncWith) -> None:
-        pushed = 0
-        for item in stmt.items:
-            guard = _guard_kind(item.context_expr)
-            self._expr(item.context_expr)
-            if guard is not None:
-                kind, detail = guard
-                self.info.lock_events.append(
-                    LockEvent(
-                        kind=kind,
-                        line=item.context_expr.lineno,
-                        col=item.context_expr.col_offset + 1,
-                        held_before=tuple(self.held),
-                        detail=detail,
-                    )
-                )
-                self.held.append(kind)
-                pushed += 1
-        self.walk(stmt.body)
-        for _ in range(pushed):
-            self.held.pop()
 
     def _record_local_type(self, stmt: ast.Assign | ast.AnnAssign) -> None:
         value = stmt.value
@@ -255,7 +170,6 @@ class _BodyWalker:
 
     def _call(self, call: ast.Call) -> None:
         func = call.func
-        held = tuple(self.held)
         if isinstance(func, ast.Name):
             self.info.calls.append(
                 CallSite(
@@ -266,7 +180,6 @@ class _BodyWalker:
                     receiver=None,
                     receiver_class=None,
                     is_ctor=func.id in self.class_names,
-                    held=held,
                 )
             )
         elif isinstance(func, ast.Attribute):
@@ -292,7 +205,6 @@ class _BodyWalker:
                     receiver=receiver,
                     receiver_class=receiver_class,
                     is_ctor=False,
-                    held=held,
                 )
             )
 

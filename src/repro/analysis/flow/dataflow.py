@@ -8,9 +8,10 @@ node (collecting semantics) so the branches of a conditional guard
 stay separate instead of merging into one impossible held-set.
 Outputs per function:
 every acquisition site with the held-sets observed before it, the
-held-sets at every call site (for interprocedural propagation), direct
-blocking-call sites, and the held-sets at ``yield`` points (the
-context-manager summary of a ``@contextmanager`` helper).
+held-sets at every call site (for interprocedural propagation and
+RL001), direct blocking-call sites, and the held-sets at ``yield``
+points (the context-manager summary of a ``@contextmanager``
+helper).
 
 **Resource domain** — a state is a ``frozenset`` of live resource
 tokens: MVCC snapshot pins (``snap = table.pin_snapshot()``) and open
@@ -38,16 +39,17 @@ FuncDef = Union[ast.FunctionDef, ast.AsyncFunctionDef]
 Token = tuple[str, bool]
 State = frozenset[Token]
 
-#: Lock classes whose exclusive acquisition is a statement latch (the
-#: RL005 "don't block under an exclusive latch" scope).
-EXCLUSIVE_LATCH_CLASSES = frozenset({"catalog", "table"})
+#: The statement latch classes: what RL001 requires on the way to a
+#: sink, and, held exclusively, RL005's "don't block" scope.
+LATCH_CLASSES = frozenset({"catalog", "table"})
 
 #: Cap on distinct states tracked per CFG node before collapsing to
 #: their union (keeps pathological branch fans linear).
 _MAX_STATES = 24
 
 #: ``with``-context latch methods and the token-set alternatives they
-#: acquire (see ``repro.engine.latches``).
+#: acquire (see ``repro.engine.latches``) — the one table of guard
+#: method names in the analyzer.
 _LATCH_WITH: Mapping[str, tuple[tuple[Token, ...], ...]] = {
     "read_latch": ((("catalog", False), ("table", False)),),
     "write_latch": ((("catalog", False), ("table", True)),),
@@ -149,9 +151,6 @@ class LockClassifier:
             attr = expr.func.attr
             if attr in _LATCH_WITH:
                 return _LATCH_WITH[attr]
-            if attr in ("read_lock", "write_lock"):
-                cls = rwlock_class(_receiver_name(expr.func))
-                return ((( cls, attr == "write_lock"),),)
             summary = self.cm_summaries.get(attr)
             if summary is not None:
                 return tuple(tuple(sorted(state)) for state in summary)

@@ -18,8 +18,12 @@ possible held-set before it contributes an edge ``held -> acquired``;
 for every call site, every class the callee may transitively acquire
 contributes ``held -> acquired-in-callee``.  Self-edges are excluded —
 intra-class ordering (the sorted per-table latch set, the re-entrant
-buffer-pool lock) is RL002's lexical discipline and the runtime
-sentinel's name-order check, not a graph cycle.
+buffer-pool lock) is the runtime sentinel's name-order check, not a
+graph cycle.
+
+The same facts answer the per-call-site questions of the other lock
+rules: RL001's "is a statement latch held here" and RL005's blocking
+reach.
 
 The acyclic graph is exported to ``lock_graph.json`` (nodes, ordered
 edges, and a deterministic topological order) which the runtime
@@ -38,7 +42,8 @@ from typing import Mapping, Sequence, Union
 from ..callgraph import CallGraph, FunctionInfo
 from ..framework import SourceFile
 from .dataflow import (
-    EXCLUSIVE_LATCH_CLASSES,
+    _LATCH_WITH,
+    LATCH_CLASSES,
     FunctionLockFacts,
     LockClassifier,
     State,
@@ -46,13 +51,6 @@ from .dataflow import (
 )
 
 FuncDef = Union[ast.FunctionDef, ast.AsyncFunctionDef]
-
-#: ``with``-method names whose token sets are built in to the
-#: classifier; a ``@contextmanager`` summary never overrides them.
-_BUILTIN_GUARDS = frozenset({
-    "read_latch", "write_latch", "ddl_latch", "catalog_latch",
-    "_mvcc_select_guard", "read_lock", "write_lock",
-})
 
 #: Default JSON file name, checked in next to the analysis package.
 LOCK_GRAPH_BASENAME = "lock_graph.json"
@@ -266,7 +264,8 @@ class ProgramLockAnalysis:
         cms: list[tuple[str | None, FuncDef]] = [
             (cls, func) for _, cls, func in _iter_defs(files)
             if _is_contextmanager(func)
-            and func.name not in _BUILTIN_GUARDS
+            # The built-in guards' token sets are never overridden.
+            and func.name not in _LATCH_WITH
         ]
         summaries: dict[str, tuple[State, ...]] = {}
         for _ in range(4):
@@ -302,6 +301,16 @@ class ProgramLockAnalysis:
                                             self.classifier))
 
     # -- interprocedural propagation ---------------------------------------
+
+    def held_at_calls(self, info: FunctionInfo
+                      ) -> dict[tuple[str, int, int], tuple[State, ...]]:
+        """Held-sets per call site ``(name, line, col)`` of a call-graph
+        function; empty when the flow layer did not analyse it."""
+        idx = self._info_index.get(id(info))
+        if idx is None:
+            return {}
+        return {(ch.name, ch.line, ch.col): ch.held
+                for ch in self.facts[idx].calls}
 
     def _callees(self, idx: int) -> list[tuple[int, int]]:
         """(callee index, call line) pairs for the function at idx."""
@@ -393,23 +402,17 @@ class ProgramLockAnalysis:
                     held = {token[0] for token in state}
                     if dst in held:
                         # Re-acquisition of an already-held class is a
-                        # re-entrancy question (RL002 / the sentinel's
-                        # name-order check), not an ordering edge.
+                        # re-entrancy question (the sentinel's
+                        # same-class check), not an ordering edge.
                         continue
                     for src in held:
                         graph.add_edge(
                             src, dst,
                             f"{witness} while holding {src}")
-            held_by_site: dict[tuple[str, int], list[State]] = {}
-            for ch in facts.calls:
-                if any(ch.held):
-                    states = held_by_site.setdefault(
-                        (ch.name, ch.line), [])
-                    for state in ch.held:
-                        if state and state not in states:
-                            states.append(state)
+            held_by_site = self.held_at_calls(info)
             for call in info.calls:
-                held_states = held_by_site.get((call.name, call.line))
+                held_states = [state for state in held_by_site.get(
+                    (call.name, call.line, call.col), ()) if state]
                 if not held_states:
                     continue
                 for callee in self.graph.resolve(call, info):
@@ -445,7 +448,7 @@ class ProgramLockAnalysis:
         def exclusive_cls(states: Sequence[State]) -> str | None:
             for state in states:
                 for cls, excl in sorted(state):
-                    if excl and cls in EXCLUSIVE_LATCH_CLASSES:
+                    if excl and cls in LATCH_CLASSES:
                         return cls
             return None
 
@@ -458,17 +461,12 @@ class ProgramLockAnalysis:
                     reported.add(blk.line)
                     out.append((info, blk.name, blk.line, blk.col,
                                 cls, []))
-            held_by_site: dict[tuple[str, int], tuple[str, int]] = {}
-            for ch in facts.calls:
-                cls = exclusive_cls(ch.held)
-                if cls is not None:
-                    held_by_site.setdefault((ch.name, ch.line),
-                                            (cls, ch.col))
+            held_by_site = self.held_at_calls(info)
             for call in info.calls:
-                site = held_by_site.get((call.name, call.line))
-                if site is None or call.line in reported:
+                cls = exclusive_cls(held_by_site.get(
+                    (call.name, call.line, call.col), ()))
+                if cls is None or call.line in reported:
                     continue
-                cls, col = site
                 for callee in self.graph.resolve(call, info):
                     callee_idx = self._info_index.get(id(callee))
                     if callee_idx is None:
@@ -476,8 +474,8 @@ class ProgramLockAnalysis:
                     if self.trans_block[callee_idx] is not None:
                         chain = self.block_chain(callee_idx)
                         reported.add(call.line)
-                        out.append((info, call.name, call.line, col,
-                                    cls, chain))
+                        out.append((info, call.name, call.line,
+                                    call.col, cls, chain))
                         break
         return out
 

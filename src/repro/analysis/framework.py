@@ -12,8 +12,8 @@ Suppression syntax (mirrors the usual linter conventions):
 - ``# replint: disable-file=RL001`` anywhere in a file suppresses the rule(s)
   for the whole file.
 
-Exit codes: 0 = clean or warnings only, 1 = error-tier findings (or
-unparsable source), 2 = usage error.
+Exit codes: 0 = clean, 1 = findings (or unparsable source), 2 = usage
+error.
 """
 
 from __future__ import annotations
@@ -36,26 +36,19 @@ _SUPPRESS_RE = re.compile(
 )
 
 
-SEVERITIES = ("error", "warn")
-
-
 @dataclasses.dataclass(frozen=True)
 class Finding:
     """A single rule violation anchored to a file, line and column.
 
-    ``severity`` is ``"error"`` (breaks the build — exit code 1) or
-    ``"warn"`` (reported, but warnings alone leave the exit code 0).
-    Rules normally leave it to :func:`run_rules`, which stamps each
-    finding with its rule's severity.  ``col`` is 1-based (0 = not
-    known); ``end_line`` optionally closes a multi-line span — both
-    make the human output editor-clickable (``path:line:col:``).
+    ``col`` is 1-based (0 = not known); ``end_line`` optionally closes a
+    multi-line span — both make the human output editor-clickable
+    (``path:line:col:``).
     """
 
     rule: str
     path: str
     line: int
     message: str
-    severity: str = "error"
     col: int = 0
     end_line: int | None = None
 
@@ -69,7 +62,6 @@ class Finding:
             "line": self.line,
             "col": self.col,
             "message": self.message,
-            "severity": self.severity,
         }
         if self.end_line is not None:
             out["end_line"] = self.end_line
@@ -82,9 +74,8 @@ class Finding:
         return (self.rule, self.path, self.message)
 
     def render(self) -> str:
-        tag = "" if self.severity == "error" else f" [{self.severity}]"
         pos = f"{self.line}:{self.col}" if self.col else f"{self.line}"
-        return f"{self.path}:{pos}: {self.rule}{tag} {self.message}"
+        return f"{self.path}:{pos}: {self.rule} {self.message}"
 
 
 class SourceFile:
@@ -167,8 +158,6 @@ class Rule:
     code: str = ""
     name: str = ""
     description: str = ""
-    #: ``"error"`` rules gate CI (exit 1); ``"warn"`` rules only report.
-    severity: str = "error"
 
     def check(self, files: Sequence[SourceFile], ctx: LintContext) -> list[Finding]:
         raise NotImplementedError
@@ -241,29 +230,16 @@ def run_rules(
                     continue
                 if finding.path != source.display_path:
                     finding = dataclasses.replace(finding, path=source.display_path)
-            if finding.severity != rule.severity:
-                finding = dataclasses.replace(finding, severity=rule.severity)
             findings.append(finding)
     findings.sort(key=Finding.sort_key)
     return findings
-
-
-def error_count(findings: Sequence[Finding]) -> int:
-    """Findings that gate the exit code (severity ``error``; a PARSE
-    failure always counts)."""
-    return sum(1 for f in findings if f.severity == "error")
 
 
 def render_human(findings: Sequence[Finding]) -> str:
     if not findings:
         return "replint: clean"
     lines = [finding.render() for finding in findings]
-    errors = error_count(findings)
-    warns = len(findings) - errors
-    summary = f"replint: {len(findings)} finding(s)"
-    if warns:
-        summary += f" ({errors} error(s), {warns} warning(s))"
-    lines.append(summary)
+    lines.append(f"replint: {len(findings)} finding(s)")
     return "\n".join(lines)
 
 
@@ -272,7 +248,6 @@ def render_json(findings: Sequence[Finding]) -> str:
         {
             "findings": [finding.to_dict() for finding in findings],
             "count": len(findings),
-            "errors": error_count(findings),
         },
         indent=2,
         sort_keys=True,

@@ -1,4 +1,9 @@
-"""RL001 lock discipline and RL002 lock ordering.
+"""The lock rules: RL001, RL004 and RL005.
+
+All three read one model of who holds what — the flow layer's
+held-sets (:class:`~repro.analysis.flow.lockgraph.ProgramLockAnalysis`,
+memoised per lint run on the :class:`LintContext`): per call site and
+per acquisition, every lock state some path reaches it with.
 
 RL001 — every path from a public ``SqlSession`` entry point to a page- or
 tree-mutating sink (``BufferPool.fetch``/``fetch_many`` and the MVCC read
@@ -6,41 +11,50 @@ path's ``fetch_page``/``fetch_pages``, ``Table.insert``/
 ``insert_many``/``delete``/``delete_many``, ``BTree.insert``/``insert_many``/
 ``delete``/``delete_many``/``bulk_load``, ``Page.add_records``, and
 the ``Executor.run*`` family, which assumes the caller holds the lock) must
-pass through a statement guard — a ``db.latches.read_latch(...)`` /
-``write_latch(...)`` / ``ddl_latch()`` context (the per-table latch
-hierarchy, see ``repro.engine.latches``; a bare RWLock's
-``read_lock()`` / ``write_lock()`` counts too) — the way
-``SqlSession.insert_rows`` and ``SqlSession.query`` do.  Edges taken
-*inside* a guard are satisfied and not traversed further; any unguarded
-path that reaches a sink is reported at the first call edge of that path.
+pass through a statement latch (the ``catalog`` or ``table`` class of the
+per-table latch hierarchy, see ``repro.engine.latches``) — the way
+``SqlSession.insert_rows`` and ``SqlSession.query`` do.  A call edge is
+satisfied when every held-set the flow layer saw at it holds a latch;
+those edges are not traversed further.  A call site the flow layer did
+not record (unreachable code, a ``with`` header) counts as unguarded.
+Any unguarded path that reaches a sink is reported at the first call
+edge of that path.
 
-RL002 — the lock hierarchy is ``catalog latch > table latches > pool/page
-``_lock`` mutexes``, acquired strictly downward, and neither the RWLock nor
-the latch set is re-entrant.  The rule flags, lexically and through calls:
+RL004 — the whole-program lock-order graph (nodes = lock classes such
+as ``catalog``, ``table``, ``pool``, ``pagefile``, ``intent``,
+``mutex:<Class>``; edges = *acquired-while-held* pairs) must be
+acyclic.  A cycle is a potential deadlock: two threads each holding one
+class and waiting for the other.  Each cycle is reported once, with the
+witness call paths for every edge on it.  RL004 also checks that the
+checked-in ``lock_graph.json`` (the runtime sentinel's rank table, see
+:mod:`repro.engine.lockcheck`) matches the graph computed from the tree;
+regenerate it with ``repro lint --write-lock-graph`` after intentional
+locking changes.  The drift check only runs when the linted set
+includes the engine's latch module — fixture and test-tree lints never
+compare against it.
 
-- acquiring an RWLock guard while a pool guard is held (inverse order);
-- acquiring an RWLock guard while an RWLock guard is already held
-  (re-entrancy — a read holder taking ``write_lock`` deadlocks by design,
-  see ``repro.engine.locks``);
-- acquiring a latch guard while a pool guard is held (a leaf mutex is
-  *below* the latch level; taking a latch under it inverts the hierarchy);
-- acquiring a latch guard while a latch guard is already held (unordered
-  multi-table acquisition — a statement's whole latch set must be taken in
-  one sorted ``read_latch``/``write_latch`` call, never incrementally).
+RL005 — a statement holding an *exclusive* latch (``table`` write,
+``catalog`` DDL) stalls every reader of that table for as long as it
+runs; calling into a blocking sink (``time.sleep``, subprocess spawns,
+``socket`` accept/recv/connect, ``select.select``, ``input``) under one
+turns a latency hiccup into a whole-table outage.  Shared-mode
+acquisitions (plain ``read_latch``) never trip it.
 """
 
 from __future__ import annotations
 
+import os
+import re
 from collections import deque
 from typing import Sequence
 
-from .callgraph import (
-    LATCH_GUARD,
-    POOL_GUARD,
-    RWLOCK_GUARD,
-    CallGraph,
-    CallSite,
-    FunctionInfo,
+from .callgraph import FunctionInfo
+from .flow.dataflow import LATCH_CLASSES, State
+from .flow.lockgraph import (
+    LockGraph,
+    ProgramLockAnalysis,
+    default_lock_graph_path,
+    load_lock_graph,
 )
 from .framework import Finding, LintContext, Rule, SourceFile
 
@@ -77,6 +91,13 @@ def _is_sink(info: FunctionInfo) -> bool:
     return (info.class_name or "", info.name) in LOCK_SINKS
 
 
+def _latched(states: Sequence[State]) -> bool:
+    """Whether every held-set seen at a site holds a statement latch
+    (no recorded set: not latched)."""
+    return bool(states) and all(
+        any(cls in LATCH_CLASSES for cls, _excl in state) for state in states)
+
+
 class LockDisciplineRule(Rule):
     code = "RL001"
     name = "lock-discipline"
@@ -86,36 +107,37 @@ class LockDisciplineRule(Rule):
     )
 
     def check(self, files: Sequence[SourceFile], ctx: LintContext) -> list[Finding]:
-        graph = ctx.callgraph(files)
+        analysis = ctx.flow(files)
         findings: list[Finding] = []
         reported: set[tuple[str, str]] = set()
         for entry_class in ENTRY_CLASSES:
-            for entry in graph.iter_methods(entry_class):
+            for entry in analysis.graph.iter_methods(entry_class):
                 if entry.name.startswith("_"):
                     continue
-                findings.extend(self._scan_entry(graph, entry, reported))
+                findings.extend(self._scan_entry(analysis, entry, reported))
         return findings
 
     def _scan_entry(
         self,
-        graph: CallGraph,
+        analysis: ProgramLockAnalysis,
         entry: FunctionInfo,
         reported: set[tuple[str, str]],
     ) -> list[Finding]:
+        graph = analysis.graph
         findings: list[Finding] = []
         # BFS over unguarded call edges; each queue item carries the call
         # path so the report can show how the sink is reached.
-        queue: deque[tuple[FunctionInfo, tuple[str, ...], CallSite | None]] = deque(
-            [(entry, (entry.qualname,), None)]
+        queue: deque[tuple[FunctionInfo, tuple[str, ...]]] = deque(
+            [(entry, (entry.qualname,))]
         )
         visited: set[int] = {id(entry)}
         while queue:
-            func, path, first_edge = queue.popleft()
+            func, path = queue.popleft()
+            held = analysis.held_at_calls(func)
             for call in func.calls:
-                if call.guarded:
+                if _latched(held.get((call.name, call.line, call.col), ())):
                     continue  # satisfied: edge under a statement latch
                 for target in graph.resolve(call, func):
-                    edge = first_edge or call
                     if _is_sink(target):
                         key = (entry.qualname, target.qualname)
                         if key in reported:
@@ -139,189 +161,149 @@ class LockDisciplineRule(Rule):
                     if id(target) in visited:
                         continue
                     visited.add(id(target))
-                    queue.append((target, path + (target.qualname,), edge))
+                    queue.append((target, path + (target.qualname,)))
         return findings
 
 
-class LockOrderRule(Rule):
-    code = "RL002"
-    name = "lock-order"
+#: ``qualname (path:line)`` hop format used in witness strings.
+_SITE_RE = re.compile(r"\(([^()]+):(\d+)\)")
+
+#: The drift check runs only when this engine module is in the linted
+#: set — i.e. a real-tree lint, not a fixture or test-tree lint.
+_DRIFT_MARKER = ("engine", "latches.py")
+
+
+def _witness_site(witness: str) -> tuple[str, int]:
+    """(path, line) of the first hop of a witness chain."""
+    match = _SITE_RE.search(witness)
+    if match is None:  # pragma: no cover - witnesses always carry sites
+        return ("<unknown>", 1)
+    return (match.group(1), int(match.group(2)))
+
+
+def _has_drift_marker(files: Sequence[SourceFile]) -> bool:
+    for source in files:
+        parts = source.path.replace("\\", "/").split("/")
+        if tuple(parts[-2:]) == _DRIFT_MARKER:
+            return True
+    return False
+
+
+class LockCycleRule(Rule):
+    code = "RL004"
+    name = "lock-order-cycle"
     description = (
-        "never acquire an RWLock or a table latch while holding a pool "
-        "_lock, never re-acquire the non-reentrant RWLock, and never "
-        "nest latch acquisitions (multi-table latch sets are taken in "
-        "one sorted call)"
+        "the whole-program lock-order graph (acquired-while-held edges "
+        "over lock classes) must be acyclic, and must match the "
+        "checked-in lock_graph.json used by the runtime sentinel"
     )
 
     def check(self, files: Sequence[SourceFile], ctx: LintContext) -> list[Finding]:
-        graph = ctx.callgraph(files)
+        graph = ctx.flow(files).lock_graph
         findings: list[Finding] = []
-        for func in graph.functions:
-            findings.extend(self._lexical(func))
-            findings.extend(self._through_calls(graph, func))
-        return findings
-
-    def _lexical(self, func: FunctionInfo) -> list[Finding]:
-        findings: list[Finding] = []
-        for event in func.lock_events:
-            if event.kind == RWLOCK_GUARD:
-                if RWLOCK_GUARD in event.held_before:
-                    findings.append(
-                        Finding(
-                            rule=self.code,
-                            path=func.display_path,
-                            line=event.line,
-                            col=event.col,
-                            message=(
-                                f"{func.qualname} re-acquires the RWLock "
-                                "while already holding it (RWLock is not "
-                                "re-entrant)"
-                            ),
-                        )
-                    )
-                if POOL_GUARD in event.held_before:
-                    findings.append(
-                        Finding(
-                            rule=self.code,
-                            path=func.display_path,
-                            line=event.line,
-                            col=event.col,
-                            message=(
-                                f"{func.qualname} acquires the RWLock while "
-                                "holding a pool _lock (inverse lock order)"
-                            ),
-                        )
-                    )
-            elif event.kind == LATCH_GUARD:
-                if LATCH_GUARD in event.held_before:
-                    findings.append(
-                        Finding(
-                            rule=self.code,
-                            path=func.display_path,
-                            line=event.line,
-                            col=event.col,
-                            message=(
-                                f"{func.qualname} acquires a table latch "
-                                "while already holding one (unordered "
-                                "multi-table acquisition; take the whole "
-                                "latch set in one sorted "
-                                "read_latch/write_latch call)"
-                            ),
-                        )
-                    )
-                if POOL_GUARD in event.held_before:
-                    findings.append(
-                        Finding(
-                            rule=self.code,
-                            path=func.display_path,
-                            line=event.line,
-                            col=event.col,
-                            message=(
-                                f"{func.qualname} acquires a table latch "
-                                "while holding a pool _lock (the pool lock "
-                                "is a leaf below the latch level)"
-                            ),
-                        )
-                    )
-        return findings
-
-    def _through_calls(self, graph: CallGraph, func: FunctionInfo) -> list[Finding]:
-        findings: list[Finding] = []
-        for call in func.calls:
-            if not call.held:
-                continue
-            holds_rw = RWLOCK_GUARD in call.held
-            holds_latch = LATCH_GUARD in call.held
-            holds_pool = POOL_GUARD in call.held
-            if not (holds_rw or holds_latch or holds_pool):
-                continue
-            rw_offender = self._reaches(
-                graph, call, func, lambda f: f.acquires_rwlock)
-            if rw_offender is not None:
-                if holds_rw:
-                    findings.append(
-                        Finding(
-                            rule=self.code,
-                            path=func.display_path,
-                            line=call.line,
-                            col=call.col,
-                            message=(
-                                f"{func.qualname} holds the RWLock and "
-                                f"calls into {rw_offender.label}, which "
-                                "re-acquires it (RWLock is not re-entrant)"
-                            ),
-                        )
-                    )
-                elif holds_pool:
-                    findings.append(
-                        Finding(
-                            rule=self.code,
-                            path=func.display_path,
-                            line=call.line,
-                            col=call.col,
-                            message=(
-                                f"{func.qualname} holds a pool _lock and "
-                                f"calls into {rw_offender.label}, which "
-                                "acquires the RWLock (inverse lock order)"
-                            ),
-                        )
-                    )
-            if not (holds_latch or holds_pool):
-                continue
-            latch_offender = self._reaches(
-                graph, call, func, lambda f: f.acquires_latch)
-            if latch_offender is None:
-                continue
-            if holds_latch:
-                findings.append(
-                    Finding(
-                        rule=self.code,
-                        path=func.display_path,
-                        line=call.line,
-                        col=call.col,
-                        message=(
-                            f"{func.qualname} holds a table latch and calls "
-                            f"into {latch_offender.label}, which acquires "
-                            "another latch (unordered multi-table "
-                            "acquisition)"
-                        ),
-                    )
+        for cycle in graph.cycles():
+            arrows = " -> ".join(cycle)
+            parts: list[str] = []
+            first_site: tuple[str, int] | None = None
+            for src, dst in zip(cycle, cycle[1:]):
+                witnesses = graph.edges.get((src, dst), [])
+                for witness in witnesses:
+                    parts.append(f"[{src} -> {dst}] {witness}")
+                if first_site is None and witnesses:
+                    first_site = _witness_site(witnesses[0])
+            path, line = first_site or ("<unknown>", 1)
+            detail = "; ".join(parts)
+            findings.append(
+                Finding(
+                    rule=self.code,
+                    path=path,
+                    line=line,
+                    message=(
+                        f"lock-order cycle {arrows}: two threads "
+                        "taking these classes in opposite orders can "
+                        f"deadlock; witness paths: {detail}"
+                    ),
                 )
-            elif holds_pool:
-                findings.append(
-                    Finding(
-                        rule=self.code,
-                        path=func.display_path,
-                        line=call.line,
-                        col=call.col,
-                        message=(
-                            f"{func.qualname} holds a pool _lock and calls "
-                            f"into {latch_offender.label}, which acquires a "
-                            "table latch (the pool lock is a leaf below "
-                            "the latch level)"
-                        ),
-                    )
-                )
+            )
+        if _has_drift_marker(files):
+            findings.extend(self._check_drift(graph, ctx))
         return findings
 
-    def _reaches(
-        self,
-        graph: CallGraph,
-        call: CallSite,
-        caller: FunctionInfo,
-        predicate,
-    ) -> FunctionInfo | None:
-        """First function reachable from ``call`` satisfying
-        ``predicate`` (BFS over resolved call edges), or ``None``."""
-        queue: deque[FunctionInfo] = deque(graph.resolve(call, caller))
-        visited: set[int] = set()
-        while queue:
-            func = queue.popleft()
-            if id(func) in visited:
-                continue
-            visited.add(id(func))
-            if predicate(func):
-                return func
-            for inner in func.calls:
-                queue.extend(graph.resolve(inner, func))
-        return None
+    def _check_drift(self, graph: LockGraph,
+                     ctx: LintContext) -> list[Finding]:
+        path = default_lock_graph_path()
+        display = os.path.relpath(path, ctx.root)
+        if display.startswith(".."):
+            display = path
+        checked_in = load_lock_graph(path)
+        computed = graph.to_json_dict()
+        if checked_in is None:
+            return [
+                Finding(
+                    rule=self.code,
+                    path=display,
+                    line=1,
+                    message=(
+                        "lock_graph.json is missing or unreadable; the "
+                        "runtime sentinel has no acquisition order to "
+                        "enforce — run `repro lint --write-lock-graph`"
+                    ),
+                )
+            ]
+        if checked_in != computed:
+            stale_keys = sorted(
+                key for key in set(checked_in) | set(computed)
+                if checked_in.get(key) != computed.get(key)
+            )
+            return [
+                Finding(
+                    rule=self.code,
+                    path=display,
+                    line=1,
+                    message=(
+                        "lock_graph.json is stale (differs from the "
+                        f"tree in: {', '.join(stale_keys)}); run "
+                        "`repro lint --write-lock-graph` and review "
+                        "the ordering change"
+                    ),
+                )
+            ]
+        return []
+
+
+class BlockingUnderLatchRule(Rule):
+    code = "RL005"
+    name = "blocking-under-exclusive-latch"
+    description = (
+        "never call a blocking sink (sleep, subprocess, socket I/O, "
+        "select, input) while holding an exclusive latch — every "
+        "reader of the table stalls for the duration"
+    )
+
+    def check(self, files: Sequence[SourceFile], ctx: LintContext) -> list[Finding]:
+        findings: list[Finding] = []
+        for info, name, line, col, cls, chain in (
+                ctx.flow(files).blocking_under_exclusive()):
+            if chain:
+                hops = " -> ".join(chain)
+                message = (
+                    f"{info.qualname} holds the exclusive {cls!r} "
+                    f"latch and calls {name}(), which may block "
+                    f"(via {hops})"
+                )
+            else:
+                message = (
+                    f"{info.qualname} calls blocking {name}() while "
+                    f"holding the exclusive {cls!r} latch; readers of "
+                    "the latched table stall for the duration"
+                )
+            findings.append(
+                Finding(
+                    rule=self.code,
+                    path=info.display_path,
+                    line=line,
+                    col=col,
+                    message=message,
+                )
+            )
+        return findings

@@ -21,8 +21,10 @@ Deadlock avoidance: a statement's *entire* latch set is taken in one
 ``read_latch(...)`` / ``write_latch(...)`` call, in sorted
 lower-cased table-name order, with the catalog latch always first.  No
 code path acquires a latch while already holding another latch, so no
-cycle can form; replint's RL002 enforces exactly that (no nested latch
-acquisition, no latch acquisition under a pool ``_lock``).
+cycle can form.  The runtime sentinel (``REPRO_LOCK_CHECK=1``,
+:mod:`repro.engine.lockcheck`) raises on a nested latch out of name
+order or a latch under a pool ``_lock``; replint's RL004 proves the
+whole-program order acyclic.
 """
 
 from __future__ import annotations

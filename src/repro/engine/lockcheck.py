@@ -39,7 +39,6 @@ from typing import Optional
 
 __all__ = [
     "LockOrderViolation",
-    "DEFAULT_ORDER",
     "is_active",
     "set_active",
     "note_acquire",
@@ -54,26 +53,6 @@ class LockOrderViolation(RuntimeError):
     """An instrumented acquisition contradicted the exported order."""
 
 
-#: Fallback acquisition order, kept in sync with the ``order`` field of
-#: the checked-in ``lock_graph.json`` (used when the file is absent,
-#: e.g. an installed package without the analysis data).
-DEFAULT_ORDER: tuple[str, ...] = (
-    "intent",
-    "catalog",
-    "mutex:ArrayServer",
-    "mutex:Database",
-    "mutex:ShardRouter",
-    "mutex:_Connection",
-    "mutex:_RelayStream",
-    "rwlock",
-    "table",
-    "mutex:Table",
-    "pagefile",
-    "pool",
-    "mutex:AdmissionController",
-    "mutex:ServerStats",
-)
-
 #: Classes whose same-class re-acquisition is always allowed.
 _STACKABLE = frozenset({"intent"})
 
@@ -84,22 +63,20 @@ _tls = threading.local()
 
 def load_order(path: Optional[str] = None) -> tuple[str, ...]:
     """The acquisition order from ``lock_graph.json`` (the analysis
-    package's checked-in export), falling back to :data:`DEFAULT_ORDER`
-    when the file is missing or malformed."""
+    package's checked-in export, shipped as package data) — the one
+    place the order is written down.  A missing file raises
+    ``OSError``, a malformed one ``ValueError``."""
     if path is None:
         path = os.path.join(
             os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
             "analysis", "lock_graph.json")
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
-        order = data.get("order") if isinstance(data, dict) else None
-        if isinstance(order, list) and order and \
-                all(isinstance(cls, str) for cls in order):
-            return tuple(order)
-    except (OSError, ValueError):
-        pass
-    return DEFAULT_ORDER
+    with open(path, "r", encoding="utf-8") as handle:
+        data = json.load(handle)
+    order = data.get("order") if isinstance(data, dict) else None
+    if not (isinstance(order, list) and order
+            and all(isinstance(cls, str) for cls in order)):
+        raise ValueError(f"{path}: no lock order")
+    return tuple(order)
 
 
 def _rank_table() -> dict[str, int]:

@@ -16,8 +16,6 @@ stream of analytical scans from starving catalog changes.
 from __future__ import annotations
 
 import threading
-from contextlib import contextmanager
-from typing import Iterator
 
 from . import lockcheck
 
@@ -71,15 +69,6 @@ class RWLock:
                 self._cond.notify_all()
         lockcheck.note_release(self.lock_class, self.lock_name)
 
-    @contextmanager
-    def read_lock(self) -> Iterator["RWLock"]:
-        """``with lock.read_lock(): ...`` — shared access."""
-        self.acquire_read()
-        try:
-            yield self
-        finally:
-            self.release_read()
-
     # -- write side -----------------------------------------------------------
 
     def acquire_write(self, timeout: float | None = None) -> bool:
@@ -107,12 +96,3 @@ class RWLock:
             self._writer = False
             self._cond.notify_all()
         lockcheck.note_release(self.lock_class, self.lock_name)
-
-    @contextmanager
-    def write_lock(self) -> Iterator["RWLock"]:
-        """``with lock.write_lock(): ...`` — exclusive access."""
-        self.acquire_write()
-        try:
-            yield self
-        finally:
-            self.release_write()

@@ -8,15 +8,9 @@ class BufferPool:
         return list(pages)
 
 
-class RWLockStub:
-    def read_lock(self):
-        raise NotImplementedError
-
-
 class Database:
     def __init__(self):
         self.pool = BufferPool()
-        self.lock = RWLockStub()
 
 
 class SqlSession:
@@ -24,5 +18,6 @@ class SqlSession:
         self.db = db
 
     def scan_snapshot(self, pages):
-        # RL001: no `with self.db.lock.read_lock():` around the charge.
+        # RL001: no `with self.db.latches.catalog_latch():` around the
+        # charge.
         return self.db.pool.fetch_pages(pages)

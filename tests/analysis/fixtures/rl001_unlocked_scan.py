@@ -1,5 +1,5 @@
 """Seeded RL001 violation: a public session entry point reaches the buffer
-pool without taking the database RWLock first."""
+pool without taking a statement latch first."""
 
 
 class BufferPool:
@@ -7,18 +7,9 @@ class BufferPool:
         return page_id
 
 
-class RWLockStub:
-    def read_lock(self):
-        raise NotImplementedError
-
-    def write_lock(self):
-        raise NotImplementedError
-
-
 class Database:
     def __init__(self):
         self.pool = BufferPool()
-        self.lock = RWLockStub()
 
 
 class SqlSession:
@@ -26,5 +17,6 @@ class SqlSession:
         self.db = db
 
     def peek_page(self, page_id):
-        # RL001: no `with self.db.lock.read_lock():` around the pool access.
+        # RL001: no `with self.db.latches.read_latch(...):` around the
+        # pool access.
         return self.db.pool.fetch(page_id)

@@ -1,6 +1,6 @@
 """Flow-layer tests: CFG construction, the held-lock-set and resource
 dataflows, the whole-program lock-order graph, and the CLI surfaces
-built on them (``--baseline``, ``--changed``, ``--write-lock-graph``)."""
+built on them (``--baseline``, ``--write-lock-graph``)."""
 
 import ast
 import json
@@ -275,7 +275,7 @@ def test_program_analysis_blocking_chain_through_helper():
 
 def test_program_analysis_skips_reacquisition_edges():
     # helper re-takes latch classes the caller already holds: that is a
-    # re-entrancy question (RL002), not an ordering edge — no
+    # re-entrancy question (the sentinel's), not an ordering edge — no
     # table -> catalog back-edge, no cycle.
     analysis = _program(
         "def outer(db):\n"
@@ -309,7 +309,7 @@ def test_rl004_reports_stale_graph_for_divergent_engine(tmp_path):
     assert "--write-lock-graph" in findings[0].message
 
 
-# -- CLI: baseline, changed, lock graph -------------------------------------
+# -- CLI: baseline, lock graph ----------------------------------------------
 
 def _run_cli(*args, cwd=REPO_ROOT):
     env = dict(os.environ)
@@ -337,20 +337,6 @@ def test_cli_malformed_baseline_exit_two(tmp_path):
     proc = _run_cli(FIXTURES, "--baseline", str(bad))
     assert proc.returncode == 2
     assert "cannot load baseline" in proc.stderr
-
-
-def test_cli_changed_mode(tmp_path):
-    subprocess.run(["git", "init", "-q"], cwd=tmp_path, check=True)
-    proc = _run_cli("--changed", cwd=str(tmp_path))
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert "clean" in proc.stdout
-    (tmp_path / "kernel.py").write_text(
-        "def scale_kernel(args):\n"
-        "    args[0][:] = 0\n"
-        "    return [0], None\n")
-    proc = _run_cli("--changed", cwd=str(tmp_path))
-    assert proc.returncode == 1
-    assert "RV201" in proc.stdout
 
 
 def test_cli_write_lock_graph_refuses_cycle():

@@ -406,9 +406,12 @@ class TestRWLock:
         acquired = []
 
         def reader():
-            with lock.read_lock():
+            lock.acquire_read()
+            try:
                 acquired.append(1)
                 barrier.wait(timeout=10)
+            finally:
+                lock.release_read()
 
         barrier = threading.Barrier(3)
         threads = [threading.Thread(target=reader) for _ in range(3)]
@@ -424,8 +427,11 @@ class TestRWLock:
         lock.acquire_write()
 
         def reader():
-            with lock.read_lock():
+            lock.acquire_read()
+            try:
                 order.append("read")
+            finally:
+                lock.release_read()
 
         t = threading.Thread(target=reader)
         t.start()

@@ -254,7 +254,7 @@ def test_segment_folds_are_the_sequential_fold_bit_for_bit(with_seeds, op):
             held = [i for i, total in enumerate(want) if total is not None]
             assert got[held].tobytes() == \
                 np.array([want[i] for i in held]).tobytes(), (trial, shape)
-            # RV201: a kernel never writes into what it was handed.
+            # A kernel never writes into what it was handed.
             assert (values == before[0]).all() and (seeds == before[1]).all()
 
 

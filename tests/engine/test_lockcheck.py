@@ -4,14 +4,16 @@ offending lock classes named, in-order stacks pass, and the same-class
 rules (sorted table latch sets, reentrant pool mutex, stackable
 intents) mirror the engine's discipline."""
 
+import json
+import os
 import threading
 from unittest import mock
 
 import pytest
 
+from repro import analysis
 from repro.engine import Column, Database, lockcheck
 from repro.engine.lockcheck import (
-    DEFAULT_ORDER,
     LockOrderViolation,
     load_order,
     note_acquire,
@@ -176,10 +178,21 @@ def test_inactive_fast_path_checks_nothing():
 
 def test_load_order_matches_checked_in_graph():
     order = load_order()
-    assert order == DEFAULT_ORDER  # fallback kept in sync with the JSON
+    graph_path = os.path.join(os.path.dirname(analysis.__file__),
+                              "lock_graph.json")
+    with open(graph_path, encoding="utf-8") as handle:
+        assert list(order) == json.load(handle)["order"]
     assert order.index("catalog") < order.index("table")
     assert order.index("table") < order.index("pool")
 
 
-def test_load_order_missing_file_falls_back(tmp_path):
-    assert load_order(str(tmp_path / "absent.json")) == DEFAULT_ORDER
+def test_load_order_missing_file_raises(tmp_path):
+    with pytest.raises(OSError):
+        load_order(str(tmp_path / "absent.json"))
+
+
+def test_load_order_without_an_order_raises(tmp_path):
+    path = tmp_path / "graph.json"
+    path.write_text('{"order": []}')
+    with pytest.raises(ValueError):
+        load_order(str(path))

@@ -32,9 +32,12 @@ def test_readers_share():
     barrier = threading.Barrier(4, timeout=5.0)
 
     def reader():
-        with lock.read_lock():
+        lock.acquire_read()
+        try:
             entered.append(threading.get_ident())
             barrier.wait()  # all four must be inside simultaneously
+        finally:
+            lock.release_read()
 
     threads = [threading.Thread(target=reader) for _ in range(4)]
     for t in threads:
@@ -49,14 +52,20 @@ def test_writer_excludes_readers_and_writers():
     order = []
 
     def writer():
-        with lock.write_lock():
+        lock.acquire_write()
+        try:
             order.append("w-in")
             time.sleep(0.05)
             order.append("w-out")
+        finally:
+            lock.release_write()
 
     def reader():
-        with lock.read_lock():
+        lock.acquire_read()
+        try:
             order.append("r")
+        finally:
+            lock.release_read()
 
     w = threading.Thread(target=writer)
     w.start()
@@ -75,12 +84,18 @@ def test_writer_preference_blocks_new_readers():
     writer_done = threading.Event()
 
     def holder():
-        with lock.read_lock():
+        lock.acquire_read()
+        try:
             release_reader.wait(timeout=5.0)
+        finally:
+            lock.release_read()
 
     def writer():
-        with lock.write_lock():
+        lock.acquire_write()
+        try:
             writer_done.set()
+        finally:
+            lock.release_write()
 
     h = threading.Thread(target=holder)
     h.start()
@@ -120,8 +135,11 @@ def test_reader_stream_does_not_starve_writer():
     time.sleep(0.05)
 
     def writer():
-        with lock.write_lock():
+        lock.acquire_write()
+        try:
             writer_done.set()
+        finally:
+            lock.release_write()
 
     w = threading.Thread(target=writer)
     w.start()
@@ -135,8 +153,11 @@ def test_reader_stream_does_not_starve_writer():
 def test_read_released_on_exception():
     lock = RWLock()
     with pytest.raises(RuntimeError):
-        with lock.read_lock():
+        lock.acquire_read()
+        try:
             raise RuntimeError("boom")
+        finally:
+            lock.release_read()
     # Fully released: a writer can get in immediately.
     assert lock.acquire_write(timeout=1.0) is True
     lock.release_write()
@@ -145,8 +166,11 @@ def test_read_released_on_exception():
 def test_write_released_on_exception():
     lock = RWLock()
     with pytest.raises(RuntimeError):
-        with lock.write_lock():
+        lock.acquire_write()
+        try:
             raise RuntimeError("boom")
+        finally:
+            lock.release_write()
     assert lock.acquire_read(timeout=1.0) is True
     lock.release_read()
 
@@ -163,9 +187,12 @@ def test_write_is_not_reentrant():
 
 def test_read_to_write_upgrade_times_out():
     lock = RWLock()
-    with lock.read_lock():
+    lock.acquire_read()
+    try:
         # Upgrading would deadlock; the timeout path must fire.
         assert lock.acquire_write(timeout=0.1) is False
+    finally:
+        lock.release_read()
     assert lock.acquire_write(timeout=1.0) is True
     lock.release_write()
 
@@ -190,7 +217,13 @@ def test_release_read_without_holders_raises():
 def test_sequential_reacquisition():
     lock = RWLock()
     for _ in range(3):
-        with lock.write_lock():
+        lock.acquire_write()
+        try:
             pass
-        with lock.read_lock():
+        finally:
+            lock.release_write()
+        lock.acquire_read()
+        try:
             pass
+        finally:
+            lock.release_read()
