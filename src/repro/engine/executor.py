@@ -181,22 +181,6 @@ class Database:
         return "\n".join(lines)
 
 
-class _RowContext:
-    """Evaluation context handed to expressions for one row."""
-
-    __slots__ = ("table", "row", "pool", "udf_calls", "stream_calls",
-                 "stream_bytes", "extra_cpu")
-
-    def __init__(self, table: Table, pool: BufferPool):
-        self.table = table
-        self.pool = pool
-        self.row: tuple = ()
-        self.udf_calls = 0
-        self.stream_calls = 0
-        self.stream_bytes = 0
-        self.extra_cpu = 0.0
-
-
 class Expression:
     """Base class for scalar expressions evaluated per row."""
 
@@ -208,7 +192,7 @@ class Expression:
         """Per-row CPU cost that does not depend on the row's values."""
         return 0.0
 
-    def eval(self, ctx: _RowContext):
+    def eval(self, ctx: "vectorized.BatchContext"):
         raise NotImplementedError
 
 
@@ -227,7 +211,7 @@ class Col(Expression):
             return model.cpu_decode_varbinary
         return model.cpu_decode_fixed
 
-    def eval(self, ctx: _RowContext):
+    def eval(self, ctx: "vectorized.BatchContext"):
         return ctx.row[ctx.table.column_index(self.name)]
 
     def eval_batch(self, ctx: "vectorized.BatchContext"):
@@ -240,7 +224,7 @@ class Const(Expression):
     def __init__(self, value):
         self.value = value
 
-    def eval(self, ctx: _RowContext):
+    def eval(self, ctx: "vectorized.BatchContext"):
         return self.value
 
     def eval_batch(self, ctx: "vectorized.BatchContext"):
@@ -265,7 +249,7 @@ class ReadBlob(Expression):
     def static_cpu_cost(self, table: Table, model: CostModel) -> float:
         return self.inner.static_cpu_cost(table, model)
 
-    def eval(self, ctx: _RowContext):
+    def eval(self, ctx: "vectorized.BatchContext"):
         value = self.inner.eval(ctx)
         if isinstance(value, MaxBlobHandle):
             stream = value.open_stream(ctx.pool)
@@ -356,7 +340,7 @@ class ScalarUdf(Expression):
             cost += a.static_cpu_cost(table, model)
         return cost
 
-    def eval(self, ctx: _RowContext):
+    def eval(self, ctx: "vectorized.BatchContext"):
         ctx.udf_calls += 1
         return self.func(*[a.eval(ctx) for a in self.args])
 
@@ -386,26 +370,29 @@ class ScalarUdf(Expression):
 class Aggregate:
     """Base class for aggregate functions.
 
-    Subclasses implement the row-at-a-time protocol (:meth:`start`,
-    :meth:`step`, :meth:`finish`).  The built-ins additionally provide
-    :meth:`step_value` (advance on one already-evaluated value),
-    :meth:`step_batch` (advance over the whole current batch) and
-    :meth:`group_column` (the array column that holds this aggregate's
-    state for every group of a vectorized grouped scan and advances a
-    batch's segments at a time — see ``docs/EXECUTOR.md``, "Grouped
-    scans").  Custom aggregates may omit all three — the vector engine
-    then steps them per row over materialized tuples.
+    Every aggregate implements one protocol, the paper's UDA contract
+    (``init / accumulate / merge / terminate``, §4.2) with the
+    accumulate step in the three shapes the engines feed it:
 
-    The built-ins also implement the *mergeable-state* protocol of
-    distributed aggregation: :meth:`partial_start` /
-    :meth:`partial_step_values` accumulate a shard-local partial state
-    (through :class:`PartialCapture`), and :meth:`merge` folds a
-    shipped partial into the coordinator's running state.  Partials
-    deliberately stay *unreduced* (ordered value lists, not folded
-    scalars) so the coordinator can replay the exact left-fold the
-    single-node engines use — merging in shard order then yields
-    bit-identical float SUM/AVG (and NaN-faithful MIN/MAX) no matter
-    how many shards ran.
+    * :meth:`start` — a fresh state;
+    * :meth:`step` — the state advanced over one value of :attr:`expr`
+      (``None`` for NULL; ``COUNT(*)`` has no expression and is handed
+      ``None`` per row), which the row engine evaluates once per row;
+    * :meth:`step_batch` — the state advanced over a batch's
+      ``(values, mask)`` lanes of :attr:`expr` (see
+      :mod:`repro.engine.vectorized`);
+    * :meth:`group_column` — the array column that holds the state of
+      every group of a vectorized grouped scan and advances a batch's
+      segments at a time (``docs/EXECUTOR.md``, "Grouped scans");
+    * :meth:`merge` — a shipped partial state folded into a running
+      one, in shard order (distributed aggregation);
+    * :meth:`finish` — the final value.
+
+    :meth:`step_cost` prices one step in the cost model and
+    :meth:`finish_floats` is :meth:`finish` over float64 per-group
+    states at once.  The shard side of distributed aggregation runs
+    :func:`PartialCapture` aggregates, whose finished values are the
+    partial states :meth:`merge` consumes.
     """
 
     expr: Expression | None = None
@@ -416,15 +403,32 @@ class Aggregate:
     def start(self):
         raise NotImplementedError
 
-    def step(self, state, ctx: _RowContext):
+    def step(self, state, value):
+        raise NotImplementedError
+
+    def step_batch(self, state, values, mask, n: int):
+        raise NotImplementedError
+
+    def group_column(self):
+        raise NotImplementedError
+
+    def merge(self, state, partial):
         raise NotImplementedError
 
     def finish(self, state, rows: int):
         return state
 
+    def finish_floats(self, values: np.ndarray, counts: np.ndarray
+                      ) -> np.ndarray:
+        """:meth:`finish` over float64 per-group states at once:
+        ``values`` the folded values, ``counts`` how many inputs went
+        into each (an entry whose count is 0 is the caller's to null
+        out)."""
+        return values
+
 
 class Count(Aggregate):
-    """``COUNT(*)``."""
+    """``COUNT(*)``.  A count is its own partial state."""
 
     expr = None
 
@@ -434,25 +438,14 @@ class Count(Aggregate):
     def start(self):
         return 0
 
-    def step(self, state, ctx):
+    def step(self, state, value):
         return state + 1
 
-    def step_value(self, state, value):
-        return state + 1
-
-    def step_batch(self, state, ctx: "vectorized.BatchContext"):
-        return state + ctx.batch.n
+    def step_batch(self, state, values, mask, n):
+        return state + n
 
     def group_column(self):
         return vectorized.CountColumn()
-
-    partial_column = group_column
-
-    def partial_start(self):
-        return 0
-
-    def partial_step_values(self, partial, values):
-        return partial + len(values)
 
     def merge(self, state, partial):
         return state + partial
@@ -460,10 +453,10 @@ class Count(Aggregate):
 
 class _Fold(Aggregate):
     """An aggregate that folds its non-NULL inputs, left to right,
-    through one binary operator :attr:`op` — every form below (row,
-    value, batch, group segments, merge) applies that one operator, so
-    a subclass states its semantics once.  The state is the value
-    folded so far, ``None`` before the first."""
+    through one binary operator :attr:`op` — every form below (value,
+    batch, group segments, merge) applies that one operator, so a
+    subclass states its semantics once.  The state is the value folded
+    so far, ``None`` before the first."""
 
     op: Callable
 
@@ -476,47 +469,16 @@ class _Fold(Aggregate):
     def start(self):
         return None
 
-    def step(self, state, ctx):
-        value = self.expr.eval(ctx)
+    def step(self, state, value):
         if value is None:
             return state
         return value if state is None else self.op(state, value)
 
-    def step_value(self, state, value):
-        if value is None:
-            return state
-        return value if state is None else self.op(state, value)
-
-    def step_batch(self, state, ctx: "vectorized.BatchContext"):
-        values, mask = vectorized.eval_node(self.expr, ctx)
-        return vectorized.fold_batch(self.op, state, values, mask,
-                                     ctx.batch.n)[0]
+    def step_batch(self, state, values, mask, n):
+        return vectorized.fold_batch(self.op, state, values, mask, n)[0]
 
     def group_column(self):
         return vectorized.FoldColumn(self.op)
-
-    def partial_column(self):
-        return vectorized.ValuesColumn()
-
-    def finish_floats(self, values: np.ndarray, counts: np.ndarray
-                      ) -> np.ndarray:
-        """:meth:`finish` over float64 per-group states at once:
-        ``values`` the folded values, ``counts`` how many inputs went
-        into each (an entry whose count is 0 is the caller's to null
-        out)."""
-        return values
-
-    def partial_start(self):
-        return []
-
-    def partial_step_values(self, partial, values):
-        # Ship the full non-NULL value list, not a shard-local fold:
-        # float addition is not associative, and Python's min/max keep
-        # the *first* operand on incomparable (NaN) pairs, which is
-        # order-dependent, so only a full replay of the left fold is
-        # bit-identical.
-        partial.extend(v for v in values if v is not None)
-        return partial
 
     def merge(self, state, partial):
         return vectorized.fold(self.op, state, partial)
@@ -544,7 +506,7 @@ class Sum(_Fold):
 
 
 class Avg(Sum):
-    """``AVG(expr)``."""
+    """``AVG(expr)``: the state is ``(total, count)``."""
 
     def step_cost(self, model: CostModel) -> float:
         return model.cpu_sum_step + model.cpu_count_step
@@ -552,33 +514,24 @@ class Avg(Sum):
     def start(self):
         return (None, 0)
 
-    def step(self, state, ctx):
-        total, n = state
-        value = self.expr.eval(ctx)
-        if value is None:
-            return state
-        return (value if total is None else total + value), n + 1
-
-    def step_value(self, state, value):
+    def step(self, state, value):
         if value is None:
             return state
         total, n = state
-        return (value if total is None else total + value), n + 1
+        return super().step(total, value), n + 1
 
-    def step_batch(self, state, ctx: "vectorized.BatchContext"):
-        total, n = state
-        values, mask = vectorized.eval_node(self.expr, ctx)
+    def step_batch(self, state, values, mask, n):
+        total, count = state
         total, added = vectorized.fold_batch(self.op, total, values,
-                                             mask, ctx.batch.n)
-        return total, n + added
+                                             mask, n)
+        return total, count + added
 
     def group_column(self):
         return vectorized.FoldColumn(self.op, counted=True)
 
     def merge(self, state, partial):
         total, n = state
-        return (vectorized.fold(self.op, total, partial),
-                n + len(partial))
+        return super().merge(total, partial), n + len(partial)
 
     def finish(self, state, rows):
         total, n = state
@@ -602,57 +555,44 @@ class Max(_Fold):
     op = max
 
 
-class PartialCapture(Aggregate):
-    """Adapter that runs an aggregate's *partial* protocol behind the
-    ordinary scan interface, so any engine yields the unreduced
-    mergeable state instead of a finished value.
+class _Inputs(Aggregate):
+    """The partial state of a fold: its non-NULL inputs in scan order,
+    unfolded.  Float addition is not associative, and Python's min/max
+    keep the *first* operand of an incomparable (NaN) pair, so only the
+    coordinator replaying the whole left fold over the shards' lists,
+    in shard order, is bit-identical to one node (see
+    ``docs/SHARDING.md``).  Priced as the fold it stands for."""
 
-    This is the shard side of distributed aggregation: wrap each
-    aggregate of a plan, execute the plan unchanged (row or vector
-    path), and the "values" that come back are the inner
-    aggregates' partial states — ordered non-NULL value lists (or a
-    running count) in scan order, exactly what :meth:`Aggregate.merge`
-    consumes.  The coordinator then replays the serial left fold over
-    the shipped partials in shard order, which keeps float SUM/AVG
-    bit-identical to a single-node run (see ``docs/SHARDING.md``).
-
-    A vectorized grouped scan keeps a captured aggregate in the inner
-    aggregate's ``partial_column`` — for every group at once, the
-    arrays a ``presult`` frame ships.
-    """
-
-    def __init__(self, inner: Aggregate):
-        self.inner = inner
-        self.expr = inner.expr
-
-    def step_cost(self, model: CostModel) -> float:
-        return self.inner.step_cost(model)
+    def __init__(self, fold: _Fold):
+        self.expr = fold.expr
+        self.step_cost = fold.step_cost
 
     def start(self):
-        return self.inner.partial_start()
+        return []
 
-    def step(self, state, ctx):
-        value = 1 if self.expr is None else self.expr.eval(ctx)
-        return self.inner.partial_step_values(state, (value,))
+    def step(self, state, value):
+        if value is not None:
+            state.append(value)
+        return state
 
-    def step_value(self, state, value):
-        return self.inner.partial_step_values(state, (value,))
-
-    def step_batch(self, state, ctx: "vectorized.BatchContext"):
-        if self.expr is None:
-            # COUNT(*): only the lane count matters.
-            return self.inner.partial_step_values(
-                state, range(ctx.batch.n))
-        values, mask = vectorized.eval_node(self.expr, ctx)
-        return self.inner.partial_step_values(
-            state, vectorized.to_pylist(values, mask, ctx.batch.n))
+    def step_batch(self, state, values, mask, n):
+        state.extend(vectorized.nonnull_values(values, mask, n))
+        return state
 
     def group_column(self):
-        make = getattr(self.inner, "partial_column", None)
-        return None if make is None else make()
+        return vectorized.ValuesColumn()
 
-    def finish(self, state, rows):
-        return state
+    def merge(self, state, partial):
+        return state + partial
+
+
+def PartialCapture(agg: Aggregate) -> Aggregate:
+    """The aggregate whose finished value is ``agg``'s unreduced
+    partial state — what :meth:`Aggregate.merge` consumes.  Running a
+    plan with every aggregate captured is the shard side of
+    distributed aggregation; a vectorized grouped scan keeps the
+    captures' columns, the arrays a ``presult`` frame ships."""
+    return agg if isinstance(agg, Count) else _Inputs(agg)
 
 
 def group_rank(key) -> tuple:
@@ -662,11 +602,6 @@ def group_rank(key) -> tuple:
     makes the order a property of the groups, not of the order a
     particular engine happened to create them in."""
     return key is None, key != key, key
-
-
-def _env_default_engine() -> str:
-    value = os.environ.get("REPRO_ENGINE", "").strip().lower()
-    return value if value in ("row", "vector") else "vector"
 
 
 class Executor:
@@ -681,18 +616,12 @@ class Executor:
     neither evicts nor re-charges its neighbours.
     """
 
-    #: Execution path used when a call does not pass ``engine=``:
-    #: ``"vector"`` (columnar batches, the default) or ``"row"``.
-    #: Results, NULL handling and cold-run IO accounting are identical
-    #: on both.  Overridable per process with ``REPRO_ENGINE``.
-    default_engine = _env_default_engine()
-
     def __init__(self, db: Database, model: CostModel = PAPER_HARDWARE):
         self.db = db
         self.model = model
 
     def _resolve_engine(self, engine: str | None) -> str:
-        engine = engine if engine is not None else self.default_engine
+        engine = "vector" if engine is None else engine
         if engine not in ("row", "vector"):
             raise ValueError(
                 f"engine must be 'row' or 'vector', got {engine!r}")
@@ -778,7 +707,7 @@ class Executor:
                 + counts.extra_cpu)
 
     def _seek_cpu(self, table: Table, aggregates, rows: int, io,
-                  ctx: _RowContext) -> float:
+                  ctx: "vectorized.BatchContext") -> float:
         """Simulated CPU core-seconds of a seek plan."""
         model = self.model
         decode_cost = sum(
@@ -793,15 +722,17 @@ class Executor:
                 + ctx.stream_bytes * model.cpu_stream_byte)
 
     @staticmethod
-    def _finish(aggregates, states, groups, rows: int):
-        """Final values of a scan: the aggregate tuple, or — grouped —
+    def _finish(aggregates, states, groups, rows: int, partial: bool):
+        """Final values of a statement: the aggregate tuple, or — grouped —
         one ``(group, agg...)`` row per group, sorted by group key
-        (:func:`group_rank`)."""
+        (:func:`group_rank`).  A ``partial`` statement hands the
+        :class:`~repro.engine.vectorized.GroupArrays` a vector scan
+        built on as they are."""
         if groups is None:
             return tuple(a.finish(s, rows)
                          for a, s in zip(aggregates, states))
         if isinstance(groups, vectorized.GroupArrays):
-            return groups.rows(aggregates, rows)
+            return groups if partial else groups.rows(aggregates, rows)
         return [
             (group, *(a.finish(s, rows)
                       for a, s in zip(aggregates, group_states)))
@@ -822,9 +753,9 @@ class Executor:
                 evaluates falsy are skipped after being scanned).
             cold: Read through a cold buffer pool, like the paper's runs.
             label: Name recorded in the metrics.
-            engine: ``"row"`` or ``"vector"``; ``None`` uses
-                :attr:`default_engine`.  Both produce bit-identical
-                results; cold-run IO accounting is identical too.
+            engine: ``"vector"`` (``None``, the default) or ``"row"``.
+                Both produce bit-identical results; cold-run IO
+                accounting is identical too.
 
         Returns:
             ``(values, metrics)``.
@@ -857,38 +788,109 @@ class Executor:
         """Scan on the ``"vector"`` or ``"row"`` engine (grouped when
         ``group_expr`` is given).  ``engine`` is already resolved; a
         session calls this under its statement latch guard."""
-        states, groups, rows, metrics = self._scan_serial(
-            table, aggregates, where, group_expr, cold, label, engine)
-        return self._finish(aggregates, states, groups, rows), metrics
+        return self._execute(table, aggregates, cold, label, engine,
+                             where, group_expr)
 
     def run_partial(self, table: Table, aggregates, where=None,
                     group_expr=None, cold: bool = True, label: str = "",
                     engine: str = "vector"):
         """:meth:`run_serial` for the shard side of a distributed
-        aggregate — every aggregate a :class:`PartialCapture` — that
+        aggregate — every aggregate a :func:`PartialCapture` — that
         leaves a grouped state unreduced: ``(groups, metrics)`` with
         ``groups`` the :class:`~repro.engine.vectorized.GroupArrays`
         the vector engine's scan built, handed on as the arrays it is,
         and otherwise the finished ``(key, partial, ...)`` rows, as
         :meth:`run_serial` returns them."""
-        states, groups, rows, metrics = self._scan_serial(
-            table, aggregates, where, group_expr, cold, label, engine)
-        if isinstance(groups, vectorized.GroupArrays):
-            return groups, metrics
-        return self._finish(aggregates, states, groups, rows), metrics
+        return self._execute(table, aggregates, cold, label, engine,
+                             where, group_expr, partial=True)
 
-    def _scan_serial(self, table, aggregates, where, group_expr, cold,
-                     label, engine):
-        """The serial scan itself: ``(states, groups, rows scanned,
-        metrics)``, ``states`` or ``groups`` as the scan left them."""
+    def run_index(self, table: Table, column: str,
+                  aggregates: Sequence[Aggregate], equals=None,
+                  lo=None, hi=None, cold: bool = True, label: str = ""
+                  ) -> tuple[tuple, QueryMetrics]:
+        """Execute aggregates over rows found through a secondary
+        index: an index seek / range scan plus one clustered key lookup
+        per qualifying row.
+
+        Seek plans touch a handful of scattered rows, so there is no
+        batch to vectorize: the plan executes row-at-a-time and
+        reports ``engine="row"``.  Secondary indexes are not
+        versioned, so the seek reads the live table (the caller holds
+        its table latch).
+
+        Args:
+            column: The indexed column.
+            equals: Equality value (exclusive with lo/hi).
+            lo / hi: Half-open value range ``[lo, hi)``.
+        """
+        index = table.index_on(column)
+        if index is None:
+            raise ValueError(f"no index on column {column!r}")
+
+        def records(view, pool):
+            pks = index.seek(equals, pool) if equals is not None \
+                else index.range(lo, hi, pool)
+            for pk in pks:
+                payload = view.tree.search(pk, pool)
+                if payload is not None:
+                    yield pk, payload
+
+        return self._execute(table, aggregates, cold, label,
+                             seek=records, pin=False)
+
+    def run_point(self, table: Table, key: int,
+                  aggregates: Sequence[Aggregate], cold: bool = True,
+                  label: str = "", finalize=None):
+        """Execute aggregates over the single row with the given
+        primary key — a clustered index *seek* instead of a scan.
+
+        The B-tree descent touches ``height`` pages instead of every
+        leaf; this is the plan the paper's narrow queries (one blob row
+        by z-index) rely on.  Like :meth:`run_index`, the single row is
+        processed on the row path (``engine="row"`` in the metrics).
+
+        Returns ``(values, metrics)``, or what ``finalize`` makes of
+        them.  ``finalize`` is the consumer of a late-materialised plan
+        (aggregates that hand a blob cell through as its
+        :class:`~repro.engine.table.MaxBlobHandle`): it runs *inside*
+        the read view — snapshot pinned, a cold statement's cold view
+        open — and the page reads it makes are charged to ``metrics``
+        once it returns.
+        """
+        key = int(key)
+
+        def records(view, pool):
+            payload = view.tree.search(key, pool)
+            return () if payload is None else ((key, payload),)
+
+        return self._execute(table, aggregates, cold, label,
+                             seek=records, finalize=finalize)
+
+    def _execute(self, table: Table, aggregates, cold: bool, label: str,
+                 engine: str = "row", where=None, group_expr=None, *,
+                 seek=None, pin: bool = True, partial: bool = False,
+                 finalize=None):
+        """The one statement body behind every ``run*`` method.
+
+        The rows come from a source: ``seek(view, pool)`` yields the
+        ``(key, payload)`` records of a seek plan, charged by
+        :meth:`_seek_cpu`; without it the statement is a clustered
+        scan of the view — batch by batch on the ``"vector"`` engine,
+        record by record on ``"row"`` — charged by :meth:`_scan_cpu`.
+        The body opens the statement's read view (:meth:`_read_view`;
+        ``pin=False`` reads the live table), measures the calling
+        thread's IO and the wall time, and calls ``finalize`` on
+        ``(values, metrics)`` inside the view, re-measuring after it.
+        """
         pool = self.db.pool
-        costs = self._scan_costs(table, aggregates, where, group_expr)
-        with self._read_view(table, cold) as view:
+        costs = None if seek is not None else \
+            self._scan_costs(table, aggregates, where, group_expr)
+        with self._read_view(table, cold, pin) as view:
             before = pool.snapshot_thread_counters()
+            started = time.perf_counter()
             states = groups = None
-            if engine == "vector":
-                ctx = vectorized.BatchContext(view, pool)
-                started = time.perf_counter()
+            ctx = vectorized.BatchContext(view, pool)
+            if seek is None and engine == "vector":
                 if group_expr is None:
                     states, rows, payload_bytes = \
                         vectorized.scan_aggregate(
@@ -898,17 +900,16 @@ class Executor:
                         vectorized.scan_grouped(
                             view, pool, group_expr, aggregates, where,
                             ctx)
-                wall = time.perf_counter() - started
             else:
-                ctx = _RowContext(view, pool)
                 if group_expr is None:
                     states = [a.start() for a in aggregates]
                 else:
                     groups = {}
                 rows = 0
                 payload_bytes = 0
-                started = time.perf_counter()
-                for key, payload in view.tree.scan(pool):
+                records = view.tree.scan(pool) if seek is None \
+                    else seek(view, pool)
+                for key, payload in records:
                     rows += 1
                     payload_bytes += len(payload)
                     ctx.row = view.decode(key, payload)
@@ -921,109 +922,23 @@ class Executor:
                             states = groups[group] = [
                                 a.start() for a in aggregates]
                     for i, agg in enumerate(aggregates):
-                        states[i] = agg.step(states[i], ctx)
-                wall = time.perf_counter() - started
-
-        io = pool.snapshot_thread_counters().delta_since(before)
-        cpu = self._scan_cpu(rows, payload_bytes, costs, ctx)
-        return (states, groups, rows,
-                self._metrics(label, rows, io, cpu, wall, ctx, engine))
-
-    def run_index(self, table: Table, column: str,
-                  aggregates: Sequence[Aggregate], equals=None,
-                  lo=None, hi=None, cold: bool = True, label: str = "",
-                  engine: str | None = None
-                  ) -> tuple[tuple, QueryMetrics]:
-        """Execute aggregates over rows found through a secondary
-        index: an index seek / range scan plus one clustered key lookup
-        per qualifying row.
-
-        Seek plans touch a handful of scattered rows, so there is no
-        batch to vectorize; ``engine`` is accepted (and validated) for
-        API uniformity but the plan always executes row-at-a-time and
-        reports ``engine="row"``.
-
-        Args:
-            column: The indexed column.
-            equals: Equality value (exclusive with lo/hi).
-            lo / hi: Half-open value range ``[lo, hi)``.
-        """
-        self._resolve_engine(engine)
-        index = table.index_on(column)
-        if index is None:
-            raise ValueError(f"no index on column {column!r}")
-        pool = self.db.pool
-        with self._read_view(table, cold, pin=False):
-            before = pool.snapshot_thread_counters()
-            ctx = _RowContext(table, pool)
-            states = [a.start() for a in aggregates]
-            rows = 0
-            started = time.perf_counter()
-            if equals is not None:
-                pks = index.seek(equals, pool)
-            else:
-                pks = index.range(lo, hi, pool)
-            for pk in pks:
-                payload = table.tree.search(pk, pool)
-                if payload is None:
-                    continue
-                rows += 1
-                ctx.row = table.decode(pk, payload)
-                for i, agg in enumerate(aggregates):
-                    states[i] = agg.step(states[i], ctx)
-            wall = time.perf_counter() - started
-
-        io = pool.snapshot_thread_counters().delta_since(before)
-        cpu = self._seek_cpu(table, aggregates, rows, io, ctx)
-        return (self._finish(aggregates, states, None, rows),
-                self._metrics(label, rows, io, cpu, wall, ctx))
-
-    def run_point(self, table: Table, key: int,
-                  aggregates: Sequence[Aggregate], cold: bool = True,
-                  label: str = "", engine: str | None = None,
-                  finalize=None):
-        """Execute aggregates over the single row with the given
-        primary key — a clustered index *seek* instead of a scan.
-
-        The B-tree descent touches ``height`` pages instead of every
-        leaf; this is the plan the paper's narrow queries (one blob row
-        by z-index) rely on.  Like :meth:`run_index`, a seek has no
-        batch to vectorize: ``engine`` is validated but the single row
-        is processed on the row path (``engine="row"`` in the metrics).
-
-        Returns ``(values, metrics)``, or what ``finalize`` makes of
-        them.  ``finalize`` is the consumer of a late-materialised plan
-        (aggregates that hand a blob cell through as its
-        :class:`~repro.engine.table.MaxBlobHandle`): it runs *inside*
-        the read view — snapshot pinned, a cold statement's cold view
-        open — and the page reads it makes are charged to ``metrics``
-        once it returns.
-        """
-        self._resolve_engine(engine)
-        pool = self.db.pool
-        with self._read_view(table, cold) as view:
-            before = pool.snapshot_thread_counters()
-            ctx = _RowContext(view, pool)
-            states = [a.start() for a in aggregates]
-            rows = 0
-            started = time.perf_counter()
-            payload = view.tree.search(int(key), pool)
-            if payload is not None:
-                rows = 1
-                ctx.row = view.decode(int(key), payload)
-                for i, agg in enumerate(aggregates):
-                    states[i] = agg.step(states[i], ctx)
+                        value = None if agg.expr is None \
+                            else agg.expr.eval(ctx)
+                        states[i] = agg.step(states[i], value)
 
             def measured() -> QueryMetrics:
                 io = pool.snapshot_thread_counters().delta_since(before)
-                cpu = self._seek_cpu(table, aggregates, rows, io, ctx)
+                cpu = self._seek_cpu(table, aggregates, rows, io, ctx) \
+                    if costs is None else \
+                    self._scan_cpu(rows, payload_bytes, costs, ctx)
                 return self._metrics(label, rows, io, cpu,
-                                     time.perf_counter() - started, ctx)
+                                     time.perf_counter() - started, ctx,
+                                     engine)
 
-            result = (self._finish(aggregates, states, None, rows),
-                      measured())
+            metrics = measured()
+            result = (self._finish(aggregates, states, groups, rows,
+                                   partial), metrics)
             if finalize is not None:
-                metrics = result[1]
                 result = finalize(result)
                 vars(metrics).update(vars(measured()))
         return result

@@ -380,7 +380,7 @@ class SqlSession:
         ``finalize`` (SELECT only) is applied to the result before the
         statement ends — see :meth:`query`.
         ``engine`` (SELECT only) picks the execution path — ``"row"``,
-        ``"vector"``, or ``None`` for the executor's default; both
+        ``"vector"``, or ``None`` for ``"vector"``; both
         produce identical results and cold-run metrics.
 
         Latching: CREATE/DROP take the exclusive catalog latch; INSERT
@@ -568,8 +568,7 @@ class SqlSession:
             if plan.late:
                 return executor.run_point(
                     plan.table, plan.key, plan.aggregates, cold,
-                    plan.label, engine,
-                    finalize=finalize or self._read_out)
+                    plan.label, finalize=finalize or self._read_out)
             result = self._execute_plan(plan, cold, engine)
             return result if finalize is None else finalize(result)
 
@@ -693,13 +692,12 @@ class SqlSession:
         if plan.kind == "point":
             return self.executor.run_point(
                 plan.table, plan.key, plan.aggregates, cold=cold,
-                label=plan.label, engine=engine)
+                label=plan.label)
         if plan.kind == "index":
             return self.executor.run_index(
                 plan.table, plan.index_column, plan.aggregates,
                 equals=plan.index_equals, lo=plan.index_lo,
-                hi=plan.index_hi, cold=cold, label=plan.label,
-                engine=engine)
+                hi=plan.index_hi, cold=cold, label=plan.label)
         run = self.executor.run_partial if plan.partial \
             else self.executor.run_serial
         return run(plan.table, plan.aggregates, plan.where,
@@ -712,7 +710,7 @@ class SqlSession:
         shard-side half of distributed aggregation.
 
         Each aggregate is wrapped in a
-        :class:`~repro.engine.executor.PartialCapture`, so the scan
+        :func:`~repro.engine.executor.PartialCapture`, so the scan
         produces the state its ``merge`` method consumes (ordered
         non-NULL value lists, or a running count).  The caller — a
         shard server answering a ``pquery`` frame — ships those states
@@ -733,7 +731,7 @@ class SqlSession:
         :meth:`query` semantics: blob handles inside MIN/MAX partials
         are dereferenced there, before the statement ends.
         """
-        plan = self._plan_tokens(_tokenize(sql), sql)
+        plan = self.prepare(sql)
         wrapped = replace(plan, partial=True, aggregates=[
             PartialCapture(agg) for agg in plan.aggregates])
 

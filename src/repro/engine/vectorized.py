@@ -367,13 +367,14 @@ class RowBatch:
 
 
 class BatchContext:
-    """Evaluation context for one vectorized query.
+    """Evaluation context of one statement, on either engine.
 
-    Duck-types :class:`~repro.engine.executor._RowContext` (same
-    ``table``/``row``/``pool`` and counter attributes) so per-row
-    fallback evaluation reuses row-path ``eval`` unchanged, while
-    :attr:`batch` carries the current :class:`RowBatch` for vectorized
-    nodes.
+    The row engine sets :attr:`row` to each decoded tuple before it
+    calls an expression's ``eval``; the vector engine sets
+    :attr:`batch` to the current :class:`RowBatch` for ``eval_batch``
+    (and per-row fallback evaluation reuses ``eval`` through
+    :attr:`row`).  Both count the statement's UDF and stream calls
+    here, which is what its metrics charge.
     """
 
     __slots__ = ("table", "row", "pool", "udf_calls", "stream_calls",
@@ -698,18 +699,6 @@ def _partition(values, mask, n: int) -> _Partition | None:
     return part
 
 
-def _step_batch_fallback(agg, state, ctx: BatchContext):
-    """Per-row stepping for aggregates without a batch form."""
-    prev = ctx.row
-    try:
-        for row in ctx.batch.rows():
-            ctx.row = row
-            state = agg.step(state, ctx)
-    finally:
-        ctx.row = prev
-    return state
-
-
 def _apply_where(where, ctx: BatchContext) -> RowBatch | None:
     """Filter the context's batch through a predicate; returns the
     (possibly compacted) batch, or None when nothing survives."""
@@ -723,6 +712,13 @@ def _apply_where(where, ctx: BatchContext) -> RowBatch | None:
     return batch if batch.n else None
 
 
+def _inputs(aggregates: Sequence, ctx: BatchContext) -> list:
+    """Each aggregate's ``(values, mask)`` over the context's batch
+    (``COUNT(*)`` reads no column: ``(None, None)``)."""
+    return [(None, None) if agg.expr is None else eval_node(agg.expr, ctx)
+            for agg in aggregates]
+
+
 def scan_aggregate(table: "Table", pool: "BufferPool",
                    aggregates: Sequence, where, ctx: BatchContext,
                    batch_pages: int = DEFAULT_BATCH_PAGES):
@@ -732,7 +728,6 @@ def scan_aggregate(table: "Table", pool: "BufferPool",
     every scanned row (pre-WHERE), exactly like the row engine.
     """
     states = [agg.start() for agg in aggregates]
-    steps = [getattr(agg, "step_batch", None) for agg in aggregates]
     rows = 0
     payload_bytes = 0
     for batch in table.scan_batches(pool, batch_pages=batch_pages):
@@ -741,10 +736,10 @@ def scan_aggregate(table: "Table", pool: "BufferPool",
         ctx.batch = batch
         if where is not None and _apply_where(where, ctx) is None:
             continue
-        for i, agg in enumerate(aggregates):
-            step = steps[i]
-            states[i] = (step(states[i], ctx) if step is not None
-                         else _step_batch_fallback(agg, states[i], ctx))
+        n = ctx.batch.n
+        for i, (agg, (values, mask)) in enumerate(
+                zip(aggregates, _inputs(aggregates, ctx))):
+            states[i] = agg.step_batch(states[i], values, mask, n)
     return states, rows, payload_bytes
 
 
@@ -1157,24 +1152,6 @@ class GroupArrays(Sequence):
         return self._pairs[index]
 
 
-def _step_rows(group_expr, aggregates: Sequence, groups: dict,
-               ctx: BatchContext) -> None:
-    """The row engine's loop over the context's batch — for aggregates
-    that implement ``step`` only."""
-    prev = ctx.row
-    try:
-        for row in ctx.batch.rows():
-            ctx.row = row
-            group = group_expr.eval(ctx)
-            states = groups.get(group)
-            if states is None:
-                states = groups[group] = [a.start() for a in aggregates]
-            for i, agg in enumerate(aggregates):
-                states[i] = agg.step(states[i], ctx)
-    finally:
-        ctx.row = prev
-
-
 def scan_grouped(table: "Table", pool: "BufferPool", group_expr,
                  aggregates: Sequence, where, ctx: BatchContext,
                  batch_pages: int = DEFAULT_BATCH_PAGES):
@@ -1189,17 +1166,11 @@ def scan_grouped(table: "Table", pool: "BufferPool", group_expr,
 
     The first batch whose keys do not partition (object dtype, NaN)
     turns the state into the row engine's dict and the scan goes on
-    with the per-lane ``step_value`` walk; aggregates without array
-    columns start there, and aggregates without ``step_value`` are
-    stepped per row.  Returns ``(groups, rows, payload_bytes)`` with
-    ``groups`` the :class:`GroupArrays` or that dict.
+    with the per-lane ``step`` walk.  Returns ``(groups, rows,
+    payload_bytes)`` with ``groups`` the :class:`GroupArrays` or that
+    dict.
     """
-    per_lane = all(hasattr(agg, "step_value") for agg in aggregates)
-    columns = [agg.group_column() if hasattr(agg, "group_column")
-               else None for agg in aggregates]
-    # The spill below continues per lane, so arrays need both hooks.
-    arrays = GroupArrays(columns) \
-        if per_lane and None not in columns else None
+    arrays = GroupArrays([agg.group_column() for agg in aggregates])
     groups: dict = {}
     rows = 0
     payload_bytes = 0
@@ -1211,13 +1182,9 @@ def scan_grouped(table: "Table", pool: "BufferPool", group_expr,
             batch = _apply_where(where, ctx)
             if batch is None:
                 continue
-        if not per_lane:
-            _step_rows(group_expr, aggregates, groups, ctx)
-            continue
         n = batch.n
         gv, gm = eval_node(group_expr, ctx)
-        evaluated = [eval_node(agg.expr, ctx) if agg.expr is not None
-                     else (None, None) for agg in aggregates]
+        evaluated = _inputs(aggregates, ctx)
         if arrays is not None:
             part = _partition(gv, gm, n)
             if part is not None:
@@ -1232,5 +1199,5 @@ def scan_grouped(table: "Table", pool: "BufferPool", group_expr,
                 states = groups[gvals[lane]] = [
                     agg.start() for agg in aggregates]
             for i, agg in enumerate(aggregates):
-                states[i] = agg.step_value(states[i], cols[i][lane])
+                states[i] = agg.step(states[i], cols[i][lane])
     return (groups if arrays is None else arrays), rows, payload_bytes

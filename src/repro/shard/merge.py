@@ -1,7 +1,7 @@
 """Coordinator-side merging of shard partial states.
 
 The shards ship the *unreduced* mergeable states their scans produced
-(:class:`~repro.engine.executor.PartialCapture`); these helpers fold
+(:func:`~repro.engine.executor.PartialCapture`); these helpers fold
 them — in the shard order the caller supplies — and finish the original
 aggregates.  With range partitioning, shard order is key order, so the
 fold visits values in exactly the sequence a single-node scan would

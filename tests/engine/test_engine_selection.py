@@ -1,6 +1,6 @@
 """Engine selection: the two execution paths (``row`` and ``vector``),
-how a call or the environment picks one, which one a plan reports, and
-that every entry point refuses any other name.
+how a call picks one, which one a plan reports, and that every entry
+point taking ``engine=`` refuses any other name.
 
 Both engines run a statement serially in the calling process, so any
 Python callable registered as a UDF — a lambda, a closure over mutable
@@ -13,7 +13,6 @@ import struct
 import pytest
 
 from repro.engine import Col, Column, Count, Database, Executor, Sum
-from repro.engine import executor as executor_mod
 from repro.engine.sqlfront import SqlSession
 
 ROWS = 400
@@ -41,36 +40,11 @@ def session():
     return SqlSession(db)
 
 
-class TestEnvDefault:
-    @pytest.mark.parametrize("value, expected", [
-        ("row", "row"),
-        ("ROW", "row"),
-        (" Row\n", "row"),
-        ("vector", "vector"),
-        ("VECTOR", "vector"),
-        # Names that are not an engine fall back to the default rather
-        # than failing every statement of the process.
-        ("parallel", "vector"),
-        ("columnar", "vector"),
-        ("", "vector"),
-    ])
-    def test_env_engine(self, monkeypatch, value, expected):
-        monkeypatch.setenv("REPRO_ENGINE", value)
-        assert executor_mod._env_default_engine() == expected
-
-    def test_unset_env_means_vector(self, monkeypatch):
-        monkeypatch.delenv("REPRO_ENGINE", raising=False)
-        assert executor_mod._env_default_engine() == "vector"
-
-    @pytest.mark.parametrize("default", ["row", "vector"])
-    def test_default_engine_applies_when_a_call_names_none(
-            self, session, monkeypatch, default):
-        monkeypatch.setattr(Executor, "default_engine", default)
-        _vals, m = session.query("SELECT SUM(x), COUNT(*) FROM t")
-        assert m.engine == default
-
-
 class TestReportedEngine:
+    def test_a_call_that_names_no_engine_runs_on_vector(self, session):
+        _vals, m = session.query("SELECT SUM(x), COUNT(*) FROM t")
+        assert m.engine == "vector"
+
     @pytest.mark.parametrize("engine", ["row", "vector"])
     @pytest.mark.parametrize("sql", [
         "SELECT SUM(x), COUNT(*) FROM t",
@@ -106,8 +80,7 @@ class TestUnknownEngineRefused:
     SQL = "SELECT SUM(x), COUNT(*) FROM t"
 
     @pytest.mark.parametrize("entry", [
-        "run", "run_grouped", "run_index", "run_point",
-        "query", "execute", "query_partial",
+        "run", "run_grouped", "query", "execute", "query_partial",
     ])
     def test_parallel_is_refused(self, session, entry):
         db = session.db
@@ -118,10 +91,6 @@ class TestUnknownEngineRefused:
                                   engine="parallel"),
             "run_grouped": lambda: ex.run_grouped(
                 table, Col("k"), [Count()], engine="parallel"),
-            "run_index": lambda: ex.run_index(
-                table, "k", [Count()], equals=3, engine="parallel"),
-            "run_point": lambda: ex.run_point(
-                table, 7, [Sum(Col("x"))], engine="parallel"),
             "query": lambda: session.query(self.SQL, engine="parallel"),
             "execute": lambda: session.execute(self.SQL,
                                                engine="parallel"),

@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 
 from repro.engine import Column, Database, vectorized
 from repro.engine.executor import (
-    Aggregate, Col, Count, Executor, Max, Min, PartialCapture, Sum)
+    Col, Count, Executor, Max, Min, PartialCapture)
 from repro.engine.sqlfront import SqlSession
 from repro.engine.table import MaxBlobHandle
 from repro.tsql import FloatArray, FloatArrayMax
@@ -375,38 +375,6 @@ def test_appending_and_merging_batches_mix(clustered, batch_pages):
         groups, _rows, _aggs = scan(clustered, sql, captured, batch_pages)
         assert _bits(list(groups)) == _bits(
             [(row[0], list(row[1:])) for row in partials])
-
-
-def test_an_aggregate_without_step_value_is_stepped_per_row(session):
-    """An aggregate may offer the array column and not ``step_value``
-    (the hooks are independent): the scan must not start on arrays it
-    could not continue per lane — it steps rows, and answers."""
-    class RowsOnly(Aggregate):
-        expr = None
-
-        def step_cost(self, model):
-            return model.cpu_count_step
-
-        def start(self):
-            return 0
-
-        def step(self, state, ctx):
-            return state + 1
-
-        def finish(self, state, rows):
-            return state
-
-        def group_column(self):
-            return vectorized.CountColumn()
-
-    assert not hasattr(RowsOnly(), "step_value")
-    executor = Executor(session.db)
-    table = session.db.tables["u"]
-    want, _metrics = executor.run_grouped(
-        table, Col("lo"), [Count(), Sum(Col("x"))], engine="row")
-    got, _metrics = executor.run_grouped(
-        table, Col("lo"), [RowsOnly(), Sum(Col("x"))], engine="vector")
-    assert len(got) == 7 and _bits(got) == _bits(want)
 
 
 def test_no_numpy_warning_escapes_a_fold():

@@ -303,6 +303,26 @@ class TestPlanCacheBound:
         texts = [call.args[0] for call in planned.call_args_list]
         assert texts.count(hot) == 1 and len(texts) == 5001
 
+    @pytest.mark.parametrize("sql", [
+        "SELECT SUM(v1), COUNT(*) FROM Tscalar",
+        "SELECT id, MAX(v1) FROM Tscalar WHERE id < 9 GROUP BY id",
+        "SELECT MAX(v) FROM Tvector WHERE id = 3",
+    ], ids=["scalar", "grouped", "point"])
+    def test_a_repeated_partial_statement_is_planned_once(self, session,
+                                                          sql):
+        from unittest import mock
+
+        s = SqlSession(session[0].db)
+        with mock.patch.object(s, "plan_select",
+                               side_effect=s.plan_select) as planned:
+            first = s.query_partial(sql)
+            again = s.query_partial(sql)
+            assert planned.call_count == 1
+            s.query(sql)  # the plan a partial left is the query's
+        assert planned.call_count == 1
+        assert first["states"] == again["states"]
+        assert list(first["groups"] or []) == list(again["groups"] or [])
+
     def test_ddl_still_empties_the_cache(self):
         s = SqlSession(Database())
         s.execute("CREATE TABLE a (id BIGINT PRIMARY KEY, x FLOAT)")

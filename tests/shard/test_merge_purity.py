@@ -1,0 +1,134 @@
+"""The coordinator's merge leaves its arguments alone.
+
+``shard/merge.py`` promises pure functions (replint's RS401 checks the
+``merge_*`` names by reading them): the router hands them the shards'
+decoded replies and may read those again — for a retry, a metrics line
+or the next merge — so a merge that consumed or rewrote its input
+would answer the next question wrongly.  Each test calls one function
+and compares every argument, pickled, with its pickle from before the
+call: bit for bit, floats and NumPy buffers included.
+
+``test_a_merge_that_clears_its_input_is_caught`` runs RS401's own
+seeded mutation (``merge_scalar_states`` clearing the list of shard
+states it folded, from ``tests/analysis/test_mutations.py``) on an
+in-memory copy of ``shard/merge.py`` and shows the check fails on it.
+"""
+
+import os
+import pickle
+import struct
+
+import pytest
+
+from repro.engine.executor import Avg, Count, Max, Min, Sum
+from repro.engine.metrics import QueryMetrics
+from repro.server.columnar import Columns
+from repro.shard import merge
+
+QUIET_NAN, SIGNALLING_NAN = struct.unpack("<2d", struct.pack(
+    "<2Q", 0x7FF8_0000_DEAD_BEEF, 0x7FF0_0000_0000_0001))
+
+
+def aggregates():
+    return [Sum(None), Avg(None), Min(None), Max(None), Count()]
+
+
+def scalar_states():
+    """Three shards' scalar partials: value lists per fold, a count."""
+    return [
+        [[1.5, -0.0], [2 ** 70, 3], [QUIET_NAN, 1.0], [b"b", b"a"], 2],
+        [[], [], [], [], 0],
+        [[1e308, 1e308], [0.1], [-0.0], [b"c"], 4],
+    ]
+
+
+def shard_pairs():
+    """Three shards' grouped partials as ``(key, [partials])`` pairs:
+    groups seen once and groups several shards saw, a NULL group."""
+    return [
+        [(1, [[0.5], [1.0, 2.0], [SIGNALLING_NAN], [1.5], 1]),
+         (4, [[-0.0], [3.0], [2.0], [2.0], 1]),
+         (None, [[7.0], [7.0], [7.0], [7.0], 1])],
+        [(1, [[0.25, 0.125], [4.0], [-1.0], [QUIET_NAN], 2]),
+         (9, [[], [], [], [], 0])],
+        [(4, [[1e308], [1e308], [1e308], [1e308], 1]),
+         (None, [[-7.0], [-7.0], [-7.0], [-7.0], 1])],
+    ]
+
+
+def shard_columns():
+    """The same partials as the router holds them: decoded frames."""
+    out = []
+    for pairs in shard_pairs():
+        types, buffers = Columns.from_groups(pairs).encode()
+        out.append(Columns.decode(types, [bytes(b) for b in buffers],
+                                  len(pairs)))
+    return out
+
+
+def shard_metrics():
+    return [QueryMetrics(label="q", rows=10 * s, io_bytes=8192 * s,
+                         physical_reads=s, sim_cpu_core_seconds=0.1 * s,
+                         sim_exec_seconds=0.2 * s, wall_seconds=0.01,
+                         engine="vector").to_dict() for s in range(1, 4)]
+
+
+def changed(fn, *args) -> list[int]:
+    """Call ``fn(*args)``; the positions of the arguments it changed."""
+    before = [pickle.dumps(arg, pickle.HIGHEST_PROTOCOL) for arg in args]
+    fn(*args)
+    return [i for i, (arg, was) in enumerate(zip(args, before))
+            if pickle.dumps(arg, pickle.HIGHEST_PROTOCOL) != was]
+
+
+def test_merge_scalar_states():
+    assert changed(merge.merge_scalar_states, aggregates(),
+                   scalar_states()) == []
+
+
+@pytest.mark.parametrize("shards", [shard_columns, shard_pairs],
+                         ids=["columns", "pairs"])
+def test_merge_grouped_states(shards):
+    assert changed(merge.merge_grouped_states, aggregates(),
+                   shards()) == []
+
+
+def test_merge_metrics():
+    assert changed(merge.merge_metrics, shard_metrics(), "q", 3) == []
+
+
+def test_finalize_scalar():
+    states = merge.merge_scalar_states(aggregates(), scalar_states())
+    assert changed(merge.finalize_scalar, aggregates(), states, 16) == []
+
+
+@pytest.mark.parametrize("shards", [shard_columns, shard_pairs],
+                         ids=["columns", "pairs"])
+def test_finalize_grouped(shards):
+    groups = merge.merge_grouped_states(aggregates(), shards())
+    assert changed(merge.finalize_grouped, aggregates(), groups, 16) == []
+
+
+def _merge_that_clears_its_input():
+    """``merge_scalar_states`` from a copy of ``shard/merge.py`` with
+    RS401's seeded mutation applied."""
+    path = merge.__file__
+    with open(path, encoding="utf-8") as f:
+        text = f.read()
+    old = ("        merged.append(state)\n"
+           "    return merged\n")
+    new = ("        merged.append(state)\n"
+           "    shard_states.clear()\n"
+           "    return merged\n")
+    assert text.count(old) == 1, "mutation anchor drifted"
+    namespace = {"__name__": merge.__name__,
+                 "__package__": merge.__package__,
+                 "__file__": path}
+    exec(compile(text.replace(old, new), os.path.basename(path), "exec"),
+         namespace)
+    return namespace["merge_scalar_states"]
+
+
+def test_a_merge_that_clears_its_input_is_caught():
+    assert changed(_merge_that_clears_its_input(), aggregates(),
+                   scalar_states()) == [1]
