@@ -86,9 +86,9 @@ def _cmd_serve(args: list[str]) -> int:
     parser.add_argument("--rows", type=int, default=5000,
                         help="rows loaded into the evaluation tables")
     parser.add_argument("--workers", type=int, default=4,
-                        help="concurrent query workers")
+                        help="statements running at once (run permits)")
     parser.add_argument("--queue", type=int, default=8,
-                        help="admission queue depth beyond the workers")
+                        help="statements that may wait for a run permit")
     parser.add_argument("--timeout", type=float, default=30.0,
                         help="per-query timeout in seconds")
     opts = parser.parse_args(args)
@@ -159,10 +159,11 @@ def _cmd_shard_serve(args: list[str]) -> int:
     parser.add_argument("--rows", type=int, default=5000,
                         help="rows loaded into the evaluation tables")
     parser.add_argument("--workers", type=int, default=4,
-                        help="query workers per shard and on the "
+                        help="statements running at once (run "
+                             "permits) per shard and on the "
                              "coordinator")
     parser.add_argument("--queue", type=int, default=8,
-                        help="admission queue depth beyond the workers")
+                        help="statements that may wait for a run permit")
     parser.add_argument("--timeout", type=float, default=30.0,
                         help="coordinator per-query timeout in seconds")
     opts = parser.parse_args(args)

@@ -98,15 +98,15 @@ class BufferPool:
 
     Thread-safe: :meth:`fetch`, :meth:`clear` and
     :meth:`reset_counters` are serialized on an internal lock, so
-    concurrent sessions (the :mod:`repro.server` worker pool) never
-    corrupt the LRU structure and the counter invariant
+    concurrent sessions (the :mod:`repro.server` connection threads)
+    never corrupt the LRU structure and the counter invariant
     ``physical == sequential + random <= logical`` always holds.
 
     Accounting is kept at two scopes.  The *global* counters
     (:meth:`snapshot_counters`) aggregate every access by every thread
     — the server-level view.  The *per-thread* counters
     (:meth:`snapshot_thread_counters`) accumulate only the calling
-    thread's accesses, so a query executing on one worker thread can
+    thread's accesses, so a query executing on one thread can
     diff them around its scan and get exact per-query IO even while
     other queries run concurrently.  Sequential/random classification
     is per-scope: global counters judge a read against the previous

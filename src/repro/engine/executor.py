@@ -64,7 +64,7 @@ class Database:
     """A page file, blob store, buffer pool and table catalog.
 
     One database may be shared by many sessions (the
-    :mod:`repro.server` worker pool multiplexes per-connection
+    :mod:`repro.server` connection threads multiplex per-connection
     :class:`~repro.engine.sqlfront.SqlSession` objects over a single
     instance).  :attr:`latches` is the statement-granularity latch
     hierarchy those sessions take — a shared catalog latch plus
@@ -610,10 +610,10 @@ class Executor:
     Per-query IO metrics are deltas of the *calling thread's* buffer
     pool counters (:meth:`BufferPool.snapshot_thread_counters`), so
     they stay exact when several queries run concurrently on the
-    server's worker pool — concurrent scans never inflate each other's
-    counts.  A ``cold=True`` query reads through a private cold view
-    of the pool (forced misses for the calling thread only), so it
-    neither evicts nor re-charges its neighbours.
+    server's connection threads — concurrent scans never inflate each
+    other's counts.  A ``cold=True`` query reads through a private
+    cold view of the pool (forced misses for the calling thread only),
+    so it neither evicts nor re-charges its neighbours.
     """
 
     def __init__(self, db: Database, model: CostModel = PAPER_HARDWARE):

@@ -1,16 +1,17 @@
 """Admission control: overload degrades, it does not collapse.
 
-The server runs queries on a bounded worker pool.  Up to
-``max_workers`` queries execute at once; up to ``queue_limit`` more may
-wait their turn; anything beyond that is rejected *immediately* with
-``SERVER_BUSY`` instead of being buffered without bound — the client
-gets a fast, explicit signal to back off, and the queries already
-admitted keep their latency.
+Every statement runs on the connection thread that read it.  Up to
+``max_workers`` statements execute at once, each holding one *run
+permit*; up to ``queue_limit`` more may wait for a permit; anything
+beyond that is rejected *immediately* with ``SERVER_BUSY`` instead of
+being buffered without bound — the client gets a fast, explicit signal
+to back off, and the statements already admitted keep their latency.
 
-The controller is a plain thread-safe counter: a slot is taken by the
-connection thread before it submits the query to the pool and released
-by the future's done-callback — on the worker thread when the query
-ends, or on the connection thread when it cancels a job still queued.
+A slot is a plain thread-safe counter and a permit one
+``threading.Semaphore``: the connection thread claims a slot, waits
+for a permit at most until its statement's deadline, runs the
+statement, and returns both only when the statement really ends.  An
+uncontended permit wakes no thread.
 """
 
 from __future__ import annotations
@@ -21,11 +22,12 @@ __all__ = ["AdmissionController"]
 
 
 class AdmissionController:
-    """Bounded-concurrency admission for the query worker pool.
+    """Bounded-concurrency admission for statements.
 
     Args:
-        max_workers: Queries executing concurrently.
-        queue_limit: Additional queries allowed to wait for a worker.
+        max_workers: Statements executing concurrently (run permits).
+        queue_limit: Additional statements allowed to wait for a
+            permit.
     """
 
     def __init__(self, max_workers: int, queue_limit: int):
@@ -36,6 +38,7 @@ class AdmissionController:
         self.max_workers = max_workers
         self.queue_limit = queue_limit
         self._lock = threading.Lock()
+        self._permits = threading.Semaphore(max_workers)
         self._in_flight = 0
         self._admitted_total = 0
         self._rejected_total = 0
@@ -47,13 +50,13 @@ class AdmissionController:
 
     @property
     def in_flight(self) -> int:
-        """Queries currently admitted (executing or queued)."""
+        """Statements currently admitted (executing or queued)."""
         with self._lock:
             return self._in_flight
 
     @property
     def queue_depth(self) -> int:
-        """Admitted queries beyond the worker count — waiting."""
+        """Admitted statements beyond the permit count — waiting."""
         with self._lock:
             return max(0, self._in_flight - self.max_workers)
 
@@ -68,9 +71,19 @@ class AdmissionController:
             self._admitted_total += 1
             return True
 
-    def release(self) -> None:
-        """Return a slot (called when the query finishes, fails, or is
-        abandoned after a timeout)."""
+    def acquire_permit(self, timeout: float | None) -> bool:
+        """Wait for a run permit, at most ``timeout`` seconds (None:
+        for as long as it takes); False means the statement's deadline
+        passed first.  The caller holds a slot."""
+        if timeout is None:
+            return self._permits.acquire()
+        return self._permits.acquire(timeout=max(0.0, timeout))
+
+    def release(self, permit: bool = True) -> None:
+        """Return a slot, and the run permit with it when the caller
+        got one (called when the statement ends, however it ends)."""
+        if permit:
+            self._permits.release()
         with self._lock:
             if self._in_flight <= 0:
                 raise RuntimeError("release() without a matching "

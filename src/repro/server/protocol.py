@@ -120,7 +120,7 @@ may send N ``pexec`` frames back-to-back before reading the N replies.
 Replies always come back in request order, one per request; a failed
 statement answers with an ``error`` frame in its slot without aborting
 the later pipelined statements.  The server drains contiguous buffered
-``pexec`` frames into one admission slot and one worker-pool hop (the
+``pexec`` frames into one admission slot and one run permit (the
 batch shares the first frame's timeout budget; on timeout every
 statement in the batch answers ``QUERY_TIMEOUT``).  A client keeps at
 most one batch in flight, so a long pipeline cannot stall both ways.

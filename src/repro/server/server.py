@@ -1,34 +1,39 @@
-"""The array-database server: a thread per connection, a bounded query pool.
+"""The array-database server: a thread per connection, statements run
+on it.
 
 One process holds one shared :class:`~repro.engine.executor.Database`.
 A listener thread accepts; each TCP connection gets a daemon thread and
 its own :class:`~repro.engine.sqlfront.SqlSession` (per-session UDF
 registry, like a SQL Server SPID).  The connection thread reads a frame
-from its blocking socket, validates and dispatches it, and writes the
-reply itself; statements execute on a bounded thread pool behind the
-admission controller — ``submit`` the job, wait for its future — under
-the database's per-table latches (:mod:`repro.engine.latches`), so
-concurrent scans share and a writer excludes only readers of *its own*
-table — writers on one table overlap scans of another, like the
-paper's host.  SELECTs pin a copy-on-write page-version snapshot and
-scan it latch-free, so readers and a writer of the *same* table
-overlap too.  ``ping``, ``stats`` and ``prepare`` never leave the
-connection thread, so they answer while every worker is busy.
+from its blocking socket, validates and dispatches it, runs the
+statement itself and writes the reply — no thread hand-off between the
+frame and its reply.  The admission controller bounds how many
+statements run at once (one run permit each) and how many may wait for
+a permit; statements run under the database's per-table latches
+(:mod:`repro.engine.latches`), so concurrent scans share and a writer
+excludes only readers of *its own* table — writers on one table
+overlap scans of another, like the paper's host.  SELECTs pin a
+copy-on-write page-version snapshot and scan it latch-free, so readers
+and a writer of the *same* table overlap too.  ``ping``, ``stats`` and
+``prepare`` take no permit, so they answer while every permit is held.
 
 The connection protocol is strict request/response for every frame type
 except ``pexec``: the connection thread reads one frame, answers it,
-and only then reads the next.  ``pexec`` frames may be *pipelined* — a
-client sends N of them back-to-back, the connection thread drains the
-contiguous run already sitting in its receive buffer into one batch
-(one admission slot, one worker-pool hop, statements sequential) and
-answers with N result frames in request order.  ``bquery`` replies are
-a *stream* of bounded ``bchunk`` frames: the blob slice is resolved and
-read under the table latch, then shipped chunk by chunk, so a corner
-of a huge blob never trips the frame-size limit.  A query that outlives
-its timeout gets an immediate ``QUERY_TIMEOUT`` error; the worker thread
-finishes in the background and its admission slot is returned only
-when it actually ends, so timeouts cannot be used to stampede past the
-concurrency bound.  (Why a thread per connection: ``docs/SERVER.md``.)
+and only then reads the next, so one connection runs one statement at
+a time.  ``pexec`` frames may be *pipelined* — a client sends N of them
+back-to-back, the connection thread drains the contiguous run already
+sitting in its receive buffer into one batch (one admission slot, one
+permit, statements sequential) and answers with N result frames in
+request order.  ``bquery`` replies are a *stream* of bounded ``bchunk``
+frames: the blob slice is resolved and read under the table latch,
+then shipped chunk by chunk, so a corner of a huge blob never trips the
+frame-size limit.  A statement that outlives its timeout is answered
+``QUERY_TIMEOUT`` at its deadline by the server's one watchdog thread
+(:class:`_Watchdog`), which never waits on a client; the statement
+finishes on its connection thread, its result is dropped, and its slot
+and permit are returned only when it actually ends, so timeouts cannot
+be used to stampede past the concurrency bound.  (Why a thread per
+connection: ``docs/SERVER.md``.)
 
 Embedders (tests, benchmarks, the CLI client's self-serve mode) use
 :class:`ServerThread` to start a server and stop it again::
@@ -45,8 +50,6 @@ import math
 import socket
 import threading
 import time
-from concurrent.futures import CancelledError, ThreadPoolExecutor
-from concurrent.futures import TimeoutError as FutureTimeout
 from dataclasses import dataclass
 from typing import Callable
 
@@ -75,9 +78,10 @@ class ServerConfig:
     Attributes:
         host / port: Listen address (port 0 picks a free port; the
             bound port is on :attr:`ArrayServer.port` after start).
-        max_workers: Queries executing concurrently (thread pool size).
-        queue_limit: Admitted queries allowed to wait for a worker;
-            beyond ``max_workers + queue_limit`` clients get
+        max_workers: Statements executing concurrently (run permits;
+            each runs on its own connection thread).
+        queue_limit: Admitted statements allowed to wait for a run
+            permit; beyond ``max_workers + queue_limit`` clients get
             ``SERVER_BUSY``.
         query_timeout: Default per-query wall-clock budget in seconds,
             applied whenever a query frame omits ``timeout`` (or sends
@@ -101,15 +105,16 @@ class _Connection:
     """One accepted socket.  Frames are cut from a
     :class:`protocol.FrameBuffer` the connection owns, so a pipelined
     run can be drained without touching the socket; every write takes
-    one send lock, because two threads may answer on one socket — a
-    coordinator relay's worker and the connection thread answering that
-    statement's timeout."""
+    one send lock, because two threads may answer on one socket — the
+    connection thread and the watchdog answering its statement's
+    timeout."""
 
     def __init__(self, sock: socket.socket, max_frame: int):
         self.sock = sock
         self.frames = protocol.FrameBuffer(max_frame)
         self.send_lock = threading.Lock()
         self.thread: threading.Thread | None = None
+        self.hung_up = False
 
     def send(self, data: bytes) -> None:
         with self.send_lock:
@@ -121,6 +126,106 @@ class _Connection:
         before a byte is sent — if it exceeds ``max_frame``."""
         with self.send_lock:
             protocol.write_frame_sock(self.sock, header, blobs, max_frame)
+
+    def answer_now(self, data: bytes,
+                   started: Callable[[], int] | None = None) -> None:
+        """Write ``data`` if it goes out at once, else hang up: the
+        watchdog's write, which must never wait on a client.
+
+        The send lock is taken without waiting (a relay blocked on a
+        client that stopped reading holds it) and the bytes go out with
+        ``MSG_DONTWAIT``; a client that cannot take them whole at once
+        is hung up on.  ``started``, called under the send lock, says
+        whether a reply is already part-way out (a relayed stream's
+        chunks): then there is no frame boundary to answer at, and the
+        client is hung up on too.
+        """
+        if self.send_lock.acquire(blocking=False):
+            try:
+                if started is None or not started():
+                    try:
+                        if self.sock.send(data, socket.MSG_DONTWAIT) \
+                                == len(data):
+                            return
+                    except OSError:
+                        pass  # would block, or the peer is gone
+            finally:
+                self.send_lock.release()
+        self.hung_up = True
+        _shut_down(self.sock)  # the connection thread closes it
+
+
+class _Answered(Exception):
+    """The watchdog answered this statement (``QUERY_TIMEOUT``, or a
+    hang-up) while it ran: its result is dropped."""
+
+
+class _Watchdog:
+    """The server's one timeout thread, started on the first
+    :meth:`arm`.
+
+    A statement arms an entry with its deadline before it runs and
+    disarms it when it ends; an entry still armed at its deadline is
+    popped and its ``fire`` called on the watchdog thread.  The thread
+    sleeps until the earliest deadline it knows of, and :meth:`arm`
+    wakes it only for an earlier one, so statements under a budget of
+    seconds never wake it.
+    """
+
+    def __init__(self):
+        self._cond = threading.Condition(threading.Lock())
+        self._entries: dict[int, tuple[float, Callable[[], None]]] = {}
+        self._tokens = itertools.count(1)
+        self._planned = math.inf  # when the thread next wakes
+        self._thread: threading.Thread | None = None
+        self._stopped = False
+
+    def arm(self, deadline: float, fire: Callable[[], None]) -> int:
+        """Call ``fire`` at ``deadline`` (``time.monotonic``) unless
+        :meth:`disarm` comes first; returns the entry's token."""
+        with self._cond:
+            token = next(self._tokens)
+            self._entries[token] = (deadline, fire)
+            if self._thread is None and not self._stopped:
+                self._thread = threading.Thread(
+                    target=self._run, daemon=True, name="repro-watchdog")
+                self._thread.start()
+            elif deadline < self._planned:
+                self._cond.notify()
+        return token
+
+    def disarm(self, token: int) -> bool:
+        """Drop an entry; True when it had already fired."""
+        with self._cond:
+            return self._entries.pop(token, None) is None
+
+    def stop(self) -> None:
+        """End the thread; entries not yet due never fire."""
+        with self._cond:
+            self._stopped = True
+            self._cond.notify()
+            thread = self._thread
+        if thread is not None:
+            thread.join(timeout=_STOP_JOIN_SECONDS)
+
+    def _run(self) -> None:
+        while True:
+            with self._cond:
+                now = time.monotonic()
+                due = [token for token, (deadline, _fire)
+                       in self._entries.items() if deadline <= now]
+                fires = [self._entries.pop(token)[1] for token in due]
+                if not fires:
+                    if self._stopped:
+                        return
+                    self._planned = min(
+                        (deadline for deadline, _fire
+                         in self._entries.values()), default=math.inf)
+                    self._cond.wait(None if self._planned == math.inf
+                                    else self._planned - now)
+                    continue
+            for fire in fires:
+                fire()
 
 
 class ArrayServer:
@@ -142,9 +247,7 @@ class ArrayServer:
         self.stats = ServerStats()
         self.admission = AdmissionController(self.config.max_workers,
                                              self.config.queue_limit)
-        self._executor = ThreadPoolExecutor(
-            max_workers=self.config.max_workers,
-            thread_name_prefix="repro-query")
+        self._watchdog = _Watchdog()
         self._listener: socket.socket | None = None
         self._accept_thread: threading.Thread | None = None
         self._stopping = False
@@ -183,8 +286,8 @@ class ArrayServer:
         self._raise_crash()
 
     def stop(self) -> None:
-        """Stop accepting, hang up on live connections, shut the pool
-        down.  Idempotent, and returns within a bound: a statement
+        """Stop accepting, hang up on live connections, stop the
+        watchdog.  Idempotent, and returns within a bound: a statement
         still running finishes in the background.  Re-raises whatever
         the listener thread died of — a crash after a successful start
         would otherwise vanish with its daemon thread."""
@@ -201,7 +304,7 @@ class ArrayServer:
         deadline = time.monotonic() + _STOP_JOIN_SECONDS
         for conn in live:
             conn.thread.join(max(0.0, deadline - time.monotonic()))
-        self._executor.shutdown(wait=False, cancel_futures=True)
+        self._watchdog.stop()
         self._raise_crash()
 
     def _raise_crash(self) -> None:
@@ -248,7 +351,7 @@ class ArrayServer:
                 "type": "hello", "server": self.config.name,
                 "protocol": protocol.PROTOCOL_VERSION,
                 "session_id": session_id})
-            while True:
+            while not conn.hung_up:
                 try:
                     frame = conn.frames.read(conn.sock.recv)
                     if frame is None:
@@ -268,10 +371,16 @@ class ArrayServer:
         except OSError:
             pass  # the peer (or stop()) hung up; nothing to answer
         finally:
+            self._connection_ended()
             self.stats.session_closed(session_id)
             with self._connections_lock:
                 self._connections.discard(conn)
             conn.sock.close()
+
+    def _connection_ended(self) -> None:
+        """Called on a connection thread as it ends, before its socket
+        closes: release what the thread's statements kept per thread
+        (nothing here; a coordinator's replica links)."""
 
     @staticmethod
     def _drain_pexec(conn: _Connection, frame: tuple
@@ -311,10 +420,10 @@ class ArrayServer:
             elif kind in ("query", "pquery", "insert"):
                 if kind == "insert":
                     reply, reply_blobs = self._run_insert(
-                        session, session_id, header, blobs)
+                        conn, session, session_id, header, blobs)
                 else:
                     reply, reply_blobs = self._run_query(
-                        session, session_id, header,
+                        conn, session, session_id, header,
                         partial=(kind == "pquery"))
                 try:
                     conn.send_frame(reply, reply_blobs,
@@ -338,6 +447,8 @@ class ArrayServer:
                 raise _bad_frame(f"unknown message type {kind!r}")
         except protocol.WireError as exc:
             conn.send_frame(_error_frame(exc))
+        except _Answered:
+            pass  # the watchdog answered it (the loop ends on a hang-up)
         return False
 
     # -- the query path -----------------------------------------------------
@@ -389,15 +500,23 @@ class ArrayServer:
                 self._resolve_timeout(header.get("timeout")),
                 self._resolve_engine(header.get("engine")))
 
-    def _admit_and_run(self, session_id: int, timeout: float | None,
-                       job) -> tuple:
-        """Admit one statement and run it on the worker pool, the
-        calling connection thread waiting for it — the shared body of
-        every statement path.
+    def _admit_and_run(self, conn: _Connection, session_id: int,
+                       timeout: float | None, job, replies: int = 1,
+                       started: Callable[[], int] | None = None) -> tuple:
+        """Admit one statement and run it on this, the connection's own
+        thread — the shared body of every statement path.
+
+        The statement takes a slot (else ``SERVER_BUSY``), then waits
+        for a run permit until its deadline (else ``QUERY_TIMEOUT``).
+        While it runs, the watchdog holds its deadline: past it, the
+        client gets ``replies`` copies of the ``QUERY_TIMEOUT`` frame
+        at once (see :meth:`_Connection.answer_now` for ``started``),
+        and the statement's result is dropped when it ends.
 
         Returns ``(result, latency)``; a rejection, a timeout or a
         failure is raised as the :class:`protocol.WireError` that
-        answers it (and is counted here).
+        answers it (and is counted here), a statement the watchdog
+        already answered as :class:`_Answered`.
         """
         if not self.admission.try_acquire():
             self.stats.record_busy()
@@ -405,43 +524,47 @@ class ArrayServer:
                 protocol.SERVER_BUSY,
                 f"admission queue full "
                 f"({self.admission.capacity} in flight); retry later")
-        started = time.perf_counter()
-        try:
-            future = self._executor.submit(job)
-        except RuntimeError:  # the pool is shut down: stop() is under way
-            self.admission.release()
-            raise protocol.WireError(
-                protocol.INTERNAL, "server is shutting down") from None
-        # The slot is held until the worker truly finishes — releasing
-        # on timeout would let abandoned queries pile up unbounded.
-        future.add_done_callback(lambda _f: self.admission.release())
-        try:
-            # exception(), not result(): only this wait's own expiry
-            # can raise here, never a TimeoutError out of the job.
-            failure = future.exception(timeout)
-        except FutureTimeout:
-            future.cancel()  # frees it if it was still queued
+        began = time.perf_counter()
+        deadline = None if timeout is None else time.monotonic() + timeout
+        if not self.admission.acquire_permit(timeout):
+            self.admission.release(permit=False)
             self.stats.record_timeout(session_id)
-            raise protocol.WireError(
-                protocol.QUERY_TIMEOUT,
-                f"query exceeded its {timeout:g} s budget") from None
-        except CancelledError:
-            self.stats.record_failure(session_id)
-            raise protocol.WireError(
-                protocol.INTERNAL, "query cancelled") from None
-        if failure is not None:
-            self.stats.record_failure(session_id)
-            raise _wire_error(failure)
-        return future.result(), time.perf_counter() - started
+            raise _timeout_error(timeout)
+        token = None
+        if deadline is not None:
+            def fire():  # on the watchdog thread
+                self.stats.record_timeout(session_id)
+                conn.answer_now(protocol.encode_frame(
+                    _error_frame(_timeout_error(timeout))) * replies,
+                    started)
 
-    def _run_query(self, session: SqlSession, session_id: int,
-                   header: dict, partial: bool = False
+            token = self._watchdog.arm(deadline, fire)
+        try:
+            try:
+                result = job()
+            finally:
+                # The slot and the permit go back only now that the
+                # statement has really ended.
+                self.admission.release()
+                answered = token is not None and \
+                    self._watchdog.disarm(token)
+        except Exception as exc:
+            if answered:
+                raise _Answered from None
+            self.stats.record_failure(session_id)
+            raise _wire_error(exc) from None
+        if answered:
+            raise _Answered
+        return result, time.perf_counter() - began
+
+    def _run_query(self, conn: _Connection, session: SqlSession,
+                   session_id: int, header: dict, partial: bool = False
                    ) -> tuple[dict, list[bytes]]:
         sql, cold, timeout, engine = self._statement_options(header)
         execute = self._execute_partial_sync if partial \
             else self._execute_sync
         result, latency = self._admit_and_run(
-            session_id, timeout,
+            conn, session_id, timeout,
             lambda: execute(session, sql, cold, engine))
         self.stats.record_query(session_id, latency,
                                 result.get("metrics"))
@@ -469,8 +592,9 @@ class ArrayServer:
                  "elapsed_seconds": latency}
         return reply, blobs
 
-    def _run_insert(self, session: SqlSession, session_id: int,
-                    header: dict, blobs) -> tuple[dict, list[bytes]]:
+    def _run_insert(self, conn: _Connection, session: SqlSession,
+                    session_id: int, header: dict, blobs
+                    ) -> tuple[dict, list[bytes]]:
         table_name = header.get("table")
         if not isinstance(table_name, str) or not table_name:
             raise _bad_frame("insert frame needs a 'table' name")
@@ -483,7 +607,7 @@ class ArrayServer:
         except protocol.ProtocolError as exc:
             raise _bad_frame(str(exc)) from exc
         inserted, latency = self._admit_and_run(
-            session_id, self._resolve_timeout(header.get("timeout")),
+            conn, session_id, self._resolve_timeout(header.get("timeout")),
             lambda: self._execute_insert_sync(session, table_name,
                                               rows))
         self.stats.record_query(session_id, latency, None)
@@ -519,12 +643,12 @@ class ArrayServer:
                          session_id: int, headers: list[dict]) -> None:
         """Answer one pipelined batch of ``pexec`` frames.
 
-        The whole batch takes one admission slot and one worker-pool
-        hop; statements run sequentially on the worker thread and every
-        request gets exactly one reply, in request order.  A statement
-        that fails answers with an error frame in its slot without
-        aborting the rest; a batch-level failure (busy, timeout)
-        answers every slot with a copy of the same error.
+        The whole batch takes one admission slot and one run permit;
+        statements run sequentially and every request gets exactly one
+        reply, in request order.  A statement that fails answers with
+        an error frame in its slot without aborting the rest; a
+        batch-level failure (busy, timeout) answers every slot with a
+        copy of the same error.
         """
         requests: list[dict | tuple] = []
         timeout = self.config.query_timeout
@@ -562,12 +686,14 @@ class ArrayServer:
 
         try:
             replies, _batch_latency = self._admit_and_run(
-                session_id, timeout, job)
+                conn, session_id, timeout, job, replies=len(headers))
         except protocol.WireError as exc:
             # Busy/timeout hit the batch as a whole — but the client
             # pipelined N requests and will read N replies.
             conn.send(protocol.encode_frame(_error_frame(exc))
                       * len(headers))
+            return
+        except _Answered:
             return
         self.stats.record_pipeline(len(headers))
         # All N replies go out as one write — the reply-side half of
@@ -598,15 +724,15 @@ class ArrayServer:
     def _run_bquery(self, conn: _Connection, session: SqlSession,
                     session_id: int, header: dict) -> bool:
         """Answer one ``bquery``: resolve the blob cell and read the
-        requested slice inside the statement's read view on a worker
-        thread, then stream it as bounded ``bchunk`` frames once the
-        statement has ended.  Returns the dispatch loop's ``done`` flag
-        (the base server never closes the connection here)."""
+        requested slice inside the statement's read view, then stream
+        it as bounded ``bchunk`` frames once the statement has ended.
+        Returns the dispatch loop's ``done`` flag (the base server
+        never closes the connection here)."""
         sql, cold, timeout, engine = self._statement_options(header)
         offset, length, window = _resolve_blob_range(header)
         chunk_bytes = self._resolve_chunk_bytes(header.get("chunk_bytes"))
         result, latency = self._admit_and_run(
-            session_id, timeout,
+            conn, session_id, timeout,
             lambda: self._execute_bquery_sync(
                 session, sql, cold, engine, offset, length, window))
         self.stats.record_query(session_id, latency, result["metrics"])
@@ -644,7 +770,7 @@ class ArrayServer:
                              cold: bool, engine: str | None,
                              offset: int, length: int | None,
                              window: tuple | None) -> dict:
-        """Worker-thread body of the ``bquery`` path.
+        """Statement body of the ``bquery`` path.
 
         The statement runs like any SELECT, planned through the
         session's plan cache, but the finalize hook resolves the
@@ -712,7 +838,7 @@ class ArrayServer:
 
     def _execute_sync(self, session: SqlSession, sql: str,
                       cold: bool, engine: str | None = None) -> dict:
-        """Worker-thread body: execute and normalize the result."""
+        """Statement body: execute and normalize the result."""
         result = session.execute(sql, cold=cold,
                                  finalize=self._materialize_result,
                                  engine=engine)
@@ -730,7 +856,7 @@ class ArrayServer:
     def _execute_partial_sync(self, session: SqlSession, sql: str,
                               cold: bool, engine: str | None = None
                               ) -> dict:
-        """Worker-thread body of the ``pquery`` path: run the SELECT
+        """Statement body of the ``pquery`` path: run the SELECT
         with its aggregates' mergeable partial states left unreduced
         (the shard half of distributed aggregation)."""
         payload = session.query_partial(
@@ -762,7 +888,7 @@ class ArrayServer:
 
     def _execute_insert_sync(self, session: SqlSession,
                              table_name: str, rows) -> int:
-        """Worker-thread body of the binary bulk-load path: append the
+        """Statement body of the binary bulk-load path: append the
         batch through the session's one insert path, exactly like a
         SQL INSERT minus the parse."""
         return session.insert_rows(session._resolve_table(table_name),
@@ -817,6 +943,11 @@ def _result_frame(result: dict, latency: float) -> tuple[dict, list]:
             "rowcount": result["rowcount"],
             "metrics": result["metrics"],
             "elapsed_seconds": latency}, buffers
+
+
+def _timeout_error(timeout: float) -> protocol.WireError:
+    return protocol.WireError(
+        protocol.QUERY_TIMEOUT, f"query exceeded its {timeout:g} s budget")
 
 
 def _error_frame(exc: protocol.WireError) -> dict:

@@ -28,10 +28,11 @@ __all__ = ["ShardLink", "ShardClient"]
 class ShardLink:
     """One lazily-(re)connected link from the coordinator to a shard.
 
-    Not thread-safe by design: the router keeps one link per (worker
-    thread, shard) pair, so the strict request/reply discipline of the
-    wire protocol is preserved without locking.  After any send/recv
-    failure the caller must :meth:`close` — the next use reconnects.
+    Not thread-safe by design: the router keeps one link per
+    (connection thread, replica) pair, so the strict request/reply
+    discipline of the wire protocol is preserved without locking.
+    After any send/recv failure the caller must :meth:`close` — the
+    next use reconnects.
     """
 
     def __init__(self, shard_id: int, host: str, port: int,

@@ -138,10 +138,12 @@ def _normalize_addresses(addresses) -> list[list[tuple[str, int]]]:
 class ShardRouter:
     """Routes statements to a fleet of shard servers and merges replies.
 
-    Thread-safe: statements may run concurrently from many coordinator
-    worker threads; each thread keeps its own set of replica links,
-    while replica health (live/suspect/stale), the read round-robin
-    and the failover counters are shared under one mutex.
+    Thread-safe: statements may run concurrently on many coordinator
+    connection threads; each thread keeps its own set of replica links
+    (one per replica, so a coordinator holds client connections ×
+    replicas links; :class:`ShardServer` closes a connection's set when
+    it ends), while replica health (live/suspect/stale), the read
+    round-robin and the failover counters are shared under one mutex.
 
     Args:
         addresses: Per shard, either one ``(host, port)`` or a list of
@@ -193,7 +195,7 @@ class ShardRouter:
         # Coordinator-side plan cache: SELECTs are planned once per
         # statement text against the catalog mirror and the plan
         # (routing key, pk range, aggregates) is reused by every
-        # worker thread.  DDL invalidates it (see _create); data-only
+        # connection thread.  DDL invalidates it (see _create); data-only
         # writes leave plans valid — a plan captures structure, never
         # row contents.
         self._plan_cache = PlanCache()
@@ -298,7 +300,7 @@ class ShardRouter:
                    for reply, _b in replies.values())
 
     def close(self) -> None:
-        """Close the calling thread's replica links (each worker
+        """Close the calling thread's replica links (each connection
         thread owns its own set; fleet shutdown severs the rest)."""
         links = getattr(self._local, "links", None)
         if links:
@@ -416,7 +418,7 @@ class ShardRouter:
 
     def _reprobe_once(self, replica: Replica) -> bool:
         """One liveness probe on a throwaway link (the reprobe thread
-        never shares the worker threads' links)."""
+        never shares the connection threads' links)."""
         link = ShardLink(replica.shard_id, replica.host, replica.port,
                          connect_timeout=min(1.0, self.connect_timeout),
                          request_timeout=self.request_timeout,
@@ -1061,8 +1063,8 @@ class ShardServer(ArrayServer):
     def _prepare_sync(self, session: SqlSession,
                       sql: str) -> tuple[str, str]:
         # Prepare against the router's shared plan cache, not the
-        # connection session: every coordinator worker thread reuses
-        # the same plan for routing.
+        # connection session: every coordinator connection thread
+        # reuses the same plan for routing.
         plan = self.router.prepare(sql)
         return plan.kind, plan.table.name
 
@@ -1076,17 +1078,19 @@ class ShardServer(ArrayServer):
         :meth:`ShardRouter.relay_bquery`).
 
         Returns True (close the connection) only when the statement
-        fails — or times out — after chunk 0 is already on the wire;
-        the framing contract promises a started stream runs to eof, so
-        it cannot be answered with an error frame any more.
+        fails after chunk 0 is already on the wire: the framing
+        contract promises a started stream runs to eof, so it cannot
+        be answered with an error frame any more.  A timeout then is
+        the watchdog's hang-up (``started=stream.stop``).
         """
         sql = _statement_text(header)
         timeout = self._resolve_timeout(header.get("timeout"))
         stream = _RelayStream(conn, self.config.max_frame)
         try:
             result, latency = self._admit_and_run(
-                session_id, timeout,
-                lambda: self._relay_bquery(stream, header, sql))
+                conn, session_id, timeout,
+                lambda: self._relay_bquery(stream, header, sql),
+                started=stream.stop)
         except protocol.WireError:
             if stream.close():
                 return True  # stream already started: hang up
@@ -1098,7 +1102,7 @@ class ShardServer(ArrayServer):
 
     def _relay_bquery(self, stream: "_RelayStream", header: dict,
                       sql: str) -> dict:
-        """Worker-thread body of the coordinator ``bquery`` path:
+        """Statement body of the coordinator ``bquery`` path:
         route to the owning shard and write each chunk frame it sends
         straight to the client socket."""
         plan = self.router.prepare(sql)
@@ -1110,6 +1114,10 @@ class ShardServer(ArrayServer):
         shard_id = self.router.partitioner.shard_of(plan.key)
         forward = dict(header, timeout=protocol.NO_TIMEOUT)
         return self.router.relay_bquery(shard_id, forward, stream.emit)
+
+    def _connection_ended(self) -> None:
+        # This connection thread's replica links go with it.
+        self.router.close()
 
     def _stats_frame(self) -> dict:
         frame = super()._stats_frame()
@@ -1128,9 +1136,10 @@ class _RelayStream:
     """Where a relayed ``bquery`` writes: the client socket, for as
     long as the statement is unanswered.
 
-    The worker relaying the stream and the connection thread answering
-    its timeout both want the socket, so both hold the connection's
-    send lock.  :meth:`close` — the connection thread's, before it
+    The connection thread relaying the stream and the watchdog
+    answering its timeout both want the socket, so both hold the
+    connection's send lock (the watchdog only if it is free at once;
+    else it hangs up).  :meth:`stop` — the watchdog's, before it
     answers — says how many chunks went out; a chunk arriving after
     that, or after the client hung up, is dropped, so the relay still
     reads the shard's stream to eof and its link stays framed.
@@ -1154,10 +1163,16 @@ class _RelayStream:
                     # replica being relayed.
                     self._open = False
 
+    def stop(self) -> int:
+        """Write no more chunks; returns how many went out.  The
+        caller holds the connection's send lock."""
+        self._open = False
+        return self._sent
+
     def close(self) -> int:
+        """:meth:`stop`, taking the send lock."""
         with self._conn.send_lock:
-            self._open = False
-            return self._sent
+            return self.stop()
 
 
 def start_cluster(config: ShardConfig,

@@ -30,14 +30,17 @@ def cluster():
     with ShardFleet(config) as fleet:
         router = ShardRouter(fleet.addresses,
                              config.make_partitioner())
-        router.execute(CREATE)
-        rows = [(i, SqlArray.from_numpy(make_blob_array(i)).to_blob())
-                for i in BLOB_IDS]
-        assert router.insert_rows("tb", rows) == len(rows)
-        coordinator = ShardServer(router, ServerConfig(
-            name="coord-dataplane"))
-        with ServerThread(server=coordinator) as handle:
-            yield {"router": router, "port": handle.port}
+        try:
+            router.execute(CREATE)
+            rows = [(i, SqlArray.from_numpy(make_blob_array(i)).to_blob())
+                    for i in BLOB_IDS]
+            assert router.insert_rows("tb", rows) == len(rows)
+            coordinator = ShardServer(router, ServerConfig(
+                name="coord-dataplane"))
+            with ServerThread(server=coordinator) as handle:
+                yield {"router": router, "port": handle.port}
+        finally:
+            router.shutdown()  # this thread's links
 
 
 @pytest.fixture

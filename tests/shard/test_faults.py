@@ -36,17 +36,20 @@ def wounded():
                               backoff_cap=0.05),
             connect_timeout=2.0, request_timeout=5.0,
             session_setup=setup_udfs)
-        router.execute(CREATE)
-        assert router.insert_rows("t", make_rows()) == ROWS
-        coordinator = ShardServer(router, ServerConfig(name="coord"))
-        with ServerThread(server=coordinator) as handle:
-            with ShardClient("127.0.0.1", handle.port) as client:
-                # Sanity before the injection: the cluster answers.
-                assert client.query(
-                    "SELECT COUNT(*) FROM t").rows[0][0] == ROWS
-                fleet.kill_shard(1)
-                yield {"fleet": fleet, "client": client,
-                       "router": router}
+        try:
+            router.execute(CREATE)
+            assert router.insert_rows("t", make_rows()) == ROWS
+            coordinator = ShardServer(router, ServerConfig(name="coord"))
+            with ServerThread(server=coordinator) as handle:
+                with ShardClient("127.0.0.1", handle.port) as client:
+                    # Sanity before the injection: the cluster answers.
+                    assert client.query(
+                        "SELECT COUNT(*) FROM t").rows[0][0] == ROWS
+                    fleet.kill_shard(1)
+                    yield {"fleet": fleet, "client": client,
+                           "router": router}
+        finally:
+            router.shutdown()  # this thread's links
 
 
 def test_scan_needing_dead_shard_fails_typed_and_bounded(wounded):

@@ -79,14 +79,17 @@ def cluster(request):
     with ShardFleet(config, session_setup=setup_udfs) as fleet:
         router = ShardRouter(fleet.addresses, config.make_partitioner(),
                              session_setup=setup_udfs)
-        router.execute(CREATE)
-        assert router.insert_rows("t", make_rows()) == ROWS
-        coordinator = ShardServer(router, ServerConfig(
-            name=f"coord-{shards}"))
-        with ServerThread(server=coordinator) as handle:
-            with ShardClient("127.0.0.1", handle.port) as client:
-                yield {"shards": shards, "router": router,
-                       "client": client}
+        try:
+            router.execute(CREATE)
+            assert router.insert_rows("t", make_rows()) == ROWS
+            coordinator = ShardServer(router, ServerConfig(
+                name=f"coord-{shards}"))
+            with ServerThread(server=coordinator) as handle:
+                with ShardClient("127.0.0.1", handle.port) as client:
+                    yield {"shards": shards, "router": router,
+                           "client": client}
+        finally:
+            router.shutdown()  # this thread's links
 
 
 @pytest.mark.parametrize("sql", ALL_QUERIES)
