@@ -12,8 +12,6 @@ Commands:
   plus a scatter-gather coordinator (see ``docs/SHARDING.md``).
 * ``client`` — issue a query (or fetch stats) against a running
   server and print rows plus the Table 1 metrics triple.
-* ``lint`` — run replint, the AST-based invariant checker, over the
-  source tree (see ``docs/ANALYSIS.md``).
 """
 
 from __future__ import annotations
@@ -273,16 +271,11 @@ def _cmd_client(args: list[str]) -> int:
         return 1
 
 
-def _cmd_lint(args: list[str]) -> int:
-    from repro.analysis.__main__ import main as lint_main
-    return lint_main(args)
-
-
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     commands = {"table1": _cmd_table1, "info": _cmd_info,
                 "serve": _cmd_serve, "shard-serve": _cmd_shard_serve,
-                "client": _cmd_client, "lint": _cmd_lint}
+                "client": _cmd_client}
     if not argv or argv[0] not in commands:
         names = ", ".join(sorted(commands))
         print(f"usage: python -m repro {{{names}}} [args]",

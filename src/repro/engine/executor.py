@@ -26,14 +26,13 @@ import operator
 import os
 import pickle
 import tempfile
-import threading
 import time
 from contextlib import contextmanager
 from typing import Callable, Sequence
 
 import numpy as np
 
-from . import vectorized
+from . import lockcheck, vectorized
 from .blob import BlobStore
 from .bufferpool import BufferPool
 from .costmodel import PAPER_HARDWARE, CostModel
@@ -85,7 +84,7 @@ class Database:
         self.pool = BufferPool(self.pagefile, buffer_pages)
         self.tables: dict[str, Table] = {}
         self.latches = LatchManager()
-        self._catalog_lock = threading.Lock()
+        self._catalog_lock = lockcheck.tracked_lock("mutex:Database")
 
     def __getstate__(self):
         state = self.__dict__.copy()
@@ -97,7 +96,7 @@ class Database:
     def __setstate__(self, state):
         self.__dict__.update(state)
         self.latches = LatchManager()
-        self._catalog_lock = threading.Lock()
+        self._catalog_lock = lockcheck.tracked_lock("mutex:Database")
         for table in self.tables.values():
             table._pool_ref = self.pool
 

@@ -23,8 +23,8 @@ lower-cased table-name order, with the catalog latch always first.  No
 code path acquires a latch while already holding another latch, so no
 cycle can form.  The runtime sentinel (``REPRO_LOCK_CHECK=1``,
 :mod:`repro.engine.lockcheck`) raises on a nested latch out of name
-order or a latch under a pool ``_lock``; replint's RL004 proves the
-whole-program order acyclic.
+order and on any nesting ``lock_graph.json`` does not declare (a latch
+under a pool ``_lock``, say); a tier-1 test keeps that graph acyclic.
 """
 
 from __future__ import annotations

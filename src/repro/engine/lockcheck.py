@@ -1,41 +1,50 @@
-"""Runtime lock-order sentinel (``REPRO_LOCK_CHECK=1``).
+"""Runtime lock sentinel (``REPRO_LOCK_CHECK=1``).
 
-The static analyzer (:mod:`repro.analysis.flow.lockgraph`) exports the
-whole-program lock-order graph to ``lock_graph.json`` — lock classes
-(``catalog``, ``table``, ``pool``, ``pagefile``, ``intent``, per-class
-mutexes) and a deterministic topological order over them.  This module
-is the *dynamic* half of that contract: with ``REPRO_LOCK_CHECK=1``
-every instrumented acquisition records its lock class on a per-thread
-stack and validates, **before blocking**, that the new class does not
-rank above any class already held.  A violation raises
-:class:`LockOrderViolation` naming both classes immediately — turning
-a would-be deadlock (reproducible only under hostile timing) into a
-deterministic test failure at the first out-of-order acquisition, on
-any schedule.
+Every lock the engine and the server take has a *lock class*:
+``catalog``, ``table``, ``intent``, ``pool``, ``pagefile``, and one
+``mutex:<Owner>`` per object-guarding mutex.  ``lock_graph.json``,
+shipped beside this module, is the hand-kept allowlist of nestings:
+its ``edges`` are the (held class, acquired class) pairs the program
+may take, and a tier-1 test keeps them acyclic.  With the sentinel on,
+every instrumented acquisition records ``(class, name, exclusive)`` on
+a per-thread stack and is checked **before blocking**, so a would-be
+deadlock — reproducible only under hostile timing — fails at its first
+acquisition, on any schedule, with a :class:`LockOrderViolation`:
 
-Same-class rules mirror the engine's discipline:
-
-- ``table`` latches may nest only in ascending lower-cased table-name
-  order (the sorted latch-set loop in
-  :class:`~repro.engine.latches.LatchManager`);
-- the buffer pool's ``pool`` mutex is an ``RLock`` and may re-enter;
-- ``intent`` range-intents may stack (disjoint ranges on one or more
-  tables);
-- any other same-class re-acquisition (the non-reentrant RWLocks:
-  ``catalog``, a single table latch by the same name) is the classic
+- **Nesting.**  Taking class B while holding another class A raises
+  unless (A, B) is a declared edge.
+- **Same class.**  ``table`` latches nest only in ascending lower-cased
+  table-name order (the sorted latch set of
+  :class:`~repro.engine.latches.LatchManager`); a reentrant mutex (the
+  buffer pool's) may re-enter; ``intent`` range intents stack; any
+  other re-acquisition of a class already held is the classic
   self-deadlock and raises.
+- **Statements latch what they touch.**  While a ``SqlSession`` entry
+  point runs (marked :func:`statement`), a ``Table`` mutation must hold
+  that table's exclusive latch (:func:`require_write_latch`) and the
+  buffer pool's mutex may only be taken under the catalog latch.
+  ``Table`` and pool calls made outside a statement — loaders, tests —
+  are not checked.
+- **No blocking under an exclusive latch.**  ``time.sleep``, socket
+  send/recv, ``Future.result`` and ``Thread.join`` raise while the
+  calling thread holds a table's write latch or the DDL catalog latch:
+  every reader of that table would wait the call out.
 
-The check is off by default and the disabled fast path is one global
-boolean test per acquisition.  Enable with the environment variable or
-:func:`set_active` (tests).
+Off by default: each check is then one global boolean test, and the
+statement markers and blocking-call checks are not installed at all.
+Enable with the environment variable, or with :func:`set_active`
+(tests).
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import os
+import socket
 import threading
-from typing import Optional
+import time
+from typing import Any, Callable, Optional
 
 __all__ = [
     "LockOrderViolation",
@@ -45,45 +54,58 @@ __all__ = [
     "note_release",
     "held",
     "tracked_lock",
-    "load_order",
+    "load_graph",
+    "statement",
+    "require_write_latch",
 ]
 
 
 class LockOrderViolation(RuntimeError):
-    """An instrumented acquisition contradicted the exported order."""
+    """A lock was taken, or a call made, against the locking
+    discipline this module checks."""
 
 
 #: Classes whose same-class re-acquisition is always allowed.
 _STACKABLE = frozenset({"intent"})
 
 _active = os.environ.get("REPRO_LOCK_CHECK", "").strip() == "1"
-_ranks: dict[str, int] | None = None
+_edges: frozenset[tuple[str, str]] | None = None
 _tls = threading.local()
 
+#: ``(owner, attribute, original, checked)``: what :func:`set_active`
+#: swaps in while the sentinel is on and back out when it goes off.
+_patches: list[tuple[Any, str, Any, Any]] = []
+_blocking_registered = False
 
-def load_order(path: Optional[str] = None) -> tuple[str, ...]:
-    """The acquisition order from ``lock_graph.json`` (the analysis
-    package's checked-in export, shipped as package data) — the one
-    place the order is written down.  A missing file raises
-    ``OSError``, a malformed one ``ValueError``."""
+
+def load_graph(path: Optional[str] = None) -> frozenset[tuple[str, str]]:
+    """The declared nestings of ``lock_graph.json`` (package data next
+    to this module) as ``(held, acquired)`` pairs.  A missing file
+    raises ``OSError``; a malformed one, or an edge naming a class
+    that is not a node, ``ValueError``."""
     if path is None:
-        path = os.path.join(
-            os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-            "analysis", "lock_graph.json")
+        path = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                            "lock_graph.json")
     with open(path, "r", encoding="utf-8") as handle:
         data = json.load(handle)
-    order = data.get("order") if isinstance(data, dict) else None
-    if not (isinstance(order, list) and order
-            and all(isinstance(cls, str) for cls in order)):
-        raise ValueError(f"{path}: no lock order")
-    return tuple(order)
+    nodes = data.get("nodes") if isinstance(data, dict) else None
+    edges = data.get("edges") if isinstance(data, dict) else None
+    if not (isinstance(nodes, list) and isinstance(edges, list)):
+        raise ValueError(f"{path}: no lock graph")
+    pairs = set()
+    for edge in edges:
+        if not (isinstance(edge, list) and len(edge) == 2
+                and all(cls in nodes for cls in edge)):
+            raise ValueError(f"{path}: bad edge {edge!r}")
+        pairs.add((edge[0], edge[1]))
+    return frozenset(pairs)
 
 
-def _rank_table() -> dict[str, int]:
-    global _ranks
-    if _ranks is None:
-        _ranks = {cls: idx for idx, cls in enumerate(load_order())}
-    return _ranks
+def _edge_set() -> frozenset[tuple[str, str]]:
+    global _edges
+    if _edges is None:
+        _edges = load_graph()
+    return _edges
 
 
 def is_active() -> bool:
@@ -93,12 +115,18 @@ def is_active() -> bool:
 def set_active(flag: bool) -> None:
     """Enable/disable the sentinel at runtime (tests).  Clears this
     thread's held stack so a test starts from a clean slate."""
-    global _active
+    global _active, _blocking_registered
     _active = bool(flag)
     _tls.stack = []
+    _tls.statements = 0
+    if _active and not _blocking_registered:
+        _blocking_registered = True
+        _patches.extend(_blocking_patches())
+    for owner, attr, original, checked in _patches:
+        setattr(owner, attr, checked if _active else original)
 
 
-def _stack() -> list[tuple[str, Optional[str]]]:
+def _stack() -> list[tuple[str, Optional[str], bool]]:
     stack = getattr(_tls, "stack", None)
     if stack is None:
         stack = _tls.stack = []
@@ -107,23 +135,28 @@ def _stack() -> list[tuple[str, Optional[str]]]:
 
 def held() -> tuple[tuple[str, Optional[str]], ...]:
     """This thread's instrumented (class, name) stack, outermost first."""
-    return tuple(_stack())
+    return tuple((cls, name) for cls, name, _excl in _stack())
+
+
+def _where() -> str:
+    return f"thread {threading.current_thread().name!r}"
 
 
 def note_acquire(lock_class: str, name: Optional[str] = None, *,
-                 reentrant: bool = False) -> None:
+                 reentrant: bool = False, exclusive: bool = False,
+                 blocking: bool = True) -> None:
     """Validate and record one acquisition.  Call **before** blocking
     on the real lock; raises :class:`LockOrderViolation` without
     recording anything, so there is nothing to roll back on failure.
     If the real acquisition then fails (timeout), undo the record with
-    :func:`note_release`.
+    :func:`note_release`.  A try-lock (``blocking=False``) never waits,
+    so it cannot deadlock: it is recorded, not checked.
     """
     if not _active:
         return
     stack = _stack()
-    ranks = _rank_table()
-    rank = ranks.get(lock_class)
-    for held_class, held_name in stack:
+    edges = _edge_set()
+    for held_class, held_name, _excl in stack if blocking else ():
         if held_class == lock_class:
             if reentrant or lock_class in _STACKABLE:
                 continue
@@ -135,20 +168,18 @@ def note_acquire(lock_class: str, name: Optional[str] = None, *,
                     "sorted call)" if lock_class == "table"
                     else f"non-reentrant {lock_class!r} lock it "
                     "already holds")
+            raise LockOrderViolation(f"{_where()} re-acquires {what}")
+        if (held_class, lock_class) not in edges:
             raise LockOrderViolation(
-                f"thread {threading.current_thread().name!r} "
-                f"re-acquires {what}")
-        held_rank = ranks.get(held_class)
-        if rank is None or held_rank is None:
-            continue  # unknown classes carry no constraints
-        if rank < held_rank:
-            raise LockOrderViolation(
-                f"thread {threading.current_thread().name!r} acquires "
-                f"{lock_class!r} while holding {held_class!r}, but the "
-                f"lock order ranks {lock_class!r} before "
-                f"{held_class!r} (see lock_graph.json; regenerate "
-                "with `repro lint --write-lock-graph`)")
-    stack.append((lock_class, name))
+                f"{_where()} acquires {lock_class!r} while holding "
+                f"{held_class!r}, a nesting lock_graph.json does not "
+                "declare")
+    if lock_class == "pool" and getattr(_tls, "statements", 0) and \
+            not any(cls == "catalog" for cls, _name, _excl in stack):
+        raise LockOrderViolation(
+            f"{_where()} reads the buffer pool in a statement that "
+            "holds no catalog latch")
+    stack.append((lock_class, name, exclusive))
 
 
 def note_release(lock_class: str, name: Optional[str] = None) -> None:
@@ -158,9 +189,71 @@ def note_release(lock_class: str, name: Optional[str] = None) -> None:
         return
     stack = _stack()
     for idx in range(len(stack) - 1, -1, -1):
-        if stack[idx] == (lock_class, name):
+        if stack[idx][:2] == (lock_class, name):
             del stack[idx]
             return
+
+
+def require_write_latch(table: str) -> None:
+    """In a statement, raise unless this thread holds ``table``'s
+    exclusive latch — the check each ``Table`` mutation makes."""
+    if not _active or not getattr(_tls, "statements", 0):
+        return
+    if ("table", table.lower(), True) not in _stack():
+        raise LockOrderViolation(
+            f"{_where()} mutates table {table!r} in a statement without "
+            "holding its write latch")
+
+
+class statement:
+    """Marks a ``SqlSession`` method as a statement entry point: while
+    it runs, the calling thread's ``Table`` mutations and pool reads
+    are checked against the latches it holds.  Nothing wraps the
+    method while the sentinel is off."""
+
+    def __init__(self, method: Callable[..., Any]) -> None:
+        self.method = method
+
+    def __set_name__(self, owner: type, attr: str) -> None:
+        method = self.method
+
+        @functools.wraps(method)
+        def checked(*args: Any, **kwargs: Any) -> Any:
+            _tls.statements = getattr(_tls, "statements", 0) + 1
+            try:
+                return method(*args, **kwargs)
+            finally:
+                _tls.statements -= 1
+
+        _patches.append((owner, attr, method, checked))
+        setattr(owner, attr, checked if _active else method)
+
+
+def _refuse_blocking(owner: Any, attr: str) -> tuple[Any, str, Any, Any]:
+    original = getattr(owner, attr)
+    what = f"{owner.__name__}.{attr}"
+
+    @functools.wraps(original)
+    def checked(*args: Any, **kwargs: Any) -> Any:
+        for cls, name, exclusive in _stack():
+            if exclusive:
+                raise LockOrderViolation(
+                    f"{_where()} calls {what} while holding the "
+                    f"exclusive {cls!r} latch"
+                    + (f" of {name!r}" if name else ""))
+        return original(*args, **kwargs)
+
+    return owner, attr, original, checked
+
+
+def _blocking_patches() -> list[tuple[Any, str, Any, Any]]:
+    from concurrent.futures import Future
+
+    return [_refuse_blocking(owner, attr) for owner, attr in (
+        (time, "sleep"), (threading.Thread, "join"), (Future, "result"),
+        (socket.socket, "send"), (socket.socket, "sendall"),
+        (socket.socket, "sendmsg"), (socket.socket, "recv"),
+        (socket.socket, "recv_into"))]
 
 
 class _TrackedLock:
@@ -176,7 +269,8 @@ class _TrackedLock:
         self._reentrant = reentrant
 
     def acquire(self, blocking: bool = True, timeout: float = -1) -> bool:
-        note_acquire(self.lock_class, reentrant=self._reentrant)
+        note_acquire(self.lock_class, reentrant=self._reentrant,
+                     blocking=blocking)
         ok = self._inner.acquire(blocking, timeout)
         if not ok:
             note_release(self.lock_class)
@@ -187,11 +281,15 @@ class _TrackedLock:
         note_release(self.lock_class)
 
     def __enter__(self) -> "_TrackedLock":
-        self.acquire()
+        if _active:
+            note_acquire(self.lock_class, reentrant=self._reentrant)
+        self._inner.acquire()
         return self
 
     def __exit__(self, *exc: object) -> None:
-        self.release()
+        self._inner.release()
+        if _active:
+            note_release(self.lock_class)
 
 
 def tracked_lock(lock_class: str, *,
@@ -200,15 +298,5 @@ def tracked_lock(lock_class: str, *,
     return _TrackedLock(lock_class, reentrant=reentrant)
 
 
-def tracking(lock_class: str, name: Optional[str] = None):
-    """Context manager for code that acquires a resource by hand but
-    wants the sentinel to account for it (e.g. range intents)."""
-
-    class _Note:
-        def __enter__(self) -> None:
-            note_acquire(lock_class, name)
-
-        def __exit__(self, *exc: object) -> None:
-            note_release(lock_class, name)
-
-    return _Note()
+if _active:
+    set_active(True)

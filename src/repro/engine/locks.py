@@ -73,7 +73,8 @@ class RWLock:
 
     def acquire_write(self, timeout: float | None = None) -> bool:
         """Take the exclusive side; returns False on timeout."""
-        lockcheck.note_acquire(self.lock_class, self.lock_name)
+        lockcheck.note_acquire(self.lock_class, self.lock_name,
+                               exclusive=True)
         with self._cond:
             self._writers_waiting += 1
             try:

@@ -52,7 +52,7 @@ from typing import Callable
 import numpy as np
 
 from ..tsql.namespaces import NAMESPACES
-from . import vectorized
+from . import lockcheck, vectorized
 from .costmodel import CostModel
 from .executor import (
     Avg,
@@ -369,6 +369,7 @@ class SqlSession:
 
     # -- public API --------------------------------------------------------
 
+    @lockcheck.statement
     def execute(self, sql: str, cold: bool = True, finalize=None,
                 engine: str | None = None):
         """Execute any supported statement.
@@ -415,6 +416,7 @@ class SqlSession:
         raise SqlSyntaxError(
             f"unsupported statement starting with {tokens[0][1]!r}")
 
+    @lockcheck.statement
     def insert_rows(self, table: Table, rows) -> int:
         """Insert already-parsed rows — the one bulk-insert path behind
         SQL ``INSERT`` and the server's binary ``insert`` frame.
@@ -522,6 +524,7 @@ class SqlSession:
         finally:
             table.release_intent(token)
 
+    @lockcheck.statement
     def query(self, sql: str, cold: bool = True, finalize=None,
               engine: str | None = None):
         """Execute one aggregate SELECT; returns (values, metrics).
@@ -703,6 +706,7 @@ class SqlSession:
         return run(plan.table, plan.aggregates, plan.where,
                    plan.group_expr, cold, plan.label, engine)
 
+    @lockcheck.statement
     def query_partial(self, sql: str, cold: bool = True,
                       engine: str | None = None, finalize=None):
         """Execute one aggregate SELECT but return the *unreduced*

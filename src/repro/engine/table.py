@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import struct
 import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -197,11 +198,11 @@ class Table:
             0: (self._tree.root_page_id, self._tree.height,
                 self._tree.count)}
         self._pins: dict[int, int] = {}
-        self._pin_lock = threading.Lock()
+        self._pin_lock = lockcheck.tracked_lock("mutex:Table.pin")
         #: Serializes copy-on-write mutations for direct ``Table``
         #: users; under SQL the session's write latch already does, so
         #: it is uncontended there.
-        self._mutate_lock = threading.Lock()
+        self._mutate_lock = lockcheck.tracked_lock("mutex:Table.mutate")
         self._intent_cond = threading.Condition()
         self._intents: list[tuple[int, int, int]] = []
         self._intent_seq = 0
@@ -229,8 +230,8 @@ class Table:
 
     def __setstate__(self, state):
         self.__dict__.update(state)
-        self._pin_lock = threading.Lock()
-        self._mutate_lock = threading.Lock()
+        self._pin_lock = lockcheck.tracked_lock("mutex:Table.pin")
+        self._mutate_lock = lockcheck.tracked_lock("mutex:Table.mutate")
         self._intent_cond = threading.Condition()
 
     # -- metadata -----------------------------------------------------------
@@ -529,7 +530,22 @@ class Table:
         with self._pin_lock:
             return dict(self._pins)
 
-    def _publish(self, version: int, cow_pids: set[int]) -> None:
+    @contextmanager
+    def _write_scope(self, version: int) -> Iterator[None]:
+        """The tree's copy-on-write scope at ``version``, always closed:
+        the page ids it cloned go to retirement whether or not the
+        caller then publishes — a write that failed part-way still
+        superseded the pages it cloned."""
+        tree = self._tree
+        tree.begin_write(version)
+        try:
+            yield
+        finally:
+            cow = tree.end_write()
+            with self._pin_lock:
+                self._cow_pids |= cow
+
+    def _publish(self, version: int) -> None:
         """Atomically expose a completed mutation as the new tip.
 
         This is the only point where readers change what they pin: a
@@ -537,8 +553,8 @@ class Table:
         new version, never a torn mix, because the root/height/count
         triple swaps under ``_pin_lock``.
         """
+        lockcheck.require_write_latch(self.name)
         with self._pin_lock:
-            self._cow_pids |= cow_pids
             self._published[version] = (
                 self._tree.root_page_id, self._tree.height,
                 self._tree.count)
@@ -651,26 +667,26 @@ class Table:
         keys = prep.keys
         if not keys:
             return 0
+        lockcheck.require_write_latch(self.name)
         with self._mutate_lock:
             version = self.version + 1
             tree = self._tree
             before = tree.count
-            tree.begin_write(version)
             try:
-                if before == 0 and all(
-                        b > a for a, b in zip(keys, keys[1:])):
-                    tree.bulk_load(keys, prep.records)
-                else:
-                    tree.insert_many(keys, prep.records)
+                with self._write_scope(version):
+                    if before == 0 and all(
+                            b > a for a, b in zip(keys, keys[1:])):
+                        tree.bulk_load(keys, prep.records)
+                    else:
+                        tree.insert_many(keys, prep.records)
             finally:
-                cow = tree.end_write()
                 done = tree.count - before
                 if done:
                     for name, index in self._indexes.items():
                         col = self.column_index(name)
                         for key, row in zip(keys[:done], prep.rows):
                             index.add(row[col], key)
-                    self._publish(version, cow)
+                    self._publish(version)
         return done
 
     def insert_many(self, rows) -> int:
@@ -693,21 +709,19 @@ class Table:
         disappear from every scan and from every secondary index.
         """
         keys = [int(key) for key in keys]
+        lockcheck.require_write_latch(self.name)
         with self._mutate_lock:
             old = [row for row in map(self.get, set(keys))
                    if row is not None] if self._indexes else ()
             version = self.version + 1
-            self._tree.begin_write(version)
-            try:
+            with self._write_scope(version):
                 deleted = self._tree.delete_many(keys)
-            finally:
-                cow = self._tree.end_write()
             if deleted:
                 for name, index in self._indexes.items():
                     col = self.column_index(name)
                     for row in old:
                         index.remove(row[col], row[0])
-                self._publish(version, cow)
+                self._publish(version)
         return deleted
 
     def update(self, values: Sequence) -> bool:
@@ -716,14 +730,12 @@ class Table:
         key = self._key(values[0])
         payload = self._encode_row(values)
         self._check_fits(key, _KEY_STRUCT.size + len(payload))
+        lockcheck.require_write_latch(self.name)
         with self._mutate_lock:
             old = self.get(key) if self._indexes else None
             version = self.version + 1
-            self._tree.begin_write(version)
-            try:
+            with self._write_scope(version):
                 updated = self._tree.update(key, payload)
-            finally:
-                cow = self._tree.end_write()
             if updated:
                 if old is not None:
                     for name, index in self._indexes.items():
@@ -731,7 +743,7 @@ class Table:
                         if old[col] != values[col]:
                             index.remove(old[col], key)
                             index.add(values[col], key)
-                self._publish(version, cow)
+                self._publish(version)
         return updated
 
     def get(self, key: int, pool: BufferPool | None = None

@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import threading
 
+from ..engine import lockcheck
+
 __all__ = ["AdmissionController"]
 
 
@@ -37,7 +39,7 @@ class AdmissionController:
             raise ValueError("queue_limit must be >= 0")
         self.max_workers = max_workers
         self.queue_limit = queue_limit
-        self._lock = threading.Lock()
+        self._lock = lockcheck.tracked_lock("mutex:AdmissionController")
         self._permits = threading.Semaphore(max_workers)
         self._in_flight = 0
         self._admitted_total = 0

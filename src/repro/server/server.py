@@ -56,6 +56,7 @@ from typing import Callable
 from ..core.errors import BoundsError, ShapeError
 from ..core.header import HeaderError
 from ..core.partial import BytesBlobStream, read_window_blob
+from ..engine import lockcheck
 from ..engine.btree import DuplicateKeyError
 from ..engine.executor import Database
 from ..engine.sqlfront import SqlSession, SqlSyntaxError
@@ -112,7 +113,7 @@ class _Connection:
     def __init__(self, sock: socket.socket, max_frame: int):
         self.sock = sock
         self.frames = protocol.FrameBuffer(max_frame)
-        self.send_lock = threading.Lock()
+        self.send_lock = lockcheck.tracked_lock("mutex:_Connection")
         self.thread: threading.Thread | None = None
         self.hung_up = False
 
@@ -254,7 +255,7 @@ class ArrayServer:
         self._crash: BaseException | None = None
         self._session_ids = itertools.count(1)  # next() is atomic
         self._connections: set[_Connection] = set()
-        self._connections_lock = threading.Lock()
+        self._connections_lock = lockcheck.tracked_lock("mutex:ArrayServer")
 
     # -- lifecycle -----------------------------------------------------------
 

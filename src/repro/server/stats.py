@@ -11,9 +11,10 @@ whole serving process.
 
 from __future__ import annotations
 
-import threading
 import time
 from collections import deque
+
+from ..engine import lockcheck
 
 __all__ = ["LatencyWindow", "ServerStats"]
 
@@ -49,7 +50,7 @@ class ServerStats:
     """Thread-safe aggregate counters for one server process."""
 
     def __init__(self):
-        self._lock = threading.Lock()
+        self._lock = lockcheck.tracked_lock("mutex:ServerStats")
         self._started = time.time()
         self.latency = LatencyWindow()
         self._queries_ok = 0

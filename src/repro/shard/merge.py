@@ -18,9 +18,9 @@ group holds more than one value passes through untouched; any other
 column is folded group by group through the aggregate's own ``merge``
 and ``finish``, so there is one copy of the aggregate semantics.
 
-Every function here is *pure* (replint RS401 enforces this for
-``merge_*`` names): fresh state in, merged value out, no argument
-mutated and no process state touched.  Purity is what makes the merge
+Every function here is *pure* (``tests/shard/test_merge_purity.py``
+checks each one's arguments bit for bit): fresh state in, merged value
+out, no argument mutated and no process state touched.  Purity is what makes the merge
 order the only thing that matters — the coordinator can gather replies
 in any arrival order and still merge deterministically.
 """

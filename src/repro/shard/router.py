@@ -47,10 +47,10 @@ compensating ``DROP TABLE`` sent to the shards that succeeded) so the
 cluster never plans against a table some shards don't have.
 
 The coordinator itself never touches storage — no ``BufferPool``, no
-latched scans; it parses, routes and merges (replint RS401 keeps it
-honest, and additionally proves the failover/reprobe paths never
-re-plan against the catalog mirror mid-statement).  Its catalog mirror
-holds schemas only.
+latched scans; it parses, routes and merges, and its failover paths
+replay the planned request without re-planning against the catalog
+mirror mid-statement (``tests/shard/test_replicas.py`` checks both).
+Its catalog mirror holds schemas only.
 """
 
 from __future__ import annotations
@@ -59,6 +59,7 @@ import threading
 import time
 from typing import Callable, Sequence
 
+from ..engine import lockcheck
 from ..engine.executor import Database
 from ..engine.sqlfront import PlanCache, SelectPlan, SqlSession, \
     SqlSyntaxError, _statement_kind, _statement_table, _tokenize
@@ -199,11 +200,11 @@ class ShardRouter:
         # writes leave plans valid — a plan captures structure, never
         # row contents.
         self._plan_cache = PlanCache()
-        self._plan_lock = threading.Lock()
+        self._plan_lock = lockcheck.tracked_lock("mutex:ShardRouter")
         # Replica health: guards every Replica.state transition, the
         # per-shard read round-robin and the failover counters.  Leaf
         # lock — nothing else is ever acquired under it.
-        self._health_lock = threading.Lock()
+        self._health_lock = lockcheck.tracked_lock("mutex:ShardRouter")
         self._rr = [0] * partitioner.shards
         self._failovers = 0
         self._reprobed = 0

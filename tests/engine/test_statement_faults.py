@@ -15,18 +15,25 @@ statement's read view is gone with it:
 A ``DELETE`` whose predicate raises while its victims are chosen on a
 pinned snapshot leaves no pin either, and deletes nothing.
 
-``test_the_checks_catch_an_unpin_outside_finally`` runs the executor
-with ``snap.unpin`` moved out of ``_read_view``'s ``finally`` (an
-in-memory copy of ``engine/executor.py``; the checkout is never
-written) and shows the checks fail on it.
-"""
+An ``INSERT`` or ``DELETE`` whose B-tree write raises after it cloned a
+page — between clone and publish — leaves its table's copy-on-write
+scope closed, the next write to the table works, and once every pin is
+gone no superseded page is left in the page file's version history.
 
-import os
+``test_the_checks_catch_an_unpin_outside_finally`` runs the executor
+with ``snap.unpin`` moved out of ``_read_view``'s ``finally``, and
+``test_the_checks_catch_an_end_write_outside_finally`` the table with
+``end_write`` moved out of ``_write_scope``'s (in-memory copies of the
+modules; the checkout is never written); each shows the checks fail.
+"""
 
 import pytest
 
-from repro.engine import Column, Database, executor
+from repro.engine import Column, Database, executor, table as table_module
+from repro.engine.btree import BTree
 from repro.engine.sqlfront import SqlSession
+from repro.engine.table import Table
+from tests.mutation import mutated
 
 ROWS = 300
 
@@ -127,24 +134,15 @@ def test_a_failed_delete_leaves_no_pin(session, udf):
 
 def _unpin_outside_finally():
     """``Executor._read_view`` with the unpin moved after its
-    ``finally``: compiled from a mutated copy of the module text."""
-    path = executor.__file__
-    with open(path, encoding="utf-8") as f:
-        text = f.read()
-    old = ("        finally:\n"
-           "            if snap is not None:\n"
-           "                snap.unpin(pool)\n")
-    new = ("        finally:\n"
-           "            pass\n"
-           "        if snap is not None:\n"
-           "            snap.unpin(pool)\n")
-    assert text.count(old) == 1, "mutation anchor drifted"
-    namespace = {"__name__": executor.__name__,
-                 "__package__": executor.__package__,
-                 "__file__": path}
-    exec(compile(text.replace(old, new), os.path.basename(path), "exec"),
-         namespace)
-    return namespace["Executor"]._read_view
+    ``finally``."""
+    return mutated(executor,
+                   "        finally:\n"
+                   "            if snap is not None:\n"
+                   "                snap.unpin(pool)\n",
+                   "        finally:\n"
+                   "            pass\n"
+                   "        if snap is not None:\n"
+                   "            snap.unpin(pool)\n").Executor._read_view
 
 
 @pytest.mark.parametrize("engine", ["row", "vector"])
@@ -161,3 +159,84 @@ def test_the_checks_catch_an_unpin_outside_finally(session, udf, engine,
         for version, count in table.pinned_versions().items():
             for _ in range(count):
                 table.unpin(version, session.db.pool)
+
+
+# -- an exception between clone and publish ---------------------------------
+
+#: name -> (statement, rows it leaves once the write goes through).
+WRITES = {
+    "insert": ("INSERT INTO t VALUES (1001, 1, 1.0), (1003, 3, 3.0)",
+               ROWS + 2),
+    "delete": ("DELETE FROM t WHERE id >= 100 AND id < 200", ROWS - 100),
+}
+
+
+def _clone_then_raise(monkeypatch):
+    """Make the B-tree's next write raise as soon as it has cloned a
+    page, before it changes a record."""
+    wget = BTree._wget
+
+    def failing(tree, page_id):
+        page = wget(tree, page_id)
+        if tree._cow:
+            monkeypatch.setattr(BTree, "_wget", wget)
+            raise Boom(f"after cloning page {page_id}")
+        return page
+
+    monkeypatch.setattr(BTree, "_wget", failing)
+
+
+def _after_a_failed_write(session, write, monkeypatch) -> list[str]:
+    """Fail one write between clone and publish under a reader's pin,
+    write again, unpin; list what was left behind."""
+    sql, rows = WRITES[write]
+    table = session.db.tables["t"]
+    table.insert_many([(1000, 0, 0.0)])  # clones only once it is pinned
+    reader = table.pin_snapshot()
+    _clone_then_raise(monkeypatch)
+    with pytest.raises(Boom):
+        session.execute(sql)
+    found = []
+    if table._tree._wv is not None:
+        found.append(f"write scope still open at {table._tree._wv}")
+    try:
+        if session.execute(sql) != rows - ROWS and write == "insert":
+            found.append("the next insert lost rows")
+    except Exception as exc:  # noqa: BLE001 - reported, not raised
+        found.append(f"the next {write} raised {exc!r}")
+    (n,), _metrics = session.query("SELECT COUNT(*) FROM t")
+    if n != rows + 1:
+        found.append(f"{n} rows after the next {write}, not {rows + 1}")
+    if sum(1 for _ in reader.scan()) != ROWS + 1:
+        found.append("the pinned reader's rows changed")
+    reader.unpin(session.db.pool)
+    history = session.db.pagefile._history
+    if history:
+        found.append(f"history left for pages {sorted(history)}")
+    return found
+
+
+@pytest.mark.parametrize("write", list(WRITES))
+def test_a_write_failing_between_clone_and_publish_leaves_nothing(
+        session, write, monkeypatch):
+    assert _after_a_failed_write(session, write, monkeypatch) == []
+
+
+@pytest.mark.parametrize("write", list(WRITES))
+def test_the_checks_catch_an_end_write_outside_finally(session, write,
+                                                       monkeypatch):
+    scope = mutated(table_module,
+                    "        try:\n"
+                    "            yield\n"
+                    "        finally:\n"
+                    "            cow = tree.end_write()\n"
+                    "            with self._pin_lock:\n"
+                    "                self._cow_pids |= cow\n",
+                    "        yield\n"
+                    "        cow = tree.end_write()\n"
+                    "        with self._pin_lock:\n"
+                    "            self._cow_pids |= cow\n"
+                    ).Table._write_scope
+    monkeypatch.setattr(Table, "_write_scope", scope)
+    found = _after_a_failed_write(session, write, monkeypatch)
+    assert found and found[0].startswith("write scope still open")

@@ -109,7 +109,7 @@ def test_array_merge_is_the_python_fold(case):
     assert bits(array_merge(aggregates, wired, 123)) == want
     after = [w.encode() for w in wired]
     assert [(t, [bytes(b) for b in bs]) for t, bs in before] == \
-        [(t, [bytes(b) for b in bs]) for t, bs in after]   # RS401: pure
+        [(t, [bytes(b) for b in bs]) for t, bs in after]   # pure
 
 
 def shards_of(groups, values_per_group, shards=3, make=float):

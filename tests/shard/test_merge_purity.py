@@ -1,20 +1,18 @@
 """The coordinator's merge leaves its arguments alone.
 
-``shard/merge.py`` promises pure functions (replint's RS401 checks the
-``merge_*`` names by reading them): the router hands them the shards'
-decoded replies and may read those again — for a retry, a metrics line
-or the next merge — so a merge that consumed or rewrote its input
-would answer the next question wrongly.  Each test calls one function
+``shard/merge.py`` promises pure functions: the router hands them the
+shards' decoded replies and may read those again — for a retry, a
+metrics line or the next merge — so a merge that consumed or rewrote
+its input would answer the next question wrongly.  Each test calls one function
 and compares every argument, pickled, with its pickle from before the
 call: bit for bit, floats and NumPy buffers included.
 
-``test_a_merge_that_clears_its_input_is_caught`` runs RS401's own
-seeded mutation (``merge_scalar_states`` clearing the list of shard
-states it folded, from ``tests/analysis/test_mutations.py``) on an
-in-memory copy of ``shard/merge.py`` and shows the check fails on it.
+``test_a_merge_that_clears_its_input_is_caught`` runs an in-memory copy
+of ``shard/merge.py`` whose ``merge_scalar_states`` clears the list of
+shard states it folded (the checkout is never written) and shows the
+check fails on it.
 """
 
-import os
 import pickle
 import struct
 
@@ -24,6 +22,7 @@ from repro.engine.executor import Avg, Count, Max, Min, Sum
 from repro.engine.metrics import QueryMetrics
 from repro.server.columnar import Columns
 from repro.shard import merge
+from tests.mutation import mutated
 
 QUIET_NAN, SIGNALLING_NAN = struct.unpack("<2d", struct.pack(
     "<2Q", 0x7FF8_0000_DEAD_BEEF, 0x7FF0_0000_0000_0001))
@@ -110,23 +109,14 @@ def test_finalize_grouped(shards):
 
 
 def _merge_that_clears_its_input():
-    """``merge_scalar_states`` from a copy of ``shard/merge.py`` with
-    RS401's seeded mutation applied."""
-    path = merge.__file__
-    with open(path, encoding="utf-8") as f:
-        text = f.read()
-    old = ("        merged.append(state)\n"
-           "    return merged\n")
-    new = ("        merged.append(state)\n"
-           "    shard_states.clear()\n"
-           "    return merged\n")
-    assert text.count(old) == 1, "mutation anchor drifted"
-    namespace = {"__name__": merge.__name__,
-                 "__package__": merge.__package__,
-                 "__file__": path}
-    exec(compile(text.replace(old, new), os.path.basename(path), "exec"),
-         namespace)
-    return namespace["merge_scalar_states"]
+    """``merge_scalar_states`` from a copy of ``shard/merge.py`` that
+    clears the list of shard states it folded."""
+    return mutated(merge,
+                   "        merged.append(state)\n"
+                   "    return merged\n",
+                   "        merged.append(state)\n"
+                   "    shard_states.clear()\n"
+                   "    return merged\n").merge_scalar_states
 
 
 def test_a_merge_that_clears_its_input_is_caught():

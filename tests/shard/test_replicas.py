@@ -264,3 +264,81 @@ def test_whole_replica_set_dead_is_typed_unavailable(duo):
     # The other shard still answers point reads it owns.
     got = router.execute("SELECT COUNT(*) FROM t WHERE id = 3")
     assert got["rows"][0][0] == 1
+
+
+# -- the coordinator routes and merges: no pages, no re-planning ------------
+
+def test_the_coordinator_reads_no_page(duo):
+    """Scatter, relay and failover statements through a coordinator
+    leave its catalog mirror's buffer pool untouched: pages belong to
+    the shard processes."""
+    router = duo["router"]
+    router.execute("CREATE TABLE tb (id BIGINT PRIMARY KEY, "
+                   "m VARBINARY(MAX))")
+    payload = SqlArray.from_numpy(
+        np.random.default_rng(3).random((60, 60))).to_blob()
+    assert router.insert_rows("tb", [(5, payload)]) == 1
+    blob_sql = "SELECT MAX(m) FROM tb WHERE id = 5"
+    coordinator = ShardServer(router, ServerConfig(name="coord-pages"))
+    with ServerThread(server=coordinator) as handle:
+        with ArrayClient("127.0.0.1", handle.port) as client:
+            for sql in FIXED_QUERIES:  # scatter, warming every link
+                client.query(sql)
+            assert client.query_blob(blob_sql).data == bytes(payload)
+            duo["fleet"].kill(0, replica=0)
+            duo["fleet"].kill(1, replica=0)
+            for _ in range(2):  # both replicas' turns: a failover
+                for sql in FIXED_QUERIES:
+                    client.query(sql)
+                assert client.query_blob(blob_sql).data == bytes(payload)
+    assert router.health()["failovers"] >= 1
+    counters = router.catalog.pool.snapshot_counters()
+    assert (counters.logical_reads, counters.physical_reads) == (0, 0)
+    assert router.catalog.pool.cached_pages == 0
+
+
+def test_failover_replays_the_request_without_replanning(duo, reference,
+                                                        monkeypatch):
+    """A replica SIGKILLed under warm links fails the next statements
+    over to its sibling; the replay ships the planned request again and
+    calls the planner zero times."""
+    router = duo["router"]
+    failing_over = []
+    replans = []
+
+    def failover(name):
+        original = getattr(router, name)
+
+        def call(*args, **kwargs):
+            failing_over.append(name)
+            try:
+                return original(*args, **kwargs)
+            finally:
+                failing_over.pop()
+
+        monkeypatch.setattr(router, name, call)
+
+    def planner(owner, name):
+        original = getattr(owner, name)
+
+        def call(*args, **kwargs):
+            if failing_over:
+                replans.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, call)
+
+    failover("_failover_read")
+    failover("_failover_relay")
+    planner(router, "prepare")
+    planner(router.session, "plan_select")
+    planner(router.session, "prepare")
+    for sql in FIXED_QUERIES[:2]:  # warm the links to every replica
+        router.execute(sql)
+    duo["fleet"].kill(0, replica=0)
+    for sql in FIXED_QUERIES:
+        want = normalize(reference.query(sql))
+        got = router.execute(sql)
+        assert bits([tuple(r) for r in got["rows"]]) == bits(want)
+    assert router.health()["failovers"] >= 1
+    assert replans == []
