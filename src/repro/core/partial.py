@@ -169,7 +169,7 @@ def read_header(stream: BlobStream) -> ArrayHeader:
     validated against ``stream.length()``.
     """
     prefix = stream.read_at(0, min(_HEADER_PREFIX, stream.length()))
-    if peek_storage_class(prefix) == STORAGE_MAX:
+    if peek_storage_class(prefix) == STORAGE_MAX and len(prefix) >= 8:
         need = max_header_size(struct.unpack_from("<I", prefix, 4)[0])
         if need > len(prefix):
             prefix += stream.read_at(len(prefix), need - len(prefix))

@@ -112,6 +112,13 @@ class Page:
         return len(self._slots)
 
     @property
+    def record_bytes(self) -> int:
+        """Bytes of the records themselves (garbage not counted)."""
+        if self._dense >= 0:
+            return len(self._body)
+        return sum(length for _offset, length in self._slots)
+
+    @property
     def used_bytes(self) -> int:
         """Bytes consumed, header and slot array included."""
         return (PAGE_HEADER_SIZE + len(self._body)

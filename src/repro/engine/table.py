@@ -762,7 +762,8 @@ class Table:
             yield self._decode_row(key, payload)
 
     def scan_batches(self, pool: BufferPool | None = None,
-                     batch_pages: int | None = None) -> Iterator:
+                     batch_pages: int | None = None,
+                     columns: bool = True) -> Iterator:
         """Clustered index scan yielding columnar
         :class:`~repro.engine.vectorized.RowBatch` chunks.
 
@@ -770,20 +771,23 @@ class Table:
         charged to the pool exactly as :meth:`scan` charges them (the
         descent, then every leaf once, in chain order), so a batch scan
         and a row scan of the same table produce identical IO counters.
+        ``columns=False``: the caller reads no column, and each batch
+        is :meth:`~repro.engine.vectorized.RowBatch.counted`.
         """
-        return _scan_batches(self, self._tree, pool, batch_pages)
+        return _scan_batches(self, self._tree, pool, batch_pages, columns)
 
 
 def _scan_batches(table: Table, tree, pool: BufferPool | None,
-                  batch_pages: int | None) -> Iterator:
+                  batch_pages: int | None, columns: bool) -> Iterator:
     """Leaf runs of ``tree`` (the table's live tree or a pinned
     version's reader) decoded into ``RowBatch``es of ``table``."""
     from .vectorized import DEFAULT_BATCH_PAGES, RowBatch
 
     if batch_pages is None:
         batch_pages = DEFAULT_BATCH_PAGES
+    make = RowBatch.from_pages if columns else RowBatch.counted
     for pages in tree.scan_leaf_batches(pool, batch_pages=batch_pages):
-        batch = RowBatch.from_pages(table, pages)
+        batch = make(table, pages)
         if batch.n:
             yield batch
 
@@ -878,7 +882,9 @@ class TableSnapshot:
             yield self.table.decode(key, payload)
 
     def scan_batches(self, pool: BufferPool | None = None,
-                     batch_pages: int | None = None) -> Iterator:
+                     batch_pages: int | None = None,
+                     columns: bool = True) -> Iterator:
         """Columnar scan of the pinned version; IO charges match
         :meth:`Table.scan_batches` page for page."""
-        return _scan_batches(self.table, self._reader, pool, batch_pages)
+        return _scan_batches(self.table, self._reader, pool, batch_pages,
+                             columns)

@@ -52,6 +52,7 @@ from .table import MaxBlobHandle, Table, _layout, _TableLayout
 __all__ = [
     "DEFAULT_BATCH_PAGES",
     "RowBatch",
+    "same_rows",
     "BatchContext",
     "eval_node",
     "binop_batch",
@@ -95,6 +96,21 @@ def _row_bytes(matrix: np.ndarray) -> list:
     return matrix.view(f"V{matrix.shape[1]}").ravel().tolist()
 
 
+def same_rows(matrix: np.ndarray) -> bool:
+    """Whether every row of an ``(n, w)`` ``uint8`` matrix, ``n > 0``
+    — strided rows, as a band of a record matrix is — equals row 0.
+    Each full 8-byte word is compared down the rows as one strided
+    ``<u8`` lane, then each byte of the tail as a ``uint8`` lane:
+    ``w // 8 + w % 8`` compares of ``n`` lanes, no ``(n, w)``
+    temporary."""
+    width = matrix.shape[1]
+    words = width - width % 8
+    lanes = [matrix[:, i:i + 8].view("<u8")[:, 0]
+             for i in range(0, words, 8)]
+    lanes += [matrix[:, i] for i in range(words, width)]
+    return not any((lane != lane[0]).any() for lane in lanes)
+
+
 class RowBatch:
     """A run of clustered-index rows decoded column-at-a-time.
 
@@ -102,16 +118,19 @@ class RowBatch:
     run has the same length it holds them as one ``(n, L)`` ``uint8``
     *record matrix* (key bytes first, then the payload) and every
     column is a strided slice of it; otherwise it holds the per-row
-    payload ``bytes`` and decodes through whole-row tuples.
+    payload ``bytes`` and decodes through whole-row tuples.  A
+    *counted* batch (:meth:`counted`) holds neither: only ``n`` and
+    ``payload_bytes``, for a statement that reads no column.
 
     Attributes:
         table: The owning table.
         keys: Primary keys as an int64 array.
         n: Number of rows in the batch.
+        payload_bytes: The rows' payload bytes (keys not counted).
     """
 
-    __slots__ = ("table", "keys", "n", "_records", "_payloads",
-                 "_columns", "_tuples")
+    __slots__ = ("table", "keys", "n", "payload_bytes", "_records",
+                 "_payloads", "_columns", "_tuples")
 
     def __init__(self, table: "Table", keys=None,
                  payloads: list[bytes] | None = None, *,
@@ -122,11 +141,26 @@ class RowBatch:
         if records is not None:
             self.n = len(records)
             self.keys = self._field(0, np.dtype("<i8"))
+            self.payload_bytes = self.n * (records.shape[1]
+                                           - _KEY_STRUCT.size)
         else:
             self.n = len(payloads)
             self.keys = np.asarray(keys, dtype=np.int64)
+            self.payload_bytes = sum(map(len, payloads))
         self._columns: dict[str, tuple] = {}
         self._tuples: list[tuple] | None = None
+
+    @classmethod
+    def counted(cls, table: "Table", pages) -> "RowBatch":
+        """A run of leaf pages as a row count and payload bytes only,
+        from each page's slot count and record bytes: what a statement
+        that reads no column (``COUNT(*)`` without ``WHERE``) needs of
+        a batch.  No page body is joined and no column can be read."""
+        batch = cls(table, (), [])
+        batch.n = sum(page.slot_count for page in pages)
+        batch.payload_bytes = sum(page.record_bytes for page in pages) \
+            - batch.n * _KEY_STRUCT.size
+        return batch
 
     @classmethod
     def from_pages(cls, table: "Table", pages) -> "RowBatch":
@@ -173,12 +207,6 @@ class RowBatch:
                 self._records[:, _KEY_STRUCT.size:]))
         return self._payloads
 
-    @property
-    def payload_bytes(self) -> int:
-        if self._records is not None:
-            return self.n * (self._records.shape[1] - _KEY_STRUCT.size)
-        return sum(len(p) for p in self._payloads)
-
     # -- decoding ----------------------------------------------------------
 
     def _field(self, offset: int, dt: np.dtype) -> np.ndarray:
@@ -201,9 +229,9 @@ class RowBatch:
         Fixed-width columns come back as numeric arrays (zeros in NULL
         lanes, flagged by the mask), and so does a record-matrix batch's
         in-row binary column whose cells share one size > 0: one
-        ``V{size}`` array over its ``(n, size)`` byte matrix.  Other
-        variable columns are object arrays of ``bytes`` /
-        :class:`MaxBlobHandle` / ``None``.
+        ``V{size}`` array, a strided view of the column's bytes in the
+        record matrix.  Other variable columns are object arrays of
+        ``bytes`` / :class:`MaxBlobHandle` / ``None``.
         """
         got = self._columns.get(name)
         if got is not None:
@@ -245,17 +273,18 @@ class RowBatch:
                              ) -> dict | None:
         """All rows share one shape: every size field and
         ``varbinary(max)`` flag equals row 0's, so each value sits at
-        the same offset in every record and a column is one matrix
-        slice.  Returns ``None`` as soon as a row disagrees."""
+        the same offset in every record and a column is one strided
+        view of the record matrix.  Returns ``None`` as soon as a row
+        disagrees."""
         records = self._records
         store = self.table._blob_store
         pos = layout.var_offset
         outs = {}
         for name, _slot, typ in layout.var:
             head = 2 if typ == "varbinary" else 3
-            prefix = records[0, pos:pos + head]
-            if (records[:, pos:pos + head] != prefix).any():
+            if not same_rows(records[:, pos:pos + head]):
                 return None
+            prefix = records[0, pos:pos + head]
             if typ == "varbinary_max" and prefix[0]:
                 ptrs = self._field(pos + 3, np.dtype("<i4")).tolist()
                 sizes = self._field(pos + 7, np.dtype("<i8")).tolist()
@@ -267,8 +296,7 @@ class RowBatch:
             pos += head
             size = int(prefix[-2]) | int(prefix[-1]) << 8
             if size:
-                outs[name] = np.ascontiguousarray(
-                    records[:, pos:pos + size]).view(f"V{size}").ravel()
+                outs[name] = self._field(pos, np.dtype(f"V{size}"))
             else:  # no void dtype is 0 bytes wide
                 cells = np.full(self.n, b"", dtype=object)
                 cells[masks[name]] = None
@@ -725,12 +753,17 @@ def scan_aggregate(table: "Table", pool: "BufferPool",
     """Vectorized ``SELECT aggs FROM table [WHERE ...]`` scan body.
 
     Returns ``(states, rows, payload_bytes)`` with ``rows`` counting
-    every scanned row (pre-WHERE), exactly like the row engine.
+    every scanned row (pre-WHERE), exactly like the row engine.  A
+    statement that reads no column — only ``COUNT(*)``, no ``WHERE`` —
+    scans counted batches (:meth:`RowBatch.counted`).
     """
     states = [agg.start() for agg in aggregates]
     rows = 0
     payload_bytes = 0
-    for batch in table.scan_batches(pool, batch_pages=batch_pages):
+    columns = where is not None or any(
+        agg.expr is not None for agg in aggregates)
+    for batch in table.scan_batches(pool, batch_pages=batch_pages,
+                                    columns=columns):
         rows += batch.n
         payload_bytes += batch.payload_bytes
         ctx.batch = batch

@@ -373,10 +373,12 @@ class ArrayServer:
             pass  # the peer (or stop()) hung up; nothing to answer
         finally:
             self._connection_ended()
+            # Closed before the session is reported closed: whoever
+            # sees ``sessions_active`` fall sees the socket gone too.
+            conn.sock.close()
             self.stats.session_closed(session_id)
             with self._connections_lock:
                 self._connections.discard(conn)
-            conn.sock.close()
 
     def _connection_ended(self) -> None:
         """Called on a connection thread as it ends, before its socket

@@ -38,6 +38,7 @@ import numpy as np
 from ..core import ops as _ops
 from ..core.header import STORAGE_SHORT, decode_header, encode_header
 from ..core.sqlarray import SqlArray
+from ..engine.vectorized import same_rows
 from ..mathlib import fftw as _fftw
 from ..mathlib import lapack as _lapack
 from ..mathlib.nnls import nnls_arrays as _nnls_arrays
@@ -158,15 +159,14 @@ def _same_header_matrix(blobs, data_offset: int) -> np.ndarray | None:
     length sharing its first ``data_offset`` (header) bytes.
 
     A ``V{size}`` column (what the batch decoder makes of a fixed-size
-    blob column) is that matrix already, validated with a single
-    compare; an object column's cells are checked one by one and
-    joined.
+    blob column) is that matrix already — read in place, strided as
+    the column is — with its headers compared word by word
+    (:func:`~repro.engine.vectorized.same_rows`); an object column's
+    cells are checked one by one and joined.
     """
     if blobs.dtype.kind == "V":
-        matrix = blobs.view(np.uint8).reshape(len(blobs), -1)
-        if (matrix[:, :data_offset] != matrix[0, :data_offset]).any():
-            return None
-        return matrix
+        matrix = blobs[:, None].view(np.uint8)
+        return matrix if same_rows(matrix[:, :data_offset]) else None
     first = blobs[0]
     length = len(first)
     prefix = first[:data_offset]

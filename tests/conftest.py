@@ -1,5 +1,7 @@
 """Shared fixtures and hypothesis strategies for the test suite."""
 
+import threading
+import time
 import weakref
 
 import numpy as np
@@ -21,6 +23,40 @@ def read_frame(sock):
     if frames is None:
         frames = _FRAMES[sock] = FrameBuffer()
     return frames.read(sock.recv)
+
+
+def settles(probe, want, seconds=10.0):
+    """Poll ``probe()`` until it returns ``want`` (connection threads
+    end asynchronously after their client closes)."""
+    deadline = time.monotonic() + seconds
+    while probe() != want and time.monotonic() < deadline:
+        time.sleep(0.02)
+    return probe()
+
+
+def connection_threads() -> int:
+    return sum(t.name == "repro-connection" for t in threading.enumerate())
+
+
+def sockets_at_session_close(server) -> list:
+    """Record, as each connection thread reports its session closed,
+    its socket's ``fileno()`` (-1 once the socket is closed)."""
+    conns = {}
+    serve = server._serve_connection
+    session_closed = server.stats.session_closed
+    filenos = []
+
+    def tracked(conn):
+        conns[threading.get_ident()] = conn
+        serve(conn)
+
+    def closing(session_id):
+        filenos.append(conns[threading.get_ident()].sock.fileno())
+        session_closed(session_id)
+
+    server._serve_connection = tracked
+    server.stats.session_closed = closing
+    return filenos
 
 
 @pytest.fixture

@@ -9,7 +9,7 @@ never returns silently-wrong garbage from a malformed header.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import ArrayError, SqlArray, decode_header, ops
@@ -72,6 +72,7 @@ class TestRandomBytes:
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.binary(min_size=4, max_size=200))
+    @example(data=b"MA\x00\x00")  # a max header cut before its rank
     def test_stream_header_reads_reject_cleanly(self, data):
         try:
             read_header(BytesBlobStream(data))

@@ -24,6 +24,8 @@ from repro.engine.constants import PAGE_DATA
 from repro.engine.sqlfront import SqlSession
 from repro.engine import vectorized
 from repro.engine.vectorized import RowBatch, to_pylist
+from repro.server.columnar import Column as ColumnarColumn
+from repro.server.columnar import Columns
 from repro.tsql import FloatArray
 
 LEGACY_DB = os.path.join(os.path.dirname(__file__), "data",
@@ -243,13 +245,19 @@ def assert_same_column(got, want, label):
                    to_pylist(wv, wm, n))), label
 
 
-def assert_binary_matrix(values, size, n):
+def assert_binary_matrix(values, size, n, records=None):
     """A uniform in-row binary column: one ``V{size}`` array, a cell a
-    row, over a byte matrix of its own."""
+    row — a strided view of the batch's record matrix ``records``, or,
+    carried through ``compact`` (which gathers the cells), a byte
+    matrix of its own."""
     assert values.dtype == np.dtype(f"V{size}") and values.shape == (n,)
-    owner = values if values.base is None else values.base
-    assert isinstance(owner, np.ndarray) and owner.flags.owndata
-    assert values.view(np.uint8).reshape(n, size).shape == (n, size)
+    if records is not None:
+        assert np.shares_memory(values, records)
+        assert values.strides == (records.shape[1],)
+    else:
+        owner = values if values.base is None else values.base
+        assert isinstance(owner, np.ndarray) and owner.flags.owndata
+    assert values[:, None].view(np.uint8).shape == (n, size)
 
 
 def assert_batches_identical(table, pages):
@@ -258,6 +266,8 @@ def assert_batches_identical(table, pages):
     assert got.n == want.n
     assert got.keys.tolist() == want.keys.tolist()
     assert got.payload_bytes == want.payload_bytes
+    counted = RowBatch.counted(table, pages)  # what COUNT(*) scans
+    assert (counted.n, counted.payload_bytes) == (got.n, got.payload_bytes)
     # Columns first: they must decode without ``payloads`` having
     # been materialized.
     for col in table.columns:
@@ -315,8 +325,9 @@ class TestFromPagesShapes:
         assert len(pages) > 2 and all(p._dense > 0 for p in pages)
         batch = assert_batches_identical(table, pages)
         assert batch._records is not None
-        assert_binary_matrix(batch.column("b")[0], 24, 500)
-        assert_binary_matrix(batch.column("mb")[0], 100, 500)
+        assert_binary_matrix(batch.column("b")[0], 24, 500, batch._records)
+        assert_binary_matrix(batch.column("mb")[0], 100, 500,
+                             batch._records)
         kept = batch.compact(np.arange(500) % 2 == 0)
         assert_binary_matrix(kept.column("b")[0], 24, 250)
 
@@ -596,7 +607,8 @@ def test_a_kept_batch_does_not_pin_the_leaf(leaves):
         assert batch.column("x")[0].tobytes() == xs.tobytes()
         assert batch.column("b")[0].tolist() == bs
         assert batch.payloads == payloads
-        assert_binary_matrix(batch.column("b")[0], 24, rows)
+        assert_binary_matrix(batch.column("b")[0], 24, rows,
+                             batch._records)
     assert [r[0] for r in table.scan()] == sorted(
         set(keys.tolist()) - {4} | set(middles) | set(runs)
         | {key + 1 for key in middles} | {100_001})
@@ -643,3 +655,92 @@ def test_q4_and_q5_build_no_bytes_cells(monkeypatch):
     assert made == []
     size = len(FloatArray.Vector_5(0, 0, 0, 0, 0))
     assert cached and set(cached) == {np.dtype(f"V{size}")}
+
+
+# -- a statement that reads no column joins no page --------------------------
+
+
+@pytest.mark.parametrize("sql, joins", [
+    ("SELECT COUNT(*) FROM t", False),
+    ("SELECT COUNT(*), COUNT(*) FROM t", False),
+    ("SELECT COUNT(*) FROM t WHERE x > 0", True),
+    ("SELECT COUNT(*), SUM(x) FROM t", True),
+    ("SELECT k, COUNT(*) FROM t GROUP BY k", True),
+])
+def test_count_star_scans_counted_batches(monkeypatch, sql, joins):
+    db, table = make_table()
+    rng = random.Random(10)
+    table.insert_many([row(i, rng) for i in range(3000)])
+    for key in range(0, 3000, 7):  # holed leaves: no dense marker
+        table.delete(key)
+    session = SqlSession(db)
+    want = session.query(sql, engine="row")
+    blocks = []
+    record_block = Page.record_block
+    monkeypatch.setattr(Page, "record_block",
+                        lambda page: blocks.append(page)
+                        or record_block(page))
+    got = session.query(sql, engine="vector")
+    assert got[0] == want[0]
+    assert want[1].rows == 3000 - 429
+    # Same rows, payload bytes (in the CPU charge) and page reads.
+    got, want = got[1].to_dict(), want[1].to_dict()
+    for key in ("wall_seconds", "engine"):
+        del got[key], want[key]
+    assert got == want
+    assert bool(blocks) == joins
+
+
+# -- no state kept past a batch is a view of its record matrix ---------------
+
+
+def arrays_in(obj):
+    """Every NumPy array an object holds (wire columns, nested)."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, Columns):
+        yield from arrays_in(obj.columns)
+    elif isinstance(obj, ColumnarColumn):
+        for part in (obj.values, obj.sizes, obj.nulls):
+            yield from arrays_in(part)
+    elif isinstance(obj, (list, tuple)):
+        for item in obj:
+            yield from arrays_in(item)
+
+
+@pytest.mark.parametrize("sql", [
+    "SELECT id, SUM(FloatArray.Item_1(v, 0)), MAX(v), COUNT(*) FROM t "
+    "WHERE id > 5 GROUP BY id",
+    "SELECT k, AVG(FloatArray.Item_1(v, 2)), MIN(v), MAX(x) FROM t "
+    "GROUP BY k",
+])
+def test_no_state_kept_past_a_batch_views_its_records(monkeypatch, sql):
+    db = Database()
+    table = db.create_table(
+        "t", [Column("id", "bigint"), Column("x", "float"),
+              Column("k", "int"), Column("v", "varbinary", cap=400)])
+    rng = np.random.default_rng(11)
+    table.insert_many([
+        (i, float(rng.standard_normal()), i % 5,
+         FloatArray.Vector([float(x) for x in rng.standard_normal(35)]))
+        for i in range(4000)])
+    seen = []
+    init = RowBatch.__init__
+
+    def spy(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        if self._records is not None:
+            seen.append(self._records)
+
+    monkeypatch.setattr(RowBatch, "__init__", spy)
+    groups = SqlSession(db).query_partial(sql, engine="vector")["groups"]
+    assert len(seen) >= 3  # several batches, compacted ones too
+    kept = list(groups._keys.parts)
+    for column in groups.columns:
+        values = getattr(column, "_values", None)  # a count has none
+        kept += column._counts.parts + ([] if values is None
+                                        else values.parts)
+    kept += arrays_in(Columns.from_group_arrays(*groups.arrays()))
+    assert kept
+    assert not [a for a in kept for records in seen
+                if np.shares_memory(a, records)]

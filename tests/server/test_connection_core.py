@@ -24,7 +24,8 @@ from repro.server import server as server_module
 from repro.server.client import QueryTimeoutError
 from repro.server.protocol import write_frame_sock
 from repro.server.server import _Connection, _Watchdog
-from tests.conftest import read_frame
+from tests.conftest import (connection_threads, read_frame, settles,
+                            sockets_at_session_close)
 
 COUNT_SQL = "SELECT COUNT(*) FROM Tone WITH (NOLOCK)"
 
@@ -50,15 +51,6 @@ def pexec(sql: str = COUNT_SQL) -> bytes:
                                   "cold": False})
 
 
-def settles(probe, want, seconds=10.0):
-    """Poll ``probe()`` until it returns ``want`` (connection threads
-    end asynchronously after their client closes)."""
-    deadline = time.monotonic() + seconds
-    while probe() != want and time.monotonic() < deadline:
-        time.sleep(0.02)
-    return probe()
-
-
 # -- (a) connections leave nothing behind ------------------------------------
 
 def test_connection_churn_leaks_no_thread_fd_or_session():
@@ -67,6 +59,7 @@ def test_connection_churn_leaks_no_thread_fd_or_session():
             c.query(COUNT_SQL)  # starts the server's watchdog thread
         sessions = handle.server.stats.snapshot
         assert settles(lambda: sessions()["sessions_active"], 0) == 0
+        assert settles(connection_threads, 0) == 0
         threads = threading.active_count()
         fds = len(os.listdir("/proc/self/fd"))
 
@@ -84,6 +77,19 @@ def test_connection_churn_leaks_no_thread_fd_or_session():
         assert settles(lambda: len(os.listdir("/proc/self/fd")),
                        fds) == fds
         assert sessions()["sessions_opened"] == 221
+
+
+def test_a_session_is_reported_closed_after_its_socket_closes():
+    server = server_module.ArrayServer(make_db())
+    filenos = sockets_at_session_close(server)
+    with ServerThread(server=server) as handle:
+        for _ in range(5):
+            with ArrayClient("127.0.0.1", handle.port) as c:
+                assert c.query(COUNT_SQL).scalar() == 1
+        sock = connect(handle.port)
+        sock.close()  # a client that hangs up unasked
+        assert settles(lambda: len(filenos), 6) == 6
+    assert filenos == [-1] * 6
 
 
 # -- (b) stop() wakes everything, within its bound ---------------------------

@@ -5,7 +5,6 @@ coordinator's plan cache is bounded."""
 
 import os
 import socket
-import threading
 import time
 from unittest import mock
 
@@ -19,7 +18,8 @@ from repro.server.client import QueryTimeoutError
 from repro.server.protocol import write_frame_sock
 from repro.server.server import ServerConfig, ServerThread
 from repro.shard import ShardConfig, ShardFleet, ShardRouter, ShardServer
-from tests.conftest import read_frame
+from tests.conftest import (connection_threads, read_frame, settles,
+                            sockets_at_session_close)
 
 BLOB_SQL = "SELECT MAX(m) FROM tb WHERE id = 5"
 
@@ -32,18 +32,6 @@ def sleep_udf(seconds):
 def setup_sleep(session):
     """Module-level: pickled into the spawn-context shard processes."""
     session.register_function("dbo.Sleep", sleep_udf, body_cost="empty")
-
-
-def settles(probe, want, seconds=10.0):
-    """Poll ``probe()`` until it returns ``want``."""
-    deadline = time.monotonic() + seconds
-    while probe() != want and time.monotonic() < deadline:
-        time.sleep(0.02)
-    return probe()
-
-
-def connection_threads() -> int:
-    return sum(t.name == "repro-connection" for t in threading.enumerate())
 
 
 @pytest.fixture(scope="module")
@@ -189,6 +177,7 @@ def test_a_client_connections_replica_links_close_with_it(cluster):
             c.query("SELECT SUM(v) FROM tl")  # starts the watchdog
         sessions = handle.server.stats.snapshot
         assert settles(lambda: sessions()["sessions_active"], 0) == 0
+        assert settles(connection_threads, 0) == 0
         fds = len(os.listdir("/proc/self/fd"))
         baseline = settles(shard_sessions, shard_sessions())
         for _ in range(50):
@@ -199,6 +188,22 @@ def test_a_client_connections_replica_links_close_with_it(cluster):
                        fds) == fds
         assert settles(shard_sessions, baseline) == baseline
     router.execute("DROP TABLE tl")
+
+
+def test_a_coordinator_session_is_reported_closed_after_its_socket(
+        cluster):
+    router = cluster
+    router.execute("CREATE TABLE ts (id BIGINT PRIMARY KEY, v FLOAT)")
+    router.insert_rows("ts", [(1, 0.5), (60, 1.5)])
+    coordinator = ShardServer(router, ServerConfig())
+    filenos = sockets_at_session_close(coordinator)
+    with ServerThread(server=coordinator) as handle:
+        for _ in range(5):
+            with ArrayClient("127.0.0.1", handle.port) as c:
+                assert c.query("SELECT SUM(v) FROM ts").scalar() == 2.0
+        assert settles(lambda: len(filenos), 5) == 5
+    assert filenos == [-1] * 5
+    router.execute("DROP TABLE ts")
 
 
 # -- bounded plan caches -----------------------------------------------------
