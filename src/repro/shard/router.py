@@ -8,8 +8,8 @@ against the coordinator's catalog mirror
 uses) and then routed:
 
 * point SELECT / point DELETE — the one shard owning the key;
-* key-range SELECT (``pk >= a AND pk < b``) — the shards whose slices
-  intersect ``[a, b)`` (range partitioning);
+* key-range SELECT / DELETE (``pk >= a AND pk < b``) — the shards
+  whose slices intersect ``[a, b)`` (range partitioning);
 * everything else — scatter to all shards, gather, merge.
 
 Replication splits the two traffic classes:
@@ -36,8 +36,11 @@ states, and the coordinator folds them in shard order
 (:mod:`repro.shard.merge`), so float SUM/AVG match single-node
 execution bit for bit under range partitioning.
 
-Fault handling is typed, never hanging: each replica exchange is
-bounded by the link's request timeout and a :class:`RetryPolicy`; a
+Fault handling is typed, never hanging: every exchange with a replica
+— read, write or relay — goes through one send, one reply check and,
+for reads, one failover walk.  A replica gets ``max_retries + 1``
+attempts of at most the link's request timeout each (the scatter's
+first send is attempt 0; a relay gets one attempt per replica).  A
 replica set that stays dead or saturated surfaces as a
 ``WireError(SHARD_UNAVAILABLE)``, which :class:`ShardServer` answers
 as an error frame with that code.  Cross-shard writes that die halfway
@@ -134,6 +137,28 @@ def _normalize_addresses(addresses) -> list[list[tuple[str, int]]]:
                              "address")
         sets.append(replica_set)
     return sets
+
+
+def _rowcount(what: str, replies, dead) -> int:
+    """Rows a row write (``insert`` frames, DELETE) applied over the
+    shards in ``replies``.  When ``dead`` names lost replica sets, the
+    raised ``SHARD_UNAVAILABLE`` carries the partial progress in
+    ``detail``: rows applied per shard (``applied``), the shard ids
+    that applied (``applied_shards``), the dead ones
+    (``failed_shards``) and the total ``partial_rowcount``."""
+    applied = {str(shard_id): reply.get("rowcount", 0)
+               for shard_id, (reply, _b) in sorted(replies.items())}
+    partial = sum(applied.values())
+    if dead:
+        raise protocol.WireError(
+            protocol.SHARD_UNAVAILABLE,
+            f"{what} lost shard(s) {sorted(dead)} after {partial} "
+            f"row(s) were applied on shard(s) {sorted(replies)}",
+            detail={"applied": applied,
+                    "applied_shards": sorted(replies),
+                    "failed_shards": sorted(dead),
+                    "partial_rowcount": partial})
+    return partial
 
 
 class ShardRouter:
@@ -258,12 +283,10 @@ class ShardRouter:
         :meth:`Table.insert_many` fast path.  Returns rows inserted.
 
         When a whole replica set is dead the raised
-        ``WireError(SHARD_UNAVAILABLE)`` carries the partial-commit
-        report in ``detail``: rows actually applied per shard
-        (``applied``), the shard ids that committed
-        (``applied_shards``), the dead ones (``failed_shards``) and
-        the total ``partial_rowcount`` — a failed bulk load never
-        leaves the caller guessing which shards took their slice.
+        ``WireError(SHARD_UNAVAILABLE)`` carries the rows each shard
+        committed in ``detail`` (:func:`_rowcount`) — a failed bulk
+        load never leaves the caller guessing which shards took their
+        slice.
         """
         buckets: dict[int, list] = {}
         for row in rows:
@@ -283,22 +306,8 @@ class ShardRouter:
                               "rowcount": len(buckets[shard_id]),
                               "timeout": protocol.NO_TIMEOUT},
                              blobs))
-        replies, dead = self._scatter_write(requests)
-        if dead:
-            applied = {str(sid): reply.get("rowcount", 0)
-                       for sid, (reply, _b) in sorted(replies.items())}
-            partial = sum(applied.values())
-            raise protocol.WireError(
-                protocol.SHARD_UNAVAILABLE,
-                f"bulk insert into {table_name!r} lost shard(s) "
-                f"{sorted(dead)}: {partial} row(s) committed on "
-                f"shard(s) {sorted(replies)} before the failure",
-                detail={"applied": applied,
-                        "applied_shards": sorted(replies),
-                        "failed_shards": sorted(dead),
-                        "partial_rowcount": partial})
-        return sum(reply.get("rowcount", 0)
-                   for reply, _b in replies.values())
+        return _rowcount(f"bulk insert into {table_name!r}",
+                         *self._scatter_write(requests))
 
     def close(self) -> None:
         """Close the calling thread's replica links (each connection
@@ -532,12 +541,9 @@ class ShardRouter:
         table_name = _statement_table(tokens, "TABLE")
         self.session.execute(sql)
         self._invalidate_plans()
-        header = {"type": "query", "sql": sql, "cold": False,
-                  "timeout": protocol.NO_TIMEOUT}
-        requests = [(shard_id, header, ())
-                    for shard_id in range(self.partitioner.shards)]
         try:
-            replies, dead = self._scatter_write(requests)
+            replies, dead = self._write_sql(
+                sql, range(self.partitioner.shards))
         except BaseException:
             # A typed statement error (bad DDL reaching the shards
             # after passing the mirror, a shard's own SQL_ERROR):
@@ -571,11 +577,8 @@ class ShardRouter:
         self._invalidate_plans()
         if not applied:
             return
-        header = {"type": "query", "sql": f"DROP TABLE {table_name}",
-                  "cold": False, "timeout": protocol.NO_TIMEOUT}
         try:
-            self._scatter_write([(shard_id, header, ())
-                                 for shard_id in applied])
+            self._write_sql(f"DROP TABLE {table_name}", applied)
         except (protocol.WireError, protocol.ProtocolError, OSError):
             pass  # compensation is best-effort; the mirror is clean
 
@@ -587,11 +590,8 @@ class ShardRouter:
         reported rather than rolled back."""
         self.session.execute(sql)
         self._invalidate_plans()
-        header = {"type": "query", "sql": sql, "cold": False,
-                  "timeout": protocol.NO_TIMEOUT}
-        requests = [(shard_id, header, ())
-                    for shard_id in range(self.partitioner.shards)]
-        replies, dead = self._scatter_write(requests)
+        replies, dead = self._write_sql(sql,
+                                        range(self.partitioner.shards))
         if dead:
             raise protocol.WireError(
                 protocol.SHARD_UNAVAILABLE,
@@ -609,74 +609,36 @@ class ShardRouter:
                 "metrics": None}
 
     def _delete(self, sql: str, tokens) -> dict:
-        """Route a DELETE: the owning shard for a point predicate,
-        broadcast otherwise.  A broadcast that loses a whole replica
-        set after siblings already deleted rows surfaces the partial
-        progress — ``partial_rowcount`` and the shard ids that applied
-        — in the typed error's ``detail`` instead of silently
-        discarding it."""
-        key = self._point_delete_key(tokens)
-        if key is not None:
-            targets = [self.partitioner.shard_of(key)]
-        else:
-            targets = list(range(self.partitioner.shards))
-        header = {"type": "query", "sql": sql, "cold": False,
-                  "timeout": protocol.NO_TIMEOUT}
-        replies, dead = self._scatter_write(
-            [(shard_id, header, ()) for shard_id in targets])
-        if dead:
-            applied = {str(sid): reply.get("rowcount", 0)
-                       for sid, (reply, _b) in sorted(replies.items())}
-            partial = sum(applied.values())
-            raise protocol.WireError(
-                protocol.SHARD_UNAVAILABLE,
-                f"DELETE lost shard(s) {sorted(dead)} after "
-                f"{partial} row(s) were already deleted on shard(s) "
-                f"{sorted(replies)}",
-                detail={"applied": applied,
-                        "applied_shards": sorted(replies),
-                        "failed_shards": sorted(dead),
-                        "partial_rowcount": partial})
-        deleted = sum(reply.get("rowcount", 0)
-                      for reply, _b in replies.values())
+        """Route a DELETE the way a SELECT with the same WHERE routes:
+        to the shards owning the predicate's primary-key interval
+        (:meth:`SqlSession._pk_range`) — the one owner for a point, the
+        overlapped shards for a key range, every shard when the
+        predicate does not bound the key.  Losing a whole replica set
+        after other shards deleted rows surfaces their partial
+        progress in the typed error's ``detail`` (:func:`_rowcount`)."""
+        table, where = self.session._parse_delete(tokens)
+        pk_range = self.session._pk_range(table, where)
+        targets = self.partitioner.shards_for_range(
+            *(pk_range if pk_range is not None else (None, None)))
+        deleted = _rowcount("DELETE", *self._write_sql(sql, targets))
         return {"kind": "ok", "rows": [], "rowcount": deleted,
                 "metrics": None}
 
-    def _point_delete_key(self, tokens) -> int | None:
-        """Key of a ``DELETE FROM t WHERE pk = <int>`` statement (the
-        single-shard fast path), or None for any other shape."""
-        if len(tokens) != 8:
-            return None
-        kinds = [tok[0] for tok in tokens]
-        if kinds != ["kw", "kw", "name", "kw", "name", "op", "number",
-                     "eof"]:
-            return None
-        if (tokens[0][1], tokens[1][1], tokens[3][1],
-                tokens[5][1]) != ("DELETE", "FROM", "WHERE", "="):
-            return None
-        try:
-            table = self.session._resolve_table(tokens[2][1])
-        except SqlSyntaxError:
-            return None
-        pk = table.columns[0].name
-        if tokens[4][1].lower() != pk.lower():
-            return None
-        text = tokens[6][1]
-        if "." in text or "e" in text.lower():
-            return None
-        return int(text)
+    def _write_sql(self, sql: str, shard_ids):
+        """:meth:`_scatter_write` of one statement to every replica of
+        each shard in ``shard_ids``."""
+        header = {"type": "query", "sql": sql, "cold": False,
+                  "timeout": protocol.NO_TIMEOUT}
+        return self._scatter_write([(shard_id, header, ())
+                                    for shard_id in shard_ids])
 
     # -- the wire ------------------------------------------------------------
 
-    def _links(self) -> dict[tuple[int, int], ShardLink]:
+    def _link(self, replica: Replica) -> ShardLink:
+        """This thread's link to ``replica`` (made on first use)."""
         links = getattr(self._local, "links", None)
         if links is None:
-            links = {}
-            self._local.links = links
-        return links
-
-    def _link(self, replica: Replica) -> ShardLink:
-        links = self._links()
+            links = self._local.links = {}
         key = (replica.shard_id, replica.replica_id)
         link = links.get(key)
         if link is None:
@@ -688,6 +650,104 @@ class ShardRouter:
             links[key] = link
         return link
 
+    # -- one exchange: send, check, bounded retry ---------------------------
+
+    def _send(self, replica: Replica, header: dict, blobs=()) -> bool:
+        """Ship one request on this thread's link to ``replica``.  A
+        failed send closes the link (the next use reconnects) and
+        returns False."""
+        link = self._link(replica)
+        try:
+            link.send(header, blobs)
+        except (OSError, protocol.ProtocolError):
+            link.close()
+            return False
+        return True
+
+    def _check(self, replica: Replica, reply: dict) -> str | None:
+        """Sort one reply frame: None for an answer, the reason for a
+        ``SERVER_BUSY`` rejection.  Any other error frame is the
+        statement's own failure — deterministic on every replica — and
+        raises typed."""
+        if reply.get("type") != "error":
+            return None
+        code = reply.get("code")
+        if code == protocol.SERVER_BUSY:
+            return str(reply.get("message") or "replica busy")
+        raise protocol.WireError(
+            code or protocol.INTERNAL,
+            f"shard {replica.shard_id}: {reply.get('message', '')}",
+            detail=reply.get("detail"))
+
+    def _exchange_on(self, replica: Replica, header: dict, blobs,
+                     sent: bool | None = None
+                     ) -> tuple[dict, list[bytes]]:
+        """One request/reply against one replica: ``max_retries + 1``
+        attempts, with exponential backoff between them.
+
+        A failed send, a failed or timed-out receive and a
+        ``SERVER_BUSY`` rejection each cost one attempt.  ``sent`` is
+        the outcome of a split-phase send the caller already made on
+        this replica; it is attempt 0, so a replica gets the same
+        budget whichever path reached it.  After the last attempt the
+        *replica* is declared unavailable (:class:`_ReplicaUnavailable`)
+        — whether that fails the statement is the caller's call: reads
+        fail over to a sibling, writes mark the replica stale.
+        """
+        last = "no attempt made"
+        for attempt in range(self.retry.max_retries + 1):
+            if attempt:
+                time.sleep(self.retry.delay(attempt - 1))
+            if attempt or sent is None:
+                sent = self._send(replica, header, blobs)
+            if not sent:
+                last = "the request could not be sent"
+                continue
+            link = self._link(replica)
+            try:
+                reply, rblobs = link.recv()
+            except (OSError, protocol.ProtocolError) as exc:
+                link.close()
+                last = f"{type(exc).__name__}: {exc}"
+                continue
+            busy = self._check(replica, reply)
+            if busy is None:
+                return reply, rblobs
+            last = busy
+        raise _ReplicaUnavailable(
+            f"replica {replica.replica_id} ({replica.address}) of "
+            f"shard {replica.shard_id} unavailable after "
+            f"{self.retry.max_retries + 1} attempts: {last}")
+
+    def _failover(self, shard_id: int, candidates: Sequence[Replica],
+                  attempt: Callable[[Replica], object]):
+        """Walk one shard's read candidates (:meth:`_read_candidates`,
+        in order) until ``attempt`` on one of them returns.
+
+        Each replica ``attempt`` declares unavailable is marked
+        suspect; an answer from any but the first candidate counts a
+        failover.  The request is replayed as planned — failover never
+        re-plans.  Only when every candidate has failed does the shard
+        surface as ``SHARD_UNAVAILABLE`` — bounded, typed, never a
+        hang.
+        """
+        last = "no replica in rotation"
+        for index, replica in enumerate(candidates):
+            try:
+                result = attempt(replica)
+            except _ReplicaUnavailable as exc:
+                self._mark_suspect(replica)
+                last = str(exc)
+                continue
+            if index:
+                self._record_failover()
+            return result
+        raise protocol.WireError(
+            protocol.SHARD_UNAVAILABLE,
+            f"shard {shard_id} unavailable: all "
+            f"{len(self.replica_sets[shard_id])} replica(s) failed "
+            f"(last: {last})")
+
     # -- reads: one replica per shard, failover on loss ----------------------
 
     def _scatter_read(self, requests
@@ -697,138 +757,35 @@ class ShardRouter:
 
         Shards execute concurrently while the coordinator blocks on at
         most one reply at a time; gathering in shard order keeps the
-        merge fold deterministic.  Any failure on the chosen replica —
-        failed send, failed receive, ``SERVER_BUSY`` past the budget —
-        drops into :meth:`_failover_read`, which retries that replica
-        within the budget and then replays the identical request on
-        its siblings; the statement only fails when a whole replica
-        set is down.  A shard error frame with any other code is the
-        statement's own failure and propagates typed.  If anything
-        raises mid-gather, every link of this thread is closed so no
-        connection is left holding an unread reply.
+        merge fold deterministic.  Each gather is the chosen replica's
+        :meth:`_exchange_on`, with the fan-out's send as its attempt 0,
+        inside :meth:`_failover`, which replays the identical request
+        on a sibling; the statement only fails when a whole replica
+        set is down.  If anything raises mid-gather, every link of
+        this thread is closed so no connection is left holding an
+        unread reply.
         """
         try:
-            picked: list[Replica | None] = []
-            sent: list[bool] = []
+            sends = []
             for shard_id, header, blobs in requests:
                 candidates = self._read_candidates(shard_id)
-                replica = candidates[0] if candidates else None
-                picked.append(replica)
-                ok = False
-                if replica is not None:
-                    link = self._link(replica)
-                    try:
-                        link.send(header, blobs)
-                        ok = True
-                    except (OSError, protocol.ProtocolError):
-                        link.close()
-                sent.append(ok)
+                sent = self._send(candidates[0], header, blobs) \
+                    if candidates else None
+                sends.append((candidates, sent))
             replies = []
-            for index, (shard_id, header, blobs) in enumerate(requests):
-                replica = picked[index]
-                reply_pair = None
-                if replica is not None and sent[index]:
-                    link = self._link(replica)
-                    try:
-                        reply_pair = link.recv()
-                    except (OSError, protocol.ProtocolError):
-                        link.close()
-                if reply_pair is not None:
-                    reply, rblobs = reply_pair
-                    if reply.get("type") != "error":
-                        replies.append((shard_id, reply, rblobs))
-                        continue
-                    code = reply.get("code")
-                    if code != protocol.SERVER_BUSY:
-                        raise protocol.WireError(
-                            code or protocol.INTERNAL,
-                            f"shard {shard_id}: "
-                            f"{reply.get('message', '')}",
-                            detail=reply.get("detail"))
-                    # Busy: fall through to retry + failover.
-                reply, rblobs = self._failover_read(shard_id, header,
-                                                    blobs,
-                                                    first=replica)
+            for (shard_id, header, blobs), (candidates, sent) in \
+                    zip(requests, sends):
+                first = candidates[0] if candidates else None
+                reply, rblobs = self._failover(
+                    shard_id, candidates,
+                    lambda replica: self._exchange_on(
+                        replica, header, blobs,
+                        sent if replica is first else None))
                 replies.append((shard_id, reply, rblobs))
             return replies
         except BaseException:
             self.close()
             raise
-
-    def _failover_read(self, shard_id: int, header: dict, blobs,
-                       first: Replica | None = None
-                       ) -> tuple[dict, list[bytes]]:
-        """Walk one shard's replicas until a reply lands.
-
-        ``first`` (the fast path's round-robin pick, when it had one)
-        is retried through the bounded budget before its siblings so a
-        transient glitch never triggers a spurious failover; each
-        replica that exhausts its budget is marked suspect.  Only when
-        every non-stale replica has failed does the shard surface as
-        ``SHARD_UNAVAILABLE`` — bounded, typed, never a hang.
-        """
-        candidates = self._read_candidates(shard_id)
-        if first is not None:
-            candidates = [first] + [r for r in candidates
-                                    if r is not first]
-        last = "no replica in rotation"
-        any_failed = False
-        for replica in candidates:
-            try:
-                reply, rblobs = self._exchange_on(replica, header,
-                                                  blobs)
-            except _ReplicaUnavailable as exc:
-                self._mark_suspect(replica)
-                any_failed = True
-                last = str(exc)
-                continue
-            if any_failed:
-                self._record_failover()
-            return reply, rblobs
-        raise protocol.WireError(
-            protocol.SHARD_UNAVAILABLE,
-            f"shard {shard_id} unavailable: all "
-            f"{len(self.replica_sets[shard_id])} replica(s) failed "
-            f"(last: {last})")
-
-    def _exchange_on(self, replica: Replica, header: dict,
-                     blobs) -> tuple[dict, list[bytes]]:
-        """One request/reply against one replica with bounded retry.
-
-        Retries reconnectable failures (refused, reset, closed link,
-        timed-out reply) and ``SERVER_BUSY`` rejections with
-        exponential backoff.  After the cap the *replica* is declared
-        unavailable (:class:`_ReplicaUnavailable`) — whether that
-        fails the statement is the caller's call: reads fail over to a
-        sibling, writes mark the replica stale.
-        """
-        last = "no attempt made"
-        for attempt in range(self.retry.max_retries + 1):
-            if attempt:
-                time.sleep(self.retry.delay(attempt - 1))
-            link = self._link(replica)
-            try:
-                link.send(header, blobs)
-                reply, rblobs = link.recv()
-            except (OSError, protocol.ProtocolError) as exc:
-                link.close()
-                last = f"{type(exc).__name__}: {exc}"
-                continue
-            if reply.get("type") == "error":
-                code = reply.get("code")
-                if code == protocol.SERVER_BUSY:
-                    last = reply.get("message", "replica busy")
-                    continue
-                raise protocol.WireError(
-                    code or protocol.INTERNAL,
-                    f"shard {replica.shard_id}: "
-                    f"{reply.get('message', '')}",
-                    detail=reply.get("detail"))
-            return reply, rblobs
-        raise _ReplicaUnavailable(
-            f"replica {replica.replica_id} ({replica.address}) of "
-            f"shard {replica.shard_id} unavailable after "
-            f"{self.retry.max_retries + 1} attempts: {last}")
 
     # -- writes: every in-rotation replica, fan-in ---------------------------
 
@@ -836,8 +793,9 @@ class ShardRouter:
                        ) -> tuple[dict[int, tuple[dict, list[bytes]]],
                                   dict[int, str]]:
         """Write fan-out: ship each request to **every** non-stale
-        replica of its target shard (all sends first, then replies),
-        and reconcile per shard.
+        replica of its target shard (all sends first, then each
+        replica's :meth:`_exchange_on` in shard order), and reconcile
+        per shard.
 
         Returns ``(replies, dead)``: ``replies[shard_id]`` is the
         first successful replica's reply, ``dead[shard_id]`` the
@@ -851,79 +809,39 @@ class ShardRouter:
         replica.
         """
         try:
-            sends: list[tuple[int, Replica, bool]] = []
-            for shard_id, header, blobs in requests:
-                for replica in self._write_targets(shard_id):
-                    link = self._link(replica)
-                    ok = False
-                    try:
-                        link.send(header, blobs)
-                        ok = True
-                    except (OSError, protocol.ProtocolError):
-                        link.close()
-                    sends.append((shard_id, replica, ok))
-            outcomes: dict[int, dict[int, tuple[dict, list[bytes]]]] = {}
-            failures: dict[int, dict[int, str]] = {}
-            cursor = 0
-            for shard_id, header, blobs in requests:
-                outcomes.setdefault(shard_id, {})
-                failures.setdefault(shard_id, {})
-                while cursor < len(sends) and \
-                        sends[cursor][0] == shard_id:
-                    _sid, replica, ok = sends[cursor]
-                    cursor += 1
-                    reply_pair = None
-                    if ok:
-                        link = self._link(replica)
-                        try:
-                            reply_pair = link.recv()
-                        except (OSError, protocol.ProtocolError):
-                            link.close()
-                    if reply_pair is not None:
-                        reply, rblobs = reply_pair
-                        if reply.get("type") != "error":
-                            outcomes[shard_id][replica.replica_id] = \
-                                (reply, rblobs)
-                            continue
-                        code = reply.get("code")
-                        if code != protocol.SERVER_BUSY:
-                            raise protocol.WireError(
-                                code or protocol.INTERNAL,
-                                f"shard {shard_id}: "
-                                f"{reply.get('message', '')}",
-                                detail=reply.get("detail"))
-                        # Busy: bounded retry below.
-                    try:
-                        reply, rblobs = self._exchange_on(replica,
-                                                          header,
-                                                          blobs)
-                        outcomes[shard_id][replica.replica_id] = \
-                            (reply, rblobs)
-                    except _ReplicaUnavailable as exc:
-                        failures[shard_id][replica.replica_id] = \
-                            str(exc)
+            sends = [(shard_id, header, blobs, replica,
+                      self._send(replica, header, blobs))
+                     for shard_id, header, blobs in requests
+                     for replica in self._write_targets(shard_id)]
+            acked: dict[int, dict[int, tuple[dict, list[bytes]]]] = {
+                shard_id: {} for shard_id, _h, _b in requests}
+            failed: dict[int, dict[int, str]] = {
+                shard_id: {} for shard_id, _h, _b in requests}
+            for shard_id, header, blobs, replica, sent in sends:
+                try:
+                    acked[shard_id][replica.replica_id] = \
+                        self._exchange_on(replica, header, blobs, sent)
+                except _ReplicaUnavailable as exc:
+                    failed[shard_id][replica.replica_id] = str(exc)
             replies: dict[int, tuple[dict, list[bytes]]] = {}
             dead: dict[int, str] = {}
-            for shard_id, header, blobs in requests:
-                acked = outcomes.get(shard_id) or {}
-                failed = failures.get(shard_id) or {}
-                replica_set = self.replica_sets[shard_id]
-                if acked:
-                    first = min(acked)
-                    replies[shard_id] = acked[first]
-                    for replica in replica_set:
-                        if replica.replica_id in failed:
-                            # Missed a write a sibling committed.
-                            self._mark_stale(replica)
-                else:
-                    for replica in replica_set:
-                        if replica.replica_id in failed:
-                            # Nothing committed: the set is still
-                            # mutually consistent — reprobe may
-                            # revive these.
-                            self._mark_suspect(replica)
+            for shard_id, shard_acked in acked.items():
+                shard_failed = failed[shard_id]
+                if shard_acked:
+                    replies[shard_id] = shard_acked[min(shard_acked)]
+                for replica in self.replica_sets[shard_id]:
+                    if replica.replica_id not in shard_failed:
+                        continue
+                    if shard_acked:
+                        # Missed a write a sibling committed.
+                        self._mark_stale(replica)
+                    else:
+                        # Nothing committed: the set is still mutually
+                        # consistent — reprobe may revive these.
+                        self._mark_suspect(replica)
+                if not shard_acked:
                     dead[shard_id] = "; ".join(
-                        failed.values()) or "no replica in rotation"
+                        shard_failed.values()) or "no replica in rotation"
             return replies, dead
         except BaseException:
             self.close()
@@ -936,6 +854,7 @@ class ShardRouter:
         """Relay one ``bquery`` stream from the owning shard, chunk by
         chunk, through ``emit`` (never re-buffering the slice whole).
 
+        Each replica gets one try, through :meth:`_failover`.
         Failover is chunk-exact: if the serving replica dies
         mid-stream, the identical request replays on a sibling and the
         chunks the client already holds are *skipped* — chunking is
@@ -947,40 +866,24 @@ class ShardRouter:
 
         Returns ``{"chunks", "bytes", "metrics"}`` for the stats hooks.
         """
-        return self._failover_relay(shard_id, header, emit)
-
-    def _failover_relay(self, shard_id: int, header: dict,
-                        emit: Callable[[dict, list[bytes]], None]
-                        ) -> dict:
         relayed: list[int] = []  # payload size of each chunk emitted
-        candidates = self._read_candidates(shard_id)
-        last = "no replica in rotation"
-        any_failed = False
-        for replica in candidates:
+
+        def stream(replica: Replica) -> dict:
+            if not self._send(replica, header):
+                raise _ReplicaUnavailable("the request could not be sent")
             link = self._link(replica)
             try:
-                link.send(header)
-                skip = len(relayed)
                 seen = 0
-                chunks = skip
-                total = sum(relayed)
                 while True:
                     reply, blobs = link.recv()
-                    if reply.get("type") == "error":
-                        code = reply.get("code")
-                        if code == protocol.SERVER_BUSY:
-                            # Error frames only ever replace chunk 0,
-                            # so nothing of this attempt is on the
-                            # wire: the sibling can serve it whole.
-                            raise _ReplicaUnavailable(
-                                reply.get("message", "replica busy"))
-                        raise protocol.WireError(
-                            code or protocol.INTERNAL,
-                            f"shard {shard_id}: "
-                            f"{reply.get('message', '')}",
-                            detail=reply.get("detail"))
+                    busy = self._check(replica, reply)
+                    if busy is not None:
+                        # Error frames only ever replace chunk 0, so
+                        # nothing of this attempt is on the wire: the
+                        # sibling can serve it whole.
+                        raise _ReplicaUnavailable(busy)
                     size = len(blobs[0]) if blobs else 0
-                    if seen < skip:
+                    if seen < len(relayed):
                         # Replaying after a mid-stream loss: the
                         # client already holds this chunk.
                         if size != relayed[seen] or reply.get("eof"):
@@ -990,34 +893,24 @@ class ShardRouter:
                                 f"{replica.replica_id} chunk stream "
                                 f"diverged from its sibling at seq "
                                 f"{seen}")
-                        seen += 1
-                        continue
-                    emit(reply, blobs)
-                    relayed.append(size)
+                    else:
+                        emit(reply, blobs)
+                        relayed.append(size)
                     seen += 1
-                    chunks += 1
-                    total += size
                     if reply.get("eof"):
-                        if any_failed:
-                            self._record_failover()
-                        return {"chunks": chunks, "bytes": total,
+                        return {"chunks": len(relayed),
+                                "bytes": sum(relayed),
                                 "metrics": reply.get("metrics")}
             except (OSError, protocol.ProtocolError) as exc:
                 link.close()
-                self._mark_suspect(replica)
-                any_failed = True
-                last = f"{type(exc).__name__}: {exc}"
-                continue
-            except _ReplicaUnavailable as exc:
-                link.close()
-                self._mark_suspect(replica)
-                any_failed = True
-                last = str(exc)
-                continue
-        raise protocol.WireError(
-            protocol.SHARD_UNAVAILABLE,
-            f"shard {shard_id} failed mid-bquery on every replica "
-            f"(last: {last})")
+                raise _ReplicaUnavailable(
+                    f"{type(exc).__name__}: {exc}") from None
+            except BaseException:
+                link.close()  # a stream cut short leaves chunks unread
+                raise
+
+        return self._failover(shard_id, self._read_candidates(shard_id),
+                              stream)
 
 
 class ShardServer(ArrayServer):

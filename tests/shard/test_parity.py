@@ -144,6 +144,37 @@ def test_point_delete_routes_and_deletes(cluster, reference):
     assert got["rows"][0][0] == ROWS
 
 
+def test_range_delete_deletes_the_single_node_rows(cluster,
+                                                   monkeypatch):
+    """A key-range DELETE reaches only the shards its interval
+    overlaps and deletes exactly the rows a single node deletes."""
+    router = cluster["router"]
+    sql = "DELETE FROM t WHERE id >= 700 AND id < 1600 AND v > 0.0"
+    targets = []
+    scatter_write = router._scatter_write
+
+    def spy(requests):
+        targets.append([shard_id for shard_id, _h, _b in requests])
+        return scatter_write(requests)
+
+    monkeypatch.setattr(router, "_scatter_write", spy)
+    single = make_reference(make_rows())
+    want = single.execute(sql)
+    assert want > 0
+    assert router.execute(sql)["rowcount"] == want
+    assert targets == [router.partitioner.shards_for_range(700, 1600)]
+    for query in (FIXED_QUERIES[0], FIXED_QUERIES[6]):
+        got = router.execute(query)
+        assert bits([tuple(r) for r in got["rows"]]) == \
+            bits(normalize(single.query(query)))
+    # Put the rows back so later parametrizations see the full table.
+    deleted = [r for r in make_rows() if 700 <= r[0] < 1600
+               and r[1] is not None and r[1] > 0.0]
+    assert router.insert_rows("t", deleted) == want
+    got = router.execute("SELECT COUNT(*) FROM t")
+    assert got["rows"][0][0] == ROWS
+
+
 def test_fractional_key_touches_no_row_on_any_shard(cluster):
     router = cluster["router"]
     for const in ("1.5", "1e999"):

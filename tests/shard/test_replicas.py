@@ -328,8 +328,7 @@ def test_failover_replays_the_request_without_replanning(duo, reference,
 
         monkeypatch.setattr(owner, name, call)
 
-    failover("_failover_read")
-    failover("_failover_relay")
+    failover("_failover")
     planner(router, "prepare")
     planner(router.session, "plan_select")
     planner(router.session, "prepare")

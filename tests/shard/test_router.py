@@ -164,18 +164,37 @@ class TestRouting:
         assert router._route(plan) == [0, 1, 2]
 
     def test_point_delete_detected(self):
-        from repro.engine.sqlfront import _tokenize
-        router = make_router()
-        assert router._point_delete_key(
-            _tokenize("DELETE FROM t WHERE id = 42")) == 42
-        assert router._point_delete_key(
-            _tokenize("DELETE FROM t WHERE v = 42")) is None
-        assert router._point_delete_key(
-            _tokenize("DELETE FROM t WHERE id = 4.5")) is None
-        assert router._point_delete_key(
-            _tokenize("DELETE FROM t WHERE id > 42")) is None
-        assert router._point_delete_key(
-            _tokenize("DELETE FROM missing WHERE id = 1")) is None
+        """A DELETE is routed on the interval the planner reads off its
+        WHERE clause: a point reaches one shard, a key range the shards
+        it overlaps, any other predicate every shard, a key no integer
+        equals none, and an unknown table none (the mirror refuses it)."""
+        from unittest import mock
+        from repro.engine.sqlfront import SqlSyntaxError
+        router = make_router()  # range cuts at 100 and 200
+        framed = []
+
+        def scatter_write(requests):
+            framed.append({shard_id for shard_id, _h, _b in requests})
+            return {shard_id: ({"rowcount": 0}, [])
+                    for shard_id, _h, _b in requests}, {}
+
+        with mock.patch.object(router, "_scatter_write",
+                               side_effect=scatter_write):
+            for sql, shards in [
+                    ("DELETE FROM t WHERE id = 42", {0}),
+                    ("DELETE FROM t WHERE v = 42", {0, 1, 2}),
+                    ("DELETE FROM t WHERE id = 4.5", set()),
+                    ("DELETE FROM t WHERE id > 42", {0, 1, 2}),
+                    ("DELETE FROM t WHERE id > 142", {1, 2}),
+                    ("DELETE FROM t WHERE id >= 100 AND id < 200",
+                     {1})]:
+                framed.clear()
+                assert router.execute(sql)["rowcount"] == 0
+                assert framed == [shards], sql
+            framed.clear()
+            with pytest.raises(SqlSyntaxError):
+                router.execute("DELETE FROM missing WHERE id = 1")
+            assert framed == []
 
     def test_an_insert_is_read_once_by_the_values_reader(self):
         """The coordinator routes on the leading keyword: an INSERT is
