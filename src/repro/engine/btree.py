@@ -202,8 +202,8 @@ class BTree:
 
     def _wget(self, page_id: int) -> Page:
         """A page for mutation: the current page outside a write scope
-        (in place: standalone trees and the unversioned secondary
-        indexes), its version-``_wv`` clone inside one."""
+        (in place: standalone trees and an index's backfill), its
+        version-``_wv`` clone inside one."""
         if self._wv is None:
             return self._pagefile.get(page_id)
         page, cloned = self._pagefile.get_for_write(page_id, self._wv)

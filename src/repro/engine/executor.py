@@ -66,11 +66,11 @@ class Database:
     :mod:`repro.server` connection threads multiplex per-connection
     :class:`~repro.engine.sqlfront.SqlSession` objects over a single
     instance).  :attr:`latches` is the statement-granularity latch
-    hierarchy those sessions take — a shared catalog latch plus
-    per-table reader/writer latches, so a writer on one table overlaps
-    readers on another, while readers of the *same* table pin
-    copy-on-write snapshots and scan them latch-free (see
-    :mod:`repro.engine.latches` and ``docs/LOCKING.md``).
+    hierarchy those sessions take — a shared catalog latch plus one
+    write latch per table, so writers of different tables overlap,
+    while every reader pins a copy-on-write snapshot and reads it
+    latch-free (see :mod:`repro.engine.latches` and
+    ``docs/LOCKING.md``).
     :meth:`create_table` itself guards the catalog dict so two
     concurrent CREATEs cannot race.
 
@@ -627,31 +627,28 @@ class Executor:
         return engine
 
     @contextmanager
-    def _read_view(self, table: Table, cold: bool, pin: bool = True):
+    def _read_view(self, table: Table, cold: bool):
         """Statement-scoped read view over one table.
 
-        The statement reads a pinned frozen snapshot of the table
-        (``pin=False`` keeps the live table — the index-seek path,
-        whose secondary indexes are not versioned and run under the
-        session's table latch), and a ``cold`` statement gets a
-        *private* cold view of the buffer pool instead of clearing it
-        for everybody — so per-query IO counters are independent under
-        concurrency and a cold scan does not make its neighbours
-        re-fetch and eat the charge.
+        The statement reads a pinned frozen snapshot of the table —
+        rows and secondary indexes as one version published them — and
+        a ``cold`` statement gets a *private* cold view of the buffer
+        pool instead of clearing it for everybody — so per-query IO
+        counters are independent under concurrency and a cold scan does
+        not make its neighbours re-fetch and eat the charge.
         """
         pool = self.db.pool
-        snap = table.pin_snapshot() if pin else None
+        snap = table.pin_snapshot()
         try:
             if cold:
                 pool.begin_cold_view()
             try:
-                yield snap if snap is not None else table
+                yield snap
             finally:
                 if cold:
                     pool.end_cold_view()
         finally:
-            if snap is not None:
-                snap.unpin(pool)
+            snap.unpin(pool)
 
     def _metrics(self, label: str, rows: int, io, cpu: float,
                  wall: float, counts, engine: str = "row") -> QueryMetrics:
@@ -813,29 +810,28 @@ class Executor:
 
         Seek plans touch a handful of scattered rows, so there is no
         batch to vectorize: the plan executes row-at-a-time and
-        reports ``engine="row"``.  Secondary indexes are not
-        versioned, so the seek reads the live table (the caller holds
-        its table latch).
+        reports ``engine="row"``.  The index and the rows are read at
+        the statement's pinned snapshot, and the rows in primary-key
+        order — the order a scan adds them in.
 
         Args:
             column: The indexed column.
             equals: Equality value (exclusive with lo/hi).
             lo / hi: Half-open value range ``[lo, hi)``.
         """
-        index = table.index_on(column)
-        if index is None:
-            raise ValueError(f"no index on column {column!r}")
-
         def records(view, pool):
+            index = view.index_on(column)
+            if index is None:
+                raise ValueError(f"no index on column {column!r}")
             pks = index.seek(equals, pool) if equals is not None \
                 else index.range(lo, hi, pool)
-            for pk in pks:
+            for pk in sorted(pks):
                 payload = view.tree.search(pk, pool)
                 if payload is not None:
                     yield pk, payload
 
         return self._execute(table, aggregates, cold, label,
-                             seek=records, pin=False)
+                             seek=records)
 
     def run_point(self, table: Table, key: int,
                   aggregates: Sequence[Aggregate], cold: bool = True,
@@ -867,8 +863,7 @@ class Executor:
 
     def _execute(self, table: Table, aggregates, cold: bool, label: str,
                  engine: str = "row", where=None, group_expr=None, *,
-                 seek=None, pin: bool = True, partial: bool = False,
-                 finalize=None):
+                 seek=None, partial: bool = False, finalize=None):
         """The one statement body behind every ``run*`` method.
 
         The rows come from a source: ``seek(view, pool)`` yields the
@@ -876,15 +871,15 @@ class Executor:
         :meth:`_seek_cpu`; without it the statement is a clustered
         scan of the view — batch by batch on the ``"vector"`` engine,
         record by record on ``"row"`` — charged by :meth:`_scan_cpu`.
-        The body opens the statement's read view (:meth:`_read_view`;
-        ``pin=False`` reads the live table), measures the calling
-        thread's IO and the wall time, and calls ``finalize`` on
-        ``(values, metrics)`` inside the view, re-measuring after it.
+        The body opens the statement's read view (:meth:`_read_view`),
+        measures the calling thread's IO and the wall time, and calls
+        ``finalize`` on ``(values, metrics)`` inside the view,
+        re-measuring after it.
         """
         pool = self.db.pool
         costs = None if seek is not None else \
             self._scan_costs(table, aggregates, where, group_expr)
-        with self._read_view(table, cold, pin) as view:
+        with self._read_view(table, cold) as view:
             before = pool.snapshot_thread_counters()
             started = time.perf_counter()
             states = groups = None

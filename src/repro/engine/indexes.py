@@ -15,13 +15,15 @@ Design notes:
   payload for one value is a ``BigIntArray`` vector of the primary keys
   holding that value — arrays inside the index, the library eating its
   own dog food.
-* Indexes are maintained by the owning table on insert/delete/update;
-  NULL values are not indexed (SQL semantics: ``col = NULL`` never
-  matches).
+* Indexes are maintained by the owning table on insert/delete/update,
+  keyed by the value as stored (a ``real`` is rounded to float32), and
+  versioned with it; NULL values are not indexed (SQL semantics:
+  ``col = NULL`` never matches).
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from typing import Iterator
 
@@ -34,7 +36,7 @@ from .constants import PAGE_INDEX
 from .page import PageFile
 
 __all__ = ["float_to_ordered_int", "ordered_int_to_float",
-           "SecondaryIndex"]
+           "IndexReader", "SecondaryIndex"]
 
 _INDEXABLE_TYPES = {"bigint", "int", "smallint", "tinyint", "float",
                     "real"}
@@ -46,10 +48,11 @@ def float_to_ordered_int(value: float) -> int:
     Positive floats sort like their bit patterns; negatives sort
     reversed — flipping all bits of negatives and the sign bit of
     positives gives a total order matching ``<`` on the floats
-    (NaNs excluded).
+    (NaNs excluded).  ``-0.0`` and ``0.0`` compare equal, so they
+    share one key (adding ``0.0`` turns ``-0.0`` into ``0.0``).
     """
     mask = (1 << 64) - 1
-    (bits,) = struct.unpack("<Q", struct.pack("<d", float(value)))
+    (bits,) = struct.unpack("<Q", struct.pack("<d", float(value) + 0.0))
     if bits >> 63:
         bits = ~bits & mask      # negative: flip all (reverses order)
     else:
@@ -69,12 +72,58 @@ def ordered_int_to_float(key: int) -> float:
     return value
 
 
-class SecondaryIndex:
+class IndexReader:
+    """Seeks and ranges over one version of an index's tree (live, or a
+    snapshot's :class:`~repro.engine.btree.BTreeReader`), comparing a
+    constant as a scan does: an integer column matches no fraction and
+    rounds range bounds up."""
+
+    def __init__(self, tree, is_float: bool):
+        self._tree = tree
+        self._is_float = is_float
+
+    def _key(self, value) -> int:
+        """The key of a stored (non-NULL) value."""
+        if self._is_float:
+            return float_to_ordered_int(value)
+        return int(value)
+
+    def _bound(self, value):
+        """A range bound as a key: an integer column's rounded up, and
+        an infinite one left for the tree to compare as it is."""
+        if self._is_float:
+            return float_to_ordered_int(value)
+        if isinstance(value, int) or not math.isfinite(value):
+            return value
+        return math.ceil(value)
+
+    def seek(self, value, pool: BufferPool | None = None) -> list[int]:
+        """Primary keys of rows where the column equals ``value``."""
+        if value is None or (not self._is_float and value % 1):
+            return []
+        posting = self._tree.search(self._key(value), pool)
+        if posting is None:
+            return []
+        return [int(pk) for pk in SqlArray.from_blob(posting).to_numpy()]
+
+    def range(self, lo=None, hi=None, pool: BufferPool | None = None
+              ) -> Iterator[int]:
+        """Primary keys of rows with ``lo <= column < hi`` (either
+        bound may be ``None``), in column-value order."""
+        start = None if lo is None else self._bound(lo)
+        stop = None if hi is None else self._bound(hi)
+        for _key, posting in self._tree.scan(pool, start=start,
+                                             stop=stop):
+            for pk in SqlArray.from_blob(posting).to_numpy():
+                yield int(pk)
+
+
+class SecondaryIndex(IndexReader):
     """One nonclustered index over a table column.
 
     Create through :meth:`repro.engine.table.Table.create_index`, which
     also backfills existing rows and hooks maintenance into the write
-    path.
+    path, in the write scope and the published version of its rows.
     """
 
     def __init__(self, table, column_name: str, pagefile: PageFile):
@@ -84,19 +133,12 @@ class SecondaryIndex:
             raise SchemaError(
                 f"cannot index column {column_name!r} of type "
                 f"{column.type!r}")
+        super().__init__(BTree(pagefile, PAGE_INDEX,
+                               tag=f"{table.name}.ix_{column_name}"),
+                         column.type in ("float", "real"))
         self.table = table
         self.column_name = column_name
-        self._is_float = column.type in ("float", "real")
-        self._tree = BTree(pagefile, PAGE_INDEX,
-                           tag=f"{table.name}.ix_{column_name}")
         self._entries = 0
-
-    # -- key encoding --------------------------------------------------------
-
-    def _encode(self, value) -> int:
-        if self._is_float:
-            return float_to_ordered_int(value)
-        return int(value)
 
     @property
     def entry_count(self) -> int:
@@ -107,13 +149,13 @@ class SecondaryIndex:
     def distinct_keys(self) -> int:
         return self._tree.count
 
-    # -- maintenance (called by the table) -------------------------------------
+    # -- maintenance (called by the table, with values as stored) ------------
 
     def add(self, value, pk: int) -> None:
         """Index one row's value."""
         if value is None:
             return
-        key = self._encode(value)
+        key = self._key(value)
         existing = self._tree.search(key)
         if existing is None:
             posting = SqlArray.from_values([pk], "int64")
@@ -129,7 +171,7 @@ class SecondaryIndex:
         """Remove one row's entry."""
         if value is None:
             return
-        key = self._encode(value)
+        key = self._key(value)
         existing = self._tree.search(key)
         if existing is None:
             return
@@ -143,25 +185,3 @@ class SecondaryIndex:
         else:
             self._tree.update(
                 key, SqlArray.from_numpy(keep, "int64").to_blob())
-
-    # -- queries ------------------------------------------------------------
-
-    def seek(self, value, pool: BufferPool | None = None) -> list[int]:
-        """Primary keys of rows where the column equals ``value``."""
-        if value is None:
-            return []
-        posting = self._tree.search(self._encode(value), pool)
-        if posting is None:
-            return []
-        return [int(pk) for pk in SqlArray.from_blob(posting).to_numpy()]
-
-    def range(self, lo=None, hi=None, pool: BufferPool | None = None
-              ) -> Iterator[int]:
-        """Primary keys of rows with ``lo <= column < hi`` (either
-        bound may be ``None``), in column-value order."""
-        start = None if lo is None else self._encode(lo)
-        stop = None if hi is None else self._encode(hi)
-        for _key, posting in self._tree.scan(pool, start=start,
-                                             stop=stop):
-            for pk in SqlArray.from_blob(posting).to_numpy():
-                yield int(pk)

@@ -6,8 +6,8 @@ lets any number of readers scan a table while writers are serialized
 (NOLOCK)``).  The serving layer (:mod:`repro.server`) multiplexes
 per-connection sessions over one shared
 :class:`~repro.engine.executor.Database`; this module supplies the
-writer-preferring reader/writer lock its catalog latch and per-table
-latches are made of (:mod:`repro.engine.latches`).
+writer-preferring reader/writer lock its catalog latch is made of
+(:mod:`repro.engine.latches`).
 
 Readers share; writers are exclusive.  Writer preference keeps a steady
 stream of analytical scans from starving catalog changes.
@@ -40,8 +40,7 @@ class RWLock:
         self._writer = False
         self._writers_waiting = 0
         # Sentinel identity (REPRO_LOCK_CHECK=1): owners re-stamp —
-        # the LatchManager marks its catalog latch "catalog" and each
-        # per-table latch "table" with the table name.
+        # the LatchManager marks its catalog latch "catalog".
         self.lock_class = "rwlock"
         self.lock_name: str | None = None
 

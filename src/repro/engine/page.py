@@ -394,7 +394,10 @@ class PageFile:
         cloned)``.  The install order — history first, then the clone —
         is what keeps latch-free readers safe: a reader that sees the
         too-new clone is guaranteed to find the superseded page in the
-        history already.
+        history already.  Both happen under the mutex, so a concurrent
+        :meth:`prune_history` never sees the superseded page in the
+        history while it is still current (it would read the entry as
+        serving no version and drop the page the tip reads).
         """
         page = self.get(page_id)
         if page.pv == version:
@@ -403,7 +406,7 @@ class PageFile:
         with self._lock:
             hist = self._history.get(page_id)
             self._history[page_id] = ([*hist, page] if hist else [page])
-        self._pages[page_id] = clone
+            self._pages[page_id] = clone
         return clone, True
 
     def resolve(self, page_id: int, version: int) -> Page:

@@ -537,12 +537,11 @@ class SqlSession:
         ``GROUP BY`` runs the hash-aggregation plan and returns
         ``(rows, metrics)`` with one ``(group, agg...)`` row per group.
 
-        A scan, seek or grouped plan holds no table latch at all —
-        only the shared catalog latch while it runs on a pinned
-        snapshot — so any number of sessions read concurrently and this
-        SELECT proceeds alongside INSERT/DELETE on the *same* table;
-        index plans keep the table's shared latch (see
-        :meth:`_mvcc_select_guard`).
+        Every plan — scan, seek, index or grouped — holds no table
+        latch at all, only the shared catalog latch while it runs on a
+        pinned snapshot (rows and secondary indexes of one version), so
+        any number of sessions read concurrently and this SELECT
+        proceeds alongside INSERT/DELETE on the *same* table.
 
         ``finalize``, if given, is called on the raw result before the
         statement ends and its return value is returned instead.  A
@@ -555,7 +554,7 @@ class SqlSession:
         handle is never dereferenced once its statement's pin is gone.
         Without a hook the session reads such a cell out whole, so this
         method only ever returns bytes.  For every other plan the hook
-        runs after the scan, under the statement's latch guard.
+        runs after the scan, under the shared catalog latch.
         ``finalize`` must not execute further statements (the latches
         are not reentrant).
         """
@@ -563,11 +562,12 @@ class SqlSession:
 
     def _select(self, plan: SelectPlan, cold: bool, engine: str | None,
                 finalize):
-        """Guard -> execute -> ``finalize`` for one planned SELECT: the
-        body shared by :meth:`query` and :meth:`query_partial`."""
+        """Catalog latch -> execute -> ``finalize`` for one planned
+        SELECT: the body shared by :meth:`query` and
+        :meth:`query_partial`."""
         executor = self.executor
         engine = executor._resolve_engine(engine)
-        with self._mvcc_select_guard(plan):
+        with self.db.latches.catalog_latch():
             if plan.late:
                 return executor.run_point(
                     plan.table, plan.key, plan.aggregates, cold,
@@ -588,19 +588,6 @@ class SqlSession:
                 if isinstance(value, MaxBlobHandle) else value
 
         return tuple(read(value) for value in result[0]), result[1]
-
-    def _mvcc_select_guard(self, plan: SelectPlan):
-        """Latch guard for one serially executed SELECT.
-
-        Index plans keep the table's shared latch — secondary indexes
-        are not versioned, so the seek must exclude writers.
-        Everything else holds only the shared catalog latch (keeping
-        the table set stable while pinning) and scans a pinned snapshot
-        without any table latch.
-        """
-        if plan.kind == "index":
-            return self.db.latches.read_latch(plan.table.name)
-        return self.db.latches.catalog_latch()
 
     def prepare(self, sql: str) -> SelectPlan:
         """Parse and plan an aggregate SELECT once, caching the plan
@@ -690,7 +677,7 @@ class SqlSession:
         """Run a :class:`SelectPlan` serially on this session's
         executor (``engine`` is ``"vector"`` or ``"row"``).
 
-        The caller holds the plan's :meth:`_mvcc_select_guard`.
+        The caller holds the shared catalog latch.
         """
         if plan.kind == "point":
             return self.executor.run_point(
@@ -884,11 +871,13 @@ class SqlSession:
 
     def _index_plan(self, table: Table, where):
         """Choose an index seek/range plan for simple predicates on an
-        indexed column: ``col = c`` or ``col >= a AND col < b``."""
+        indexed column: ``col = c`` (``c`` not NULL, which matches
+        nothing) or ``col >= a AND col < b``."""
         single = self._cmp_parts(where)
         if single is not None:
             column, op, value = single
-            if op == "=" and table.index_on(column) is not None:
+            if op == "=" and value is not None and \
+                    table.index_on(column) is not None:
                 return column, value, None, None
             return None
         if isinstance(where, _BinOp) and where.op == "AND":

@@ -35,6 +35,7 @@ from .constants import (
     ROW_OVERHEAD,
     SLOT_SIZE,
 )
+from .indexes import IndexReader, SecondaryIndex
 from .page import PageFile
 
 __all__ = ["Column", "MaxBlobHandle", "Table", "TableSnapshot",
@@ -186,17 +187,17 @@ class Table:
         self._tree = BTree(pagefile, PAGE_DATA, tag=name)
         self._nonkey = self.columns[1:]
         self._bitmap_bytes = (len(self._nonkey) + 7) // 8
-        self._indexes: dict[str, "SecondaryIndex"] = {}
+        self._indexes: dict[str, SecondaryIndex] = {}
         #: Last published version; 0 is the empty table as created.
-        #: Mutators copy-on-write the pages they touch and publish a
-        #: new version atomically; readers pin frozen snapshots instead
-        #: of latching the table.
+        #: Mutators copy-on-write the pages they touch — rows and
+        #: secondary indexes alike — and publish a new version
+        #: atomically; readers pin frozen snapshots instead of latching
+        #: the table.
         self.version = 0
-        #: ``version -> (root_page_id, height, count)`` for the current
-        #: version plus every version still pinned by a reader.
-        self._published: dict[int, tuple[int, int, int]] = {
-            0: (self._tree.root_page_id, self._tree.height,
-                self._tree.count)}
+        #: ``version -> (root_page_id, height, count, indexes)`` (see
+        #: :meth:`_tip`) for the current version plus every version
+        #: still pinned by a reader.
+        self._published: dict[int, tuple] = {0: self._tip()}
         self._pins: dict[int, int] = {}
         self._pin_lock = lockcheck.tracked_lock("mutex:Table.pin")
         #: Serializes copy-on-write mutations for direct ``Table``
@@ -224,12 +225,13 @@ class Table:
         state["_pins"] = {}
         state["_intents"] = []
         state["_cow_pids"] = set()
-        state["_published"] = {
-            self.version: self._published[self.version]}
         return state
 
     def __setstate__(self, state):
         self.__dict__.update(state)
+        # The tip is all a saved file can be read at (older files saved
+        # only the clustered tree's triple).
+        self._published = {self.version: self._tip()}
         self._pin_lock = lockcheck.tracked_lock("mutex:Table.pin")
         self._mutate_lock = lockcheck.tracked_lock("mutex:Table.mutate")
         self._intent_cond = threading.Condition()
@@ -472,13 +474,13 @@ class Table:
 
     # -- secondary indexes --------------------------------------------------
 
-    def create_index(self, column_name: str) -> "SecondaryIndex":
-        """Create (and backfill) a nonclustered index on one column.
+    def create_index(self, column_name: str) -> SecondaryIndex:
+        """Create (and backfill) a nonclustered index on one column,
+        published as a new version: snapshots pinned before it have no
+        index on the column.
 
         The index is maintained automatically by insert/delete/update.
         """
-        from .indexes import SecondaryIndex
-
         if column_name in self._indexes:
             raise SchemaError(
                 f"column {column_name!r} is already indexed")
@@ -487,12 +489,15 @@ class Table:
                 "the primary key is the clustered index already")
         index = SecondaryIndex(self, column_name, self._pagefile)
         col = self.column_index(column_name)
-        for row in self.scan():
-            index.add(row[col], row[0])
-        self._indexes[column_name] = index
+        with self._mutate_lock:
+            # A fresh tree no published version reaches: built in place.
+            for row in self.scan():
+                index.add(row[col], row[0])
+            self._indexes[column_name] = index
+            self._publish(self.version + 1)
         return index
 
-    def index_on(self, column_name: str) -> "SecondaryIndex | None":
+    def index_on(self, column_name: str) -> SecondaryIndex | None:
         """The index on a column, if one exists."""
         return self._indexes.get(column_name)
 
@@ -509,9 +514,9 @@ class Table:
         """
         with self._pin_lock:
             version = self.version
-            root_id, height, count = self._published[version]
+            published = self._published[version]
             self._pins[version] = self._pins.get(version, 0) + 1
-        return TableSnapshot(self, version, root_id, height, count)
+        return TableSnapshot(self, version, *published)
 
     def unpin(self, version: int,
               pool: BufferPool | None = None) -> None:
@@ -532,34 +537,57 @@ class Table:
 
     @contextmanager
     def _write_scope(self, version: int) -> Iterator[None]:
-        """The tree's copy-on-write scope at ``version``, always closed:
-        the page ids it cloned go to retirement whether or not the
-        caller then publishes — a write that failed part-way still
-        superseded the pages it cloned."""
-        tree = self._tree
-        tree.begin_write(version)
+        """The copy-on-write scope at ``version`` of the table's tree
+        and of every secondary index's, always closed: the page ids it
+        cloned go to retirement whether or not the caller then
+        publishes — a write that failed part-way still superseded the
+        pages it cloned."""
+        trees = [self._tree, *(ix._tree for ix in self._indexes.values())]
+        for tree in trees:
+            tree.begin_write(version)
         try:
             yield
         finally:
-            cow = tree.end_write()
+            cow = set().union(*(tree.end_write() for tree in trees))
             with self._pin_lock:
                 self._cow_pids |= cow
+
+    def _tip(self) -> tuple:
+        """What a publish records: the ``(root_page_id, height, count)``
+        of the clustered tree, then of each secondary index by column."""
+        def shape(tree):
+            return tree.root_page_id, tree.height, tree.count
+        return (*shape(self._tree), {name: shape(ix._tree) for name, ix
+                                     in self._indexes.items()})
 
     def _publish(self, version: int) -> None:
         """Atomically expose a completed mutation as the new tip.
 
         This is the only point where readers change what they pin: a
         ``pin_snapshot`` racing this publish gets either the old or the
-        new version, never a torn mix, because the root/height/count
-        triple swaps under ``_pin_lock``.
+        new version, never a torn mix, because the trees' triples swap
+        under ``_pin_lock``.
         """
         lockcheck.require_write_latch(self.name)
         with self._pin_lock:
-            self._published[version] = (
-                self._tree.root_page_id, self._tree.height,
-                self._tree.count)
+            self._published[version] = self._tip()
             self.version = version
         self._retire(None)
+
+    def _reindex(self, removed, added) -> None:
+        """Secondary-index upkeep inside a write scope: drop the entries
+        of the ``removed`` rows (as decoded), then index the ``(key,
+        row)`` pairs of ``added`` by each value as stored."""
+        added = list(added) if self._indexes else ()
+        for name, index in self._indexes.items():
+            col = self._by_name[name]
+            packer = _FIXED_TYPES[self.columns[col].type]
+            for row in removed:
+                index.remove(row[col], row[0])
+            for key, row in added:
+                value = row[col]
+                index.add(value if value is None else
+                          packer.unpack(packer.pack(value))[0], key)
 
     def _retire(self, pool: BufferPool | None) -> None:
         """Drop version metadata and page history nothing can read.
@@ -674,18 +702,18 @@ class Table:
             before = tree.count
             try:
                 with self._write_scope(version):
-                    if before == 0 and all(
-                            b > a for a, b in zip(keys, keys[1:])):
-                        tree.bulk_load(keys, prep.records)
-                    else:
-                        tree.insert_many(keys, prep.records)
+                    try:
+                        if before == 0 and all(
+                                b > a for a, b in zip(keys, keys[1:])):
+                            tree.bulk_load(keys, prep.records)
+                        else:
+                            tree.insert_many(keys, prep.records)
+                    finally:
+                        self._reindex((), zip(keys[:tree.count - before],
+                                              prep.rows))
             finally:
                 done = tree.count - before
                 if done:
-                    for name, index in self._indexes.items():
-                        col = self.column_index(name)
-                        for key, row in zip(keys[:done], prep.rows):
-                            index.add(row[col], key)
                     self._publish(version)
         return done
 
@@ -716,11 +744,8 @@ class Table:
             version = self.version + 1
             with self._write_scope(version):
                 deleted = self._tree.delete_many(keys)
+                self._reindex(old, ())
             if deleted:
-                for name, index in self._indexes.items():
-                    col = self.column_index(name)
-                    for row in old:
-                        index.remove(row[col], row[0])
                 self._publish(version)
         return deleted
 
@@ -736,13 +761,9 @@ class Table:
             version = self.version + 1
             with self._write_scope(version):
                 updated = self._tree.update(key, payload)
+                if updated:
+                    self._reindex((old,), ((key, values),))
             if updated:
-                if old is not None:
-                    for name, index in self._indexes.items():
-                        col = self.column_index(name)
-                        if old[col] != values[col]:
-                            index.remove(old[col], key)
-                            index.add(values[col], key)
                 self._publish(version)
         return updated
 
@@ -808,7 +829,7 @@ class TableSnapshot:
     Duck-types the read surface of :class:`Table` that the executor and
     the vectorized scan kernels use — ``scan_batches``, ``tree`` (a
     :class:`~repro.engine.btree.BTreeReader`), ``data_page_ids``,
-    ``get``/``scan``, ``row_count`` — so query plans run
+    ``get``/``scan``, ``row_count``, ``index_on`` — so query plans run
     against it unchanged.  All page reads resolve through the page
     file's version history, never blocking on (or being torn by) a
     concurrent writer.  Must be unpinned exactly once; use it as a
@@ -816,11 +837,12 @@ class TableSnapshot:
     """
 
     def __init__(self, table: Table, version: int, root_id: int,
-                 height: int, count: int):
+                 height: int, count: int, indexes: dict):
         self.table = table
         self.version = version
         self._reader = BTreeReader(table._pagefile, version, root_id,
                                    height, count)
+        self._indexes = indexes
         self._unpinned = False
 
     # -- lifecycle ----------------------------------------------------------
@@ -859,8 +881,14 @@ class TableSnapshot:
     def column_index(self, name: str) -> int:
         return self.table.column_index(name)
 
-    def index_on(self, column_name: str):
-        return self.table.index_on(column_name)
+    def index_on(self, column_name: str) -> IndexReader | None:
+        """The index on a column as this version published it, if any."""
+        shape = self._indexes.get(column_name)
+        if shape is None:
+            return None
+        return IndexReader(
+            BTreeReader(self.table._pagefile, self.version, *shape),
+            self.table._indexes[column_name]._is_float)
 
     def decode(self, key: int, payload: bytes) -> tuple:
         return self.table.decode(key, payload)

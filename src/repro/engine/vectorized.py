@@ -611,12 +611,14 @@ def binop_batch(op: str, func, lv, lm, rv, rm, n: int) -> tuple:
     if _is_float_operand(lv) and _is_float_operand(rv):
         # Pure float64 lane math is bit-identical to Python floats.
         # ``real`` operands are widened first, as struct.unpack widens
-        # them for the row engine.
+        # them for the row engine (NumPy would otherwise round a float
+        # constant to float32 to compare it).
+        lv, rv = _widen(lv), _widen(rv)
         if arith:
             if op == "/":
                 _check_zero_divisor(rv, mask)
             with np.errstate(all="ignore"):
-                values = _NP_ARITH[op](_widen(lv), _widen(rv))
+                values = _NP_ARITH[op](lv, rv)
             return values, mask
         return _NP_CMP[op](lv, rv), mask
     if not arith and _is_int64_operand(lv) and _is_int64_operand(rv):

@@ -9,12 +9,11 @@ from its blocking socket, validates and dispatches it, runs the
 statement itself and writes the reply — no thread hand-off between the
 frame and its reply.  The admission controller bounds how many
 statements run at once (one run permit each) and how many may wait for
-a permit; statements run under the database's per-table latches
-(:mod:`repro.engine.latches`), so concurrent scans share and a writer
-excludes only readers of *its own* table — writers on one table
-overlap scans of another, like the paper's host.  SELECTs pin a
-copy-on-write page-version snapshot and scan it latch-free, so readers
-and a writer of the *same* table overlap too.  ``ping``, ``stats`` and
+a permit; statements run under the database's latches
+(:mod:`repro.engine.latches`): a writer takes only its own table's
+latch, so writers of different tables overlap, and every SELECT pins a
+copy-on-write page-version snapshot and reads it latch-free, so
+readers overlap any writer, of the *same* table too.  ``ping``, ``stats`` and
 ``prepare`` take no permit, so they answer while every permit is held.
 
 The connection protocol is strict request/response for every frame type

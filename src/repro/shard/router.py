@@ -794,58 +794,69 @@ class ShardRouter:
                                   dict[int, str]]:
         """Write fan-out: ship each request to **every** non-stale
         replica of its target shard (all sends first, then each
-        replica's :meth:`_exchange_on` in shard order), and reconcile
-        per shard.
+        replica's :meth:`_exchange_on` in shard order), read every
+        reply, and only then reconcile, shard by shard:
 
-        Returns ``(replies, dead)``: ``replies[shard_id]`` is the
-        first successful replica's reply, ``dead[shard_id]`` the
-        failure summary for shards where *no* replica acknowledged.
-        A replica that fails while a sibling commits has missed the
-        write and is marked **stale** (permanently out of rotation);
-        when the whole set fails, nothing committed on that shard, so
-        its replicas are merely marked suspect.  A typed statement
-        error frame (not busy) propagates immediately — the statement
-        itself is wrong and is deterministically wrong on every
-        replica.
+        - if any replica acknowledged, the shard committed: its first
+          acknowledgement is the reply, and every replica that did not
+          acknowledge (typed error or unavailable) missed the write and
+          is marked **stale** (permanently out of rotation);
+        - if none did and each returned the same typed error, the
+          statement itself is wrong: every replica stays live;
+        - if none did and they failed differently, the shard's first
+          typed error is the outcome, and each replica that did not
+          return it is marked suspect;
+        - if every replica was unavailable, nothing committed there:
+          the replicas are marked suspect (reprobe may revive them) and
+          the shard is dead.
+
+        Returns ``(replies, dead)``: ``replies[shard_id]`` per shard
+        that committed, ``dead[shard_id]`` the failure summary per dead
+        shard — unless a shard's outcome is a typed error, which is
+        then raised (the first shard's, in request order).
         """
+        outcomes: dict[int, dict[Replica, object]] = {
+            shard_id: {} for shard_id, _h, _b in requests}
         try:
             sends = [(shard_id, header, blobs, replica,
                       self._send(replica, header, blobs))
                      for shard_id, header, blobs in requests
                      for replica in self._write_targets(shard_id)]
-            acked: dict[int, dict[int, tuple[dict, list[bytes]]]] = {
-                shard_id: {} for shard_id, _h, _b in requests}
-            failed: dict[int, dict[int, str]] = {
-                shard_id: {} for shard_id, _h, _b in requests}
             for shard_id, header, blobs, replica, sent in sends:
                 try:
-                    acked[shard_id][replica.replica_id] = \
-                        self._exchange_on(replica, header, blobs, sent)
-                except _ReplicaUnavailable as exc:
-                    failed[shard_id][replica.replica_id] = str(exc)
-            replies: dict[int, tuple[dict, list[bytes]]] = {}
-            dead: dict[int, str] = {}
-            for shard_id, shard_acked in acked.items():
-                shard_failed = failed[shard_id]
-                if shard_acked:
-                    replies[shard_id] = shard_acked[min(shard_acked)]
-                for replica in self.replica_sets[shard_id]:
-                    if replica.replica_id not in shard_failed:
-                        continue
-                    if shard_acked:
-                        # Missed a write a sibling committed.
-                        self._mark_stale(replica)
-                    else:
-                        # Nothing committed: the set is still mutually
-                        # consistent — reprobe may revive these.
-                        self._mark_suspect(replica)
-                if not shard_acked:
-                    dead[shard_id] = "; ".join(
-                        shard_failed.values()) or "no replica in rotation"
-            return replies, dead
+                    outcome: object = self._exchange_on(
+                        replica, header, blobs, sent)
+                except (_ReplicaUnavailable, protocol.WireError) as exc:
+                    outcome = exc
+                outcomes[shard_id][replica] = outcome
         except BaseException:
             self.close()
             raise
+        replies: dict[int, tuple[dict, list[bytes]]] = {}
+        dead: dict[int, str] = {}
+        errors = []
+        for shard_id, shard in outcomes.items():
+            acked = [o for o in shard.values() if isinstance(o, tuple)]
+            typed = [o for o in shard.values()
+                     if isinstance(o, protocol.WireError)]
+            if acked:
+                replies[shard_id] = acked[0]
+            elif typed:
+                errors.append(typed[0])
+            else:
+                dead[shard_id] = "; ".join(
+                    map(str, shard.values())) or "no replica in rotation"
+            # The error raised for the shard, as its replicas would
+            # repeat it: class, code and message.
+            raised = repr(typed[0]) if typed and not acked else None
+            for replica, outcome in shard.items():
+                if acked and not isinstance(outcome, tuple):
+                    self._mark_stale(replica)  # missed a commit
+                elif not acked and repr(outcome) != raised:
+                    self._mark_suspect(replica)
+        if errors:
+            raise errors[0]
+        return replies, dead
 
     # -- streamed blob relays (bquery) ---------------------------------------
 

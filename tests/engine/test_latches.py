@@ -1,6 +1,6 @@
-"""The per-table latch layer: writers on one table overlap readers of
-another, acquisition order prevents deadlock, and DDL excludes
-everything."""
+"""The latch layer: readers take only the shared catalog latch, so no
+writer blocks them; writers of different tables overlap, acquisition
+order prevents deadlock, and DDL excludes everything."""
 
 import pickle
 import threading
@@ -58,25 +58,35 @@ class TestLatchManagerUnit:
             with lm.write_latch():
                 pass
 
-    def test_writer_excludes_reader_of_same_table(self):
+    def test_writer_does_not_block_a_reader_of_the_same_table(self):
         lm = self._manager()
         with lm.write_latch("a"):
             def read():
-                with lm.read_latch("a"):
+                with lm.catalog_latch():
                     pass
             t, done, blocked = _blocked(read)
-            assert blocked
-        assert done.wait(10)
+            assert not blocked, "reader blocked behind a table's writer"
         t.join(timeout=10)
 
     def test_writer_does_not_block_reader_of_other_table(self):
         lm = self._manager()
         with lm.write_latch("b"):
             def read():
-                with lm.read_latch("a"):
+                with lm.catalog_latch():
                     pass
             t, done, blocked = _blocked(read)
             assert not blocked, "reader of A blocked behind writer of B"
+        t.join(timeout=10)
+
+    def test_writers_of_the_same_table_serialize(self):
+        lm = self._manager()
+        with lm.write_latch("a"):
+            def write():
+                with lm.write_latch("A"):
+                    pass
+            t, done, blocked = _blocked(write)
+            assert blocked
+        assert done.wait(10)
         t.join(timeout=10)
 
     def test_writers_of_distinct_tables_overlap(self):
@@ -116,7 +126,7 @@ class TestLatchManagerUnit:
         lm = self._manager()
         with lm.ddl_latch():
             def read():
-                with lm.read_latch("a"):
+                with lm.catalog_latch():
                     pass
             def write():
                 with lm.write_latch("b"):
@@ -130,7 +140,7 @@ class TestLatchManagerUnit:
 
     def test_statements_exclude_ddl(self):
         lm = self._manager()
-        with lm.read_latch("a"):
+        with lm.catalog_latch():
             def ddl():
                 with lm.ddl_latch():
                     pass
@@ -138,13 +148,6 @@ class TestLatchManagerUnit:
             assert blocked
         assert done.wait(10)
         t.join(timeout=10)
-
-    def test_latches_need_a_table_name(self):
-        lm = self._manager()
-        for guard in (lm.read_latch, lm.write_latch):
-            with pytest.raises(ValueError):
-                with guard():
-                    pass
 
 
 def _two_table_db():
@@ -180,9 +183,9 @@ class TestStatementsOverlap:
 
     def test_latch_set_planning(self):
         """What a SELECT holds while it runs, as the lock-order
-        sentinel sees it from inside ``finalize``: a snapshot scan only
-        the shared catalog latch, an index plan also its table's
-        latch."""
+        sentinel sees it from inside ``finalize``: the shared catalog
+        latch only, whatever the plan — an index plan reads its pinned
+        snapshot's index like any other."""
         db = _two_table_db()
         tc = db.create_table("Tc", [Column("id", "bigint"),
                                     Column("k", "int")])
@@ -214,8 +217,29 @@ class TestStatementsOverlap:
         finally:
             lockcheck.set_active(was)
         assert held["vector"] == held["row"] == held["point"] \
-            == (("catalog", None),)
-        assert held["index"] == (("catalog", None), ("table", "tc"))
+            == held["index"] == (("catalog", None),)
+
+    @pytest.mark.parametrize("where", ["k = 3", "k >= 1 AND k < 4"])
+    def test_an_index_plan_reads_while_a_writer_holds_its_table(
+            self, where):
+        db = _two_table_db()
+        tc = db.create_table("Tc", [Column("id", "bigint"),
+                                    Column("k", "int")])
+        tc.insert_many((i, i % 5) for i in range(50))
+        tc.create_index("k")
+        sql = f"SELECT COUNT(*), SUM(id) FROM Tc WHERE {where}"
+        session = SqlSession(db)
+        assert session.plan_select(sql).kind == "index"
+        want = session.query(sql)[0]
+        results = []
+        with db.latches.write_latch("Tc"):
+            t, done, blocked = _blocked(
+                lambda: results.append(session.query(sql)[0]),
+                settle=2.0)
+            assert not blocked, \
+                "an index plan blocked behind its table's write latch"
+        t.join(timeout=10)
+        assert results == [want]
 
     def test_ddl_via_sql_excludes_concurrent_reader(self):
         db = _two_table_db()

@@ -183,16 +183,23 @@ def test_rwlock_acquisitions_are_instrumented():
 
 
 @pytest.mark.parametrize("engine", ["row", "vector"])
-@pytest.mark.parametrize("sql", [
-    "SELECT COUNT(*) FROM t",
-    "SELECT k, COUNT(*) FROM t GROUP BY k",
-    "SELECT SUM(x) FROM t WHERE id = 7",
-], ids=["scan", "grouped", "seek"])
-def test_a_select_reads_its_snapshot_without_a_table_latch(engine, sql):
+@pytest.mark.parametrize("kind, sql", [
+    ("scan", "SELECT COUNT(*) FROM t"),
+    ("grouped", "SELECT k, COUNT(*) FROM t GROUP BY k"),
+    ("point", "SELECT SUM(x) FROM t WHERE id = 7"),
+    ("index", "SELECT SUM(x) FROM t WHERE k = 1"),
+    ("index", "SELECT COUNT(*) FROM t WHERE x >= 10.5 AND x < 300"),
+], ids=["scan", "grouped", "seek", "index-seek", "index-range"])
+def test_a_select_reads_its_snapshot_without_a_table_latch(engine, kind,
+                                                           sql):
     """A SELECT takes the shared catalog latch, then only the pool
-    mutex and its table's pin mutex: it scans a pinned snapshot, so no
-    table latch is held while it reads, on either engine."""
+    mutex and its table's pin mutex: it reads a pinned snapshot — an
+    index plan its secondary index too — so no table latch is held
+    while it reads, on either engine."""
     db = make_db()
+    for column in ("x", "k"):
+        db.tables["t"].create_index(column)
+    assert SqlSession(db).plan_select(sql).kind == kind
     with mock.patch.object(lockcheck, "note_acquire",
                            wraps=lockcheck.note_acquire) as spy:
         SqlSession(db).query(sql, engine=engine)
@@ -353,8 +360,8 @@ def test_a_statement_mutation_without_its_write_latch_raises(mutation):
     with pytest.raises(LockOrderViolation) as exc:
         session.bare(mutation)
     assert "write latch" in str(exc.value)
-    with db.latches.read_latch("t"), pytest.raises(LockOrderViolation):
-        session.bare(mutation)  # shared is not enough
+    with db.latches.catalog_latch(), pytest.raises(LockOrderViolation):
+        session.bare(mutation)  # the shared catalog latch is not enough
     with db.latches.write_latch("u"), pytest.raises(LockOrderViolation):
         session.bare(mutation)  # nor is another table's
     assert (table.version, table.row_count, table.get(7)) == before
@@ -435,10 +442,10 @@ def test_a_blocking_call_raises_under_an_exclusive_latch(blocking_call,
 
 @pytest.mark.parametrize("blocking_call", BLOCKING_CALLS, indirect=True)
 def test_a_blocking_call_passes_under_a_shared_latch(blocking_call):
-    """A shared latch blocks no reader, so it may be held across a
-    blocking call."""
+    """The shared catalog latch blocks no reader, so it may be held
+    across a blocking call."""
     db = make_db()
-    with db.latches.read_latch("t"):
+    with db.latches.catalog_latch():
         blocking_call()
 
 

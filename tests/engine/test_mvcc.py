@@ -17,7 +17,8 @@ from unittest import mock
 
 import pytest
 
-from repro.engine import Column, Database
+from repro.engine import Column, Database, PageFile
+from repro.engine.constants import PAGE_DATA
 from repro.engine.sqlfront import SqlSession
 from repro.tsql import FloatArray
 
@@ -285,6 +286,32 @@ class TestVersionRetirement:
         assert pinned not in t._published
         assert not any(t._pagefile._history.values())
         assert t.pinned_versions() == {}
+
+    def test_a_prune_racing_a_clone_keeps_the_page_the_tip_reads(self):
+        """A reader's unpin prunes the history while a writer clones a
+        page: the prune must not run between the superseded page going
+        into the history and the clone becoming current, where that
+        page looks as if it served no version and is dropped."""
+        pf = PageFile()
+        pid = pf.allocate(PAGE_DATA).page_id
+        pf.get_for_write(pid, 1)  # published tip: version 1
+        tip_page = pf.get(pid)
+        pruner = []
+
+        class Hooked(list):
+            def __setitem__(self, index, value):
+                if not pruner:  # a reader unpins mid-clone
+                    thread = threading.Thread(
+                        target=pf.prune_history, args=([pid], {1}))
+                    pruner.append(thread)
+                    thread.start()
+                    thread.join(timeout=0.3)
+                super().__setitem__(index, value)
+
+        pf._pages = Hooked(pf._pages)
+        pf.get_for_write(pid, 2)  # the next write, not yet published
+        pruner[0].join(timeout=10)
+        assert pf.resolve(pid, 1) is tip_page
 
     def test_snapshot_unpin_idempotent(self):
         db, t = build_db(rows=20)

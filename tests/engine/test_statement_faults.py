@@ -137,12 +137,10 @@ def _unpin_outside_finally():
     ``finally``."""
     return mutated(executor,
                    "        finally:\n"
-                   "            if snap is not None:\n"
-                   "                snap.unpin(pool)\n",
+                   "            snap.unpin(pool)\n",
                    "        finally:\n"
                    "            pass\n"
-                   "        if snap is not None:\n"
-                   "            snap.unpin(pool)\n").Executor._read_view
+                   "        snap.unpin(pool)\n").Executor._read_view
 
 
 @pytest.mark.parametrize("engine", ["row", "vector"])
@@ -229,11 +227,13 @@ def test_the_checks_catch_an_end_write_outside_finally(session, write,
                     "        try:\n"
                     "            yield\n"
                     "        finally:\n"
-                    "            cow = tree.end_write()\n"
+                    "            cow = set().union(*(tree.end_write() "
+                    "for tree in trees))\n"
                     "            with self._pin_lock:\n"
                     "                self._cow_pids |= cow\n",
                     "        yield\n"
-                    "        cow = tree.end_write()\n"
+                    "        cow = set().union(*(tree.end_write() "
+                    "for tree in trees))\n"
                     "        with self._pin_lock:\n"
                     "            self._cow_pids |= cow\n"
                     ).Table._write_scope

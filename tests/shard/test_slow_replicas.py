@@ -14,7 +14,8 @@ sibling on the three paths that reach a replica (a read, a write, a
 relayed ``bquery``) and pins how many requests the stub sees: the
 retry policy's ``max_retries + 1`` on a read or a write, whichever
 send was first, one on a relay, and one for a typed error, which is
-the statement's own and never retried.  The stubs follow the
+never retried.  A write whose sibling committed succeeds whatever
+the stub answered, and the stub is then stale.  The stubs follow the
 scripted-server pattern of ``test_retry.py``.
 """
 
@@ -242,7 +243,8 @@ STUBS = {
 #: (path, stub) -> requests the stub sees, its state afterwards, and
 #: the failovers counted.  A relay gives each replica one try; a write
 #: is never failed over, and a replica that missed what its sibling
-#: committed is stale.
+#: committed is stale — also when it answered with a typed error, so
+#: the write succeeds.
 EXPECTED = {
     ("read", "busy"): (ATTEMPTS, SUSPECT, 1),
     ("read", "busy-once"): (2, LIVE, 0),
@@ -251,7 +253,7 @@ EXPECTED = {
     ("write", "busy"): (ATTEMPTS, STALE, 0),
     ("write", "busy-once"): (2, LIVE, 0),
     ("write", "half-open"): (ATTEMPTS, STALE, 0),
-    ("write", "sql-error"): (1, LIVE, 0),
+    ("write", "sql-error"): (1, STALE, 0),
     ("relay", "busy"): (1, SUSPECT, 1),
     ("relay", "busy-once"): (1, SUSPECT, 1),
     ("relay", "half-open"): (1, SUSPECT, 1),
@@ -288,7 +290,7 @@ def test_a_replica_gets_one_retry_budget_on_every_path(sibling, path,
     router = make_router(stub, handle, MATRIX_RETRY)
     try:
         started = time.monotonic()
-        if stub_name == "sql-error":
+        if stub_name == "sql-error" and path != "write":
             with pytest.raises(protocol.WireError) as excinfo:
                 run_path(router, path)
             assert excinfo.value.code == protocol.SQL_ERROR
@@ -309,3 +311,80 @@ def test_a_replica_gets_one_retry_budget_on_every_path(sibling, path,
     assert settles(connection_threads, 0) == 0
     assert settles(threading.active_count, threads) == threads
     assert settles(fds, descriptors) == descriptors
+
+
+# -- one outcome per replica set --------------------------------------------
+
+INTERNAL = {"type": "error", "code": protocol.INTERNAL,
+            "message": "replica-local failure"}
+
+
+def live_counts(router) -> list[int]:
+    """``COUNT(*)`` asked of each ``LIVE`` replica directly."""
+    counts = []
+    for replica in router.replica_sets[0]:
+        if replica.state == LIVE:
+            with ArrayClient(replica.host, replica.port) as client:
+                counts.append(client.query("SELECT COUNT(*) FROM t")
+                              .rows[0][0])
+    return counts
+
+
+def test_a_write_a_sibling_committed_succeeds_past_a_typed_error(sibling):
+    """Replica 0 answers ``INTERNAL`` while replica 1 commits: the
+    write succeeds, replica 0 is stale, and every live replica holds
+    the same rows."""
+    handle, _want, twin = sibling
+    stub = StalledReplica(script=[INTERNAL], upstream=twin.port)
+    router = make_router(stub, handle, MATRIX_RETRY)
+    try:
+        assert router.insert_rows(
+            "t", [(100 + i, float(i), None) for i in range(5)]) == 5
+        assert stub.seen == 1
+        stub_replica, live = router.replica_sets[0]
+        assert (stub_replica.state, live.state) == (STALE, LIVE)
+        assert live_counts(router) == [45]
+        assert [tuple(r) for r in router.execute(
+            "SELECT COUNT(*) FROM t")["rows"]] == [(45,)]
+    finally:
+        router.shutdown()
+        stub.close()
+
+
+def test_a_statement_every_replica_refuses_leaves_the_set_live(sibling):
+    """A duplicate key is refused alike by both real replicas: the
+    typed error propagates and neither replica leaves the rotation."""
+    handle, _want, twin = sibling
+    config = ShardConfig(shards=1, replicas=2, key_lo=0, key_hi=100)
+    router = ShardRouter(
+        [[("127.0.0.1", handle.port), ("127.0.0.1", twin.port)]],
+        config.make_partitioner(), retry=MATRIX_RETRY,
+        connect_timeout=1.0, request_timeout=REQUEST_TIMEOUT,
+        reprobe_interval=60.0)
+    router.session.execute(DDL)
+    try:
+        with pytest.raises(protocol.WireError) as excinfo:
+            router.insert_rows("t", [(3, 1.0, None)])
+        assert excinfo.value.code == protocol.SQL_ERROR
+        assert [r.state for r in router.replica_sets[0]] == [LIVE, LIVE]
+        assert live_counts(router) == [40, 40]
+    finally:
+        router.shutdown()
+
+
+def test_replicas_that_fail_differently_raise_the_first_error():
+    """No replica acknowledged and the errors differ: the first is
+    raised, and the replica that answered otherwise is suspect."""
+    stubs = [StalledReplica(script=[INTERNAL]),
+             StalledReplica(script=[SQL_ERROR])]
+    router = make_router(*stubs, MATRIX_RETRY)
+    try:
+        with pytest.raises(protocol.WireError) as excinfo:
+            router.insert_rows("t", [(100, 1.0, None)])
+        assert excinfo.value.code == protocol.INTERNAL
+        assert [r.state for r in router.replica_sets[0]] == [LIVE, SUSPECT]
+        assert [stub.seen for stub in stubs] == [1, 1]
+    finally:
+        router.shutdown()
+        for stub in stubs:
+            stub.close()
