@@ -62,7 +62,7 @@ def table1_block(rows: int) -> dict:
 
 def vectorized_block(rows: int) -> dict:
     print("=" * 70)
-    print("Vectorized batch engine: row vs vector wall time")
+    print("Batch engine vs the row-at-a-time oracle: wall time")
     print("=" * 70)
     from repro.engine import SqlSession
 

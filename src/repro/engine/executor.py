@@ -181,7 +181,9 @@ class Database:
 
 
 class Expression:
-    """Base class for scalar expressions evaluated per row."""
+    """Base class for scalar expressions, evaluated a batch at a time:
+    :meth:`eval_batch` returns the ``(values, mask)`` lanes of the
+    context's batch (see :mod:`repro.engine.vectorized`)."""
 
     def columns(self) -> set[str]:
         """Names of table columns this expression reads."""
@@ -191,7 +193,7 @@ class Expression:
         """Per-row CPU cost that does not depend on the row's values."""
         return 0.0
 
-    def eval(self, ctx: "vectorized.BatchContext"):
+    def eval_batch(self, ctx: "vectorized.BatchContext"):
         raise NotImplementedError
 
 
@@ -210,9 +212,6 @@ class Col(Expression):
             return model.cpu_decode_varbinary
         return model.cpu_decode_fixed
 
-    def eval(self, ctx: "vectorized.BatchContext"):
-        return ctx.row[ctx.table.column_index(self.name)]
-
     def eval_batch(self, ctx: "vectorized.BatchContext"):
         return ctx.batch.column(self.name)
 
@@ -222,9 +221,6 @@ class Const(Expression):
 
     def __init__(self, value):
         self.value = value
-
-    def eval(self, ctx: "vectorized.BatchContext"):
-        return self.value
 
     def eval_batch(self, ctx: "vectorized.BatchContext"):
         # Scalars broadcast; a None scalar means NULL in every lane.
@@ -248,18 +244,8 @@ class ReadBlob(Expression):
     def static_cpu_cost(self, table: Table, model: CostModel) -> float:
         return self.inner.static_cpu_cost(table, model)
 
-    def eval(self, ctx: "vectorized.BatchContext"):
-        value = self.inner.eval(ctx)
-        if isinstance(value, MaxBlobHandle):
-            stream = value.open_stream(ctx.pool)
-            data = stream.read_at(0, value.length)
-            ctx.stream_calls += stream.stream_calls
-            ctx.stream_bytes += stream.bytes_read
-            return data
-        return value
-
     def eval_batch(self, ctx: "vectorized.BatchContext"):
-        values, mask = vectorized.eval_node(self.inner, ctx)
+        values, mask = self.inner.eval_batch(ctx)
         n = ctx.batch.n
         if isinstance(values, np.ndarray):
             if values.dtype != object or not any(
@@ -339,15 +325,11 @@ class ScalarUdf(Expression):
             cost += a.static_cpu_cost(table, model)
         return cost
 
-    def eval(self, ctx: "vectorized.BatchContext"):
-        ctx.udf_calls += 1
-        return self.func(*[a.eval(ctx) for a in self.args])
-
     def eval_batch(self, ctx: "vectorized.BatchContext"):
         n = ctx.batch.n
-        args = [vectorized.eval_node(a, ctx) for a in self.args]
-        # Metric parity: the row engine charges one call per row
-        # whether or not a batch kernel ends up doing the work.
+        args = [a.eval_batch(ctx) for a in self.args]
+        # One call per row is charged whether or not a batch kernel
+        # ends up doing the work.
         ctx.udf_calls += n
         kernel = self.vectorized
         if kernel is not None and n:
@@ -371,12 +353,13 @@ class Aggregate:
 
     Every aggregate implements one protocol, the paper's UDA contract
     (``init / accumulate / merge / terminate``, §4.2) with the
-    accumulate step in the three shapes the engines feed it:
+    accumulate step in the three shapes a statement feeds it:
 
     * :meth:`start` — a fresh state;
     * :meth:`step` — the state advanced over one value of :attr:`expr`
       (``None`` for NULL; ``COUNT(*)`` has no expression and is handed
-      ``None`` per row), which the row engine evaluates once per row;
+      ``None``), which a grouped scan's per-lane walk uses for keys
+      that do not partition (NaN, objects);
     * :meth:`step_batch` — the state advanced over a batch's
       ``(values, mask)`` lanes of :attr:`expr` (see
       :mod:`repro.engine.vectorized`);
@@ -619,13 +602,6 @@ class Executor:
         self.db = db
         self.model = model
 
-    def _resolve_engine(self, engine: str | None) -> str:
-        engine = "vector" if engine is None else engine
-        if engine not in ("row", "vector"):
-            raise ValueError(
-                f"engine must be 'row' or 'vector', got {engine!r}")
-        return engine
-
     @contextmanager
     def _read_view(self, table: Table, cold: bool):
         """Statement-scoped read view over one table.
@@ -651,10 +627,10 @@ class Executor:
             snap.unpin(pool)
 
     def _metrics(self, label: str, rows: int, io, cpu: float,
-                 wall: float, counts, engine: str = "row") -> QueryMetrics:
+                 wall: float, counts) -> QueryMetrics:
         """The one :class:`QueryMetrics` builder.  ``counts`` carries
-        the statement's ``stream_calls``/``udf_calls`` — a row or batch
-        context."""
+        the statement's ``stream_calls``/``udf_calls`` (its
+        :class:`~repro.engine.vectorized.BatchContext`)."""
         model = self.model
         io_seq, io_random = model.io_seconds_split(io)
         io_seconds = io_seq + io_random
@@ -669,7 +645,7 @@ class Executor:
             sim_io_random_seconds=io_random,
             sim_cpu_core_seconds=cpu,
             sim_exec_seconds=model.exec_seconds(io_seconds, cpu),
-            cores=model.cores, wall_seconds=wall, engine=engine)
+            cores=model.cores, wall_seconds=wall)
 
     def _scan_costs(self, table: Table, aggregates, where,
                     group_expr) -> tuple[float, float]:
@@ -722,8 +698,8 @@ class Executor:
         """Final values of a statement: the aggregate tuple, or — grouped —
         one ``(group, agg...)`` row per group, sorted by group key
         (:func:`group_rank`).  A ``partial`` statement hands the
-        :class:`~repro.engine.vectorized.GroupArrays` a vector scan
-        built on as they are."""
+        :class:`~repro.engine.vectorized.GroupArrays` the scan built on
+        as they are."""
         if groups is None:
             return tuple(a.finish(s, rows)
                          for a, s in zip(aggregates, states))
@@ -737,8 +713,7 @@ class Executor:
 
     def run(self, table: Table, aggregates: Sequence[Aggregate],
             where: Expression | None = None, cold: bool = True,
-            label: str = "", engine: str | None = None
-            ) -> tuple[tuple, QueryMetrics]:
+            label: str = "") -> tuple[tuple, QueryMetrics]:
         """Execute ``SELECT aggs FROM table [WHERE where]``.
 
         Args:
@@ -749,21 +724,16 @@ class Executor:
                 evaluates falsy are skipped after being scanned).
             cold: Read through a cold buffer pool, like the paper's runs.
             label: Name recorded in the metrics.
-            engine: ``"vector"`` (``None``, the default) or ``"row"``.
-                Both produce bit-identical results; cold-run IO
-                accounting is identical too.
 
         Returns:
             ``(values, metrics)``.
         """
-        return self.run_serial(table, aggregates, where, None, cold,
-                               label, self._resolve_engine(engine))
+        return self.run_serial(table, aggregates, where, None, cold, label)
 
     def run_grouped(self, table: Table, group_expr: "Expression",
                     aggregates: Sequence[Aggregate],
                     where: "Expression | None" = None, cold: bool = True,
-                    label: str = "", engine: str | None = None
-                    ) -> tuple[list[tuple], QueryMetrics]:
+                    label: str = "") -> tuple[list[tuple], QueryMetrics]:
         """Execute ``SELECT group, aggs FROM table GROUP BY group``.
 
         One hash-aggregation pass over the clustered scan; rows are
@@ -776,29 +746,26 @@ class Executor:
             ``(group_value, agg1, agg2, ...)``.
         """
         return self.run_serial(table, aggregates, where, group_expr,
-                               cold, label, self._resolve_engine(engine))
+                               cold, label)
 
     def run_serial(self, table: Table, aggregates, where=None,
-                   group_expr=None, cold: bool = True, label: str = "",
-                   engine: str = "vector"):
-        """Scan on the ``"vector"`` or ``"row"`` engine (grouped when
-        ``group_expr`` is given).  ``engine`` is already resolved; a
-        session calls this under its statement latch guard."""
-        return self._execute(table, aggregates, cold, label, engine,
-                             where, group_expr)
+                   group_expr=None, cold: bool = True, label: str = ""):
+        """Scan (grouped when ``group_expr`` is given); a session calls
+        this under its statement latch guard."""
+        return self._execute(table, aggregates, cold, label, where,
+                             group_expr)
 
     def run_partial(self, table: Table, aggregates, where=None,
-                    group_expr=None, cold: bool = True, label: str = "",
-                    engine: str = "vector"):
+                    group_expr=None, cold: bool = True, label: str = ""):
         """:meth:`run_serial` for the shard side of a distributed
         aggregate — every aggregate a :func:`PartialCapture` — that
         leaves a grouped state unreduced: ``(groups, metrics)`` with
         ``groups`` the :class:`~repro.engine.vectorized.GroupArrays`
-        the vector engine's scan built, handed on as the arrays it is,
-        and otherwise the finished ``(key, partial, ...)`` rows, as
+        the scan built, handed on as the arrays it is, and otherwise
+        the finished ``(key, partial, ...)`` rows, as
         :meth:`run_serial` returns them."""
-        return self._execute(table, aggregates, cold, label, engine,
-                             where, group_expr, partial=True)
+        return self._execute(table, aggregates, cold, label, where,
+                             group_expr, partial=True)
 
     def run_index(self, table: Table, column: str,
                   aggregates: Sequence[Aggregate], equals=None,
@@ -808,30 +775,31 @@ class Executor:
         index: an index seek / range scan plus one clustered key lookup
         per qualifying row.
 
-        Seek plans touch a handful of scattered rows, so there is no
-        batch to vectorize: the plan executes row-at-a-time and
-        reports ``engine="row"``.  The index and the rows are read at
-        the statement's pinned snapshot, and the rows in primary-key
-        order — the order a scan adds them in.
+        The index and the rows are read at the statement's pinned
+        snapshot, the rows in primary-key order — the order a scan adds
+        them in — and the records found are folded as one batch.
 
         Args:
             column: The indexed column.
             equals: Equality value (exclusive with lo/hi).
             lo / hi: Half-open value range ``[lo, hi)``.
         """
-        def records(view, pool):
+        def batches(view, pool):
             index = view.index_on(column)
             if index is None:
                 raise ValueError(f"no index on column {column!r}")
             pks = index.seek(equals, pool) if equals is not None \
                 else index.range(lo, hi, pool)
+            keys, payloads = [], []
             for pk in sorted(pks):
                 payload = view.tree.search(pk, pool)
                 if payload is not None:
-                    yield pk, payload
+                    keys.append(pk)
+                    payloads.append(payload)
+            return _seek_batch(view, keys, payloads)
 
         return self._execute(table, aggregates, cold, label,
-                             seek=records)
+                             seek=batches)
 
     def run_point(self, table: Table, key: int,
                   aggregates: Sequence[Aggregate], cold: bool = True,
@@ -841,8 +809,8 @@ class Executor:
 
         The B-tree descent touches ``height`` pages instead of every
         leaf; this is the plan the paper's narrow queries (one blob row
-        by z-index) rely on.  Like :meth:`run_index`, the single row is
-        processed on the row path (``engine="row"`` in the metrics).
+        by z-index) rely on.  The row found is folded as a one-record
+        batch.
 
         Returns ``(values, metrics)``, or what ``finalize`` makes of
         them.  ``finalize`` is the consumer of a late-materialised plan
@@ -854,27 +822,30 @@ class Executor:
         """
         key = int(key)
 
-        def records(view, pool):
+        def batches(view, pool):
             payload = view.tree.search(key, pool)
-            return () if payload is None else ((key, payload),)
+            return _seek_batch(view, [key], [payload]) \
+                if payload is not None else ()
 
         return self._execute(table, aggregates, cold, label,
-                             seek=records, finalize=finalize)
+                             seek=batches, finalize=finalize)
 
     def _execute(self, table: Table, aggregates, cold: bool, label: str,
-                 engine: str = "row", where=None, group_expr=None, *,
-                 seek=None, partial: bool = False, finalize=None):
+                 where=None, group_expr=None, *, seek=None,
+                 partial: bool = False, finalize=None):
         """The one statement body behind every ``run*`` method.
 
-        The rows come from a source: ``seek(view, pool)`` yields the
-        ``(key, payload)`` records of a seek plan, charged by
-        :meth:`_seek_cpu`; without it the statement is a clustered
-        scan of the view — batch by batch on the ``"vector"`` engine,
-        record by record on ``"row"`` — charged by :meth:`_scan_cpu`.
-        The body opens the statement's read view (:meth:`_read_view`),
-        measures the calling thread's IO and the wall time, and calls
-        ``finalize`` on ``(values, metrics)`` inside the view,
-        re-measuring after it.
+        The rows come from a batch source that one fold consumes
+        (:func:`~repro.engine.vectorized.scan_aggregate`, or
+        :func:`~repro.engine.vectorized.scan_grouped` when grouped):
+        ``seek(view, pool)`` returns a seek plan's batches — one batch
+        of the records it found — charged by :meth:`_seek_cpu`; without
+        it the source is the clustered scan of the view, batch by
+        batch, charged by :meth:`_scan_cpu`.  The body opens the
+        statement's read view (:meth:`_read_view`), measures the
+        calling thread's IO and the wall time, and calls ``finalize``
+        on ``(values, metrics)`` inside the view, re-measuring after
+        it.
         """
         pool = self.db.pool
         costs = None if seek is not None else \
@@ -882,43 +853,22 @@ class Executor:
         with self._read_view(table, cold) as view:
             before = pool.snapshot_thread_counters()
             started = time.perf_counter()
-            states = groups = None
-            ctx = vectorized.BatchContext(view, pool)
-            if seek is None and engine == "vector":
-                if group_expr is None:
-                    states, rows, payload_bytes = \
-                        vectorized.scan_aggregate(
-                            view, pool, aggregates, where, ctx)
-                else:
-                    groups, rows, payload_bytes = \
-                        vectorized.scan_grouped(
-                            view, pool, group_expr, aggregates, where,
-                            ctx)
+            ctx = vectorized.BatchContext(pool)
+            if seek is not None:
+                batches = seek(view, pool)
             else:
-                if group_expr is None:
-                    states = [a.start() for a in aggregates]
-                else:
-                    groups = {}
-                rows = 0
-                payload_bytes = 0
-                records = view.tree.scan(pool) if seek is None \
-                    else seek(view, pool)
-                for key, payload in records:
-                    rows += 1
-                    payload_bytes += len(payload)
-                    ctx.row = view.decode(key, payload)
-                    if where is not None and not where.eval(ctx):
-                        continue
-                    if groups is not None:
-                        group = group_expr.eval(ctx)
-                        states = groups.get(group)
-                        if states is None:
-                            states = groups[group] = [
-                                a.start() for a in aggregates]
-                    for i, agg in enumerate(aggregates):
-                        value = None if agg.expr is None \
-                            else agg.expr.eval(ctx)
-                        states[i] = agg.step(states[i], value)
+                # A statement that reads no column scans counted batches.
+                batches = view.scan_batches(
+                    pool, columns=where is not None
+                    or group_expr is not None
+                    or any(a.expr is not None for a in aggregates))
+            states = groups = None
+            if group_expr is None:
+                states, rows, payload_bytes = vectorized.scan_aggregate(
+                    batches, aggregates, where, ctx)
+            else:
+                groups, rows, payload_bytes = vectorized.scan_grouped(
+                    batches, group_expr, aggregates, where, ctx)
 
             def measured() -> QueryMetrics:
                 io = pool.snapshot_thread_counters().delta_since(before)
@@ -926,8 +876,7 @@ class Executor:
                     if costs is None else \
                     self._scan_cpu(rows, payload_bytes, costs, ctx)
                 return self._metrics(label, rows, io, cpu,
-                                     time.perf_counter() - started, ctx,
-                                     engine)
+                                     time.perf_counter() - started, ctx)
 
             metrics = measured()
             result = (self._finish(aggregates, states, groups, rows,
@@ -936,3 +885,11 @@ class Executor:
                 result = finalize(result)
                 vars(metrics).update(vars(measured()))
         return result
+
+
+def _seek_batch(view, keys: list, payloads: list) -> tuple:
+    """A seek plan's batch source: the records it found as one
+    :class:`~repro.engine.vectorized.RowBatch` (none when it found
+    nothing)."""
+    return (vectorized.RowBatch(view.table, keys, payloads),) \
+        if keys else ()

@@ -51,11 +51,10 @@ class QueryMetrics:
     sim_exec_seconds: float = 0.0
     cores: int = 8
     wall_seconds: float = 0.0
-    #: Which execution path produced the result: ``"row"`` (tuple at a
-    #: time), ``"vector"`` (columnar batches) or ``"sharded"`` (merged
-    #: from shard partials by a coordinator).  Purely diagnostic — all
-    #: paths return identical results and cold-run IO counters.
-    engine: str = "row"
+    #: Which execution path produced the result: ``"vector"`` (one
+    #: node's batches, scans and seeks alike) or ``"sharded"`` (merged
+    #: from shard partials by a coordinator).  Purely diagnostic.
+    engine: str = "vector"
     #: Shards whose partials a sharded coordinator merged (0 for a
     #: single-node statement).  Crosses the wire in the metrics dict.
     workers: int = 0

@@ -245,16 +245,9 @@ class _BinOp(Expression):
                 + self.right.static_cpu_cost(table, model)
                 + model.cpu_count_step)
 
-    def eval(self, ctx):
-        left = self.left.eval(ctx)
-        right = self.right.eval(ctx)
-        if left is None or right is None:
-            return None  # SQL three-valued logic, collapsed to NULL
-        return self._FUNCS[self.op](left, right)
-
     def eval_batch(self, ctx):
-        lv, lm = vectorized.eval_node(self.left, ctx)
-        rv, rm = vectorized.eval_node(self.right, ctx)
+        lv, lm = self.left.eval_batch(ctx)
+        rv, rm = self.right.eval_batch(ctx)
         return vectorized.binop_batch(self.op, self._FUNCS[self.op],
                                       lv, lm, rv, rm, ctx.batch.n)
 
@@ -269,12 +262,8 @@ class _Not(Expression):
     def static_cpu_cost(self, table, model):
         return self.inner.static_cpu_cost(table, model)
 
-    def eval(self, ctx):
-        value = self.inner.eval(ctx)
-        return None if value is None else not bool(value)
-
     def eval_batch(self, ctx):
-        values, mask = vectorized.eval_node(self.inner, ctx)
+        values, mask = self.inner.eval_batch(ctx)
         return vectorized.not_batch(values, mask, ctx.batch.n)
 
 
@@ -289,12 +278,8 @@ class _IsNull(Expression):
     def static_cpu_cost(self, table, model):
         return self.inner.static_cpu_cost(table, model)
 
-    def eval(self, ctx):
-        is_null = self.inner.eval(ctx) is None
-        return not is_null if self.negate else is_null
-
     def eval_batch(self, ctx):
-        values, mask = vectorized.eval_node(self.inner, ctx)
+        values, mask = self.inner.eval_batch(ctx)
         return vectorized.isnull_batch(values, mask, ctx.batch.n,
                                        self.negate)
 
@@ -338,7 +323,7 @@ class SqlSession:
         # that shape walked so far); bounded like the plans.
         self._row_patterns = PlanCache()
         # The paper's cross-check UDF ships registered, with a trivial
-        # batch kernel so the vector engine never falls back on it.
+        # batch kernel so a batch never calls it once per row.
         self.register_function(
             "dbo.EmptyFunction", _empty_function, body_cost="empty")
 
@@ -370,8 +355,7 @@ class SqlSession:
     # -- public API --------------------------------------------------------
 
     @lockcheck.statement
-    def execute(self, sql: str, cold: bool = True, finalize=None,
-                engine: str | None = None):
+    def execute(self, sql: str, cold: bool = True, finalize=None):
         """Execute any supported statement.
 
         ``SELECT`` returns ``(values, metrics)`` (or ``(rows, metrics)``
@@ -380,9 +364,6 @@ class SqlSession:
         ``INSERT`` and ``DELETE`` return the number of rows affected.
         ``finalize`` (SELECT only) is applied to the result before the
         statement ends — see :meth:`query`.
-        ``engine`` (SELECT only) picks the execution path — ``"row"``,
-        ``"vector"``, or ``None`` for ``"vector"``; both
-        produce identical results and cold-run metrics.
 
         Latching: CREATE/DROP take the exclusive catalog latch; INSERT
         and DELETE take the exclusive latch of the one table they
@@ -396,8 +377,7 @@ class SqlSession:
         """
         kind = _statement_kind(sql)
         if kind == "SELECT":
-            return self.query(sql, cold=cold, finalize=finalize,
-                              engine=engine)
+            return self.query(sql, cold=cold, finalize=finalize)
         if kind == "INSERT":
             return self.insert_rows(*self.parse_insert(sql))
         tokens = _tokenize(sql)
@@ -462,8 +442,8 @@ class SqlSession:
         Only the run of leaves overlapping ``pk_range`` —
         :meth:`_pk_range` of the predicate, a superset of the matching
         keys by construction — is decoded, a batch at a time, and the
-        whole predicate is still evaluated, by the vector engine, on
-        every row of that interval.  Nothing is charged to the buffer
+        whole predicate is still evaluated, a batch at a time, on every
+        row of that interval.  Nothing is charged to the buffer
         pool.
         """
         key = self._seek_key(snap.table, where)
@@ -472,7 +452,7 @@ class SqlSession:
         lo, hi = pk_range if pk_range is not None else (None, None)
         if lo is not None and hi is not None and lo >= hi:
             return []
-        ctx = vectorized.BatchContext(snap.table, None)
+        ctx = vectorized.BatchContext(None)
         keys: list[int] = []
         for pages in snap.tree.scan_leaf_batches(start=lo, stop=hi):
             batch = vectorized.RowBatch.from_pages(snap.table, pages)
@@ -525,8 +505,7 @@ class SqlSession:
             table.release_intent(token)
 
     @lockcheck.statement
-    def query(self, sql: str, cold: bool = True, finalize=None,
-              engine: str | None = None):
+    def query(self, sql: str, cold: bool = True, finalize=None):
         """Execute one aggregate SELECT; returns (values, metrics).
 
         The statement is planned through :meth:`prepare`, so a repeated
@@ -558,21 +537,18 @@ class SqlSession:
         ``finalize`` must not execute further statements (the latches
         are not reentrant).
         """
-        return self._select(self.prepare(sql), cold, engine, finalize)
+        return self._select(self.prepare(sql), cold, finalize)
 
-    def _select(self, plan: SelectPlan, cold: bool, engine: str | None,
-                finalize):
+    def _select(self, plan: SelectPlan, cold: bool, finalize):
         """Catalog latch -> execute -> ``finalize`` for one planned
         SELECT: the body shared by :meth:`query` and
         :meth:`query_partial`."""
-        executor = self.executor
-        engine = executor._resolve_engine(engine)
         with self.db.latches.catalog_latch():
             if plan.late:
-                return executor.run_point(
+                return self.executor.run_point(
                     plan.table, plan.key, plan.aggregates, cold,
                     plan.label, finalize=finalize or self._read_out)
-            result = self._execute_plan(plan, cold, engine)
+            result = self._execute_plan(plan, cold)
             return result if finalize is None else finalize(result)
 
     def _read_out(self, result):
@@ -673,9 +649,9 @@ class SqlSession:
                           aggregates=aggregates, where=where,
                           pk_range=self._pk_range(table, where))
 
-    def _execute_plan(self, plan: SelectPlan, cold: bool, engine: str):
+    def _execute_plan(self, plan: SelectPlan, cold: bool):
         """Run a :class:`SelectPlan` serially on this session's
-        executor (``engine`` is ``"vector"`` or ``"row"``).
+        executor.
 
         The caller holds the shared catalog latch.
         """
@@ -691,11 +667,10 @@ class SqlSession:
         run = self.executor.run_partial if plan.partial \
             else self.executor.run_serial
         return run(plan.table, plan.aggregates, plan.where,
-                   plan.group_expr, cold, plan.label, engine)
+                   plan.group_expr, cold, plan.label)
 
     @lockcheck.statement
-    def query_partial(self, sql: str, cold: bool = True,
-                      engine: str | None = None, finalize=None):
+    def query_partial(self, sql: str, cold: bool = True, finalize=None):
         """Execute one aggregate SELECT but return the *unreduced*
         mergeable partial states instead of finished values — the
         shard-side half of distributed aggregation.
@@ -716,9 +691,9 @@ class SqlSession:
         [partials...])`` pairs; ``states`` is None) for GROUP BY.
         ``groups`` is a :class:`~repro.engine.vectorized.GroupArrays`
         — the key, count and value arrays a ``presult`` frame carries,
-        which read as those pairs on demand: the ones the vector
-        engine's scan built, handed on as they are, or loaded from
-        the rows any other path finished.  ``finalize`` has
+        which read as those pairs on demand: the ones the scan built,
+        handed on as they are, or loaded from the rows its per-lane
+        walk finished.  ``finalize`` has
         :meth:`query` semantics: blob handles inside MIN/MAX partials
         are dereferenced there, before the statement ends.
         """
@@ -732,7 +707,7 @@ class SqlSession:
             if plan.kind == "grouped":
                 groups, metrics = result
                 states = None
-                if isinstance(groups, list):  # rows: the row engine
+                if isinstance(groups, list):  # rows: the per-lane walk
                     groups = vectorized.GroupArrays.from_rows(
                         wrapped.aggregates, groups)
             else:
@@ -742,7 +717,7 @@ class SqlSession:
                        "groups": groups, "metrics": metrics}
             return payload if finalize is None else finalize(payload)
 
-        return self._select(wrapped, cold, engine, shape)
+        return self._select(wrapped, cold, shape)
 
     def parse_insert(self, sql: str) -> tuple[Table, list[tuple]]:
         """Parse ``INSERT INTO name VALUES (v, ...), ...`` into
@@ -1076,7 +1051,10 @@ class _Parser:
         if kind == "kw" and value == "NULL":
             return Const(None)
         if kind == "op" and value == "-":
-            return _BinOp("-", Const(0), self._factor())
+            node = self._factor()
+            if isinstance(node, Const) and _is_finite_number(node.value):
+                return Const(0 - node.value)  # a negative literal
+            return _BinOp("-", Const(0), node)
         if kind == "op" and value == "(":
             node = self._expr()
             self._expect("op", ")")

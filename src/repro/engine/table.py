@@ -229,8 +229,13 @@ class Table:
 
     def __setstate__(self, state):
         self.__dict__.update(state)
-        # The tip is all a saved file can be read at (older files saved
-        # only the clustered tree's triple).
+        if any(len(tip) == 3 for tip in self._published.values()):
+            # Saved before indexes were versioned, when an index keyed
+            # a value as given: rebuilt, keyed as stored.
+            self._indexes = {name: SecondaryIndex(self, name, self._pagefile)
+                             for name in self._indexes}
+            self._reindex((), ((row[0], row) for row in self.scan()))
+        # The tip is all a saved file can be read at.
         self._published = {self.version: self._tip()}
         self._pin_lock = lockcheck.tracked_lock("mutex:Table.pin")
         self._mutate_lock = lockcheck.tracked_lock("mutex:Table.mutate")
@@ -406,7 +411,9 @@ class Table:
                 f"row {key} of table {self.name} takes {length} bytes; "
                 f"a page holds a row of at most {_MAX_RECORD}")
 
-    def _decode_row(self, key: int, payload: bytes) -> tuple:
+    def decode(self, key: int, payload: bytes) -> tuple:
+        """Decode a raw leaf payload into a row tuple (what a batch of
+        records of differing lengths decodes its columns from)."""
         pos = ROW_OVERHEAD
         bitmap = payload[pos:pos + self._bitmap_bytes]
         pos += self._bitmap_bytes
@@ -465,12 +472,6 @@ class Table:
             "height": self._tree.height,
             "indexes": sorted(self._indexes),
         }
-
-    def decode(self, key: int, payload: bytes) -> tuple:
-        """Decode a raw leaf payload into a row tuple (public wrapper
-        used by the executor, which scans raw records to know their
-        stored size)."""
-        return self._decode_row(key, payload)
 
     # -- secondary indexes --------------------------------------------------
 
@@ -773,14 +774,14 @@ class Table:
         payload = self._tree.search(int(key), pool)
         if payload is None:
             return None
-        return self._decode_row(int(key), payload)
+        return self.decode(int(key), payload)
 
     def scan(self, pool: BufferPool | None = None,
              start: int | None = None, stop: int | None = None
              ) -> Iterator[tuple]:
         """Clustered index scan yielding decoded rows in key order."""
         for key, payload in self._tree.scan(pool, start, stop):
-            yield self._decode_row(key, payload)
+            yield self.decode(key, payload)
 
     def scan_batches(self, pool: BufferPool | None = None,
                      batch_pages: int | None = None,
@@ -889,9 +890,6 @@ class TableSnapshot:
         return IndexReader(
             BTreeReader(self.table._pagefile, self.version, *shape),
             self.table._indexes[column_name]._is_float)
-
-    def decode(self, key: int, payload: bytes) -> tuple:
-        return self.table.decode(key, payload)
 
     def data_page_ids(self) -> list[int]:
         return self._reader.leaf_page_ids()

@@ -1,15 +1,16 @@
-"""Vectorized batch execution: columnar row batches and batch kernels.
+"""Batch execution: columnar row batches and batch kernels.
 
-The row engine in :mod:`repro.engine.executor` decodes one tuple at a
-time and walks a Python ``Expression`` tree per row — faithful to the
-per-call UDF overhead the paper measures, but far from "as fast as the
-hardware allows".  This module is the batch path: a clustered scan is
-chopped into :class:`RowBatch` chunks of whole leaf pages, fixed-width
-columns are decoded with NumPy strided views over the concatenated
-records, and expressions/aggregates advance a whole batch per dispatch.
+Every statement runs here.  A clustered scan is chopped into
+:class:`RowBatch` chunks of whole leaf pages, and a seek's records form
+one batch; fixed-width columns are decoded with NumPy strided views
+over the concatenated records, and expressions/aggregates advance a
+whole batch per dispatch.
 
-Parity with the row engine is a hard contract, enforced by the parity
-test suite:
+The reference for what a statement answers is a row-at-a-time
+interpreter kept with the tests (``tests/engine/row_oracle.py``): one
+decoded tuple at a time through the same expression tree, the
+semantics the paper's per-row UDF calls have.  Parity with it is a hard
+contract, enforced by the parity suites:
 
 * **Results are bit-identical.**  Aggregates accumulate left-to-right
   (no pairwise summation: a float64 sum is a sequential
@@ -27,11 +28,6 @@ test suite:
   pairs — ``mask`` is ``None`` (no NULLs) or a boolean array with
   ``True`` marking NULL lanes; a plain Python scalar in ``values``
   broadcasts, with ``None`` meaning NULL in every lane.
-
-Expressions that do not implement ``eval_batch`` (user-supplied duck
-typed predicates, opaque UDFs without a vectorized kernel) silently
-fall back to the row path on materialized tuples, so anything that runs
-on the row engine runs on the vector engine.
 """
 
 from __future__ import annotations
@@ -54,7 +50,6 @@ __all__ = [
     "RowBatch",
     "same_rows",
     "BatchContext",
-    "eval_node",
     "binop_batch",
     "not_batch",
     "isnull_batch",
@@ -343,28 +338,24 @@ class RowBatch:
         return outs
 
     def _column_from_tuples(self, name: str, idx: int) -> tuple:
-        """Non-uniform batch: decode whole rows once, then slice."""
-        rows = self.rows()
-        col = self.table.columns[idx]
-        vals = [row[idx] for row in rows]
-        mask = np.fromiter((v is None for v in vals), dtype=bool,
-                           count=self.n)
-        has_null = bool(mask.any())
-        spec = _layout(self.table).fixed.get(col.name)
-        if spec is not None:
-            dt = spec[2]
-            if has_null:
-                values = np.array([0 if v is None else v for v in vals],
-                                  dtype=dt)
-            else:
-                values = np.array(vals, dtype=dt)
-        else:
-            values = _object_column(vals)
-        return values, (mask if has_null else None)
+        """Non-uniform batch (or a seek's records): decode whole rows
+        once, then slice.  A one-lane column is its one value as a
+        broadcast scalar (``None``: NULL) — what a point seek reads."""
+        vals = [row[idx] for row in self.rows()]
+        if self.n == 1:
+            return vals[0], None
+        mask = np.array([v is None for v in vals]) if None in vals \
+            else None
+        spec = _layout(self.table).fixed.get(name)
+        if spec is None:
+            return _object_column(vals), mask
+        if mask is not None:
+            vals = [0 if v is None else v for v in vals]
+        return np.array(vals, dtype=spec[2]), mask
 
     def rows(self) -> list[tuple]:
-        """Materialize the batch as decoded row tuples (the fallback
-        representation for non-vectorizable expressions)."""
+        """Materialize the batch as decoded row tuples (how a batch of
+        records of differing lengths decodes its columns)."""
         if self._tuples is None:
             decode = self.table.decode
             self._tuples = [decode(k, p) for k, p in
@@ -395,23 +386,17 @@ class RowBatch:
 
 
 class BatchContext:
-    """Evaluation context of one statement, on either engine.
-
-    The row engine sets :attr:`row` to each decoded tuple before it
-    calls an expression's ``eval``; the vector engine sets
-    :attr:`batch` to the current :class:`RowBatch` for ``eval_batch``
-    (and per-row fallback evaluation reuses ``eval`` through
-    :attr:`row`).  Both count the statement's UDF and stream calls
-    here, which is what its metrics charge.
+    """Evaluation context of one statement: :attr:`batch` is the
+    current :class:`RowBatch` an expression's ``eval_batch`` reads, and
+    the statement's UDF and stream calls are counted here, which is
+    what its metrics charge.
     """
 
-    __slots__ = ("table", "row", "pool", "udf_calls", "stream_calls",
-                 "stream_bytes", "extra_cpu", "batch")
+    __slots__ = ("pool", "udf_calls", "stream_calls", "stream_bytes",
+                 "extra_cpu", "batch")
 
-    def __init__(self, table: "Table", pool: "BufferPool"):
-        self.table = table
+    def __init__(self, pool: "BufferPool | None"):
         self.pool = pool
-        self.row: tuple = ()
         self.udf_calls = 0
         self.stream_calls = 0
         self.stream_bytes = 0
@@ -420,28 +405,6 @@ class BatchContext:
 
 
 # -- (values, mask) helpers --------------------------------------------------
-
-
-def eval_node(expr, ctx: BatchContext) -> tuple:
-    """Evaluate an expression over the current batch.
-
-    Uses the node's ``eval_batch`` when present, else loops the row
-    path over materialized tuples — so duck-typed expressions that only
-    implement ``eval(ctx)`` keep working on the vector engine.
-    """
-    fn = getattr(expr, "eval_batch", None)
-    if fn is not None:
-        return fn(ctx)
-    batch = ctx.batch
-    out = np.empty(batch.n, dtype=object)
-    prev = ctx.row
-    try:
-        for i, row in enumerate(batch.rows()):
-            ctx.row = row
-            out[i] = expr.eval(ctx)
-    finally:
-        ctx.row = prev
-    return out, mask_from_object(out)
 
 
 def mask_from_object(values: np.ndarray) -> np.ndarray | None:
@@ -477,8 +440,8 @@ def combine_masks(n: int, *pairs) -> np.ndarray | None:
 
 
 def truthy(values, n: int) -> np.ndarray:
-    """Per-lane ``bool(value)`` (NULL lanes come out False, which is
-    how the row engine's WHERE treats None)."""
+    """Per-lane ``bool(value)`` (NULL lanes come out False: a WHERE
+    keeps no NULL row)."""
     if not isinstance(values, np.ndarray):
         return np.full(n, bool(values))
     if values.dtype == np.bool_:
@@ -492,7 +455,7 @@ def truthy(values, n: int) -> np.ndarray:
 
 def to_pylist(values, mask, n: int) -> list:
     """Per-lane Python scalars, ``None`` in NULL lanes — the values the
-    row engine would have produced."""
+    row-at-a-time semantics produce."""
     if not isinstance(values, np.ndarray):
         return [values] * n
     vals = values.tolist()
@@ -533,17 +496,13 @@ def nonnull_values(values, mask, n: int) -> list:
     return vals
 
 
-def fold(op, state, vals: Iterable):
-    """Strict left fold matching the row engine's one-value-at-a-time
-    accumulation (no pairwise summation, same float rounding, same
-    NaN propagation through min/max)."""
-    it = iter(vals)
-    if state is None:
-        try:
-            state = next(it)
-        except StopIteration:
-            return None
-    return reduce(op, it, state)
+def fold(op, state, vals: Sequence):
+    """Strict left fold: one-value-at-a-time accumulation (no pairwise
+    summation, same float rounding, same NaN propagation through
+    min/max)."""
+    if state is not None:
+        return reduce(op, vals, state)
+    return reduce(op, vals) if vals else None
 
 
 # -- batch operators ---------------------------------------------------------
@@ -590,13 +549,13 @@ def _widen(v):
 
 
 def binop_batch(op: str, func, lv, lm, rv, rm, n: int) -> tuple:
-    """Vectorized binary operator with row-engine parity.
+    """Vectorized binary operator with row-at-a-time semantics.
 
-    ``func`` is the row engine's Python implementation of ``op``; it is
-    the authority on semantics and runs the scalar-scalar case and the
-    object fallback path, so both engines compute with the same Python
-    operators wherever NumPy's would diverge (integer overflow, mixed
-    int/float comparison rounding).
+    ``func`` is the Python implementation of ``op``; it is the
+    authority on semantics and runs the scalar-scalar case and the
+    object fallback path, so lanes compute with the Python operators
+    wherever NumPy's would diverge (integer overflow, mixed int/float
+    comparison rounding).
     """
     if not isinstance(lv, np.ndarray) and not isinstance(rv, np.ndarray):
         if lv is None or rv is None:
@@ -611,8 +570,8 @@ def binop_batch(op: str, func, lv, lm, rv, rm, n: int) -> tuple:
     if _is_float_operand(lv) and _is_float_operand(rv):
         # Pure float64 lane math is bit-identical to Python floats.
         # ``real`` operands are widened first, as struct.unpack widens
-        # them for the row engine (NumPy would otherwise round a float
-        # constant to float32 to compare it).
+        # one value (NumPy would otherwise round a float constant to
+        # float32 to compare it).
         lv, rv = _widen(lv), _widen(rv)
         if arith:
             if op == "/":
@@ -635,9 +594,9 @@ def binop_batch(op: str, func, lv, lm, rv, rm, n: int) -> tuple:
 
 
 def _check_zero_divisor(rv, mask) -> None:
-    """Raise exactly as Python float division would on the row path —
-    NumPy would emit inf and a warning instead.  Only non-NULL lanes
-    count: the row engine never divides when either side is NULL."""
+    """Raise exactly as Python float division would — NumPy would emit
+    inf and a warning instead.  Only non-NULL lanes count: nothing
+    divides when either side is NULL."""
     if isinstance(rv, np.ndarray):
         valid = rv if mask is None else rv[~mask]
         if valid.size and np.any(valid == 0):
@@ -669,7 +628,7 @@ class _Partition:
     stand in group order, which a clustered ``GROUP BY pk`` always
     does — and ``starts`` / ``sizes`` delimit each group's *segment* in
     it.  The sort is stable, so a segment lists its lanes in row order
-    (folding it left to right is the row engine's accumulation order)
+    (folding it left to right is the row-at-a-time accumulation order)
     and its first lane is the group's first row: ``keys`` holds that
     row's key, so of ``0.0`` and ``-0.0`` the one seen first is
     reported.  NULL lanes form one last segment (``null``) that has no
@@ -695,9 +654,9 @@ def _ascends(values: np.ndarray) -> bool:
 def _partition(values, mask, n: int) -> _Partition | None:
     """Partition a batch's group column, or ``None`` when array
     machinery cannot do so without changing semantics: object dtype
-    (unhashable / mixed values) and float NaN keys, where the row
-    engine's per-object dict behaviour (every NaN its own group) is
-    reproduced by the per-lane walk instead."""
+    (unhashable / mixed values) and float NaN keys, where a dict's
+    per-object behaviour (every NaN its own group) is reproduced by the
+    per-lane walk instead."""
     if not isinstance(values, np.ndarray):
         if values is None:
             values, mask = np.zeros(n, np.int64), np.ones(n, np.bool_)
@@ -733,7 +692,7 @@ def _apply_where(where, ctx: BatchContext) -> RowBatch | None:
     """Filter the context's batch through a predicate; returns the
     (possibly compacted) batch, or None when nothing survives."""
     batch = ctx.batch
-    wv, wm = eval_node(where, ctx)
+    wv, wm = where.eval_batch(ctx)
     keep = truthy(wv, batch.n) & ~null_lanes(wv, wm, batch.n)
     if keep.all():
         return batch
@@ -745,35 +704,32 @@ def _apply_where(where, ctx: BatchContext) -> RowBatch | None:
 def _inputs(aggregates: Sequence, ctx: BatchContext) -> list:
     """Each aggregate's ``(values, mask)`` over the context's batch
     (``COUNT(*)`` reads no column: ``(None, None)``)."""
-    return [(None, None) if agg.expr is None else eval_node(agg.expr, ctx)
+    return [(None, None) if agg.expr is None else agg.expr.eval_batch(ctx)
             for agg in aggregates]
 
 
-def scan_aggregate(table: "Table", pool: "BufferPool",
-                   aggregates: Sequence, where, ctx: BatchContext,
-                   batch_pages: int = DEFAULT_BATCH_PAGES):
-    """Vectorized ``SELECT aggs FROM table [WHERE ...]`` scan body.
+def scan_aggregate(batches: Iterable[RowBatch], aggregates: Sequence,
+                   where, ctx: BatchContext):
+    """The ``SELECT aggs FROM table [WHERE ...]`` body: every batch of
+    a source — a scan's leaf runs, a seek's one batch — folded into
+    the aggregates' states.
 
     Returns ``(states, rows, payload_bytes)`` with ``rows`` counting
-    every scanned row (pre-WHERE), exactly like the row engine.  A
-    statement that reads no column — only ``COUNT(*)``, no ``WHERE`` —
-    scans counted batches (:meth:`RowBatch.counted`).
+    every row read (pre-WHERE).
     """
     states = [agg.start() for agg in aggregates]
     rows = 0
     payload_bytes = 0
-    columns = where is not None or any(
-        agg.expr is not None for agg in aggregates)
-    for batch in table.scan_batches(pool, batch_pages=batch_pages,
-                                    columns=columns):
+    for batch in batches:
         rows += batch.n
         payload_bytes += batch.payload_bytes
         ctx.batch = batch
         if where is not None and _apply_where(where, ctx) is None:
             continue
         n = ctx.batch.n
-        for i, (agg, (values, mask)) in enumerate(
-                zip(aggregates, _inputs(aggregates, ctx))):
+        for i, agg in enumerate(aggregates):
+            values, mask = (None, None) if agg.expr is None \
+                else agg.expr.eval_batch(ctx)
             states[i] = agg.step_batch(states[i], values, mask, n)
     return states, rows, payload_bytes
 
@@ -790,7 +746,7 @@ def fold_batch(op, state, values, mask, n: int) -> tuple:
     ``inf`` and ``inf - inf`` are results, as they are for Python's
     ``+``, not warnings.  Everything else — ``min``/``max``, which
     return an operand, and ints, which must stay Python ints — is the
-    row engine's one-value-at-a-time fold."""
+    one-value-at-a-time fold."""
     if (op is operator.add and isinstance(values, np.ndarray)
             and values.dtype.kind == "f"
             and (state is None or isinstance(state, float))):
@@ -845,7 +801,7 @@ def _segment_values(part: _Partition, values, mask, n: int) -> tuple:
     """One aggregate's inputs laid out by segment: ``(values,
     counts)`` with the non-NULL values in group-then-row order and how
     many each segment holds.  The values come back float64 (``real``
-    widened, as ``struct.unpack`` widens it for the row engine) or as
+    widened, as ``struct.unpack`` widens one value) or as
     objects, so ints are Python ints."""
     if not isinstance(values, np.ndarray):
         if values is None:
@@ -1084,8 +1040,8 @@ class GroupArrays(Sequence):
 
     @classmethod
     def from_rows(cls, aggregates: Sequence, rows: list) -> "GroupArrays":
-        """The grouped partial another path — the row engine, the
-        per-lane walk — finished as sorted ``(key, partial, ...)``
+        """The grouped partial the per-lane walk (or the tests' row
+        oracle) finished as sorted ``(key, partial, ...)``
         rows of captured ``aggregates`` (NULL group last), loaded into
         arrays: a grouped partial is one type whoever scanned."""
         self = cls([agg.group_column() for agg in aggregates])
@@ -1187,20 +1143,19 @@ class GroupArrays(Sequence):
         return self._pairs[index]
 
 
-def scan_grouped(table: "Table", pool: "BufferPool", group_expr,
-                 aggregates: Sequence, where, ctx: BatchContext,
-                 batch_pages: int = DEFAULT_BATCH_PAGES):
-    """Vectorized hash-aggregation scan body.
+def scan_grouped(batches: Iterable[RowBatch], group_expr,
+                 aggregates: Sequence, where, ctx: BatchContext):
+    """The hash-aggregation body over a source's batches.
 
     Expressions are evaluated batch-at-a-time.  Each batch is
     partitioned once (:func:`_partition`: one stable sort of the lanes
     by key) and every aggregate advances over all the resulting
     segments in one call — the state is a :class:`GroupArrays`.
     Within a group the accumulation order is still row order, so float
-    rounding matches the row engine.
+    rounding is that of a row-at-a-time fold.
 
     The first batch whose keys do not partition (object dtype, NaN)
-    turns the state into the row engine's dict and the scan goes on
+    turns the state into a dict of per-group states and the scan goes on
     with the per-lane ``step`` walk.  Returns ``(groups, rows,
     payload_bytes)`` with ``groups`` the :class:`GroupArrays` or that
     dict.
@@ -1209,7 +1164,7 @@ def scan_grouped(table: "Table", pool: "BufferPool", group_expr,
     groups: dict = {}
     rows = 0
     payload_bytes = 0
-    for batch in table.scan_batches(pool, batch_pages=batch_pages):
+    for batch in batches:
         rows += batch.n
         payload_bytes += batch.payload_bytes
         ctx.batch = batch
@@ -1218,7 +1173,7 @@ def scan_grouped(table: "Table", pool: "BufferPool", group_expr,
             if batch is None:
                 continue
         n = batch.n
-        gv, gm = eval_node(group_expr, ctx)
+        gv, gm = group_expr.eval_batch(ctx)
         evaluated = _inputs(aggregates, ctx)
         if arrays is not None:
             part = _partition(gv, gm, n)

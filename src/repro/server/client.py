@@ -58,22 +58,18 @@ NO_TIMEOUT = protocol.NO_TIMEOUT
 Frame = tuple[dict[str, Any], list[memoryview]]
 
 
-def _query_header(sql: str, cold: bool, timeout: float | str | None,
-                  engine: str | None = None) -> dict[str, object]:
+def _query_header(sql: str, cold: bool, timeout: float | str | None
+                  ) -> dict[str, object]:
     """Build a query frame header.
 
     ``timeout=None`` (the parameter default) omits the key so the
     server applies its configured default; a number or
     :data:`NO_TIMEOUT` is sent through for the server to validate.
-    ``engine=None`` likewise omits the key (server default, the
-    vector path); ``"row"``/``"vector"`` are sent through.
     """
     header: dict[str, object] = {"type": "query", "sql": sql,
                                  "cold": cold}
     if timeout is not None:
         header["timeout"] = timeout
-    if engine is not None:
-        header["engine"] = engine
     return header
 
 
@@ -374,24 +370,20 @@ class ArrayClient:
     # -- public API ----------------------------------------------------------
 
     def query(self, sql: str, cold: bool = True,
-              timeout: float | str | None = None,
-              engine: str | None = None) -> QueryResult:
+              timeout: float | str | None = None) -> QueryResult:
         """Execute one statement; raises :class:`ServerBusyError`,
         :class:`QueryTimeoutError` or :class:`ServerError`.
 
         ``timeout=None`` uses the server's default budget; pass a
         positive number to override it or :data:`NO_TIMEOUT` to
-        disable it for this query.  ``engine`` picks the execution
-        path for a SELECT — ``None`` for the server default (vector),
-        or ``"row"``/``"vector"`` explicitly; the reply metrics'
-        ``"engine"`` key reports which path ran.
+        disable it for this query.
 
         With a :class:`RetryPolicy`, ``SERVER_BUSY`` rejections are
         retried with bounded exponential backoff; every other error
         (including ``QUERY_TIMEOUT``) raises immediately.
         """
         attempt = 0
-        request = _query_header(sql, cold, timeout, engine)
+        request = _query_header(sql, cold, timeout)
         while True:
             try:
                 header, blobs = self._request_raw(request)
@@ -417,7 +409,6 @@ class ArrayClient:
 
     def query_pipeline(self, statements: Iterable[str], cold: bool = True,
                        timeout: float | str | None = None,
-                       engine: str | None = None,
                        return_exceptions: bool = False) -> list[Any]:
         """Execute many statements pipelined: each window of ``pexec``
         frames (one server batch) is sent before its replies are read,
@@ -431,7 +422,7 @@ class ArrayClient:
         way).
         """
         frames = [protocol.encode_frame(dict(
-            _query_header(sql, cold, timeout, engine),
+            _query_header(sql, cold, timeout),
             type="pexec")) for sql in statements]
         results: list[Any] = []
         first_error: ServerError | None = None

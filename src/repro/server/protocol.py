@@ -61,25 +61,19 @@ Message types
 Client to server:
 
 ``query``   ``{"type": "query", "sql": str, "cold": bool,
-"timeout": float | "none",
-"engine": "row" | "vector" | null}``
+"timeout": float | "none"}``
 
 A query's ``timeout`` key is optional: absent or ``null`` means "use
 the server's configured default"; a positive finite number is the
 budget in seconds; the string sentinel :data:`NO_TIMEOUT` (``"none"``)
 explicitly disables the budget.  Anything else is rejected with a
-``BAD_FRAME`` error reply (the connection survives).  The optional
-``engine`` key picks the execution path for a SELECT — ``"row"``
-(tuple at a time) or ``"vector"`` (columnar batches, the default); any
-other value is a ``BAD_FRAME``.  Both paths return identical results
-and cold-run metrics (the metrics dict's ``"engine"`` key reports
-which one ran).  Header keys a frame type does not define are ignored.
+``BAD_FRAME`` error reply (the connection survives).  Header keys a
+frame type does not define are ignored.
 ``stats``   ``{"type": "stats"}``
 ``ping``    ``{"type": "ping"}``
 ``close``   ``{"type": "close"}``
 ``pquery``  ``{"type": "pquery", "sql": str, "cold": bool,
-"timeout": float | "none",
-"engine": "row" | "vector" | null}``
+"timeout": float | "none"}``
 
 A partial-state query: same key semantics and validation as ``query``,
 but the statement must be an aggregate SELECT and the reply is a
@@ -109,8 +103,7 @@ idempotent and optional — a ``pexec`` for unprepared text auto-prepares
 on first execution.
 
 ``pexec``   ``{"type": "pexec", "sql": str, "cold": bool,
-"timeout": float | "none",
-"engine": "row" | "vector" | null}``
+"timeout": float | "none"}``
 
 Execute a statement through the session's prepared-plan cache: same
 key semantics, validation and reply (``result``/``error``) as
@@ -127,7 +120,6 @@ most one batch in flight, so a long pipeline cannot stall both ways.
 
 ``bquery``  ``{"type": "bquery", "sql": str, "cold": bool,
 "timeout": float | "none",
-"engine": "row" | "vector" | null,
 "offset": int, "length": int | null,
 "window": {"offset": [int, ...], "size": [int, ...]} | null,
 "chunk_bytes": int | null}``
@@ -146,7 +138,7 @@ wire is the slice's bytes, not the blob's.
 
 Server to client:
 
-``hello``   ``{"type": "hello", "server": str, "protocol": 2}``
+``hello``   ``{"type": "hello", "server": str, "protocol": 3}``
 
 ``protocol`` is :data:`PROTOCOL_VERSION`.  Clients (and a
 coordinator's shard links) compare it with their own and refuse a
@@ -290,7 +282,7 @@ __all__ = [
 ]
 
 #: Protocol revision carried in the server's hello frame.
-PROTOCOL_VERSION = 2
+PROTOCOL_VERSION = 3
 
 #: Default per-frame ceiling (64 MiB) — a malformed or hostile length
 #: prefix is rejected before any allocation happens.

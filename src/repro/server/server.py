@@ -480,27 +480,11 @@ class ArrayServer:
                 f"{timeout!r}")
         return timeout
 
-    @staticmethod
-    def _resolve_engine(requested) -> str | None:
-        """Map a query frame's ``engine`` value to an executor engine.
-
-        Absent/``null`` means the executor's default (the vector
-        path); ``"row"`` / ``"vector"`` select a path explicitly.
-        Anything else is a ``BAD_FRAME``.
-        """
-        if requested is None:
-            return None
-        if requested not in ("row", "vector"):
-            raise _bad_frame(
-                f"'engine' must be 'row' or 'vector', got {requested!r}")
-        return requested
-
     def _statement_options(self, header: dict) -> tuple:
-        """``(sql, cold, timeout, engine)`` of a statement frame, each
-        validated as its ``_resolve_*`` says."""
+        """``(sql, cold, timeout)`` of a statement frame, the timeout
+        validated as :meth:`_resolve_timeout` says."""
         return (_statement_text(header), bool(header.get("cold", True)),
-                self._resolve_timeout(header.get("timeout")),
-                self._resolve_engine(header.get("engine")))
+                self._resolve_timeout(header.get("timeout")))
 
     def _admit_and_run(self, conn: _Connection, session_id: int,
                        timeout: float | None, job, replies: int = 1,
@@ -562,12 +546,12 @@ class ArrayServer:
     def _run_query(self, conn: _Connection, session: SqlSession,
                    session_id: int, header: dict, partial: bool = False
                    ) -> tuple[dict, list[bytes]]:
-        sql, cold, timeout, engine = self._statement_options(header)
+        sql, cold, timeout = self._statement_options(header)
         execute = self._execute_partial_sync if partial \
             else self._execute_sync
         result, latency = self._admit_and_run(
             conn, session_id, timeout,
-            lambda: execute(session, sql, cold, engine))
+            lambda: execute(session, sql, cold))
         self.stats.record_query(session_id, latency,
                                 result.get("metrics"))
         if partial:
@@ -657,8 +641,7 @@ class ArrayServer:
         timeout_set = False
         for header in headers:
             try:
-                sql, cold, resolved, engine = \
-                    self._statement_options(header)
+                sql, cold, resolved = self._statement_options(header)
             except protocol.WireError as exc:
                 requests.append(_error_frame(exc))
                 continue
@@ -667,7 +650,7 @@ class ArrayServer:
                 # first valid frame's timeout bounds the whole batch.
                 timeout = resolved
                 timeout_set = True
-            requests.append((sql, cold, engine))
+            requests.append((sql, cold))
 
         def job():
             replies = []
@@ -730,13 +713,13 @@ class ArrayServer:
         it as bounded ``bchunk`` frames once the statement has ended.
         Returns the dispatch loop's ``done`` flag (the base server
         never closes the connection here)."""
-        sql, cold, timeout, engine = self._statement_options(header)
+        sql, cold, timeout = self._statement_options(header)
         offset, length, window = _resolve_blob_range(header)
         chunk_bytes = self._resolve_chunk_bytes(header.get("chunk_bytes"))
         result, latency = self._admit_and_run(
             conn, session_id, timeout,
             lambda: self._execute_bquery_sync(
-                session, sql, cold, engine, offset, length, window))
+                session, sql, cold, offset, length, window))
         self.stats.record_query(session_id, latency, result["metrics"])
         payload = result["payload"]
         chunks = [payload[i:i + chunk_bytes]
@@ -769,8 +752,7 @@ class ArrayServer:
         return min(requested, cap)
 
     def _execute_bquery_sync(self, session: SqlSession, sql: str,
-                             cold: bool, engine: str | None,
-                             offset: int, length: int | None,
+                             cold: bool, offset: int, length: int | None,
                              window: tuple | None) -> dict:
         """Statement body of the ``bquery`` path.
 
@@ -831,19 +813,17 @@ class ArrayServer:
             return {"payload": payload, "blob_len": blob_len,
                     "offset": served_offset, "metrics": metrics}
 
-        result = session.query(sql, cold=cold, finalize=finalize,
-                               engine=engine)
+        result = session.query(sql, cold=cold, finalize=finalize)
         metrics = result["metrics"]
         metrics.stream_calls += sum(s.stream_calls for s in opened)
         result["metrics"] = metrics.to_dict()
         return result
 
     def _execute_sync(self, session: SqlSession, sql: str,
-                      cold: bool, engine: str | None = None) -> dict:
+                      cold: bool) -> dict:
         """Statement body: execute and normalize the result."""
         result = session.execute(sql, cold=cold,
-                                 finalize=self._materialize_result,
-                                 engine=engine)
+                                 finalize=self._materialize_result)
         if isinstance(result, Table):
             return {"kind": "ok", "rows": [],
                     "rowcount": 0, "metrics": None,
@@ -856,14 +836,12 @@ class ArrayServer:
                 "metrics": metrics.to_dict()}
 
     def _execute_partial_sync(self, session: SqlSession, sql: str,
-                              cold: bool, engine: str | None = None
-                              ) -> dict:
+                              cold: bool) -> dict:
         """Statement body of the ``pquery`` path: run the SELECT
         with its aggregates' mergeable partial states left unreduced
         (the shard half of distributed aggregation)."""
         payload = session.query_partial(
-            sql, cold=cold, engine=engine,
-            finalize=self._materialize_partials)
+            sql, cold=cold, finalize=self._materialize_partials)
         return {"kind": "partial", "rows": payload["rows"],
                 "states": payload["states"],
                 "groups": payload["groups"],

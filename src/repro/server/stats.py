@@ -74,8 +74,8 @@ class ServerStats:
             "stream_calls": 0,
             "udf_calls": 0,
         }
-        # Successful SELECTs by the execution path that ran ("row" /
-        # "vector", or "sharded" on a coordinator).
+        # Successful SELECTs by the execution path that ran ("vector",
+        # or "sharded" on a coordinator).
         # Kept out of _io_totals: the metrics "engine" value is a
         # string, not a summable counter.
         self._engine_queries: dict[str, int] = {}

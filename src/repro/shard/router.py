@@ -238,22 +238,18 @@ class ShardRouter:
 
     # -- statement entry point ----------------------------------------------
 
-    def execute(self, sql: str, cold: bool = True,
-                engine: str | None = None) -> dict:
+    def execute(self, sql: str, cold: bool = True) -> dict:
         """Route and execute one statement; returns the normalized
         result dict (:meth:`ArrayServer._execute_sync` shape): keys
-        ``kind``, ``rows``, ``rowcount``, ``metrics``.
-
-        ``engine`` is forwarded to the shards; the merged metrics
-        report ``engine="sharded"``.
+        ``kind``, ``rows``, ``rowcount``, ``metrics``.  The merged
+        metrics of a SELECT report ``engine="sharded"``.
         """
-        result = self.execute_columnar(sql, cold, engine)
+        result = self.execute_columnar(sql, cold)
         if "columns" in result:
             result["rows"] = result.pop("columns").rows()
         return result
 
-    def execute_columnar(self, sql: str, cold: bool = True,
-                         engine: str | None = None) -> dict:
+    def execute_columnar(self, sql: str, cold: bool = True) -> dict:
         """:meth:`execute` for a caller that puts the result on the
         wire (:class:`ShardServer`): a grouped SELECT's result set
         stays the merge's finished
@@ -262,7 +258,7 @@ class ShardRouter:
         reply frame."""
         kind = _statement_kind(sql)
         if kind == "SELECT":
-            return self._select(sql, cold, engine)
+            return self._select(sql, cold)
         if kind == "INSERT":
             return self._insert(sql)
         if kind == "DROP":
@@ -465,14 +461,11 @@ class ShardRouter:
         with self._plan_lock:
             self._plan_cache.clear()
 
-    def _select(self, sql: str, cold: bool, engine: str | None) -> dict:
+    def _select(self, sql: str, cold: bool) -> dict:
         plan = self.prepare(sql)
         targets = self._route(plan)
-        header: dict = {"type": "pquery", "sql": sql,
-                        "cold": bool(cold),
-                        "timeout": protocol.NO_TIMEOUT}
-        if engine is not None:
-            header["engine"] = engine
+        header = {"type": "pquery", "sql": sql, "cold": bool(cold),
+                  "timeout": protocol.NO_TIMEOUT}
         replies = self._scatter_read(
             [(shard_id, header, ()) for shard_id in targets])
         rows_total = sum(reply.get("rows", 0)
@@ -946,14 +939,13 @@ class ShardServer(ArrayServer):
         self.router = router
 
     def _execute_sync(self, session: SqlSession, sql: str,
-                      cold: bool, engine: str | None = None) -> dict:
+                      cold: bool) -> dict:
         # router.execute plans through the coordinator cache (see
         # ShardRouter.prepare), so no frame kind re-plans here.
-        return self.router.execute_columnar(sql, cold=cold, engine=engine)
+        return self.router.execute_columnar(sql, cold=cold)
 
     def _execute_partial_sync(self, session: SqlSession, sql: str,
-                              cold: bool, engine: str | None = None
-                              ) -> dict:
+                              cold: bool) -> dict:
         raise protocol.WireError(
             protocol.BAD_FRAME,
             "the coordinator does not serve pquery frames; they are "

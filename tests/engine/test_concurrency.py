@@ -260,12 +260,10 @@ class TestConcurrentSessions:
         session_a = SqlSession(db)
         # Prime the cache and learn the table's full physical cost.
         (_, cold_m) = session_a.query(
-            "SELECT COUNT(*) FROM Tvector WITH (NOLOCK)",
-            engine="vector")
+            "SELECT COUNT(*) FROM Tvector WITH (NOLOCK)")
         assert cold_m.physical_reads > 0
         (_, warm_m) = session_a.query(
-            "SELECT COUNT(*) FROM Tvector WITH (NOLOCK)", cold=False,
-            engine="vector")
+            "SELECT COUNT(*) FROM Tvector WITH (NOLOCK)", cold=False)
         assert warm_m.physical_reads == 0
 
         # Session B (another thread) runs a cold query to completion:
@@ -275,8 +273,7 @@ class TestConcurrentSessions:
         def cold_neighbour():
             session_b = SqlSession(db)
             b_metrics.append(session_b.query(
-                "SELECT COUNT(*) FROM Tvector WITH (NOLOCK)",
-            engine="vector")[1])
+                "SELECT COUNT(*) FROM Tvector WITH (NOLOCK)")[1])
 
         t = threading.Thread(target=cold_neighbour)
         t.start()
@@ -285,8 +282,7 @@ class TestConcurrentSessions:
 
         # B left the cache warm, so A still reads for free...
         (_, warm_m2) = session_a.query(
-            "SELECT COUNT(*) FROM Tvector WITH (NOLOCK)", cold=False,
-            engine="vector")
+            "SELECT COUNT(*) FROM Tvector WITH (NOLOCK)", cold=False)
         assert warm_m2.physical_reads == 0
 
         # ...but after a bare concurrent clear (a cold query's first
@@ -304,8 +300,7 @@ class TestConcurrentSessions:
         t.join(timeout=10)
         assert clearer_counters[0].physical_reads == 0
         (_, evicted_m) = session_a.query(
-            "SELECT COUNT(*) FROM Tvector WITH (NOLOCK)", cold=False,
-            engine="vector")
+            "SELECT COUNT(*) FROM Tvector WITH (NOLOCK)", cold=False)
         assert evicted_m.physical_reads == cold_m.physical_reads
 
     def test_two_concurrent_cold_scans_match_serial_counters(self, db):
@@ -316,8 +311,7 @@ class TestConcurrentSessions:
         clearing the shared pool, so a neighbour can neither donate
         hits to it nor eat re-fetch charges."""
         serial = SqlSession(db).query(
-            "SELECT COUNT(*) FROM Tvector WITH (NOLOCK)",
-            engine="vector")[1]
+            "SELECT COUNT(*) FROM Tvector WITH (NOLOCK)")[1]
         assert serial.physical_reads > 0
         barrier = threading.Barrier(2)
         metrics = []
@@ -328,8 +322,7 @@ class TestConcurrentSessions:
             try:
                 barrier.wait(timeout=10)
                 metrics.append(session.query(
-                    "SELECT COUNT(*) FROM Tvector WITH (NOLOCK)",
-                    engine="vector")[1])
+                    "SELECT COUNT(*) FROM Tvector WITH (NOLOCK)")[1])
             except Exception as exc:  # pragma: no cover - failure path
                 errors.append(exc)
 

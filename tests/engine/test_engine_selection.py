@@ -1,11 +1,10 @@
-"""Engine selection: the two execution paths (``row`` and ``vector``),
-how a call picks one, which one a plan reports, and that every entry
-point taking ``engine=`` refuses any other name.
+"""One engine: every plan runs a batch at a time and reports
+``"vector"``, and no entry point takes an ``engine`` argument any more.
 
-Both engines run a statement serially in the calling process, so any
-Python callable registered as a UDF — a lambda, a closure over mutable
-state, a bound method — runs on either engine and returns bit-identical
-values."""
+A statement runs serially in the calling process, so any Python
+callable registered as a UDF — a lambda, a closure over mutable state,
+a bound method — runs on the engine and on the row oracle
+(:mod:`tests.engine.row_oracle`) and returns bit-identical values."""
 
 import functools
 import struct
@@ -14,6 +13,7 @@ import pytest
 
 from repro.engine import Col, Column, Count, Database, Executor, Sum
 from repro.engine.sqlfront import SqlSession
+from tests.engine import row_oracle
 
 ROWS = 400
 
@@ -45,60 +45,44 @@ class TestReportedEngine:
         _vals, m = session.query("SELECT SUM(x), COUNT(*) FROM t")
         assert m.engine == "vector"
 
-    @pytest.mark.parametrize("engine", ["row", "vector"])
     @pytest.mark.parametrize("sql", [
         "SELECT SUM(x), COUNT(*) FROM t",
         "SELECT k, SUM(x), COUNT(*) FROM t GROUP BY k",
-    ], ids=["scan", "grouped"])
-    def test_a_scan_reports_the_engine_it_ran_on(self, session, engine,
-                                                 sql):
-        vals, m = session.query(sql, engine=engine)
-        assert m.engine == engine
-        other = "row" if engine == "vector" else "vector"
-        ref, _ = session.query(sql, engine=other)
-        assert _bits(vals) == _bits(ref)
-
-    @pytest.mark.parametrize("engine", ["row", "vector"])
-    @pytest.mark.parametrize("sql", [
         "SELECT SUM(x) FROM t WHERE id = 7",
         "SELECT SUM(x), COUNT(*) FROM t WHERE k = 3",
-    ], ids=["clustered", "secondary"])
-    def test_a_seek_plan_runs_on_the_row_path(self, session, engine,
-                                              sql):
-        # A seek touches a handful of scattered rows: there is no batch
-        # to vectorize, whichever engine was asked for.
-        vals, m = session.query(sql, engine=engine)
-        assert m.engine == "row"
-        ref, _ = session.query(sql, engine="row")
+    ], ids=["scan", "grouped", "clustered", "secondary"])
+    def test_every_plan_runs_on_the_batch_path(self, session, sql):
+        # A seek is a one-batch source: the records it found.
+        vals, m = session.query(sql)
+        assert m.engine == "vector"
+        ref, _ = row_oracle.query(session, sql)
         assert _bits(vals) == _bits(ref)
 
 
-class TestUnknownEngineRefused:
-    """``"parallel"`` is no longer an engine: every entry point that
-    takes ``engine=`` refuses it before touching a page."""
+class TestNoEngineArgument:
+    """The ``engine`` option is gone from every entry point that took
+    it: naming one is a ``TypeError`` before any page is touched."""
 
     SQL = "SELECT SUM(x), COUNT(*) FROM t"
 
     @pytest.mark.parametrize("entry", [
         "run", "run_grouped", "query", "execute", "query_partial",
     ])
-    def test_parallel_is_refused(self, session, entry):
+    def test_engine_is_not_an_argument(self, session, entry):
         db = session.db
         table = db.tables["t"]
         ex = Executor(db)
         calls = {
-            "run": lambda: ex.run(table, [Sum(Col("x"))],
-                                  engine="parallel"),
+            "run": lambda: ex.run(table, [Sum(Col("x"))], engine="row"),
             "run_grouped": lambda: ex.run_grouped(
-                table, Col("k"), [Count()], engine="parallel"),
-            "query": lambda: session.query(self.SQL, engine="parallel"),
-            "execute": lambda: session.execute(self.SQL,
-                                               engine="parallel"),
+                table, Col("k"), [Count()], engine="row"),
+            "query": lambda: session.query(self.SQL, engine="row"),
+            "execute": lambda: session.execute(self.SQL, engine="row"),
             "query_partial": lambda: session.query_partial(
-                self.SQL, engine="parallel"),
+                self.SQL, engine="row"),
         }
         before = db.pool.counters.logical_reads
-        with pytest.raises(ValueError, match="'row' or 'vector'"):
+        with pytest.raises(TypeError, match="engine"):
             calls[entry]()
         assert db.pool.counters.logical_reads == before
 
@@ -118,16 +102,16 @@ def _times(factor, v):
 
 
 class TestAnyCallableIsAUdf:
-    """A UDF runs in the process that registered it, on both engines:
-    a closure sees the caller's state as it is when the statement runs,
-    and a stateful object observes every call."""
+    """A UDF runs in the process that registered it, on the engine and
+    on the oracle: a closure sees the caller's state as it is when the
+    statement runs, and a stateful object observes every call."""
 
     SQL = "SELECT SUM(dbo.F(x)), COUNT(*) FROM t WHERE x IS NOT NULL"
 
-    @pytest.mark.parametrize("engine", ["row", "vector"])
+    @pytest.mark.parametrize("side", ["oracle", "engine"])
     @pytest.mark.parametrize("kind", [
         "lambda", "closure", "bound_method", "partial"])
-    def test_udf_kind_runs_on_engine(self, kind, engine):
+    def test_udf_kind_runs(self, kind, side):
         db = Database()
         table = db.create_table("t", [Column("id", "bigint"),
                                       Column("x", "float")])
@@ -145,8 +129,10 @@ class TestAnyCallableIsAUdf:
         func, factor = funcs[kind]
         box["factor"] = 5.0  # read at call time, not at registration
         session.register_function("dbo.F", func)
-        (total, n), m = session.query(self.SQL, engine=engine)
-        assert m.engine == engine
+        query = row_oracle.query if side == "oracle" else \
+            SqlSession.query
+        (total, n), m = query(session, self.SQL)
+        assert m.engine == ("row" if side == "oracle" else "vector")
         xs = [i * 0.5 for i in range(ROWS) if i % 9 != 0]
         assert n == len(xs)
         assert total == sum(x * factor for x in xs)

@@ -88,8 +88,9 @@ class TestCorrectness:
             def static_cpu_cost(self, table, model):
                 return model.cpu_decode_fixed
 
-            def eval(self, ctx):
-                return ctx.row[1] > 0
+            def eval_batch(self, ctx):
+                values, mask = ctx.batch.column("v1")
+                return values > 0, mask
 
         (n,), _m = Executor(db).run(ts, [Count()], where=Positive())
         assert n == (values[:, 0] > 0).sum()

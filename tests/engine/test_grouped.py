@@ -1,10 +1,10 @@
 """Grouped scans as arrays: one stable partition and one segment fold
-per batch, against the row engine and against plain Python.
+per batch, against the row oracle and against plain Python.
 
 The differential half generates grouped statements over two tables —
 one whose batches decode as a record matrix, one whose records are
-ragged — and holds row and vector to the same bits *and* the same
-metrics (``assert_parity``).  Both tables span several 64-page
+ragged — and holds the engine to the oracle's bits *and* metrics
+(``assert_parity``).  Both tables span several 64-page
 batches, so a group meets its own running state as a seed.
 The kernel half pins :func:`fold_segments_kernel` to
 ``functools.reduce(op, ...)`` bit for bit, and the state half a
@@ -30,6 +30,7 @@ from repro.engine.sqlfront import SqlSession
 from repro.engine.table import MaxBlobHandle
 from repro.tsql import FloatArray, FloatArrayMax
 
+from . import row_oracle
 from .test_parity import NEG_NAN, POS_NAN, _bits, assert_parity
 
 INF = float("inf")
@@ -95,7 +96,7 @@ def session():
          rng.choice([None, FloatArrayMax.Vector([float(i)] * 8)]))
         for i in range(G_ROWS)])
     # h: out-of-page cells.  One leaf page, because a batch reads its
-    # leaves before its blobs and the row engine interleaves them,
+    # leaves before its blobs and the row oracle interleaves them,
     # which the sequential/random split of the IO metrics tells apart
     # as soon as there is a second leaf (at the parent too).
     h = db.create_table("h", [Column("id", "bigint"), Column("lo", "int"),
@@ -156,9 +157,9 @@ def test_the_segment_paths_each_ran(session):
             ("SELECT lo, SUM(x) FROM u GROUP BY lo", vectorized.FoldColumn),
             ("SELECT nf, SUM(x) FROM u GROUP BY nf", None)]:
         plan = session.plan_select(sql)
-        ctx = vectorized.BatchContext(plan.table, session.db.pool)
+        ctx = vectorized.BatchContext(session.db.pool)
         groups, _rows, _bytes = vectorized.scan_grouped(
-            plan.table, session.db.pool, plan.group_expr,
+            plan.table.scan_batches(session.db.pool), plan.group_expr,
             plan.aggregates, plan.where, ctx)
         if column is None:
             assert isinstance(groups, dict)      # NaN keys: spilled
@@ -175,33 +176,34 @@ def test_blob_handles_under_min_and_max(session):
     group passes through as the handle it is."""
     executor = Executor(session.db)
     table = session.db.tables["h"]
-    results = [executor.run_grouped(table, Col("id"),
-                                    [Max(Col("mb")), Min(Col("mb")),
-                                     Count()], engine=engine)[0]
-               for engine in ("row", "vector")]
+    aggregates = [Max(Col("mb")), Min(Col("mb")), Count()]
+    results = [row_oracle.run(executor, table, aggregates, None,
+                              Col("id"))[0],
+               executor.run_grouped(table, Col("id"), aggregates)[0]]
     assert results[0] == results[1]
     assert any(isinstance(row[1], MaxBlobHandle) for row in results[0])
     assert any(row[1] is None for row in results[0])
 
 
 def test_grouped_partial_reads_as_the_pairs_it_replaced(session):
-    """``query_partial(...)["groups"]`` is arrays — the vector scan's
-    own, or loaded from the rows another engine finished; as a sequence
-    it is still the ordered ``(key, [partials])`` pairs."""
+    """``query_partial(...)["groups"]`` is arrays — the scan's own, or
+    loaded from the rows its per-lane walk (or the oracle) finished; as
+    a sequence it is still the ordered ``(key, [partials])`` pairs."""
     for sql in ["SELECT nk, SUM(x), COUNT(*), MAX(b) FROM u GROUP BY nk",
                 "SELECT id, AVG(r), MIN(big) FROM u GROUP BY id",
                 "SELECT nf, SUM(x), COUNT(*) FROM u GROUP BY nf",  # spills
                 "SELECT fk, SUM(x) FROM g WHERE id < 0 GROUP BY fk"]:
-        rows, _metrics = session.query(sql, engine="row")
+        rows, _metrics = row_oracle.query(session, sql)
         plan = session.plan_select(sql)
-        partials, _metrics = Executor(session.db).run_grouped(
-            plan.table, plan.group_expr,
+        partials, _metrics = row_oracle.run(
+            Executor(session.db), plan.table,
             [PartialCapture(agg) for agg in plan.aggregates],
-            plan.where, engine="row")
+            plan.where, plan.group_expr)
         want = [(row[0], list(row[1:])) for row in partials]
         assert len(want) == len(rows)
-        for engine in ("row", "vector"):
-            got = session.query_partial(sql, engine=engine)["groups"]
+        for query_partial in (row_oracle.query_partial,
+                              SqlSession.query_partial):
+            got = query_partial(session, sql)["groups"]
             assert isinstance(got, vectorized.GroupArrays)
             half = len(want) // 2
             assert len(got) == len(want)
@@ -278,9 +280,10 @@ def test_a_finished_scan_retains_no_array_longer_than_its_groups():
     session = SqlSession(db)
     plan = session.plan_select(
         "SELECT k, SUM(x), AVG(x), COUNT(*), MIN(x) FROM t GROUP BY k")
-    ctx = vectorized.BatchContext(table, db.pool)
+    ctx = vectorized.BatchContext(db.pool)
     groups, rows, _bytes = vectorized.scan_grouped(
-        table, db.pool, plan.group_expr, plan.aggregates, None, ctx)
+        table.scan_batches(db.pool), plan.group_expr, plan.aggregates,
+        None, ctx)
     assert rows == 200_000 and len(groups) == 7
     keys, null, columns = groups.arrays()
     assert not null
@@ -315,10 +318,10 @@ def clustered():
 def scan(session, sql, aggregates=None, batch_pages=2):
     plan = session.plan_select(sql)
     aggregates = aggregates or plan.aggregates
-    ctx = vectorized.BatchContext(plan.table, session.db.pool)
+    ctx = vectorized.BatchContext(session.db.pool)
     groups, rows, _bytes = vectorized.scan_grouped(
-        plan.table, session.db.pool, plan.group_expr, aggregates,
-        plan.where, ctx, batch_pages=batch_pages)
+        plan.table.scan_batches(session.db.pool, batch_pages=batch_pages),
+        plan.group_expr, aggregates, plan.where, ctx)
     return groups, rows, aggregates
 
 
@@ -330,7 +333,7 @@ def test_a_clustered_group_by_pk_appends_a_chunk_per_batch(clustered):
     batches = len(list(clustered.db.tables["c"].scan_batches(
         batch_pages=2)))
     assert batches > 100
-    want, _metrics = clustered.query(sql, engine="row")
+    want, _metrics = row_oracle.query(clustered, sql)
     for capture in (False, True):
         aggregates = [PartialCapture(agg) for agg in
                       clustered.plan_select(sql).aggregates] \
@@ -343,9 +346,9 @@ def test_a_clustered_group_by_pk_appends_a_chunk_per_batch(clustered):
         assert len(groups._keys.parts) == batches
         assert len(groups) == rows == 6000
         if capture:
-            partials, _metrics = Executor(clustered.db).run_grouped(
-                clustered.db.tables["c"], Col("id"), aggregates,
-                engine="row")
+            partials, _metrics = row_oracle.run(
+                Executor(clustered.db), clustered.db.tables["c"],
+                aggregates, None, Col("id"))
             assert _bits(list(groups)) == _bits(
                 [(row[0], list(row[1:])) for row in partials])
         else:
@@ -356,22 +359,22 @@ def test_a_clustered_group_by_pk_appends_a_chunk_per_batch(clustered):
 def test_appending_and_merging_batches_mix(clustered, batch_pages):
     """Groups that span a batch boundary are merged with their seed,
     the batches between append, and once the NULL group exists (it
-    stays last) every batch merges: same bits as the row engine."""
+    stays last) every batch merges: same bits as the row oracle."""
     for sql in [
             "SELECT band, SUM(x), AVG(x), COUNT(*), MAX(x) FROM c "
             "GROUP BY band",
             "SELECT band, MIN(x), SUM(id) FROM c WHERE id > 100 "
             "GROUP BY band"]:
-        want, _metrics = clustered.query(sql, engine="row")
+        want, _metrics = row_oracle.query(clustered, sql)
         groups, rows, aggregates = scan(clustered, sql,
                                         batch_pages=batch_pages)
         assert isinstance(groups, vectorized.GroupArrays) and groups.null
         assert _bits(groups.rows(aggregates, rows)) == _bits(want)
         plan = clustered.plan_select(sql)
         captured = [PartialCapture(agg) for agg in plan.aggregates]
-        partials, _metrics = Executor(clustered.db).run_grouped(
-            plan.table, plan.group_expr, captured, plan.where,
-            engine="row")
+        partials, _metrics = row_oracle.run(
+            Executor(clustered.db), plan.table, captured, plan.where,
+            plan.group_expr)
         groups, _rows, _aggs = scan(clustered, sql, captured, batch_pages)
         assert _bits(list(groups)) == _bits(
             [(row[0], list(row[1:])) for row in partials])
@@ -390,14 +393,14 @@ def test_no_numpy_warning_escapes_a_fold():
     session = SqlSession(db)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for engine in ("row", "vector"):
-            totals, _m = session.query(
-                "SELECT SUM(x), AVG(x) FROM t WHERE k < 2", engine=engine)
+        for query in (row_oracle.query, SqlSession.query):
+            totals, _m = query(
+                session, "SELECT SUM(x), AVG(x) FROM t WHERE k < 2")
             assert totals == (INF, INF)
-            totals, _m = session.query(
-                "SELECT SUM(x), AVG(x) FROM t WHERE k >= 2", engine=engine)
+            totals, _m = query(
+                session, "SELECT SUM(x), AVG(x) FROM t WHERE k >= 2")
             assert all(total != total for total in totals)
-            rows, _m = session.query(
-                "SELECT k, SUM(x), AVG(x) FROM t GROUP BY k", engine=engine)
+            rows, _m = query(
+                session, "SELECT k, SUM(x), AVG(x) FROM t GROUP BY k")
             assert rows[:2] == [(0, INF, INF), (1, INF, INF)]
             assert all(cell != cell for row in rows[2:] for cell in row[1:])

@@ -23,6 +23,7 @@ from repro.engine import (
     ordered_int_to_float,
 )
 from repro.engine.constants import PAGE_INDEX
+from tests.engine import row_oracle
 
 
 class TestFloatKeyTransform:
@@ -312,8 +313,8 @@ def test_an_index_plan_answers_as_the_scan_bit_for_bit(column_type,
     for where in CORPUS:
         indexed = SELECT.format("indexed", where)
         want = session.query(SELECT.format("plain", where))[0]
-        assert _bits(session.query(SELECT.format("plain", where),
-                                   engine="row")[0]) == _bits(want)
+        assert _bits(row_oracle.query(
+            session, SELECT.format("plain", where))[0]) == _bits(want)
         kind = session.plan_select(indexed).kind
         assert kind == ("scan" if where.endswith("NULL") else "index")
         assert _bits(session.query(indexed)[0]) == _bits(want), where
@@ -426,6 +427,44 @@ def test_an_index_saved_by_the_parent_commit_loads_and_answers():
         assert sorted(table.index_on("x").seek(99.0)) == [22, 476, 5000]
     finally:
         snap.unpin(db.pool)
+
+
+def test_a_negative_bound_plans_an_index_range():
+    """``x >= -10.0 AND x < 30.0`` on ``parent_index.db``'s table is an
+    index plan (a negative literal is a constant) answering as the
+    scan of the same rows."""
+    db = Database.open(os.path.join(os.path.dirname(__file__), "data",
+                                    "parent_index.db"))
+    session = SqlSession(db)
+    sql = "SELECT COUNT(*), SUM(id) FROM ix WHERE x >= -10.0 AND x < 30.0"
+    assert session.plan_select(sql).kind == "index"
+    assert session.explain(sql) == \
+        "index range scan on ix.x ([-10.0, 30.0))"
+    rows = [row for row in db.tables["ix"].scan()
+            if row[1] is not None and -10.0 <= row[1] < 30.0]
+    assert rows and any(row[1] < 0 for row in rows)
+    assert session.query(sql)[0] == (len(rows), sum(r[0] for r in rows))
+
+
+def test_an_index_saved_before_versioning_is_rebuilt_as_stored():
+    """``parent_reindex.db`` was written by the commit before indexes
+    were versioned, with rows ``(1, 0.1, 0.0)`` and ``(2, 0.5, -0.0)``
+    in ``t(id, x REAL, y FLOAT)`` and both columns indexed: the REAL
+    index keyed ``0.1`` as given and the FLOAT one ``-0.0`` apart from
+    ``0.0``.  Loaded, both are rebuilt from the rows, keyed as
+    stored."""
+    db = Database.open(os.path.join(os.path.dirname(__file__), "data",
+                                    "parent_reindex.db"))
+    session = SqlSession(db)
+    table = db.tables["t"]
+    sql = "SELECT COUNT(*) FROM t WHERE y = 0.0"
+    assert session.plan_select(sql).kind == "index"
+    assert session.query(sql)[0] == (2,)
+    assert session.query("SELECT COUNT(*) FROM t WHERE x = 0.1")[0] == (0,)
+    session.execute("DELETE FROM t WHERE id = 1")
+    assert table.index_on("x").entry_count == 1
+    assert table.index_on("y").entry_count == 1
+    assert session.query(sql)[0] == (1,)
 
 
 XS = [None, 0.0, -0.0, 0.5, 1.0, 2.5, 3.0]

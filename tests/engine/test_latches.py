@@ -166,8 +166,7 @@ class TestStatementsOverlap:
 
     def _query_ta(self, db, results):
         (n,), _ = SqlSession(db).query(
-            "SELECT COUNT(*) FROM Ta WITH (NOLOCK)", cold=False,
-            engine="vector")
+            "SELECT COUNT(*) FROM Ta WITH (NOLOCK)", cold=False)
         results.append(n)
 
     def test_reader_of_a_proceeds_while_writer_holds_b(self):
@@ -203,10 +202,8 @@ class TestStatementsOverlap:
         was = lockcheck.is_active()
         lockcheck.set_active(True)
         try:
-            for engine in ("vector", "row"):
-                session.query("SELECT COUNT(*) FROM Ta WITH (NOLOCK)",
-                              cold=False, engine=engine,
-                              finalize=probe(engine))
+            session.query("SELECT COUNT(*) FROM Ta WITH (NOLOCK)",
+                          cold=False, finalize=probe("scan"))
             session.query("SELECT COUNT(*) FROM Ta WHERE id = 7",
                           finalize=probe("point"))
             assert session.explain(
@@ -216,8 +213,8 @@ class TestStatementsOverlap:
                           finalize=probe("index"))
         finally:
             lockcheck.set_active(was)
-        assert held["vector"] == held["row"] == held["point"] \
-            == held["index"] == (("catalog", None),)
+        assert held["scan"] == held["point"] == held["index"] \
+            == (("catalog", None),)
 
     @pytest.mark.parametrize("where", ["k = 3", "k >= 1 AND k < 4"])
     def test_an_index_plan_reads_while_a_writer_holds_its_table(
@@ -253,7 +250,7 @@ class TestStatementsOverlap:
                 release.wait(10)
                 return result
             holder.query("SELECT COUNT(*) FROM Ta WITH (NOLOCK)",
-                         cold=False, engine="vector", finalize=hold)
+                         cold=False, finalize=hold)
 
         reader = threading.Thread(target=long_read, daemon=True)
         reader.start()
@@ -286,10 +283,10 @@ class TestMixedTrafficStress:
                 while not writer_done.is_set():
                     (n,), _ = session.query(
                         "SELECT COUNT(*) FROM Ta WITH (NOLOCK)",
-                        cold=False, engine="vector")
+                        cold=False)
                     (s,), _ = session.query(
                         "SELECT SUM(FloatArray.Item_1(v, 0)) FROM Ta "
-                        "WITH (NOLOCK)", cold=False, engine="vector")
+                        "WITH (NOLOCK)", cold=False)
                     reads.append((n, s))
             except Exception as exc:  # pragma: no cover - failure path
                 errors.append(exc)

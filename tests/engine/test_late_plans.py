@@ -15,6 +15,7 @@ from repro.core.partial import iter_byte_runs, read_subarray
 from repro.engine import Column, Database, MaxBlobHandle, SqlSession
 from repro.engine.constants import BLOB_CHUNK_SIZE, PAGE_SIZE
 from repro.engine.executor import Max, ReadBlob
+from tests.engine import row_oracle
 
 EDGE = 32
 BIG = np.random.default_rng(7).standard_normal((EDGE,) * 3)
@@ -42,16 +43,16 @@ def point(select: str, key: int) -> str:
 
 class TestTheHandleNeverShows:
     @pytest.mark.parametrize("key", [1, 2, 3, 9])  # 9: no such row
-    @pytest.mark.parametrize("engine", [None, "row", "vector"])
-    def test_point_selects_answer_bytes(self, session, key, engine):
+    @pytest.mark.parametrize("side", ["engine", "oracle"])
+    def test_point_selects_answer_bytes(self, session, key, side):
+        query = row_oracle.query if side == "oracle" else SqlSession.query
         want = ROWS.get(key)
         for select, expect in [("MAX(v)", (want,)), ("MIN(v)", (want,)),
                                ("MAX(v), COUNT(*)",
                                 (want, int(key in ROWS))),
                                ("COUNT(*), MIN(v), MAX(v)",
                                 (int(key in ROWS), want, want))]:
-            values, metrics = session.query(point(select, key),
-                                            engine=engine)
+            values, metrics = query(session, point(select, key))
             assert values == expect
             assert all(v is None or type(v) is bytes
                        for v in values if not isinstance(v, int))

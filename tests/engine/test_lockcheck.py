@@ -182,7 +182,6 @@ def test_rwlock_acquisitions_are_instrumented():
     assert lockcheck.held() == ()
 
 
-@pytest.mark.parametrize("engine", ["row", "vector"])
 @pytest.mark.parametrize("kind, sql", [
     ("scan", "SELECT COUNT(*) FROM t"),
     ("grouped", "SELECT k, COUNT(*) FROM t GROUP BY k"),
@@ -190,19 +189,18 @@ def test_rwlock_acquisitions_are_instrumented():
     ("index", "SELECT SUM(x) FROM t WHERE k = 1"),
     ("index", "SELECT COUNT(*) FROM t WHERE x >= 10.5 AND x < 300"),
 ], ids=["scan", "grouped", "seek", "index-seek", "index-range"])
-def test_a_select_reads_its_snapshot_without_a_table_latch(engine, kind,
-                                                           sql):
+def test_a_select_reads_its_snapshot_without_a_table_latch(kind, sql):
     """A SELECT takes the shared catalog latch, then only the pool
     mutex and its table's pin mutex: it reads a pinned snapshot — an
     index plan its secondary index too — so no table latch is held
-    while it reads, on either engine."""
+    while it reads."""
     db = make_db()
     for column in ("x", "k"):
         db.tables["t"].create_index(column)
     assert SqlSession(db).plan_select(sql).kind == kind
     with mock.patch.object(lockcheck, "note_acquire",
                            wraps=lockcheck.note_acquire) as spy:
-        SqlSession(db).query(sql, engine=engine)
+        SqlSession(db).query(sql)
     seen = [call.args[0] for call in spy.call_args_list]
     assert seen[0] == "catalog"
     assert set(seen[1:]) == {"pool", "mutex:Table.pin"}

@@ -62,8 +62,7 @@ class TestIntraTableOverlap:
         assert acquired.wait(timeout=10)
         result = []
         reader = threading.Thread(target=lambda: result.append(
-            SqlSession(db).query(READ_SQL, cold=False,
-                                 engine="vector")))
+            SqlSession(db).query(READ_SQL, cold=False)))
         reader.start()
         reader.join(timeout=15)
         try:

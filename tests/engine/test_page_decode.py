@@ -27,6 +27,7 @@ from repro.engine.vectorized import RowBatch, to_pylist
 from repro.server.columnar import Column as ColumnarColumn
 from repro.server.columnar import Columns
 from repro.tsql import FloatArray
+from tests.engine import row_oracle
 
 LEGACY_DB = os.path.join(os.path.dirname(__file__), "data",
                          "parent_commit.db")
@@ -541,8 +542,7 @@ def test_database_saved_by_the_parent_commit_loads_and_scans():
         assert_batches_identical(table, [page])
     session = SqlSession(db)
     sql = "SELECT COUNT(*), SUM(x) FROM legacy WHERE id < 700"
-    assert session.query(sql, engine="vector")[0] \
-        == session.query(sql, engine="row")[0]
+    assert session.query(sql)[0] == row_oracle.query(session, sql)[0]
     # The loaded pages stay writable and the marker keeps tracking.
     table.insert((9001, 1.0, b"n" * 24))
     assert all(p._dense == dense_from_layout(p)
@@ -632,7 +632,7 @@ def test_q4_and_q5_build_no_bytes_cells(monkeypatch):
     queries = [
         "SELECT SUM(FloatArray.Item_1(v, 0)) FROM Tvector WITH (NOLOCK)",
         "SELECT SUM(dbo.EmptyFunction(v, 0)) FROM Tvector WITH (NOLOCK)"]
-    want = [session.query(sql, engine="row")[0] for sql in queries]
+    want = [row_oracle.query(session, sql)[0] for sql in queries]
 
     made = []
     row_bytes = vectorized._row_bytes
@@ -650,8 +650,7 @@ def test_q4_and_q5_build_no_bytes_cells(monkeypatch):
 
     monkeypatch.setattr(RowBatch, "column", spy_column)
     for sql, expected in zip(queries, want):
-        assert session.query(sql, engine="vector", cold=True)[0] \
-            == expected
+        assert session.query(sql, cold=True)[0] == expected
     assert made == []
     size = len(FloatArray.Vector_5(0, 0, 0, 0, 0))
     assert cached and set(cached) == {np.dtype(f"V{size}")}
@@ -674,13 +673,13 @@ def test_count_star_scans_counted_batches(monkeypatch, sql, joins):
     for key in range(0, 3000, 7):  # holed leaves: no dense marker
         table.delete(key)
     session = SqlSession(db)
-    want = session.query(sql, engine="row")
+    want = row_oracle.query(session, sql)
     blocks = []
     record_block = Page.record_block
     monkeypatch.setattr(Page, "record_block",
                         lambda page: blocks.append(page)
                         or record_block(page))
-    got = session.query(sql, engine="vector")
+    got = session.query(sql)
     assert got[0] == want[0]
     assert want[1].rows == 3000 - 429
     # Same rows, payload bytes (in the CPU charge) and page reads.
@@ -733,7 +732,7 @@ def test_no_state_kept_past_a_batch_views_its_records(monkeypatch, sql):
             seen.append(self._records)
 
     monkeypatch.setattr(RowBatch, "__init__", spy)
-    groups = SqlSession(db).query_partial(sql, engine="vector")["groups"]
+    groups = SqlSession(db).query_partial(sql)["groups"]
     assert len(seen) >= 3  # several batches, compacted ones too
     kept = list(groups._keys.parts)
     for column in groups.columns:

@@ -1,7 +1,8 @@
-"""Row-engine vs vector-engine parity.
+"""The engine against the row-at-a-time oracle.
 
-Every query here runs on ``engine="row"`` and ``engine="vector"`` and
-must return bit-identical values *and* identical metrics (same
+Every query here runs on the engine (a batch at a time) and on
+:mod:`tests.engine.row_oracle` (a decoded tuple at a time) and must
+return bit-identical values *and* identical metrics (same
 logical/physical/sequential/random reads, same UDF/stream counters,
 same simulated cost).  Only ``wall_seconds`` and the ``engine`` tag
 may differ.
@@ -15,6 +16,8 @@ import pytest
 from repro.engine import Column, Database
 from repro.engine.sqlfront import SqlSession
 from repro.tsql import FloatArray, FloatArrayMax
+from tests.engine import row_oracle
+from tests.mutation import mutated
 
 ROWS = 600
 
@@ -35,7 +38,7 @@ def _bits(value):
 def session():
     # Large enough to cache the whole table: warm-run IO is then
     # deterministic (zero misses) instead of depending on LRU state
-    # left behind by whichever engine ran last.
+    # left behind by whichever side ran last.
     db = Database(buffer_pages=2048)
     table = db.create_table(
         "t", [Column("id", "bigint"), Column("x", "float"),
@@ -57,38 +60,42 @@ def session():
     return SqlSession(db)
 
 
-def assert_parity(session, sql, cold=True, seek=False):
-    """Run ``sql`` on every engine and compare values and metrics.
+def _engine(session, sql, cold=True):
+    return session.query(sql, cold=cold)
+
+
+def strip(metrics):
+    """A metrics dict without what may differ between the sides."""
+    d = metrics.to_dict()
+    for key in ("wall_seconds", "engine"):
+        d.pop(key)
+    return d
+
+
+def assert_parity(session, sql, cold=True):
+    """Run ``sql`` on the engine and on the oracle and compare values
+    and metrics.
 
     A query that raises (NULL blob handed to a UDF, division by zero)
-    must raise the *same* exception on every engine.
+    must raise the *same* exception on both.
     """
-    def run(engine):
+    def run(query):
         if not cold:
-            # Prime the cache so each engine's measured warm run sees
+            # Prime the cache so each side's measured warm run sees
             # the same (fully cached) pool state.
-            session.query(sql, cold=False, engine=engine)
-        return session.query(sql, cold=cold, engine=engine)
-
-    def strip(metrics):
-        d = metrics.to_dict()
-        for key in ("wall_seconds", "engine"):
-            d.pop(key)
-        return d
+            query(session, sql, cold=False)
+        return query(session, sql, cold=cold)
 
     try:
-        row_vals, row_m = run("row")
+        row_vals, row_m = run(row_oracle.query)
     except Exception as exc:
         with pytest.raises(type(exc)) as caught:
-            run("vector")
+            run(_engine)
         assert str(caught.value) == str(exc), sql
         return
-    vec_vals, vec_m = run("vector")
+    vec_vals, vec_m = run(_engine)
     assert _bits(row_vals) == _bits(vec_vals), sql
-    assert row_m.engine == "row"
-    # Seek/index plans execute row-at-a-time under either toggle (a
-    # point lookup has no batch to vectorize) and tag metrics honestly.
-    assert vec_m.engine == ("row" if seek else "vector")
+    assert (row_m.engine, vec_m.engine) == ("row", "vector")
     d_row, d_vec = strip(row_m), strip(vec_m)
     assert d_row == d_vec, (sql, {k: (d_row[k], d_vec[k])
                                   for k in d_row
@@ -129,7 +136,7 @@ def check_randomized_aggregates(session):
 
 def check_blob_stream_reads(session):
     # varbinary_max goes through ReadBlob: stream calls and bytes
-    # must be charged identically by both engines.
+    # must be charged identically by both sides.
     assert_parity(
         session,
         "SELECT SUM(FloatArrayMax.Item_1(mb, 7)), COUNT(*) FROM t")
@@ -149,6 +156,57 @@ def check_grouped(session):
         assert_parity(session, sql)
 
 
+def churned_session():
+    """A table written to after its bulk load (see
+    :class:`TestParityOnChurnedTables`)."""
+    db = Database(buffer_pages=4096)
+    table = db.create_table(
+        "t", [Column("id", "bigint"), Column("x", "float"),
+              Column("y", "float"), Column("k", "int"),
+              Column("b", "varbinary", cap=400),
+              Column("mb", "varbinary_max")])
+    rng = random.Random(99)
+
+    def vector(n):
+        return FloatArrayMax.Vector(
+            [rng.uniform(-1.0, 1.0) for _ in range(n)])
+
+    def make_row(key, ragged=False):
+        b = FloatArray.Vector_5(
+            *[rng.uniform(-1.0, 1.0) for _ in range(5)])
+        mb = vector(400)  # in row, like the bulk fixture's
+        if ragged:
+            b = None if rng.random() < 0.3 else b
+            mb = rng.choice([None, mb, vector(1100)])  # out of page
+        return (
+            key,
+            None if rng.random() < 0.15 else rng.uniform(-5.0, 5.0),
+            None if rng.random() < 0.15 else rng.uniform(0.5, 9.5),
+            None if rng.random() < 0.10 else rng.randrange(0, 6),
+            b, mb)
+
+    # Even keys: every odd key is a later mid-page insert.
+    table.insert_many([make_row(2 * i) for i in range(ROWS)])
+    for key in rng.sample(range(0, 2 * ROWS, 2), ROWS // 5):
+        table.delete(key)
+    for key in rng.sample(range(1, 2 * ROWS, 2), ROWS // 5):
+        table.insert(make_row(key))
+    live = [row[0] for row in table.scan()]
+    for key in rng.sample(live, ROWS // 6):
+        table.update(make_row(key))
+    # NULLs and out-of-page cells only at the tail: the leading
+    # runs keep equal-length records.
+    for key in live[-25:]:
+        table.update(make_row(key, ragged=True))
+    dense = [table._pagefile.get(pid)._dense > 0
+             for pid in table.data_page_ids()]
+    assert True in dense and False in dense
+    shapes = [batch._records is not None
+              for batch in table.scan_batches()]
+    assert len(shapes) > 2 and shapes[0] and not shapes[-1]
+    return SqlSession(db)
+
+
 class TestRandomizedParity:
     def test_randomized_aggregate_queries(self, session):
         check_randomized_aggregates(session)
@@ -159,26 +217,36 @@ class TestRandomizedParity:
     def test_grouped_queries(self, session):
         check_grouped(session)
 
-    def test_point_and_index_plans_accept_the_toggle(self, session):
-        # Seek plans execute row-at-a-time under either engine name;
-        # the toggle must still validate and return identical results.
-        assert_parity(session, "SELECT SUM(x) FROM t WHERE id = 37",
-                      seek=True)
-        # A pk range is a clustered scan with a residual predicate —
-        # that one does vectorize.
+    def test_point_and_range_plans(self, session):
+        # A seek is a one-record batch, here under a UDF, a blob read
+        # and arithmetic too; a missing key folds no batch.
+        for sql in [
+            "SELECT SUM(x) FROM t WHERE id = 37",
+            "SELECT SUM(x), MAX(FloatArray.Item_1(b, 2) * y), COUNT(*), "
+            "AVG(k), MIN(FloatArrayMax.Item_1(mb, 3)) FROM t WHERE id = 38",
+            "SELECT SUM(x), COUNT(*) FROM t WHERE id = -1",
+            "SELECT MAX(mb), MIN(b) FROM t WHERE id = 39",
+        ]:
+            assert_parity(session, sql)
+            assert_parity(session, sql, cold=False)
+        # A pk range is a clustered scan with a residual predicate.
         assert_parity(session,
                       "SELECT COUNT(*) FROM t WHERE id >= 10 AND id < 40")
 
-    def test_division_by_zero_raises_on_all_engines(self, session):
-        for engine in ("row", "vector"):
-            with pytest.raises(ZeroDivisionError):
-                session.query("SELECT SUM(x / (k - k)) FROM t "
-                              "WHERE k IS NOT NULL AND x IS NOT NULL",
-                              engine=engine)
+    def test_a_seek_over_a_null_row(self, session):
+        table = session.db.tables["t"]
+        key = next(row[0] for row in table.scan()
+                   if row[1] is None and row[4] is None)
+        assert_parity(session, "SELECT SUM(x), MAX(b), COUNT(*), "
+                      f"AVG(x + 1) FROM t WHERE id = {key}")
 
-    def test_bad_engine_name_rejected(self, session):
-        with pytest.raises(ValueError):
-            session.query("SELECT COUNT(*) FROM t", engine="columnar")
+    def test_division_by_zero_raises_on_both_sides(self, session):
+        sql = ("SELECT SUM(x / (k - k)) FROM t "
+               "WHERE k IS NOT NULL AND x IS NOT NULL")
+        for query in (row_oracle.query, _engine):
+            with pytest.raises(ZeroDivisionError):
+                query(session, sql)
+        assert_parity(session, sql)
 
     def test_aggregate_empty_result_set(self, session):
         assert_parity(session,
@@ -197,54 +265,9 @@ class TestParityOnChurnedTables:
     # One value: the ids keep the ``[on]`` suffix they had while this
     # also ran with MVCC off, so they stay comparable across the
     # removal of that mode.
-    @pytest.fixture(scope="class", params=["on"])
-    def churned_session(self):
-        db = Database(buffer_pages=4096)
-        table = db.create_table(
-            "t", [Column("id", "bigint"), Column("x", "float"),
-                  Column("y", "float"), Column("k", "int"),
-                  Column("b", "varbinary", cap=400),
-                  Column("mb", "varbinary_max")])
-        rng = random.Random(99)
-
-        def vector(n):
-            return FloatArrayMax.Vector(
-                [rng.uniform(-1.0, 1.0) for _ in range(n)])
-
-        def make_row(key, ragged=False):
-            b = FloatArray.Vector_5(
-                *[rng.uniform(-1.0, 1.0) for _ in range(5)])
-            mb = vector(400)  # in row, like the bulk fixture's
-            if ragged:
-                b = None if rng.random() < 0.3 else b
-                mb = rng.choice([None, mb, vector(1100)])  # out of page
-            return (
-                key,
-                None if rng.random() < 0.15 else rng.uniform(-5.0, 5.0),
-                None if rng.random() < 0.15 else rng.uniform(0.5, 9.5),
-                None if rng.random() < 0.10 else rng.randrange(0, 6),
-                b, mb)
-
-        # Even keys: every odd key is a later mid-page insert.
-        table.insert_many([make_row(2 * i) for i in range(ROWS)])
-        for key in rng.sample(range(0, 2 * ROWS, 2), ROWS // 5):
-            table.delete(key)
-        for key in rng.sample(range(1, 2 * ROWS, 2), ROWS // 5):
-            table.insert(make_row(key))
-        live = [row[0] for row in table.scan()]
-        for key in rng.sample(live, ROWS // 6):
-            table.update(make_row(key))
-        # NULLs and out-of-page cells only at the tail: the leading
-        # runs keep equal-length records.
-        for key in live[-25:]:
-            table.update(make_row(key, ragged=True))
-        dense = [table._pagefile.get(pid)._dense > 0
-                 for pid in table.data_page_ids()]
-        assert True in dense and False in dense
-        shapes = [batch._records is not None
-                  for batch in table.scan_batches()]
-        assert len(shapes) > 2 and shapes[0] and not shapes[-1]
-        return SqlSession(db)
+    @pytest.fixture(scope="class", params=["on"], name="churned_session")
+    def churned(self):
+        return churned_session()
 
     def test_randomized_aggregate_queries(self, churned_session):
         check_randomized_aggregates(churned_session)
@@ -292,7 +315,7 @@ class TestParityUnderTableLatches:
 
     def test_seek_plan_parity(self, latched_session):
         assert_parity(latched_session,
-                      "SELECT SUM(x) FROM t WHERE id = 42", seek=True)
+                      "SELECT SUM(x) FROM t WHERE id = 42")
 
 
 class TestFloatKeysAndNanTotals:
@@ -313,12 +336,12 @@ class TestFloatKeysAndNanTotals:
 
     def test_the_zero_group_is_named_by_its_first_row(self):
         # np.unique picked -0.0 whatever the row order; the dict the
-        # row engine keeps names the group by the first key it met.
+        # row oracle keeps names the group by the first key it met.
         session, _table = self.float_session(
             [(1.0, 1.0), (1.0, 2.0), (0.0, 3.0), (-0.0, 4.0)])
         sql = "SELECT k, SUM(x), COUNT(*) FROM f GROUP BY k"
         assert_parity(session, sql)
-        rows, _m = session.query(sql, engine="vector")
+        rows, _m = session.query(sql)
         assert _bits(rows) == _bits([(0.0, 7.0, 2), (1.0, 3.0, 2)])
 
     @pytest.mark.parametrize("first,second", [(0.0, -0.0), (-0.0, 0.0)])
@@ -329,7 +352,7 @@ class TestFloatKeysAndNanTotals:
         assert len(list(table.scan_batches())) == 2
         sql = "SELECT k, COUNT(*) FROM f GROUP BY k"
         assert_parity(session, sql)
-        rows, _m = session.query(sql, engine="vector")
+        rows, _m = session.query(sql)
         assert _bits(rows) == _bits([(first, 1400)])
 
     def test_a_nan_total_has_one_sign_on_every_engine(self):
@@ -343,14 +366,13 @@ class TestFloatKeysAndNanTotals:
         for sql in ["SELECT k, SUM(x), AVG(x) FROM f GROUP BY k",
                     "SELECT SUM(x), AVG(x) FROM f"]:
             assert_parity(session, sql)
-            values, _m = session.query(sql, engine="vector")
+            values, _m = session.query(sql)
             rows = values if isinstance(values, list) else [(0.0, *values)]
             assert {_bits(row[1:]) for row in rows} == \
                 {_bits((POS_NAN, POS_NAN))}
         # MIN/MAX return an operand: sign (and payload) survive.
         assert_parity(session, "SELECT k, MIN(x), MAX(x) FROM f GROUP BY k")
-        rows, _m = session.query(
-            "SELECT k, MIN(x) FROM f GROUP BY k", engine="vector")
+        rows, _m = session.query("SELECT k, MIN(x) FROM f GROUP BY k")
         assert {_bits(row[1]) for row in rows} == \
             {_bits(NEG_NAN), _bits(POS_NAN)}
 
@@ -413,3 +435,129 @@ class TestParityOverFixedLengthBinary:
                     "SELECT k, SUM(FloatArray.Item_1(b, k)) FROM t "
                     "WHERE NOT z OR x > 0 GROUP BY k"]:
             assert_parity(binary_session, sql)
+
+
+def real_session():
+    """``REAL`` cells (float32 as stored, widened to float64 when read)
+    beside ``FLOAT`` ones, with an index on each."""
+    db = Database(buffer_pages=2048)
+    table = db.create_table(
+        "r", [Column("id", "bigint"), Column("x", "real"),
+              Column("y", "float"), Column("k", "int")])
+    rng = random.Random(5)
+    table.insert_many([
+        (i, None if i % 13 == 0 else rng.choice(
+            [0.1, 0.5, 1.0 / 3.0, -0.0, rng.uniform(-2.0, 2.0)]),
+         rng.uniform(-2.0, 2.0), i % 4)
+        for i in range(ROWS)])
+    table.create_index("x")
+    table.create_index("y")
+    return SqlSession(db)
+
+
+REAL_STATEMENTS = [
+    "SELECT COUNT(*), SUM(y) FROM r WHERE x = 0.1",
+    "SELECT COUNT(*) FROM r WHERE x < 0.1 AND x > -0.1",
+    "SELECT SUM(x * 1.5), AVG(x + y), MIN(x), MAX(x / 3.0) FROM r",
+    "SELECT k, SUM(x), MAX(x * y) FROM r GROUP BY k",
+    "SELECT x, COUNT(*) FROM r WHERE k = 1 GROUP BY x",
+    "SELECT SUM(x * 1.5), COUNT(*) FROM r WHERE id = 7",
+    "SELECT SUM(y), COUNT(*) FROM r WHERE x >= 0.1 AND x < 0.5",
+    "SELECT SUM(x + y), MIN(x) FROM r WHERE y >= -1.0 AND y < 1.5",
+]
+
+
+def check_real(session):
+    for sql in REAL_STATEMENTS:
+        assert_parity(session, sql)
+
+
+class TestParityOverReal:
+    """``REAL`` compares and arithmetic on every plan kind: the engine
+    widens float32 lanes before it mixes them with a float constant,
+    as reading one value widens it."""
+
+    def test_real_statements(self):
+        session = real_session()
+        kinds = {session.prepare(sql).kind for sql in REAL_STATEMENTS}
+        assert kinds == {"scan", "grouped", "point", "index"}
+        check_real(session)
+
+
+#: What an out-of-page cell under a UDF charges alike on both sides.
+SAME_READS = ("rows", "physical_reads", "io_bytes", "stream_calls",
+              "udf_calls", "sim_cpu_core_seconds")
+
+
+def assert_same_reads(session, sql):
+    """The engine's values and :data:`SAME_READS` are the oracle's."""
+    row_vals, row_m = row_oracle.query(session, sql)
+    vec_vals, vec_m = session.query(sql)
+    assert _bits(row_vals) == _bits(vec_vals), sql
+    for key in SAME_READS:
+        assert getattr(row_m, key) == getattr(vec_m, key), (sql, key)
+    return row_m, vec_m
+
+
+class TestAnOutOfPageCellUnderAUdf:
+    """A UDF over an out-of-page ``varbinary(max)`` cell in a scan: 40
+    rows, one of them (``test_word_compare``'s ``mv-prefix0`` table)
+    out of page.  The oracle streams the blob while it walks the row,
+    between two leaf reads; the engine streams it once the batch's
+    leaves are read.  Same reads, counted alike — only their
+    sequential/random split tells the two orders apart."""
+
+    SQL = "SELECT SUM(dbo.EmptyFunction(mv, 0)) FROM t"
+
+    @pytest.fixture(scope="class")
+    def session(self):
+        from tests.engine.test_word_compare import make_session
+        return make_session("mv", "prefix", 0, 0)
+
+    def test_values_reads_and_calls_match_the_oracle(self, session):
+        _row_m, vec_m = assert_same_reads(session, self.SQL)
+        assert vec_m.stream_calls > 0 and vec_m.udf_calls == 40
+        assert vec_m.physical_reads == 6
+
+    def test_the_engine_reads_the_blob_after_its_leaves(self, session):
+        row_m = row_oracle.query(session, self.SQL)[1]
+        vec_m = session.query(self.SQL)[1]
+        assert (row_m.sequential_reads, row_m.random_reads) == (2, 4)
+        assert (vec_m.sequential_reads, vec_m.random_reads) == (3, 3)
+
+
+class TestTheOracleCatchesMutants:
+    """Parity with the oracle fails on a seeded bug in real ``src/``
+    (:func:`tests.mutation.mutated`): a batch kernel that is wrong in
+    a way the engine's own tests could take for right."""
+
+    def test_a_real_compare_without_widening(self, monkeypatch):
+        from repro.engine import vectorized
+        copy = mutated(vectorized, "lv, rv = _widen(lv), _widen(rv)",
+                       "lv, rv = lv, rv")
+        monkeypatch.setattr(vectorized, "binop_batch", copy.binop_batch)
+        with pytest.raises(AssertionError):
+            check_real(real_session())
+
+    def test_a_pairwise_float_sum(self, session, monkeypatch):
+        from repro.engine import vectorized
+        copy = mutated(vectorized, "total = np.add.accumulate(vals)[-1]",
+                       "total = np.sum(vals)")
+        monkeypatch.setattr(vectorized, "fold_batch", copy.fold_batch)
+        with pytest.raises(AssertionError):
+            assert_parity(session, "SELECT SUM(x), AVG(y) FROM t")
+
+    def test_a_blob_read_into_the_cached_column(self, monkeypatch):
+        from repro.engine import executor
+        copy = mutated(executor, "out = values.copy()", "out = values")
+        # The first of two reads of one column must not leave bytes
+        # where the second finds its handles.
+        sql = ("SELECT SUM(FloatArrayMax.Item_1(mb, 7)), "
+               "MIN(FloatArrayMax.Item_1(mb, 0)) FROM t "
+               "WHERE mb IS NOT NULL")
+        session = churned_session()
+        assert_same_reads(session, sql)
+        monkeypatch.setattr(executor.ReadBlob, "eval_batch",
+                            copy.ReadBlob.eval_batch)
+        with pytest.raises(AssertionError):
+            assert_same_reads(session, sql)

@@ -333,3 +333,42 @@ class TestPlanCacheBound:
         s.prepare("SELECT COUNT(*) FROM a")
         s.execute("DROP TABLE b")
         assert s._plan_cache == {}
+
+
+class TestNegativeConstants:
+    """A negative literal is a constant, so it plans as a positive one
+    does: ``id = -5`` is a one-row seek and ``id >= -5 AND id < 3``
+    bounds the key range."""
+
+    @pytest.fixture(scope="class")
+    def signed(self):
+        db = Database()
+        db.create_table("t", [Column("id", "bigint"),
+                              Column("x", "float")]).insert_many(
+            (i, i * 0.5) for i in range(-500, 500))
+        return SqlSession(db)
+
+    def test_a_negative_key_is_a_one_row_seek(self, signed):
+        sql = "SELECT COUNT(*), SUM(x) FROM t WHERE id = -5"
+        assert signed.explain(sql) == "clustered index seek on t (id = -5)"
+        assert signed.plan_select(sql).key == -5
+        values, metrics = signed.query(sql)
+        assert values == (1, -2.5) and metrics.rows == 1
+
+    def test_a_negative_bound_is_a_key_range(self, signed):
+        sql = "SELECT COUNT(*), SUM(x) FROM t WHERE id >= -5 AND id < 3"
+        assert signed.plan_select(sql).pk_range == (-5, 3)
+        assert signed.query(sql)[0] == (8, -6.0)
+        assert signed.plan_select(
+            "SELECT COUNT(*) FROM t WHERE id < -(3)").pk_range == (None, -3)
+
+    def test_the_folded_constant_is_what_the_minus_computed(self, signed):
+        for sql, want in [
+                ("SELECT COUNT(*) FROM t WHERE x = -0.0", (1,)),
+                ("SELECT MIN(x * -2) FROM t", (-499.0,)),
+                ("SELECT COUNT(*) FROM t WHERE x > - -1.5", (496,)),
+                ("SELECT COUNT(*) FROM t WHERE -x > 249", (2,))]:
+            assert signed.query(sql)[0] == want, sql
+        where = signed.plan_select(
+            "SELECT COUNT(*) FROM t WHERE x = -0.0").where
+        assert repr(where.right.value) == "0.0"

@@ -1,10 +1,10 @@
 """A statement that fails part-way leaves nothing behind.
 
 A UDF that raises on its third call stops a SELECT in the middle of its
-row loop or vector scan.  Whatever the plan — scan, grouped, point
-seek, index seek, or the shard side's partial scalar and grouped scans
-— and whichever engine ran it, the error reaches the caller and the
-statement's read view is gone with it:
+batch (or of the row oracle's row loop, which opens the same read
+view).  Whatever the plan — scan, grouped, point seek, index seek, or
+the shard side's partial scalar and grouped scans — the error reaches
+the caller and the statement's read view is gone with it:
 
 * no table version is still pinned (``pinned_versions() == {}``);
 * the calling thread's cold view of the buffer pool is closed
@@ -33,6 +33,7 @@ from repro.engine import Column, Database, executor, table as table_module
 from repro.engine.btree import BTree
 from repro.engine.sqlfront import SqlSession
 from repro.engine.table import Table
+from tests.engine import row_oracle
 from tests.mutation import mutated
 
 ROWS = 300
@@ -88,16 +89,21 @@ def session(udf):
     return session
 
 
-def _run(session, plan, engine, cold):
+#: Who runs a statement: the engine, or the row oracle through the same
+#: read view.
+SIDES = {"oracle": row_oracle, "engine": SqlSession}
+
+
+def _run(session, plan, side, cold):
     sql, method, _kind = PLANS[plan]
-    result = getattr(session, method)(sql, cold=cold, engine=engine)
+    result = getattr(SIDES[side], method)(session, sql, cold=cold)
     return result["metrics"] if method == "query_partial" else result[1]
 
 
-def _left_behind(session, udf, plan, engine) -> list[str]:
+def _left_behind(session, udf, plan, side) -> list[str]:
     """Fail the statement once, then list what it left behind."""
     with pytest.raises(Boom):
-        _run(session, plan, engine, cold=True)
+        _run(session, plan, side, cold=True)
     found = []
     table = session.db.tables["t"]
     if table.pinned_versions():
@@ -105,20 +111,20 @@ def _left_behind(session, udf, plan, engine) -> list[str]:
     if session.db.pool._thread_state().cold_seen is not None:
         found.append("an open cold view")
     udf.armed = False
-    _run(session, plan, engine, cold=False)
-    again = _run(session, plan, engine, cold=False)
+    _run(session, plan, side, cold=False)
+    again = _run(session, plan, side, cold=False)
     if again.physical_reads:
         found.append(f"{again.physical_reads} physical reads warm")
     return found
 
 
-@pytest.mark.parametrize("engine", ["row", "vector"])
+@pytest.mark.parametrize("side", list(SIDES))
 @pytest.mark.parametrize("plan", list(PLANS))
 def test_a_failed_statement_leaves_nothing_behind(session, udf, plan,
-                                                  engine):
+                                                  side):
     sql, _method, kind = PLANS[plan]
     assert session.plan_select(sql).kind == kind
-    assert _left_behind(session, udf, plan, engine) == []
+    assert _left_behind(session, udf, plan, side) == []
     assert udf.calls > 3
 
 
@@ -143,14 +149,14 @@ def _unpin_outside_finally():
                    "        snap.unpin(pool)\n").Executor._read_view
 
 
-@pytest.mark.parametrize("engine", ["row", "vector"])
-def test_the_checks_catch_an_unpin_outside_finally(session, udf, engine,
+@pytest.mark.parametrize("side", list(SIDES))
+def test_the_checks_catch_an_unpin_outside_finally(session, udf, side,
                                                    monkeypatch):
     monkeypatch.setattr(executor.Executor, "_read_view",
                         _unpin_outside_finally())
     table = session.db.tables["t"]
     try:
-        found = _left_behind(session, udf, "scan", engine)
+        found = _left_behind(session, udf, "scan", side)
         assert found and found[0].startswith("pinned versions")
     finally:
         # The leak is the point of this test: release it by hand.

@@ -6,7 +6,7 @@ array header — equals row 0's (``vectorized.same_rows``: strided 8-byte
 words, then a byte tail).  Here exactly one row differs from row 0,
 at exactly one byte of the size prefix or of the array header, at
 every position, the tail bytes after the last full word included; the
-row and vector engines must still agree, on values and on errors.
+engine and the row oracle must still agree, on values and on errors.
 """
 
 import pytest
@@ -14,6 +14,7 @@ import pytest
 from repro.engine import Column, Database, vectorized
 from repro.engine.sqlfront import SqlSession
 from repro.tsql import FloatArray, FloatArrayMax, mathfuncs
+from tests.engine import row_oracle
 from tests.engine.test_parity import _bits
 from tests.mutation import mutated
 
@@ -102,20 +103,20 @@ def case_id(case):
     return f"{column}-{part}{position}" + (f"^{flip:#x}" if flip else "")
 
 
-def answer(session, sql, engine):
+def answer(session, sql, query=SqlSession.query):
     """The statement's value, bit for bit, or the error it raised."""
     try:
-        return _bits(session.query(sql, engine=engine)[0])
+        return _bits(query(session, sql)[0])
     except Exception as exc:
         return type(exc), str(exc)
 
 
 def failing_queries(session, column):
-    """The queries whose vector answer is not the row engine's."""
+    """The queries whose engine answer is not the row oracle's."""
     schema = COLUMNS[column][0]
     queries = [sql.format(ns=schema, c=column) for sql in QUERIES]
-    return [sql for sql in queries if answer(session, sql, "vector")
-            != answer(session, sql, "row")]
+    return [sql for sql in queries if answer(session, sql)
+            != answer(session, sql, row_oracle.query)]
 
 
 @pytest.mark.parametrize("case", cases(), ids=case_id)
@@ -138,7 +139,7 @@ def test_the_uniform_batch_is_the_one_read_in_place():
 def test_a_compare_that_skips_the_byte_tail_fails(monkeypatch):
     """The same cases against a ``same_rows`` that compares whole words
     only: every difference in a tail byte goes unseen and some query
-    answers differently from the row engine."""
+    answers differently from the row oracle."""
     skipping = mutated(
         vectorized,
         "    lanes += [matrix[:, i] for i in range(words, width)]\n",

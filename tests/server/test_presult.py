@@ -4,8 +4,8 @@
 the scan built (``GroupArrays``) and ``_pack_presult`` wraps them in
 ``Columns`` as they are.  The wire does not change: the type string
 and every buffer are what ``Columns.from_groups`` makes of the same
-partial as ``(key, [partials])`` pairs, and what a shard on the row
-engine — whose finished rows are loaded into the same arrays — packs.
+partial as ``(key, [partials])`` pairs, and what the row oracle's
+partial — its finished rows loaded into the same arrays — packs.
 """
 
 import random
@@ -23,6 +23,7 @@ from repro.server import ServerConfig, protocol
 from repro.server.columnar import Column as WireColumn
 from repro.server.server import ArrayServer
 from repro.tsql import FloatArray, FloatArrayMax
+from tests.engine import row_oracle
 
 #: bench/workloads.py, ``ShardScatter.QUERIES``.
 SCATTER = [
@@ -67,9 +68,15 @@ def server():
     return ArrayServer(db, ServerConfig())
 
 
-def frame(server, sql, engine="vector"):
-    result = server._execute_partial_sync(
-        SqlSession(server.db), sql, cold=False, engine=engine)
+def frame(server, sql, oracle=False):
+    session = SqlSession(server.db)
+    if oracle:
+        payload = row_oracle.query_partial(
+            session, sql, cold=False, finalize=server._materialize_partials)
+        result = dict(payload, kind="partial",
+                      metrics=payload["metrics"].to_dict())
+    else:
+        result = server._execute_partial_sync(session, sql, cold=False)
     reply, buffers = server._pack_presult(result, 0.0)
     return result["groups"], reply, [bytes(b) for b in buffers]
 
@@ -85,8 +92,8 @@ def test_the_frame_is_what_the_pairs_packed_to(server, sql):
         assert reply["groups"] == types
         assert reply["rowcount"] == len(groups)
         assert buffers == [bytes(b) for b in want]
-    # ... and what a shard running the row engine puts on the wire.
-    _groups, row_reply, row_buffers = frame(server, sql, "row")
+    # ... and what the row oracle's partial puts on the wire.
+    _groups, row_reply, row_buffers = frame(server, sql, oracle=True)
     for key in ("groups", "rowcount", "states", "rows"):
         assert reply[key] == row_reply[key], key
     assert buffers == row_buffers

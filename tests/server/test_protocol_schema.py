@@ -90,10 +90,10 @@ def test_every_frame_type_documented_in_server_md(frame_type):
 
 
 def test_a_version_bump_without_a_new_schema_is_caught():
-    bumped = mutated(protocol, "PROTOCOL_VERSION = 2\n",
-                     "PROTOCOL_VERSION = 3\n")
+    bumped = mutated(protocol, "PROTOCOL_VERSION = 3\n",
+                     "PROTOCOL_VERSION = 4\n")
     assert schema_of(bumped) != frozen()
-    assert schema_of(bumped)["protocol_version"] == 3
+    assert schema_of(bumped)["protocol_version"] == 4
 
 
 if __name__ == "__main__":

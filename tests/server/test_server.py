@@ -10,7 +10,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from repro.engine import Column, Database
+from repro.engine import Column, Database, SqlSession
 from repro.server import (
     NO_TIMEOUT,
     ArrayClient,
@@ -26,6 +26,7 @@ from repro.server.client import _parse_result
 from repro.server.protocol import write_frame_sock
 from tests.conftest import read_frame
 from repro.tsql import FloatArray
+from tests.engine import row_oracle
 
 ROWS = 300
 
@@ -547,9 +548,10 @@ class TestServerThreadCrashSurfaced:
         handle.stop()
 
 
-class TestEngineToggle:
-    """Served queries run on the vectorized engine by default; the
-    per-query ``engine`` frame key toggles the row path end to end."""
+class TestOneEngine:
+    """Served queries run on the one (batch) engine; ``engine`` is no
+    longer a frame key, so a frame that still carries one — like the
+    long-gone ``workers`` — has it ignored."""
 
     SQL = "SELECT SUM(FloatArray.Item_1(v, 0)) FROM Tvector WITH (NOLOCK)"
 
@@ -558,47 +560,36 @@ class TestEngineToggle:
         assert result.metrics["engine"] == "vector"
         assert result.metrics["udf_calls"] == ROWS
 
-    def test_row_toggle_round_trips(self, client):
-        vec = client.query(self.SQL, engine="vector")
-        row = client.query(self.SQL, engine="row")
-        assert row.metrics["engine"] == "row"
-        assert vec.metrics["engine"] == "vector"
+    def test_the_served_answer_is_the_row_oracles(self, client):
+        served = client.query(self.SQL)
+        want, metrics = row_oracle.query(SqlSession(make_db()), self.SQL)
         # Bit-identical values and identical IO accounting.
-        assert struct.pack("<d", row.scalar()) == \
-            struct.pack("<d", vec.scalar())
+        assert struct.pack("<d", served.scalar()) == \
+            struct.pack("<d", want[0])
         for key in ("rows", "io_bytes", "physical_reads",
                     "sequential_reads", "random_reads", "stream_calls",
                     "udf_calls"):
-            assert row.metrics[key] == vec.metrics[key], key
+            assert served.metrics[key] == getattr(metrics, key), key
 
-    def test_bad_engine_value_is_a_bad_frame(self, client):
-        with pytest.raises(ServerError) as caught:
-            client.query(self.SQL, engine="columnar")
-        assert caught.value.code == protocol.BAD_FRAME
-        client.ping()  # connection survives
-
-    def test_parallel_is_an_unknown_engine_and_workers_is_ignored(
-            self, client):
-        """``engine: "parallel"`` is refused like any unknown engine,
-        on a session that answers its next statement; ``workers`` is a
-        key no frame defines, so the server ignores it."""
-        with pytest.raises(ServerError) as caught:
-            client.query(self.SQL, engine="parallel")
-        assert caught.value.code == protocol.BAD_FRAME
+    @pytest.mark.parametrize("key, value", [
+        ("engine", "row"), ("engine", "columnar"), ("engine", "parallel"),
+        ("workers", 2), ("workers", "two")])
+    def test_an_undefined_key_is_ignored(self, client, key, value):
         plain = client.query(self.SQL)
-        for workers in (2, "two"):
-            got = _parse_result(*client._request_raw(
-                {"type": "query", "sql": self.SQL, "cold": True,
-                 "workers": workers}))
-            assert struct.pack("<d", got.scalar()) == \
-                struct.pack("<d", plain.scalar())
-            assert dict(got.metrics, wall_seconds=None) == \
-                dict(plain.metrics, wall_seconds=None)
+        got = _parse_result(*client._request_raw(
+            {"type": "query", "sql": self.SQL, "cold": True,
+             key: value}))
+        assert struct.pack("<d", got.scalar()) == \
+            struct.pack("<d", plain.scalar())
+        assert dict(got.metrics, wall_seconds=None) == \
+            dict(plain.metrics, wall_seconds=None)
 
     def test_stats_count_queries_per_engine(self, client):
         before = client.stats()["engine_queries"]
         client.query(self.SQL)
-        client.query(self.SQL, engine="row")
+        _parse_result(*client._request_raw(
+            {"type": "query", "sql": self.SQL, "cold": True,
+             "engine": "row"}))
         after = client.stats()["engine_queries"]
-        assert after.get("vector", 0) - before.get("vector", 0) >= 1
-        assert after.get("row", 0) - before.get("row", 0) == 1
+        assert after.get("vector", 0) - before.get("vector", 0) == 2
+        assert set(after) == {"vector"}

@@ -19,6 +19,7 @@ from repro.server import ServerError, protocol
 from repro.server.server import ServerConfig, ServerThread
 from repro.shard import (ShardClient, ShardConfig, ShardFleet,
                          ShardRouter, ShardServer)
+from tests.engine import row_oracle
 
 from .conftest import (KEY_HI, ROWS, bits, make_reference, make_rows,
                        normalize, setup_udfs)
@@ -95,6 +96,7 @@ def cluster(request):
 @pytest.mark.parametrize("sql", ALL_QUERIES)
 def test_router_matches_single_node_bitwise(cluster, reference, sql):
     want = normalize(reference.query(sql))
+    assert bits(normalize(row_oracle.query(reference, sql))) == bits(want)
     got = cluster["router"].execute(sql)
     assert bits([tuple(r) for r in got["rows"]]) == bits(want)
 
@@ -242,9 +244,9 @@ def test_float_group_keys_and_nan_totals_bit_for_bit(cluster):
                 "SELECT a, SUM(x), AVG(x), MIN(x), MAX(x) FROM z GROUP BY a",
                 "SELECT SUM(x), AVG(x) FROM z"]:
         got = bits([tuple(r) for r in router.execute(sql)["rows"]])
-        for engine in ("row", "vector"):
-            want = normalize(reference.query(sql, engine=engine))
-            assert got == bits(want), (sql, engine)
+        for query in (row_oracle.query, SqlSession.query):
+            want = normalize(query(reference, sql))
+            assert got == bits(want), (sql, query)
     zero_group = router.execute(
         "SELECT k, COUNT(*) FROM z GROUP BY k")["rows"][0]
     assert bits([tuple(zero_group)]) == bits([(-0.0, 140)])
@@ -259,9 +261,9 @@ DOUBLE_ROUNDED = [2 ** 60 + i * 2 ** 38 + 2 ** 36 + 1 for i in range(12)]
 def test_binary_cells_and_vector_rounding_bit_for_bit(cluster):
     """Non-empty all-zero cells are true as a predicate, and
     ``RealArray.Vector_1`` of a bigint rounds through float64 — on the
-    row engine, the vector engine (its batch kernels, in a ``SELECT``
-    and in an ``INSERT … VALUES`` run long enough for one) and the
-    cluster alike."""
+    row oracle, the engine (its batch kernels, in a ``SELECT`` and in an
+    ``INSERT … VALUES`` run long enough for one) and the cluster
+    alike."""
     from repro.engine.values import _KERNEL_ROWS
     from repro.tsql import RealArray
 
@@ -295,8 +297,7 @@ def test_binary_cells_and_vector_rounding_bit_for_bit(cluster):
     for sql, want in expected.items():
         got = [tuple(r) for r in router.execute(sql)["rows"]]
         assert got == want, sql
-        for engine in ("row", "vector"):
-            assert normalize(reference.query(sql, engine=engine)) \
-                == want, (sql, engine)
+        for query in (row_oracle.query, SqlSession.query):
+            assert normalize(query(reference, sql)) == want, (sql, query)
     for name in ("zc", "w"):
         router.execute(f"DROP TABLE {name}")

@@ -148,6 +148,16 @@ class TestRouting:
             "SELECT SUM(v) FROM t WHERE id >= 90 AND id < 210")
         assert router._route(plan) == [0, 1, 2]
 
+    def test_a_negative_key_routes_to_one_shard(self):
+        router = make_router(shards=2)
+        plan = router.session.plan_select(
+            "SELECT COUNT(*) FROM t WHERE id = -5")
+        assert plan.kind == "point" and plan.key == -5
+        assert router._route(plan) == [0]
+        plan = router.session.plan_select(
+            "SELECT COUNT(*) FROM t WHERE id >= -5 AND id < 3")
+        assert router._route(plan) == [0]
+
     def test_scan_broadcasts(self):
         router = make_router()
         plan = router.session.plan_select("SELECT SUM(v) FROM t")

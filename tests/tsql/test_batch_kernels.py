@@ -19,6 +19,7 @@ from repro.engine.executor import Col, Const, ScalarUdf
 from repro.engine.sqlfront import SqlSession
 from repro.engine.vectorized import BatchContext, RowBatch
 from repro.tsql import BigIntArray, FloatArray, IntArray
+from tests.engine import row_oracle
 
 ROWS = 300
 OFFSET = IntArray.Vector_1(1)
@@ -121,7 +122,7 @@ class TestThroughABatch:
     def test_the_kernel_takes_the_matrix_column(self, batch):
         table, batch = batch
         udf, calls = spied_udf(FloatArray.Item_1)
-        ctx = BatchContext(table, None)
+        ctx = BatchContext(None)
         ctx.batch = batch
         values, mask = udf.eval_batch(ctx)
         assert calls == {"kernel": 1, "row": 0} and mask is None
@@ -134,7 +135,7 @@ class TestThroughABatch:
         nulls = np.arange(ROWS) % 7 == 3
         batch._columns["b"] = (values, nulls)  # flagged by the mask only
         udf, calls = spied_udf(FloatArray.Item_1)
-        ctx = BatchContext(table, None)
+        ctx = BatchContext(None)
         ctx.batch = batch
         got, mask = udf.eval_batch(ctx)
         assert calls == {"kernel": 0, "row": ROWS}
@@ -146,13 +147,13 @@ class TestThroughABatch:
 
 def assert_row_equals_vector(session, sql):
     try:
-        want = session.query(sql, engine="row")
+        want = row_oracle.query(session, sql)
     except Exception as exc:
         with pytest.raises(type(exc)) as caught:
-            session.query(sql, engine="vector")
+            session.query(sql)
         assert str(caught.value) == str(exc), sql
         return
-    got = session.query(sql, engine="vector")
+    got = session.query(sql)
     assert bits(got[0]) == bits(want[0]), sql
     assert got[1].udf_calls == want[1].udf_calls, sql
 
