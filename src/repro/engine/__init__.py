@@ -28,6 +28,7 @@ from .executor import (
     Avg,
     Col,
     Const,
+    CorruptSnapshotError,
     Count,
     Database,
     Executor,
@@ -73,6 +74,7 @@ __all__ = [
     "PAPER_HARDWARE",
     "QueryMetrics",
     "format_table",
+    "CorruptSnapshotError",
     "Database",
     "Executor",
     "SqlSession",

@@ -87,6 +87,24 @@ class BlobStore:
             prev = ptr_page
         return BlobRef(first_pointer_page=first_ptr, length=len(blob))
 
+    @property
+    def tag(self) -> str:
+        """The allocation tag of every blob page of the store."""
+        return self._tag
+
+    def page_ids(self, ref: BlobRef) -> list[int]:
+        """Every page of a stored blob: each pointer page, then the
+        chunk pages it lists (read from the page file, uncharged)."""
+        ids = []
+        ptr_id = ref.first_pointer_page
+        while ptr_id >= 0:
+            ptr_page = self._pagefile.get(ptr_id)
+            record = ptr_page.get_record(0)
+            ids.append(ptr_id)
+            ids.extend(struct.unpack(f"<{len(record) // 4}i", record))
+            ptr_id = ptr_page.next_page
+        return ids
+
     def open(self, ref: BlobRef, pool: BufferPool) -> "BlobTreeStream":
         """Open a stream over a stored blob; reads are charged to
         ``pool``."""

@@ -124,6 +124,20 @@ def _run_sizes(records: Sequence[bytes]) -> list[int]:
                            initial=0))
 
 
+def _split_parts(records: list[bytes], mid: int, start: int,
+                 end: int) -> list[list[bytes]]:
+    """Where :meth:`BTree._split` cuts ``records``, whose ``[start,
+    end)`` are the new ones: in two at ``mid`` when both parts fit a
+    page, else at the fitting cut nearest ``mid``, else in three around
+    the new records."""
+    sizes = _run_sizes(records)
+    for cut in sorted(range(1, len(records)),
+                      key=lambda cut: abs(cut - mid)):
+        if sizes[cut] <= PAGE_BODY_SIZE >= sizes[-1] - sizes[cut]:
+            return [records[:cut], records[cut:]]
+    return [records[:start], records[start:end], records[end:]]
+
+
 def _fitting(sizes: list[int], i: int, room: int) -> int:
     """End of the longest run of records from ``i`` that fits in
     ``room`` free bytes (``i`` when not even one does)."""
@@ -178,9 +192,11 @@ class BTree:
         # Copy-on-write state: while a version is open via
         # :meth:`begin_write`, every page obtained through :meth:`_wget`
         # is cloned at that version before mutation and the superseded
-        # page ids are logged for retirement bookkeeping.
+        # page ids are logged for retirement bookkeeping, as are the
+        # ids of pages the write stops reaching (``_orphans``).
         self._wv: int | None = None
         self._cow: set[int] = set()
+        self._orphans: list[int] = []
 
     # -- copy-on-write plumbing (MVCC) ---------------------------------------
 
@@ -191,6 +207,7 @@ class BTree:
         resolving the superseded pages."""
         self._wv = version
         self._cow = set()
+        self._orphans = []
 
     def end_write(self) -> set[int]:
         """Close the copy-on-write scope; returns the page ids that
@@ -210,6 +227,16 @@ class BTree:
         if cloned:
             self._cow.add(page_id)
         return page
+
+    def _orphan(self, page_id: int) -> None:
+        """A page the tree no longer reaches: freed at once outside a
+        write scope (nothing else reads a tree mutated in place), else
+        logged in ``_orphans`` for the owning table to free once no
+        version older than the write's is live."""
+        if self._wv is None:
+            self._pagefile.free([(self._tag, page_id)])
+        else:
+            self._orphans.append(page_id)
 
     def _alloc(self, kind: int, level: int = 0) -> Page:
         """Allocate a page stamped with the open write version (0
@@ -233,11 +260,20 @@ class BTree:
         """Number of stored records."""
         return self._count
 
-    def leaf_page_ids(self) -> list[int]:
-        """Leaf page ids in key order (the current pages: every version
-        is below 2**63)."""
+    def _current(self) -> "BTreeReader":
+        """A reader of the current pages (every version is below
+        2**63)."""
         return BTreeReader(self._pagefile, 2 ** 63, self._root_id,
-                           self._height, self._count).leaf_page_ids()
+                           self._height, self._count)
+
+    def leaf_page_ids(self) -> list[int]:
+        """Leaf page ids in key order."""
+        return self._current().leaf_page_ids()
+
+    def page_ids(self) -> list[int]:
+        """The id of every page of the tree, root first, level by
+        level."""
+        return self._current().page_ids()
 
     # -- search ------------------------------------------------------------
 
@@ -404,14 +440,13 @@ class BTree:
         self._insert_record(key, leaf_record(key, payload))
 
     def _insert_record(self, key: int, record: bytes) -> None:
-        split = self._insert_into(self._wget(self._root_id), key, record)
-        if split is not None:
-            sep_key, new_page_id = split
+        splits = self._insert_into(self._wget(self._root_id), key, record)
+        if splits:
             old_root = self._pagefile.get(self._root_id)
             new_root = self._alloc(PAGE_INDEX, level=old_root.level + 1)
             first_key = self._smallest_key(old_root)
-            new_root.add_record(_child_record(first_key, old_root.page_id))
-            new_root.add_record(_child_record(sep_key, new_page_id))
+            new_root.add_records([_child_record(first_key, old_root.page_id)]
+                                 + [_child_record(*split) for split in splits])
             self._root_id = new_root.page_id
             self._height += 1
         self._count += 1
@@ -501,68 +536,79 @@ class BTree:
         return _leaf_key(page.get_record(0))
 
     def _insert_into(self, page: Page, key: int, record: bytes
-                     ) -> tuple[int, int] | None:
-        """Recursive insert of a leaf record; returns ``(separator,
-        new_page_id)`` when this page split, else ``None``."""
+                     ) -> list[tuple[int, int]]:
+        """Recursive insert of a leaf record; returns the ``(separator,
+        new_page_id)`` of every page this page split off (none when it
+        did not split)."""
         if page.level == 0:
             slot, found = _leaf_slot(page, key)
             if found:
                 raise DuplicateKeyError(f"key {key} already exists")
             if page.fits(len(record)):
                 page.insert_record(slot, record)
-                return None
-            return self._split(page, slot, record)
+                return []
+            return self._split(page, slot, [record])
 
         slot = _descend_slot(page, key)
         _sep, child_id = _child_fields(page.get_record(slot))
-        split = self._insert_into(self._wget(child_id), key, record)
-        if split is None:
-            return None
-        sep_key, new_child = split
-        record = _child_record(sep_key, new_child)
-        if page.fits(len(record)):
-            page.insert_record(slot + 1, record)
-            return None
-        return self._split(page, slot + 1, record)
+        splits = self._insert_into(self._wget(child_id), key, record)
+        if not splits:
+            return []
+        records = [_child_record(*split) for split in splits]
+        if _run_sizes(records)[-1] <= page.free_bytes:
+            for i, child in enumerate(records, slot + 1):
+                page.insert_record(i, child)
+            return []
+        return self._split(page, slot + 1, records)
 
-    def _split(self, page: Page, slot: int, record: bytes
-               ) -> tuple[int, int]:
-        """Split a full ``page`` as ``record`` goes in at ``slot``: the
-        records from the middle on move to a new page of the same kind
-        and level; returns ``(separator, new_page_id)``.  A half no page
-        holds raises before anything changes.
+    def _split(self, page: Page, slot: int, new: list[bytes]
+               ) -> list[tuple[int, int]]:
+        """Split a full ``page`` as the records ``new`` go in at
+        ``slot``; returns the ``(separator, page_id)`` of each new page
+        of the same kind and level, left to right.  The cut is the
+        middle one when both halves fit a page, else the two-way cut
+        nearest the middle that does, else three ways: the records
+        before ``slot``, ``new``, the records after it (each a page's
+        worth, since the page held the first and last and a record fits
+        a page).  A part no page holds raises before anything changes.
 
         Ascending-key loads split "to the right": the old page keeps
-        everything and only the new record moves, so bulk loads in key
+        everything and only the new records move, so bulk loads in key
         order produce full pages (as SQL Server does for monotonically
         increasing clustered keys); a garbage-free old page is not even
         rebuilt, since that would leave it byte for byte as it is."""
         left = None
-        right = [record]
+        parts = [new]
         if slot < page.slot_count or page._dense <= 0:
             records = list(page.records())
-            records.insert(slot, record)
-            mid = (len(records) - 1 if slot == len(records) - 1
-                   else len(records) // 2)
-            left, right = records[:mid], records[mid:]
-        for half in (left or (), right):
-            if (size := _run_sizes(half)[-1]) > PAGE_BODY_SIZE:
+            records[slot:slot] = new
+            end = slot + len(new)
+            mid = slot if end == len(records) else len(records) // 2
+            left, *parts = _split_parts(records, mid, slot, end)
+        for part in (left or (), *parts):
+            if (size := _run_sizes(part)[-1]) > PAGE_BODY_SIZE:
                 raise PageFullError(f"a split of page {page.page_id} "
                                     f"leaves {size} bytes on one side")
-        new_page = self._alloc(page.kind, level=page.level)
+        new_pages = [self._alloc(page.kind, level=page.level)
+                     for _part in parts]
         if left is not None:
             page.take_all_records()
             page.add_records(left)
-        new_page.add_records(right)
+        for new_page, part in zip(new_pages, parts):
+            new_page.add_records(part)
         if page.level == 0:
-            new_page.next_page = page.next_page
-            new_page.prev_page = page.page_id
+            last = new_pages[-1]
+            last.next_page = page.next_page
             if page.next_page >= 0:
                 # The right neighbour's back link changes too, so it is
                 # cloned as well under copy-on-write.
-                self._wget(page.next_page).prev_page = new_page.page_id
-            page.next_page = new_page.page_id
-        return _leaf_key(right[0]), new_page.page_id
+                self._wget(page.next_page).prev_page = last.page_id
+            chain = [page, *new_pages]
+            for before, after in zip(chain, chain[1:]):
+                before.next_page = after.page_id
+                after.prev_page = before.page_id
+        return [(_leaf_key(part[0]), new_page.page_id)
+                for new_page, part in zip(new_pages, parts)]
 
     def delete(self, key: int) -> bool:
         """Delete a record by key; returns whether it existed (the
@@ -584,7 +630,8 @@ class BTree:
         Pages are never merged (like SQL Server's ghost-record
         deletes, space is reclaimed by rewrites); an emptied leaf is
         unlinked from the sibling chain and its parent entry removed,
-        so scans stay correct.
+        so scans stay correct, and it is orphaned (see :meth:`_orphan`)
+        with every parent that empties with it.
         """
         keys = sorted(set(keys))
         deleted = 0
@@ -608,18 +655,21 @@ class BTree:
 
     def _unlink_leaf(self, leaf: Page,
                      path: list[tuple[Page, int]]) -> None:
-        """Remove an empty leaf from the sibling chain and the tree."""
+        """Remove an empty leaf from the sibling chain and the tree,
+        orphaning it and every parent that empties with it."""
         if leaf.prev_page >= 0:
             self._wget(leaf.prev_page).next_page = leaf.next_page
         if leaf.next_page >= 0:
             self._wget(leaf.next_page).prev_page = leaf.prev_page
         leaf.prev_page = leaf.next_page = -1
+        self._orphan(leaf.page_id)
         # Remove the parent entries bottom-up while pages empty out.
         for parent, slot in reversed(path):
             parent = self._wget(parent.page_id)
             parent.delete_record(slot)
             if parent.slot_count > 0:
                 return
+            self._orphan(parent.page_id)
         # The root itself ran out of children: collapse to a fresh
         # empty leaf-rooted tree.
         root = self._alloc(self._leaf_kind, level=0)
@@ -633,10 +683,11 @@ class BTree:
         If the new record does not fit the page, it is deleted and
         re-inserted (a row-forwarding rewrite).
         """
-        leaf = self._wget(self._find_leaf(key, None).page_id)
+        leaf = self._find_leaf(key, None)
         slot, found = _leaf_slot(leaf, key)
-        if not found:
+        if not found:  # nothing to clone
             return False
+        leaf = self._wget(leaf.page_id)
         record = leaf_record(key, payload)
         try:
             leaf.replace_record(slot, record)
@@ -753,6 +804,18 @@ class BTreeReader:
             ids.append(page.page_id)
             page = (self._get(page.next_page)
                     if page.next_page >= 0 else None)
+        return ids
+
+    def page_ids(self) -> list[int]:
+        """The id of every page of the tree at the pinned version, root
+        first, level by level."""
+        ids: list[int] = []
+        level = [self._get(self._root_id)]
+        while level:
+            ids.extend(page.page_id for page in level)
+            level = [self._get(_child_fields(record)[1])
+                     for page in level if page.level > 0
+                     for record in page.records()]
         return ids
 
     def charge_scan_descent(self, pool: BufferPool) -> list[int]:

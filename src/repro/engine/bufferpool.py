@@ -312,8 +312,9 @@ class BufferPool:
 
     def discard_keys(self, keys: Iterable[CacheKey]) -> None:
         """Evict specific cache keys — version retirement drops the
-        ``(page_id, pv)`` residents of dead page versions so the cache
-        never leaks retired versions."""
+        ``(page_id, pv)`` residents of dead page versions, and every
+        key of a freed page, so the cache never leaks retired versions
+        and a reused page id is never a false hit."""
         with self._lock:
             for key in keys:
                 self._cached.pop(key, None)

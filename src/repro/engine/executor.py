@@ -25,8 +25,10 @@ import math
 import operator
 import os
 import pickle
+import struct
 import tempfile
 import time
+import zlib
 from contextlib import contextmanager
 from typing import Callable, Sequence
 
@@ -42,6 +44,7 @@ from .page import PageFile
 from .table import Column, MaxBlobHandle, Table
 
 __all__ = [
+    "CorruptSnapshotError",
     "Database",
     "Executor",
     "Expression",
@@ -57,6 +60,33 @@ __all__ = [
     "Min",
     "Max",
 ]
+
+
+#: First bytes of a snapshot written by :meth:`Database.save` (a file
+#: without them predates the checksum and is read as a bare pickle).
+_SNAPSHOT_MAGIC = b"REPRO-DB"
+#: What follows the pickle: its byte length, its CRC-32, an end mark.
+_TRAILER = struct.Struct("<QI8s")
+_TRAILER_MARK = b"REPROEND"
+
+
+class CorruptSnapshotError(Exception):
+    """A snapshot file fails its checksum (torn or altered by the
+    medium), or is no snapshot at all."""
+
+
+class _ChecksumWriter:
+    """A binary file that checksums and counts what is written to it."""
+
+    def __init__(self, f):
+        self._f = f
+        self.crc = 0
+        self.size = 0
+
+    def write(self, data) -> int:
+        self.crc = zlib.crc32(data, self.crc)
+        self.size += len(data)
+        return self._f.write(data)
 
 
 class Database:
@@ -99,33 +129,63 @@ class Database:
         self._catalog_lock = lockcheck.tracked_lock("mutex:Database")
         for table in self.tables.values():
             table._pool_ref = self.pool
+            # No pin survives a save: every page a publish orphaned is
+            # free now.
+            table._retire(self.pool)
 
     def save(self, path: str) -> None:
         """Snapshot the whole database (pages, blobs, catalog) to a
         file.  The snapshot is a pickle of this object minus its
-        process-local state (locks; the buffer pool travels cold).
+        process-local state (locks; the buffer pool travels cold),
+        between a magic header and a trailer holding the pickle's
+        length and CRC-32 (``docs/FORMAT.md``, "Snapshot files").
 
-        The write is atomic: the pickle goes to a temporary file in the
+        The write is atomic: the snapshot goes to a temporary file in the
         target's directory, is flushed and fsynced, and only then
         replaces ``path`` — a crash mid-write leaves the previous
-        snapshot, never a torn one."""
+        snapshot, never a torn one — and the directory is fsynced so
+        the rename itself survives a crash."""
         directory = os.path.dirname(os.path.abspath(path))
         fd, tmp = tempfile.mkstemp(prefix=".save-", dir=directory)
         try:
             with os.fdopen(fd, "wb") as f:
-                pickle.dump(self, f, protocol=pickle.HIGHEST_PROTOCOL)
+                f.write(_SNAPSHOT_MAGIC)
+                body = _ChecksumWriter(f)
+                pickle.dump(self, body, protocol=pickle.HIGHEST_PROTOCOL)
+                f.write(_TRAILER.pack(body.size, body.crc, _TRAILER_MARK))
                 f.flush()
                 os.fsync(f.fileno())
             os.replace(tmp, path)
         except BaseException:
             os.unlink(tmp)
             raise
+        dir_fd = os.open(directory, os.O_RDONLY)
+        try:
+            os.fsync(dir_fd)
+        finally:
+            os.close(dir_fd)
 
     @classmethod
     def open(cls, path: str) -> "Database":
-        """Re-open a database snapshot written by :meth:`save`."""
+        """Re-open a database snapshot written by :meth:`save`; a file
+        written before snapshots carried a checksum opens as the bare
+        pickle it is.
+
+        Raises:
+            CorruptSnapshotError: the file fails its checksum — it is
+                never unpickled — or does not unpickle.
+        """
         with open(path, "rb") as f:
-            db = pickle.load(f)
+            if f.read(len(_SNAPSHOT_MAGIC)) == _SNAPSHOT_MAGIC:
+                _verify_snapshot(f, path)
+                f.seek(len(_SNAPSHOT_MAGIC))
+            else:
+                f.seek(0)
+            try:
+                db = pickle.load(f)
+            except (pickle.UnpicklingError, EOFError) as exc:
+                raise CorruptSnapshotError(
+                    f"{path} does not unpickle: {exc}") from exc
         if not isinstance(db, Database):
             raise TypeError(f"{path} is not a Database snapshot")
         return db
@@ -144,22 +204,21 @@ class Database:
         """Unregister a table (the DROP TABLE primitive).
 
         Removes the catalog entry (case-insensitive, like SQL name
-        resolution) and its latch.  The table's pages stay allocated
-        in the page file until the process exits — there is no extent
-        reclamation, which trades a little memory for never having to
-        prove that no pinned snapshot still walks them.  Callers going
-        through SQL hold the exclusive catalog latch
-        (:meth:`LatchManager.ddl_latch`), so no statement can be
-        scanning the table when it vanishes.
+        resolution) and its latch, and retires the table's pages
+        (:meth:`Table.drop`): they are freed once the last pin on the
+        table is released — at once under SQL, whose callers hold the
+        exclusive catalog latch (:meth:`LatchManager.ddl_latch`), so no
+        statement can be scanning the table when it vanishes.
         """
         with self._catalog_lock:
             for key in self.tables:
                 if key.lower() == name.lower():
-                    del self.tables[key]
+                    table = self.tables.pop(key)
                     break
             else:
                 raise ValueError(f"no such table {name!r}")
         self.latches.forget(name)
+        table.drop(self.pool)
 
     def report(self) -> str:
         """Human-readable catalog report: per-table rows, pages, sizes
@@ -178,6 +237,31 @@ class Database:
             f"({self.pagefile.total_bytes / 1e6:.2f} MB); "
             f"buffer pool: {self.pool.cached_pages} cached pages")
         return "\n".join(lines)
+
+
+def _verify_snapshot(f, path: str) -> None:
+    """Check the trailer and checksum of the snapshot open in ``f``
+    (positioned after its magic header)."""
+    body_start = f.tell()
+    size = f.seek(0, os.SEEK_END) - body_start - _TRAILER.size
+    if size < 0:
+        raise CorruptSnapshotError(f"{path} is cut short: no trailer")
+    f.seek(body_start + size)
+    length, crc, mark = _TRAILER.unpack(f.read(_TRAILER.size))
+    if mark != _TRAILER_MARK or length != size:
+        raise CorruptSnapshotError(
+            f"{path} is torn: its trailer does not close {size} bytes")
+    f.seek(body_start)
+    actual = 0
+    left = size
+    while left:
+        chunk = f.read(min(left, 1 << 20))
+        if not chunk:
+            raise CorruptSnapshotError(f"{path} shrank while read")
+        actual = zlib.crc32(chunk, actual)
+        left -= len(chunk)
+    if actual != crc:
+        raise CorruptSnapshotError(f"{path} fails its checksum")
 
 
 class Expression:

@@ -13,9 +13,10 @@ charged to the IO model.
 
 from __future__ import annotations
 
+import heapq
 import struct
 from itertools import accumulate
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -226,7 +227,8 @@ class Page:
     def delete_record(self, slot: int) -> None:
         """Remove a slot (bytes become garbage until compaction; the
         last record out takes the garbage with it, so an emptied page
-        — B-tree leaves are unlinked, never reused — holds no body)."""
+        — a B-tree leaf is unlinked and freed, never refilled — holds no
+        body)."""
         self.delete_records(slot, slot + 1)
 
     def delete_records(self, start: int, stop: int) -> None:
@@ -310,11 +312,19 @@ class PageFile:
     objects are loaded concurrently, so clustered scans read
     sequentially.  ``page_count * PAGE_SIZE`` is the database size,
     unused extent slack included (as in a real data file).
+
+    A page no table version can reach any more goes back to its tag
+    (:meth:`free`), and the tag's lowest free id is handed out before
+    a new extent opens — so a table that deletes as fast as it inserts
+    keeps its size (``docs/FORMAT.md``, "Page lifecycle").
     """
 
     def __init__(self):
         self._pages: list[Page | None] = []
-        self._extents: dict[str | None, list[int]] = {}
+        # Free page ids by allocation tag, each list a min-heap: the
+        # unused rest of the tag's newest extent plus every page freed
+        # back to the tag.
+        self._free: dict[str | None, list[int]] = {}
         # Superseded page versions, keyed by page id, ascending ``pv``.
         # Written only by MVCC writers (under their table's exclusive
         # mutate step) and pruned by version retirement; readers resolve
@@ -338,6 +348,10 @@ class PageFile:
         return state
 
     def __setstate__(self, state):
+        if "_extents" in state:  # saved before pages were freed
+            state["_free"] = state.pop("_extents")
+        for ids in state["_free"].values():
+            heapq.heapify(ids)
         self.__dict__.update(state)
         self._lock = lockcheck.tracked_lock("pagefile")
 
@@ -356,23 +370,45 @@ class PageFile:
 
     def allocate(self, kind: int, level: int = 0,
                  tag: str | None = None, pv: int = 0) -> Page:
-        """Allocate a fresh page of the given kind within ``tag``'s
-        current extent (a new extent is opened when it fills).
+        """Allocate a fresh page of the given kind at ``tag``'s lowest
+        free id (a new extent is opened when the tag has none), so
+        pages of one tag are laid out — and read — forward.
         Thread-safe: concurrent writers on different tables allocate
         under the internal mutex."""
         with self._lock:
-            free = self._extents.get(tag)
+            free = self._free.get(tag)
             if not free:
                 start = len(self._pages)
                 self._pages.extend([None] * EXTENT_PAGES)
-                # Keep ascending order so pages of one tag are read
-                # forward.
-                free = list(range(start + EXTENT_PAGES - 1, start - 1, -1))
-                self._extents[tag] = free
-            page_id = free.pop()
+                free = self._free[tag] = list(
+                    range(start, start + EXTENT_PAGES))  # a heap already
+            page_id = heapq.heappop(free)
             page = Page(page_id, kind, level, pv=pv)
             self._pages[page_id] = page
             return page
+
+    def free(self, pages: Iterable[tuple[str | None, int]]) -> list:
+        """Return ``(tag, page_id)`` pages to their tags' free lists.
+
+        The caller guarantees that no version anyone can still read
+        reaches a page it frees.  Each page's version history goes with
+        it and its slot becomes ``None``.  Returns every buffer-pool
+        cache key the page had (its plain id, and ``(id, pv)`` for each
+        stamped version), which the caller discards, so a reused id is
+        never a false cache hit.
+        """
+        keys: list = []
+        with self._lock:
+            for tag, page_id in pages:
+                page = self._pages[page_id]
+                if page is None:
+                    raise ValueError(f"page {page_id} is already free")
+                versions = [*self._history.pop(page_id, ()), page]
+                keys.append(page_id)
+                keys.extend((page_id, old.pv) for old in versions if old.pv)
+                self._pages[page_id] = None
+                heapq.heappush(self._free.setdefault(tag, []), page_id)
+        return keys
 
     def get(self, page_id: int) -> Page:
         """Fetch a page by id (no IO accounting — use the buffer pool)."""

@@ -20,7 +20,8 @@ import struct
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from itertools import chain
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -186,6 +187,9 @@ class Table:
                 "store")
         self._tree = BTree(pagefile, PAGE_DATA, tag=name)
         self._nonkey = self.columns[1:]
+        #: Positions of the ``varbinary_max`` cells in a row.
+        self._max_cells = [i for i, col in enumerate(columns)
+                           if col.type == "varbinary_max"]
         self._bitmap_bytes = (len(self._nonkey) + 7) // 8
         self._indexes: dict[str, SecondaryIndex] = {}
         #: Last published version; 0 is the empty table as created.
@@ -210,6 +214,12 @@ class Table:
         #: Page ids that currently carry version history — the pruning
         #: work-list for retirement.
         self._cow_pids: set[int] = set()
+        #: ``(tag, page_id)`` pages the open write stopped reaching,
+        #: recorded by its publish.
+        self._orphaned: list[tuple[str | None, int]] = []
+        #: ``(version, pages)``: pages the publish of ``version``
+        #: orphaned, each freed once no live version is older.
+        self._retiring: list[tuple[int, list]] = []
         #: Buffer pool to purge retired page versions from (wired by
         #: the owning database; ``None`` for standalone tables).
         self._pool_ref: BufferPool | None = None
@@ -225,13 +235,23 @@ class Table:
         state["_pins"] = {}
         state["_intents"] = []
         state["_cow_pids"] = set()
+        state["_orphaned"] = []
         return state
 
     def __setstate__(self, state):
+        # Saved before pages were freed:
+        state.setdefault("_retiring", [])
+        state.setdefault("_max_cells", [
+            i for i, col in enumerate(state["columns"])
+            if col.type == "varbinary_max"])
         self.__dict__.update(state)
         if any(len(tip) == 3 for tip in self._published.values()):
             # Saved before indexes were versioned, when an index keyed
-            # a value as given: rebuilt, keyed as stored.
+            # a value as given: rebuilt, keyed as stored, and the old
+            # trees' pages retired (the database frees them on open).
+            self._retiring.append((self.version, [
+                (ix._tree._tag, page_id) for ix in self._indexes.values()
+                for page_id in ix._tree.page_ids()]))
             self._indexes = {name: SecondaryIndex(self, name, self._pagefile)
                              for name in self._indexes}
             self._reindex((), ((row[0], row) for row in self.scan()))
@@ -283,7 +303,10 @@ class Table:
             f"primary key column {self.columns[0].name} takes a 64-bit "
             f"integer, got {value!r}")
 
-    def _encode_row(self, values: Sequence) -> bytes:
+    def _encode_row(self, values: Sequence,
+                    blobs: list[BlobRef] | None = None) -> bytes:
+        """A row's leaf payload; each out-of-page blob it writes is
+        appended to ``blobs`` as it is written."""
         if len(values) != len(self.columns):
             raise SchemaError(
                 f"row has {len(values)} values for {len(self.columns)} "
@@ -327,6 +350,8 @@ class Table:
                     variable += struct.pack("<BH", 0, len(data)) + data
                 else:
                     ref = self._blob_store.store(data)
+                    if blobs is not None:
+                        blobs.append(ref)
                     variable += struct.pack(
                         "<BHiq", 1, 0, ref.first_pointer_page, ref.length)
         # ROW_OVERHEAD bytes of record header make the stored sizes
@@ -536,22 +561,31 @@ class Table:
         with self._pin_lock:
             return dict(self._pins)
 
+    def _trees(self) -> list[BTree]:
+        """The clustered tree, then every secondary index's."""
+        return [self._tree, *(ix._tree for ix in self._indexes.values())]
+
     @contextmanager
     def _write_scope(self, version: int) -> Iterator[None]:
         """The copy-on-write scope at ``version`` of the table's tree
         and of every secondary index's, always closed: the page ids it
         cloned go to retirement whether or not the caller then
         publishes — a write that failed part-way still superseded the
-        pages it cloned."""
-        trees = [self._tree, *(ix._tree for ix in self._indexes.values())]
+        pages it cloned.  The pages the trees stopped reaching are
+        ``_orphaned`` only when the write returns: a write that raised
+        orphans nothing (its pages stay allocated)."""
+        trees = self._trees()
         for tree in trees:
             tree.begin_write(version)
+        self._orphaned = []
         try:
             yield
         finally:
             cow = set().union(*(tree.end_write() for tree in trees))
             with self._pin_lock:
                 self._cow_pids |= cow
+        self._orphaned = [(tree._tag, page_id) for tree in trees
+                          for page_id in tree._orphans]
 
     def _tip(self) -> tuple:
         """What a publish records: the ``(root_page_id, height, count)``
@@ -573,6 +607,9 @@ class Table:
         with self._pin_lock:
             self._published[version] = self._tip()
             self.version = version
+            if self._orphaned:
+                self._retiring.append((version, self._orphaned))
+                self._orphaned = []
         self._retire(None)
 
     def _reindex(self, removed, added) -> None:
@@ -591,12 +628,16 @@ class Table:
                           packer.unpack(packer.pack(value))[0], key)
 
     def _retire(self, pool: BufferPool | None) -> None:
-        """Drop version metadata and page history nothing can read.
+        """Drop version metadata, page history and pages nothing can
+        read.
 
-        A history entry stays live while a pinned version — or the
-        published tip, whose readers may still race an in-flight
-        writer's fresh clones — falls inside the half-open version
-        window the entry serves.
+        The live versions are the pinned ones and the published tip,
+        whose readers may still race an in-flight writer's fresh
+        clones.  A history entry stays while a live version falls
+        inside the half-open version window the entry serves; a page
+        orphaned by the publish of version ``v`` is freed once no live
+        version is older than ``v``.  The cache keys of both leave
+        ``pool``.
         """
         if pool is None:
             pool = self._pool_ref
@@ -606,16 +647,58 @@ class Table:
             for version in [v for v in self._published
                             if v not in live]:
                 del self._published[version]
-            if not self._cow_pids:
-                return
-            dropped = self._pagefile.prune_history(
-                list(self._cow_pids), live)
-            self._cow_pids = {
-                pid for pid in self._cow_pids
-                if self._pagefile.history_len(pid)}
-        if pool is not None and dropped:
-            pool.discard_keys(
-                [pid if pv == 0 else (pid, pv) for pid, pv in dropped])
+            oldest = min(live)
+            due = [pages for version, pages in self._retiring
+                   if version <= oldest]
+            keys = []
+            if due:
+                self._retiring = self._retiring[len(due):]
+                keys = self._pagefile.free(chain.from_iterable(due))
+            if self._cow_pids:
+                dropped = self._pagefile.prune_history(
+                    list(self._cow_pids), live)
+                self._cow_pids = {
+                    pid for pid in self._cow_pids
+                    if self._pagefile.history_len(pid)}
+                keys += [pid if pv == 0 else (pid, pv)
+                         for pid, pv in dropped]
+        if pool is not None and keys:
+            pool.discard_keys(keys)
+
+    def _blob_pages(self, rows: Iterable[tuple]
+                    ) -> list[tuple[str | None, int]]:
+        """``(tag, page_id)`` of every blob page the out-of-page cells
+        of decoded ``rows`` reach."""
+        store = self._blob_store
+        return [(store.tag, page_id) for row in rows
+                for i in self._max_cells
+                if isinstance(row[i], MaxBlobHandle)
+                for page_id in store.page_ids(row[i].ref)]
+
+    def _free_blobs(self, refs: Iterable[BlobRef]) -> None:
+        """Free at once blobs a write stored but never published.  No
+        reader ever fetched their pages, so the pool holds no key of
+        them."""
+        store = self._blob_store
+        self._pagefile.free([(store.tag, page_id) for ref in refs
+                             for page_id in store.page_ids(ref)])
+
+    def drop(self, pool: BufferPool | None = None) -> None:
+        """Retire the whole table (the storage half of DROP TABLE):
+        every page its tip reaches — tree and index pages, the blob
+        pages of its rows — is freed once no pin on an older version is
+        left, at once when there is none.  The table must take no pin
+        and no write afterwards."""
+        with self._mutate_lock:
+            pages = [(tree._tag, page_id) for tree in self._trees()
+                     for page_id in tree.page_ids()]
+            if self._max_cells:
+                pages += self._blob_pages(self.scan())
+            with self._pin_lock:
+                # Due once no pin is older than a version past the tip.
+                self.version += 1
+                self._retiring.append((self.version, pages))
+        self._retire(pool)
 
     # -- MVCC: row-level write intents --------------------------------------
 
@@ -661,7 +744,8 @@ class Table:
     def prepare_insert(self, rows) -> "_PreparedInsert":
         """Encode rows — blob writes included — without touching the
         tree: the part of an INSERT that needs no latch, so two writers
-        of one table overlap their encoding work."""
+        of one table overlap their encoding work.  A row that fails to
+        encode frees the blobs the batch wrote."""
         rows = [row if isinstance(row, (tuple, list)) else tuple(row)
                 for row in rows]
         keys = [row[0] if type(row[0]) is int else self._key(row[0])
@@ -670,15 +754,22 @@ class Table:
             for key in keys:
                 self._key(key)  # raises at the first one out of range
         matrix = self._encode_records(rows, keys) if rows else None
+        blobs: list[list[BlobRef]] = []
         if matrix is not None:
             self._check_fits(keys[0], matrix.shape[1])
             records = matrix.view(f"V{matrix.shape[1]}").ravel().tolist()
         else:
-            records = [leaf_record(key, self._encode_row(row))
-                       for key, row in zip(keys, rows)]
-            for key, record in zip(keys, records):
-                self._check_fits(key, len(record))
-        return _PreparedInsert(rows, keys, records)
+            records = []
+            try:
+                for key, row in zip(keys, rows):
+                    blobs.append([])
+                    records.append(leaf_record(
+                        key, self._encode_row(row, blobs[-1])))
+                    self._check_fits(key, len(records[-1]))
+            except BaseException:
+                self._free_blobs(chain.from_iterable(blobs))
+                raise
+        return _PreparedInsert(rows, keys, records, blobs)
 
     def apply_insert(self, prep: "_PreparedInsert") -> int:
         """Copy-on-write the tree with prepared rows and publish one
@@ -691,7 +782,8 @@ class Table:
         :meth:`BTree.insert_many`, which walks the tree once per leaf
         it writes — same page layout, same duplicate-key semantics as
         one descent per row.  On a mid-statement error (say a duplicate
-        key) the rows already inserted are published and stay visible.
+        key) the rows already inserted are published and stay visible,
+        and the blobs of the rows that were not are freed.
         """
         keys = prep.keys
         if not keys:
@@ -716,6 +808,7 @@ class Table:
                 done = tree.count - before
                 if done:
                     self._publish(version)
+                self._free_blobs(chain.from_iterable(prep.blobs[done:]))
         return done
 
     def insert_many(self, rows) -> int:
@@ -733,40 +826,54 @@ class Table:
         returns how many existed.  A snapshot reader sees all of them
         or none — a DELETE statement is atomic to it.
 
-        Out-of-page blob pages referenced by the rows are left in
-        place (like deallocated-lazily LOB pages); the rows themselves
-        disappear from every scan and from every secondary index.
+        The rows disappear from every scan and from every secondary
+        index; the leaves they empty and the blob pages of their
+        out-of-page cells are orphaned by the publish, so they are
+        freed once no older version is pinned (see :meth:`_retire`).
         """
         keys = [int(key) for key in keys]
         lockcheck.require_write_latch(self.name)
         with self._mutate_lock:
             old = [row for row in map(self.get, set(keys))
-                   if row is not None] if self._indexes else ()
+                   if row is not None] \
+                if self._indexes or self._max_cells else ()
             version = self.version + 1
             with self._write_scope(version):
                 deleted = self._tree.delete_many(keys)
                 self._reindex(old, ())
             if deleted:
+                self._orphaned += self._blob_pages(old)
                 self._publish(version)
         return deleted
 
     def update(self, values: Sequence) -> bool:
         """Replace an existing row (matched by its primary key);
-        returns whether the key existed."""
+        returns whether the key existed.  The old row's out-of-page
+        blobs are orphaned with it; the new row's are freed again when
+        the tree did not take it."""
         key = self._key(values[0])
-        payload = self._encode_row(values)
-        self._check_fits(key, _KEY_STRUCT.size + len(payload))
-        lockcheck.require_write_latch(self.name)
-        with self._mutate_lock:
-            old = self.get(key) if self._indexes else None
-            version = self.version + 1
-            with self._write_scope(version):
-                updated = self._tree.update(key, payload)
-                if updated:
-                    self._reindex((old,), ((key, values),))
-            if updated:
-                self._publish(version)
-        return updated
+        blobs: list[BlobRef] = []
+        taken = False  # whether the tree may hold the new payload
+        try:
+            payload = self._encode_row(values, blobs)
+            self._check_fits(key, _KEY_STRUCT.size + len(payload))
+            lockcheck.require_write_latch(self.name)
+            with self._mutate_lock:
+                old = self.get(key) \
+                    if self._indexes or self._max_cells else None
+                version = self.version + 1
+                with self._write_scope(version):
+                    taken = True  # a raise from here on frees nothing
+                    taken = self._tree.update(key, payload)
+                    if taken:
+                        self._reindex((old,), ((key, values),))
+                if taken:
+                    self._orphaned += self._blob_pages((old,))
+                    self._publish(version)
+        finally:
+            if not taken:
+                self._free_blobs(blobs)
+        return taken
 
     def get(self, key: int, pool: BufferPool | None = None
             ) -> tuple | None:
@@ -817,11 +924,14 @@ def _scan_batches(table: Table, tree, pool: BufferPool | None,
 @dataclass(frozen=True)
 class _PreparedInsert:
     """Rows encoded ahead of the latched apply step of an INSERT: one
-    leaf record (key bytes, then the payload) a row."""
+    leaf record (key bytes, then the payload) a row, and the blobs each
+    row's encoding stored (none when the batch went in as a record
+    matrix, which stores no blob)."""
 
     rows: list[tuple]
     keys: list[int]
     records: list[bytes]
+    blobs: list[list[BlobRef]]
 
 
 class TableSnapshot:

@@ -744,9 +744,12 @@ def fold_batch(op, state, values, mask, n: int) -> tuple:
     with the state — ``np.add.accumulate`` is a strict left fold
     (``np.sum`` is pairwise and rounds differently), and overflow to
     ``inf`` and ``inf - inf`` are results, as they are for Python's
-    ``+``, not warnings.  Everything else — ``min``/``max``, which
-    return an operand, and ints, which must stay Python ints — is the
-    one-value-at-a-time fold."""
+    ``+``, not warnings.  Integer lanes onto an int-or-absent state are
+    one array reduction too, its result a Python int: ``min``/``max``
+    the array's own, a sum in int64 when no partial sum can leave it
+    (``max(|min|, |max|) * n < 2**63``).  Everything else — float
+    ``min``/``max``, which return an operand, and a sum that could
+    overflow int64 — is the one-value-at-a-time fold."""
     if (op is operator.add and isinstance(values, np.ndarray)
             and values.dtype.kind == "f"
             and (state is None or isinstance(state, float))):
@@ -759,6 +762,19 @@ def fold_batch(op, state, values, mask, n: int) -> tuple:
         with np.errstate(over="ignore", invalid="ignore"):
             total = np.add.accumulate(vals)[-1]
         return float(total), len(vals) - (state is not None)
+    if (isinstance(values, np.ndarray) and values.dtype.kind == "i"
+            and (state is None or type(state) is int)):
+        vals = values if mask is None else values[~mask]
+        if not len(vals):
+            return state, 0
+        if op is min or op is max:
+            value = int(vals.min() if op is min else vals.max())
+        elif op is operator.add and max(-int(vals.min()), int(
+                vals.max())) * len(vals) < 2 ** 63:
+            value = int(vals.sum(dtype=np.int64))
+        else:
+            return fold(op, state, vals.tolist()), len(vals)
+        return (value if state is None else op(state, value)), len(vals)
     vals = nonnull_values(values, mask, n)
     return fold(op, state, vals), len(vals)
 

@@ -318,8 +318,7 @@ class TestInsertMany:
 
     def test_a_split_no_page_holds_leaves_the_tree_as_it_was(self):
         """The split used to empty the leaf before a page refused a
-        half, losing the leaf's rows: a record no page holds, or three
-        large records that no cut in two places."""
+        half, losing the leaf's rows: here a record no page holds."""
         (f, tree), _twin = self._pair()
         before = _layout(f, tree)
         for put in (lambda: tree.insert(1501, bytes(8100)),
@@ -331,12 +330,26 @@ class TestInsertMany:
             tree.insert_many(*_records([(1502, b"x"), (1504, bytes(8100))]))
         assert [k for k, _v in tree.scan()] == sorted(
             [k for k, _v in self.BASE] + [1502])
+
+    def test_three_large_records_no_two_way_cut_places_split_three_ways(
+            self):
+        """3 000-, 3 000- and 2 000-byte records, and a 7 000-byte one
+        after the first: every cut in two leaves more than a page on
+        one side (this raised ``PageFullError`` once), so the leaf
+        splits in three — the records before the new one, the new
+        one, the records after it."""
         f, tree = _tree_with([10, 20, 30], payload=lambda k: bytes(
             {10: 3000, 20: 3000, 30: 2000}[k]))
-        before = _layout(f, tree)
-        with pytest.raises(PageFullError, match="leaves 10020 bytes"):
-            tree.insert(15, bytes(7000))
-        assert _layout(f, tree) == before
+        tree.insert(15, b"n" * 7000)
+        leaves = [f.get(pid) for pid in tree.leaf_page_ids()]
+        assert [[int.from_bytes(r[:8], "little") for r in p.records()]
+                for p in leaves] == [[10], [15], [20, 30]]
+        assert [(p.prev_page, p.next_page) for p in leaves] == [
+            (-1, leaves[1].page_id), (leaves[0].page_id, leaves[2].page_id),
+            (leaves[1].page_id, -1)]
+        assert tree.height == 2 and tree.count == 4
+        assert [k for k, _v in tree.scan()] == [10, 15, 20, 30]
+        assert tree.search(15) == b"n" * 7000
 
     def test_walks_the_tree_once_per_leaf(self):
         keys = np.random.default_rng(8).permutation(
@@ -486,3 +499,36 @@ class TestDeleteMany:
         assert len(t.leaf_page_ids()) == 2
         assert [k for k, _v in t.scan() if t.search(k) is None] == []
         assert t.delete_many([97, 98, 99]) == 3
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 60),
+                          st.integers(1500, 8086 - 8)),
+                min_size=1, max_size=40))
+def test_records_near_the_page_limit_against_a_dict(ops):
+    """Random keys with payloads from 1.5 kB to the largest a page
+    holds: every insert is stored — two-, three-way or no split — and
+    the tree reads back as a dict of the same inserts, deletes taking
+    every third key out again."""
+    f = PageFile()
+    tree = BTree(f, PAGE_DATA, tag="t")
+    model = {}
+    for i, (key, size) in enumerate(ops):
+        payload = bytes([key % 251]) * size
+        if key in model:
+            with pytest.raises(DuplicateKeyError):
+                tree.insert(key, payload)
+        else:
+            tree.insert(key, payload)
+            model[key] = payload
+        if i % 3 == 2:
+            victim = sorted(model)[len(model) // 2]
+            assert tree.delete(victim)
+            del model[victim]
+        assert list(tree.scan()) == sorted(model.items())
+        assert tree.count == len(model)
+        for key in model:
+            assert tree.search(key) == model[key]
+        leaves = [f.get(pid) for pid in tree.leaf_page_ids()]
+        assert all(p.used_bytes <= 8192 for p in leaves)
+        assert f.allocated_page_count == len(tree.page_ids())

@@ -394,6 +394,9 @@ def test_an_index_saved_by_the_parent_commit_loads_and_answers():
                                     "parent_index.db"))
     table = db.tables["ix"]
     assert sorted(table._indexes) == ["k", "r", "x"]
+    # The rebuilt indexes' pages, and no page of the trees they replace.
+    assert db.pagefile.allocated_page_count == len(table.tree.page_ids()) \
+        + sum(len(ix._tree.page_ids()) for ix in table._indexes.values())
     session = SqlSession(db)
     answers = {  # as the parent commit's index plans gave them
         "k = 3": (91, -13880.5, 10, 699),

@@ -10,14 +10,17 @@ history — a snapshot can be stale, never torn.
 import os
 import pickle
 import random
+import stat
 import sys
 import threading
 import time
+import zlib
 from unittest import mock
 
 import pytest
 
-from repro.engine import Column, Database, PageFile
+from repro.engine import Column, CorruptSnapshotError, Database, PageFile, \
+    executor
 from repro.engine.constants import PAGE_DATA
 from repro.engine.sqlfront import SqlSession
 from repro.tsql import FloatArray
@@ -498,3 +501,73 @@ class TestSnapshotRoundtrip:
         assert s == pytest.approx(float(sum(range(50)) + 500))
         # The clone is writable again (locks were re-created).
         assert SqlSession(clone).execute(insert_sql(600)) == 1
+
+    def test_a_file_opens_with_the_pages_its_pins_held_freed(self, tmp_path):
+        db, t = build_db(rows=300)
+        path = str(tmp_path / "db.snap")
+        snap = t.pin_snapshot()
+        try:
+            SqlSession(db).execute("DELETE FROM ta WHERE id < 200")
+            live = len(t.tree.page_ids())
+            assert db.pagefile.allocated_page_count > live  # pinned
+            db.save(path)
+        finally:
+            snap.unpin(db.pool)
+        clone = Database.open(path)
+        assert clone.pagefile.allocated_page_count == live
+        (_s, n), _ = SqlSession(clone).query(READ_SQL)
+        assert n == 100
+
+    def test_the_pickle_sits_between_a_magic_and_a_checksum(self, tmp_path):
+        db, _ = build_db(rows=20)
+        path = tmp_path / "db.snap"
+        db.save(str(path))
+        data = path.read_bytes()
+        body = data[len(executor._SNAPSHOT_MAGIC):-executor._TRAILER.size]
+        assert data.startswith(executor._SNAPSHOT_MAGIC)
+        assert executor._TRAILER.unpack(
+            data[-executor._TRAILER.size:]) == (
+            len(body), zlib.crc32(body), executor._TRAILER_MARK)
+        assert isinstance(pickle.loads(body), Database)
+
+    @pytest.mark.parametrize("damage", ["flip", "cut", "cut-trailer",
+                                        "bare-magic"])
+    def test_a_damaged_file_is_refused_unread(self, tmp_path, damage):
+        db, _ = build_db(rows=100)
+        path = tmp_path / "db.snap"
+        db.save(str(path))
+        data = bytearray(path.read_bytes())
+        if damage == "flip":
+            data[len(data) // 2] ^= 0x10
+        elif damage == "cut":
+            del data[len(data) // 2:]
+        elif damage == "cut-trailer":
+            del data[-3:]
+        else:
+            del data[len(executor._SNAPSHOT_MAGIC):]
+        path.write_bytes(bytes(data))
+        with mock.patch("pickle.load") as load:
+            with pytest.raises(CorruptSnapshotError, match="db.snap"):
+                Database.open(str(path))
+        load.assert_not_called()
+
+    def test_a_file_that_is_no_pickle_is_refused(self, tmp_path):
+        path = tmp_path / "noise.snap"
+        path.write_bytes(b"\x80\x05 not a pickle at all")
+        with pytest.raises(CorruptSnapshotError, match="does not unpickle"):
+            Database.open(str(path))
+
+    def test_the_directory_is_fsynced_after_the_rename(self, tmp_path):
+        db, _ = build_db(rows=10)
+        calls = []
+        fsync = os.fsync
+
+        def recording(fd):
+            calls.append((stat.S_ISDIR(os.fstat(fd).st_mode),
+                          os.path.exists(tmp_path / "db.snap")))
+            fsync(fd)
+
+        with mock.patch("os.fsync", recording):
+            db.save(str(tmp_path / "db.snap"))
+        # The file before the rename, its directory after.
+        assert calls == [(False, False), (True, True)]

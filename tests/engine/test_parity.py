@@ -135,8 +135,13 @@ def check_randomized_aggregates(session):
 
 
 def check_blob_stream_reads(session):
-    # varbinary_max goes through ReadBlob: stream calls and bytes
-    # must be charged identically by both sides.
+    """varbinary_max goes through ReadBlob: stream calls and bytes
+    must be charged identically by both sides.  Over every row a NULL
+    cell reaches the UDF, and both sides raise the same error; over the
+    rows with a cell, values and reads compare (not the sequential /
+    random split of an out-of-page read, which
+    :class:`TestAnOutOfPageCellUnderAUdf` pins).  Returns the engine's
+    metrics of the NULL-free scan."""
     assert_parity(
         session,
         "SELECT SUM(FloatArrayMax.Item_1(mb, 7)), COUNT(*) FROM t")
@@ -144,6 +149,14 @@ def check_blob_stream_reads(session):
         session,
         "SELECT MAX(FloatArrayMax.Item_1(mb, 0)) FROM t "
         "WHERE x > 0")
+    assert_same_reads(
+        session,
+        "SELECT MAX(FloatArrayMax.Item_1(mb, 0)) FROM t "
+        "WHERE x > 0 AND mb IS NOT NULL")
+    return assert_same_reads(
+        session,
+        "SELECT SUM(FloatArrayMax.Item_1(mb, 7)), COUNT(*) FROM t "
+        "WHERE mb IS NOT NULL")[1]
 
 
 def check_grouped(session):
@@ -212,7 +225,8 @@ class TestRandomizedParity:
         check_randomized_aggregates(session)
 
     def test_blob_stream_reads_match(self, session):
-        check_blob_stream_reads(session)
+        # Every cell of the bulk table is in row: nothing is streamed.
+        assert check_blob_stream_reads(session).stream_calls == 0
 
     def test_grouped_queries(self, session):
         check_grouped(session)
@@ -273,7 +287,8 @@ class TestParityOnChurnedTables:
         check_randomized_aggregates(churned_session)
 
     def test_blob_stream_reads_match(self, churned_session):
-        check_blob_stream_reads(churned_session)
+        metrics = check_blob_stream_reads(churned_session)
+        assert metrics.stream_calls > 0 and metrics.physical_reads > 0
 
     def test_grouped_queries(self, churned_session):
         check_grouped(churned_session)
@@ -524,6 +539,60 @@ class TestAnOutOfPageCellUnderAUdf:
         vec_m = session.query(self.SQL)[1]
         assert (row_m.sequential_reads, row_m.random_reads) == (2, 4)
         assert (vec_m.sequential_reads, vec_m.random_reads) == (3, 3)
+
+
+class TestIntegerFolds:
+    """``SUM``/``AVG``/``MIN``/``MAX`` over integer lanes fold a batch
+    as one array operation when int64 holds every partial sum, and one
+    Python int at a time when it might not: the oracle's exact fold
+    either way, at the ±2**63 edges, with NULL lanes, and with the
+    state carried across batch edges (two leaves a batch here)."""
+
+    SQL = ("SELECT SUM(b), AVG(b), MIN(b), MAX(b), SUM(i), MIN(i), "
+           "MAX(i), COUNT(*) FROM t")
+
+    VALUES = {
+        # per-batch sums in int64, the total past it
+        "2**53": lambda rng, n: 2 ** 53 + rng.randrange(-9, 9),
+        # two of them already leave int64
+        "2**62": lambda rng, n: 2 ** 62 - rng.randrange(3),
+        "-2**62": lambda rng, n: -2 ** 62 + rng.randrange(3),
+        "edges": lambda rng, n: rng.choice(
+            [2 ** 63 - 1, -2 ** 63, 0, 1, -1]),
+        "small": lambda rng, n: rng.randrange(-1000, 1000),
+        # every value fits, only the sum of a whole batch does not
+        "2**63/n": lambda rng, n: (2 ** 63 - 1) // 300 * rng.choice(
+            [1, 1, -1]),
+    }
+
+    @pytest.fixture(params=list(VALUES), name="int_session")
+    def int_session(self, request, monkeypatch):
+        from repro.engine import vectorized
+        monkeypatch.setattr(vectorized, "DEFAULT_BATCH_PAGES", 2)
+        db = Database(buffer_pages=4096)
+        table = db.create_table(
+            "t", [Column("id", "bigint"), Column("b", "bigint"),
+                  Column("i", "int")])
+        rng = random.Random(request.param)
+        value = self.VALUES[request.param]
+        table.insert_many([
+            (key,
+             None if rng.random() < 0.2 else value(rng, key),
+             None if rng.random() < 0.2 else rng.choice(
+                 [2 ** 31 - 1, -2 ** 31, rng.randrange(-50, 50)]))
+            for key in range(2_000)])
+        assert len(table.data_page_ids()) > 6
+        return SqlSession(db)
+
+    def test_the_oracle_fold_exactly(self, int_session):
+        assert_parity(int_session, self.SQL)
+        assert_parity(int_session, self.SQL + " WHERE b > 0")
+        assert_parity(int_session, self.SQL + " WHERE b IS NULL")
+        values, _metrics = int_session.query(self.SQL)
+        rows = [row for row in int_session.db.tables["t"].scan()]
+        bs = [row[1] for row in rows if row[1] is not None]
+        assert list(values[:4:2]) == [sum(bs), min(bs)]
+        assert values[3] == max(bs)
 
 
 class TestTheOracleCatchesMutants:

@@ -206,3 +206,23 @@ def test_a_snapshot_reads_its_rows_across_a_run_fill_and_a_run_delete():
     vector = table.get(11 * BATCH - 1)[2]
     assert np.frombuffer(vector, np.uint8).size == len(
         FloatArray.Vector_5(1.0, 2.0, 3.0, 4.0, 5.0))
+
+
+def test_a_row_no_two_way_cut_places_splits_its_leaf_three_ways():
+    """Rows of 3 000, 3 000 and 2 000 bytes fill a leaf; a 7 000-byte
+    row after the first leaves more than a page on one side of every
+    two-way cut (this raised ``PageFullError``, an ``INTERNAL`` on the
+    wire), so the leaf splits in three."""
+    session = SqlSession(Database())
+    session.execute("CREATE TABLE t (id BIGINT PRIMARY KEY, "
+                    "b VARBINARY(8000))")
+    table = session.db.tables["t"]
+    session.insert_rows(table, [(1, b"a" * 3000), (3, b"c" * 3000),
+                                (4, b"d" * 2000)])
+    assert len(table.data_page_ids()) == 1
+    assert session.insert_rows(table, [(2, b"b" * 7000)]) == 1
+    assert [(key, len(b)) for key, b in table.scan()] == [
+        (1, 3000), (2, 7000), (3, 3000), (4, 2000)]
+    assert len(table.data_page_ids()) == 3
+    assert session.query("SELECT MAX(b) FROM t WHERE id = 2")[0][0] \
+        == b"b" * 7000
