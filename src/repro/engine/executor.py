@@ -53,7 +53,6 @@ __all__ = [
     "ScalarUdf",
     "ReadBlob",
     "Aggregate",
-    "group_rank",
     "Count",
     "Sum",
     "Avg",
@@ -443,22 +442,21 @@ class Aggregate:
     * :meth:`step` — the state advanced over one value of :attr:`expr`
       (``None`` for NULL; ``COUNT(*)`` has no expression and is handed
       ``None``), which a grouped scan's per-lane walk uses for keys
-      that do not partition (NaN, objects);
+      that do not partition (objects);
     * :meth:`step_batch` — the state advanced over a batch's
       ``(values, mask)`` lanes of :attr:`expr` (see
       :mod:`repro.engine.vectorized`);
     * :meth:`group_column` — the array column that holds the state of
       every group of a vectorized grouped scan and advances a batch's
       segments at a time (``docs/EXECUTOR.md``, "Grouped scans");
-    * :meth:`merge` — a shipped partial state folded into a running
-      one, in shard order (distributed aggregation);
     * :meth:`finish` — the final value.
 
     :meth:`step_cost` prices one step in the cost model and
     :meth:`finish_floats` is :meth:`finish` over float64 per-group
-    states at once.  The shard side of distributed aggregation runs
-    :func:`PartialCapture` aggregates, whose finished values are the
-    partial states :meth:`merge` consumes.
+    states at once.  The contract's *merge* is no method: a shard runs
+    :func:`PartialCapture` aggregates, whose partial is the inputs
+    unfolded, and the coordinator accumulates those in shard order
+    (:meth:`~repro.engine.vectorized.GroupArrays.absorb_partial`).
     """
 
     expr: Expression | None = None
@@ -476,9 +474,6 @@ class Aggregate:
         raise NotImplementedError
 
     def group_column(self):
-        raise NotImplementedError
-
-    def merge(self, state, partial):
         raise NotImplementedError
 
     def finish(self, state, rows: int):
@@ -513,14 +508,11 @@ class Count(Aggregate):
     def group_column(self):
         return vectorized.CountColumn()
 
-    def merge(self, state, partial):
-        return state + partial
-
 
 class _Fold(Aggregate):
     """An aggregate that folds its non-NULL inputs, left to right,
     through one binary operator :attr:`op` — every form below (value,
-    batch, group segments, merge) applies that one operator, so a
+    batch, group segments) applies that one operator, so a
     subclass states its semantics once.  The state is the value folded
     so far, ``None`` before the first."""
 
@@ -545,9 +537,6 @@ class _Fold(Aggregate):
 
     def group_column(self):
         return vectorized.FoldColumn(self.op)
-
-    def merge(self, state, partial):
-        return vectorized.fold(self.op, state, partial)
 
 
 def _canonical_nan(total):
@@ -594,10 +583,6 @@ class Avg(Sum):
 
     def group_column(self):
         return vectorized.FoldColumn(self.op, counted=True)
-
-    def merge(self, state, partial):
-        total, n = state
-        return super().merge(total, partial), n + len(partial)
 
     def finish(self, state, rows):
         total, n = state
@@ -648,26 +633,14 @@ class _Inputs(Aggregate):
     def group_column(self):
         return vectorized.ValuesColumn()
 
-    def merge(self, state, partial):
-        return state + partial
-
 
 def PartialCapture(agg: Aggregate) -> Aggregate:
     """The aggregate whose finished value is ``agg``'s unreduced
-    partial state — what :meth:`Aggregate.merge` consumes.  Running a
-    plan with every aggregate captured is the shard side of
+    partial state: a count, or the non-NULL inputs in scan order.
+    Running a plan with every aggregate captured is the shard side of
     distributed aggregation; a vectorized grouped scan keeps the
     captures' columns, the arrays a ``presult`` frame ships."""
     return agg if isinstance(agg, Count) else _Inputs(agg)
-
-
-def group_rank(key) -> tuple:
-    """Sort key of a group key in a grouped result: values ascending,
-    then NaN keys (each its own group, as a dict of float objects
-    keeps them) in the order met, NULL last.  Ranking NaN explicitly
-    makes the order a property of the groups, not of the order a
-    particular engine happened to create them in."""
-    return key is None, key != key, key
 
 
 class Executor:
@@ -779,21 +752,16 @@ class Executor:
 
     @staticmethod
     def _finish(aggregates, states, groups, rows: int, partial: bool):
-        """Final values of a statement: the aggregate tuple, or — grouped —
-        one ``(group, agg...)`` row per group, sorted by group key
-        (:func:`group_rank`).  A ``partial`` statement hands the
-        :class:`~repro.engine.vectorized.GroupArrays` the scan built on
-        as they are."""
+        """Final values: the aggregate tuple, or one ``(group, agg...)``
+        row per group in group order — except that a ``partial``
+        statement hands the ``GroupArrays`` a scan built on as they
+        are."""
         if groups is None:
             return tuple(a.finish(s, rows)
                          for a, s in zip(aggregates, states))
-        if isinstance(groups, vectorized.GroupArrays):
-            return groups if partial else groups.rows(aggregates, rows)
-        return [
-            (group, *(a.finish(s, rows)
-                      for a, s in zip(aggregates, group_states)))
-            for group, group_states in sorted(
-                groups.items(), key=lambda kv: group_rank(kv[0]))]
+        if partial and isinstance(groups, vectorized.GroupArrays):
+            return groups
+        return groups.rows(aggregates, rows)
 
     def run(self, table: Table, aggregates: Sequence[Aggregate],
             where: Expression | None = None, cold: bool = True,
@@ -841,13 +809,10 @@ class Executor:
 
     def run_partial(self, table: Table, aggregates, where=None,
                     group_expr=None, cold: bool = True, label: str = ""):
-        """:meth:`run_serial` for the shard side of a distributed
-        aggregate — every aggregate a :func:`PartialCapture` — that
-        leaves a grouped state unreduced: ``(groups, metrics)`` with
-        ``groups`` the :class:`~repro.engine.vectorized.GroupArrays`
-        the scan built, handed on as the arrays it is, and otherwise
-        the finished ``(key, partial, ...)`` rows, as
-        :meth:`run_serial` returns them."""
+        """:meth:`run_serial` over :func:`PartialCapture` aggregates
+        that hands a grouped scan's
+        :class:`~repro.engine.vectorized.GroupArrays` on as they are
+        (a spilled one as finished ``(key, partial, ...)`` rows)."""
         return self._execute(table, aggregates, cold, label, where,
                              group_expr, partial=True)
 

@@ -671,29 +671,17 @@ class SqlSession:
 
     @lockcheck.statement
     def query_partial(self, sql: str, cold: bool = True, finalize=None):
-        """Execute one aggregate SELECT but return the *unreduced*
-        mergeable partial states instead of finished values — the
-        shard-side half of distributed aggregation.
+        """Execute one aggregate SELECT with every aggregate a
+        :func:`~repro.engine.executor.PartialCapture`: the shard half
+        of distributed aggregation, whose *unreduced* partials (counts,
+        ordered non-NULL inputs) the coordinator folds in shard order.
 
-        Each aggregate is wrapped in a
-        :func:`~repro.engine.executor.PartialCapture`, so the scan
-        produces the state its ``merge`` method consumes (ordered
-        non-NULL value lists, or a running count).  The caller — a
-        shard server answering a ``pquery`` frame — ships those states
-        to the coordinator, which folds them in shard order and
-        finishes the original aggregates, reproducing single-node
-        results bit for bit.
-
-        Returns a dict with ``rows`` (rows scanned), ``metrics``
-        (:class:`~repro.engine.metrics.QueryMetrics`), and either
-        ``states`` (one partial per aggregate; ``groups`` is None) or
-        ``groups`` (a sequence of ordered ``(group_value,
-        [partials...])`` pairs; ``states`` is None) for GROUP BY.
-        ``groups`` is a :class:`~repro.engine.vectorized.GroupArrays`
-        — the key, count and value arrays a ``presult`` frame carries,
-        which read as those pairs on demand: the ones the scan built,
-        handed on as they are, or loaded from the rows its per-lane
-        walk finished.  ``finalize`` has
+        Returns a dict with ``rows`` (rows scanned), ``metrics`` and
+        ``groups``, a :class:`~repro.engine.vectorized.GroupArrays` —
+        the arrays a ``presult`` frame carries, read as ordered
+        ``(group_value, [partials...])`` pairs on demand: the scan's
+        own, or loaded from the rows its per-lane walk finished.  A
+        scalar SELECT is one group under the key 0.  ``finalize`` has
         :meth:`query` semantics: blob handles inside MIN/MAX partials
         are dereferenced there, before the statement ends.
         """
@@ -704,17 +692,14 @@ class SqlSession:
         def shape(result):
             if plan.late and finalize is None:
                 result = self._read_out(result)
-            if plan.kind == "grouped":
-                groups, metrics = result
-                states = None
-                if isinstance(groups, list):  # rows: the per-lane walk
-                    groups = vectorized.GroupArrays.from_rows(
-                        wrapped.aggregates, groups)
-            else:
-                values, metrics = result
-                states, groups = list(values), None
-            payload = {"rows": metrics.rows, "states": states,
-                       "groups": groups, "metrics": metrics}
+            groups, metrics = result
+            if plan.kind != "grouped":
+                groups = [(0, *groups)]
+            if isinstance(groups, list):  # rows: the per-lane walk
+                groups = vectorized.GroupArrays.from_rows(
+                    wrapped.aggregates, groups)
+            payload = {"rows": metrics.rows, "groups": groups,
+                       "metrics": metrics}
             return payload if finalize is None else finalize(payload)
 
         return self._select(wrapped, cold, shape)

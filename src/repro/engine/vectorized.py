@@ -36,7 +36,7 @@ import operator
 import struct
 from collections.abc import Iterable, Sequence
 from functools import reduce
-from itertools import chain
+from itertools import chain, islice
 
 import numpy as np
 
@@ -65,6 +65,8 @@ __all__ = [
     "FoldColumn",
     "ValuesColumn",
     "GroupArrays",
+    "SpilledGroups",
+    "group_rank",
     "scan_aggregate",
     "scan_grouped",
 ]
@@ -651,19 +653,26 @@ def _ascends(values: np.ndarray) -> bool:
     return bool((values[1:] >= values[:-1]).all())
 
 
+def _differ(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Lane-wise ``!=`` of group keys, under which NaN equals NaN."""
+    differ = a != b
+    if a.dtype.kind == "f":
+        differ &= (a == a) | (b == b)
+    return differ
+
+
 def _partition(values, mask, n: int) -> _Partition | None:
     """Partition a batch's group column, or ``None`` when array
     machinery cannot do so without changing semantics: object dtype
-    (unhashable / mixed values) and float NaN keys, where a dict's
-    per-object behaviour (every NaN its own group) is reproduced by the
-    per-lane walk instead."""
+    (unhashable / mixed values), which the per-lane walk groups as a
+    dict does.  NaN keys sort after every other key, as ``np.sort``
+    puts them, and form one group."""
     if not isinstance(values, np.ndarray):
         if values is None:
             values, mask = np.zeros(n, np.int64), np.ones(n, np.bool_)
         else:
             values = as_full_array(values, n)
-    if values.dtype.kind not in "biuf" or (
-            values.dtype.kind == "f" and bool(np.isnan(values).any())):
+    if values.dtype.kind not in "biuf":
         return None
     part = _Partition()
     part.null = mask is not None and bool(mask.any())
@@ -676,7 +685,7 @@ def _partition(values, mask, n: int) -> _Partition | None:
         values = values[ranks]
         part.order = ranks if part.order is None else part.order[ranks]
     new = np.ones(len(values), np.bool_)
-    new[1:] = values[1:] != values[:-1]
+    new[1:] = _differ(values[1:], values[:-1])
     part.starts = np.flatnonzero(new)
     # Fancy indexing copies: a batch's ``keys`` are a strided view of
     # its record matrix, and keys outlive the batch in the scan state.
@@ -685,6 +694,41 @@ def _partition(values, mask, n: int) -> _Partition | None:
         part.order = np.concatenate((part.order, np.flatnonzero(mask)))
         part.starts = np.append(part.starts, len(values))
     part.sizes = np.diff(part.starts, append=n)
+    return part
+
+
+def _cut(keys: np.ndarray, mask) -> _Partition | None:
+    """Shipped partials' key lanes as a batch already cut: keys
+    ascending, then NaN, then NULL.  One shard ships each key once;
+    shards joined end to end repeat a key on neighbouring lanes, which
+    are one segment (``starts``: each segment's first lane, None when
+    every lane is one).  ``None`` for keys that do not stand so, or
+    are objects."""
+    if keys.dtype.kind not in "iuf":
+        return None
+    nulls = 0 if mask is None else int(mask.sum())
+    lanes = keys[:len(keys) - nulls]
+    ordered = len(lanes)
+    if lanes.dtype.kind == "f":
+        nan = lanes != lanes
+        ordered -= int(nan.sum())
+        if nan[:ordered].any():
+            return None
+    if nulls and mask[:len(lanes)].any():
+        return None
+    part = _Partition()
+    part.keys, part.null, part.starts = lanes, nulls > 0, None
+    keyed = lanes[:ordered]
+    if (keyed[1:] > keyed[:-1]).all() and max(nulls, len(lanes) - ordered) < 2:
+        return part  # every lane a group of its own
+    if not _ascends(keyed):
+        return None
+    new = np.ones(len(lanes), np.bool_)
+    new[1:] = _differ(lanes[1:], lanes[:-1])
+    part.starts = np.flatnonzero(new)
+    part.keys = lanes[part.starts]
+    if part.null:
+        part.starts = np.append(part.starts, len(lanes))
     return part
 
 
@@ -840,6 +884,12 @@ def _segment_values(part: _Partition, values, mask, n: int) -> tuple:
     return values.astype(object, copy=False), counts
 
 
+def _owned(values: np.ndarray) -> np.ndarray:
+    """Values a state may keep: a view is copied, as it would pin the
+    batch (or frame) it looks into."""
+    return values if values.base is None else values.copy()
+
+
 class _Chunks:
     """A state array that grows with the scan.  A batch that *appends*
     (:class:`_Partition`) — every batch of a clustered ``GROUP BY pk``
@@ -859,7 +909,7 @@ class _Chunks:
         if len(parts) != 1:
             if not parts:
                 parts = [np.empty(0, self.dtype)]
-            elif any(part.dtype == object for part in parts):
+            elif len({part.dtype for part in parts}) > 1:
                 # Floats until a batch delivered something else.
                 parts = [part.astype(object, copy=False) for part in parts]
             self.parts = parts = [np.concatenate(parts)]
@@ -899,9 +949,14 @@ class CountColumn:
         return self._counts.array()
 
     def absorb(self, part: _Partition, values, mask, n: int) -> None:
-        counts = self._counts.spread(part)
-        counts[part.slots] += part.sizes
-        self._counts.keep(part, counts)
+        self.absorb_segments(part, None, part.sizes)
+
+    def absorb_segments(self, part: _Partition, values, counts) -> None:
+        """Advance segment ``s`` over ``counts[s]`` rows — for a value
+        column, the next ``counts[s]`` of ``values``."""
+        total = self._counts.spread(part)
+        total[part.slots] += counts
+        self._counts.keep(part, total)
 
     def settle(self, keys: np.ndarray, null: bool) -> None:
         """Called with the scan's final keys before the column is
@@ -931,6 +986,9 @@ class _ValueColumn(CountColumn):
     def values(self) -> np.ndarray:
         return self._values.array()
 
+    def absorb(self, part: _Partition, values, mask, n: int) -> None:
+        self.absorb_segments(part, *_segment_values(part, values, mask, n))
+
     def replace(self, kind: type, fn) -> bool:
         """Replace every value of type ``kind`` by ``fn(value)``; a
         column that holds none is left alone."""
@@ -955,8 +1013,14 @@ class FoldColumn(_ValueColumn):
         self.op = op
         self.counted = counted
 
-    def absorb(self, part: _Partition, values, mask, n: int) -> None:
-        values, counts = _segment_values(part, values, mask, n)
+    def absorb_segments(self, part: _Partition, values, counts) -> None:
+        if part.appends and (counts == 1).all():
+            # New groups of one value each: the values are the state.
+            self._values.keep(part, _owned(values))
+            self._counts.keep(part, counts)
+            return
+        if values.dtype.kind not in "fO":  # the fold takes Python ints
+            values = values.astype(object)
         folded = self._values.spread(part, values.dtype)
         if folded.dtype != values.dtype:
             folded, values = folded.astype(object), values.astype(object)
@@ -976,7 +1040,7 @@ class FoldColumn(_ValueColumn):
         return values
 
     def finish(self, agg, rows: int) -> list:
-        if self.values.dtype == object:
+        if self.values.dtype.kind != "f":
             return [agg.finish(state, rows) for state in self.states()]
         return to_pylist(agg.finish_floats(self.values, self.counts),
                          self.counts == 0, len(self.counts))
@@ -997,12 +1061,10 @@ class ValuesColumn(_ValueColumn):
         super().__init__()
         self._runs: list = []  # a (keys, null) per kept chunk
 
-    def absorb(self, part: _Partition, values, mask, n: int) -> None:
-        values, counts = _segment_values(part, values, mask, n)
+    def absorb_segments(self, part: _Partition, values, counts) -> None:
         self._runs.append((part.keys, part.null))
         self._counts.parts.append(counts)
-        # Own the values: a view would pin the batch.
-        self._values.parts.append(np.array(values))
+        self._values.parts.append(_owned(values))
 
     def settle(self, keys: np.ndarray, null: bool) -> None:
         runs = self._runs
@@ -1023,8 +1085,9 @@ class ValuesColumn(_ValueColumn):
     def load(self, partials: list) -> None:
         self._counts.parts = [np.fromiter(map(len, partials), np.int64,
                                           len(partials))]
-        self._values.parts = [
-            _object_column(list(chain.from_iterable(partials)))]
+        flat = list(chain.from_iterable(partials))
+        self._values.parts = [np.array(flat, np.float64) if flat and set(
+            map(type, flat)) == {float} else _object_column(flat)]
 
     def states(self) -> list:
         flat = self.values.tolist()
@@ -1035,8 +1098,9 @@ class ValuesColumn(_ValueColumn):
 class GroupArrays(Sequence):
     """The running state of a grouped scan, held as arrays: the
     distinct non-NULL keys ascending (each the first seen of its
-    group), a NULL group last when ``null``, and one state column per
-    aggregate (:class:`CountColumn`, :class:`FoldColumn`,
+    group; one NaN group after the rest), a NULL group last when
+    ``null``, and one state column per aggregate
+    (:class:`CountColumn`, :class:`FoldColumn`,
     :class:`ValuesColumn`) in that group order.  Memory is O(groups)
     — O(values) under capture — never O(rows).
 
@@ -1044,7 +1108,8 @@ class GroupArrays(Sequence):
     answers: :meth:`arrays` are the columns a ``presult`` frame
     carries, and as a sequence it reads as ``(key, [state, ...])``
     pairs with the aggregates' scalar states, materialised on demand —
-    the shape of the dict a lane-by-lane scan keeps.
+    the shape of the dict a lane-by-lane scan keeps.  Over the plan's
+    own aggregates it is the coordinator's merge (:meth:`absorb_partial`).
     """
 
     def __init__(self, columns: list):
@@ -1058,8 +1123,9 @@ class GroupArrays(Sequence):
     def from_rows(cls, aggregates: Sequence, rows: list) -> "GroupArrays":
         """The grouped partial the per-lane walk (or the tests' row
         oracle) finished as sorted ``(key, partial, ...)``
-        rows of captured ``aggregates`` (NULL group last), loaded into
-        arrays: a grouped partial is one type whoever scanned."""
+        rows of captured ``aggregates`` (NULL group last) — or a
+        scalar statement's one row of partials — loaded into arrays:
+        a grouped partial is one type whoever scanned."""
         self = cls([agg.group_column() for agg in aggregates])
         keys = [row[0] for row in rows]
         self.null = bool(keys) and keys[-1] is None
@@ -1073,11 +1139,37 @@ class GroupArrays(Sequence):
         return self._keys.array()
 
     def absorb(self, part: _Partition, evaluated: list, n: int) -> None:
-        """Fold one partitioned batch into the state.  A batch whose
-        keys all lie beyond the running keys appends.  Any other is
-        merged: one ``searchsorted`` places its keys among the running
-        keys, every column moves to the merged layout and advances
-        over the batch's segments with its old entries as seeds."""
+        """Fold one partitioned batch — its aggregates' ``(values,
+        mask)`` lanes — into the state."""
+        self._place(part)
+        for column, (values, mask) in zip(self.columns, evaluated):
+            column.absorb(part, values, mask, n)
+
+    def absorb_partial(self, keys: np.ndarray, mask, partials: list
+                       ) -> bool:
+        """Absorb shipped grouped partials, the inverse of
+        :meth:`arrays`: key lanes ``(keys, mask)`` (``mask`` True on
+        the NULL group), per aggregate ``(counts, values)``.  They are
+        one more batch, already cut (:func:`_cut`): a count adds its
+        counts, a fold advances each group seeded with its running
+        state.  False, absorbing nothing, for keys that are objects,
+        out of group order or not of the running keys' kind."""
+        part = _cut(keys, mask)
+        if part is None or (self._top is not None
+                            and self._top.dtype.kind != keys.dtype.kind):
+            return False
+        self._place(part)
+        for column, (counts, values) in zip(self.columns, partials):
+            if part.starts is not None:  # a key on several lanes
+                counts = np.add.reduceat(counts, part.starts)
+            column.absorb_segments(part, values, counts)
+        return True
+
+    def _place(self, part: _Partition) -> None:
+        """Place a batch's keys among the running keys: it appends when
+        they all lie beyond them; otherwise one ``searchsorted`` places
+        them and the columns move to the merged layout, their old
+        entries the seeds of the batch's segments."""
         keys = part.keys
         part.appends = not self.null and (
             self._top is None or not len(keys) or keys[0] > self._top)
@@ -1091,7 +1183,7 @@ class GroupArrays(Sequence):
             pos = np.searchsorted(running, keys)
             fresh = np.ones(len(pos), np.bool_)
             inside = pos < old
-            fresh[inside] = running[pos[inside]] != keys[inside]
+            fresh[inside] = _differ(running[pos[inside]], keys[inside])
             # A batch group lands after the running keys below it and
             # the new keys before it; a running group moves up by the
             # new keys inserted at or before it.
@@ -1112,8 +1204,6 @@ class GroupArrays(Sequence):
         self.null = self.null or part.null
         self._pairs = None
         part.groups = size + self.null
-        for column, (values, mask) in zip(self.columns, evaluated):
-            column.absorb(part, values, mask, n)
 
     def _key_list(self) -> list:
         return self.group_keys.tolist() + [None] * self.null
@@ -1159,25 +1249,67 @@ class GroupArrays(Sequence):
         return self._pairs[index]
 
 
+def group_rank(key) -> tuple:
+    """Sort key of a group key in a grouped result — values ascending,
+    then the one NaN group, NULL last: :class:`GroupArrays`' order."""
+    return key is None, key != key, key
+
+
+class SpilledGroups(dict):
+    """A grouped state once keys arrived that do not partition
+    (objects): ``key -> [state, ...]``, advanced through ``step``.
+    NaN keys are one group, keyed by the first NaN met."""
+
+    def __init__(self, pairs=()):
+        super().__init__(pairs)
+        self.nan = next((key for key in self if key != key), None)
+
+    def states(self, key, aggregates: Sequence) -> list:
+        if key != key:  # every NaN key is the first one met
+            key = self.nan = key if self.nan is None else self.nan
+        states = self.get(key)
+        if states is None:
+            states = self[key] = [agg.start() for agg in aggregates]
+        return states
+
+    def absorb_partial(self, aggregates: Sequence, keys: list,
+                       partials: list) -> None:
+        """:meth:`GroupArrays.absorb_partial` a group at a time, a count
+        added whole."""
+        runs = [(counts.tolist(), None if values is None
+                 else iter(values.tolist())) for counts, values in partials]
+        for g, key in enumerate(keys):
+            states = self.states(key, aggregates)
+            for i, (counts, values) in enumerate(runs):
+                if values is None:
+                    states[i] += counts[g]
+                    continue
+                for value in islice(values, counts[g]):
+                    states[i] = aggregates[i].step(states[i], value)
+
+    def rows(self, aggregates: Sequence, rows: int) -> list[tuple]:
+        """Finished ``(group, agg...)`` rows, :func:`group_rank` order."""
+        return [(key, *(agg.finish(state, rows)
+                        for agg, state in zip(aggregates, states)))
+                for key, states in sorted(
+                    self.items(), key=lambda kv: group_rank(kv[0]))]
+
+
 def scan_grouped(batches: Iterable[RowBatch], group_expr,
                  aggregates: Sequence, where, ctx: BatchContext):
     """The hash-aggregation body over a source's batches.
 
-    Expressions are evaluated batch-at-a-time.  Each batch is
-    partitioned once (:func:`_partition`: one stable sort of the lanes
-    by key) and every aggregate advances over all the resulting
-    segments in one call — the state is a :class:`GroupArrays`.
-    Within a group the accumulation order is still row order, so float
-    rounding is that of a row-at-a-time fold.
-
-    The first batch whose keys do not partition (object dtype, NaN)
-    turns the state into a dict of per-group states and the scan goes on
-    with the per-lane ``step`` walk.  Returns ``(groups, rows,
-    payload_bytes)`` with ``groups`` the :class:`GroupArrays` or that
-    dict.
+    Each batch is partitioned once (:func:`_partition`: one stable
+    sort of the lanes by key) and every aggregate advances over all
+    the resulting segments in one call — the state is a
+    :class:`GroupArrays`.  Within a group the accumulation order is
+    row order, so float rounding is that of a row-at-a-time fold.  The
+    first batch whose keys do not partition (object dtype) turns the
+    state into :class:`SpilledGroups`, advanced lane by lane.
+    Returns ``(groups, rows, payload_bytes)``.
     """
     arrays = GroupArrays([agg.group_column() for agg in aggregates])
-    groups: dict = {}
+    groups = None
     rows = 0
     payload_bytes = 0
     for batch in batches:
@@ -1191,19 +1323,16 @@ def scan_grouped(batches: Iterable[RowBatch], group_expr,
         n = batch.n
         gv, gm = group_expr.eval_batch(ctx)
         evaluated = _inputs(aggregates, ctx)
-        if arrays is not None:
+        if groups is None:
             part = _partition(gv, gm, n)
             if part is not None:
                 arrays.absorb(part, evaluated, n)
                 continue
-            groups, arrays = dict(arrays), None
+            groups = SpilledGroups(arrays)
         gvals = to_pylist(gv, gm, n)
         cols = [to_pylist(*pair, n) for pair in evaluated]
         for lane in range(n):
-            states = groups.get(gvals[lane])
-            if states is None:
-                states = groups[gvals[lane]] = [
-                    agg.start() for agg in aggregates]
+            states = groups.states(gvals[lane], aggregates)
             for i, agg in enumerate(aggregates):
                 states[i] = agg.step(states[i], cols[i][lane])
-    return (groups if arrays is None else arrays), rows, payload_bytes
+    return (arrays if groups is None else groups), rows, payload_bytes

@@ -61,7 +61,6 @@ __all__ = [
     "ProtocolError",
     "Column",
     "Columns",
-    "concat",
     "pack_rows",
     "unpack_rows",
     "pack_cell",
@@ -124,8 +123,8 @@ def _unpack_value(value: object, blobs: Sequence[Buffer]) -> object:
 
 def pack_cell(value: object, blobs: list[bytes]) -> object:
     """Pack one standalone value as JSON: blob values move into
-    ``blobs`` and become ``{"$blob": i}`` markers.  The codec of the
-    ``j`` column's cells and of scalar ``presult`` states."""
+    ``blobs`` and become ``{"$blob": i}`` markers — the ``j`` column's
+    cell codec, standalone for the benchmark's traced probes."""
     return _pack_value(value, blobs)
 
 
@@ -230,26 +229,6 @@ class Column:
                    for null, cell in zip(self.nulls.tolist(), out)]
         return out
 
-    def take(self, index: npt.NDArray[np.intp]) -> "Column":
-        """The rows at ``index``, in that order, as a new column."""
-        nulls = None if self.nulls is None else self.nulls[index]
-        if self.code in _FIXED:
-            return Column(self.code, self.values[index], nulls=nulls)
-        if self.code == "j":
-            return Column("j", [self.values[i] for i in index.tolist()],
-                          nulls=nulls)
-        assert self.sizes is not None
-        starts = np.cumsum(self.sizes) - self.sizes
-        sizes = self.sizes[index]
-        # Position p of the output lies in output row r and reads
-        # source position starts[index[r]] + (p - first position of r).
-        shift = starts[index] - (np.cumsum(sizes) - sizes)
-        flat = np.repeat(shift, sizes) + np.arange(int(sizes.sum()))
-        if self.code == "b":
-            data = np.frombuffer(self.values, np.uint8)[flat].tobytes()
-            return Column("b", data, sizes, nulls)
-        return Column("*", self.values.take(flat), sizes, nulls)
-
     def encode(self, buffers: list[Buffer]) -> str:
         """Append this column's buffers; returns its type code."""
         if self.code == "j":
@@ -281,34 +260,6 @@ class Column:
         return prefix + "*" + inner
 
 
-def concat(columns: Sequence[Column]) -> Column:
-    """Stack columns end to end — typed when they agree on a code,
-    re-typed from their cells when they do not."""
-    columns = [col for col in columns if len(col)] or list(columns[:1])
-    if len(columns) == 1:
-        return columns[0]
-    codes = {col.code for col in columns}
-    if len(codes) > 1 or codes == {"j"}:
-        return Column.from_cells(
-            [cell for col in columns for cell in col.cells()])
-    code = codes.pop()
-    nulls = None
-    if any(col.nulls is not None for col in columns):
-        nulls = np.concatenate([
-            np.zeros(len(col), np.bool_) if col.nulls is None
-            else col.nulls for col in columns])
-    if code in _FIXED:
-        return Column(code, np.concatenate([col.values
-                                            for col in columns]),
-                      nulls=nulls)
-    sizes = np.concatenate([col.sizes for col in columns])
-    if code == "b":
-        return Column("b", b"".join(col.values for col in columns),
-                      sizes, nulls)
-    return Column("*", concat([col.values for col in columns]), sizes,
-                  nulls)
-
-
 # -- decoding ----------------------------------------------------------------
 
 def _fixed(buffer: Buffer, code: str, n: int) -> npt.NDArray[Any]:
@@ -324,7 +275,8 @@ def _sizes(buffer: Buffer, n: int, cap: int
     """A lengths buffer and its total.  ``cap`` (the bytes in the
     frame's tail) bounds every entry, so the total cannot wrap."""
     sizes: npt.NDArray[np.int64] = _fixed(buffer, "q", n)
-    if n and (int(sizes.min()) < 0 or int(sizes.max()) > cap):
+    # Read unsigned, a negative length is 2**63 or more: one ``max``.
+    if n and int(sizes.view(np.uint64).max()) > cap:
         raise ProtocolError(
             "a length column holds a negative length or one beyond "
             "the frame")

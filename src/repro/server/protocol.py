@@ -77,11 +77,12 @@ frame type does not define are ignored.
 
 A partial-state query: same key semantics and validation as ``query``,
 but the statement must be an aggregate SELECT and the reply is a
-``presult`` frame carrying the aggregates' *unreduced* mergeable
-partial states instead of finished values.  This is the shard half of
+``presult`` frame carrying the aggregates' *unreduced* partial
+states instead of finished values.  This is the shard half of
 distributed aggregation — a coordinator scatters one ``pquery`` per
 shard, merges the partial states in shard order, and finishes the
-aggregates itself (see ``docs/SHARDING.md``).
+aggregates itself (see ``docs/SHARDING.md``).  A shard coordinator
+itself refuses ``pquery`` with ``BAD_FRAME``.
 
 ``insert``  ``{"type": "insert", "table": str, "rows": str,
 "rowcount": int, "timeout": float | "none"}``
@@ -189,30 +190,19 @@ is true, which also carries the cold-run ``metrics`` and
 ``elapsed_seconds`` (earlier frames ship ``null`` for both).  Errors
 are only ever sent *instead of* the first chunk — once chunk 0 is on
 the wire the stream always runs to ``eof``.
-``presult`` ``{"type": "presult", "rows": int,
-"states": [...] | null, "groups": str | null, "rowcount": int,
-"metrics": dict, "elapsed_seconds": float}``
+``presult`` ``{"type": "presult", "rows": int, "groups": str,
+"rowcount": int, "metrics": dict, "elapsed_seconds": float}``
 
 The reply to a ``pquery``: ``rows`` is the number of rows the shard
-scanned.  A scalar SELECT ships ``states``, one packed partial state
-per aggregate (``groups`` is null).  A partial state is packed by
-:func:`pack_partial`: a count partial ships as a plain JSON int; an
-all-float value list ships as a little-endian float64 blob referenced
-by ``{"$pf8": i}``; an all-int list as an int64 blob under
-``{"$pi8": i}``; anything else falls back to ``{"$pvals": [...]}``
-with per-value packing (blob values become ``{"$blob": i}``).
-
-A GROUP BY ships ``groups`` (``states`` is null): the type string of a
-row set of ``rowcount`` groups in the shard's group order whose first
-column is the group key and whose other columns are the aggregates'
-partials — ``q`` for a count, ``*x`` for a value list, i.e. per
-aggregate one *counts* buffer (how many non-NULL values each group
-has seen) and one flat *values* column holding every group's values
-back to back in scan order.  ``SELECT id, SUM(v1), AVG(v2) ... GROUP
-BY id`` is ``"q*d*d"``: keys, counts + values, counts + values — five
-buffers however many groups there are.  The coordinator concatenates
-these arrays in shard order and merges them with one stable sort of
-the keys (see ``docs/SHARDING.md``).
+scanned, and ``groups`` the type string of a row set of ``rowcount``
+groups in group order: the key column, then per aggregate ``q`` for a
+count or ``*x`` for a value list — a *counts* buffer (non-NULL values
+per group) and one flat *values* column, every group's values back to
+back in scan order.  ``SELECT id, SUM(v1), AVG(v2) ... GROUP BY id`` is
+``"q*d*d"``, five buffers however many groups; a scalar SELECT is one
+group under the key ``0``.  The coordinator absorbs the shards'
+arrays, in shard order, as a grouped scan absorbs a batch (see
+``docs/SHARDING.md``).
 
 Error codes are the :data:`SERVER_BUSY`, :data:`QUERY_TIMEOUT`,
 :data:`SQL_ERROR`, :data:`BAD_FRAME`, :data:`RESULT_TOO_LARGE`,
@@ -282,7 +272,7 @@ __all__ = [
 ]
 
 #: Protocol revision carried in the server's hello frame.
-PROTOCOL_VERSION = 3
+PROTOCOL_VERSION = 4
 
 #: Default per-frame ceiling (64 MiB) — a malformed or hostile length
 #: prefix is rejected before any allocation happens.
@@ -345,20 +335,16 @@ class WireError(Exception):
         self.detail = detail
 
 
-# -- partial aggregate states (pquery/presult) -------------------------------
+# -- standalone partial codec (the benchmark's traced probes) ---------------
 
 def pack_partial(partial: object, blobs: list[bytes]) -> object:
-    """Encode one mergeable aggregate partial for a ``presult`` frame.
+    """Encode one aggregate partial as standalone JSON plus blobs.
 
-    A count partial (int) stays inline JSON.  A value-list partial —
-    the ordered non-NULL values a SUM/AVG/MIN/MAX fold consumes —
-    becomes a typed binary column in the frame tail when homogeneous:
-    ``{"$pf8": i}`` for little-endian float64, ``{"$pi8": i}`` for
-    little-endian int64, so a million-value partial ships as 8 MB of
-    raw bytes rather than JSON text.  The exact bit patterns survive
-    the round trip, which is what keeps distributed float SUM/AVG
-    bit-identical.  Mixed or non-numeric lists (MIN/MAX over blobs,
-    say) fall back to ``{"$pvals": [...]}`` with per-value packing.
+    No frame carries these (a ``presult`` ships columns); the codec
+    stays for the benchmark's traced probes.  A count stays inline; a
+    value list becomes a blob when homogeneous — ``{"$pf8": i}``
+    little-endian float64, ``{"$pi8": i}`` int64, bit patterns intact
+    — and ``{"$pvals": [...]}`` with per-value packing otherwise.
     """
     if isinstance(partial, bool):
         raise ProtocolError("a bool is not a partial aggregate state")
@@ -399,7 +385,8 @@ def _partial_blob(marker: object, blobs: Sequence[Buffer]) -> Buffer:
 
 
 def unpack_partial(value: object, blobs: Sequence[Buffer]) -> object:
-    """Invert :func:`pack_partial`."""
+    """Invert :func:`pack_partial` (kept, like it, for the benchmark's
+    traced probes)."""
     if isinstance(value, bool):
         raise ProtocolError("a bool is not a partial aggregate state")
     if isinstance(value, int):

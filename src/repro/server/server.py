@@ -560,20 +560,13 @@ class ArrayServer:
 
     @staticmethod
     def _pack_presult(result: dict, latency: float) -> tuple[dict, list]:
-        """A ``presult`` frame: scalar states packed one by one, a
-        grouped partial as one row set — key column, then per
-        aggregate its counts and one flat values column."""
-        states = result["states"]
-        groups = result["groups"]
-        columns = protocol.Columns.from_groups(()) if groups is None \
-            else protocol.Columns.from_group_arrays(*groups.arrays())
-        types, blobs = columns.encode()  # none for a scalar SELECT
-        packed_states = None if states is None else [
-            protocol.pack_partial(state, blobs) for state in states]
+        """A ``presult`` frame: the partial as one row set — key
+        column, then per aggregate its counts and flat values."""
+        columns = protocol.Columns.from_group_arrays(
+            *result["groups"].arrays())
+        types, blobs = columns.encode()
         reply = {"type": "presult", "rows": result["rows"],
-                 "states": packed_states,
-                 "groups": None if groups is None else types,
-                 "rowcount": columns.rowcount,
+                 "groups": types, "rowcount": columns.rowcount,
                  "metrics": result["metrics"],
                  "elapsed_seconds": latency}
         return reply, blobs
@@ -837,33 +830,19 @@ class ArrayServer:
 
     def _execute_partial_sync(self, session: SqlSession, sql: str,
                               cold: bool) -> dict:
-        """Statement body of the ``pquery`` path: run the SELECT
-        with its aggregates' mergeable partial states left unreduced
-        (the shard half of distributed aggregation)."""
+        """Statement body of the ``pquery`` path: the SELECT's partial
+        states, unreduced (the shard half of distributed aggregation)."""
         payload = session.query_partial(
             sql, cold=cold, finalize=self._materialize_partials)
-        return {"kind": "partial", "rows": payload["rows"],
-                "states": payload["states"],
-                "groups": payload["groups"],
-                "metrics": payload["metrics"].to_dict()}
+        return dict(payload, kind="partial",
+                    metrics=payload["metrics"].to_dict())
 
     def _materialize_partials(self, payload: dict) -> dict:
         """``query_partial`` finalize hook: resolve blob handles inside
         MIN/MAX value-list partials before the statement ends (same
         reasoning as :meth:`_materialize_result`)."""
-        def read(handle):
-            return handle.read_all(self.db.pool)
-
-        def fix(partial):
-            if isinstance(partial, list):
-                return [read(cell) if isinstance(cell, MaxBlobHandle)
-                        else cell for cell in partial]
-            return partial
-
-        if payload["states"] is not None:
-            payload["states"] = [fix(s) for s in payload["states"]]
-        if payload["groups"] is not None:
-            payload["groups"].replace_values(MaxBlobHandle, read)
+        payload["groups"].replace_values(
+            MaxBlobHandle, lambda handle: handle.read_all(self.db.pool))
         return payload
 
     def _execute_insert_sync(self, session: SqlSession,

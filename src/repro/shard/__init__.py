@@ -7,10 +7,10 @@ every table and each backed by one or more replica
 coordinator (:class:`ShardRouter` inside a :class:`ShardServer`) that
 plans each statement once, routes it — point statements to one shard,
 key ranges to the owning shards, scans to all — and merges replies.
-Aggregates travel as unreduced mergeable partial states
-(``pquery``/``presult`` frames) and are folded in shard order, so
-float SUM/AVG under range partitioning are bit-identical to
-single-node execution.
+Aggregates travel as unreduced partial states (``pquery``/``presult``
+frames, a scalar SELECT as one group) and the coordinator absorbs them
+in shard order into one grouped-scan state, so float SUM/AVG under
+range partitioning are bit-identical to single-node execution.
 
 Replicas make shard loss survivable: writes apply to every replica of
 the owning shard, reads round-robin across the live replicas, and a

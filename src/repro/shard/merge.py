@@ -1,179 +1,124 @@
 """Coordinator-side merging of shard partial states.
 
-The shards ship the *unreduced* mergeable states their scans produced
-(:func:`~repro.engine.executor.PartialCapture`); these helpers fold
-them — in the shard order the caller supplies — and finish the original
-aggregates.  With range partitioning, shard order is key order, so the
-fold visits values in exactly the sequence a single-node scan would
-and float SUM/AVG come out bit-identical.
-
-Grouped partials arrive, and are merged, as arrays
-(:class:`~repro.server.columnar.Columns`: a key column and per
-aggregate a counts buffer plus one flat values column).  The merge
-concatenates the shards' arrays in shard order and sorts the keys
-**stably**, so the entries of a group seen by several shards stay in
-shard order and its values in the order one node would have scanned
-them.  Counts are summed as arrays and a value column in which no
-group holds more than one value passes through untouched; any other
-column is folded group by group through the aggregate's own ``merge``
-and ``finish``, so there is one copy of the aggregate semantics.
+A shard ships its scan's *unreduced* partial
+(:func:`~repro.engine.executor.PartialCapture`): per group its count,
+or its non-NULL inputs in scan order — a scalar SELECT as one group
+under the key 0.  Folding it in is the accumulate a grouped scan runs
+over one more batch, so the coordinator runs exactly that: one
+:class:`~repro.engine.vectorized.GroupArrays` over the plan's own
+aggregates absorbs the shards' arrays in the order the caller gives
+(:meth:`~repro.engine.vectorized.GroupArrays.absorb_partial`) — all
+of them as one batch when their keys, joined, still stand in group
+order — and keys that do not order as an array go to the grouped
+scan's per-lane walk (:class:`~repro.engine.vectorized.SpilledGroups`).
+With range
+partitioning, shard order is key order, so the fold visits values in
+exactly the sequence a single-node scan would and float SUM/AVG come
+out bit-identical.
 
 Every function here is *pure* (``tests/shard/test_merge_purity.py``
-checks each one's arguments bit for bit): fresh state in, merged value
-out, no argument mutated and no process state touched.  Purity is what makes the merge
-order the only thing that matters — the coordinator can gather replies
-in any arrival order and still merge deterministically.
+checks each one's arguments bit for bit), so the merge order is the
+only thing that matters: the coordinator can gather replies in any
+arrival order and still merge deterministically.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from ..engine.executor import Avg, Count, Max, Min, Sum, group_rank
+from ..engine.executor import Count, Max, Min
 from ..engine.metrics import QueryMetrics
-from ..server.columnar import Column, Columns, concat
+from ..engine.vectorized import GroupArrays, SpilledGroups, to_pylist
+from ..server.columnar import Column, Columns
 
-__all__ = [
-    "merge_scalar_states",
-    "merge_grouped_states",
-    "merge_metrics",
-    "finalize_scalar",
-    "finalize_grouped",
-]
+__all__ = ["merge_grouped_states", "merge_metrics", "finalize_grouped"]
 
 
-def merge_scalar_states(aggregates: Sequence, shard_states: Sequence):
-    """Fold each aggregate's per-shard partials in the given order.
-
-    ``shard_states[s][i]`` is shard ``s``'s partial for aggregate
-    ``i``; returns one merged (still unfinished) state per aggregate.
-    """
-    states = [agg.start() for agg in aggregates]
-    merged = []
-    for i, agg in enumerate(aggregates):
-        state = states[i]
-        for per_shard in shard_states:
-            state = agg.merge(state, per_shard[i])
-        merged.append(state)
-    return merged
+def _operands(column: Column) -> np.ndarray:
+    """Shipped values as the fold takes them: int64 and float64 as they
+    came, bytes of one length as fixed-width records, else objects."""
+    if column.nulls is None:
+        if column.code in ("q", "d"):
+            return column.values
+        if column.code == "b" and len(column) and column.sizes[0] \
+                and (column.sizes == column.sizes[0]).all():
+            return np.frombuffer(column.values, f"V{column.sizes[0]}")
+    return np.array(column.cells(), object)
 
 
-class GroupedStates(NamedTuple):
-    """Merged, still unfinished, grouped states: the distinct group
-    keys in result order and one state column per aggregate (see
-    :func:`_merge_column` for the three forms a state column takes)."""
-
-    keys: Column
-    states: list
-
-
-class _Single(NamedTuple):
-    """An aggregate's state where no group saw more than one value:
-    the value column as it arrived (arbitrary where ``counts`` is 0)
-    and, per group, whether it holds a value."""
-
-    values: Column
-    counts: np.ndarray
+def _partial(agg, column: Column) -> tuple:
+    """A shipped partial column as ``(counts, values)`` (``values``
+    None for a count)."""
+    count = isinstance(agg, Count)
+    if column.code != ("q" if count else "*") or column.nulls is not None:
+        raise ValueError(f"a {type(agg).__name__} partial of type "
+                         f"{column.code!r}")
+    return (column.values, None) if count \
+        else (column.sizes, _operands(column.values))
 
 
-def _group_order(keys: Column):
-    """``(order, starts)``: a *stable* sort of the concatenated group
-    keys, NULL last (the order :meth:`Executor.run_grouped` emits),
-    and where each distinct key's run begins in it.  ``order`` is None
-    when the keys are already sorted — shards of a range-partitioned
-    ``GROUP BY pk``."""
-    n = len(keys)
-    if keys.code == "q" and keys.nulls is None:
-        k = keys.values
-        order = None
-        if n and not (k[1:] >= k[:-1]).all():
-            order = np.argsort(k, kind="stable")
-            k = k[order]
-        new = np.ones(n, np.bool_)
-        new[1:] = k[1:] != k[:-1]
-    else:
-        cells = keys.cells()
-        ranked = sorted(range(n), key=lambda i: group_rank(cells[i]))
-        order = np.array(ranked, np.intp)
-        new = np.ones(n, np.bool_)
-        new[1:] = [cells[a] != cells[b]
-                   for a, b in zip(ranked, ranked[1:])]
-    return order, np.flatnonzero(new)
+def _lanes(aggregates: Sequence, partial) -> tuple:
+    """A shard's partial as ``(keys, mask, [(counts, values), ...])``,
+    None when it holds no group."""
+    if not isinstance(partial, Columns):
+        partial = Columns.from_groups(partial)
+    if not partial.rowcount:
+        return None
+    if len(partial.columns) != 1 + len(aggregates):
+        raise ValueError(
+            f"a grouped partial of {len(partial.columns)} columns "
+            f"for {len(aggregates)} aggregates")
+    key, *columns = partial.columns
+    keys, mask = (key.values, key.nulls) if key.code in ("q", "d") \
+        else (np.array(key.cells(), object), None)
+    return keys, mask, [_partial(agg, column)
+                        for agg, column in zip(aggregates, columns)]
 
 
-def _merge_column(agg, column: Column, starts: np.ndarray):
-    """Merge one aggregate's partial column, already in group order,
-    over the runs beginning at ``starts``.  Returns, per group,
-
-    * an int64 array — a count aggregate's summed counts;
-    * a :class:`_Single` — value-list partials of a built-in aggregate
-      none of whose groups holds more than one value (nothing to fold:
-      ``-0.0`` stays ``-0.0``);
-    * a list of Python states, folded entry by entry through
-      ``agg.merge`` — everything else.
-    """
-    kind = type(agg)
-    if kind is Count and column.code == "q" and column.nulls is None:
-        return np.add.reduceat(column.values, starts)
-    values = column.values
-    if kind in (Sum, Avg, Min, Max) and column.code == "*" \
-            and column.nulls is None and len(values) \
-            and values.nulls is None and values.code != "j":
-        counts = np.add.reduceat(column.sizes, starts)
-        if int(counts.max()) == 1:
-            if len(values) != len(counts):  # some group has no value
-                values = values.take((np.cumsum(counts) - counts).clip(
-                    max=len(values) - 1))
-            return _Single(values, counts)
-    cells = column.cells()
-    bounds = starts.tolist() + [len(cells)]
-    states = []
-    for lo, hi in zip(bounds, bounds[1:]):
-        state = agg.start()
-        for partial in cells[lo:hi]:
-            state = agg.merge(state, partial)
-        states.append(state)
-    return states
+def _joined(shards: list) -> tuple:
+    """Several shards' lanes end to end, as one partial."""
+    keys, masks, partials = zip(*shards)
+    mask = None if all(m is None for m in masks) else np.concatenate([
+        np.zeros(len(k), np.bool_) if m is None else m
+        for k, m in zip(keys, masks)])
+    joined = []
+    for parts in zip(*partials):
+        counts, values = zip(*parts)
+        if values[0] is not None and len({v.dtype for v in values}) > 1:
+            values = [v.astype(object) for v in values]
+        joined.append((np.concatenate(counts), None if values[0] is None
+                       else np.concatenate(values)))
+    return np.concatenate(keys), mask, joined
 
 
-def merge_grouped_states(aggregates: Sequence,
-                         shard_groups: Sequence) -> GroupedStates:
-    """Fold grouped partials across shards.
+def merge_grouped_states(aggregates: Sequence, shard_groups: Sequence):
+    """Fold grouped partials across shards, in the order given.
 
-    ``shard_groups[s]`` is shard ``s``'s grouped partial: a decoded
+    ``shard_groups[s]`` is shard ``s``'s partial: a decoded
     :class:`Columns` (key column, one partial column per aggregate),
-    or the ordered ``(group_value, [partial, ...])`` pairs
-    :meth:`SqlSession.query_partial` returns, which are first put in
-    that form.  Groups seen by several shards are folded in shard
-    order, groups seen by one shard pass through.
+    or ``(group_value, [partial, ...])`` pairs (the form the
+    benchmark's probes pass).  Shards whose keys still ascend when
+    joined end to end — range partitions, a scalar statement's one
+    group — are one batch; others are absorbed a shard at a time.
+    Returns the unfinished merged state: a :class:`GroupArrays`, or
+    :class:`SpilledGroups`.
     """
-    width = 1 + len(aggregates)
-    parts = []
-    for groups in shard_groups:
-        if not isinstance(groups, Columns):
-            groups = Columns.from_groups(groups)
-        if not groups.rowcount:
-            continue
-        if len(groups.columns) != width:
-            raise ValueError(
-                f"a grouped partial of {len(groups.columns)} columns "
-                f"for {len(aggregates)} aggregates")
-        parts.append(groups.columns)
-    if not parts:
-        return GroupedStates(Column("q", np.empty(0, np.int64)),
-                             [[] for _ in aggregates])
-    keys = concat([columns[0] for columns in parts])
-    order, starts = _group_order(keys)
-    states = []
-    for i, agg in enumerate(aggregates, 1):
-        column = concat([columns[i] for columns in parts])
-        if order is not None:
-            column = column.take(order)
-        states.append(_merge_column(agg, column, starts))
-    first = starts if order is None else order[starts]
-    return GroupedStates(keys.take(first), states)
+    shards = [_lanes(aggregates, partial) for partial in shard_groups]
+    shards = [lanes for lanes in shards if lanes is not None]
+    groups = GroupArrays([agg.group_column() for agg in aggregates])
+    if len(shards) > 1 and len({lanes[0].dtype for lanes in shards}) == 1 \
+            and groups.absorb_partial(*_joined(shards)):
+        return groups
+    for keys, mask, partials in shards:
+        if isinstance(groups, GroupArrays):
+            if groups.absorb_partial(keys, mask, partials):
+                continue
+            groups = SpilledGroups(groups)
+        groups.absorb_partial(aggregates, to_pylist(keys, mask, len(keys)),
+                              partials)
+    return groups
 
 
 def merge_metrics(parts: Sequence[dict], label: str,
@@ -209,40 +154,36 @@ def merge_metrics(parts: Sequence[dict], label: str,
     return merged
 
 
-def finalize_scalar(aggregates: Sequence, states: Sequence,
-                    rows: int) -> tuple:
-    """Finish merged scalar states into the statement's value row."""
-    return tuple(agg.finish(state, rows)
-                 for agg, state in zip(aggregates, states))
+def _result_column(agg, column, rows: int) -> Column:
+    """One aggregate's finished result column: float64 as one array
+    operation, MIN/MAX over fixed-width bytes as the records they are,
+    anything else through ``finish`` a group at a time."""
+    values = column.values
+    if values is None:
+        return Column("q", column.counts)
+    empty = column.counts == 0
+    nulls = empty if empty.any() else None
+    if values.dtype.kind == "f":
+        return Column("d", agg.finish_floats(values, column.counts),
+                      nulls=nulls)
+    if values.dtype.kind == "V" and isinstance(agg, (Min, Max)):
+        return Column("b", values.view(np.uint8), np.full(
+            len(values), values.dtype.itemsize, np.int64), nulls)
+    return Column.from_cells(column.finish(agg, rows))
 
 
-def _finish_column(agg, state, rows: int) -> Column:
-    """Finish one aggregate's merged state column into its result
-    column."""
-    if isinstance(state, list):
-        return Column.from_cells([agg.finish(s, rows) for s in state])
-    if not isinstance(state, _Single):
-        return Column("q", state)
-    values, counts = state
-    if values.code == "d":
-        # ``finish`` as one array operation: AVG's total / 1, and a
-        # NaN total of SUM/AVG reported as the canonical ``nan``.
-        values = Column("d", agg.finish_floats(values.values, counts))
-    elif type(agg) is Avg:  # int / int: Python's exact division
-        return Column.from_cells([
-            agg.finish((value, n), rows) for value, n
-            in zip(values.cells(), counts.tolist())])
-    empty = counts == 0
-    return Column(values.code, values.values, values.sizes,
-                  empty if empty.any() else None)
-
-
-def finalize_grouped(aggregates: Sequence, groups: GroupedStates,
-                     rows: int) -> Columns:
-    """Finish merged grouped states into the result set, as columns
-    (:func:`merge_grouped_states` already put the groups in
-    :meth:`Executor.run_grouped`'s NULL-last order)."""
-    columns = [groups.keys] + [
-        _finish_column(agg, state, rows)
-        for agg, state in zip(aggregates, groups.states)]
-    return Columns(columns, len(groups.keys))
+def finalize_grouped(aggregates: Sequence, groups, rows: int) -> Columns:
+    """Finish a merged grouped state into the result set, as columns,
+    in :meth:`Executor.run_grouped`'s order (NaN group, then NULL
+    group last)."""
+    if not isinstance(groups, GroupArrays):
+        return Columns.from_rows(groups.rows(aggregates, rows))
+    keys = groups.group_keys  # the plan's own columns: nothing to settle
+    if not len(groups):
+        return Columns([], 0)
+    code = "d" if keys.dtype.kind == "f" else "q"
+    key = Column(code, np.append(keys, 0), nulls=np.arange(
+        len(groups)) == len(keys)) if groups.null else Column(code, keys)
+    return Columns([key] + [
+        _result_column(agg, column, rows)
+        for agg, column in zip(aggregates, groups.columns)], len(groups))

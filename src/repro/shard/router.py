@@ -30,11 +30,11 @@ Replication splits the two traffic classes:
   rotation (reprobe never revives it), because serving reads from it
   would be silently wrong.
 
-Aggregation is distributed through the engine's mergeable-aggregate
-protocol: shards answer ``pquery`` frames with unreduced partial
-states, and the coordinator folds them in shard order
-(:mod:`repro.shard.merge`), so float SUM/AVG match single-node
-execution bit for bit under range partitioning.
+Aggregation is distributed through the engine's aggregate protocol:
+shards answer ``pquery`` frames with unreduced partial states, and the
+coordinator folds them in shard order (:mod:`repro.shard.merge`), so
+float SUM/AVG match single-node execution bit for bit under range
+partitioning.
 
 Fault handling is typed, never hanging: every exchange with a replica
 — read, write or relay — goes through one send, one reply check and,
@@ -71,13 +71,7 @@ from ..server.client import RetryPolicy
 from ..server.server import ArrayServer, ServerConfig, _statement_text
 from .client import ShardLink
 from .config import ShardConfig
-from .merge import (
-    finalize_grouped,
-    finalize_scalar,
-    merge_grouped_states,
-    merge_metrics,
-    merge_scalar_states,
-)
+from .merge import finalize_grouped, merge_grouped_states, merge_metrics
 from .partitioner import Partitioner
 
 __all__ = ["Replica", "ShardRouter", "ShardServer", "start_cluster"]
@@ -472,37 +466,21 @@ class ShardRouter:
                          for _sid, reply, _b in replies)
         metrics = merge_metrics(
             [reply.get("metrics") or {} for _sid, reply, _b in replies],
-            plan.label, self.partitioner.shards)
-        if plan.kind == "grouped":
-            # The shards' column buffers go to the merge as they came
-            # off the wire and its result columns go to the reply
-            # frame as they are: no per-group, per-cell step here.
-            groups = merge_grouped_states(plan.aggregates, [
+            plan.label, self.partitioner.shards).to_dict()
+        # Column buffers in, result columns out: no per-cell step here.
+        columns = finalize_grouped(plan.aggregates, merge_grouped_states(
+            plan.aggregates, [
                 protocol.Columns.decode(reply.get("groups"), blobs,
                                         reply.get("rowcount"))
-                for _sid, reply, blobs in replies])
-            columns = finalize_grouped(plan.aggregates, groups,
-                                       rows_total)
+                for _sid, reply, blobs in replies]), rows_total)
+        if plan.kind == "grouped":
             return {"kind": "rows", "columns": columns,
-                    "rowcount": columns.rowcount,
-                    "metrics": metrics.to_dict()}
-        shard_states = []
-        for shard_id, reply, blobs in replies:
-            raw = reply.get("states")
-            if not isinstance(raw, list) or \
-                    len(raw) != len(plan.aggregates):
-                raise protocol.WireError(
-                    protocol.INTERNAL,
-                    f"shard {shard_id} returned "
-                    f"{len(raw) if isinstance(raw, list) else raw!r}"
-                    f" partial states for {len(plan.aggregates)} "
-                    f"aggregates")
-            shard_states.append([
-                protocol.unpack_partial(part, blobs) for part in raw])
-        states = merge_scalar_states(plan.aggregates, shard_states)
-        rows = [finalize_scalar(plan.aggregates, states, rows_total)]
-        return {"kind": "rows", "rows": rows, "rowcount": len(rows),
-                "metrics": metrics.to_dict()}
+                    "rowcount": columns.rowcount, "metrics": metrics}
+        # A scalar SELECT is its one group (none: no shard was asked).
+        rows = [row[1:] for row in columns.rows()] or [tuple(
+            agg.finish(agg.start(), rows_total) for agg in plan.aggregates)]
+        return {"kind": "rows", "rows": rows, "rowcount": 1,
+                "metrics": metrics}
 
     def _route(self, plan: SelectPlan) -> list[int]:
         """Shards a SELECT must touch: the key's owner for a point

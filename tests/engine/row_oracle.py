@@ -89,7 +89,7 @@ def execute(executor, table, aggregates, where=None, group_expr=None,
         before = pool.snapshot_thread_counters()
         started = time.perf_counter()
         ctx = RowContext(view, pool)
-        states = groups = None
+        states = groups = nan = None
         if group_expr is None:
             states = [a.start() for a in aggregates]
         else:
@@ -105,6 +105,8 @@ def execute(executor, table, aggregates, where=None, group_expr=None,
                 continue
             if groups is not None:
                 group = evaluate(group_expr, ctx)
+                if group != group:  # NaN keys: one group, the first met
+                    group = nan = group if nan is None else nan
                 states = groups.get(group)
                 if states is None:
                     states = groups[group] = [a.start() for a in aggregates]
@@ -123,6 +125,8 @@ def execute(executor, table, aggregates, where=None, group_expr=None,
             return metrics
 
         metrics = measured()
+        if groups is not None:
+            groups = vectorized.SpilledGroups(groups)
         result = (executor._finish(aggregates, states, groups, rows,
                                    partial), metrics)
         if finalize is not None:
@@ -186,9 +190,9 @@ def query(session, sql, cold=True, finalize=None):
 
 
 def query_partial(session, sql, cold=True, finalize=None):
-    """``SqlSession.query_partial`` on the oracle: a grouped partial
-    comes back loaded into a
-    :class:`~repro.engine.vectorized.GroupArrays`, as the engine's."""
+    """``SqlSession.query_partial`` on the oracle: the partial comes
+    back loaded into a :class:`~repro.engine.vectorized.GroupArrays`,
+    as the engine's (a scalar statement's as one group, key 0)."""
     plan = session.prepare(sql)
     wrapped = replace(plan, partial=True, aggregates=[
         PartialCapture(agg) for agg in plan.aggregates])
@@ -196,16 +200,12 @@ def query_partial(session, sql, cold=True, finalize=None):
     def shape(result):
         if plan.late and finalize is None:
             result = session._read_out(result)
-        if plan.kind == "grouped":
-            rows, metrics = result
-            states = None
-            groups = vectorized.GroupArrays.from_rows(
-                wrapped.aggregates, rows)
-        else:
-            values, metrics = result
-            states, groups = list(values), None
-        payload = {"rows": metrics.rows, "states": states,
-                   "groups": groups, "metrics": metrics}
+        rows, metrics = result
+        if plan.kind != "grouped":
+            rows = [(0, *rows)]
+        groups = vectorized.GroupArrays.from_rows(wrapped.aggregates, rows)
+        payload = {"rows": metrics.rows, "groups": groups,
+                   "metrics": metrics}
         return payload if finalize is None else finalize(payload)
 
     return _select(session, wrapped, cold, shape)

@@ -151,23 +151,29 @@ def test_generated_grouped_statements_agree(session, sql):
 
 def test_the_segment_paths_each_ran(session):
     """The generated statements are only worth their name if the fixed
-    tables drive every path: a seeded fold, the array-to-dict spill
-    and the all-objects column."""
-    for sql, column in [
-            ("SELECT lo, SUM(x) FROM u GROUP BY lo", vectorized.FoldColumn),
-            ("SELECT nf, SUM(x) FROM u GROUP BY nf", None)]:
+    tables drive every path: a seeded fold, the NaN group, the
+    array-to-spilled walk and the all-objects column."""
+    def groups_of(sql):
         plan = session.plan_select(sql)
         ctx = vectorized.BatchContext(session.db.pool)
-        groups, _rows, _bytes = vectorized.scan_grouped(
+        return vectorized.scan_grouped(
             plan.table.scan_batches(session.db.pool), plan.group_expr,
-            plan.aggregates, plan.where, ctx)
-        if column is None:
-            assert isinstance(groups, dict)      # NaN keys: spilled
-            assert sum(key != key for key in groups) > 5
-        else:
-            assert isinstance(groups, vectorized.GroupArrays)
-            assert isinstance(groups.columns[0], column)
-            assert len(groups) == 7
+            plan.aggregates, plan.where, ctx)[0]
+
+    groups = groups_of("SELECT lo, SUM(x) FROM u GROUP BY lo")
+    assert isinstance(groups, vectorized.GroupArrays)
+    assert isinstance(groups.columns[0], vectorized.FoldColumn)
+    assert len(groups) == 7
+    # Object keys (int arithmetic runs on Python ints): spilled.
+    groups = groups_of("SELECT lo * 2, SUM(x) FROM u GROUP BY lo * 2")
+    assert isinstance(groups, vectorized.SpilledGroups)
+    assert sorted(groups) == [0, 2, 4, 6, 8, 10, 12]
+    # NaN keys, met late in the scan: one group in the arrays, last.
+    groups = groups_of("SELECT nf, COUNT(*) FROM u GROUP BY nf")
+    assert isinstance(groups, vectorized.GroupArrays)
+    keys = groups.group_keys
+    assert np.isnan(keys[-1]) and not np.isnan(keys[:-1]).any()
+    assert groups.columns[0].counts[-1] > 5
 
 
 def test_blob_handles_under_min_and_max(session):
@@ -191,7 +197,8 @@ def test_grouped_partial_reads_as_the_pairs_it_replaced(session):
     a sequence it is still the ordered ``(key, [partials])`` pairs."""
     for sql in ["SELECT nk, SUM(x), COUNT(*), MAX(b) FROM u GROUP BY nk",
                 "SELECT id, AVG(r), MIN(big) FROM u GROUP BY id",
-                "SELECT nf, SUM(x), COUNT(*) FROM u GROUP BY nf",  # spills
+                "SELECT nf, SUM(x), COUNT(*) FROM u GROUP BY nf",  # NaN
+                "SELECT lo * 2, MIN(x) FROM u GROUP BY lo * 2",  # spills
                 "SELECT fk, SUM(x) FROM g WHERE id < 0 GROUP BY fk"]:
         rows, _metrics = row_oracle.query(session, sql)
         plan = session.plan_select(sql)

@@ -61,9 +61,9 @@ class TestTheHandleNeverShows:
 
     def test_a_partial_state_holds_bytes_too(self, session):
         payload = session.query_partial(point("MAX(v), COUNT(*)", 1))
-        assert payload["states"] == [[BIG_BLOB], 1]
+        assert list(payload["groups"]) == [(0, [[BIG_BLOB], 1])]
         payload = session.query_partial(point("MIN(v)", 3))
-        assert payload["states"] == [[]]
+        assert list(payload["groups"]) == [(0, [[]])]
 
     def test_a_hook_is_handed_the_handle_inside_the_pin(self, session):
         table = session.db.tables["cubes"]

@@ -83,10 +83,10 @@ def test_no_frame_kind_shows_the_handle(client, key):
         reply, blobs = client._request_raw(
             {"type": "pquery", "sql": sql, "cold": True})
         assert reply["type"] == "presult" and reply["rows"] == found
-        states = [protocol.unpack_partial(state, blobs)
-                  for state in reply["states"]]
+        (group, *states), = protocol.unpack_rows(
+            reply["groups"], blobs, reply["rowcount"])
         folded = [[] if want is None else [want]]
-        assert states == folded + [found] * (len(expect) - 1)
+        assert (group, states) == (0, folded + [found] * (len(expect) - 1))
 
 
 def test_a_cold_window_is_charged_the_pages_it_touches(server, client):

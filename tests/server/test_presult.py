@@ -1,8 +1,9 @@
-"""The shard side of a grouped ``pquery`` hands arrays to the frame.
+"""The shard side of a ``pquery`` hands arrays to the frame.
 
 ``query_partial`` answers a vectorized grouped scan with the arrays
-the scan built (``GroupArrays``) and ``_pack_presult`` wraps them in
-``Columns`` as they are.  The wire does not change: the type string
+the scan built (``GroupArrays``) — a scalar statement with one group
+under the key 0 — and ``_pack_presult`` wraps them in ``Columns`` as
+they are.  The wire does not change: the type string
 and every buffer are what ``Columns.from_groups`` makes of the same
 partial as ``(key, [partials])`` pairs, and what the row oracle's
 partial — its finished rows loaded into the same arrays — packs.
@@ -84,17 +85,16 @@ def frame(server, sql, oracle=False):
 @pytest.mark.parametrize("sql", SCATTER + MIXED)
 def test_the_frame_is_what_the_pairs_packed_to(server, sql):
     groups, reply, buffers = frame(server, sql)
-    if groups is None:      # the scalar statement: states, no row set
-        assert reply["groups"] is None and reply["rowcount"] == 0
-    else:
-        assert isinstance(groups, GroupArrays)
-        types, want = protocol.Columns.from_groups(list(groups)).encode()
-        assert reply["groups"] == types
-        assert reply["rowcount"] == len(groups)
-        assert buffers == [bytes(b) for b in want]
+    assert isinstance(groups, GroupArrays)
+    if "GROUP BY" not in sql:   # the scalar statement: one group, key 0
+        assert [key for key, _partials in groups] == [0]
+    types, want = protocol.Columns.from_groups(list(groups)).encode()
+    assert reply["groups"] == types
+    assert reply["rowcount"] == len(groups)
+    assert buffers == [bytes(b) for b in want]
     # ... and what the row oracle's partial puts on the wire.
     _groups, row_reply, row_buffers = frame(server, sql, oracle=True)
-    for key in ("groups", "rowcount", "states", "rows"):
+    for key in ("groups", "rowcount", "rows"):
         assert reply[key] == row_reply[key], key
     assert buffers == row_buffers
 
@@ -136,8 +136,7 @@ def test_blob_handles_in_a_partial_are_read_under_the_latch(server):
     (_c, blobs), (_c, floats) = partial.arrays()[2]
     handles = [v for v in blobs.tolist() if isinstance(v, MaxBlobHandle)]
     assert len(handles) == 100
-    payload = server._materialize_partials(
-        {"states": None, "groups": partial})
+    payload = server._materialize_partials({"groups": partial})
     assert payload["groups"] is partial
     assert partial.arrays()[2][1][1] is floats
     want = [(row[0], [[row[4].read_all(server.db.pool)

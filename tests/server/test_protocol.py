@@ -317,6 +317,15 @@ class TestVersionHandshake:
         assert self.expected() in str(caught.value)
         assert link._sock is None
 
+    def test_a_protocol_3_peer_is_refused(self):
+        """Protocol 4 ships a scalar ``presult`` as one group, with no
+        ``states`` key: a peer from before it is refused at hello."""
+        assert protocol.PROTOCOL_VERSION == 4
+        with pytest.raises(ProtocolError, match="peer speaks wire "
+                           "protocol 3, this side speaks 4"):
+            protocol.check_hello(({"type": "hello", "server": "old",
+                                   "protocol": 3, "session_id": 1}, []))
+
     def test_missing_version_is_a_mismatch(self):
         with pytest.raises(ProtocolError, match="None"):
             protocol.check_hello(({"type": "hello"}, []))

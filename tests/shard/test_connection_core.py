@@ -190,6 +190,26 @@ def test_a_client_connections_replica_links_close_with_it(cluster):
     router.execute("DROP TABLE tl")
 
 
+def test_the_coordinator_refuses_pquery_and_keeps_the_connection(
+        cluster):
+    """``pquery`` is shard-internal: a coordinator answers it
+    ``BAD_FRAME``, and the connection goes on serving queries."""
+    router = cluster
+    router.execute("CREATE TABLE tq (id BIGINT PRIMARY KEY, v FLOAT)")
+    router.insert_rows("tq", [(1, 0.5), (60, 1.5)])
+    coordinator = ShardServer(router, ServerConfig())
+    with ServerThread(server=coordinator) as handle:
+        with ArrayClient("127.0.0.1", handle.port) as c:
+            reply, blobs = c._request_raw(
+                {"type": "pquery", "sql": "SELECT SUM(v) FROM tq",
+                 "cold": False})
+            assert (reply["type"], reply["code"]) == \
+                ("error", protocol.BAD_FRAME)
+            assert "pquery" in reply["message"] and blobs == []
+            assert c.query("SELECT SUM(v) FROM tq").scalar() == 2.0
+    router.execute("DROP TABLE tq")
+
+
 def test_a_coordinator_session_is_reported_closed_after_its_socket(
         cluster):
     router = cluster

@@ -92,9 +92,10 @@ QUERIES = [
     "GROUP BY dbo.Tag(k)",
     # groups where an aggregate saw only NULLs
     "SELECT k, SUM(f), AVG(f), MIN(f) FROM m WHERE id < 32 GROUP BY k",
-    # an empty table, grouped and not
+    # an empty table, grouped and not; a key range no shard owns
     "SELECT k, SUM(f), COUNT(*) FROM e GROUP BY k",
     "SELECT SUM(f), COUNT(*) FROM e",
+    "SELECT SUM(f), COUNT(*) FROM m WHERE id >= 5 AND id < 3",
 ]
 
 #: Under hash partitioning a multi-shard group is folded shard by

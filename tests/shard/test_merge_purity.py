@@ -8,8 +8,8 @@ and compares every argument, pickled, with its pickle from before the
 call: bit for bit, floats and NumPy buffers included.
 
 ``test_a_merge_that_clears_its_input_is_caught`` runs an in-memory copy
-of ``shard/merge.py`` whose ``merge_scalar_states`` clears the list of
-shard states it folded (the checkout is never written) and shows the
+of ``shard/merge.py`` whose ``merge_grouped_states`` clears the list of
+shard partials it folded (the checkout is never written) and shows the
 check fails on it.
 """
 
@@ -32,12 +32,14 @@ def aggregates():
     return [Sum(None), Avg(None), Min(None), Max(None), Count()]
 
 
-def scalar_states():
-    """Three shards' scalar partials: value lists per fold, a count."""
+def scalar_pairs():
+    """Three shards' scalar partials — one group under the key 0: value
+    lists per fold, a count."""
     return [
-        [[1.5, -0.0], [2 ** 70, 3], [QUIET_NAN, 1.0], [b"b", b"a"], 2],
-        [[], [], [], [], 0],
-        [[1e308, 1e308], [0.1], [-0.0], [b"c"], 4],
+        [(0, [[1.5, -0.0], [2 ** 70, 3], [QUIET_NAN, 1.0], [b"b", b"a"],
+              2])],
+        [(0, [[], [], [], [], 0])],
+        [(0, [[1e308, 1e308], [0.1], [-0.0], [b"c"], 4])],
     ]
 
 
@@ -55,10 +57,10 @@ def shard_pairs():
     ]
 
 
-def shard_columns():
+def shard_columns(pairs_of=shard_pairs):
     """The same partials as the router holds them: decoded frames."""
     out = []
-    for pairs in shard_pairs():
+    for pairs in pairs_of():
         types, buffers = Columns.from_groups(pairs).encode()
         out.append(Columns.decode(types, [bytes(b) for b in buffers],
                                   len(pairs)))
@@ -80,13 +82,12 @@ def changed(fn, *args) -> list[int]:
             if pickle.dumps(arg, pickle.HIGHEST_PROTOCOL) != was]
 
 
-def test_merge_scalar_states():
-    assert changed(merge.merge_scalar_states, aggregates(),
-                   scalar_states()) == []
+SHARDS = [shard_columns, shard_pairs, scalar_pairs,
+          lambda: shard_columns(scalar_pairs)]
+SHARD_IDS = ["columns", "pairs", "scalar-pairs", "scalar-columns"]
 
 
-@pytest.mark.parametrize("shards", [shard_columns, shard_pairs],
-                         ids=["columns", "pairs"])
+@pytest.mark.parametrize("shards", SHARDS, ids=SHARD_IDS)
 def test_merge_grouped_states(shards):
     assert changed(merge.merge_grouped_states, aggregates(),
                    shards()) == []
@@ -96,29 +97,23 @@ def test_merge_metrics():
     assert changed(merge.merge_metrics, shard_metrics(), "q", 3) == []
 
 
-def test_finalize_scalar():
-    states = merge.merge_scalar_states(aggregates(), scalar_states())
-    assert changed(merge.finalize_scalar, aggregates(), states, 16) == []
-
-
-@pytest.mark.parametrize("shards", [shard_columns, shard_pairs],
-                         ids=["columns", "pairs"])
+@pytest.mark.parametrize("shards", SHARDS, ids=SHARD_IDS)
 def test_finalize_grouped(shards):
     groups = merge.merge_grouped_states(aggregates(), shards())
     assert changed(merge.finalize_grouped, aggregates(), groups, 16) == []
 
 
 def _merge_that_clears_its_input():
-    """``merge_scalar_states`` from a copy of ``shard/merge.py`` that
-    clears the list of shard states it folded."""
+    """``merge_grouped_states`` from a copy of ``shard/merge.py`` that
+    clears the list of shard partials it folded."""
     return mutated(merge,
-                   "        merged.append(state)\n"
-                   "    return merged\n",
-                   "        merged.append(state)\n"
-                   "    shard_states.clear()\n"
-                   "    return merged\n").merge_scalar_states
+                   "                              partials)\n"
+                   "    return groups\n",
+                   "                              partials)\n"
+                   "    shard_groups.clear()\n"
+                   "    return groups\n").merge_grouped_states
 
 
 def test_a_merge_that_clears_its_input_is_caught():
     assert changed(_merge_that_clears_its_input(), aggregates(),
-                   scalar_states()) == [1]
+                   shard_pairs()) == [1]
